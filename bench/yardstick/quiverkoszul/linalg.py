@@ -1,0 +1,287 @@
+"""Exact linear algebra over the rationals.
+
+Vectors are sparse maps from column index to nonzero Fraction, matrices are
+sparse maps from (row, col).  All elimination is exact and the pivot rule is
+fixed -- first nonzero column, smallest row index -- so every basis choice
+made downstream (normal forms, syzygy generators, kernel bases) is
+deterministic and reproducible across runs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+Scalar = Fraction
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def _clean(vec: dict) -> dict:
+    return {j: c for j, c in vec.items() if c}
+
+
+def vec_axpy(target: dict, coef: Fraction, source: dict) -> None:
+    """target += coef * source, in place, dropping zeros."""
+    if not coef:
+        return
+    for j, c in source.items():
+        s = target.get(j, ZERO) + coef * c
+        if s:
+            target[j] = s
+        else:
+            target.pop(j, None)
+
+
+class Matrix:
+    """Immutable sparse matrix with Fraction entries."""
+
+    __slots__ = ("nrows", "ncols", "entries")
+
+    def __init__(self, nrows: int, ncols: int, entries=None):
+        if nrows < 0 or ncols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        self.nrows = nrows
+        self.ncols = ncols
+        store = {}
+        for (i, j), value in (entries or {}).items():
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise ValueError(f"entry ({i},{j}) outside a {nrows}x{ncols} matrix")
+            value = Fraction(value)
+            if value:
+                store[(i, j)] = value
+        self.entries = store
+
+    @classmethod
+    def from_rows(cls, rows) -> "Matrix":
+        rows = [list(r) for r in rows]
+        ncols = len(rows[0]) if rows else 0
+        for r in rows:
+            if len(r) != ncols:
+                raise ValueError("ragged rows")
+        entries = {}
+        for i, r in enumerate(rows):
+            for j, value in enumerate(r):
+                if value:
+                    entries[(i, j)] = Fraction(value)
+        return cls(len(rows), ncols, entries)
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return self.entries.get((i, j), ZERO)
+
+    def row(self, i: int) -> dict:
+        return {j: c for (r, j), c in self.entries.items() if r == i}
+
+    def rows_as_dicts(self) -> list:
+        rows = [dict() for _ in range(self.nrows)]
+        for (i, j), c in self.entries.items():
+            rows[i][j] = c
+        return rows
+
+    def columns_as_dicts(self) -> list:
+        cols = [dict() for _ in range(self.ncols)]
+        for (i, j), c in self.entries.items():
+            cols[j][i] = c
+        return cols
+
+    def to_lists(self) -> list:
+        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (
+            self.nrows == other.nrows
+            and self.ncols == other.ncols
+            and self.entries == other.entries
+        )
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.nrows}x{self.ncols}, {len(self.entries)} nonzero)"
+
+
+@dataclass(frozen=True)
+class RrefResult:
+    reduced: Matrix
+    pivot_columns: tuple
+    rank: int
+
+
+class EchelonSpan:
+    """A row space kept in reduced row-echelon form under incremental adds.
+
+    Rows are sparse dicts; the map pivot column -> row is total on the
+    current basis.  Adding a vector reduces it against the basis, and on a
+    rank increase the new pivot is eliminated from all stored rows, so the
+    stored rows always form the unique rref basis of the span.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = {}  # pivot column -> row dict (row[pivot] == 1)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: dict) -> dict:
+        residue = _clean(dict(vec))
+        while True:
+            hit = [j for j in residue if j in self.rows]
+            if not hit:
+                return residue
+            p = min(hit)
+            vec_axpy(residue, -residue[p], self.rows[p])
+
+    def add(self, vec: dict) -> bool:
+        residue = self.reduce(vec)
+        if not residue:
+            return False
+        p = min(residue)
+        lead = residue[p]
+        row = {j: c / lead for j, c in residue.items()}
+        for other in self.rows.values():
+            if p in other:
+                vec_axpy(other, -other[p], row)
+        self.rows[p] = row
+        return True
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+    def pivots(self) -> tuple:
+        return tuple(sorted(self.rows))
+
+    def rref_rows(self) -> list:
+        return [dict(self.rows[p]) for p in sorted(self.rows)]
+
+    def equals(self, other: "EchelonSpan") -> bool:
+        # rref is canonical, so span equality is row-by-row equality.
+        return self.rref_rows() == other.rref_rows()
+
+
+class ColumnSolver:
+    """Echelon basis of a growing column family, with expansion tracking.
+
+    Feeding columns left to right reproduces the rref pivot choice: a column
+    is independent exactly when it would carry a pivot.  For dependent
+    columns the recorded coordinates expand them over the independent
+    columns fed so far, which is what kernel vectors and span membership
+    certificates are made of.
+    """
+
+    __slots__ = ("echelon", "count", "independent")
+
+    def __init__(self):
+        self.echelon = []  # list of (pivot row index, vec, coords)
+        self.count = 0
+        self.independent = []
+
+    def _reduce(self, vec: dict):
+        vec = _clean(dict(vec))
+        coords = {}
+        while True:
+            hit = [(r, pos) for pos, (r, _, _) in enumerate(self.echelon) if r in vec]
+            if not hit:
+                return vec, coords
+            r, pos = min(hit)
+            _, evec, ecoords = self.echelon[pos]
+            coef = vec[r] / evec[r]
+            vec_axpy(vec, -coef, evec)
+            vec_axpy(coords, coef, ecoords)
+
+    def solve(self, vec: dict):
+        """Coordinates of vec over the independent columns, or None."""
+        residue, coords = self._reduce(vec)
+        if residue:
+            return None
+        return coords
+
+    def add_column(self, vec: dict):
+        """Feed the next column; returns None if independent, else its expansion."""
+        index = self.count
+        self.count += 1
+        residue, coords = self._reduce(vec)
+        if not residue:
+            return coords
+        pivot = min(residue)
+        self.echelon.append((pivot, residue, {index: ONE}))
+        # keep coords meaning "expansion over original columns": residue ==
+        # col_index - sum(coords); fold the reduction history into the entry
+        _, evec, ecoords = self.echelon[-1]
+        for i, c in coords.items():
+            ecoords[i] = ecoords.get(i, ZERO) - c
+        self.independent.append(index)
+        return None
+
+
+def rref(m: Matrix) -> RrefResult:
+    span = EchelonSpan()
+    for row in m.rows_as_dicts():
+        span.add(row)
+    entries = {}
+    for i, row in enumerate(span.rref_rows()):
+        for j, c in row.items():
+            entries[(i, j)] = c
+    reduced = Matrix(m.nrows, m.ncols, entries)
+    return RrefResult(reduced, span.pivots(), span.rank)
+
+
+def kernel_basis(m: Matrix) -> list:
+    """Basis of the right null space, one vector per free column.
+
+    The vector for free column f has a 1 in position f and the negated
+    expansion of column f over the pivot columns elsewhere, matching the
+    rref-derived canonical form.
+    """
+    solver = ColumnSolver()
+    basis = []
+    for j, col in enumerate(m.columns_as_dicts()):
+        expansion = solver.add_column(col)
+        if expansion is None:
+            continue
+        vec = [ZERO] * m.ncols
+        vec[j] = ONE
+        for i, c in expansion.items():
+            vec[i] = -c
+        basis.append(vec)
+    return basis
+
+
+def kernel_basis_sparse(columns: list) -> list:
+    """Kernel of the matrix with the given sparse columns, as sparse dicts."""
+    solver = ColumnSolver()
+    basis = []
+    for j, col in enumerate(columns):
+        expansion = solver.add_column(col)
+        if expansion is None:
+            continue
+        vec = {i: -c for i, c in expansion.items()}
+        vec[j] = ONE
+        basis.append(_clean(vec))
+    return basis
+
+
+def solve_in_span(generators: list, target) -> list | None:
+    """Coefficients expressing target over generators, or None if outside.
+
+    Generators and target may be sparse dicts or dense sequences.  The
+    answer is deterministic: dependent generators get coefficient zero and
+    the expansion uses the leftmost independent generators.
+    """
+    gens = [_as_dict(g) for g in generators]
+    tgt = _as_dict(target)
+    solver = ColumnSolver()
+    for g in gens:
+        solver.add_column(g)
+    coords = solver.solve(tgt)
+    if coords is None:
+        return None
+    return [coords.get(i, ZERO) for i in range(len(gens))]
+
+
+def _as_dict(vec) -> dict:
+    if isinstance(vec, dict):
+        return _clean({j: Fraction(c) for j, c in vec.items()})
+    return _clean({j: Fraction(c) for j, c in enumerate(vec)})

@@ -1,0 +1,265 @@
+"""Finite-dimensional algebras on labelled bases with explicit products.
+
+Hosts the two product constructions attached to a weight grading (the smash
+product with the dual of the group algebra, and the skew group algebra of an
+action), plus the radical via the trace form of the regular representation
+(exact over the rationals in characteristic zero) and the structure-constant
+comparison between a covering and the matching smash product.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .algebra import AlgebraModel
+from .covering import path_weight, is_homogeneous_grading, split_sheet, _check_weights
+from .covering import InhomogeneousGradingError
+from .groups import FiniteGroup, GroupAction
+from .linalg import EchelonSpan, ONE, ZERO, kernel_basis_sparse, vec_axpy
+from .quiver import Arrow, Path
+
+
+class StructureConstantAlgebra:
+    """Basis labels, unit coordinates, and sparse structure constants."""
+
+    def __init__(self, labels, unit, table, name: str = "algebra"):
+        self.labels = tuple(labels)
+        self.name = name
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        if len(self._index) != len(self.labels):
+            raise ValueError("duplicate basis labels")
+        self.unit = {i: Fraction(c) for i, c in unit.items() if c}
+        self.table = {}
+        for (i, j), vec in table.items():
+            vec = {k: Fraction(c) for k, c in vec.items() if c}
+            if vec:
+                self.table[(i, j)] = vec
+
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
+
+    def index(self, label) -> int:
+        return self._index[label]
+
+    def product_basis(self, i: int, j: int) -> dict:
+        return self.table.get((i, j), {})
+
+    def product(self, x: dict, y: dict) -> dict:
+        out = {}
+        for i, ci in x.items():
+            for j, cj in y.items():
+                vec_axpy(out, ci * cj, self.product_basis(i, j))
+        return out
+
+    def left_mult_rows(self, i: int) -> dict:
+        """Row k of L_i holds the k-coordinates of b_i * b_j across columns j."""
+        rows = {}
+        for j in range(self.dim):
+            for k, c in self.product_basis(i, j).items():
+                rows.setdefault(k, {})[j] = c
+        return rows
+
+    def associativity_failures(self) -> list:
+        failures = []
+        for i in range(self.dim):
+            for j in range(self.dim):
+                ij = self.product_basis(i, j)
+                for k in range(self.dim):
+                    left = self.product(ij, {k: ONE})
+                    right = self.product({i: ONE}, self.product_basis(j, k))
+                    if left != right:
+                        failures.append((i, j, k))
+        return failures
+
+    def unit_failures(self) -> list:
+        failures = []
+        for i in range(self.dim):
+            if self.product(self.unit, {i: ONE}) != {i: ONE}:
+                failures.append(("left", i))
+            if self.product({i: ONE}, self.unit) != {i: ONE}:
+                failures.append(("right", i))
+        return failures
+
+    def verify(self) -> None:
+        bad = self.unit_failures()
+        if bad:
+            raise ValueError(f"{self.name}: unit law fails at {bad[:3]}")
+        bad = self.associativity_failures()
+        if bad:
+            raise ValueError(f"{self.name}: associativity fails at {bad[:3]}")
+
+    def __repr__(self) -> str:
+        return f"StructureConstantAlgebra({self.name}, dim {self.dim})"
+
+
+def algebra_to_structure_constants(m: AlgebraModel) -> StructureConstantAlgebra:
+    """Present a provably finite-dimensional model on its basis paths."""
+    basis = m.finite_basis()
+    index = {b: i for i, b in enumerate(basis)}
+    table = {}
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            if bi.source != bj.target:
+                continue
+            prod = m.basis_product(bi, bj)
+            if prod:
+                table[(i, j)] = {index[b]: c for b, c in prod.items()}
+    unit = {index[m.quiver.trivial_path(v)]: ONE for v in m.quiver.vertices}
+    return StructureConstantAlgebra(basis, unit, table, name="model")
+
+
+def smash_product(m: AlgebraModel, group: FiniteGroup, weights: dict) -> StructureConstantAlgebra:
+    """Smash product with the dual group algebra over a homogeneous grading.
+
+    Basis b#p_g for model basis paths b and group elements g, with
+    (a#p_g)(b#p_h) = a·b_{g·h^-1}#p_h where b_w is the weight-w component;
+    the unit is sum over g of 1#p_g.
+    """
+    p = m.presentation
+    table_w = _check_weights(p, group, weights)
+    report = is_homogeneous_grading(p, group, table_w)
+    if not report.homogeneous:
+        raise InhomogeneousGradingError(report)
+    basis_paths = m.finite_basis()
+    labels = [(b, g) for b in basis_paths for g in group.elements]
+    index = {lab: i for i, lab in enumerate(labels)}
+    weight_of = {b: path_weight(group, table_w, b) for b in basis_paths}
+    table = {}
+    for (bi, g) in labels:
+        i = index[(bi, g)]
+        for (bj, h) in labels:
+            # b_{g h^-1} with bj homogeneous: nonzero only on weight match
+            if weight_of[bj] != group.multiply(g, group.inverse(h)):
+                continue
+            if bi.source != bj.target:
+                continue
+            prod = m.basis_product(bi, bj)
+            if not prod:
+                continue
+            j = index[(bj, h)]
+            table[(i, j)] = {index[(b, h)]: c for b, c in prod.items()}
+    unit = {
+        index[(m.quiver.trivial_path(v), g)]: ONE
+        for v in m.quiver.vertices
+        for g in group.elements
+    }
+    return StructureConstantAlgebra(labels, unit, table, name="smash")
+
+
+def skew_group_algebra(m: AlgebraModel, action: GroupAction) -> StructureConstantAlgebra:
+    """Skew group algebra of an action on a finite-dimensional model.
+
+    Basis b·g with (a·g)(b·h) = a·g(b)·(gh); the action must send every
+    relation back into the ideal.
+    """
+    q = m.quiver
+    group = action.group
+    action.validate(q)
+    for g in group.elements:
+        for r in m.presentation.relations:
+            if r.length > m.max_degree:
+                raise ValueError(
+                    "cannot certify the action preserves the ideal: relation degree "
+                    f"{r.length} exceeds the window {m.max_degree}"
+                )
+            image = {action.apply_to_path(q, g, path): c for path, c in r.items()}
+            if m.normal_form(image):
+                raise ValueError(
+                    f"action of {g!r} does not preserve the ideal (relation {r})"
+                )
+    basis_paths = m.finite_basis()
+    labels = [(b, g) for b in basis_paths for g in group.elements]
+    index = {lab: i for i, lab in enumerate(labels)}
+    table = {}
+    for (bi, g) in labels:
+        i = index[(bi, g)]
+        for (bj, h) in labels:
+            j = index[(bj, h)]
+            moved = m.normal_form(action.apply_to_path(q, g, bj))
+            if not moved:
+                continue
+            prod = m.multiply({bi: ONE}, moved)
+            if not prod:
+                continue
+            gh = group.multiply(g, h)
+            table[(i, j)] = {index[(b, gh)]: c for b, c in prod.items()}
+    unit = {
+        index[(q.trivial_path(v), group.identity)]: ONE for v in q.vertices
+    }
+    return StructureConstantAlgebra(labels, unit, table, name="skew")
+
+
+def radical(s: StructureConstantAlgebra) -> list:
+    """Basis of the Jacobson radical: the kernel of the trace form
+    (x, y) -> trace(L_x L_y) of the regular representation (characteristic
+    zero makes this exact)."""
+    lefts = [s.left_mult_rows(i) for i in range(s.dim)]
+    gram_columns = []
+    for j in range(s.dim):
+        col = {}
+        lj = lefts[j]
+        for i in range(s.dim):
+            li = lefts[i]
+            # trace(L_i L_j) = sum over k, l of L_i[k][l] * L_j[l][k]
+            tr = ZERO
+            for k, row in li.items():
+                for l, c in row.items():
+                    d = lj.get(l, {}).get(k)
+                    if d:
+                        tr += c * d
+            if tr:
+                col[i] = tr
+        gram_columns.append(col)
+    return kernel_basis_sparse(gram_columns)
+
+
+def verify_smash_covering_iso(cov: AlgebraModel, sm: StructureConstantAlgebra) -> bool:
+    """Compare a covering model with a smash product through the canonical
+    bijection: the class of a lifted path starting on sheet g maps to
+    (underlying path)#p_g.  Exhaustive structure-constant comparison; a
+    basis size mismatch is an error, a product mismatch returns False."""
+    basis = cov.finite_basis()
+    if len(basis) != sm.dim:
+        raise ValueError(
+            f"basis size mismatch: covering has {len(basis)}, smash has {sm.dim}"
+        )
+
+    base_arrows = {}
+    for a in cov.quiver.arrows:
+        label, _ = split_sheet(a.label)
+        src, _ = split_sheet(a.source)
+        tgt, _ = split_sheet(a.target)
+        base_arrows.setdefault(label, Arrow(label, src, tgt))
+
+    def project(path: Path):
+        _, sheet = split_sheet(path.source)
+        if not path.arrows:
+            base, _ = split_sheet(path.base)
+            return Path((), base), sheet
+        return Path(tuple(base_arrows[split_sheet(a.label)[0]] for a in path.arrows)), sheet
+
+    mapping = {}
+    for i, b in enumerate(basis):
+        key = project(b)
+        try:
+            mapping[i] = sm.index(key)
+        except KeyError:
+            return False
+    if len(set(mapping.values())) != len(basis):
+        return False
+
+    index = {b: i for i, b in enumerate(basis)}
+    unit_cov = {mapping[index[cov.quiver.trivial_path(v)]]: ONE for v in cov.quiver.vertices}
+    if unit_cov != sm.unit:
+        return False
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            if bi.source == bj.target:
+                prod = cov.basis_product(bi, bj)
+                mapped = {mapping[index[b]]: c for b, c in prod.items()}
+            else:
+                mapped = {}
+            if mapped != sm.product_basis(mapping[i], mapping[j]):
+                return False
+    return True
