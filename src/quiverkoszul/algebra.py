@@ -8,7 +8,8 @@ degree d is generated by the degree-d relations together with arrow*(slice
 d-1) and (slice d-1)*arrow, so slices are built degree by degree reusing the
 previous one.  Non-pivot paths survive as the normal-form basis, so every
 basis element is the class of an actual path, and the expression map sends
-every degree-d path to its coordinates over those classes.
+every degree-d path to its coordinates over those classes.  The first degree
+in which no path survives ends the construction: every longer path is zero.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from .quiver import (
 
 class DegreeOverflowError(ValueError):
     pass
+
+
+class InternalError(Exception):
+    """A consistency check inside the library failed: a defect, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -71,46 +76,55 @@ class AlgebraModel:
 
     Immutable once built; all query methods are pure.  Basis elements are
     residue classes of paths; products of basis classes reduce through the
-    expression map, which covers every path of each modelled degree.
+    expression map, which covers every path of each eliminated degree.
+
+    Elimination stops at the first vanishing degree d0: the length grading
+    is generated in degree one, so every path of length >= d0 is zero, at
+    any length, inside the window or past it.
     """
 
-    def __init__(self, presentation: Presentation, max_degree: int,
-                 _reverse_columns: bool = False):
+    def __init__(self, presentation: Presentation, max_degree: int):
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         self.presentation = presentation
         self.quiver = presentation.quiver
         self.max_degree = max_degree
-        # _paths[(d, u, v)]: all degree-d paths u->v in canonical order
-        self._paths = {}
-        # _basis[(d, u, v)]: the normal-form subfamily, same order
+        # _basis[(d, u, v)]: the normal-form subfamily of the degree-d paths
+        # u->v, in canonical order
         self._basis = {}
-        # _expr[path]: dict basis Path -> Fraction
+        # _expr[path]: dict basis Path -> Fraction, for every path of length <= d0
         self._expr = {}
+        # _block_keys[d]: the (u, v) pairs joined by a path of length d
+        self._block_keys = {}
+        # first degree with A_d = 0, or None if the window shows none
+        self._zero_from = None
+        self._arrow_set = frozenset(self.quiver.arrows)
         self._product_cache = {}
-        self._build(_reverse_columns)
+        self._build()
 
     # -- construction -------------------------------------------------
 
-    def _build(self, reverse_columns: bool) -> None:
+    def _build(self) -> None:
         q = self.quiver
         for v in q.vertices:
             e = trivial_path(v)
-            self._paths[(0, v, v)] = [e]
             self._basis[(0, v, v)] = [e]
             self._expr[e] = {e: ONE}
+        self._block_keys[0] = {(v, v) for v in q.vertices}
+        if not q.vertices:
+            self._zero_from = 0
         relations_by_degree = {}
         for r in self.presentation.relations:
             relations_by_degree.setdefault(r.length, []).append(r)
 
         prev_spans = {}
-        for d in range(1, self.max_degree + 1):
+        blocks_prev = {}
+        d = 1
+        while self._zero_from is None and d <= self.max_degree:
             # enumerate and index the degree-d paths per block
             blocks = {}
             for p in enumerate_paths(q, d):
                 blocks.setdefault((p.source, p.target), []).append(p)
-            if reverse_columns:
-                blocks = {k: list(reversed(v)) for k, v in blocks.items()}
             index = {}
             for key, paths in blocks.items():
                 for j, p in enumerate(paths):
@@ -127,8 +141,8 @@ class AlgebraModel:
                 add_vector((r.source, r.target), vec)
 
             for (u, v), span in prev_spans.items():
+                paths_prev = blocks_prev[(u, v)]
                 for row in span.rref_rows():
-                    paths_prev = blocks_prev[(u, v)]
                     # arrow on the left: a∘p, lands in block (u, t(a))
                     for a in q.arrows_by_source[v]:
                         vec = {}
@@ -144,39 +158,51 @@ class AlgebraModel:
                             vec[index[newp]] = c
                         add_vector((a.source, v), vec)
 
+            survivors = 0
             for (u, v), paths in blocks.items():
                 span = spans[(u, v)]
                 pivot_set = set(span.pivots())
                 basis = [p for j, p in enumerate(paths) if j not in pivot_set]
-                self._paths[(d, u, v)] = paths
+                survivors += len(basis)
                 self._basis[(d, u, v)] = basis
-                for j, p in enumerate(paths):
-                    if j not in pivot_set:
-                        self._expr[p] = {p: ONE}
+                for p in basis:
+                    self._expr[p] = {p: ONE}
                 for pivot, row in span.rows.items():
                     expr = {}
                     for j, c in row.items():
                         if j != pivot:
                             expr[paths[j]] = -c
                     self._expr[paths[pivot]] = expr
+            if not survivors:
+                self._zero_from = d
 
             prev_spans = spans
             blocks_prev = blocks
+            d += 1
+
+        # blocks follow the walks, also past d0 where nothing is eliminated
+        for d in range(1, self.max_degree + 1):
+            self._block_keys[d] = {
+                (u, a.target)
+                for u, v in self._block_keys[d - 1]
+                for a in q.arrows_by_source[v]
+            }
 
         for r in self.presentation.relations:
-            if r.length <= self.max_degree:
-                assert not self.normal_form(r), f"relation {r} has nonzero normal form"
+            if r.length <= self.max_degree and self.normal_form(r):
+                raise InternalError(f"relation {r} has nonzero normal form")
 
     # -- queries ------------------------------------------------------
 
     def blocks(self, d: int):
-        """Nonempty (u, v) blocks in degree d, in vertex order."""
-        out = []
-        for u in self.quiver.vertices:
-            for v in self.quiver.vertices:
-                if self._paths.get((d, u, v)):
-                    out.append((u, v))
-        return out
+        """(u, v) blocks holding a degree-d path, in vertex order."""
+        keys = self._block_keys.get(d, ())
+        return [
+            (u, v)
+            for u in self.quiver.vertices
+            for v in self.quiver.vertices
+            if (u, v) in keys
+        ]
 
     def basis_paths(self, d: int, u: str | None = None, v: str | None = None) -> list:
         self._check_degree(d)
@@ -188,7 +214,7 @@ class AlgebraModel:
 
     def all_paths(self, d: int, u: str, v: str) -> list:
         self._check_degree(d)
-        return list(self._paths.get((d, u, v), ()))
+        return enumerate_paths(self.quiver, d, u, v)
 
     def dim(self, d: int, u: str, v: str) -> int:
         self._check_degree(d)
@@ -208,11 +234,7 @@ class AlgebraModel:
         forces all later degrees to vanish; seeing a zero inside the window
         certifies finite-dimensionality.
         """
-        dims = self.total_dims()
-        for d, n in enumerate(dims):
-            if n == 0:
-                return d - 1
-        return None
+        return None if self._zero_from is None else self._zero_from - 1
 
     def finite_basis(self) -> list:
         """All basis paths when the algebra provably vanishes in the window."""
@@ -228,6 +250,10 @@ class AlgebraModel:
                 out.extend(self._basis[(d, u, v)])
         return out
 
+    def _vanishes(self, d: int) -> bool:
+        """Whether A_d = 0 is certified, which holds for every d >= d0."""
+        return self._zero_from is not None and d >= self._zero_from
+
     def _check_degree(self, d: int) -> None:
         if not (0 <= d <= self.max_degree):
             raise DegreeOverflowError(
@@ -239,6 +265,10 @@ class AlgebraModel:
         terms = _as_terms(x)
         out = {}
         for p, c in terms.items():
+            if self._vanishes(p.length):
+                if not self._arrow_set.issuperset(p.arrows):
+                    raise ValueError(f"path {p} does not live in this quiver")
+                continue
             if p.length > self.max_degree:
                 raise DegreeOverflowError(
                     f"path of length {p.length} exceeds the window {self.max_degree}"
@@ -254,10 +284,10 @@ class AlgebraModel:
         hit = self._product_cache.get(key)
         if hit is not None:
             return hit
-        if bx.source != by.target:
+        d = bx.length + by.length
+        if bx.source != by.target or self._vanishes(d):
             result = {}
         else:
-            d = bx.length + by.length
             if d > self.max_degree:
                 raise DegreeOverflowError(
                     f"product degree {d} exceeds the window {self.max_degree}"
@@ -286,19 +316,6 @@ def _as_terms(x) -> dict:
     if isinstance(x, dict):
         return {p: Fraction(c) for p, c in x.items()}
     raise TypeError(f"cannot interpret {type(x).__name__} as an algebra element")
-
-
-def compute_graded_basis(p: Presentation, max_degree: int, *,
-                         _reverse_columns: bool = False) -> AlgebraModel:
-    return AlgebraModel(p, max_degree, _reverse_columns)
-
-
-def normal_form(m: AlgebraModel, x) -> dict:
-    return m.normal_form(x)
-
-
-def multiply(m: AlgebraModel, x, y) -> dict:
-    return m.multiply(x, y)
 
 
 # -- polynomial matrices over the integers (Hilbert / Betti series) ----

@@ -5,7 +5,9 @@ document), cover (finite covering document), verify (single named check
 with an exit code), corpus (built-in presentations).  Reports are
 canonical JSON; timing sits outside the comparable section.
 
-Exit codes: 0 pass, 1 failed check (witness in the report), 2 input error.
+Exit codes: 0 pass, 1 failed check (witness in the report), 2 input error,
+3 internal error (a consistency check inside the library failed, which is a
+defect of the program and not of the input).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .algebra import AlgebraModel, Presentation
+from .algebra import AlgebraModel, InternalError, Presentation
 from .corpus import CORPUS, CorpusError, build_corpus
 from .covering import build_covering
 from .duality import dual_presentation
@@ -431,6 +433,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except InternalError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as err:
         # covers document, corpus, group, weight and precondition errors
         print(f"error: {err}", file=sys.stderr)

@@ -108,31 +108,53 @@ class RrefResult:
 
 
 class EchelonSpan:
-    """A row space kept in reduced row-echelon form under incremental adds.
+    """A row space under incremental adds, read back in reduced row-echelon form.
 
-    Rows are sparse dicts; the map pivot column -> row is total on the
-    current basis.  Adding a vector reduces it against the basis, and on a
-    rank increase the new pivot is eliminated from all stored rows, so the
-    stored rows always form the unique rref basis of the span.
+    Rows are sparse dicts stored by pivot column, each normalised to 1 at
+    its pivot and zero at every pivot that existed when it was added, so
+    the stored family is in echelon form.  Back-substitution into older
+    rows is deferred: reading ``rows`` or ``rref_rows()`` reduces the family
+    once, in descending pivot order, and the result stays until the next
+    add.  The rref basis and the residue of ``reduce`` are both determined
+    by the span alone, so the deferral is invisible to callers.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("_rows", "_reduced")
 
     def __init__(self):
-        self.rows = {}  # pivot column -> row dict (row[pivot] == 1)
+        self._rows = {}  # pivot column -> row dict (row[pivot] == 1)
+        self._reduced = True
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> dict:
+        """Pivot column -> rref row; the caller must not mutate the rows."""
+        if not self._reduced:
+            self._back_substitute()
+        return self._rows
+
+    def _back_substitute(self) -> None:
+        # a row only holds pivots to its right, and those rows are already
+        # reduced when visited in descending order, so one pass suffices
+        rows = self._rows
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            for q in [j for j in row if j != p and j in rows]:
+                vec_axpy(row, -row[q], rows[q])
+        self._reduced = True
 
     def reduce(self, vec: dict) -> dict:
+        rows = self._rows
         residue = _clean(dict(vec))
         while True:
-            hit = [j for j in residue if j in self.rows]
+            hit = [j for j in residue if j in rows]
             if not hit:
                 return residue
             p = min(hit)
-            vec_axpy(residue, -residue[p], self.rows[p])
+            vec_axpy(residue, -residue[p], rows[p])
 
     def add(self, vec: dict) -> bool:
         residue = self.reduce(vec)
@@ -140,21 +162,19 @@ class EchelonSpan:
             return False
         p = min(residue)
         lead = residue[p]
-        row = {j: c / lead for j, c in residue.items()}
-        for other in self.rows.values():
-            if p in other:
-                vec_axpy(other, -other[p], row)
-        self.rows[p] = row
+        self._rows[p] = {j: c / lead for j, c in residue.items()}
+        self._reduced = False
         return True
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
     def pivots(self) -> tuple:
-        return tuple(sorted(self.rows))
+        return tuple(sorted(self._rows))
 
     def rref_rows(self) -> list:
-        return [dict(self.rows[p]) for p in sorted(self.rows)]
+        rows = self.rows
+        return [dict(rows[p]) for p in sorted(rows)]
 
     def equals(self, other: "EchelonSpan") -> bool:
         # rref is canonical, so span equality is row-by-row equality.
@@ -174,19 +194,20 @@ class ColumnSolver:
     __slots__ = ("echelon", "count", "independent")
 
     def __init__(self):
-        self.echelon = []  # list of (pivot row index, vec, coords)
+        self.echelon = {}  # pivot row index -> (vec, coords); pivots distinct
         self.count = 0
         self.independent = []
 
     def _reduce(self, vec: dict):
+        echelon = self.echelon
         vec = _clean(dict(vec))
         coords = {}
         while True:
-            hit = [(r, pos) for pos, (r, _, _) in enumerate(self.echelon) if r in vec]
+            hit = [r for r in vec if r in echelon]
             if not hit:
                 return vec, coords
-            r, pos = min(hit)
-            _, evec, ecoords = self.echelon[pos]
+            r = min(hit)
+            evec, ecoords = echelon[r]
             coef = vec[r] / evec[r]
             vec_axpy(vec, -coef, evec)
             vec_axpy(coords, coef, ecoords)
@@ -205,13 +226,12 @@ class ColumnSolver:
         residue, coords = self._reduce(vec)
         if not residue:
             return coords
-        pivot = min(residue)
-        self.echelon.append((pivot, residue, {index: ONE}))
         # keep coords meaning "expansion over original columns": residue ==
         # col_index - sum(coords); fold the reduction history into the entry
-        _, evec, ecoords = self.echelon[-1]
+        ecoords = {index: ONE}
         for i, c in coords.items():
             ecoords[i] = ecoords.get(i, ZERO) - c
+        self.echelon[min(residue)] = (residue, ecoords)
         self.independent.append(index)
         return None
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AlgebraModel, PolyMatrix, hilbert_matrix
+from .algebra import AlgebraModel, InternalError, PolyMatrix, hilbert_matrix
 from .covering import build_covering
 from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO
 from .parallel import parallel_map
@@ -147,8 +147,15 @@ class SimpleResolution:
                 for x in omega.get(D, {}).get(w, ()):
                     span, idx = block(w)
                     if span.add({idx[key]: c for key, c in x.items()}):
-                        assert D >= i, "generator below its homological step"
-                        assert all(b.length >= 1 for _, b in x), "non-minimal column"
+                        if D < i:
+                            raise InternalError(
+                                f"step {i} generator in degree {D}, below its step"
+                            )
+                        if any(b.length == 0 for _, b in x):
+                            raise InternalError(
+                                f"step {i} generator in degree {D} has a"
+                                " non-minimal column"
+                            )
                         gens_i.append(Generator(w, D))
                         diffs_i.append(dict(x))
         return gens_i, diffs_i
@@ -409,7 +416,11 @@ class ExtAlgebra:
                     coords = solver.solve(
                         {prev_index[key]: c for key, c in block_rhs.items()}
                     )
-                    assert coords is not None, "resolution fails to be exact"
+                    if coords is None:
+                        raise InternalError(
+                            f"resolution fails to be exact at step {step},"
+                            f" degree {D}, vertex {w}"
+                        )
                     for pos, c in coords.items():
                         if c:
                             key = cur[pos]

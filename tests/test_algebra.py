@@ -5,12 +5,20 @@ import pytest
 from quiverkoszul.algebra import (
     AlgebraModel,
     DegreeOverflowError,
+    InternalError,
     PolyMatrix,
     Presentation,
     hilbert_matrix,
 )
-from quiverkoszul.corpus import exterior, loop_cubed, parse_quiver_spec, path_algebra
-from quiverkoszul.quiver import PathCombination, make_quiver
+from quiverkoszul.corpus import (
+    exterior,
+    loop_cubed,
+    parse_quiver_spec,
+    path_algebra,
+    trivial_extension_dual,
+)
+from quiverkoszul.linalg import EchelonSpan
+from quiverkoszul.quiver import Arrow, Path, PathCombination, enumerate_paths, make_quiver
 
 
 @pytest.fixture
@@ -98,9 +106,75 @@ def test_check_degree_guards_window(ext2):
 
 
 def test_relations_have_zero_normal_form_after_build():
-    # constructor asserts every relation reduces to zero
+    # constructor checks every relation reduces to zero
     AlgebraModel(exterior(3), 4)
     AlgebraModel(loop_cubed(), 4)
+
+
+def test_relation_surviving_elimination_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(EchelonSpan, "add", lambda self, vec: False)
+    with pytest.raises(InternalError, match="nonzero normal form"):
+        AlgebraModel(exterior(2), 3)
+    assert not issubclass(InternalError, ValueError)
+
+
+class TestPastFirstVanishingDegree:
+    """exterior(3) vanishes from degree 4 on; the window runs to 7."""
+
+    @pytest.fixture(scope="class")
+    def ext3(self):
+        return AlgebraModel(exterior(3), 7)
+
+    def test_queries_past_d0(self, ext3):
+        assert ext3.total_dims() == [1, 3, 3, 1, 0, 0, 0, 0]
+        assert ext3.top_degree() == 3
+        q = ext3.quiver
+        for d in range(4, 8):
+            assert ext3.blocks(d) == [("1", "1")]
+            assert ext3.dim(d, "1", "1") == 0
+            assert ext3.basis_paths(d) == []
+            assert ext3.total_dim(d) == 0
+            paths = ext3.all_paths(d, "1", "1")
+            assert paths == enumerate_paths(q, d, "1", "1")
+            assert len(paths) == 3 ** d
+        with pytest.raises(DegreeOverflowError):
+            ext3.all_paths(8, "1", "1")
+
+    def test_products_past_d0_and_past_the_window_are_zero(self, ext3):
+        q = ext3.quiver
+        top = q.path(["a1", "a2", "a3"])
+        assert ext3.basis_product(top, q.path(["a1"])) == {}
+        assert ext3.basis_product(top, top) == {}
+        assert ext3.normal_form(q.path(["a3"] * 9)) == {}
+        assert ext3.multiply(top, top) == {}
+
+    def test_foreign_path_still_raises(self, ext3):
+        stray = Arrow("z", "1", "1")
+        for length in (2, 5, 9):
+            with pytest.raises(ValueError, match="does not live"):
+                ext3.normal_form(Path((stray,) * length))
+
+    def test_blocks_follow_walks_on_several_vertices(self):
+        p = trivial_extension_dual(parse_quiver_spec("star:4"))
+        m = AlgebraModel(p, 6)
+        assert m.top_degree() == 2
+        index = m.quiver.vertex_index
+        for d in range(7):
+            walks = {(w.source, w.target) for w in enumerate_paths(m.quiver, d)}
+            want = sorted(walks, key=lambda uv: (index(uv[0]), index(uv[1])))
+            assert m.blocks(d) == want
+            for u, v in want:
+                assert m.all_paths(d, u, v) == enumerate_paths(m.quiver, d, u, v)
+
+
+def test_open_window_still_overflows():
+    free_loop = AlgebraModel(path_algebra(parse_quiver_spec("loops:1")), 3)
+    x2 = free_loop.quiver.path(["x1", "x1"])
+    assert free_loop.basis_product(free_loop.quiver.path(["x1"]), x2)
+    with pytest.raises(DegreeOverflowError):
+        free_loop.basis_product(x2, x2)
+    with pytest.raises(DegreeOverflowError):
+        free_loop.normal_form(free_loop.quiver.path(["x1"] * 4))
 
 
 def test_presentation_canonical_key_ignores_relation_order():

@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from quiverkoszul.algebra import AlgebraModel
 from quiverkoszul.cli import main
 from quiverkoszul.corpus import exterior
+from quiverkoszul.linalg import ColumnSolver
 from quiverkoszul.serialization import serialize_presentation
 
 
@@ -131,6 +133,38 @@ def test_verify_graded_checks(capsys, ext2_graded_file):
         )
         assert rc == 0, check
         assert report["canonical"]["passed"] is True, check
+
+
+@pytest.mark.parametrize("check", ["smash-iso", "radical-smash"])
+def test_smash_checks_on_exterior4_fit_the_default_window(capsys, tmp_path, check):
+    # products of exterior(4) reach degree 8, past the default window 6;
+    # they vanish because degree 5 already does
+    p = exterior(4)
+    path = tmp_path / "exterior4_z2.json"
+    path.write_text(
+        serialize_presentation(p, ("cyclic", 2), {a.label: "1" for a in p.quiver.arrows})
+    )
+    rc, report = run_json(capsys, ["verify", str(path), "--check", check])
+    assert rc == 0
+    assert report["canonical"]["max_degree"] == 6
+    assert report["canonical"]["passed"] is True
+
+
+def test_internal_error_exit_3(capsys, monkeypatch, ext2_file):
+    # an exact resolution always solves its lifting systems; pretend not
+    monkeypatch.setattr(ColumnSolver, "solve", lambda self, vec: None)
+    rc = main(["analyze", ext2_file, "--max-degree", "3", "--max-homological", "3"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: resolution fails to be exact")
+
+
+def test_internal_error_in_model_exit_3(capsys, monkeypatch, ext2_file):
+    monkeypatch.setattr(AlgebraModel, "normal_form", lambda self, x: {"x": 1})
+    rc = main(["verify", ext2_file, "--check", "koszul"])
+    assert rc == 3
+    assert "internal error: relation" in capsys.readouterr().err
 
 
 def test_verify_graded_check_needs_grading(capsys, ext2_file):

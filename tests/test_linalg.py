@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -182,3 +183,127 @@ def test_rref_keeps_exact_thirds():
 def test_matrix_rejects_out_of_range_entries():
     with pytest.raises(ValueError):
         Matrix(1, 1, {(0, 5): Fraction(1)})
+
+
+# -- lazy rref against an eager reference ------------------------------------
+
+
+def _eager_rref(vectors) -> dict:
+    """Pivot column -> rref row, back-substituting on every add."""
+    rows = {}
+    for vec in vectors:
+        residue = {j: c for j, c in vec.items() if c}
+        while True:
+            hit = [j for j in residue if j in rows]
+            if not hit:
+                break
+            p = min(hit)
+            coef = residue[p]
+            for j, c in rows[p].items():
+                residue[j] = residue.get(j, F(0)) - coef * c
+            residue = {j: c for j, c in residue.items() if c}
+        if not residue:
+            continue
+        p = min(residue)
+        row = {j: c / residue[p] for j, c in residue.items()}
+        for other in rows.values():
+            coef = other.get(p)
+            if coef:
+                for j, c in row.items():
+                    other[j] = other.get(j, F(0)) - coef * c
+                for j in [j for j, c in other.items() if not c]:
+                    del other[j]
+        rows[p] = row
+    return rows
+
+
+def _random_vectors(rng, count: int, width: int) -> list:
+    vectors = []
+    for _ in range(count):
+        size = rng.randint(0, min(4, width))
+        cols = rng.sample(range(width), size)
+        vectors.append(
+            {j: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for j in cols})
+    # dependent vectors exercise the no-new-pivot branch
+    for _ in range(count // 3):
+        a, b = rng.sample(vectors, 2)
+        k = F(rng.randint(-2, 2))
+        vec = dict(a)
+        for j, c in b.items():
+            vec[j] = vec.get(j, F(0)) + k * c
+        vectors.append(vec)
+    rng.shuffle(vectors)
+    return vectors
+
+
+def _rows_of(columns: list) -> list:
+    height = max((i for col in columns for i in col), default=-1) + 1
+    rows = [{} for _ in range(height)]
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            rows[i][j] = c
+    return rows
+
+
+def _kernel_from_rref(columns: list) -> list:
+    """One vector per free column: 1 there, minus the rref entries at pivots."""
+    rref_rows = _eager_rref(_rows_of(columns))
+    basis = []
+    for f in range(len(columns)):
+        if f in rref_rows:
+            continue
+        vec = {f: F(1)}
+        for p, row in rref_rows.items():
+            if row.get(f):
+                vec[p] = -row[f]
+        basis.append(vec)
+    return basis
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lazy_span_matches_eager_rref_with_interleaved_reads(seed):
+    rng = random.Random(seed)
+    vectors = _random_vectors(rng, rng.randint(4, 14), rng.randint(3, 9))
+    probes = _random_vectors(rng, 6, 9)
+    span = EchelonSpan()
+    for k, vec in enumerate(vectors):
+        span.add(vec)
+        if rng.random() < 0.4:
+            # read before the next add: the cache must not go stale
+            want = _eager_rref(vectors[: k + 1])
+            assert span.rows == want
+            assert span.rref_rows() == [want[p] for p in sorted(want)]
+    want = _eager_rref(vectors)
+    assert span.rank == len(want)
+    assert span.pivots() == tuple(sorted(want))
+    assert span.rows == want
+    assert span.rref_rows() == [want[p] for p in sorted(want)]
+    for probe in probes:
+        # against rref rows, one subtraction per pivot reaches the residue
+        expected = dict(probe)
+        for p, row in want.items():
+            if probe.get(p):
+                for j, c in row.items():
+                    expected[j] = expected.get(j, F(0)) - probe[p] * c
+        expected = {j: c for j, c in expected.items() if c}
+        assert span.reduce(probe) == expected
+        assert span.contains(probe) == (not expected)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_column_solvers_match_the_rref_kernel_and_coordinates(seed):
+    rng = random.Random(100 + seed)
+    columns = _random_vectors(rng, rng.randint(3, 12), rng.randint(2, 7))
+    assert kernel_basis_sparse(columns) == _kernel_from_rref(columns)
+
+    target = _random_vectors(rng, 1, 7)[0]
+    reference = _eager_rref(_rows_of(columns + [target]))
+    coords = solve_in_span(columns, target)
+    t = len(columns)
+    if t in reference:
+        assert coords is None
+    else:
+        want = [F(0)] * t
+        for p, row in reference.items():
+            want[p] = row.get(t, F(0))
+        assert coords == want

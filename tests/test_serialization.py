@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +215,13 @@ def test_document_lists_terms_in_path_order():
     for relation in doc["relations"]:
         words = [term["path"] for term in relation]
         assert words == sorted(words)
+
+
+def test_readme_document_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    doc = parse_document(blocks[0])
+    assert doc.group_spec == ("cyclic", 2)
+    assert dict(doc.weights) == {"a1": "1", "a2": "1"}
+    assert len(doc.presentation.relations) == 2

@@ -31,6 +31,14 @@ def test_structure_constants_of_exterior2():
     s.verify()
 
 
+def test_structure_constants_need_no_window_for_products():
+    # exterior(3) has top degree 3, so its products reach degree 6 > 4
+    s = algebra_to_structure_constants(ext_model(3, 4))
+    assert s.dim == 8
+    assert s.associativity_failures() == []
+    assert s.unit_failures() == []
+
+
 def test_structure_constants_unit_is_vertex_sum():
     s = algebra_to_structure_constants(ext_model(1))
     assert s.dim == 2
