@@ -342,6 +342,9 @@ class PolyMatrix:
         coeffs = {(u, u): [1] + [0] * cutoff for u in labels}
         return cls(labels, cutoff, coeffs)
 
+    def shape(self) -> str:
+        return f"labels {list(self.labels)} cutoff {self.cutoff}"
+
     def add_term(self, u, v, degree: int, value: int) -> None:
         if degree > self.cutoff or not value:
             return
@@ -351,7 +354,10 @@ class PolyMatrix:
             del self.coeffs[(u, v)]
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        assert self.labels == other.labels and self.cutoff == other.cutoff
+        if self.labels != other.labels or self.cutoff != other.cutoff:
+            raise ValueError(
+                f"cannot multiply a {self.shape()} matrix by a {other.shape()} matrix"
+            )
         cutoff = self.cutoff
         out = PolyMatrix(self.labels, cutoff)
         lefts = {}
@@ -425,7 +431,11 @@ class HilbertMatrix:
         return out
 
     def as_poly_matrix(self, cutoff: int) -> PolyMatrix:
-        assert cutoff <= self.max_degree
+        if cutoff > self.max_degree:
+            raise ValueError(
+                f"cannot truncate a Hilbert matrix on {list(self.vertices)} with window "
+                f"{self.max_degree} at cutoff {cutoff}: the cutoff is past the window"
+            )
         coeffs = {key: list(poly[: cutoff + 1]) for key, poly in self.coeffs}
         return PolyMatrix(self.vertices, cutoff, coeffs)
 

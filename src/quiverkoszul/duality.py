@@ -10,7 +10,7 @@ For a one-vertex quiver the opposite quiver is identified with the original
 
 from __future__ import annotations
 
-from .linalg import EchelonSpan, Matrix, kernel_basis
+from .linalg import EchelonSpan, kernel_basis_sparse
 from .quiver import Arrow, Path, PathCombination, Quiver, enumerate_paths, opposite_quiver
 from .algebra import Presentation
 
@@ -74,20 +74,17 @@ def dual_presentation(p: Presentation) -> Presentation:
         _relation_spans(p).items(),
         key=lambda kv: (q.vertex_index(kv[0][0]), q.vertex_index(kv[0][1])),
     ):
-        rows = span.rref_rows()
-        entries = {}
-        for i, row in enumerate(rows):
+        columns = [{} for _ in paths]
+        for i, row in enumerate(span.rref_rows()):
             for j, c in row.items():
-                entries[(i, j)] = c
-        complement = kernel_basis(Matrix(len(rows), len(paths), entries))
+                columns[j][i] = c
+        complement = kernel_basis_sparse(columns)
         # rewrite over the opposite block and re-canonicalize there
         op_paths = enumerate_paths(dual_q, 2, source=v, target=u)
         op_index = {path: j for j, path in enumerate(op_paths)}
         op_span = EchelonSpan()
         for vec in complement:
-            op_span.add(
-                {op_index[dual_word(paths[j])]: c for j, c in enumerate(vec) if c}
-            )
+            op_span.add({op_index[dual_word(paths[j])]: vec[j] for j in sorted(vec)})
         for row in op_span.rref_rows():
             relations.append(PathCombination({op_paths[j]: c for j, c in row.items()}))
     return Presentation(dual_q, relations)

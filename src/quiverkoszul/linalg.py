@@ -1,15 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Vectors are sparse maps from column index to nonzero Fraction, matrices are
-sparse maps from (row, col).  All elimination is exact and the pivot rule is
-fixed -- first nonzero column, smallest row index -- so every basis choice
+Vectors are sparse maps from index to nonzero Fraction; a matrix is handed
+over as its rows or as a list of its columns.  All elimination is exact and
+the pivot rule is fixed -- first nonzero column, smallest row index -- so every basis choice
 made downstream (normal forms, syzygy generators, kernel bases) is
 deterministic and reproducible across runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 Scalar = Fraction
@@ -31,80 +30,6 @@ def vec_axpy(target: dict, coef: Fraction, source: dict) -> None:
             target[j] = s
         else:
             target.pop(j, None)
-
-
-class Matrix:
-    """Immutable sparse matrix with Fraction entries."""
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, nrows: int, ncols: int, entries=None):
-        if nrows < 0 or ncols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        self.nrows = nrows
-        self.ncols = ncols
-        store = {}
-        for (i, j), value in (entries or {}).items():
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise ValueError(f"entry ({i},{j}) outside a {nrows}x{ncols} matrix")
-            value = Fraction(value)
-            if value:
-                store[(i, j)] = value
-        self.entries = store
-
-    @classmethod
-    def from_rows(cls, rows) -> "Matrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-        entries = {}
-        for i, r in enumerate(rows):
-            for j, value in enumerate(r):
-                if value:
-                    entries[(i, j)] = Fraction(value)
-        return cls(len(rows), ncols, entries)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), ZERO)
-
-    def row(self, i: int) -> dict:
-        return {j: c for (r, j), c in self.entries.items() if r == i}
-
-    def rows_as_dicts(self) -> list:
-        rows = [dict() for _ in range(self.nrows)]
-        for (i, j), c in self.entries.items():
-            rows[i][j] = c
-        return rows
-
-    def columns_as_dicts(self) -> list:
-        cols = [dict() for _ in range(self.ncols)]
-        for (i, j), c in self.entries.items():
-            cols[j][i] = c
-        return cols
-
-    def to_lists(self) -> list:
-        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.nrows}x{self.ncols}, {len(self.entries)} nonzero)"
-
-
-@dataclass(frozen=True)
-class RrefResult:
-    reduced: Matrix
-    pivot_columns: tuple
-    rank: int
 
 
 class EchelonSpan:
@@ -234,39 +159,6 @@ class ColumnSolver:
         self.echelon[min(residue)] = (residue, ecoords)
         self.independent.append(index)
         return None
-
-
-def rref(m: Matrix) -> RrefResult:
-    span = EchelonSpan()
-    for row in m.rows_as_dicts():
-        span.add(row)
-    entries = {}
-    for i, row in enumerate(span.rref_rows()):
-        for j, c in row.items():
-            entries[(i, j)] = c
-    reduced = Matrix(m.nrows, m.ncols, entries)
-    return RrefResult(reduced, span.pivots(), span.rank)
-
-
-def kernel_basis(m: Matrix) -> list:
-    """Basis of the right null space, one vector per free column.
-
-    The vector for free column f has a 1 in position f and the negated
-    expansion of column f over the pivot columns elsewhere, matching the
-    rref-derived canonical form.
-    """
-    solver = ColumnSolver()
-    basis = []
-    for j, col in enumerate(m.columns_as_dicts()):
-        expansion = solver.add_column(col)
-        if expansion is None:
-            continue
-        vec = [ZERO] * m.ncols
-        vec[j] = ONE
-        for i, c in expansion.items():
-            vec[i] = -c
-        basis.append(vec)
-    return basis
 
 
 def kernel_basis_sparse(columns: list) -> list:

@@ -22,7 +22,6 @@ from fractions import Fraction
 from .algebra import AlgebraModel, InternalError, PolyMatrix, hilbert_matrix
 from .covering import build_covering
 from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO
-from .parallel import parallel_map
 from .quiver import Path, trivial_path
 
 KOSZUL_TO_BOUND = "koszul-to-bound"
@@ -268,11 +267,10 @@ def resolve(model: AlgebraModel, i_max: int, d_max: int | None = None) -> Resolu
     """Resolve every vertex simple out to the given bounds."""
     if d_max is None:
         d_max = model.max_degree
-    vertices = model.quiver.vertices
-    results = parallel_map(
-        lambda v: SimpleResolution(model, v, i_max, d_max), vertices
-    )
-    return ResolutionReport(model, i_max, d_max, dict(zip(vertices, results)))
+    simples = {
+        v: SimpleResolution(model, v, i_max, d_max) for v in model.quiver.vertices
+    }
+    return ResolutionReport(model, i_max, d_max, simples)
 
 
 def is_koszul_to(report: ResolutionReport) -> KoszulVerdict:

@@ -52,25 +52,32 @@ class StructureConstantAlgebra:
                 vec_axpy(out, ci * cj, self.product_basis(i, j))
         return out
 
-    def left_mult_rows(self, i: int) -> dict:
-        """Row k of L_i holds the k-coordinates of b_i * b_j across columns j."""
-        rows = {}
-        for j in range(self.dim):
-            for k, c in self.product_basis(i, j).items():
-                rows.setdefault(k, {})[j] = c
-        return rows
+    def factor_index(self) -> tuple:
+        """The nonzero products b_i b_j, listed by first and by second factor:
+        ``starts[i] = [(j, b_i b_j)]`` and ``ends[j] = [(i, b_i b_j)]``."""
+        starts, ends = {}, {}
+        for (i, j), vec in self.table.items():
+            starts.setdefault(i, []).append((j, vec))
+            ends.setdefault(j, []).append((i, vec))
+        return starts, ends
 
     def associativity_failures(self) -> list:
-        failures = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.product_basis(i, j)
-                for k in range(self.dim):
-                    left = self.product(ij, {k: ONE})
-                    right = self.product({i: ONE}, self.product_basis(j, k))
-                    if left != right:
-                        failures.append((i, j, k))
-        return failures
+        """Triples (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), in
+        lexicographic order.  Only triples with a nonzero product on either
+        side are visited: any other triple is 0 on both sides."""
+        starts, ends = self.factor_index()
+        defect = {}
+        for (i, j), ij in self.table.items():
+            # (b_i b_j) b_k = sum over l of c_ij^l b_l b_k
+            for l, c in ij.items():
+                for k, lk in starts.get(l, ()):
+                    vec_axpy(defect.setdefault((i, j, k), {}), c, lk)
+        for (j, k), jk in self.table.items():
+            # b_i (b_j b_k) = sum over m of c_jk^m b_i b_m
+            for m, c in jk.items():
+                for i, im in ends.get(m, ()):
+                    vec_axpy(defect.setdefault((i, j, k), {}), -c, im)
+        return sorted(key for key, vec in defect.items() if vec)
 
     def unit_failures(self) -> list:
         failures = []
@@ -97,11 +104,10 @@ def algebra_to_structure_constants(m: AlgebraModel) -> StructureConstantAlgebra:
     """Present a provably finite-dimensional model on its basis paths."""
     basis = m.finite_basis()
     index = {b: i for i, b in enumerate(basis)}
+    ending_at = _by_target(basis)
     table = {}
     for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            if bi.source != bj.target:
-                continue
+        for j, bj in ending_at.get(bi.source, ()):
             prod = m.basis_product(bi, bj)
             if prod:
                 table[(i, j)] = {index[b]: c for b, c in prod.items()}
@@ -125,20 +131,20 @@ def smash_product(m: AlgebraModel, group: FiniteGroup, weights: dict) -> Structu
     labels = [(b, g) for b in basis_paths for g in group.elements]
     index = {lab: i for i, lab in enumerate(labels)}
     weight_of = {b: path_weight(group, table_w, b) for b in basis_paths}
+    ending_at = _by_target(basis_paths)
     table = {}
-    for (bi, g) in labels:
-        i = index[(bi, g)]
-        for (bj, h) in labels:
-            # b_{g h^-1} with bj homogeneous: nonzero only on weight match
-            if weight_of[bj] != group.multiply(g, group.inverse(h)):
-                continue
-            if bi.source != bj.target:
-                continue
+    for bi in basis_paths:
+        for _, bj in ending_at.get(bi.source, ()):
             prod = m.basis_product(bi, bj)
             if not prod:
                 continue
-            j = index[(bj, h)]
-            table[(i, j)] = {index[(b, h)]: c for b, c in prod.items()}
+            for h in group.elements:
+                # b_{g h^-1} with bj homogeneous: nonzero only for
+                # g = weight(bj)·h (in this order: G need not be abelian)
+                g = group.multiply(weight_of[bj], h)
+                table[(index[(bi, g)], index[(bj, h)])] = {
+                    index[(b, h)]: c for b, c in prod.items()
+                }
     unit = {
         index[(m.quiver.trivial_path(v), g)]: ONE
         for v in m.quiver.vertices
@@ -171,12 +177,17 @@ def skew_group_algebra(m: AlgebraModel, action: GroupAction) -> StructureConstan
     basis_paths = m.finite_basis()
     labels = [(b, g) for b in basis_paths for g in group.elements]
     index = {lab: i for i, lab in enumerate(labels)}
+    moved_by = {
+        (g, bj): m.normal_form(action.apply_to_path(q, g, bj))
+        for g in group.elements
+        for bj in basis_paths
+    }
     table = {}
     for (bi, g) in labels:
         i = index[(bi, g)]
         for (bj, h) in labels:
             j = index[(bj, h)]
-            moved = m.normal_form(action.apply_to_path(q, g, bj))
+            moved = moved_by[(g, bj)]
             if not moved:
                 continue
             prod = m.multiply({bi: ONE}, moved)
@@ -194,23 +205,20 @@ def radical(s: StructureConstantAlgebra) -> list:
     """Basis of the Jacobson radical: the kernel of the trace form
     (x, y) -> trace(L_x L_y) of the regular representation (characteristic
     zero makes this exact)."""
-    lefts = [s.left_mult_rows(i) for i in range(s.dim)]
-    gram_columns = []
-    for j in range(s.dim):
-        col = {}
-        lj = lefts[j]
-        for i in range(s.dim):
-            li = lefts[i]
-            # trace(L_i L_j) = sum over k, l of L_i[k][l] * L_j[l][k]
-            tr = ZERO
-            for k, row in li.items():
-                for l, c in row.items():
-                    d = lj.get(l, {}).get(k)
+    starts, ends = s.factor_index()
+    gram_columns = [{} for _ in range(s.dim)]
+    for i in sorted(starts):
+        # trace(L_i L_j) = sum over k, l of c_il^k c_jk^l
+        row = {}
+        for l, il in starts[i]:
+            for k, c in il.items():
+                for j, jk in ends.get(k, ()):
+                    d = jk.get(l)
                     if d:
-                        tr += c * d
+                        row[j] = row.get(j, ZERO) + c * d
+        for j, tr in row.items():
             if tr:
-                col[i] = tr
-        gram_columns.append(col)
+                gram_columns[j][i] = tr
     return kernel_basis_sparse(gram_columns)
 
 
@@ -253,13 +261,23 @@ def verify_smash_covering_iso(cov: AlgebraModel, sm: StructureConstantAlgebra) -
     unit_cov = {mapping[index[cov.quiver.trivial_path(v)]]: ONE for v in cov.quiver.vertices}
     if unit_cov != sm.unit:
         return False
+    # mapping is a bijection, so the products agree on every pair exactly
+    # when the nonzero ones, carried to smash indices, form sm's table
+    ending_at = _by_target(basis)
+    mapped = {}
     for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            if bi.source == bj.target:
-                prod = cov.basis_product(bi, bj)
-                mapped = {mapping[index[b]]: c for b, c in prod.items()}
-            else:
-                mapped = {}
-            if mapped != sm.product_basis(mapping[i], mapping[j]):
-                return False
-    return True
+        for j, bj in ending_at.get(bi.source, ()):
+            prod = cov.basis_product(bi, bj)
+            if prod:
+                mapped[(mapping[i], mapping[j])] = {
+                    mapping[index[b]]: c for b, c in prod.items()
+                }
+    return mapped == sm.table
+
+
+def _by_target(paths: list) -> dict:
+    """Target vertex -> [(position, path)] in list order."""
+    out = {}
+    for j, path in enumerate(paths):
+        out.setdefault(path.target, []).append((j, path))
+    return out

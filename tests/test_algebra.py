@@ -237,6 +237,17 @@ class TestPolyMatrix:
         diff = a.first_difference(b)
         assert diff is not None
 
+    @pytest.mark.parametrize("labels,cutoff", [(("u", "v"), 2), (("u",), 3)])
+    def test_matmul_rejects_a_shape_mismatch(self, labels, cutoff):
+        # a raise, not an assert: python -O must not let it through
+        a = PolyMatrix(("u",), 2)
+        b = PolyMatrix(labels, cutoff)
+        with pytest.raises(ValueError) as err:
+            a.matmul(b)
+        message = str(err.value)
+        assert "labels ['u'] cutoff 2" in message
+        assert f"labels {list(labels)} cutoff {cutoff}" in message
+
 
 def test_hilbert_matrix_entries():
     m = AlgebraModel(exterior(2), 3)
@@ -246,6 +257,13 @@ def test_hilbert_matrix_entries():
     assert poly.entry("1", "1")[1] == 2
     assert poly.entry("1", "1")[2] == 1
     assert poly.entry("1", "1")[3] == 0
+
+
+def test_hilbert_matrix_rejects_a_cutoff_past_the_window():
+    h = hilbert_matrix(AlgebraModel(exterior(2), 3))
+    assert h.as_poly_matrix(3).cutoff == 3
+    with pytest.raises(ValueError, match="window 3 at cutoff 4"):
+        h.as_poly_matrix(4)
 
 
 def test_hilbert_matrix_line_quiver():

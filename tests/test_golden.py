@@ -110,13 +110,6 @@ def _recorded() -> list:
     return json.loads(DATA.read_text(encoding="utf-8"))
 
 
-@pytest.fixture(autouse=True)
-def one_worker(monkeypatch):
-    # answers do not depend on the worker count (tests/test_resolution.py
-    # checks that); one worker keeps ~200 short jobs fast on small machines
-    monkeypatch.setenv("QK_THREADS", "1")
-
-
 @pytest.fixture(scope="module")
 def docs_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("golden")

@@ -6,10 +6,7 @@ import pytest
 from quiverkoszul.linalg import (
     ColumnSolver,
     EchelonSpan,
-    Matrix,
-    kernel_basis,
     kernel_basis_sparse,
-    rref,
     solve_in_span,
 )
 
@@ -18,77 +15,57 @@ def F(x):
     return Fraction(x)
 
 
-def test_matrix_from_rows_and_entry():
-    m = Matrix.from_rows([[1, 2], [3, 4]])
-    assert m.entry(0, 1) == 2
-    assert m.entry(1, 0) == 3
-    assert m.to_lists() == [[F(1), F(2)], [F(3), F(4)]]
+def _columns(rows) -> list:
+    """Sparse columns of a dense row-major matrix."""
+    return [{i: F(r[j]) for i, r in enumerate(rows) if r[j]}
+            for j in range(len(rows[0]))]
 
 
-def test_rref_known_matrix():
-    m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    r = rref(m)
-    assert r.rank == 2
-    assert r.pivot_columns == (0, 1)
-    assert r.reduced.to_lists() == [
-        [F(1), F(0), F(1)],
-        [F(0), F(1), F(1)],
-        [F(0), F(0), F(0)],
-    ]
+def _span_of_rows(rows) -> EchelonSpan:
+    span = EchelonSpan()
+    for r in rows:
+        span.add({j: F(c) for j, c in enumerate(r) if c})
+    return span
 
 
-def test_rref_exact_fractions():
+def test_rref_rows_of_known_matrix():
+    span = _span_of_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    assert span.rank == 2
+    assert span.pivots() == (0, 1)
+    assert span.rref_rows() == [{0: F(1), 2: F(1)}, {1: F(1), 2: F(1)}]
+
+
+def test_rref_rank_exact_fractions():
     # Hilbert-style matrix: badly conditioned in floats, exact here
     n = 5
-    m = Matrix.from_rows(
+    span = _span_of_rows(
         [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
     )
-    assert rref(m).rank == n
+    assert span.rank == n
 
 
-def test_kernel_basis_matches_hand_computation():
-    m = Matrix.from_rows([[1, 1, 0], [0, 0, 1]])
-    basis = kernel_basis(m)
-    assert len(basis) == 1
-    v = basis[0]
-    # kernel vector satisfies both rows
-    assert v[0] + v[1] == 0
-    assert v[2] == 0
+def test_rref_rows_keep_exact_thirds():
+    (first, _) = _span_of_rows([[3, 1], [0, 1]]).rref_rows()
+    assert first == {0: F(1)}
+    assert isinstance(first[0], Fraction)
 
 
-def test_kernel_basis_full_rank_is_empty():
-    m = Matrix.from_rows([[1, 0], [0, 1]])
-    assert kernel_basis(m) == []
+def test_kernel_basis_sparse_matches_hand_computation():
+    basis = kernel_basis_sparse(_columns([[1, 1, 0], [0, 0, 1]]))
+    assert basis == [{0: F(-1), 1: F(1)}]
 
 
-def test_kernel_basis_sparse_agrees_with_dense():
-    rows = [[1, 2, 0, 1], [0, 1, 1, 0], [1, 3, 1, 1]]
-    m = Matrix.from_rows(rows)
-    dense = kernel_basis(m)
-    columns = []
-    for j in range(4):
-        col = {}
-        for i in range(3):
-            if rows[i][j]:
-                col[i] = F(rows[i][j])
-        columns.append(col)
-    sparse = kernel_basis_sparse(columns)
-    assert len(dense) == len(sparse) == 2
-    span_a = EchelonSpan()
-    span_b = EchelonSpan()
-    for v in dense:
-        span_a.add({j: c for j, c in enumerate(v) if c})
-    for v in sparse:
-        span_b.add(v)
-    assert span_a.equals(span_b)
+def test_kernel_basis_sparse_full_rank_is_empty():
+    assert kernel_basis_sparse(_columns([[1, 0], [0, 1]])) == []
 
 
 def test_kernel_vectors_are_actual_kernel_vectors():
     rows = [[2, -1, 3, 0], [1, 1, 1, 1]]
-    m = Matrix.from_rows(rows)
-    for v in kernel_basis(m):
+    basis = kernel_basis_sparse(_columns(rows))
+    assert len(basis) == 2
+    for v in basis:
         for row in rows:
-            assert sum(F(a) * b for a, b in zip(row, v)) == 0
+            assert sum(F(row[j]) * c for j, c in v.items()) == 0
 
 
 class TestEchelonSpan:
@@ -170,19 +147,6 @@ def test_solve_in_span():
     coords = solve_in_span(basis, {0: F(1), 2: F(-1)})
     assert coords == [F(1), F(-1)]
     assert solve_in_span(basis, {0: F(1)}) is None
-
-
-def test_rref_keeps_exact_thirds():
-    m = Matrix.from_rows([[3, 1], [0, 1]])
-    r = rref(m)
-    assert r.reduced.entry(0, 0) == 1
-    assert r.reduced.entry(0, 1) == 0
-    assert isinstance(r.reduced.entry(0, 0), Fraction)
-
-
-def test_matrix_rejects_out_of_range_entries():
-    with pytest.raises(ValueError):
-        Matrix(1, 1, {(0, 5): Fraction(1)})
 
 
 # -- lazy rref against an eager reference ------------------------------------

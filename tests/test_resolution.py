@@ -228,13 +228,3 @@ def test_generation_agrees_with_linearity_for_exterior(ext2_report):
     ext = ExtAlgebra(ext2_report)
     gen = generation_check(ext)
     assert gen.passed == (is_koszul_to(ext2_report).status == KOSZUL_TO_BOUND)
-
-
-def test_resolution_respects_thread_env(monkeypatch):
-    monkeypatch.setenv("QK_THREADS", "2")
-    model = AlgebraModel(exterior(2), 3)
-    report = resolve(model, 3, 3)
-    assert report.ext_totals() == [1, 2, 3, 4]
-    monkeypatch.setenv("QK_THREADS", "1")
-    report_seq = resolve(AlgebraModel(exterior(2), 3), 3, 3)
-    assert report_seq.betti == report.betti

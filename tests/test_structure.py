@@ -1,13 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from quiverkoszul.algebra import AlgebraModel
-from quiverkoszul.corpus import exterior, loop_cubed
-from quiverkoszul.covering import build_covering
-from quiverkoszul.groups import GroupAction, cyclic_group, trivial_action
-from quiverkoszul.linalg import EchelonSpan
+from quiverkoszul.corpus import exterior, loop_cubed, parse_quiver_spec, path_algebra
+from quiverkoszul.covering import build_covering, path_weight
+from quiverkoszul.groups import (
+    GroupAction,
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    trivial_action,
+)
+from quiverkoszul.linalg import EchelonSpan, ONE, ZERO, kernel_basis_sparse
 from quiverkoszul.structure import (
+    StructureConstantAlgebra,
     algebra_to_structure_constants,
     radical,
     skew_group_algebra,
@@ -198,3 +206,181 @@ class TestSmashCoveringIso:
         # structure constants disagree
         s = smash_product(ext_model(2), g, {"a1": "1", "a2": "0"})
         assert not verify_smash_covering_iso(cov_model, s)
+
+
+# -- the sparse sweeps against dense references --------------------------------
+
+
+def _dense_associativity_failures(s: StructureConstantAlgebra) -> list:
+    failures = []
+    for i in range(s.dim):
+        for j in range(s.dim):
+            for k in range(s.dim):
+                left = s.product(s.product_basis(i, j), {k: ONE})
+                right = s.product({i: ONE}, s.product_basis(j, k))
+                if left != right:
+                    failures.append((i, j, k))
+    return failures
+
+
+def _dense_radical(s: StructureConstantAlgebra) -> list:
+    # L_i[k][l] = coordinate k of b_i b_l
+    lefts = [[[s.product_basis(i, l).get(k, ZERO) for l in range(s.dim)]
+              for k in range(s.dim)] for i in range(s.dim)]
+    columns = []
+    for j in range(s.dim):
+        col = {}
+        for i in range(s.dim):
+            tr = sum(lefts[i][k][l] * lefts[j][l][k]
+                     for k in range(s.dim) for l in range(s.dim))
+            if tr:
+                col[i] = tr
+        columns.append(col)
+    return kernel_basis_sparse(columns)
+
+
+def _random_algebra(rng) -> StructureConstantAlgebra:
+    n = rng.randint(1, 7)
+    density = rng.choice([0.15, 0.4, 0.8])
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < density:
+                targets = rng.sample(range(n), rng.randint(1, min(3, n)))
+                table[(i, j)] = {k: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                                 for k in targets}
+    return StructureConstantAlgebra(range(n), {}, table, name="random")
+
+
+def _semigroup_algebra(rng) -> StructureConstantAlgebra:
+    # associative: the semigroup ({0..n-1}, max) or ({0..n-1}, + mod n)
+    n = rng.randint(1, 7)
+    if rng.random() < 0.5:
+        table = {(i, j): {max(i, j): 1} for i in range(n) for j in range(n)}
+    else:
+        table = {(i, j): {(i + j) % n: 1} for i in range(n) for j in range(n)}
+    return StructureConstantAlgebra(range(n), {0: 1}, table, name="semigroup")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparse_sweeps_match_dense_references(seed):
+    rng = random.Random(seed)
+    s = _semigroup_algebra(rng) if seed % 4 == 0 else _random_algebra(rng)
+    failures = s.associativity_failures()
+    assert failures == _dense_associativity_failures(s)
+    if seed % 4 == 0:
+        assert failures == []
+    assert radical(s) == _dense_radical(s)
+
+
+def test_sweeps_see_random_nonassociative_algebras():
+    # guards the parametrized test above against only drawing easy cases
+    found = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        if seed % 4:
+            found += len(_random_algebra(rng).associativity_failures())
+    assert found > 100
+
+
+def test_known_nonassociative_algebra():
+    # b0 b0 = b1 and b1 b0 = b0; b0 b1 = b1 b1 = 0.  The failing triples:
+    # (b0 b0) b0 = b1 b0 = b0  but  b0 (b0 b0) = b0 b1 = 0
+    # (b0 b1) b0 = 0           but  b0 (b1 b0) = b0 b0 = b1
+    # (b1 b0) b0 = b0 b0 = b1  but  b1 (b0 b0) = b1 b1 = 0
+    # (b1 b1) b0 = 0           but  b1 (b1 b0) = b1 b0 = b0
+    # and the four triples ending in b1 are 0 on both sides
+    s = StructureConstantAlgebra(
+        ["b0", "b1"], {}, {(0, 0): {1: 1}, (1, 0): {0: 1}}, name="toy")
+    want = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+    assert s.associativity_failures() == want
+    assert _dense_associativity_failures(s) == want
+    # the same products after adjoining a unit e: verify gets past the unit law
+    table = {(0, k): {k: 1} for k in range(3)}
+    table.update({(k, 0): {k: 1} for k in range(3)})
+    table.update({(1, 1): {2: 1}, (2, 1): {1: 1}})
+    unital = StructureConstantAlgebra(["e", "b0", "b1"], {0: 1}, table, name="toy")
+    assert unital.unit_failures() == []
+    assert unital.associativity_failures() == [
+        (1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1)]
+    with pytest.raises(ValueError, match="associativity fails"):
+        unital.verify()
+
+
+def _dense_smash_table(m, group, weights) -> dict:
+    basis = m.finite_basis()
+    labels = [(b, g) for b in basis for g in group.elements]
+    index = {lab: i for i, lab in enumerate(labels)}
+    table = {}
+    for bi, g in labels:
+        for bj, h in labels:
+            weight = path_weight(group, weights, bj)
+            if weight != group.multiply(g, group.inverse(h)):
+                continue
+            prod = m.basis_product(bi, bj)
+            if prod:
+                table[(index[(bi, g)], index[(bj, h)])] = {
+                    index[(b, h)]: c for b, c in prod.items()}
+    return table
+
+
+_GRADINGS = [
+    ("cyclic", exterior(2), cyclic_group(3), {"a1": "1", "a2": "2"}),
+    ("klein", exterior(2), direct_product(cyclic_group(2), cyclic_group(2)),
+     {"a1": "(1,0)", "a2": "(0,1)"}),
+    ("dihedral", exterior(2), dihedral_group(3), {"a1": "s", "a2": "s"}),
+    ("dihedral-line", path_algebra(parse_quiver_spec("line:3")),
+     dihedral_group(3), {"a1": "s", "a2": "c"}),
+]
+
+
+@pytest.mark.parametrize("name,p,group,weights", _GRADINGS,
+                         ids=[g[0] for g in _GRADINGS])
+def test_smash_table_matches_all_label_pairs(name, p, group, weights):
+    m = AlgebraModel(p, 4)
+    s = smash_product(m, group, weights)
+    assert s.table == _dense_smash_table(m, group, weights)
+    assert s.associativity_failures() == []
+    assert s.unit_failures() == []
+
+
+def test_skew_table_on_swap_action_matches_per_pair_reference():
+    model = ext_model(2)
+    action = GroupAction(
+        cyclic_group(2),
+        {"0": {"1": "1"}, "1": {"1": "1"}},
+        {"0": {"a1": "a1", "a2": "a2"}, "1": {"a1": "a2", "a2": "a1"}},
+    )
+    group, q = action.group, model.quiver
+    labels = [(b, g) for b in model.finite_basis() for g in group.elements]
+    index = {lab: i for i, lab in enumerate(labels)}
+    want = {}
+    for bi, g in labels:
+        for bj, h in labels:
+            moved = model.normal_form(action.apply_to_path(q, g, bj))
+            prod = model.multiply({bi: ONE}, moved)
+            if prod:
+                want[(index[(bi, g)], index[(bj, h)])] = {
+                    index[(b, group.multiply(g, h))]: c for b, c in prod.items()}
+    s = skew_group_algebra(model, action)
+    assert list(s.table.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("change", ["scale", "extra"])
+def test_iso_check_sees_one_perturbed_structure_constant(change):
+    p = exterior(2)
+    g = cyclic_group(2)
+    weights = one_weights(p, g)
+    cov_model = AlgebraModel(build_covering(p, g, weights), 4)
+    s = smash_product(ext_model(2), g, weights)
+    assert verify_smash_covering_iso(cov_model, s)
+    (i, j), vec = max(s.table.items())
+    k = next(iter(vec))
+    if change == "scale":
+        s.table[(i, j)] = {**vec, k: 2 * vec[k]}
+    else:
+        # a product the covering says vanishes
+        zero_pair = next((a, b) for a in range(s.dim) for b in range(s.dim)
+                         if (a, b) not in s.table)
+        s.table[zero_pair] = {k: ONE}
+    assert not verify_smash_covering_iso(cov_model, s)
