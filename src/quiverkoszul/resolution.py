@@ -304,6 +304,14 @@ class ExtAlgebra:
     functional on the combined step-i generators and products are computed
     by lifting the left factor through as many steps as the right factor
     occupies, then applying the right factor to the lift.
+
+    ``diffs[i][j]`` pairs the resolution's own differential entry for bundle
+    generator j, keyed by its simple's step-(i-1) generators, with the
+    bundle offset of that simple's step-(i-1) block, so the bundle shares
+    the differentials instead of copying them.  A lift costs the
+    differential entries that its support reaches: each step's differential
+    is transposed once, by the previous-step generator an entry reaches,
+    and a lift walks only the entries reached from the current layer.
     """
 
     def __init__(self, report: ResolutionReport):
@@ -325,16 +333,16 @@ class ExtAlgebra:
             if i > 0:
                 for u in self.simples:
                     off = offsets_prev[u]
-                    for entry in report.per_simple[u].diffs[i]:
-                        step_diffs.append(
-                            {(off + l, b): c for (l, b), c in entry.items()}
-                        )
+                    step_diffs.extend(
+                        (off, entry) for entry in report.per_simple[u].diffs[i]
+                    )
             self.gens.append(bundle)
             self.diffs.append(step_diffs)
             offsets_prev = offsets
         self._gen0_index = {g.vertex: k for k, g in enumerate(self.gens[0])}
         self._coords_cache = {}
         self._solver_cache = {}
+        self._transpose_cache = {}
 
     def ext_dim(self, i: int) -> int:
         return len(self.gens[i])
@@ -361,10 +369,69 @@ class ExtAlgebra:
             _, prev_index = self._coords(k - 1, D, w)
             solver = ColumnSolver()
             for (g_idx, b) in cur:
-                image = _diff_image(self.model, self.diffs[k][g_idx], b)
-                solver.add_column({prev_index[c]: coef for c, coef in image.items()})
+                off, entry = self.diffs[k][g_idx]
+                image = _diff_image(self.model, entry, b)
+                solver.add_column(
+                    {prev_index[(off + l, m)]: coef for (l, m), coef in image.items()}
+                )
             self._solver_cache[key] = solver
         return solver
+
+    def _transpose(self, k: int) -> dict:
+        """The step-k differential indexed by the generator it reaches:
+        previous generator index l -> [(gpp, b, c)], one entry per
+        coordinate c·(l, b) of the image of step-k generator gpp, in
+        ascending gpp."""
+        hit = self._transpose_cache.get(k)
+        if hit is None:
+            hit = {}
+            for gpp, (off, entry) in enumerate(self.diffs[k]):
+                for (l, b), c in entry.items():
+                    hit.setdefault(off + l, []).append((gpp, b, c))
+            self._transpose_cache[k] = hit
+        return hit
+
+    def _check_support(self, elem: ExtElement, name: str) -> None:
+        if not (0 <= elem.step <= self.i_max):
+            raise ValueError(
+                f"{name} at step {elem.step} outside the window 0..{self.i_max}"
+            )
+        size = len(self.gens[elem.step])
+        for k in elem.values:
+            if not (isinstance(k, int) and 0 <= k < size):
+                raise ValueError(
+                    f"{name} has index {k!r} outside the step-{elem.step}"
+                    f" basis of size {size}"
+                )
+
+    def _preimage(self, step: int, w: str, rhs: dict) -> dict:
+        """A step-``step`` element into vertex w whose differential is rhs."""
+        by_degree = {}
+        for (l2, m), c in rhs.items():
+            D = self.gens[step - 1][l2].degree + m.length
+            by_degree.setdefault(D, {})[(l2, m)] = c
+        solution = {}
+        for D, block_rhs in by_degree.items():
+            solver = self._solver(step, D, w)
+            cur, _ = self._coords(step, D, w)
+            _, prev_index = self._coords(step - 1, D, w)
+            coords = solver.solve(
+                {prev_index[key]: c for key, c in block_rhs.items()}
+            )
+            if coords is None:
+                raise InternalError(
+                    f"resolution fails to be exact at step {step},"
+                    f" degree {D}, vertex {w}"
+                )
+            for pos, c in coords.items():
+                if c:
+                    key = cur[pos]
+                    s = solution.get(key, ZERO) + c
+                    if s:
+                        solution[key] = s
+                    else:
+                        del solution[key]
+        return solution
 
     def _lift(self, xi: ExtElement, steps: int) -> dict:
         """Chain lift of xi through the given number of steps.
@@ -378,19 +445,17 @@ class ExtAlgebra:
         i = xi.step
         if i + steps > self.i_max:
             raise ValueError("lift leaves the homological window")
+        self._check_support(xi, "xi")
         phi = {}
-        for k, g in enumerate(self.gens[i]):
-            c = xi.values.get(k, ZERO)
-            if c:
-                phi[k] = {(self._gen0_index[g.vertex], trivial_path(g.vertex)): c}
+        for k, c in xi.values.items():
+            g = self.gens[i][k]
+            phi[k] = {(self._gen0_index[g.vertex], trivial_path(g.vertex)): c}
         for step in range(1, steps + 1):
-            nxt = {}
-            for gpp, g in enumerate(self.gens[i + step]):
-                rhs = {}
-                for (l, b), c in self.diffs[i + step][gpp].items():
-                    prev_elem = phi.get(l)
-                    if not prev_elem:
-                        continue
+            transpose = self._transpose(i + step)
+            rhs_of = {}
+            for l, prev_elem in phi.items():
+                for gpp, b, c in transpose.get(l, ()):
+                    rhs = rhs_of.setdefault(gpp, {})
                     for (l2, b2), c2 in prev_elem.items():
                         for m, cm in self.model.basis_product(b, b2).items():
                             key = (l2, m)
@@ -399,34 +464,10 @@ class ExtAlgebra:
                                 rhs[key] = s
                             else:
                                 del rhs[key]
-                if not rhs:
-                    continue
-                w = g.vertex
-                by_degree = {}
-                for (l2, m), c in rhs.items():
-                    D = self.gens[step - 1][l2].degree + m.length
-                    by_degree.setdefault(D, {})[(l2, m)] = c
-                solution = {}
-                for D, block_rhs in by_degree.items():
-                    solver = self._solver(step, D, w)
-                    cur, _ = self._coords(step, D, w)
-                    _, prev_index = self._coords(step - 1, D, w)
-                    coords = solver.solve(
-                        {prev_index[key]: c for key, c in block_rhs.items()}
-                    )
-                    if coords is None:
-                        raise InternalError(
-                            f"resolution fails to be exact at step {step},"
-                            f" degree {D}, vertex {w}"
-                        )
-                    for pos, c in coords.items():
-                        if c:
-                            key = cur[pos]
-                            s = solution.get(key, ZERO) + c
-                            if s:
-                                solution[key] = s
-                            else:
-                                del solution[key]
+            nxt = {}
+            for gpp in sorted(rhs_of):
+                w = self.gens[i + step][gpp].vertex
+                solution = self._preimage(step, w, rhs_of[gpp])
                 if solution:
                     nxt[gpp] = solution
             phi = nxt
@@ -436,6 +477,7 @@ class ExtAlgebra:
         """Product of two classes; the result sits at the summed step."""
         if xi.step + zeta.step > self.i_max:
             raise ValueError("product leaves the homological window")
+        self._check_support(zeta, "zeta")
         phi = self._lift(xi, zeta.step)
         values = {}
         for gpp, elem in phi.items():
@@ -477,6 +519,9 @@ def generation_check(ext: ExtAlgebra, up_to: int | None = None) -> GenerationRep
     step-1 basis must span step i+1.  Lifting each step-i class one step
     gives all its step-1 products at once: the product against the l-th
     indicator reads off the l-th generator-unit coordinate of the lift.
+    A lift costs the differential entries that its support reaches, so a
+    basis class pays for the step-(i+1) entries that land on its own
+    generator, not for the whole step.
     """
     top = ext.i_max if up_to is None else min(up_to, ext.i_max)
     steps = []

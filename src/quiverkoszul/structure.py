@@ -80,12 +80,22 @@ class StructureConstantAlgebra:
         return sorted(key for key, vec in defect.items() if vec)
 
     def unit_failures(self) -> list:
+        """("left", i) where 1·b_i != b_i and ("right", i) where
+        b_i·1 != b_i, ascending in i, left before right.  Each side reads
+        only the nonzero products with b_i as a factor."""
+        starts, ends = self.factor_index()
+        unit = self.unit
         failures = []
         for i in range(self.dim):
-            if self.product(self.unit, {i: ONE}) != {i: ONE}:
-                failures.append(("left", i))
-            if self.product({i: ONE}, self.unit) != {i: ONE}:
-                failures.append(("right", i))
+            for side, products in (("left", ends.get(i, ())),
+                                   ("right", starts.get(i, ()))):
+                # 1·b_i = sum over u of unit_u b_u b_i, and b_i·1 likewise
+                out = {}
+                for u, vec in products:
+                    if u in unit:
+                        vec_axpy(out, unit[u], vec)
+                if out != {i: ONE}:
+                    failures.append((side, i))
         return failures
 
     def verify(self) -> None:
@@ -177,24 +187,26 @@ def skew_group_algebra(m: AlgebraModel, action: GroupAction) -> StructureConstan
     basis_paths = m.finite_basis()
     labels = [(b, g) for b in basis_paths for g in group.elements]
     index = {lab: i for i, lab in enumerate(labels)}
-    moved_by = {
-        (g, bj): m.normal_form(action.apply_to_path(q, g, bj))
-        for g in group.elements
-        for bj in basis_paths
-    }
+    # (g, v) -> [(bj, g(bj))] in basis order, for each nonzero g(bj) with a
+    # term ending at v: only those compose with a bi starting at v
+    moved_into = {}
+    for g in group.elements:
+        for bj in basis_paths:
+            moved = m.normal_form(action.apply_to_path(q, g, bj))
+            for v in {b.target for b in moved}:
+                moved_into.setdefault((g, v), []).append((bj, moved))
     table = {}
     for (bi, g) in labels:
         i = index[(bi, g)]
-        for (bj, h) in labels:
-            j = index[(bj, h)]
-            moved = moved_by[(g, bj)]
-            if not moved:
-                continue
+        for bj, moved in moved_into.get((g, bi.source), ()):
             prod = m.multiply({bi: ONE}, moved)
             if not prod:
                 continue
-            gh = group.multiply(g, h)
-            table[(i, j)] = {index[(b, gh)]: c for b, c in prod.items()}
+            for h in group.elements:
+                gh = group.multiply(g, h)
+                table[(i, index[(bj, h)])] = {
+                    index[(b, gh)]: c for b, c in prod.items()
+                }
     unit = {
         index[(q.trivial_path(v), group.identity)]: ONE for v in q.vertices
     }

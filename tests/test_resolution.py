@@ -1,19 +1,24 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from quiverkoszul.algebra import AlgebraModel
+from quiverkoszul.algebra import InternalError
 from quiverkoszul.corpus import (
     exterior,
     loop_cubed,
     parse_quiver_spec,
     path_algebra,
+    preprojective,
     radical_square_zero,
 )
 from quiverkoszul.covering import build_covering
 from quiverkoszul.duality import dual_presentation
 from quiverkoszul.groups import cyclic_group
+from quiverkoszul.linalg import ZERO
+from quiverkoszul.quiver import trivial_path
 from quiverkoszul.resolution import (
     FAILS_AT,
     KOSZUL_TO_BOUND,
@@ -228,3 +233,128 @@ def test_generation_agrees_with_linearity_for_exterior(ext2_report):
     ext = ExtAlgebra(ext2_report)
     gen = generation_check(ext)
     assert gen.passed == (is_koszul_to(ext2_report).status == KOSZUL_TO_BOUND)
+
+
+# -- the support-seeded lift against the scanning reference ---------------------
+
+
+def _scanning_lift(ext, xi, steps):
+    """The lift as first written: seed by scanning every step-i generator,
+    and in each step scan every generator and every differential entry."""
+    i = xi.step
+    phi = {}
+    for k, g in enumerate(ext.gens[i]):
+        c = xi.values.get(k, ZERO)
+        if c:
+            phi[k] = {(ext._gen0_index[g.vertex], trivial_path(g.vertex)): c}
+    for step in range(1, steps + 1):
+        nxt = {}
+        for gpp, g in enumerate(ext.gens[i + step]):
+            rhs = {}
+            off, entry = ext.diffs[i + step][gpp]
+            for (l, b), c in entry.items():
+                prev_elem = phi.get(off + l)
+                if not prev_elem:
+                    continue
+                for (l2, b2), c2 in prev_elem.items():
+                    for m, cm in ext.model.basis_product(b, b2).items():
+                        key = (l2, m)
+                        s = rhs.get(key, ZERO) + c * c2 * cm
+                        if s:
+                            rhs[key] = s
+                        else:
+                            del rhs[key]
+            if not rhs:
+                continue
+            by_degree = {}
+            for (l2, m), c in rhs.items():
+                D = ext.gens[step - 1][l2].degree + m.length
+                by_degree.setdefault(D, {})[(l2, m)] = c
+            solution = {}
+            for D, block_rhs in by_degree.items():
+                cur, _ = ext._coords(step, D, g.vertex)
+                _, prev_index = ext._coords(step - 1, D, g.vertex)
+                coords = ext._solver(step, D, g.vertex).solve(
+                    {prev_index[key]: c for key, c in block_rhs.items()})
+                if coords is None:
+                    raise InternalError(f"not exact at step {step}, degree {D}")
+                for pos, c in coords.items():
+                    if c:
+                        key = cur[pos]
+                        s = solution.get(key, ZERO) + c
+                        if s:
+                            solution[key] = s
+                        else:
+                            del solution[key]
+            if solution:
+                nxt[gpp] = solution
+        phi = nxt
+    return phi
+
+
+def _loops2():
+    return radical_square_zero(parse_quiver_spec("loops:2"))
+
+
+_LIFT_CASES = {
+    "exterior3": lambda: (exterior(3), 5, 5),
+    "loops2": lambda: (_loops2(), 5, 5),
+    "loops2-Z3-cover": lambda: (
+        build_covering(_loops2(), cyclic_group(3), {"x1": "1", "x2": "2"}), 5, 5),
+    "loop-cubed": lambda: (loop_cubed(), 5, 6),
+    "preprojective-line4": lambda: (preprojective(parse_quiver_spec("line:4")), 5, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LIFT_CASES))
+def test_lift_matches_scanning_reference(name):
+    p, i_max, d_max = _LIFT_CASES[name]()
+    ext = ExtAlgebra(resolve(AlgebraModel(p, d_max), i_max, d_max))
+    compared = 0
+    for steps in (1, 2, 3):
+        for i in range(ext.i_max - steps + 1):
+            basis = ext.ext_basis(i)
+            # the basis classes, and one class whose support is the whole step
+            mixed = ExtElement(i, {k: Fraction(k + 1, 2) for k in range(len(basis))})
+            for xi in basis + [mixed]:
+                got = ext._lift(xi, steps)
+                assert got == _scanning_lift(ext, xi, steps)
+                compared += bool(got)
+    assert compared > 0
+
+
+def test_yoneda_associativity_across_steps():
+    model = AlgebraModel(_loops2(), 4)
+    ext = ExtAlgebra(resolve(model, 4, 4))
+    for x in ext.ext_basis(1):
+        for y in ext.ext_basis(2):
+            xy = ext.yoneda_product(x, y)
+            assert not xy.is_zero()
+            for z in ext.ext_basis(1):
+                left = ext.yoneda_product(xy, z)
+                right = ext.yoneda_product(x, ext.yoneda_product(y, z))
+                assert left.step == 4
+                assert left == right
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 7, Fraction(1)])
+def test_foreign_index_is_a_named_error(ext2_report, bad):
+    ext = ExtAlgebra(ext2_report)
+    y1, _ = ext.ext_basis(1)
+    foreign = ExtElement(1, {0: 1, bad: 1})
+    pattern = re.escape(f"xi has index {bad!r} outside the step-1 basis of size 2")
+    with pytest.raises(ValueError, match=pattern):
+        ext._lift(foreign, 1)
+    with pytest.raises(ValueError, match=pattern):
+        ext.yoneda_product(foreign, y1)
+    with pytest.raises(ValueError, match=pattern.replace("xi", "zeta")):
+        ext.yoneda_product(y1, foreign)
+
+
+def test_negative_step_is_a_named_error(ext2_report):
+    ext = ExtAlgebra(ext2_report)
+    y1, _ = ext.ext_basis(1)
+    with pytest.raises(ValueError, match="xi at step -1 outside the window 0..5"):
+        ext.yoneda_product(ExtElement(-1, {0: 1}), y1)
+    with pytest.raises(ValueError, match="zeta at step -1 outside the window"):
+        ext.yoneda_product(y1, ExtElement(-1, {0: 1}))

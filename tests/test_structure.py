@@ -239,6 +239,16 @@ def _dense_radical(s: StructureConstantAlgebra) -> list:
     return kernel_basis_sparse(columns)
 
 
+def _dense_unit_failures(s: StructureConstantAlgebra) -> list:
+    failures = []
+    for i in range(s.dim):
+        if s.product(s.unit, {i: ONE}) != {i: ONE}:
+            failures.append(("left", i))
+        if s.product({i: ONE}, s.unit) != {i: ONE}:
+            failures.append(("right", i))
+    return failures
+
+
 def _random_algebra(rng) -> StructureConstantAlgebra:
     n = rng.randint(1, 7)
     density = rng.choice([0.15, 0.4, 0.8])
@@ -271,6 +281,20 @@ def test_sparse_sweeps_match_dense_references(seed):
     if seed % 4 == 0:
         assert failures == []
     assert radical(s) == _dense_radical(s)
+    assert s.unit_failures() == _dense_unit_failures(s)
+    if seed % 4 == 0:
+        assert s.unit_failures() == []
+
+
+@pytest.mark.parametrize("unit", [{0: 1}, {1: 1}, {0: 1, 1: -1}, {0: 2}])
+def test_unit_failures_match_dense_reference_one_sided(unit):
+    # b_i b_j = b_j: each b_u is a left unit, and a right unit for b_u only
+    n = 4
+    s = StructureConstantAlgebra(
+        range(n), unit, {(i, j): {j: 1} for i in range(n) for j in range(n)})
+    assert s.unit_failures() == _dense_unit_failures(s)
+    if unit == {0: 1}:
+        assert s.unit_failures() == [("right", 1), ("right", 2), ("right", 3)]
 
 
 def test_sweeps_see_random_nonassociative_algebras():
@@ -344,13 +368,7 @@ def test_smash_table_matches_all_label_pairs(name, p, group, weights):
     assert s.unit_failures() == []
 
 
-def test_skew_table_on_swap_action_matches_per_pair_reference():
-    model = ext_model(2)
-    action = GroupAction(
-        cyclic_group(2),
-        {"0": {"1": "1"}, "1": {"1": "1"}},
-        {"0": {"a1": "a1", "a2": "a2"}, "1": {"a1": "a2", "a2": "a1"}},
-    )
+def _per_pair_skew_table(model, action) -> dict:
     group, q = action.group, model.quiver
     labels = [(b, g) for b in model.finite_basis() for g in group.elements]
     index = {lab: i for i, lab in enumerate(labels)}
@@ -362,8 +380,33 @@ def test_skew_table_on_swap_action_matches_per_pair_reference():
             if prod:
                 want[(index[(bi, g)], index[(bj, h)])] = {
                     index[(b, group.multiply(g, h))]: c for b, c in prod.items()}
+    return want
+
+
+def test_skew_table_on_swap_action_matches_per_pair_reference():
+    model = ext_model(2)
+    action = GroupAction(
+        cyclic_group(2),
+        {"0": {"1": "1"}, "1": {"1": "1"}},
+        {"0": {"a1": "a1", "a2": "a2"}, "1": {"a1": "a2", "a2": "a1"}},
+    )
     s = skew_group_algebra(model, action)
-    assert list(s.table.items()) == list(want.items())
+    assert list(s.table.items()) == list(_per_pair_skew_table(model, action).items())
+
+
+def test_skew_table_on_leaf_swap_matches_per_pair_reference():
+    # the action moves vertices, so g(bj) can end where bj does not
+    model = AlgebraModel(path_algebra(parse_quiver_spec("star:2")), 2)
+    action = GroupAction(
+        cyclic_group(2),
+        {"0": {"c": "c", "l1": "l1", "l2": "l2"},
+         "1": {"c": "c", "l1": "l2", "l2": "l1"}},
+        {"0": {"a1": "a1", "a2": "a2"}, "1": {"a1": "a2", "a2": "a1"}},
+    )
+    s = skew_group_algebra(model, action)
+    assert list(s.table.items()) == list(_per_pair_skew_table(model, action).items())
+    assert s.dim == 10
+    s.verify()
 
 
 @pytest.mark.parametrize("change", ["scale", "extra"])
