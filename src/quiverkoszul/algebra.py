@@ -1,15 +1,32 @@
 """Degreewise model of a path-algebra quotient by length-homogeneous relations.
 
-The algebra KQ/<rho> is graded by path length.  For each degree d up to a
-truncation bound the model stores, per (source, target) vertex pair, the
-span of the degree-d slice of the ideal in reduced echelon form over the
-degree-d paths, ordered first-applied-lexicographically.  The ideal slice in
-degree d is generated by the degree-d relations together with arrow*(slice
-d-1) and (slice d-1)*arrow, so slices are built degree by degree reusing the
-previous one.  Non-pivot paths survive as the normal-form basis, so every
-basis element is the class of an actual path, and the expression map sends
-every degree-d path to its coordinates over those classes.  The first degree
-in which no path survives ends the construction: every longer path is zero.
+The algebra A = KQ/<rho> is graded by path length.  Words of equal length
+are ordered first-applied-lexicographically; a word is standard when no
+element of the ideal has it as its first (tip) word, and the standard words
+of degree d, per (source, target) vertex pair, are the model's basis of A_d.
+Every basis element is the class of an actual path.
+
+Lex order on words of equal length is compatible with concatenation, so
+standard words are closed under suffixes: a standard word of degree d is
+a∘b for an arrow a and a standard word b of degree d-1.  Degree d is
+therefore built from the previous degree's basis, not from every path:
+
+    A_d = (arrows ⊗ A_{d-1}) / span{π(r∘b)}
+
+The columns are the composable words a∘b, ordered by b and then by a (which
+is first-applied-lexicographic order).  The rows are π(r∘b) for every
+relation r of length k <= d and every basis word b of degree d-k ending at
+the source of r, where π rewrites a∘w' as a∘NF(w') through the tables of
+the lower degrees.  π only moves a word to larger words, so the lex-first
+pivots of the projected span are exactly the tips of the ideal in degree
+d (Green, "Noncommutative Gröbner bases, and projective resolutions"), and
+the non-pivot columns are the degree-d basis.  The cost of a degree scales
+with basis size × arrows rather than with the number of paths.
+
+The rref rows give the left tables (arrow, basis word b) -> NF(a∘b), one
+table per degree; a normal form is read off by walking a path's arrows
+through them, first-applied first.  The first degree in which no word
+survives ends the construction: every longer path is zero.
 """
 
 from __future__ import annotations
@@ -17,12 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import EchelonSpan, ZERO, ONE, vec_axpy
+from .linalg import EchelonSpan, ONE, vec_axpy
 from .quiver import (
     Path,
     PathCombination,
     Quiver,
-    compose,
     enumerate_paths,
     trivial_path,
     validate_relation,
@@ -75,8 +91,10 @@ class AlgebraModel:
     """Normal-form bases per degree and vertex pair, up to max_degree.
 
     Immutable once built; all query methods are pure.  Basis elements are
-    residue classes of paths; products of basis classes reduce through the
-    expression map, which covers every path of each eliminated degree.
+    residue classes of standard words.  Degree d is eliminated over the
+    words a∘b with b a degree-(d-1) basis word, so the model stores, per
+    degree, one normal form per (arrow, basis word) pair; normal forms and
+    products walk a path's arrows through those left tables.
 
     Elimination stops at the first vanishing degree d0: the length grading
     is generated in degree one, so every path of length >= d0 is zero, at
@@ -89,16 +107,20 @@ class AlgebraModel:
         self.presentation = presentation
         self.quiver = presentation.quiver
         self.max_degree = max_degree
-        # _basis[(d, u, v)]: the normal-form subfamily of the degree-d paths
-        # u->v, in canonical order
+        # _basis[(d, u, v)]: the degree-d basis words u->v, in canonical
+        # order; a block with paths but no basis word may have no entry
         self._basis = {}
-        # _expr[path]: dict basis Path -> Fraction, for every path of length <= d0
-        self._expr = {}
+        # _words: every basis word of a built degree
+        self._words = set()
+        # _left[d][(a, b)]: normal form of a∘b for an arrow a and a
+        # degree-(d-1) basis word b ending at source(a), for 1 <= d < d0
+        self._left = [None]
         # _block_keys[d]: the (u, v) pairs joined by a path of length d
         self._block_keys = {}
         # first degree with A_d = 0, or None if the window shows none
         self._zero_from = None
         self._arrow_set = frozenset(self.quiver.arrows)
+        self._vertex_set = frozenset(self.quiver.vertices)
         self._product_cache = {}
         self._build()
 
@@ -106,10 +128,14 @@ class AlgebraModel:
 
     def _build(self) -> None:
         q = self.quiver
+        # words[u]: the basis words of the last built degree starting at u,
+        # in first-applied lexicographic order across all targets
+        words = {}
         for v in q.vertices:
             e = trivial_path(v)
             self._basis[(0, v, v)] = [e]
-            self._expr[e] = {e: ONE}
+            words[v] = [e]
+        self._words.update(e for ws in words.values() for e in ws)
         self._block_keys[0] = {(v, v) for v in q.vertices}
         if not q.vertices:
             self._zero_from = 0
@@ -117,67 +143,64 @@ class AlgebraModel:
         for r in self.presentation.relations:
             relations_by_degree.setdefault(r.length, []).append(r)
 
-        prev_spans = {}
-        blocks_prev = {}
         d = 1
         while self._zero_from is None and d <= self.max_degree:
-            # enumerate and index the degree-d paths per block
-            blocks = {}
-            for p in enumerate_paths(q, d):
-                blocks.setdefault((p.source, p.target), []).append(p)
+            # columns a∘b per block, in first-applied lexicographic order;
+            # order[u] lists every degree-d column from u in that order
+            columns = {}
             index = {}
-            for key, paths in blocks.items():
-                for j, p in enumerate(paths):
-                    index[p] = j
+            order = {}
+            for u, ws in words.items():
+                seq = order[u] = []
+                for b in ws:
+                    for a in q.arrows_by_source[b.target]:
+                        key = (u, a.target)
+                        cols = columns.setdefault(key, [])
+                        index[(a, b)] = len(cols)
+                        seq.append((key, len(cols)))
+                        cols.append((a, b))
+            spans = {key: EchelonSpan() for key in columns}
 
-            spans = {key: EchelonSpan() for key in blocks}
+            # rows π(r∘b): a relation of length k after a degree-(d-k) word
+            for k in range(2, d + 1):
+                for r in relations_by_degree.get(k, ()):
+                    for u in q.vertices:
+                        for b in self._basis.get((d - k, u, r.source), ()):
+                            row = {}
+                            for s, c in r.items():
+                                a = s.arrows[0]
+                                tail = self._walk(s.arrows[:0:-1], {b: ONE}, d - k)
+                                term = {index[(a, w)]: cw for w, cw in tail.items()}
+                                vec_axpy(row, c, term)
+                            if row:
+                                spans[(u, r.target)].add(row)
 
-            def add_vector(key, vec):
-                if vec:
-                    spans[key].add(vec)
-
-            for r in relations_by_degree.get(d, ()):
-                vec = {index[p]: c for p, c in r.items()}
-                add_vector((r.source, r.target), vec)
-
-            for (u, v), span in prev_spans.items():
-                paths_prev = blocks_prev[(u, v)]
-                for row in span.rref_rows():
-                    # arrow on the left: a∘p, lands in block (u, t(a))
-                    for a in q.arrows_by_source[v]:
-                        vec = {}
-                        for j, c in row.items():
-                            newp = Path((a,) + paths_prev[j].arrows)
-                            vec[index[newp]] = c
-                        add_vector((u, a.target), vec)
-                    # arrow on the right: p∘a, lands in block (i(a), v)
-                    for a in q.arrows_by_target[u]:
-                        vec = {}
-                        for j, c in row.items():
-                            newp = Path(paths_prev[j].arrows + (a,))
-                            vec[index[newp]] = c
-                        add_vector((a.source, v), vec)
-
-            survivors = 0
-            for (u, v), paths in blocks.items():
-                span = spans[(u, v)]
-                pivot_set = set(span.pivots())
-                basis = [p for j, p in enumerate(paths) if j not in pivot_set]
-                survivors += len(basis)
-                self._basis[(d, u, v)] = basis
-                for p in basis:
-                    self._expr[p] = {p: ONE}
-                for pivot, row in span.rows.items():
-                    expr = {}
-                    for j, c in row.items():
-                        if j != pivot:
-                            expr[paths[j]] = -c
-                    self._expr[paths[pivot]] = expr
-            if not survivors:
+            left = {}
+            survivors = {}
+            for key, cols in columns.items():
+                rows = spans[key].rows
+                found = survivors[key] = {}
+                for j, (a, b) in enumerate(cols):
+                    if j not in rows:
+                        w = Path((a,) + b.arrows)
+                        found[j] = w
+                        left[(a, b)] = {w: ONE}
+                for pivot, row in rows.items():
+                    left[cols[pivot]] = {
+                        found[j]: -c for j, c in row.items() if j != pivot
+                    }
+                if found:
+                    self._basis[(d,) + key] = list(found.values())
+            words = {
+                u: [survivors[key][j] for key, j in seq if j in survivors[key]]
+                for u, seq in order.items()
+            }
+            if not any(words.values()):
                 self._zero_from = d
-
-            prev_spans = spans
-            blocks_prev = blocks
+                break
+            self._left.append(left)
+            for ws in words.values():
+                self._words.update(ws)
             d += 1
 
         # blocks follow the walks, also past d0 where nothing is eliminated
@@ -191,6 +214,18 @@ class AlgebraModel:
         for r in self.presentation.relations:
             if r.length <= self.max_degree and self.normal_form(r):
                 raise InternalError(f"relation {r} has nonzero normal form")
+
+    def _walk(self, arrows, vec: dict, d: int) -> dict:
+        """Normal form of the arrows (first-applied first) applied after vec,
+        a normal form of degree d."""
+        for a in arrows:
+            d += 1
+            table = self._left[d]
+            out = {}
+            for b, c in vec.items():
+                vec_axpy(out, c, table[(a, b)])
+            vec = out
+        return vec
 
     # -- queries ------------------------------------------------------
 
@@ -247,7 +282,7 @@ class AlgebraModel:
         out = []
         for d in range(top + 1):
             for u, v in self.blocks(d):
-                out.extend(self._basis[(d, u, v)])
+                out.extend(self._basis.get((d, u, v), ()))
         return out
 
     def _vanishes(self, d: int) -> bool:
@@ -266,17 +301,24 @@ class AlgebraModel:
         out = {}
         for p, c in terms.items():
             if self._vanishes(p.length):
-                if not self._arrow_set.issuperset(p.arrows):
-                    raise ValueError(f"path {p} does not live in this quiver")
+                self._check_lives_here(p)
                 continue
             if p.length > self.max_degree:
                 raise DegreeOverflowError(
                     f"path of length {p.length} exceeds the window {self.max_degree}"
                 )
-            if p not in self._expr:
-                raise ValueError(f"path {p} does not live in this quiver")
-            vec_axpy(out, c, self._expr[p])
+            self._check_lives_here(p)
+            seed = {trivial_path(p.source): ONE}
+            vec_axpy(out, c, self._walk(reversed(p.arrows), seed, 0))
         return out
+
+    def _check_lives_here(self, p: Path) -> None:
+        if p.arrows:
+            lives = self._arrow_set.issuperset(p.arrows)
+        else:
+            lives = p.base in self._vertex_set
+        if not lives:
+            raise ValueError(f"path {p} does not live in this quiver")
 
     def basis_product(self, bx: Path, by: Path) -> dict:
         """Product of two basis classes (bx applied last)."""
@@ -292,7 +334,13 @@ class AlgebraModel:
                 raise DegreeOverflowError(
                     f"product degree {d} exceeds the window {self.max_degree}"
                 )
-            result = dict(self._expr[compose(bx, by)])
+            if by not in self._words:
+                seed = self.normal_form(by)
+                result = self._walk(reversed(bx.arrows), seed, by.length)
+            elif bx.length == 1:
+                result = dict(self._left[d][(bx.arrows[0], by)])
+            else:
+                result = self._walk(reversed(bx.arrows), {by: ONE}, by.length)
         self._product_cache[key] = result
         return result
 

@@ -98,12 +98,29 @@ class SimpleResolution:
                     per_vertex[w] = [{(0, b): ONE} for b in bs]
             if per_vertex:
                 omega[D] = per_vertex
+        # _coords_cache[i][(D, w)]: the step-i block coordinates and their
+        # positions, shared by _syzygies(i), _pick_generators(i + 1) and
+        # _syzygies(i + 1), and dropped once no later step reads them
+        self._coords_cache = {}
         for i in range(1, i_max + 1):
             gens_i, diffs_i = self._pick_generators(omega, i)
             self.gens.append(gens_i)
             self.diffs.append(diffs_i)
             if i < i_max:
                 omega = self._syzygies(i)
+            self._coords_cache.pop(i - 1, None)
+        self._coords_cache.clear()
+
+    def _coords(self, i: int, D: int, w: str):
+        """Coordinates of the degree-D, vertex-w block of the step-i
+        projective, with each coordinate's position; built once per step."""
+        step = self._coords_cache.setdefault(i, {})
+        hit = step.get((D, w))
+        if hit is None:
+            coords = _block_coords(self.model, self.gens[i], D, w)
+            hit = (coords, {key: pos for pos, key in enumerate(coords)})
+            step[(D, w)] = hit
+        return hit
 
     def _pick_generators(self, omega: dict, i: int):
         """Minimal generators of the current syzygy module, degree by degree.
@@ -114,18 +131,14 @@ class SimpleResolution:
         """
         model = self.model
         q = model.quiver
-        prev = self.gens[i - 1]
         gens_i, diffs_i = [], []
         for D in range(1, self.d_max + 1):
             spans = {}
-            index_of = {}
 
             def block(w):
                 if w not in spans:
-                    coords = _block_coords(model, prev, D, w)
-                    index_of[w] = {key: pos for pos, key in enumerate(coords)}
-                    spans[w] = EchelonSpan()
-                return spans[w], index_of[w]
+                    spans[w] = (EchelonSpan(), self._coords(i - 1, D, w)[1])
+                return spans[w]
 
             for w0 in q.vertices:
                 for x in omega.get(D - 1, {}).get(w0, ()):
@@ -162,16 +175,14 @@ class SimpleResolution:
     def _syzygies(self, i: int) -> dict:
         """Kernel of the step-i differential, degreewise per target vertex."""
         model = self.model
-        cur, prev = self.gens[i], self.gens[i - 1]
         diffs = self.diffs[i]
         omega = {}
         for D in range(1, self.d_max + 1):
             for w in model.quiver.vertices:
-                coords = _block_coords(model, cur, D, w)
+                coords = self._coords(i, D, w)[0]
                 if not coords:
                     continue
-                prev_coords = _block_coords(model, prev, D, w)
-                prev_index = {key: pos for pos, key in enumerate(prev_coords)}
+                prev_index = self._coords(i - 1, D, w)[1]
                 solver = ColumnSolver()
                 found = []
                 for pos, (k, b) in enumerate(coords):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,14 +12,28 @@ from quiverkoszul.algebra import (
     hilbert_matrix,
 )
 from quiverkoszul.corpus import (
+    corpus_instances,
     exterior,
     loop_cubed,
     parse_quiver_spec,
     path_algebra,
+    preprojective,
+    radical_square_zero,
     trivial_extension_dual,
 )
-from quiverkoszul.linalg import EchelonSpan
-from quiverkoszul.quiver import Arrow, Path, PathCombination, enumerate_paths, make_quiver
+from quiverkoszul.covering import build_covering
+from quiverkoszul.duality import dual_presentation, quadratic_check
+from quiverkoszul.groups import cyclic_group
+from quiverkoszul.linalg import ONE, EchelonSpan
+from quiverkoszul.quiver import (
+    Arrow,
+    Path,
+    PathCombination,
+    compose,
+    enumerate_paths,
+    make_quiver,
+    trivial_path,
+)
 
 
 @pytest.fixture
@@ -61,6 +76,17 @@ def test_basis_product_respects_relations(ext2):
     assert ext2.basis_product(a2, a1) == {p21: Fraction(-1)}
     assert ext2.basis_product(a1, a2) == {p21: Fraction(1)}
     assert ext2.basis_product(a1, a1) == {}
+
+
+def test_basis_product_reduces_a_right_factor_that_is_not_a_basis_word():
+    m = AlgebraModel(exterior(4), 5)
+    q = m.quiver
+    tip = q.path(["a1", "a2"])  # the lex-first word, eliminated
+    assert m.basis_paths(2).count(tip) == 0
+    for left in (q.trivial_path("1"), q.path(["a3"]), q.path(["a3", "a4"])):
+        want = m.normal_form(compose(left, tip))
+        assert want
+        assert m.basis_product(left, tip) == want
 
 
 def test_basis_product_of_non_composable_paths_is_zero():
@@ -165,6 +191,202 @@ class TestPastFirstVanishingDegree:
             assert m.blocks(d) == want
             for u, v in want:
                 assert m.all_paths(d, u, v) == enumerate_paths(m.quiver, d, u, v)
+
+
+def test_foreign_vertex_does_not_live_in_the_quiver(ext2):
+    with pytest.raises(ValueError, match="does not live"):
+        ext2.normal_form(Path((), "zz"))
+    assert ext2.normal_form(trivial_path("1")) == {trivial_path("1"): ONE}
+
+
+def test_blocks_with_paths_but_no_basis_words():
+    # exterior(3) over Z8 with weights (1, 2, 4): a4.a4.a1 joins sheet 0 to
+    # sheet 1 in degree 3, but every degree-3 word there contains a square
+    p = exterior(3)
+    weights = dict(zip((a.label for a in p.quiver.arrows), ("1", "2", "4")))
+    m = AlgebraModel(build_covering(p, cyclic_group(8), weights), 6)
+    assert ("1|0", "1|1") in m.blocks(3)
+    assert m.dim(3, "1|0", "1|1") == 0
+    assert m.basis_paths(3, "1|0", "1|1") == []
+    assert m.top_degree() == 3
+    basis = m.finite_basis()
+    assert len(basis) == 8 * 8
+    assert sorted(b.length for b in basis) == sorted(
+        [0] * 8 + [1] * 24 + [2] * 24 + [3] * 8
+    )
+
+
+# -- the every-path elimination, kept as the reference model ----------
+
+
+def _every_path_model(presentation, window):
+    """Eliminate the ideal over every path of each degree.
+
+    This is the construction ``AlgebraModel`` used before it built each
+    degree from the previous degree's basis.  Returns (basis, expr,
+    zero_from): basis[(d, u, v)] lists the non-pivot paths in canonical
+    order, expr[path] is the normal form of every path of length up to d0
+    (or the window), and zero_from is d0 or None.
+    """
+    q = presentation.quiver
+    basis, expr = {}, {}
+    for v in q.vertices:
+        e = trivial_path(v)
+        basis[(0, v, v)] = [e]
+        expr[e] = {e: ONE}
+    relations_by_degree = {}
+    for r in presentation.relations:
+        relations_by_degree.setdefault(r.length, []).append(r)
+    prev_spans, blocks_prev = {}, {}
+    for d in range(1, window + 1):
+        blocks = {}
+        for p in enumerate_paths(q, d):
+            blocks.setdefault((p.source, p.target), []).append(p)
+        index = {p: j for paths in blocks.values() for j, p in enumerate(paths)}
+        spans = {key: EchelonSpan() for key in blocks}
+        for r in relations_by_degree.get(d, ()):
+            spans[(r.source, r.target)].add({index[p]: c for p, c in r.items()})
+        for (u, v), span in prev_spans.items():
+            paths_prev = blocks_prev[(u, v)]
+            for row in span.rref_rows():
+                for a in q.arrows_by_source[v]:
+                    spans[(u, a.target)].add({
+                        index[Path((a,) + paths_prev[j].arrows)]: c
+                        for j, c in row.items()
+                    })
+                for a in q.arrows_by_target[u]:
+                    spans[(a.source, v)].add({
+                        index[Path(paths_prev[j].arrows + (a,))]: c
+                        for j, c in row.items()
+                    })
+        survivors = 0
+        for (u, v), paths in blocks.items():
+            rows = spans[(u, v)].rows
+            kept = [p for j, p in enumerate(paths) if j not in rows]
+            survivors += len(kept)
+            basis[(d, u, v)] = kept
+            for p in kept:
+                expr[p] = {p: ONE}
+            for pivot, row in rows.items():
+                expr[paths[pivot]] = {
+                    paths[j]: -c for j, c in row.items() if j != pivot
+                }
+        if not survivors:
+            return basis, expr, d
+        prev_spans, blocks_prev = spans, blocks
+    return basis, expr, None
+
+
+def _assert_same_model(presentation, window):
+    m = AlgebraModel(presentation, window)
+    basis, expr, zero_from = _every_path_model(presentation, window)
+    q = presentation.quiver
+    index = q.vertex_index
+    for d in range(window + 1):
+        walks = {(p.source, p.target) for p in enumerate_paths(q, d)}
+        assert m.blocks(d) == sorted(walks, key=lambda uv: (index(uv[0]), index(uv[1])))
+        for u in q.vertices:
+            for v in q.vertices:
+                assert m.basis_paths(d, u, v) == basis.get((d, u, v), [])
+    top = None if zero_from is None else zero_from - 1
+    assert m.top_degree() == top
+    if top is None:
+        with pytest.raises(DegreeOverflowError):
+            m.finite_basis()
+    else:
+        assert m.finite_basis() == [
+            b
+            for d in range(top + 1)
+            for u, v in m.blocks(d)
+            for b in basis.get((d, u, v), ())
+        ]
+    limit = window if zero_from is None else min(window, zero_from)
+    for d in range(limit + 1):
+        for p in enumerate_paths(q, d):
+            assert m.normal_form(p) == expr[p], p
+    words = [b for bs in basis.values() for b in bs]
+    for bx in words:
+        for by in words:
+            d = bx.length + by.length
+            if d > window:
+                continue
+            if bx.source != by.target or (zero_from is not None and d >= zero_from):
+                want = {}
+            else:
+                want = expr[compose(bx, by)]
+            assert m.basis_product(bx, by) == want, (bx, by)
+
+
+_QUADRATIC_CORPUS = [
+    (label, p) for label, p in corpus_instances() if quadratic_check(p)
+]
+
+
+@pytest.mark.parametrize(
+    "presentation", [p for _, p in corpus_instances()],
+    ids=[label for label, _ in corpus_instances()],
+)
+def test_model_equals_every_path_elimination_on_the_corpus(presentation):
+    _assert_same_model(presentation, 5)
+
+
+@pytest.mark.parametrize(
+    "presentation", [p for _, p in _QUADRATIC_CORPUS],
+    ids=[label for label, _ in _QUADRATIC_CORPUS],
+)
+def test_model_equals_every_path_elimination_on_quadratic_duals(presentation):
+    _assert_same_model(dual_presentation(presentation), 5)
+
+
+def _covering(p, order, weights):
+    labels = [a.label for a in p.quiver.arrows]
+    return build_covering(p, cyclic_group(order), dict(zip(labels, weights)))
+
+
+# the coverings the benchmark runs: (presentation, window)
+_COVERING_CASES = {
+    "exterior(3)/Z8": lambda: (_covering(exterior(3), 8, ("1", "2", "4")), 6),
+    "exterior(4)/Z3": lambda: (
+        _covering(exterior(4), 3, ("0", "1", "1", "2")), 5),
+    "loops:2/Z3": lambda: (_covering(
+        radical_square_zero(parse_quiver_spec("loops:2")), 3, ("1", "2")), 8),
+    "preprojective(line:4)/Z3": lambda: (_covering(
+        preprojective(parse_quiver_spec("line:4")), 3, ("1",) * 6), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COVERING_CASES))
+def test_model_equals_every_path_elimination_on_coverings(name):
+    _assert_same_model(*_COVERING_CASES[name]())
+
+
+def _random_presentation(rng):
+    """A small quiver with a few random homogeneous relations of lengths 2-4."""
+    vertices = [str(i) for i in range(1, rng.randint(1, 3) + 1)]
+    arrows = [
+        (f"x{i}", rng.choice(vertices), rng.choice(vertices))
+        for i in range(1, rng.randint(2, 4) + 1)
+    ]
+    q = make_quiver(vertices, arrows)
+    relations = []
+    for _ in range(rng.randint(1, 5)):
+        paths = enumerate_paths(q, rng.choice((2, 2, 2, 3, 3, 4)))
+        if not paths:
+            continue
+        first = rng.choice(paths)
+        parallel = [
+            p for p in paths if (p.source, p.target) == (first.source, first.target)
+        ]
+        terms = rng.sample(parallel, min(len(parallel), rng.randint(1, 3)))
+        relations.append(PathCombination(
+            {p: Fraction(rng.choice((-2, -1, 1, 1, 2, 3))) for p in terms}
+        ))
+    return Presentation(q, relations)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_model_equals_every_path_elimination_on_random_presentations(seed):
+    _assert_same_model(_random_presentation(random.Random(seed)), 4)
 
 
 def test_open_window_still_overflows():

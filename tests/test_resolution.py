@@ -128,6 +128,27 @@ def test_radical_square_zero_two_loops_is_koszul():
     assert report.ext_totals() == [1, 2, 4, 8, 16]
 
 
+def test_each_step_builds_its_block_coordinates_once(monkeypatch):
+    from quiverkoszul import resolution
+
+    calls = []
+    block_coords = resolution._block_coords
+
+    def counted(model, gens, D, w):
+        calls.append((id(gens), D, w))
+        return block_coords(model, gens, D, w)
+
+    cover = build_covering(
+        radical_square_zero(parse_quiver_spec("loops:2")), cyclic_group(3),
+        {"x1": "1", "x2": "2"},
+    )
+    monkeypatch.setattr(resolution, "_block_coords", counted)
+    report = resolve(AlgebraModel(cover, 6), 5, 6)
+    assert report.ext_totals() == [3 * 2 ** i for i in range(6)]
+    # the gens lists stay alive in the report, so their ids name the steps
+    assert calls and len(calls) == len(set(calls))
+
+
 class TestHilbertEuler:
     def test_exterior(self, ext2_report):
         model = ext2_report.model
