@@ -32,9 +32,8 @@ survives ends the construction: every longer path is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import EchelonSpan, ONE, vec_axpy
+from .linalg import EchelonSpan, ONE, as_scalar, vec_axpy
 from .quiver import (
     Path,
     PathCombination,
@@ -64,7 +63,7 @@ class Presentation:
         rels = []
         for r in relations:
             if isinstance(r, Path):
-                r = PathCombination({r: Fraction(1)})
+                r = PathCombination({r: ONE})
             elif not isinstance(r, PathCombination):
                 r = PathCombination(r)
             validate_relation(quiver, r)
@@ -362,7 +361,7 @@ def _as_terms(x) -> dict:
     if isinstance(x, PathCombination):
         return dict(x.items())
     if isinstance(x, dict):
-        return {p: Fraction(c) for p, c in x.items()}
+        return {p: as_scalar(c) for p, c in x.items()}
     raise TypeError(f"cannot interpret {type(x).__name__} as an algebra element")
 
 
@@ -462,21 +461,6 @@ class HilbertMatrix:
             if key == (u, v):
                 return poly
         return tuple([0] * (self.max_degree + 1))
-
-    def identity_constant_term(self) -> bool:
-        for u in self.vertices:
-            for v in self.vertices:
-                want = 1 if u == v else 0
-                if self.entry(u, v)[0] != want:
-                    return False
-        return True
-
-    def total_per_degree(self) -> list:
-        out = [0] * (self.max_degree + 1)
-        for _, poly in self.coeffs:
-            for d, c in enumerate(poly):
-                out[d] += c
-        return out
 
     def as_poly_matrix(self, cutoff: int) -> PolyMatrix:
         if cutoff > self.max_degree:

@@ -10,11 +10,11 @@ algebras on small quivers, and the cubic loop counterexample.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
 from .algebra import InternalError, Presentation
 from .covering import build_covering, sheet_label
 from .groups import FiniteGroup, cyclic_group, dihedral_group, direct_product
+from .linalg import ONE
 from .quiver import (
     PathCombination,
     Quiver,
@@ -22,8 +22,6 @@ from .quiver import (
     enumerate_paths,
     make_quiver,
 )
-
-ONE = Fraction(1)
 
 
 class CorpusError(ValueError):

@@ -1,26 +1,45 @@
 """Exact linear algebra over the rationals.
 
-Vectors are sparse maps from index to nonzero Fraction; a matrix is handed
-over as its rows or as a list of its columns.  All elimination is exact and
-the pivot rule is fixed -- first nonzero column, smallest row index -- so every basis choice
-made downstream (normal forms, syzygy generators, kernel bases) is
-deterministic and reproducible across runs.
+Vectors are sparse maps from index to a nonzero exact scalar: an ``int``
+when the value is integral, a ``Fraction`` otherwise (``as_scalar`` and
+``exact_div`` produce that form; products and sums of Fractions may leave
+an integral Fraction, which compares and hashes like its int).  A matrix is
+handed over as its rows or as a list of its columns.  All elimination is
+exact and the pivot rule is fixed -- first nonzero column, smallest row
+index -- so every basis choice made downstream (normal forms, syzygy
+generators, kernel bases) is deterministic and reproducible across runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Scalar = Fraction
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
+
+
+def as_scalar(c):
+    """c as an exact scalar: an int when it is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def exact_div(a, b):
+    """a / b exactly: an int when the quotient is integral, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 def _clean(vec: dict) -> dict:
     return {j: c for j, c in vec.items() if c}
 
 
-def vec_axpy(target: dict, coef: Fraction, source: dict) -> None:
+def vec_axpy(target: dict, coef, source: dict) -> None:
     """target += coef * source, in place, dropping zeros."""
     if not coef:
         return
@@ -73,7 +92,7 @@ class EchelonSpan:
 
     def reduce(self, vec: dict) -> dict:
         rows = self._rows
-        residue = _clean(dict(vec))
+        residue = _clean(vec)
         while True:
             hit = [j for j in residue if j in rows]
             if not hit:
@@ -87,7 +106,9 @@ class EchelonSpan:
             return False
         p = min(residue)
         lead = residue[p]
-        self._rows[p] = {j: c / lead for j, c in residue.items()}
+        if lead != 1:
+            residue = {j: exact_div(c, lead) for j, c in residue.items()}
+        self._rows[p] = residue
         self._reduced = False
         return True
 
@@ -98,8 +119,9 @@ class EchelonSpan:
         return tuple(sorted(self._rows))
 
     def rref_rows(self) -> list:
+        """The rref rows in pivot order, with Fraction entries."""
         rows = self.rows
-        return [dict(rows[p]) for p in sorted(rows)]
+        return [{j: Fraction(c) for j, c in rows[p].items()} for p in sorted(rows)]
 
     def equals(self, other: "EchelonSpan") -> bool:
         # rref is canonical, so span equality is row-by-row equality.
@@ -125,7 +147,7 @@ class ColumnSolver:
 
     def _reduce(self, vec: dict):
         echelon = self.echelon
-        vec = _clean(dict(vec))
+        vec = _clean(vec)
         coords = {}
         while True:
             hit = [r for r in vec if r in echelon]
@@ -133,7 +155,7 @@ class ColumnSolver:
                 return vec, coords
             r = min(hit)
             evec, ecoords = echelon[r]
-            coef = vec[r] / evec[r]
+            coef = exact_div(vec[r], evec[r])
             vec_axpy(vec, -coef, evec)
             vec_axpy(coords, coef, ecoords)
 
@@ -195,5 +217,5 @@ def solve_in_span(generators: list, target) -> list | None:
 
 def _as_dict(vec) -> dict:
     if isinstance(vec, dict):
-        return _clean({j: Fraction(c) for j, c in vec.items()})
-    return _clean({j: Fraction(c) for j, c in enumerate(vec)})
+        return _clean({j: as_scalar(c) for j, c in vec.items()})
+    return _clean({j: as_scalar(c) for j, c in enumerate(vec)})

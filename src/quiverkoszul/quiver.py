@@ -8,12 +8,19 @@ list arrows in first-applied order instead; the loader reverses them.
 Paths of equal length are ordered lexicographically by their arrow index
 sequences read in first-applied order.  That order is what every normal
 form and every pivot choice downstream is pinned to.
+
+Arrows and paths are dict keys in every hot loop, so each computes its hash
+once, at construction.  String hashes differ between interpreters, so a
+pickled arrow or path is rebuilt from its fields rather than restored with
+its stored hash.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .linalg import as_scalar
 
 
 class QuiverError(ValueError):
@@ -29,6 +36,15 @@ class Arrow:
     label: str
     source: str
     target: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.label, self.source, self.target)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Arrow, (self.label, self.source, self.target))
 
 
 @dataclass(frozen=True)
@@ -55,6 +71,13 @@ class Path:
                     )
         elif self.base is None:
             raise QuiverError("trivial path needs a vertex")
+        object.__setattr__(self, "_hash", hash((self.arrows, self.base)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Path, (self.arrows, self.base))
 
     @property
     def length(self) -> int:
@@ -258,14 +281,18 @@ def _check_uniform(terms: dict, min_length: int, context: str) -> None:
 
 
 class PathCombination:
-    """A rational combination of parallel paths of one common length >= 1."""
+    """A rational combination of parallel paths of one common length >= 1.
+
+    Coefficients are stored as exact scalars: ``int`` when integral,
+    ``Fraction`` otherwise.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
         cleaned = {}
         for p, c in dict(terms).items():
-            c = Fraction(c)
+            c = as_scalar(c)
             if c:
                 cleaned[p] = c
         _check_uniform(cleaned, 1, "path combination")

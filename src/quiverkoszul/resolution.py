@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraModel, InternalError, PolyMatrix, hilbert_matrix
 from .covering import build_covering
-from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO
+from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO, as_scalar
 from .quiver import Path, trivial_path
 
 KOSZUL_TO_BOUND = "koszul-to-bound"
@@ -460,7 +460,8 @@ class ExtAlgebra:
         phi = {}
         for k, c in xi.values.items():
             g = self.gens[i][k]
-            phi[k] = {(self._gen0_index[g.vertex], trivial_path(g.vertex)): c}
+            key = (self._gen0_index[g.vertex], trivial_path(g.vertex))
+            phi[k] = {key: as_scalar(c)}
         for step in range(1, steps + 1):
             transpose = self._transpose(i + step)
             rhs_of = {}

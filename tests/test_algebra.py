@@ -34,6 +34,7 @@ from quiverkoszul.quiver import (
     make_quiver,
     trivial_path,
 )
+from quiverkoszul.resolution import resolve
 
 
 @pytest.fixture
@@ -379,14 +380,56 @@ def _random_presentation(rng):
         ]
         terms = rng.sample(parallel, min(len(parallel), rng.randint(1, 3)))
         relations.append(PathCombination(
-            {p: Fraction(rng.choice((-2, -1, 1, 1, 2, 3))) for p in terms}
+            {p: rng.choice(_COEFFICIENTS) for p in terms}
         ))
     return Presentation(q, relations)
+
+
+# non-integral coefficients run the Fraction branch of every elimination
+_COEFFICIENTS = (-2, -1, 1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_model_equals_every_path_elimination_on_random_presentations(seed):
     _assert_same_model(_random_presentation(random.Random(seed)), 4)
+
+
+def _scaled(presentation, rng):
+    """The presentation with each relation times a random nonzero rational."""
+    relations = []
+    for r in presentation.relations:
+        s = Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 3, 7)))
+        relations.append(PathCombination({p: c * s for p, c in r.items()}))
+    return Presentation(presentation.quiver, relations)
+
+
+def _assert_scaling_invariant(presentation, rng, window):
+    # a scaled generating set spans the same ideal, so the model and the
+    # resolution must not see the scaling
+    m = AlgebraModel(presentation, window)
+    scaled = AlgebraModel(_scaled(presentation, rng), window)
+    q = presentation.quiver
+    for d in range(window + 1):
+        for u in q.vertices:
+            for v in q.vertices:
+                assert scaled.basis_paths(d, u, v) == m.basis_paths(d, u, v)
+        for p in enumerate_paths(q, d):
+            assert scaled.normal_form(p) == m.normal_form(p), p
+    assert resolve(scaled, window).betti == resolve(m, window).betti
+
+
+@pytest.mark.parametrize(
+    "presentation", [p for _, p in corpus_instances()],
+    ids=[label for label, _ in corpus_instances()],
+)
+def test_scaling_relations_changes_nothing_on_the_corpus(presentation):
+    _assert_scaling_invariant(presentation, random.Random(7), 4)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_scaling_relations_changes_nothing_on_random_presentations(seed):
+    rng = random.Random(seed)
+    _assert_scaling_invariant(_random_presentation(rng), rng, 4)
 
 
 def test_open_window_still_overflows():

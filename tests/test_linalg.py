@@ -6,6 +6,8 @@ import pytest
 from quiverkoszul.linalg import (
     ColumnSolver,
     EchelonSpan,
+    as_scalar,
+    exact_div,
     kernel_basis_sparse,
     solve_in_span,
 )
@@ -48,6 +50,50 @@ def test_rref_rows_keep_exact_thirds():
     (first, _) = _span_of_rows([[3, 1], [0, 1]]).rref_rows()
     assert first == {0: F(1)}
     assert isinstance(first[0], Fraction)
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (6, 3, 2),  # an exact int quotient
+    (7, 3, Fraction(7, 3)),  # an inexact int quotient
+    (Fraction(3, 2), Fraction(3, 4), 2),  # a Fraction reducing to an integer
+    (Fraction(5, 3), 1, Fraction(5, 3)),
+    (6, -3, -2),  # negative divisors
+    (-6, -3, 2),
+    (7, -2, Fraction(-7, 2)),
+    (-7, -2, Fraction(7, 2)),
+    (-4, Fraction(-2, 3), 6),
+    (Fraction(1, 2), -2, Fraction(-1, 4)),
+])
+def test_exact_div_is_an_int_exactly_when_integral(a, b, want):
+    got = exact_div(a, b)
+    assert got == want
+    assert type(got) is type(want)
+
+
+@pytest.mark.parametrize("c, want", [
+    (5, 5),
+    (-5, -5),
+    (Fraction(4, 2), 2),
+    (Fraction(-3, 6), Fraction(-1, 2)),
+    ("6/3", 2),
+    ("-2/4", Fraction(-1, 2)),
+])
+def test_as_scalar_is_an_int_exactly_when_integral(c, want):
+    got = as_scalar(c)
+    assert got == want
+    assert type(got) is type(want)
+
+
+def test_rows_stay_int_where_integral():
+    span = EchelonSpan()
+    span.add({0: 2, 1: 4, 2: 3})
+    span.add({1: 3, 2: 6})
+    rows = span.rows
+    assert rows == {0: {0: 1, 2: Fraction(-5, 2)}, 1: {1: 1, 2: 2}}
+    assert [type(c) for c in rows[1].values()] == [int, int]
+    assert type(rows[0][2]) is Fraction
+    # the rref read-out is Fraction throughout
+    assert all(type(c) is Fraction for row in span.rref_rows() for c in row.values())
 
 
 def test_kernel_basis_sparse_matches_hand_computation():

@@ -1,7 +1,13 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import quiverkoszul
 from quiverkoszul.quiver import (
     Path,
     PathCombination,
@@ -182,3 +188,46 @@ def test_path_equality_and_hash(loop2):
     assert p == q
     assert hash(p) == hash(q)
     assert p != loop2.path(["a2", "a1"])
+
+
+def test_pickled_paths_and_arrows_keep_equality_and_hash(loop2):
+    p = loop2.path(["a1", "a2"])
+    for x in (p, trivial_path("1"), loop2.arrows[0]):
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert y == x
+            assert hash(y) == hash(x)
+
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from quiverkoszul.quiver import enumerate_paths, make_quiver, trivial_path
+q = make_quiver(["u", "v"], [("a", "u", "v"), ("b", "v", "u"), ("c", "u", "u")])
+paths = [trivial_path("u"), trivial_path("v")]
+paths += [p for d in (1, 2, 3) for p in enumerate_paths(q, d)]
+mode, name = sys.argv[1:]
+if mode == "write":
+    with open(name, "wb") as fh:
+        pickle.dump(({p: i for i, p in enumerate(paths)},
+                     {a: a.label for a in q.arrows}), fh)
+else:
+    with open(name, "rb") as fh:
+        by_path, by_arrow = pickle.load(fh)
+    assert all(by_path[p] == i for i, p in enumerate(paths)), "path lookup"
+    assert all(by_arrow[a] == a.label for a in q.arrows), "arrow lookup"
+    print(len(by_path), len(by_arrow))
+"""
+
+
+def test_pickled_path_keys_are_found_under_another_hash_seed(tmp_path):
+    # string hashes differ between interpreters, so a hash computed in the
+    # writing process must not travel with the pickle
+    src = os.path.dirname(os.path.dirname(quiverkoszul.__file__))
+    name = str(tmp_path / "paths.pickle")
+    for seed, mode in (("1", "write"), ("2", "read")):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _PICKLE_SCRIPT, mode, name],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["18", "3"]
