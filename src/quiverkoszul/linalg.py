@@ -4,10 +4,17 @@ Vectors are sparse maps from index to a nonzero exact scalar: an ``int``
 when the value is integral, a ``Fraction`` otherwise (``as_scalar`` and
 ``exact_div`` produce that form; products and sums of Fractions may leave
 an integral Fraction, which compares and hashes like its int).  A matrix is
-handed over as its rows or as a list of its columns.  All elimination is
-exact and the pivot rule is fixed -- first nonzero column, smallest row
-index -- so every basis choice made downstream (normal forms, syzygy
-generators, kernel bases) is deterministic and reproducible across runs.
+handed over as its rows or as a list of its columns.
+
+There is one elimination kernel, ``EchelonSpan.reduce``, with one pivot
+rule: a row's pivot is its smallest index.  All elimination is exact and
+the rule is fixed, so every basis choice made downstream (normal forms,
+syzygy generators, kernel bases) is deterministic and reproducible across
+runs.  ``ColumnSolver`` runs on the same kernel: column j of a matrix enters
+as its entries plus a tag 1 at index ``height + j``.  Every row index must
+lie below ``height``, so the tags sit past every row index: pivots fall on
+rows exactly as in the rref of the matrix, and the tags of a residue record
+which columns it combines.
 """
 
 from __future__ import annotations
@@ -91,10 +98,12 @@ class EchelonSpan:
         self._reduced = True
 
     def reduce(self, vec: dict) -> dict:
+        """vec reduced by the stored rows, smallest pivot first; the residue
+        has no entry at any pivot."""
         rows = self._rows
         residue = _clean(vec)
         while True:
-            hit = [j for j in residue if j in rows]
+            hit = residue.keys() & rows.keys()
             if not hit:
                 return residue
             p = min(hit)
@@ -102,15 +111,17 @@ class EchelonSpan:
 
     def add(self, vec: dict) -> bool:
         residue = self.reduce(vec)
-        if not residue:
-            return False
-        p = min(residue)
-        lead = residue[p]
+        if residue:
+            self.store(residue, min(residue))
+        return bool(residue)
+
+    def store(self, residue: dict, pivot) -> None:
+        """Keep a nonzero residue of ``reduce`` as a row; pivot is min(residue)."""
+        lead = residue[pivot]
         if lead != 1:
             residue = {j: exact_div(c, lead) for j, c in residue.items()}
-        self._rows[p] = residue
+        self._rows[pivot] = residue
         self._reduced = False
-        return True
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
@@ -129,63 +140,57 @@ class EchelonSpan:
 
 
 class ColumnSolver:
-    """Echelon basis of a growing column family, with expansion tracking.
+    """Expansions of a growing column family over its independent columns.
 
+    A tagged view of an ``EchelonSpan``: every row index of a column must be
+    below ``height``, and column j is reduced with a tag 1 at ``height + j``.
     Feeding columns left to right reproduces the rref pivot choice: a column
-    is independent exactly when it would carry a pivot.  For dependent
-    columns the recorded coordinates expand them over the independent
-    columns fed so far, which is what kernel vectors and span membership
-    certificates are made of.
+    is independent exactly when its residue keeps a row entry, and only
+    independent columns are stored.  A dependent column reduces to its tags
+    alone, which read off its expansion over the independent columns fed so
+    far; that expansion is unique, so it does not depend on the elimination
+    order.  Kernel vectors and span membership certificates are made of it.
     """
 
-    __slots__ = ("echelon", "count", "independent")
+    __slots__ = ("height", "count", "_span")
 
-    def __init__(self):
-        self.echelon = {}  # pivot row index -> (vec, coords); pivots distinct
+    def __init__(self, height: int):
+        self.height = height
         self.count = 0
-        self.independent = []
+        self._span = EchelonSpan()
 
-    def _reduce(self, vec: dict):
-        echelon = self.echelon
-        vec = _clean(vec)
-        coords = {}
-        while True:
-            hit = [r for r in vec if r in echelon]
-            if not hit:
-                return vec, coords
-            r = min(hit)
-            evec, ecoords = echelon[r]
-            coef = exact_div(vec[r], evec[r])
-            vec_axpy(vec, -coef, evec)
-            vec_axpy(coords, coef, ecoords)
+    def _expansion(self, residue: dict) -> dict:
+        # a residue without row entries is -sum c_i * tag_i, where vec is
+        # sum c_i * column_i over the independent columns i
+        h = self.height
+        return {j - h: -c for j, c in residue.items()}
 
     def solve(self, vec: dict):
         """Coordinates of vec over the independent columns, or None."""
-        residue, coords = self._reduce(vec)
-        if residue:
+        residue = self._span.reduce(vec)
+        if residue and min(residue) < self.height:
             return None
-        return coords
+        return self._expansion(residue)
 
     def add_column(self, vec: dict):
         """Feed the next column; returns None if independent, else its expansion."""
-        index = self.count
+        tag = self.height + self.count
         self.count += 1
-        residue, coords = self._reduce(vec)
-        if not residue:
-            return coords
-        # keep coords meaning "expansion over original columns": residue ==
-        # col_index - sum(coords); fold the reduction history into the entry
-        ecoords = {index: ONE}
-        for i, c in coords.items():
-            ecoords[i] = ecoords.get(i, ZERO) - c
-        self.echelon[min(residue)] = (residue, ecoords)
-        self.independent.append(index)
-        return None
+        # no stored row holds the new tag, so the tagged column reduces to
+        # the residue of vec plus the tag
+        residue = self._span.reduce(vec)
+        if residue:
+            pivot = min(residue)
+            if pivot < self.height:
+                residue[tag] = ONE
+                self._span.store(residue, pivot)
+                return None
+        return self._expansion(residue)
 
 
 def kernel_basis_sparse(columns: list) -> list:
     """Kernel of the matrix with the given sparse columns, as sparse dicts."""
-    solver = ColumnSolver()
+    solver = ColumnSolver(1 + max((i for col in columns for i in col), default=-1))
     basis = []
     for j, col in enumerate(columns):
         expansion = solver.add_column(col)
@@ -195,27 +200,3 @@ def kernel_basis_sparse(columns: list) -> list:
         vec[j] = ONE
         basis.append(_clean(vec))
     return basis
-
-
-def solve_in_span(generators: list, target) -> list | None:
-    """Coefficients expressing target over generators, or None if outside.
-
-    Generators and target may be sparse dicts or dense sequences.  The
-    answer is deterministic: dependent generators get coefficient zero and
-    the expansion uses the leftmost independent generators.
-    """
-    gens = [_as_dict(g) for g in generators]
-    tgt = _as_dict(target)
-    solver = ColumnSolver()
-    for g in gens:
-        solver.add_column(g)
-    coords = solver.solve(tgt)
-    if coords is None:
-        return None
-    return [coords.get(i, ZERO) for i in range(len(gens))]
-
-
-def _as_dict(vec) -> dict:
-    if isinstance(vec, dict):
-        return _clean({j: as_scalar(c) for j, c in vec.items()})
-    return _clean({j: as_scalar(c) for j, c in enumerate(vec)})

@@ -161,9 +161,6 @@ class Quiver:
     def has_vertex(self, v: str) -> bool:
         return v in self._vertex_index
 
-    def arrow_index(self, label: str) -> int:
-        return self._index[label]
-
     def vertex_index(self, v: str) -> int:
         return self._vertex_index[v]
 

@@ -37,8 +37,9 @@ class Generator:
     degree: int
 
 
-def _block_coords(model: AlgebraModel, gens: list, D: int, w: str) -> list:
-    """Coordinates of the degree-D, vertex-w component of a free module.
+def _block_coords(model: AlgebraModel, gens: list, D: int, w: str) -> tuple:
+    """Coordinates of the degree-D, vertex-w component of a free module,
+    and the position of each coordinate.
 
     One coordinate per (generator index, basis path into w), in generator
     order then canonical basis order.
@@ -50,11 +51,13 @@ def _block_coords(model: AlgebraModel, gens: list, D: int, w: str) -> list:
             continue
         for b in model.basis_paths(length, g.vertex, w):
             out.append((k, b))
-    return out
+    return out, {key: pos for pos, key in enumerate(out)}
 
 
 def _diff_image(model: AlgebraModel, entry: dict, b: Path) -> dict:
-    """Image of the coordinate b*g under a differential entry for g."""
+    """b times the element entry, both in (generator index, basis path)
+    coordinates: the image of the coordinate b*g under a differential entry
+    for g, or the arrow multiple b*x of a syzygy vector x."""
     out = {}
     for (l, c_path), coef in entry.items():
         for m, cm in model.basis_product(b, c_path).items():
@@ -117,9 +120,7 @@ class SimpleResolution:
         step = self._coords_cache.setdefault(i, {})
         hit = step.get((D, w))
         if hit is None:
-            coords = _block_coords(self.model, self.gens[i], D, w)
-            hit = (coords, {key: pos for pos, key in enumerate(coords)})
-            step[(D, w)] = hit
+            hit = step[(D, w)] = _block_coords(self.model, self.gens[i], D, w)
         return hit
 
     def _pick_generators(self, omega: dict, i: int):
@@ -143,16 +144,7 @@ class SimpleResolution:
             for w0 in q.vertices:
                 for x in omega.get(D - 1, {}).get(w0, ()):
                     for a in q.arrows_by_source[w0]:
-                        ap = Path((a,))
-                        y = {}
-                        for (k, b), c in x.items():
-                            for m, cm in model.basis_product(ap, b).items():
-                                key = (k, m)
-                                s = y.get(key, ZERO) + c * cm
-                                if s:
-                                    y[key] = s
-                                else:
-                                    del y[key]
+                        y = _diff_image(model, x, Path((a,)))
                         span, idx = block(a.target)
                         span.add({idx[key]: c for key, c in y.items()})
             for w in q.vertices:
@@ -183,7 +175,7 @@ class SimpleResolution:
                 if not coords:
                     continue
                 prev_index = self._coords(i - 1, D, w)[1]
-                solver = ColumnSolver()
+                solver = ColumnSolver(len(prev_index))
                 found = []
                 for pos, (k, b) in enumerate(coords):
                     image = _diff_image(model, diffs[k], b)
@@ -229,9 +221,6 @@ class ResolutionReport:
                     key = (u, i, g.degree, g.vertex)
                     self.betti[key] = self.betti.get(key, 0) + 1
 
-    def betti_number(self, u: str, i: int, d: int, w: str) -> int:
-        return self.betti.get((u, i, d, w), 0)
-
     def betti_total(self, i: int, d: int) -> int:
         return sum(n for (_, ii, dd, _), n in self.betti.items() if ii == i and dd == d)
 
@@ -253,19 +242,6 @@ class ResolutionReport:
         if self.d_max >= self.i_max:
             return KoszulVerdict(KOSZUL_TO_BOUND)
         return KoszulVerdict(UNKNOWN_BEYOND_BOUND)
-
-    def ext_dimension(self, i: int, u: str, w: str) -> int:
-        return sum(
-            n for (uu, ii, _, ww), n in self.betti.items()
-            if uu == u and ii == i and ww == w
-        )
-
-    def ext_dimensions(self) -> dict:
-        out = {}
-        for (u, i, _, w), n in self.betti.items():
-            key = (i, u, w)
-            out[key] = out.get(key, 0) + n
-        return out
 
     def ext_total(self, i: int) -> int:
         return sum(n for (_, ii, _, _), n in self.betti.items() if ii == i)
@@ -367,9 +343,8 @@ class ExtAlgebra:
         key = (i, D, w)
         hit = self._coords_cache.get(key)
         if hit is None:
-            coords = _block_coords(self.model, self.gens[i], D, w)
-            hit = (coords, {c: p for p, c in enumerate(coords)})
-            self._coords_cache[key] = hit
+            hit = self._coords_cache[key] = _block_coords(
+                self.model, self.gens[i], D, w)
         return hit
 
     def _solver(self, k: int, D: int, w: str) -> ColumnSolver:
@@ -378,7 +353,7 @@ class ExtAlgebra:
         if solver is None:
             cur, _ = self._coords(k, D, w)
             _, prev_index = self._coords(k - 1, D, w)
-            solver = ColumnSolver()
+            solver = ColumnSolver(len(prev_index))
             for (g_idx, b) in cur:
                 off, entry = self.diffs[k][g_idx]
                 image = _diff_image(self.model, entry, b)

@@ -49,7 +49,8 @@ def test_corpus_list_names_everything(capsys):
 
 
 def test_corpus_build_writes_document(ext2_file):
-    doc = json.loads(open(ext2_file).read())
+    with open(ext2_file) as fh:
+        doc = json.load(fh)
     assert doc["format"] == 1
     assert len(doc["vertices"]) == 1
     assert len(doc["arrows"]) == 2

@@ -9,7 +9,6 @@ from quiverkoszul.linalg import (
     as_scalar,
     exact_div,
     kernel_basis_sparse,
-    solve_in_span,
 )
 
 
@@ -150,19 +149,19 @@ class TestEchelonSpan:
 
 class TestColumnSolver:
     def test_solve_expresses_vector_in_columns(self):
-        solver = ColumnSolver()
+        solver = ColumnSolver(2)
         solver.add_column({0: F(1), 1: F(1)})
         solver.add_column({1: F(1)})
         coords = solver.solve({0: F(2), 1: F(5)})
         assert coords == {0: F(2), 1: F(3)}
 
     def test_solve_returns_none_outside_span(self):
-        solver = ColumnSolver()
+        solver = ColumnSolver(2)
         solver.add_column({0: F(1)})
         assert solver.solve({1: F(1)}) is None
 
     def test_add_column_reports_dependency(self):
-        solver = ColumnSolver()
+        solver = ColumnSolver(3)
         assert solver.add_column({0: F(1), 1: F(2)}) is None
         assert solver.add_column({2: F(1)}) is None
         dep = solver.add_column({0: F(2), 1: F(4), 2: F(3)})
@@ -174,7 +173,7 @@ class TestColumnSolver:
             {1: F(1), 2: F(-1)},
             {0: F(1), 1: F(1)},
         ]
-        solver = ColumnSolver()
+        solver = ColumnSolver(3)
         for col in cols:
             solver.add_column(col)
         target = {0: F(3), 1: F(2), 2: F(1)}
@@ -187,12 +186,22 @@ class TestColumnSolver:
         rebuilt = {i: c for i, c in rebuilt.items() if c}
         assert rebuilt == target
 
+    def test_solve_skips_dependent_columns(self):
+        # a dependent column gets no coordinate; the expansion is over the
+        # leftmost independent columns
+        solver = ColumnSolver(3)
+        solver.add_column({0: F(1), 1: F(1)})
+        solver.add_column({0: F(2), 1: F(2)})
+        solver.add_column({1: F(1), 2: F(1)})
+        assert solver.solve({0: F(1), 2: F(-1)}) == {0: F(1), 2: F(-1)}
+        assert solver.solve({0: F(1)}) is None
 
-def test_solve_in_span():
-    basis = [{0: F(1), 1: F(1)}, {1: F(1), 2: F(1)}]
-    coords = solve_in_span(basis, {0: F(1), 2: F(-1)})
-    assert coords == [F(1), F(-1)]
-    assert solve_in_span(basis, {0: F(1)}) is None
+    def test_zero_column_and_zero_target(self):
+        solver = ColumnSolver(2)
+        assert solver.add_column({0: F(1)}) is None
+        assert solver.add_column({}) == {}
+        assert solver.add_column({1: F(0)}) == {}
+        assert solver.solve({}) == {}
 
 
 # -- lazy rref against an eager reference ------------------------------------
@@ -307,13 +316,89 @@ def test_column_solvers_match_the_rref_kernel_and_coordinates(seed):
     assert kernel_basis_sparse(columns) == _kernel_from_rref(columns)
 
     target = _random_vectors(rng, 1, 7)[0]
-    reference = _eager_rref(_rows_of(columns + [target]))
-    coords = solve_in_span(columns, target)
+    rows = _rows_of(columns + [target])
+    reference = _eager_rref(rows)
+    solver = ColumnSolver(len(rows))
+    for col in columns:
+        solver.add_column(col)
+    coords = solver.solve(target)
     t = len(columns)
     if t in reference:
         assert coords is None
     else:
-        want = [F(0)] * t
-        for p, row in reference.items():
-            want[p] = row.get(t, F(0))
+        want = {p: row[t] for p, row in reference.items() if row.get(t)}
         assert coords == want
+
+
+_LEADS = [2, -3, 4, 6, F(2) / 3, F(-5) / 2, F(7) / 4]
+
+
+def _mixed_columns(rng, count: int, height: int) -> list:
+    """Columns with int and Fraction entries, few of them units, and some
+    columns that are combinations of earlier ones."""
+    columns = []
+    for _ in range(count):
+        if columns and rng.random() < 0.35:
+            col = {}
+            for src in rng.sample(columns, min(2, len(columns))):
+                k = rng.choice(_LEADS)
+                for i, c in src.items():
+                    col[i] = col.get(i, 0) + k * c
+            columns.append({i: c for i, c in col.items() if c})
+        else:
+            rows = rng.sample(range(height), rng.randint(1, min(3, height)))
+            columns.append({i: rng.choice(_LEADS) for i in rows})
+    return columns
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_each_expansion_is_the_rref_column_at_that_point(seed):
+    rng = random.Random(300 + seed)
+    height = rng.randint(2, 6)
+    columns = _mixed_columns(rng, rng.randint(3, 12), height)
+    solver = ColumnSolver(height)
+    for j, col in enumerate(columns):
+        got = solver.add_column(col)
+        # the eager reference divides with "/", so it gets Fraction input
+        exact = [{i: F(c) for i, c in column.items()}
+                 for column in columns[: j + 1]]
+        reference = _eager_rref(_rows_of(exact))
+        if j in reference:
+            assert got is None
+        else:
+            assert got == {p: row[j] for p, row in reference.items() if row.get(j)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unit_leads_keep_integer_outputs_int(seed):
+    # independent columns lead with +-1 at distinct rows and carry ints
+    # below; the rest are integer combinations of them, so every pivot the
+    # elimination meets is a unit and every output is integral
+    rng = random.Random(400 + seed)
+    height = rng.randint(3, 7)
+    columns = []
+    for r in rng.sample(range(height), rng.randint(2, height)):
+        col = {r: rng.choice([1, -1])}
+        for i in range(r + 1, height):
+            if rng.random() < 0.5:
+                col[i] = rng.randint(-3, 3) or 2
+        columns.append(col)
+    for _ in range(rng.randint(1, 4)):
+        col = {}
+        for src in rng.sample(columns, 2):
+            k = rng.choice([-2, -1, 1, 3])
+            for i, c in src.items():
+                col[i] = col.get(i, 0) + k * c
+        columns.append({i: c for i, c in col.items() if c})
+    solver = ColumnSolver(height)
+    outputs = [solver.add_column(col) for col in columns]
+    target = {}
+    for col in columns[:2]:
+        for i, c in col.items():
+            target[i] = target.get(i, 0) - 5 * c
+    coords = solver.solve({i: c for i, c in target.items() if c})
+    assert coords == {0: -5, 1: -5}
+    outputs.append(coords)
+    outputs.extend(kernel_basis_sparse(columns))
+    values = [c for out in outputs if out for c in out.values()]
+    assert values and all(type(c) is int for c in values)
