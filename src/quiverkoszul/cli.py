@@ -175,12 +175,32 @@ def _verdict_section(verdict) -> dict:
     return {"status": verdict.status, "witness": _plain(verdict.witness)}
 
 
+def _koszul_section(report) -> dict:
+    return {
+        "verdict": _verdict_section(is_koszul_to(report)),
+        "betti": _betti_section(report),
+        "ext_totals": report.ext_totals(),
+    }
+
+
+def _generation_section(generation) -> dict:
+    return {
+        "passed": generation.passed,
+        "checked_to": generation.checked_to,
+        "first_failure": generation.first_failure_i,
+    }
+
+
+def _resolved(doc, args):
+    """The document's algebra model over the window, and its resolution."""
+    model = AlgebraModel(doc.presentation, args.max_degree)
+    return model, resolve(model, args.max_homological, args.max_degree)
+
+
 def _run_analyze(args) -> int:
     started = time.perf_counter()
     doc = _read_document(args.file)
-    model = AlgebraModel(doc.presentation, args.max_degree)
-    report = resolve(model, args.max_homological, args.max_degree)
-    verdict = is_koszul_to(report)
+    model, report = _resolved(doc, args)
     generation = generation_check(ExtAlgebra(report))
     cutoff = min(args.max_degree, args.max_homological)
     euler_ok, euler_witness = hilbert_euler_check(model, report, cutoff)
@@ -189,14 +209,8 @@ def _run_analyze(args) -> int:
         "max_homological": args.max_homological,
         "dims": _dims_section(model),
         "hilbert": _hilbert_section(model),
-        "verdict": _verdict_section(verdict),
-        "betti": _betti_section(report),
-        "ext_totals": report.ext_totals(),
-        "generation": {
-            "passed": generation.passed,
-            "checked_to": generation.checked_to,
-            "first_failure": generation.first_failure_i,
-        },
+        **_koszul_section(report),
+        "generation": _generation_section(generation),
         "euler_identity": {
             "cutoff": cutoff,
             "holds": euler_ok,
@@ -230,25 +244,16 @@ def _run_cover(args) -> int:
 
 
 def _check_koszul(doc, args):
-    model = AlgebraModel(doc.presentation, args.max_degree)
-    report = resolve(model, args.max_homological, args.max_degree)
-    verdict = is_koszul_to(report)
-    details = {
-        "verdict": _verdict_section(verdict),
-        "betti": _betti_section(report),
-        "ext_totals": report.ext_totals(),
-    }
-    return verdict.status == KOSZUL_TO_BOUND, details
+    _, report = _resolved(doc, args)
+    details = _koszul_section(report)
+    return details["verdict"]["status"] == KOSZUL_TO_BOUND, details
 
 
 def _check_generation(doc, args):
-    model = AlgebraModel(doc.presentation, args.max_degree)
-    report = resolve(model, args.max_homological, args.max_degree)
+    _, report = _resolved(doc, args)
     generation = generation_check(ExtAlgebra(report))
     details = {
-        "passed": generation.passed,
-        "checked_to": generation.checked_to,
-        "first_failure": generation.first_failure_i,
+        **_generation_section(generation),
         "steps": [
             {"step": i, "achieved": a, "required": r}
             for i, a, r in generation.steps
@@ -261,8 +266,7 @@ def _check_hilbert_euler(doc, args):
     cutoff = args.cutoff
     if cutoff is None:
         cutoff = min(args.max_degree, args.max_homological)
-    model = AlgebraModel(doc.presentation, args.max_degree)
-    report = resolve(model, args.max_homological, args.max_degree)
+    model, report = _resolved(doc, args)
     ok, witness = hilbert_euler_check(model, report, cutoff)
     return ok, {"cutoff": cutoff, "witness": _plain(witness)}
 
@@ -331,9 +335,10 @@ def _check_radical_smash(doc, args):
 
 
 def _check_duality_dims(doc, args):
-    model = AlgebraModel(doc.presentation, args.max_degree)
-    dual_model = AlgebraModel(dual_presentation(doc.presentation), args.max_degree)
-    report = resolve(model, args.max_homological, args.max_degree)
+    # a presentation with no quadratic dual is rejected before any resolving
+    dual = dual_presentation(doc.presentation)
+    model, report = _resolved(doc, args)
+    dual_model = AlgebraModel(dual, args.max_degree)
     ok, witness = koszul_duality_dim_check(model, dual_model, report)
     return ok, {"witness": _plain(witness)}
 

@@ -132,6 +132,10 @@ class SimpleResolution:
         """
         model = self.model
         q = model.quiver
+        arrows_out = {
+            w: [(a.target, Path((a,))) for a in q.arrows_by_source[w]]
+            for w in q.vertices
+        }
         gens_i, diffs_i = [], []
         for D in range(1, self.d_max + 1):
             spans = {}
@@ -143,9 +147,9 @@ class SimpleResolution:
 
             for w0 in q.vertices:
                 for x in omega.get(D - 1, {}).get(w0, ()):
-                    for a in q.arrows_by_source[w0]:
-                        y = _diff_image(model, x, Path((a,)))
-                        span, idx = block(a.target)
+                    for target, a in arrows_out[w0]:
+                        y = _diff_image(model, x, a)
+                        span, idx = block(target)
                         span.add({idx[key]: c for key, c in y.items()})
             for w in q.vertices:
                 for x in omega.get(D, {}).get(w, ()):
@@ -295,10 +299,7 @@ class ExtAlgebra:
     ``diffs[i][j]`` pairs the resolution's own differential entry for bundle
     generator j, keyed by its simple's step-(i-1) generators, with the
     bundle offset of that simple's step-(i-1) block, so the bundle shares
-    the differentials instead of copying them.  A lift costs the
-    differential entries that its support reaches: each step's differential
-    is transposed once, by the previous-step generator an entry reaches,
-    and a lift walks only the entries reached from the current layer.
+    the differentials instead of copying them.
     """
 
     def __init__(self, report: ResolutionReport):
@@ -329,7 +330,6 @@ class ExtAlgebra:
         self._gen0_index = {g.vertex: k for k, g in enumerate(self.gens[0])}
         self._coords_cache = {}
         self._solver_cache = {}
-        self._transpose_cache = {}
 
     def ext_dim(self, i: int) -> int:
         return len(self.gens[i])
@@ -362,20 +362,6 @@ class ExtAlgebra:
                 )
             self._solver_cache[key] = solver
         return solver
-
-    def _transpose(self, k: int) -> dict:
-        """The step-k differential indexed by the generator it reaches:
-        previous generator index l -> [(gpp, b, c)], one entry per
-        coordinate c·(l, b) of the image of step-k generator gpp, in
-        ascending gpp."""
-        hit = self._transpose_cache.get(k)
-        if hit is None:
-            hit = {}
-            for gpp, (off, entry) in enumerate(self.diffs[k]):
-                for (l, b), c in entry.items():
-                    hit.setdefault(off + l, []).append((gpp, b, c))
-            self._transpose_cache[k] = hit
-        return hit
 
     def _check_support(self, elem: ExtElement, name: str) -> None:
         if not (0 <= elem.step <= self.i_max):
@@ -438,12 +424,11 @@ class ExtAlgebra:
             key = (self._gen0_index[g.vertex], trivial_path(g.vertex))
             phi[k] = {key: as_scalar(c)}
         for step in range(1, steps + 1):
-            transpose = self._transpose(i + step)
-            rhs_of = {}
-            for l, prev_elem in phi.items():
-                for gpp, b, c in transpose.get(l, ()):
-                    rhs = rhs_of.setdefault(gpp, {})
-                    for (l2, b2), c2 in prev_elem.items():
+            nxt = {}
+            for gpp, (off, entry) in enumerate(self.diffs[i + step]):
+                rhs = {}
+                for (l, b), c in entry.items():
+                    for (l2, b2), c2 in phi.get(off + l, {}).items():
                         for m, cm in self.model.basis_product(b, b2).items():
                             key = (l2, m)
                             s = rhs.get(key, ZERO) + c * c2 * cm
@@ -451,12 +436,11 @@ class ExtAlgebra:
                                 rhs[key] = s
                             else:
                                 del rhs[key]
-            nxt = {}
-            for gpp in sorted(rhs_of):
-                w = self.gens[i + step][gpp].vertex
-                solution = self._preimage(step, w, rhs_of[gpp])
-                if solution:
-                    nxt[gpp] = solution
+                if rhs:
+                    w = self.gens[i + step][gpp].vertex
+                    solution = self._preimage(step, w, rhs)
+                    if solution:
+                        nxt[gpp] = solution
             phi = nxt
         return phi
 
@@ -503,31 +487,29 @@ def generation_check(ext: ExtAlgebra, up_to: int | None = None) -> GenerationRep
     """Check the cohomology ring is generated in homological degrees 0 and 1.
 
     For each step i below the bound, products of the step-i basis with the
-    step-1 basis must span step i+1.  Lifting each step-i class one step
-    gives all its step-1 products at once: the product against the l-th
-    indicator reads off the l-th generator-unit coordinate of the lift.
-    A lift costs the differential entries that its support reaches, so a
-    basis class pays for the step-(i+1) entries that land on its own
-    generator, not for the whole step.
+    step-1 basis must span step i+1.  The product of the step-i class dual
+    to generator k with the step-1 class dual to arrow a takes, at step-(i+1)
+    generator g, the coefficient of (k, a) in the differential of g: lifting
+    the first factor one step solves d_1 φ = ξ d_{i+1}, and since the kernel
+    of d_1 lies in the radical of P_1, the unit coordinates of φ are those
+    arrow coefficients.  The products therefore span step i+1 exactly when
+    the arrow parts of the step-(i+1) differential columns are independent,
+    which one rank computation per step decides, with no lift.
     """
     top = ext.i_max if up_to is None else min(up_to, ext.i_max)
     steps = []
     first_fail = None
     for i in range(top):
         required = len(ext.gens[i + 1])
-        n1 = len(ext.gens[1])
         span = EchelonSpan()
-        for xi in ext.ext_basis(i):
-            phi = ext._lift(xi, 1)
-            cols = {}
-            for gpp, elem in phi.items():
-                for (l, b), c in elem.items():
-                    if b.length == 0:
-                        cols.setdefault(l, {})[gpp] = c
-            for l in range(n1):
-                vec = cols.get(l)
-                if vec:
-                    span.add(vec)
+        # the span pivots on its smallest key and paths do not order, so each
+        # (step-i generator, arrow) pair gets an int column position
+        position = {}
+        for off, entry in ext.diffs[i + 1]:
+            span.add({
+                position.setdefault((off + l, b), len(position)): c
+                for (l, b), c in entry.items() if b.length == 1
+            })
         achieved = span.rank
         steps.append((i, achieved, required))
         if achieved != required and first_fail is None:

@@ -35,6 +35,7 @@ from quiverkoszul.quiver import (
     trivial_path,
 )
 from quiverkoszul.resolution import resolve
+from random_inputs import random_presentation
 
 
 @pytest.fixture
@@ -361,37 +362,9 @@ def test_model_equals_every_path_elimination_on_coverings(name):
     _assert_same_model(*_COVERING_CASES[name]())
 
 
-def _random_presentation(rng):
-    """A small quiver with a few random homogeneous relations of lengths 2-4."""
-    vertices = [str(i) for i in range(1, rng.randint(1, 3) + 1)]
-    arrows = [
-        (f"x{i}", rng.choice(vertices), rng.choice(vertices))
-        for i in range(1, rng.randint(2, 4) + 1)
-    ]
-    q = make_quiver(vertices, arrows)
-    relations = []
-    for _ in range(rng.randint(1, 5)):
-        paths = enumerate_paths(q, rng.choice((2, 2, 2, 3, 3, 4)))
-        if not paths:
-            continue
-        first = rng.choice(paths)
-        parallel = [
-            p for p in paths if (p.source, p.target) == (first.source, first.target)
-        ]
-        terms = rng.sample(parallel, min(len(parallel), rng.randint(1, 3)))
-        relations.append(PathCombination(
-            {p: rng.choice(_COEFFICIENTS) for p in terms}
-        ))
-    return Presentation(q, relations)
-
-
-# non-integral coefficients run the Fraction branch of every elimination
-_COEFFICIENTS = (-2, -1, 1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_model_equals_every_path_elimination_on_random_presentations(seed):
-    _assert_same_model(_random_presentation(random.Random(seed)), 4)
+    _assert_same_model(random_presentation(random.Random(seed)), 4)
 
 
 def _scaled(presentation, rng):
@@ -429,7 +402,7 @@ def test_scaling_relations_changes_nothing_on_the_corpus(presentation):
 @pytest.mark.parametrize("seed", range(40))
 def test_scaling_relations_changes_nothing_on_random_presentations(seed):
     rng = random.Random(seed)
-    _assert_scaling_invariant(_random_presentation(rng), rng, 4)
+    _assert_scaling_invariant(random_presentation(rng), rng, 4)
 
 
 def test_open_window_still_overflows():

@@ -152,13 +152,14 @@ def test_smash_checks_on_exterior4_fit_the_default_window(capsys, tmp_path, chec
 
 
 def test_internal_error_exit_3(capsys, monkeypatch, ext2_file):
-    # an exact resolution always solves its lifting systems; pretend not
-    monkeypatch.setattr(ColumnSolver, "solve", lambda self, vec: None)
+    # every column dependent with an empty expansion: each coordinate becomes
+    # a syzygy, and the degree-1 ones are step-2 generators below their step
+    monkeypatch.setattr(ColumnSolver, "add_column", lambda self, vec: {})
     rc = main(["analyze", ext2_file, "--max-degree", "3", "--max-homological", "3"])
     assert rc == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("internal error: resolution fails to be exact")
+    assert captured.err.startswith("internal error: ")
 
 
 def test_internal_error_in_model_exit_3(capsys, monkeypatch, ext2_file):

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from quiverkoszul.algebra import AlgebraModel
 from quiverkoszul.algebra import InternalError
 from quiverkoszul.corpus import (
+    corpus_instances,
     exterior,
     loop_cubed,
     parse_quiver_spec,
@@ -17,7 +19,7 @@ from quiverkoszul.corpus import (
 from quiverkoszul.covering import build_covering
 from quiverkoszul.duality import dual_presentation
 from quiverkoszul.groups import cyclic_group
-from quiverkoszul.linalg import ZERO
+from quiverkoszul.linalg import ZERO, ColumnSolver, EchelonSpan
 from quiverkoszul.quiver import trivial_path
 from quiverkoszul.resolution import (
     FAILS_AT,
@@ -32,6 +34,7 @@ from quiverkoszul.resolution import (
     resolve,
     theorem_covering_check,
 )
+from random_inputs import random_presentation
 
 
 def binom(n, k):
@@ -379,3 +382,47 @@ def test_negative_step_is_a_named_error(ext2_report):
         ext.yoneda_product(ExtElement(-1, {0: 1}), y1)
     with pytest.raises(ValueError, match="zeta at step -1 outside the window"):
         ext.yoneda_product(y1, ExtElement(-1, {0: 1}))
+
+
+def test_inexact_lift_is_an_internal_error(monkeypatch, ext2_report):
+    # an exact resolution always solves its lifting systems; pretend not
+    ext = ExtAlgebra(ext2_report)
+    monkeypatch.setattr(ColumnSolver, "solve", lambda self, vec: None)
+    y1, y2 = ext.ext_basis(1)
+    with pytest.raises(InternalError, match="resolution fails to be exact"):
+        ext.yoneda_product(y1, y2)
+
+
+# -- generation against its definition: the rank of the Yoneda products --------
+
+
+def _generation_steps_by_products(ext):
+    steps = []
+    for i in range(ext.i_max):
+        span = EchelonSpan()
+        for xi in ext.ext_basis(i):
+            for zeta in ext.ext_basis(1):
+                span.add(ext.yoneda_product(xi, zeta).values)
+        steps.append((i, span.rank, ext.ext_dim(i + 1)))
+    return steps
+
+
+def _assert_generation_is_product_rank(presentation, i_max, d_max):
+    ext = ExtAlgebra(resolve(AlgebraModel(presentation, d_max), i_max, d_max))
+    want = _generation_steps_by_products(ext)
+    got = generation_check(ext)
+    assert got.steps == want
+    assert got.passed == all(a == r for _, a, r in want)
+
+
+@pytest.mark.parametrize(
+    "presentation", [p for _, p in corpus_instances()],
+    ids=[label for label, _ in corpus_instances()],
+)
+def test_generation_is_the_product_rank_on_the_corpus(presentation):
+    _assert_generation_is_product_rank(presentation, 4, 5)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_generation_is_the_product_rank_on_random_presentations(seed):
+    _assert_generation_is_product_rank(random_presentation(random.Random(seed)), 4, 5)

@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 from pathlib import Path
@@ -217,11 +218,31 @@ def test_document_lists_terms_in_path_order():
         assert words == sorted(words)
 
 
-def test_readme_document_example_parses():
+def _readme_blocks(language):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    return re.findall(rf"```{language}\n(.*?)```", readme, flags=re.S)
+
+
+def test_readme_document_example_parses():
+    blocks = _readme_blocks("json")
     assert len(blocks) == 1
     doc = parse_document(blocks[0])
     assert doc.group_spec == ("cyclic", 2)
     assert dict(doc.weights) == {"a1": "1", "a2": "1"}
     assert len(doc.presentation.relations) == 2
+
+
+def test_readme_library_example_runs():
+    blocks = _readme_blocks("python")
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    # every expression line's comment shows the value it prints as
+    shown = []
+    for line in blocks[0].splitlines():
+        code, _, comment = line.partition("#")
+        if comment and isinstance(ast.parse(code.strip()).body[0], ast.Expr):
+            shown.append((str(eval(code, namespace)), comment.strip()))
+    values = ["[1, 2, 1, 0, 0, 0]", "koszul-to-bound", "[1, 2, 3, 4, 5, 6]", "True"]
+    assert [want for _, want in shown] == values
+    assert [got for got, _ in shown] == values
