@@ -38,7 +38,9 @@ from .quiver import (
     Path,
     PathCombination,
     Quiver,
+    QuiverAutomorphism,
     enumerate_paths,
+    order_compatible_automorphisms,
     trivial_path,
     validate_relation,
 )
@@ -353,6 +355,58 @@ class AlgebraModel:
             for by, cy in ny.items():
                 vec_axpy(out, cx * cy, self.basis_product(bx, by))
         return out
+
+
+def ideal_automorphisms(model: AlgebraModel) -> list:
+    """The order-compatible quiver automorphisms that keep the ideal.
+
+    σ keeps the ideal when every relation r it can see, r.length <=
+    max_degree, has σ(r) = 0 in the model; longer relations never enter the
+    truncated model.  Such a σ induces an automorphism of the graded algebra
+    through the window that keeps the lex order of each block, hence its
+    tips and its standard words (see ``basis_word_map``).  The identity
+    passes unchecked: building the model checked every relation.
+    """
+    relations = [
+        r for r in model.presentation.relations if r.length <= model.max_degree
+    ]
+    return [
+        sigma for sigma in order_compatible_automorphisms(model.quiver)
+        if sigma.is_identity() or not any(
+            model.normal_form({sigma.apply(p): c for p, c in r.items()})
+            for r in relations
+        )
+    ]
+
+
+def basis_word_map(model: AlgebraModel, sigma: QuiverAutomorphism,
+                   d_max: int) -> dict:
+    """σ on the basis words of degree <= d_max, pairing each block's basis
+    list with the image block's list in order.
+
+    An automorphism from ``ideal_automorphisms`` makes the pairing agree
+    with σ word by word; each pair is checked, and a mismatch raises
+    ``InternalError``.
+    """
+    words = {}
+    for d in range(d_max + 1):
+        for u, v in model.blocks(d):
+            source = model.basis_paths(d, u, v)
+            image = model.basis_paths(d, sigma.vertices[u], sigma.vertices[v])
+            if len(source) != len(image):
+                raise InternalError(
+                    f"automorphism sends the {len(source)} degree-{d} basis words"
+                    f" {u}->{v} to a block of {len(image)}"
+                )
+            for b, c in zip(source, image):
+                moved = sigma.apply(b)
+                if moved != c:
+                    raise InternalError(
+                        f"automorphism sends basis word {b} to {moved},"
+                        f" not to the basis word {c} in its place"
+                    )
+                words[b] = c
+    return words
 
 
 def _as_terms(x) -> dict:

@@ -3,7 +3,9 @@
 Five subcommands: analyze (resolve and report), dual (quadratic dual
 document), cover (finite covering document), verify (single named check
 with an exit code), corpus (built-in presentations).  Reports are
-canonical JSON; timing sits outside the comparable section.
+canonical JSON; timing sits outside the comparable section, with the
+number of simples resolved and relabelled under ``timing.sizes`` for the
+commands that resolve.
 
 Exit codes: 0 pass, 1 failed check (witness in the report), 2 input error,
 3 internal error (a consistency check inside the library failed, which is a
@@ -30,6 +32,7 @@ from .resolution import (
     hilbert_euler_check,
     is_koszul_to,
     koszul_duality_dim_check,
+    resolution_sizes,
     resolve,
     theorem_covering_check,
 )
@@ -126,12 +129,16 @@ def _grading_from_document(doc: ParsedDocument):
     return doc.group(), dict(doc.weights)
 
 
-def _report_json(command: str, canonical: dict, started: float) -> str:
+def _report_json(command: str, canonical: dict, started: float,
+                 sizes: dict) -> str:
+    timing = {"seconds": round(time.perf_counter() - started, 6)}
+    if sizes:
+        timing["sizes"] = sizes
     return canonical_json(
         {
             "format": 1,
             "canonical": {"command": command, **canonical},
-            "timing": {"seconds": round(time.perf_counter() - started, 6)},
+            "timing": timing,
         }
     )
 
@@ -191,16 +198,20 @@ def _generation_section(generation) -> dict:
     }
 
 
-def _resolved(doc, args):
-    """The document's algebra model over the window, and its resolution."""
+def _resolved(doc, args, sizes: dict):
+    """The document's algebra model over the window, and its resolution;
+    the resolution's sizes go into ``sizes``."""
     model = AlgebraModel(doc.presentation, args.max_degree)
-    return model, resolve(model, args.max_homological, args.max_degree)
+    report = resolve(model, args.max_homological, args.max_degree)
+    sizes.update(resolution_sizes(report))
+    return model, report
 
 
 def _run_analyze(args) -> int:
     started = time.perf_counter()
     doc = _read_document(args.file)
-    model, report = _resolved(doc, args)
+    sizes = {}
+    model, report = _resolved(doc, args, sizes)
     generation = generation_check(ExtAlgebra(report))
     cutoff = min(args.max_degree, args.max_homological)
     euler_ok, euler_witness = hilbert_euler_check(model, report, cutoff)
@@ -217,7 +228,7 @@ def _run_analyze(args) -> int:
             "witness": _plain(euler_witness),
         },
     }
-    _emit(_report_json("analyze", canonical, started), args.json)
+    _emit(_report_json("analyze", canonical, started, sizes), args.json)
     return 0
 
 
@@ -243,14 +254,14 @@ def _run_cover(args) -> int:
     return 0
 
 
-def _check_koszul(doc, args):
-    _, report = _resolved(doc, args)
+def _check_koszul(doc, args, sizes):
+    _, report = _resolved(doc, args, sizes)
     details = _koszul_section(report)
     return details["verdict"]["status"] == KOSZUL_TO_BOUND, details
 
 
-def _check_generation(doc, args):
-    _, report = _resolved(doc, args)
+def _check_generation(doc, args, sizes):
+    _, report = _resolved(doc, args, sizes)
     generation = generation_check(ExtAlgebra(report))
     details = {
         **_generation_section(generation),
@@ -262,20 +273,21 @@ def _check_generation(doc, args):
     return generation.passed, details
 
 
-def _check_hilbert_euler(doc, args):
+def _check_hilbert_euler(doc, args, sizes):
     cutoff = args.cutoff
     if cutoff is None:
         cutoff = min(args.max_degree, args.max_homological)
-    model, report = _resolved(doc, args)
+    model, report = _resolved(doc, args, sizes)
     ok, witness = hilbert_euler_check(model, report, cutoff)
     return ok, {"cutoff": cutoff, "witness": _plain(witness)}
 
 
-def _check_covering_theorem(doc, args):
+def _check_covering_theorem(doc, args, sizes):
     group, weights = _grading_from_document(doc)
     outcome = theorem_covering_check(
         doc.presentation, group, weights, args.max_homological, args.max_degree
     )
+    sizes.update(outcome.sizes)
     details = {
         "group_order": outcome.group_order,
         "base_verdict": _verdict_section(outcome.base_verdict),
@@ -285,7 +297,7 @@ def _check_covering_theorem(doc, args):
     return outcome.passed, details
 
 
-def _check_smash_iso(doc, args):
+def _check_smash_iso(doc, args, sizes):
     group, weights = _grading_from_document(doc)
     base_model = AlgebraModel(doc.presentation, args.max_degree)
     smash = smash_product(base_model, group, weights)
@@ -310,7 +322,7 @@ def _check_smash_iso(doc, args):
     return passed, details
 
 
-def _check_radical_smash(doc, args):
+def _check_radical_smash(doc, args, sizes):
     group, weights = _grading_from_document(doc)
     base_model = AlgebraModel(doc.presentation, args.max_degree)
     base_basis = base_model.finite_basis()
@@ -334,10 +346,10 @@ def _check_radical_smash(doc, args):
     return passed, details
 
 
-def _check_duality_dims(doc, args):
+def _check_duality_dims(doc, args, sizes):
     # a presentation with no quadratic dual is rejected before any resolving
     dual = dual_presentation(doc.presentation)
-    model, report = _resolved(doc, args)
+    model, report = _resolved(doc, args, sizes)
     dual_model = AlgebraModel(dual, args.max_degree)
     ok, witness = koszul_duality_dim_check(model, dual_model, report)
     return ok, {"witness": _plain(witness)}
@@ -357,7 +369,8 @@ _CHECK_RUNNERS = {
 def _run_verify(args) -> int:
     started = time.perf_counter()
     doc = _read_document(args.file)
-    passed, details = _CHECK_RUNNERS[args.check](doc, args)
+    sizes = {}
+    passed, details = _CHECK_RUNNERS[args.check](doc, args, sizes)
     canonical = {
         "check": args.check,
         "max_degree": args.max_degree,
@@ -365,7 +378,7 @@ def _run_verify(args) -> int:
         "passed": passed,
         "details": details,
     }
-    _emit(_report_json("verify", canonical, started), None)
+    _emit(_report_json("verify", canonical, started, sizes), None)
     return 0 if passed else 1
 
 

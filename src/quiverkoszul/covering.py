@@ -180,23 +180,3 @@ def deck_action(cov: Presentation, group: FiniteGroup) -> GroupAction:
     action.validate(q)
     return action
 
-
-def orbit_quotient(cov: Presentation, group: FiniteGroup) -> Quiver:
-    """Quiver of sheet-translation orbits, labelled by base labels."""
-    q = cov.quiver
-    vertices = []
-    seen = set()
-    for v in q.vertices:
-        base, _ = split_sheet(v)
-        if base not in seen:
-            seen.add(base)
-            vertices.append(base)
-    arrows = []
-    seen = set()
-    for a in q.arrows:
-        base, _ = split_sheet(a.label)
-        if base in seen:
-            continue
-        seen.add(base)
-        arrows.append(Arrow(base, split_sheet(a.source)[0], split_sheet(a.target)[0]))
-    return Quiver(vertices, arrows)

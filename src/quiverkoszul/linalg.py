@@ -149,7 +149,8 @@ class ColumnSolver:
     independent columns are stored.  A dependent column reduces to its tags
     alone, which read off its expansion over the independent columns fed so
     far; that expansion is unique, so it does not depend on the elimination
-    order.  Kernel vectors and span membership certificates are made of it.
+    order.  ``add_column`` returns it as a kernel vector, ``solve`` as the
+    coordinates of a vector in the span.
     """
 
     __slots__ = ("height", "count", "_span")
@@ -159,22 +160,22 @@ class ColumnSolver:
         self.count = 0
         self._span = EchelonSpan()
 
-    def _expansion(self, residue: dict) -> dict:
-        # a residue without row entries is -sum c_i * tag_i, where vec is
-        # sum c_i * column_i over the independent columns i
-        h = self.height
-        return {j - h: -c for j, c in residue.items()}
-
     def solve(self, vec: dict):
         """Coordinates of vec over the independent columns, or None."""
         residue = self._span.reduce(vec)
         if residue and min(residue) < self.height:
             return None
-        return self._expansion(residue)
+        # a residue without row entries is -sum c_i * tag_i, where vec is
+        # sum c_i * column_i over the independent columns i
+        h = self.height
+        return {j - h: -c for j, c in residue.items()}
 
     def add_column(self, vec: dict):
-        """Feed the next column; returns None if independent, else its expansion."""
-        tag = self.height + self.count
+        """Feed the next column; returns None if independent, else the
+        kernel vector it closes: 1 at the new column and minus its
+        expansion over the independent columns fed so far."""
+        j = self.count
+        tag = self.height + j
         self.count += 1
         # no stored row holds the new tag, so the tagged column reduces to
         # the residue of vec plus the tag
@@ -185,18 +186,20 @@ class ColumnSolver:
                 residue[tag] = ONE
                 self._span.store(residue, pivot)
                 return None
-        return self._expansion(residue)
+        # the residue is vec minus its expansion, written on the tags: its
+        # tag part with the new column's tag is a kernel vector
+        h = self.height
+        kernel = {t - h: c for t, c in residue.items()}
+        kernel[j] = ONE
+        return kernel
 
 
 def kernel_basis_sparse(columns: list) -> list:
     """Kernel of the matrix with the given sparse columns, as sparse dicts."""
     solver = ColumnSolver(1 + max((i for col in columns for i in col), default=-1))
     basis = []
-    for j, col in enumerate(columns):
-        expansion = solver.add_column(col)
-        if expansion is None:
-            continue
-        vec = {i: -c for i, c in expansion.items()}
-        vec[j] = ONE
-        basis.append(_clean(vec))
+    for col in columns:
+        kernel = solver.add_column(col)
+        if kernel is not None:
+            basis.append(kernel)
     return basis

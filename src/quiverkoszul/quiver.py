@@ -192,6 +192,67 @@ class Quiver:
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
 
 
+@dataclass
+class QuiverAutomorphism:
+    """A bijection of vertices and of arrows that respects incidence."""
+
+    vertices: dict  # vertex label -> vertex label
+    arrows: dict  # Arrow -> Arrow
+
+    def is_identity(self) -> bool:
+        return (all(u == v for u, v in self.vertices.items())
+                and all(a == b for a, b in self.arrows.items()))
+
+    def apply(self, p: Path) -> Path:
+        if not p.arrows:
+            return trivial_path(self.vertices[p.base])
+        return Path(tuple(self.arrows[a] for a in p.arrows))
+
+
+def order_compatible_automorphisms(q: Quiver) -> list:
+    """Automorphisms that keep, at every vertex x, the index order of the
+    arrows leaving x; the identity comes first when it is found.
+
+    Such a map sends the k-th arrow leaving x to the k-th arrow leaving its
+    image, so it is fixed by the image of ``vertices[0]`` on every vertex
+    reached from there.  Each image is tried and propagated along the
+    out-arrows; a candidate that clashes, leaves a vertex unmapped or is not
+    a bijection is dropped.  On a quiver not reached from its first vertex
+    the search finds nothing, which loses speed downstream, never answers.
+    """
+    if not q.vertices:
+        return []
+    start = q.vertices[0]
+    found = []
+    for t in q.vertices:
+        vmap, amap = _propagate(q, start, t)
+        if (vmap is not None and len(vmap) == len(q.vertices)
+                and len(set(vmap.values())) == len(vmap)
+                and len(set(amap.values())) == len(amap)):
+            found.append(QuiverAutomorphism(vmap, amap))
+    return found
+
+
+def _propagate(q: Quiver, start: str, t: str):
+    """The vertex and arrow maps forced by start -> t along out-arrows by
+    index, over the vertices reached from start; (None, None) on a clash."""
+    vmap, amap = {start: t}, {}
+    pending = [start]
+    while pending:
+        x = pending.pop()
+        outs, images = q.arrows_by_source[x], q.arrows_by_source[vmap[x]]
+        if len(outs) != len(images):
+            return None, None
+        for a, b in zip(outs, images):
+            amap[a] = b
+            if a.target not in vmap:
+                vmap[a.target] = b.target
+                pending.append(a.target)
+            elif vmap[a.target] != b.target:
+                return None, None
+    return vmap, amap
+
+
 def _first_duplicate(items):
     seen = set()
     for x in items:

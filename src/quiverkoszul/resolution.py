@@ -19,7 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AlgebraModel, InternalError, PolyMatrix, hilbert_matrix
+from .algebra import (
+    AlgebraModel,
+    InternalError,
+    PolyMatrix,
+    basis_word_map,
+    hilbert_matrix,
+    ideal_automorphisms,
+)
 from .covering import build_covering
 from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO, as_scalar
 from .quiver import Path, trivial_path
@@ -181,19 +188,35 @@ class SimpleResolution:
                 prev_index = self._coords(i - 1, D, w)[1]
                 solver = ColumnSolver(len(prev_index))
                 found = []
-                for pos, (k, b) in enumerate(coords):
+                for k, b in coords:
                     image = _diff_image(model, diffs[k], b)
-                    expansion = solver.add_column(
+                    kernel = solver.add_column(
                         {prev_index[key]: c for key, c in image.items()}
                     )
-                    if expansion is None:
-                        continue
-                    vec = {coords[p]: -c for p, c in expansion.items() if c}
-                    vec[(k, b)] = ONE
-                    found.append(vec)
+                    if kernel is not None:
+                        found.append({coords[p]: c for p, c in kernel.items()})
                 if found:
                     omega.setdefault(D, {})[w] = found
         return omega
+
+    def relabelled(self, sigma, words: dict) -> "SimpleResolution":
+        """The resolution of sigma(vertex) read off this one: generator
+        vertices and differential words moved by the automorphism sigma,
+        with ``words`` its ``basis_word_map``.  sigma is an automorphism of
+        the algebra, so the image is again a minimal resolution."""
+        out = object.__new__(SimpleResolution)
+        out.model, out.i_max, out.d_max = self.model, self.i_max, self.d_max
+        out.vertex = sigma.vertices[self.vertex]
+        out.gens = [
+            [Generator(sigma.vertices[g.vertex], g.degree) for g in step]
+            for step in self.gens
+        ]
+        out.diffs = [
+            [{(k, words[b]): c for (k, b), c in entry.items()} for entry in step]
+            for step in self.diffs
+        ]
+        out._coords_cache = {}
+        return out
 
 
 @dataclass(frozen=True)
@@ -210,14 +233,20 @@ class KoszulVerdict:
 
 
 class ResolutionReport:
-    """Bundle of per-simple resolutions with the derived numerics."""
+    """Bundle of per-simple resolutions with the derived numerics.
 
-    def __init__(self, model: AlgebraModel, i_max: int, d_max: int, per_simple: dict):
+    ``transported`` names the simples whose resolution was relabelled from
+    another simple's rather than computed.
+    """
+
+    def __init__(self, model: AlgebraModel, i_max: int, d_max: int, per_simple: dict,
+                 transported=frozenset()):
         self.model = model
         self.i_max = i_max
         self.d_max = d_max
         self.simples = model.quiver.vertices
         self.per_simple = per_simple
+        self.transported = frozenset(transported)
         self.betti = {}
         for u in self.simples:
             for i, gen_list in enumerate(per_simple[u].gens):
@@ -255,13 +284,43 @@ class ResolutionReport:
 
 
 def resolve(model: AlgebraModel, i_max: int, d_max: int | None = None) -> ResolutionReport:
-    """Resolve every vertex simple out to the given bounds."""
+    """Resolve every vertex simple out to the given bounds.
+
+    One simple per orbit of the model's ideal automorphisms is resolved;
+    the others are its images under those automorphisms (a covering's deck
+    group is one source of them).  A simple that no found automorphism
+    reaches is resolved directly.
+    """
     if d_max is None:
         d_max = model.max_degree
-    simples = {
-        v: SimpleResolution(model, v, i_max, d_max) for v in model.quiver.vertices
+    automorphisms = ideal_automorphisms(model)
+    words = [None] * len(automorphisms)
+    simples = {}
+    transported = set()
+    for v in model.quiver.vertices:
+        if v in simples:
+            continue
+        res = simples[v] = SimpleResolution(model, v, i_max, d_max)
+        for n, sigma in enumerate(automorphisms):
+            image = sigma.vertices[v]
+            if image not in simples:
+                if words[n] is None:
+                    words[n] = basis_word_map(model, sigma, d_max)
+                simples[image] = res.relabelled(sigma, words[n])
+                transported.add(image)
+    return ResolutionReport(
+        model, i_max, d_max, {v: simples[v] for v in model.quiver.vertices},
+        transported,
+    )
+
+
+def resolution_sizes(*reports: ResolutionReport) -> dict:
+    """How many simples the reports resolved and how many they relabelled."""
+    transported = sum(len(r.transported) for r in reports)
+    return {
+        "simples_resolved": sum(len(r.simples) for r in reports) - transported,
+        "simples_transported": transported,
     }
-    return ResolutionReport(model, i_max, d_max, simples)
 
 
 def is_koszul_to(report: ResolutionReport) -> KoszulVerdict:
@@ -569,6 +628,7 @@ class CoveringTheoremReport:
     base_verdict: KoszulVerdict
     cover_verdict: KoszulVerdict
     mismatches: list
+    sizes: dict = field(default_factory=dict, compare=False)  # resolution_sizes
 
     def __str__(self) -> str:
         if self.passed:
@@ -608,4 +668,7 @@ def theorem_covering_check(presentation, group, weights, i_max: int,
         got = cover_report.ext_total(i)
         if want != got:
             mismatches.append(("ext", i, got, want))
-    return CoveringTheoremReport(not mismatches, n, bv, cv, mismatches)
+    return CoveringTheoremReport(
+        not mismatches, n, bv, cv, mismatches,
+        resolution_sizes(base_report, cover_report),
+    )

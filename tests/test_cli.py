@@ -77,6 +77,29 @@ def test_analyze_reports_verdict_and_dims(capsys, ext2_file):
     assert "timing" in report
 
 
+def test_resolving_commands_report_orbit_sizes_outside_canonical(capsys, tmp_path,
+                                                                ext2_graded_file):
+    cover = tmp_path / "exterior2_z2.json"
+    assert main(["cover", ext2_graded_file, "--group", "cyclic:2",
+                 "--out", str(cover)]) == 0
+    capsys.readouterr()
+    rc, report = run_json(capsys, ["analyze", str(cover)])
+    assert rc == 0
+    assert report["timing"]["sizes"] == {
+        "simples_resolved": 1, "simples_transported": 1}
+    assert "sizes" not in report["canonical"]
+    rc, report = run_json(
+        capsys, ["verify", ext2_graded_file, "--check", "covering-theorem"])
+    assert rc == 0
+    # the base's one simple, and one of the covering's two
+    assert report["timing"]["sizes"] == {
+        "simples_resolved": 2, "simples_transported": 1}
+    rc, report = run_json(
+        capsys, ["verify", ext2_graded_file, "--check", "smash-iso"])
+    assert rc == 0
+    assert "sizes" not in report["timing"]
+
+
 def test_analyze_json_flag_writes_file(tmp_path, capsys, ext2_file):
     out = tmp_path / "report.json"
     rc = main(["analyze", ext2_file, "--max-degree", "4",
@@ -154,7 +177,11 @@ def test_smash_checks_on_exterior4_fit_the_default_window(capsys, tmp_path, chec
 def test_internal_error_exit_3(capsys, monkeypatch, ext2_file):
     # every column dependent with an empty expansion: each coordinate becomes
     # a syzygy, and the degree-1 ones are step-2 generators below their step
-    monkeypatch.setattr(ColumnSolver, "add_column", lambda self, vec: {})
+    def all_dependent(self, vec):
+        self.count += 1
+        return {self.count - 1: 1}
+
+    monkeypatch.setattr(ColumnSolver, "add_column", all_dependent)
     rc = main(["analyze", ext2_file, "--max-degree", "3", "--max-homological", "3"])
     assert rc == 3
     captured = capsys.readouterr()

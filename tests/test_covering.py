@@ -10,7 +10,6 @@ from quiverkoszul.covering import (
     deck_action,
     is_homogeneous_grading,
     lift_path,
-    orbit_quotient,
     sheet_label,
     split_sheet,
 )
@@ -129,14 +128,6 @@ def test_deck_action_permutes_sheets():
     assert [a.label for a in moved.arrows] == ["a1|2"]
     back = action.apply_to_path(cov.quiver, "2", cov.quiver.path(["a1|0"]))
     assert [a.label for a in back.arrows] == ["a1|1"]
-
-
-def test_orbit_quotient_recovers_base_quiver():
-    p = exterior(2)
-    g = cyclic_group(3)
-    cov = build_covering(p, g, all_one_weights(p, g))
-    q = orbit_quotient(cov, g)
-    assert q == p.quiver
 
 
 def test_loop_cubed_covering_relations_lift_whole_orbit():

@@ -164,8 +164,9 @@ class TestColumnSolver:
         solver = ColumnSolver(3)
         assert solver.add_column({0: F(1), 1: F(2)}) is None
         assert solver.add_column({2: F(1)}) is None
+        # column 2 = 2 * column 0 + 3 * column 1
         dep = solver.add_column({0: F(2), 1: F(4), 2: F(3)})
-        assert dep == {0: F(2), 1: F(3)}
+        assert dep == {0: -2, 1: -3, 2: 1}
 
     def test_solution_coordinates_reproduce_vector(self):
         cols = [
@@ -199,8 +200,8 @@ class TestColumnSolver:
     def test_zero_column_and_zero_target(self):
         solver = ColumnSolver(2)
         assert solver.add_column({0: F(1)}) is None
-        assert solver.add_column({}) == {}
-        assert solver.add_column({1: F(0)}) == {}
+        assert solver.add_column({}) == {1: 1}
+        assert solver.add_column({1: F(0)}) == {2: 1}
         assert solver.solve({}) == {}
 
 
@@ -366,7 +367,10 @@ def test_each_expansion_is_the_rref_column_at_that_point(seed):
         if j in reference:
             assert got is None
         else:
-            assert got == {p: row[j] for p, row in reference.items() if row.get(j)}
+            # the kernel vector: 1 at column j, minus its rref column
+            want = {p: -row[j] for p, row in reference.items() if row.get(j)}
+            want[j] = 1
+            assert got == want
 
 
 @pytest.mark.parametrize("seed", range(6))

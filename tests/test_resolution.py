@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -5,10 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from quiverkoszul.algebra import AlgebraModel
-from quiverkoszul.algebra import InternalError
+from quiverkoszul.algebra import (
+    AlgebraModel,
+    InternalError,
+    Presentation,
+    basis_word_map,
+    ideal_automorphisms,
+)
 from quiverkoszul.corpus import (
     corpus_instances,
+    example2,
     exterior,
     loop_cubed,
     parse_quiver_spec,
@@ -16,17 +23,24 @@ from quiverkoszul.corpus import (
     preprojective,
     radical_square_zero,
 )
-from quiverkoszul.covering import build_covering
+from quiverkoszul.covering import build_covering, cyclic_covering, deck_action
 from quiverkoszul.duality import dual_presentation
 from quiverkoszul.groups import cyclic_group
 from quiverkoszul.linalg import ZERO, ColumnSolver, EchelonSpan
-from quiverkoszul.quiver import trivial_path
+from quiverkoszul.quiver import (
+    Quiver,
+    QuiverAutomorphism,
+    order_compatible_automorphisms,
+    trivial_path,
+)
 from quiverkoszul.resolution import (
     FAILS_AT,
     KOSZUL_TO_BOUND,
     UNKNOWN_BEYOND_BOUND,
     ExtAlgebra,
     ExtElement,
+    SimpleResolution,
+    _diff_image,
     generation_check,
     hilbert_euler_check,
     is_koszul_to,
@@ -426,3 +440,226 @@ def test_generation_is_the_product_rank_on_the_corpus(presentation):
 @pytest.mark.parametrize("seed", range(40))
 def test_generation_is_the_product_rank_on_random_presentations(seed):
     _assert_generation_is_product_rank(random_presentation(random.Random(seed)), 4, 5)
+
+
+# -- one simple per automorphism orbit, the others relabelled ------------------
+
+
+def _orbit_covers():
+    ext4 = exterior(4)
+    return {
+        "loops2-Z3": (build_covering(_loops2(), cyclic_group(3),
+                                     {"x1": "1", "x2": "2"}), 5, 5),
+        "exterior4-Z3": (build_covering(ext4, cyclic_group(3), dict(zip(
+            [a.label for a in ext4.quiver.arrows], "0112"))), 4, 5),
+        "exterior2-Z2": (cyclic_covering(exterior(2), 2), 4, 5),
+        "example2(2,1,3)-Z2": (cyclic_covering(example2(2, 1, 3), 2), 4, 4),
+    }
+
+
+def _bundle_image(ext, step, vec):
+    """The step-``step`` differential of a bundle element, in step-(step-1)
+    bundle coordinates."""
+    out = {}
+    for (g, b), c in vec.items():
+        off, entry = ext.diffs[step][g]
+        for (l, m), cm in _diff_image(ext.model, entry, b).items():
+            key = (off + l, m)
+            s = out.get(key, ZERO) + c * cm
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_orbit_covers()))
+def test_orbit_transported_resolutions_are_exact(name):
+    p, i_max, d_max = _orbit_covers()[name]
+    model = AlgebraModel(p, d_max)
+    report = resolve(model, i_max, d_max)
+    # the deck group moves the simples, so some are relabelled
+    assert len(report.transported) > 0
+    for u in report.transported:
+        diffs = report.per_simple[u].diffs
+        for i in range(2, i_max + 1):
+            for entry in diffs[i]:
+                dd = {}
+                for (l, b), c in entry.items():
+                    for key, cm in _diff_image(model, diffs[i - 1][l], b).items():
+                        dd[key] = dd.get(key, ZERO) + c * cm
+                assert not any(dd.values())
+    # ker d_s lies in im d_{s+1} on every block of the bundle, and the
+    # augmentation's kernel (the radical of P_0) in im d_1
+    ext = ExtAlgebra(report)
+    checked = 0
+    for s in range(i_max):
+        for D in range(1, d_max + 1):
+            for w in model.quiver.vertices:
+                cur, _ = ext._coords(s, D, w)
+                if s == 0:
+                    kernels = [{key: 1} for key in cur]
+                else:
+                    _, prev_index = ext._coords(s - 1, D, w)
+                    solver = ColumnSolver(len(prev_index))
+                    kernels = []
+                    for key in cur:
+                        image = _bundle_image(ext, s, {key: 1})
+                        kernel = solver.add_column(
+                            {prev_index[k]: c for k, c in image.items()})
+                        if kernel is not None:
+                            kernels.append({cur[p]: c for p, c in kernel.items()})
+                for vec in kernels:
+                    lift = ext._preimage(s + 1, w, vec)
+                    assert _bundle_image(ext, s + 1, lift) == vec
+                    checked += 1
+    assert checked > 0
+
+
+def _direct_betti(model, i_max, d_max):
+    betti = {}
+    for u in model.quiver.vertices:
+        for i, gens in enumerate(SimpleResolution(model, u, i_max, d_max).gens):
+            for g in gens:
+                key = (u, i, g.degree, g.vertex)
+                betti[key] = betti.get(key, 0) + 1
+    return betti
+
+
+def _orbit_betti_cases():
+    cases = {}
+    for label, p in corpus_instances():
+        cases[label] = p
+        cases[label + "-Z2"] = cyclic_covering(p, 2)
+    covers = _orbit_covers()
+    for label in ("loops2-Z3", "exterior4-Z3"):
+        cases[label] = covers[label][0]
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_orbit_betti_cases()))
+def test_orbit_transport_keeps_the_betti_table(name):
+    model = AlgebraModel(_orbit_betti_cases()[name], 4)
+    report = resolve(model, 3, 4)
+    assert report.betti == _direct_betti(model, 3, 4)
+    for u in report.transported:
+        assert report.per_simple[u].vertex == u
+
+
+@pytest.mark.parametrize("name", sorted(_orbit_covers()))
+def test_orbit_detection_finds_every_deck_map(name):
+    p, _, d_max = _orbit_covers()[name]
+    group = {"Z3": cyclic_group(3), "Z2": cyclic_group(2)}[name[-2:]]
+    action = deck_action(p, group)
+    found = [
+        (sigma.vertices, {a.label: b.label for a, b in sigma.arrows.items()})
+        for sigma in ideal_automorphisms(AlgebraModel(p, d_max))
+    ]
+    for h in group.elements:
+        assert (action.vertex_maps[h], action.arrow_maps[h]) in found
+
+
+def _automorphisms_by_brute_force(q):
+    """Every vertex permutation whose forced arrow map (the k-th arrow
+    leaving x to the k-th arrow leaving its image) respects incidence."""
+    found = []
+    for image in itertools.permutations(q.vertices):
+        vmap = dict(zip(q.vertices, image))
+        amap = {}
+        for x in q.vertices:
+            outs, images = q.arrows_by_source[x], q.arrows_by_source[vmap[x]]
+            if len(outs) != len(images):
+                break
+            amap.update(zip(outs, images))
+        else:
+            if all(vmap[a.target] == b.target for a, b in amap.items()):
+                found.append((vmap, amap))
+    return found
+
+
+def _reached(q, start):
+    seen, pending = {start}, [start]
+    while pending:
+        for a in q.arrows_by_source[pending.pop()]:
+            if a.target not in seen:
+                seen.add(a.target)
+                pending.append(a.target)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_orbit_detection_matches_brute_force_on_random_quivers(seed):
+    # a Z_k-covering of a random quiver has symmetry to find; shuffling its
+    # arrows or adding one may keep, break or scramble that symmetry
+    rng = random.Random(900 + seed)
+    m = rng.randint(1, 3)
+    k = rng.randint(1, 2 if m == 3 else 3)
+    base = [(f"a{j}", rng.randrange(m), rng.randrange(m), rng.randrange(k))
+            for j in range(rng.randint(1, 4))]
+    vertices = [f"{v}.{g}" for v in range(m) for g in range(k)]
+    arrows = [(f"{a}.{g}", f"{x}.{g}", f"{y}.{(g + w) % k}")
+              for a, x, y, w in base for g in range(k)]
+    if rng.random() < 0.5:
+        rng.shuffle(arrows)
+    if rng.random() < 0.3:
+        arrows.append(("extra", rng.choice(vertices), rng.choice(vertices)))
+    q = Quiver(vertices, arrows)
+    found = order_compatible_automorphisms(q)
+    for sigma in found:
+        assert sorted(sigma.vertices.values()) == sorted(q.vertices)
+        assert sorted(a.label for a in sigma.arrows.values()) == sorted(
+            a.label for a in q.arrows)
+        for a, b in sigma.arrows.items():
+            assert (b.source, b.target) == (
+                sigma.vertices[a.source], sigma.vertices[a.target])
+    want = _automorphisms_by_brute_force(q)
+    got = [(sigma.vertices, sigma.arrows) for sigma in found]
+    assert all(pair in want for pair in got)
+    if _reached(q, q.vertices[0]) == set(q.vertices):
+        assert len(got) == len(want)
+    else:
+        assert got == []
+
+
+def _leaf_swap(q):
+    """preprojective(star:4)'s swap of leaves l1 and l2, fixing the centre."""
+    vertices = {v: {"l1": "l2", "l2": "l1"}.get(v, v) for v in q.vertices}
+    swap = {"a1": "a2", "a2": "a1", "a1*": "a2*", "a2*": "a1*"}
+    arrows = {a: q.arrow(swap.get(a.label, a.label)) for a in q.arrows}
+    return QuiverAutomorphism(vertices, arrows)
+
+
+def test_orbit_leaf_swap_reorders_the_centre_and_is_rejected():
+    p = preprojective(parse_quiver_spec("star:4"))
+    q = p.quiver
+    swap = _leaf_swap(q)
+    # a quiver automorphism that keeps the ideal, but a1*, a2* leave the
+    # centre in the other order, so lex order and the basis are not kept
+    model = AlgebraModel(p, 4)
+    assert all(
+        not model.normal_form({swap.apply(path): c for path, c in r.items()})
+        for r in p.relations
+    )
+    found = order_compatible_automorphisms(q)
+    assert [sigma.is_identity() for sigma in found] == [True]
+    with pytest.raises(InternalError, match="automorphism sends basis word"):
+        basis_word_map(model, swap, 4)
+    assert resolve(model, 3, 4).transported == frozenset()
+
+
+def test_orbit_swap_that_breaks_the_ideal_is_rejected():
+    # a: 1 -> 2, b: 2 -> 1 with the single relation a∘b; the swap is
+    # order-compatible but sends a∘b to b∘a, which is not in the ideal
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    p = Presentation(q, [q.path(["b", "a"])])
+    found = order_compatible_automorphisms(q)
+    assert [sigma.vertices for sigma in found] == [
+        {"1": "1", "2": "2"}, {"1": "2", "2": "1"}]
+    model = AlgebraModel(p, 4)
+    kept = ideal_automorphisms(model)
+    assert len(kept) == 1 and kept[0].is_identity()
+    report = resolve(model, 3, 4)
+    assert report.transported == frozenset()
+    assert report.betti == _direct_betti(model, 3, 4)
+    # the two simples really differ: only S(2) has a relation to resolve
+    assert report.ext_total(2) == 1
