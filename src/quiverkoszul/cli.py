@@ -24,7 +24,7 @@ from .corpus import CORPUS, CorpusError, build_corpus
 from .covering import build_covering
 from .duality import dual_presentation
 from .groups import FiniteGroup
-from .linalg import EchelonSpan
+from .linalg import EchelonSpan, ONE
 from .resolution import (
     KOSZUL_TO_BOUND,
     ExtAlgebra,
@@ -297,10 +297,15 @@ def _check_covering_theorem(doc, args, sizes):
     return outcome.passed, details
 
 
-def _check_smash_iso(doc, args, sizes):
+def _graded_smash(doc, args):
+    """The document's grading and the smash product of its base model."""
     group, weights = _grading_from_document(doc)
     base_model = AlgebraModel(doc.presentation, args.max_degree)
-    smash = smash_product(base_model, group, weights)
+    return group, weights, smash_product(base_model, group, weights)
+
+
+def _check_smash_iso(doc, args, sizes):
+    group, weights, smash = _graded_smash(doc, args)
     covering = build_covering(doc.presentation, group, weights)
     cover_model = AlgebraModel(covering, args.max_degree)
     notes = []
@@ -323,24 +328,21 @@ def _check_smash_iso(doc, args, sizes):
 
 
 def _check_radical_smash(doc, args, sizes):
-    group, weights = _grading_from_document(doc)
-    base_model = AlgebraModel(doc.presentation, args.max_degree)
-    base_basis = base_model.finite_basis()
-    smash = smash_product(base_model, group, weights)
+    _, _, smash = _graded_smash(doc, args)
     rad = radical(smash)
-    radical_dim = sum(1 for b in base_basis if b.length) * group.order
+    # the radical should be spanned by the positive-degree labels b#p_g
     expected = EchelonSpan()
     for i, (b, _) in enumerate(smash.labels):
         if b.length:
-            expected.add({i: Fraction(1)})
+            expected.add({i: ONE})
     found = EchelonSpan()
     for vec in rad:
         found.add(vec)
     spans_match = found.equals(expected)
-    passed = len(rad) == radical_dim and spans_match
+    passed = len(rad) == expected.rank and spans_match
     details = {
         "radical_dim": len(rad),
-        "expected_dim": radical_dim,
+        "expected_dim": expected.rank,
         "spans_match": spans_match,
     }
     return passed, details

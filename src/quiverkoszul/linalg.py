@@ -3,8 +3,9 @@
 Vectors are sparse maps from index to a nonzero exact scalar: an ``int``
 when the value is integral, a ``Fraction`` otherwise (``as_scalar`` and
 ``exact_div`` produce that form; products and sums of Fractions may leave
-an integral Fraction, which compares and hashes like its int).  A matrix is
-handed over as its rows or as a list of its columns.
+an integral Fraction, which compares and hashes like its int).  What the
+module hands back, ``rref_rows`` included, follows the same rule.  A
+matrix is handed over as its rows or as a list of its columns.
 
 There is one elimination kernel, ``EchelonSpan.reduce``, with one pivot
 rule: a row's pivot is its smallest index.  All elimination is exact and
@@ -130,13 +131,13 @@ class EchelonSpan:
         return tuple(sorted(self._rows))
 
     def rref_rows(self) -> list:
-        """The rref rows in pivot order, with Fraction entries."""
+        """Copies of the rref rows, in pivot order."""
         rows = self.rows
-        return [{j: Fraction(c) for j, c in rows[p].items()} for p in sorted(rows)]
+        return [dict(rows[p]) for p in sorted(rows)]
 
     def equals(self, other: "EchelonSpan") -> bool:
         # rref is canonical, so span equality is row-by-row equality.
-        return self.rref_rows() == other.rref_rows()
+        return self.rows == other.rows
 
 
 class ColumnSolver:

@@ -18,7 +18,6 @@ its stored hash.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import as_scalar
 
@@ -391,11 +390,8 @@ def validate_relation(q: Quiver, relation) -> None:
     paths of length >= 2 whose arrows all belong to q.  Raises
     RelationError with a diagnostic otherwise."""
     terms = relation.terms if isinstance(relation, PathCombination) else dict(relation)
-    cleaned = {}
-    for p, c in terms.items():
-        cleaned[p] = Fraction(c)
-    _check_uniform(cleaned, 2, "relation")
-    for p in cleaned:
+    _check_uniform(terms, 2, "relation")
+    for p in terms:
         for a in p.arrows:
             if not (a.label in q._by_label and q.arrow(a.label) == a):
                 raise RelationError(f"relation uses arrow {a.label!r} not in the quiver")

@@ -17,7 +17,6 @@ is exact; nothing is claimed past the window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import (
     AlgebraModel,
@@ -336,7 +335,7 @@ class ExtElement:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.values = {k: Fraction(c) for k, c in self.values.items() if c}
+        self.values = {k: as_scalar(c) for k, c in self.values.items() if c}
 
     def is_zero(self) -> bool:
         return not self.values
@@ -481,7 +480,7 @@ class ExtAlgebra:
         for k, c in xi.values.items():
             g = self.gens[i][k]
             key = (self._gen0_index[g.vertex], trivial_path(g.vertex))
-            phi[k] = {key: as_scalar(c)}
+            phi[k] = {key: c}
         for step in range(1, steps + 1):
             nxt = {}
             for gpp, (off, entry) in enumerate(self.diffs[i + step]):
@@ -580,10 +579,13 @@ def hilbert_euler_check(model: AlgebraModel, report: ResolutionReport, cutoff: i
     """Alternating Betti matrix times the Hilbert matrix must be the identity.
 
     Valid through min(degree bound, homological bound): beyond that steps
-    whose contribution would matter are missing.  Returns (ok, witness)
-    with the witness naming the first differing matrix entry.
+    whose contribution would matter are missing.  A cutoff below 0 would
+    compare two empty truncations; both raise ValueError.  Returns
+    (ok, witness) with the witness naming the first differing matrix entry.
     """
     limit = min(report.d_max, report.i_max)
+    if cutoff < 0:
+        raise ValueError(f"cutoff {cutoff} is negative")
     if cutoff > limit:
         raise ValueError(
             f"cutoff {cutoff} exceeds the certified window {limit}"

@@ -209,7 +209,7 @@ def parse_document(text: str) -> ParsedDocument:
                 path = quiver.path(path_labels)
             except QuiverError as err:
                 raise DocumentError(f"{where}.path: {err}") from err
-            terms[path] = terms.get(path, Fraction(0)) + coef
+            terms[path] = terms.get(path, 0) + coef
         try:
             relations.append(PathCombination(terms))
         except RelationError as err:

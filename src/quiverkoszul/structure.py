@@ -5,17 +5,20 @@ product with the dual of the group algebra, and the skew group algebra of an
 action), plus the radical via the trace form of the regular representation
 (exact over the rationals in characteristic zero) and the structure-constant
 comparison between a covering and the matching smash product.
+
+Only ``algebra_to_structure_constants`` multiplies basis paths of a model;
+the smash product and the covering comparison relabel its table.  Tables
+and units hold exact scalars (``int`` where integral, ``Fraction``
+otherwise), so the sweeps run on plain integers wherever they can.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .algebra import AlgebraModel
 from .covering import path_weight, is_homogeneous_grading, split_sheet, _check_weights
 from .covering import InhomogeneousGradingError
 from .groups import FiniteGroup, GroupAction
-from .linalg import EchelonSpan, ONE, ZERO, kernel_basis_sparse, vec_axpy
+from .linalg import ONE, ZERO, as_scalar, kernel_basis_sparse, vec_axpy
 from .quiver import Arrow, Path
 
 
@@ -28,10 +31,10 @@ class StructureConstantAlgebra:
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._index) != len(self.labels):
             raise ValueError("duplicate basis labels")
-        self.unit = {i: Fraction(c) for i, c in unit.items() if c}
+        self.unit = {i: as_scalar(c) for i, c in unit.items() if c}
         self.table = {}
         for (i, j), vec in table.items():
-            vec = {k: Fraction(c) for k, c in vec.items() if c}
+            vec = {k: as_scalar(c) for k, c in vec.items() if c}
             if vec:
                 self.table[(i, j)] = vec
 
@@ -114,7 +117,9 @@ def algebra_to_structure_constants(m: AlgebraModel) -> StructureConstantAlgebra:
     """Present a provably finite-dimensional model on its basis paths."""
     basis = m.finite_basis()
     index = {b: i for i, b in enumerate(basis)}
-    ending_at = _by_target(basis)
+    ending_at = {}
+    for j, b in enumerate(basis):
+        ending_at.setdefault(b.target, []).append((j, b))
     table = {}
     for i, bi in enumerate(basis):
         for j, bj in ending_at.get(bi.source, ()):
@@ -130,36 +135,26 @@ def smash_product(m: AlgebraModel, group: FiniteGroup, weights: dict) -> Structu
 
     Basis b#p_g for model basis paths b and group elements g, with
     (a#p_g)(b#p_h) = a·b_{g·h^-1}#p_h where b_w is the weight-w component;
-    the unit is sum over g of 1#p_g.
+    the unit is sum over g of 1#p_g.  Label (b_i, g) has index
+    i·|G| + group.index(g).
     """
     p = m.presentation
     table_w = _check_weights(p, group, weights)
     report = is_homogeneous_grading(p, group, table_w)
     if not report.homogeneous:
         raise InhomogeneousGradingError(report)
-    basis_paths = m.finite_basis()
-    labels = [(b, g) for b in basis_paths for g in group.elements]
-    index = {lab: i for i, lab in enumerate(labels)}
-    weight_of = {b: path_weight(group, table_w, b) for b in basis_paths}
-    ending_at = _by_target(basis_paths)
+    base = algebra_to_structure_constants(m)
+    n = group.order
+    weight_of = [path_weight(group, table_w, b) for b in base.labels]
     table = {}
-    for bi in basis_paths:
-        for _, bj in ending_at.get(bi.source, ()):
-            prod = m.basis_product(bi, bj)
-            if not prod:
-                continue
-            for h in group.elements:
-                # b_{g h^-1} with bj homogeneous: nonzero only for
-                # g = weight(bj)·h (in this order: G need not be abelian)
-                g = group.multiply(weight_of[bj], h)
-                table[(index[(bi, g)], index[(bj, h)])] = {
-                    index[(b, h)]: c for b, c in prod.items()
-                }
-    unit = {
-        index[(m.quiver.trivial_path(v), g)]: ONE
-        for v in m.quiver.vertices
-        for g in group.elements
-    }
+    for (i, j), prod in base.table.items():
+        for h, elt in enumerate(group.elements):
+            # b_{g h^-1} with b_j homogeneous: nonzero only for
+            # g = weight(b_j)·h (in this order: G need not be abelian)
+            g = group.index(group.multiply(weight_of[j], elt))
+            table[(i * n + g, j * n + h)] = {k * n + h: c for k, c in prod.items()}
+    labels = [(b, g) for b in base.labels for g in group.elements]
+    unit = {u * n + h: c for u, c in base.unit.items() for h in range(n)}
     return StructureConstantAlgebra(labels, unit, table, name="smash")
 
 
@@ -239,10 +234,10 @@ def verify_smash_covering_iso(cov: AlgebraModel, sm: StructureConstantAlgebra) -
     bijection: the class of a lifted path starting on sheet g maps to
     (underlying path)#p_g.  Exhaustive structure-constant comparison; a
     basis size mismatch is an error, a product mismatch returns False."""
-    basis = cov.finite_basis()
-    if len(basis) != sm.dim:
+    s = algebra_to_structure_constants(cov)
+    if s.dim != sm.dim:
         raise ValueError(
-            f"basis size mismatch: covering has {len(basis)}, smash has {sm.dim}"
+            f"basis size mismatch: covering has {s.dim}, smash has {sm.dim}"
         )
 
     base_arrows = {}
@@ -259,37 +254,20 @@ def verify_smash_covering_iso(cov: AlgebraModel, sm: StructureConstantAlgebra) -
             return Path((), base), sheet
         return Path(tuple(base_arrows[split_sheet(a.label)[0]] for a in path.arrows)), sheet
 
-    mapping = {}
-    for i, b in enumerate(basis):
-        key = project(b)
+    mapping = []
+    for b in s.labels:
         try:
-            mapping[i] = sm.index(key)
+            mapping.append(sm.index(project(b)))
         except KeyError:
             return False
-    if len(set(mapping.values())) != len(basis):
-        return False
-
-    index = {b: i for i, b in enumerate(basis)}
-    unit_cov = {mapping[index[cov.quiver.trivial_path(v)]]: ONE for v in cov.quiver.vertices}
-    if unit_cov != sm.unit:
+    if len(set(mapping)) != s.dim:
         return False
     # mapping is a bijection, so the products agree on every pair exactly
-    # when the nonzero ones, carried to smash indices, form sm's table
-    ending_at = _by_target(basis)
-    mapped = {}
-    for i, bi in enumerate(basis):
-        for j, bj in ending_at.get(bi.source, ()):
-            prod = cov.basis_product(bi, bj)
-            if prod:
-                mapped[(mapping[i], mapping[j])] = {
-                    mapping[index[b]]: c for b, c in prod.items()
-                }
+    # when the covering's unit and table, carried to smash indices, are sm's
+    if {mapping[u]: c for u, c in s.unit.items()} != sm.unit:
+        return False
+    mapped = {
+        (mapping[i], mapping[j]): {mapping[k]: c for k, c in vec.items()}
+        for (i, j), vec in s.table.items()
+    }
     return mapped == sm.table
-
-
-def _by_target(paths: list) -> dict:
-    """Target vertex -> [(position, path)] in list order."""
-    out = {}
-    for j, path in enumerate(paths):
-        out.setdefault(path.target, []).append((j, path))
-    return out

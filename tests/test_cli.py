@@ -149,6 +149,12 @@ def test_verify_cutoff_out_of_window_exit_2(capsys, ext2_file):
     assert rc == 2
 
 
+def test_verify_negative_cutoff_exit_2(capsys, ext2_file):
+    rc = main(["verify", ext2_file, "--check", "hilbert-euler", "--cutoff", "-1"])
+    assert rc == 2
+    assert "cutoff -1" in capsys.readouterr().err
+
+
 def test_verify_graded_checks(capsys, ext2_graded_file):
     for check in ["covering-theorem", "smash-iso", "radical-smash"]:
         rc, report = run_json(

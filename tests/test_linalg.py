@@ -48,7 +48,7 @@ def test_rref_rank_exact_fractions():
 def test_rref_rows_keep_exact_thirds():
     (first, _) = _span_of_rows([[3, 1], [0, 1]]).rref_rows()
     assert first == {0: F(1)}
-    assert isinstance(first[0], Fraction)
+    assert type(first[0]) is int
 
 
 @pytest.mark.parametrize("a, b, want", [
@@ -91,8 +91,11 @@ def test_rows_stay_int_where_integral():
     assert rows == {0: {0: 1, 2: Fraction(-5, 2)}, 1: {1: 1, 2: 2}}
     assert [type(c) for c in rows[1].values()] == [int, int]
     assert type(rows[0][2]) is Fraction
-    # the rref read-out is Fraction throughout
-    assert all(type(c) is Fraction for row in span.rref_rows() for c in row.values())
+    # the rref read-out is a copy under the same rule: int where integral
+    read = span.rref_rows()
+    assert read == [rows[0], rows[1]] and read[0] is not rows[0]
+    assert [[type(c) for c in row.values()] for row in read] == [
+        [int, Fraction], [int, int]]
 
 
 def test_kernel_basis_sparse_matches_hand_computation():

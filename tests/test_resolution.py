@@ -186,6 +186,11 @@ class TestHilbertEuler:
         with pytest.raises(ValueError):
             hilbert_euler_check(ext2_report.model, ext2_report, 6)
 
+    def test_negative_cutoff_rejected(self, ext2_report):
+        # truncating to no terms would make both sides empty and "equal"
+        with pytest.raises(ValueError, match="cutoff -1"):
+            hilbert_euler_check(ext2_report.model, ext2_report, -1)
+
 
 def test_duality_dims_exterior2(ext2_report):
     dual = dual_presentation(exterior(2))
@@ -261,9 +266,9 @@ class TestExtAlgebra:
                     assert left == right
 
     def test_ext_element_coerces_values(self):
-        e = ExtElement(1, {0: 1, 1: Fraction(1, 2)})
-        assert e.values[0] == Fraction(1)
-        assert e.values[1] == Fraction(1, 2)
+        e = ExtElement(1, {0: Fraction(2, 2), 1: Fraction(1, 2), 2: 0})
+        assert e.values == {0: 1, 1: Fraction(1, 2)}
+        assert [type(c) for c in e.values.values()] == [int, Fraction]
 
 
 def test_generation_agrees_with_linearity_for_exterior(ext2_report):

@@ -14,6 +14,7 @@ from quiverkoszul.groups import (
     trivial_action,
 )
 from quiverkoszul.linalg import EchelonSpan, ONE, ZERO, kernel_basis_sparse
+from quiverkoszul.resolution import theorem_covering_check
 from quiverkoszul.structure import (
     StructureConstantAlgebra,
     algebra_to_structure_constants,
@@ -22,6 +23,8 @@ from quiverkoszul.structure import (
     smash_product,
     verify_smash_covering_iso,
 )
+
+from random_inputs import random_graded_presentation
 
 
 def ext_model(m, bound=4):
@@ -368,6 +371,28 @@ def test_smash_table_matches_all_label_pairs(name, p, group, weights):
     assert s.unit_failures() == []
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_paper_statements_on_random_gradings(seed):
+    p, group, weights = random_graded_presentation(random.Random(seed))
+    m = AlgebraModel(p, 3)
+    s = smash_product(m, group, weights)
+    assert s.table == _dense_smash_table(m, group, weights)
+    cov_model = AlgebraModel(build_covering(p, group, weights), 3)
+    assert verify_smash_covering_iso(cov_model, s)
+    assert s.associativity_failures() == []
+    assert s.unit_failures() == []
+    base_radical = radical(algebra_to_structure_constants(m))
+    assert len(radical(s)) == len(base_radical) * group.order
+    assert theorem_covering_check(p, group, weights, 3, 3).passed
+
+
+def test_random_gradings_reach_every_group():
+    # guards the test above against drawing only cyclic gradings
+    orders = {random_graded_presentation(random.Random(seed))[1].order
+              for seed in range(20)}
+    assert orders == {2, 3, 4, 6}
+
+
 def _per_pair_skew_table(model, action) -> dict:
     group, q = action.group, model.quiver
     labels = [(b, g) for b in model.finite_basis() for g in group.elements]
@@ -409,7 +434,7 @@ def test_skew_table_on_leaf_swap_matches_per_pair_reference():
     s.verify()
 
 
-@pytest.mark.parametrize("change", ["scale", "extra"])
+@pytest.mark.parametrize("change", ["scale", "extra", "unit"])
 def test_iso_check_sees_one_perturbed_structure_constant(change):
     p = exterior(2)
     g = cyclic_group(2)
@@ -421,6 +446,9 @@ def test_iso_check_sees_one_perturbed_structure_constant(change):
     k = next(iter(vec))
     if change == "scale":
         s.table[(i, j)] = {**vec, k: 2 * vec[k]}
+    elif change == "unit":
+        u = next(iter(s.unit))
+        s.unit = {**s.unit, u: 2}
     else:
         # a product the covering says vanishes
         zero_pair = next((a, b) for a in range(s.dim) for b in range(s.dim)
