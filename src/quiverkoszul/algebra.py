@@ -357,25 +357,29 @@ class AlgebraModel:
         return out
 
 
+def ideal_breaker(model: AlgebraModel, sigma: QuiverAutomorphism):
+    """The first relation r with r.length <= max_degree whose image σ(r)
+    is nonzero in the model, or None when σ keeps every such relation in
+    the ideal.  Longer relations never enter the truncated model."""
+    for r in model.presentation.relations:
+        if r.length <= model.max_degree and model.normal_form(
+                {sigma.apply(p): c for p, c in r.items()}):
+            return r
+    return None
+
+
 def ideal_automorphisms(model: AlgebraModel) -> list:
     """The order-compatible quiver automorphisms that keep the ideal.
 
-    σ keeps the ideal when every relation r it can see, r.length <=
-    max_degree, has σ(r) = 0 in the model; longer relations never enter the
-    truncated model.  Such a σ induces an automorphism of the graded algebra
-    through the window that keeps the lex order of each block, hence its
-    tips and its standard words (see ``basis_word_map``).  The identity
-    passes unchecked: building the model checked every relation.
+    σ keeps the ideal when ``ideal_breaker`` finds no relation it moves
+    out.  Such a σ induces an automorphism of the graded algebra through
+    the window that keeps the lex order of each block, hence its tips and
+    its standard words (see ``basis_word_map``).  The identity passes
+    unchecked: building the model checked every relation.
     """
-    relations = [
-        r for r in model.presentation.relations if r.length <= model.max_degree
-    ]
     return [
         sigma for sigma in order_compatible_automorphisms(model.quiver)
-        if sigma.is_identity() or not any(
-            model.normal_form({sigma.apply(p): c for p, c in r.items()})
-            for r in relations
-        )
+        if sigma.is_identity() or ideal_breaker(model, sigma) is None
     ]
 
 
@@ -502,35 +506,17 @@ class PolyMatrix:
         return None
 
 
-@dataclass(frozen=True)
-class HilbertMatrix:
-    """Entry (u, v) counts the degree-d basis classes of paths u -> v."""
-
-    vertices: tuple
-    max_degree: int
-    coeffs: tuple  # tuple of ((u, v), tuple-of-ints) sorted
-
-    def entry(self, u, v) -> tuple:
-        for key, poly in self.coeffs:
-            if key == (u, v):
-                return poly
-        return tuple([0] * (self.max_degree + 1))
-
-    def as_poly_matrix(self, cutoff: int) -> PolyMatrix:
-        if cutoff > self.max_degree:
-            raise ValueError(
-                f"cannot truncate a Hilbert matrix on {list(self.vertices)} with window "
-                f"{self.max_degree} at cutoff {cutoff}: the cutoff is past the window"
-            )
-        coeffs = {key: list(poly[: cutoff + 1]) for key, poly in self.coeffs}
-        return PolyMatrix(self.vertices, cutoff, coeffs)
-
-
-def hilbert_matrix(m: AlgebraModel) -> HilbertMatrix:
-    coeffs = []
-    for u in m.quiver.vertices:
-        for v in m.quiver.vertices:
-            poly = tuple(m.dim(d, u, v) for d in range(m.max_degree + 1))
-            if any(poly):
-                coeffs.append(((u, v), poly))
-    return HilbertMatrix(m.quiver.vertices, m.max_degree, tuple(coeffs))
+def hilbert_matrix(m: AlgebraModel, cutoff: int) -> PolyMatrix:
+    """Entry (u, v) counts the degree-d basis classes of paths u -> v,
+    for d <= cutoff."""
+    if cutoff > m.max_degree:
+        raise ValueError(
+            f"cannot truncate a Hilbert matrix on {list(m.quiver.vertices)} with window "
+            f"{m.max_degree} at cutoff {cutoff}: the cutoff is past the window"
+        )
+    coeffs = {
+        (u, v): [m.dim(d, u, v) for d in range(cutoff + 1)]
+        for u in m.quiver.vertices
+        for v in m.quiver.vertices
+    }
+    return PolyMatrix(m.quiver.vertices, cutoff, coeffs)

@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .algebra import AlgebraModel, InternalError, Presentation
+from .algebra import AlgebraModel, InternalError, Presentation, hilbert_matrix
 from .corpus import CORPUS, CorpusError, build_corpus
 from .covering import build_covering
 from .duality import dual_presentation
@@ -30,7 +30,6 @@ from .resolution import (
     ExtAlgebra,
     generation_check,
     hilbert_euler_check,
-    is_koszul_to,
     koszul_duality_dim_check,
     resolution_sizes,
     resolve,
@@ -155,15 +154,11 @@ def _dims_section(model: AlgebraModel) -> list:
 
 
 def _hilbert_section(model: AlgebraModel) -> list:
-    out = []
-    for u in model.quiver.vertices:
-        for v in model.quiver.vertices:
-            coefficients = [
-                model.dim(d, u, v) for d in range(model.max_degree + 1)
-            ]
-            if any(coefficients):
-                out.append({"from": u, "to": v, "coefficients": coefficients})
-    return out
+    hilbert = hilbert_matrix(model, model.max_degree)
+    return [
+        {"from": u, "to": v, "coefficients": poly}
+        for (u, v), poly in hilbert.coeffs.items()
+    ]
 
 
 def _betti_section(report) -> list:
@@ -184,7 +179,7 @@ def _verdict_section(verdict) -> dict:
 
 def _koszul_section(report) -> dict:
     return {
-        "verdict": _verdict_section(is_koszul_to(report)),
+        "verdict": _verdict_section(report.verdict()),
         "betti": _betti_section(report),
         "ext_totals": report.ext_totals(),
     }

@@ -1,8 +1,8 @@
 """Built-in presentations.
 
 Exterior algebras and their cyclic, mixed-weight, product, and dihedral
-coverings (the covering families are written out as closed-form relation
-lists and then asserted equal to what build_covering generates), the
+coverings (generated by build_covering; tests/test_corpus.py keeps the
+closed-form relation lists as the oracle they are compared with), the
 double-quiver constructions on trees, free and radical-square-zero
 algebras on small quivers, and the cubic loop counterexample.
 """
@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import warnings
 
-from .algebra import InternalError, Presentation
-from .covering import build_covering, sheet_label
-from .groups import FiniteGroup, cyclic_group, dihedral_group, direct_product
+from .algebra import Presentation
+from .covering import build_covering
+from .groups import cyclic_group, dihedral_group, direct_product
 from .linalg import ONE
 from .quiver import (
     PathCombination,
@@ -246,64 +246,6 @@ def trivial_extension_dual(tree: Quiver) -> Presentation:
 
 # ---------------------------------------------------------------------------
 # covering families over exterior algebras
-#
-# Each family is written out as explicit lifted relations and asserted to
-# coincide with the generated covering; the builders stay independent data.
-
-
-def _assert_matches_covering(direct: Presentation, base: Presentation,
-                             group: FiniteGroup, weights: dict) -> Presentation:
-    generated = build_covering(base, group, weights)
-    if direct.canonical_key() != generated.canonical_key():
-        raise InternalError("closed-form covering disagrees with the generated one")
-    return direct
-
-
-def _covering_quiver(base: Quiver, group: FiniteGroup, weights: dict) -> Quiver:
-    vertices = [sheet_label(v, g) for v in base.vertices for g in group.elements]
-    arrows = [
-        (
-            sheet_label(a.label, g),
-            sheet_label(a.source, g),
-            sheet_label(a.target, group.multiply(weights[a.label], g)),
-        )
-        for a in base.arrows
-        for g in group.elements
-    ]
-    return make_quiver(vertices, arrows)
-
-
-def _lifted_exterior_relations(q: Quiver, m: int, group: FiniteGroup,
-                               weights: dict) -> list:
-    """Sheetwise lifts of the exterior relations, written term by term.
-
-    A two-letter word applying a then b from sheet g becomes a at sheet g
-    followed by b at sheet W(a)g.
-    """
-    def word(first: str, then: str, g: str):
-        mid = group.multiply(weights[first], g)
-        return q.path([sheet_label(first, g), sheet_label(then, mid)])
-
-    relations = []
-    for i in range(1, m + 1):
-        ai = f"a{i}"
-        for g in group.elements:
-            relations.append(PathCombination({word(ai, ai, g): ONE}))
-        for j in range(i + 1, m + 1):
-            aj = f"a{j}"
-            for g in group.elements:
-                relations.append(PathCombination({
-                    word(ai, aj, g): ONE,
-                    word(aj, ai, g): ONE,
-                }))
-    return relations
-
-
-def _exterior_covering(m: int, group: FiniteGroup, weights: dict) -> Presentation:
-    base = exterior(m)
-    q = _covering_quiver(base.quiver, group, weights)
-    direct = Presentation(q, _lifted_exterior_relations(q, m, group, weights))
-    return _assert_matches_covering(direct, base, group, weights)
 
 
 def example1(m: int, n: int) -> Presentation:
@@ -312,7 +254,7 @@ def example1(m: int, n: int) -> Presentation:
         raise CorpusError("covering needs a group of order at least 1")
     group = cyclic_group(n)
     weights = {f"a{i}": str(1 % n) for i in range(1, m + 1)}
-    return _exterior_covering(m, group, weights)
+    return build_covering(exterior(m), group, weights)
 
 
 def example2(m: int, l: int, n: int) -> Presentation:
@@ -327,7 +269,7 @@ def example2(m: int, l: int, n: int) -> Presentation:
         f"a{i}": str(1 % n) if i <= l else str((n - 1) % n)
         for i in range(1, m + 1)
     }
-    return _exterior_covering(m, group, weights)
+    return build_covering(exterior(m), group, weights)
 
 
 def example3(n: int) -> Presentation:
@@ -337,7 +279,7 @@ def example3(n: int) -> Presentation:
         raise CorpusError("covering needs a group of order at least 1")
     group = direct_product(cyclic_group(2), cyclic_group(n))
     weights = {"a1": "(1,0)", "a2": f"(0,{1 % n})"}
-    return _exterior_covering(2, group, weights)
+    return build_covering(exterior(2), group, weights)
 
 
 def example4(n: int = 2) -> Presentation:
@@ -346,18 +288,7 @@ def example4(n: int = 2) -> Presentation:
     Only n = 2 yields a homogeneous weighting; larger n is refused with the
     witness that the two generators' weights do not commute.
     """
-    group = dihedral_group(n)
-    weights = {"a1": "s", "a2": "c"}
-    base = exterior(2)
-    built = build_covering(base, group, weights)
-    if n == 2:
-        q = _covering_quiver(base.quiver, group, weights)
-        direct = Presentation(q, _lifted_exterior_relations(q, 2, group, weights))
-        if direct.canonical_key() != built.canonical_key():
-            raise InternalError(
-                "closed-form dihedral covering disagrees with the generated one"
-            )
-    return built
+    return build_covering(exterior(2), dihedral_group(n), {"a1": "s", "a2": "c"})
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,10 @@ on the covering whose orbit quiver is the base.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .algebra import Presentation
-from .groups import FiniteGroup, GroupAction, cyclic_group
+from .groups import FiniteGroup, GroupAction
 from .quiver import Arrow, Path, PathCombination, Quiver, trivial_path
 
 
@@ -145,18 +144,6 @@ def build_covering(p: Presentation, group: FiniteGroup, weights: dict) -> Presen
                 )
             )
     return Presentation(cov_q, relations)
-
-
-def cyclic_covering(p: Presentation, n: int) -> Presentation:
-    """Covering along Z_n with every arrow weighted by the generator."""
-    if n < 1:
-        raise WeightError(f"cyclic covering needs n >= 1, got {n}")
-    if n == 1:
-        warnings.warn("cyclic covering with n = 1 is the identity covering")
-    group = cyclic_group(n)
-    generator = "1" if n > 1 else "0"
-    weights = {a.label: generator for a in p.quiver.arrows}
-    return build_covering(p, group, weights)
 
 
 def deck_action(cov: Presentation, group: FiniteGroup) -> GroupAction:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver import Quiver
+from .quiver import Quiver, QuiverAutomorphism
 
 
 class GroupError(ValueError):
@@ -187,13 +187,12 @@ class GroupAction:
                     if self.arrow_maps[g][self.arrow_maps[h][lab]] != self.arrow_maps[gh][lab]:
                         raise GroupError(f"action law fails on ({g},{h}) at arrow {lab!r}")
 
-    def apply_to_path(self, q: Quiver, g: str, path):
-        from .quiver import Path, trivial_path
-
-        if not path.arrows:
-            return trivial_path(self.vertex_maps[g][path.base])
-        arrows = tuple(q.arrow(self.arrow_maps[g][a.label]) for a in path.arrows)
-        return Path(arrows)
+    def automorphism(self, q: Quiver, g: str) -> QuiverAutomorphism:
+        """g as a quiver automorphism of q; ``.apply(path)`` moves a path."""
+        return QuiverAutomorphism(
+            dict(self.vertex_maps[g]),
+            {a: q.arrow(self.arrow_maps[g][a.label]) for a in q.arrows},
+        )
 
 
 def trivial_action(q: Quiver) -> GroupAction:

@@ -322,11 +322,6 @@ def resolution_sizes(*reports: ResolutionReport) -> dict:
     }
 
 
-def is_koszul_to(report: ResolutionReport) -> KoszulVerdict:
-    """Linearity verdict of a finished report, with the failing place if any."""
-    return report.verdict()
-
-
 @dataclass
 class ExtElement:
     """A cohomology class: a functional on the step's bundle generators."""
@@ -595,7 +590,7 @@ def hilbert_euler_check(model: AlgebraModel, report: ResolutionReport, cutoff: i
     for (u, i, d, w), count in report.betti.items():
         if d <= cutoff:
             euler.add_term(u, w, d, count if i % 2 == 0 else -count)
-    hm = hilbert_matrix(model).as_poly_matrix(cutoff)
+    hm = hilbert_matrix(model, cutoff)
     product = euler.matmul(hm)
     witness = product.first_difference(PolyMatrix.identity(labels, cutoff))
     return witness is None, witness

@@ -7,14 +7,15 @@ action), plus the radical via the trace form of the regular representation
 comparison between a covering and the matching smash product.
 
 Only ``algebra_to_structure_constants`` multiplies basis paths of a model;
-the smash product and the covering comparison relabel its table.  Tables
-and units hold exact scalars (``int`` where integral, ``Fraction``
-otherwise), so the sweeps run on plain integers wherever they can.
+the smash product, the skew group algebra and the covering comparison
+relabel its table.  Tables and units hold exact scalars (``int`` where
+integral, ``Fraction`` otherwise), so the sweeps run on plain integers
+wherever they can.
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraModel
+from .algebra import AlgebraModel, ideal_breaker
 from .covering import path_weight, is_homogeneous_grading, split_sheet, _check_weights
 from .covering import InhomogeneousGradingError
 from .groups import FiniteGroup, GroupAction
@@ -162,49 +163,51 @@ def skew_group_algebra(m: AlgebraModel, action: GroupAction) -> StructureConstan
     """Skew group algebra of an action on a finite-dimensional model.
 
     Basis b·g with (a·g)(b·h) = a·g(b)·(gh); the action must send every
-    relation back into the ideal.
+    relation back into the ideal.  Label (b_i, g) has index
+    i·|G| + group.index(g).
     """
     q = m.quiver
     group = action.group
     action.validate(q)
-    for g in group.elements:
-        for r in m.presentation.relations:
-            if r.length > m.max_degree:
-                raise ValueError(
-                    "cannot certify the action preserves the ideal: relation degree "
-                    f"{r.length} exceeds the window {m.max_degree}"
-                )
-            image = {action.apply_to_path(q, g, path): c for path, c in r.items()}
-            if m.normal_form(image):
-                raise ValueError(
-                    f"action of {g!r} does not preserve the ideal (relation {r})"
-                )
-    basis_paths = m.finite_basis()
-    labels = [(b, g) for b in basis_paths for g in group.elements]
-    index = {lab: i for i, lab in enumerate(labels)}
-    # (g, v) -> [(bj, g(bj))] in basis order, for each nonzero g(bj) with a
-    # term ending at v: only those compose with a bi starting at v
+    for r in m.presentation.relations:
+        if r.length > m.max_degree:
+            raise ValueError(
+                "cannot certify the action preserves the ideal: relation degree "
+                f"{r.length} exceeds the window {m.max_degree}"
+            )
+    sigmas = [action.automorphism(q, g) for g in group.elements]
+    for g, sigma in zip(group.elements, sigmas):
+        r = ideal_breaker(m, sigma)
+        if r is not None:
+            raise ValueError(
+                f"action of {g!r} does not preserve the ideal (relation {r})"
+            )
+    base = algebra_to_structure_constants(m)
+    n = group.order
+    # (g, v) -> [(j, g(b_j))] in basis order, for each nonzero g(b_j) with a
+    # term ending at v: only those compose with a b_i starting at v
     moved_into = {}
-    for g in group.elements:
-        for bj in basis_paths:
-            moved = m.normal_form(action.apply_to_path(q, g, bj))
+    for g, sigma in enumerate(sigmas):
+        for j, bj in enumerate(base.labels):
+            moved = m.normal_form(sigma.apply(bj))
+            vec = {base.index(b): c for b, c in moved.items()}
             for v in {b.target for b in moved}:
-                moved_into.setdefault((g, v), []).append((bj, moved))
+                moved_into.setdefault((g, v), []).append((j, vec))
     table = {}
-    for (bi, g) in labels:
-        i = index[(bi, g)]
-        for bj, moved in moved_into.get((g, bi.source), ()):
-            prod = m.multiply({bi: ONE}, moved)
-            if not prod:
-                continue
-            for h in group.elements:
-                gh = group.multiply(g, h)
-                table[(i, index[(bj, h)])] = {
-                    index[(b, gh)]: c for b, c in prod.items()
-                }
-    unit = {
-        index[(q.trivial_path(v), group.identity)]: ONE for v in q.vertices
-    }
+    for i, bi in enumerate(base.labels):
+        for g, elt in enumerate(group.elements):
+            for j, moved in moved_into.get((g, bi.source), ()):
+                prod = base.product({i: ONE}, moved)
+                if not prod:
+                    continue
+                for h, other in enumerate(group.elements):
+                    gh = group.index(group.multiply(elt, other))
+                    table[(i * n + g, j * n + h)] = {
+                        k * n + gh: c for k, c in prod.items()
+                    }
+    labels = [(b, g) for b in base.labels for g in group.elements]
+    e = group.index(group.identity)
+    unit = {u * n + e: c for u, c in base.unit.items()}
     return StructureConstantAlgebra(labels, unit, table, name="skew")
 
 

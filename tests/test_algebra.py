@@ -489,8 +489,7 @@ class TestPolyMatrix:
 
 def test_hilbert_matrix_entries():
     m = AlgebraModel(exterior(2), 3)
-    h = hilbert_matrix(m)
-    poly = h.as_poly_matrix(3)
+    poly = hilbert_matrix(m, 3)
     assert poly.entry("1", "1")[0] == 1
     assert poly.entry("1", "1")[1] == 2
     assert poly.entry("1", "1")[2] == 1
@@ -498,15 +497,15 @@ def test_hilbert_matrix_entries():
 
 
 def test_hilbert_matrix_rejects_a_cutoff_past_the_window():
-    h = hilbert_matrix(AlgebraModel(exterior(2), 3))
-    assert h.as_poly_matrix(3).cutoff == 3
+    m = AlgebraModel(exterior(2), 3)
+    assert hilbert_matrix(m, 3).cutoff == 3
     with pytest.raises(ValueError, match="window 3 at cutoff 4"):
-        h.as_poly_matrix(4)
+        hilbert_matrix(m, 4)
 
 
 def test_hilbert_matrix_line_quiver():
     m = AlgebraModel(path_algebra(parse_quiver_spec("line:2")), 2)
-    poly = hilbert_matrix(m).as_poly_matrix(2)
+    poly = hilbert_matrix(m, 2)
     assert poly.entry("1", "1")[0] == 1
     assert poly.entry("1", "2")[1] == 1
     assert poly.entry("2", "1")[1] == 0

@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from quiverkoszul.algebra import AlgebraModel
+from quiverkoszul.algebra import AlgebraModel, Presentation
 from quiverkoszul.corpus import (
     CORPUS,
     CorpusError,
@@ -24,9 +24,12 @@ from quiverkoszul.covering import (
     InhomogeneousGradingError,
     build_covering,
     is_homogeneous_grading,
+    sheet_label,
 )
-from quiverkoszul.groups import cyclic_group, direct_product
-from quiverkoszul.quiver import make_quiver, validate_relation
+from quiverkoszul.groups import cyclic_group, dihedral_group, direct_product
+from quiverkoszul.linalg import ONE
+from quiverkoszul.quiver import PathCombination, make_quiver, validate_relation
+from quiverkoszul.serialization import canonical_json, presentation_to_document
 
 
 def counts(p):
@@ -139,6 +142,86 @@ class TestExampleFamilies:
         assert ok.homogeneous
         bad = is_homogeneous_grading(p, dihedral_group(3), {"a1": "s", "a2": "c"})
         assert not bad.homogeneous
+
+
+# -- the covering families in closed form -------------------------------------
+#
+# The corpus generates example1-4 with build_covering; this oracle writes the
+# covering quiver and the lifted exterior relations out term by term.
+
+
+def _covering_quiver(m, group, weights):
+    arrows = [
+        (sheet_label(f"a{i}", g), sheet_label("1", g),
+         sheet_label("1", group.multiply(weights[f"a{i}"], g)))
+        for i in range(1, m + 1)
+        for g in group.elements
+    ]
+    return make_quiver([sheet_label("1", g) for g in group.elements], arrows)
+
+
+def _closed_form_exterior_covering(m, group, weights):
+    """The covering of exterior(m) in closed form: a two-letter word applying
+    a then b from sheet g becomes a at sheet g followed by b at sheet W(a)g."""
+    q = _covering_quiver(m, group, weights)
+
+    def word(first, then, g):
+        mid = group.multiply(weights[first], g)
+        return q.path([sheet_label(first, g), sheet_label(then, mid)])
+
+    relations = []
+    for i in range(1, m + 1):
+        ai = f"a{i}"
+        for g in group.elements:
+            relations.append(PathCombination({word(ai, ai, g): ONE}))
+        for j in range(i + 1, m + 1):
+            aj = f"a{j}"
+            for g in group.elements:
+                relations.append(PathCombination({
+                    word(ai, aj, g): ONE,
+                    word(aj, ai, g): ONE,
+                }))
+    return Presentation(q, relations)
+
+
+def _closed_form_cases():
+    """(corpus name, arguments, m, group, weights) for m <= 4 and n <= 4."""
+    cases = []
+    for m in range(1, 5):
+        for n in range(1, 5):
+            ones = {f"a{i}": str(1 % n) for i in range(1, m + 1)}
+            cases.append(("example1", (m, n), m, cyclic_group(n), ones))
+            for l in range(m + 1):
+                mixed = {f"a{i}": str(1 % n) if i <= l else str((n - 1) % n)
+                         for i in range(1, m + 1)}
+                cases.append(("example2", (m, l, n), m, cyclic_group(n), mixed))
+    for n in range(1, 5):
+        cases.append(("example3", (n,), 2,
+                      direct_product(cyclic_group(2), cyclic_group(n)),
+                      {"a1": "(1,0)", "a2": f"(0,{1 % n})"}))
+    cases.append(("example4", (2,), 2, dihedral_group(2), {"a1": "s", "a2": "c"}))
+    return cases
+
+
+_CLOSED_FORM_CASES = _closed_form_cases()
+_EXAMPLES = {"example1": example1, "example2": example2,
+             "example3": example3, "example4": example4}
+
+
+def test_closed_form_cases_cover_every_family():
+    assert len(_CLOSED_FORM_CASES) == 77
+    assert {case[0] for case in _CLOSED_FORM_CASES} == set(_EXAMPLES)
+
+
+@pytest.mark.parametrize(
+    "name,args,m,group,weights", _CLOSED_FORM_CASES,
+    ids=[f"{c[0]}{c[1]}".replace(" ", "") for c in _CLOSED_FORM_CASES])
+def test_example_covering_document_equals_the_closed_form(name, args, m, group,
+                                                          weights):
+    built = _EXAMPLES[name](*args)
+    direct = _closed_form_exterior_covering(m, group, weights)
+    assert (canonical_json(presentation_to_document(built))
+            == canonical_json(presentation_to_document(direct)))
 
 
 class TestTrivialExtensionDual:

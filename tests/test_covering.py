@@ -6,7 +6,6 @@ from quiverkoszul.covering import (
     InhomogeneousGradingError,
     WeightError,
     build_covering,
-    cyclic_covering,
     deck_action,
     is_homogeneous_grading,
     lift_path,
@@ -97,14 +96,6 @@ def test_weight_validation():
         build_covering(p, g, {"a1": "1", "a2": "1", "zz": "1"})  # unknown arrow
 
 
-def test_cyclic_covering_matches_explicit_build():
-    p = exterior(2)
-    cov_a = cyclic_covering(p, 2)
-    g = cyclic_group(2)
-    cov_b = build_covering(p, g, all_one_weights(p, g))
-    assert cov_a.canonical_key() == cov_b.canonical_key()
-
-
 def test_lift_path_starts_on_requested_sheet():
     p = exterior(2)
     g = cyclic_group(2)
@@ -124,9 +115,9 @@ def test_deck_action_permutes_sheets():
     action = deck_action(cov, g)
     action.validate(cov.quiver)
     # h translates sheets on the right by h^{-1}
-    moved = action.apply_to_path(cov.quiver, "1", cov.quiver.path(["a1|0"]))
+    moved = action.automorphism(cov.quiver, "1").apply(cov.quiver.path(["a1|0"]))
     assert [a.label for a in moved.arrows] == ["a1|2"]
-    back = action.apply_to_path(cov.quiver, "2", cov.quiver.path(["a1|0"]))
+    back = action.automorphism(cov.quiver, "2").apply(cov.quiver.path(["a1|0"]))
     assert [a.label for a in back.arrows] == ["a1|1"]
 
 

@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from quiverkoszul.algebra import AlgebraModel
+from quiverkoszul.algebra import AlgebraModel, Presentation
 from quiverkoszul.corpus import (
     exterior,
     loop_cubed,
@@ -18,6 +19,8 @@ from quiverkoszul.duality import (
     dual_presentation,
     quadratic_check,
 )
+
+from random_inputs import random_presentation
 
 
 def binom(n, k):
@@ -93,6 +96,13 @@ def test_dual_refuses_cubic_relations():
 )
 def test_double_dual_is_identity(p):
     assert double_dual_check(p)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_double_dual_is_identity_on_random_quadratic_parts(seed):
+    p = random_presentation(random.Random(seed))
+    quadratic = Presentation(p.quiver, [r for r in p.relations if r.length == 2])
+    assert double_dual_check(quadratic)
 
 
 def test_dual_of_trivial_extension_matches_preprojective_dims():

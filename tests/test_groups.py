@@ -135,7 +135,7 @@ def test_apply_to_path_acts_arrowwise():
         {"0": {"a1": "a1", "a2": "a2"}, "1": {"a1": "a2", "a2": "a1"}},
     )
     p = q.path(["a1", "a2"])
-    moved = action.apply_to_path(q, "1", p)
+    moved = action.automorphism(q, "1").apply(p)
     assert [a.label for a in reversed(moved.arrows)] == ["a2", "a1"]
 
 
@@ -145,4 +145,4 @@ def test_trivial_action_fixes_all():
     action.validate(q)
     p = q.path(["a1"])
     e = action.group.identity
-    assert action.apply_to_path(q, e, p) == p
+    assert action.automorphism(q, e).apply(p) == p

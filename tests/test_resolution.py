@@ -12,6 +12,7 @@ from quiverkoszul.algebra import (
     Presentation,
     basis_word_map,
     ideal_automorphisms,
+    ideal_breaker,
 )
 from quiverkoszul.corpus import (
     corpus_instances,
@@ -23,7 +24,7 @@ from quiverkoszul.corpus import (
     preprojective,
     radical_square_zero,
 )
-from quiverkoszul.covering import build_covering, cyclic_covering, deck_action
+from quiverkoszul.covering import build_covering, deck_action
 from quiverkoszul.duality import dual_presentation
 from quiverkoszul.groups import cyclic_group
 from quiverkoszul.linalg import ZERO, ColumnSolver, EchelonSpan
@@ -43,7 +44,6 @@ from quiverkoszul.resolution import (
     _diff_image,
     generation_check,
     hilbert_euler_check,
-    is_koszul_to,
     koszul_duality_dim_check,
     resolve,
     theorem_covering_check,
@@ -72,7 +72,7 @@ class TestExteriorResolution:
     def test_linear_resolution_with_binomial_betti(self, m):
         model = AlgebraModel(exterior(m), 5)
         report = resolve(model, 5, 5)
-        verdict = is_koszul_to(report)
+        verdict = report.verdict()
         assert verdict.status == KOSZUL_TO_BOUND
         for i in range(6):
             assert report.betti_total(i, i) == binom(m + i - 1, i)
@@ -89,7 +89,7 @@ class TestExteriorResolution:
 
 class TestLoopCubed:
     def test_fails_at_2_3(self, loop3_report):
-        verdict = is_koszul_to(loop3_report)
+        verdict = loop3_report.verdict()
         assert verdict.status == FAILS_AT
         assert verdict.witness == (2, 3)
         assert str(verdict) == "fails-at(2,3)"
@@ -112,7 +112,7 @@ class TestLoopCubed:
         cov = build_covering(loop_cubed(), cyclic_group(2), {"x": "1"})
         model = AlgebraModel(cov, 6)
         report = resolve(model, 4, 6)
-        verdict = is_koszul_to(report)
+        verdict = report.verdict()
         assert verdict.status == FAILS_AT
         assert verdict.witness == (2, 3)
 
@@ -120,13 +120,13 @@ class TestLoopCubed:
 def test_verdict_unknown_when_degree_window_short():
     model = AlgebraModel(exterior(2), 2)
     report = resolve(model, 5, 2)
-    assert is_koszul_to(report).status == UNKNOWN_BEYOND_BOUND
+    assert report.verdict().status == UNKNOWN_BEYOND_BOUND
 
 
 def test_semisimple_algebra_resolves_immediately():
     model = AlgebraModel(path_algebra(parse_quiver_spec("line:1")), 2)
     report = resolve(model, 2, 2)
-    assert is_koszul_to(report).status == KOSZUL_TO_BOUND
+    assert report.verdict().status == KOSZUL_TO_BOUND
     assert report.ext_totals() == [1, 0, 0]
 
 
@@ -134,13 +134,13 @@ def test_line2_resolution_stops_after_one_step():
     model = AlgebraModel(path_algebra(parse_quiver_spec("line:2")), 3)
     report = resolve(model, 3, 3)
     assert report.ext_totals() == [2, 1, 0, 0]
-    assert is_koszul_to(report).status == KOSZUL_TO_BOUND
+    assert report.verdict().status == KOSZUL_TO_BOUND
 
 
 def test_radical_square_zero_two_loops_is_koszul():
     model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:2")), 4)
     report = resolve(model, 4, 4)
-    assert is_koszul_to(report).status == KOSZUL_TO_BOUND
+    assert report.verdict().status == KOSZUL_TO_BOUND
     # free quadratic growth: 2^i classes at step i
     assert report.ext_totals() == [1, 2, 4, 8, 16]
 
@@ -190,6 +190,12 @@ class TestHilbertEuler:
         # truncating to no terms would make both sides empty and "equal"
         with pytest.raises(ValueError, match="cutoff -1"):
             hilbert_euler_check(ext2_report.model, ext2_report, -1)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_presentations(self, seed):
+        model = AlgebraModel(random_presentation(random.Random(seed)), 5)
+        ok, witness = hilbert_euler_check(model, resolve(model, 5, 5), 5)
+        assert ok and witness is None, witness
 
 
 def test_duality_dims_exterior2(ext2_report):
@@ -275,7 +281,7 @@ def test_generation_agrees_with_linearity_for_exterior(ext2_report):
     # the two Koszulity views must agree on these instances
     ext = ExtAlgebra(ext2_report)
     gen = generation_check(ext)
-    assert gen.passed == (is_koszul_to(ext2_report).status == KOSZUL_TO_BOUND)
+    assert gen.passed == (ext2_report.verdict().status == KOSZUL_TO_BOUND)
 
 
 # -- the support-seeded lift against the scanning reference ---------------------
@@ -450,6 +456,11 @@ def test_generation_is_the_product_rank_on_random_presentations(seed):
 # -- one simple per automorphism orbit, the others relabelled ------------------
 
 
+def _z2_cover(p):
+    """The Z2 covering with every arrow weighted by the generator."""
+    return build_covering(p, cyclic_group(2), {a.label: "1" for a in p.quiver.arrows})
+
+
 def _orbit_covers():
     ext4 = exterior(4)
     return {
@@ -457,8 +468,8 @@ def _orbit_covers():
                                      {"x1": "1", "x2": "2"}), 5, 5),
         "exterior4-Z3": (build_covering(ext4, cyclic_group(3), dict(zip(
             [a.label for a in ext4.quiver.arrows], "0112"))), 4, 5),
-        "exterior2-Z2": (cyclic_covering(exterior(2), 2), 4, 5),
-        "example2(2,1,3)-Z2": (cyclic_covering(example2(2, 1, 3), 2), 4, 4),
+        "exterior2-Z2": (_z2_cover(exterior(2)), 4, 5),
+        "example2(2,1,3)-Z2": (_z2_cover(example2(2, 1, 3)), 4, 4),
     }
 
 
@@ -535,7 +546,7 @@ def _orbit_betti_cases():
     cases = {}
     for label, p in corpus_instances():
         cases[label] = p
-        cases[label + "-Z2"] = cyclic_covering(p, 2)
+        cases[label + "-Z2"] = _z2_cover(p)
     covers = _orbit_covers()
     for label in ("loops2-Z3", "exterior4-Z3"):
         cases[label] = covers[label][0]
@@ -663,6 +674,8 @@ def test_orbit_swap_that_breaks_the_ideal_is_rejected():
     model = AlgebraModel(p, 4)
     kept = ideal_automorphisms(model)
     assert len(kept) == 1 and kept[0].is_identity()
+    assert ideal_breaker(model, found[0]) is None
+    assert ideal_breaker(model, found[1]) == p.relations[0]
     report = resolve(model, 3, 4)
     assert report.transported == frozenset()
     assert report.betti == _direct_betti(model, 3, 4)

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from quiverkoszul.algebra import AlgebraModel
+from quiverkoszul.algebra import AlgebraModel, Presentation
 from quiverkoszul.corpus import exterior, loop_cubed, parse_quiver_spec, path_algebra
-from quiverkoszul.covering import build_covering, path_weight
+from quiverkoszul.covering import build_covering, deck_action, path_weight
 from quiverkoszul.groups import (
     GroupAction,
     cyclic_group,
@@ -14,6 +14,7 @@ from quiverkoszul.groups import (
     trivial_action,
 )
 from quiverkoszul.linalg import EchelonSpan, ONE, ZERO, kernel_basis_sparse
+from quiverkoszul.quiver import make_quiver
 from quiverkoszul.resolution import theorem_covering_check
 from quiverkoszul.structure import (
     StructureConstantAlgebra,
@@ -397,11 +398,16 @@ def _per_pair_skew_table(model, action) -> dict:
     group, q = action.group, model.quiver
     labels = [(b, g) for b in model.finite_basis() for g in group.elements]
     index = {lab: i for i, lab in enumerate(labels)}
+    moved = {(g, b): model.normal_form(action.automorphism(q, g).apply(b))
+             for b, g in labels}
     want = {}
     for bi, g in labels:
+        # bi·g(bj) does not depend on h: multiply once per bj
+        prods = {}
         for bj, h in labels:
-            moved = model.normal_form(action.apply_to_path(q, g, bj))
-            prod = model.multiply({bi: ONE}, moved)
+            if bj not in prods:
+                prods[bj] = model.multiply({bi: ONE}, moved[(g, bj)])
+            prod = prods[bj]
             if prod:
                 want[(index[(bi, g)], index[(bj, h)])] = {
                     index[(b, group.multiply(g, h))]: c for b, c in prod.items()}
@@ -432,6 +438,45 @@ def test_skew_table_on_leaf_swap_matches_per_pair_reference():
     assert list(s.table.items()) == list(_per_pair_skew_table(model, action).items())
     assert s.dim == 10
     s.verify()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_skew_table_on_deck_actions_matches_per_pair_reference(seed):
+    p, group, weights = random_graded_presentation(random.Random(seed))
+    cov = build_covering(p, group, weights)
+    model = AlgebraModel(cov, 3)
+    action = deck_action(cov, group)
+    s = skew_group_algebra(model, action)
+    assert list(s.table.items()) == list(_per_pair_skew_table(model, action).items())
+    assert s.unit_failures() == []
+
+
+def _two_loops_with_swap(max_degree):
+    q = make_quiver(["1"], [("a1", "1", "1"), ("a2", "1", "1")])
+    p = Presentation(q, [q.path(["a1", "a1"]), q.path(["a2", "a2"]),
+                         q.path(["a1", "a2"])])
+    swap = GroupAction(
+        cyclic_group(2),
+        {"0": {"1": "1"}, "1": {"1": "1"}},
+        {"0": {"a1": "a1", "a2": "a2"}, "1": {"a1": "a2", "a2": "a1"}},
+    )
+    return AlgebraModel(p, max_degree), swap
+
+
+def test_skew_refuses_an_action_that_breaks_the_ideal():
+    # the swap sends the relation a1a2 to a2a1, which is not in the ideal
+    model, swap = _two_loops_with_swap(3)
+    with pytest.raises(ValueError) as exc:
+        skew_group_algebra(model, swap)
+    assert str(exc.value) == (
+        "action of '1' does not preserve the ideal (relation (1)*a2.a1)")
+
+
+def test_skew_refuses_a_relation_past_the_window():
+    model, swap = _two_loops_with_swap(1)
+    with pytest.raises(ValueError, match="cannot certify the action preserves"
+                       " the ideal: relation degree 2 exceeds the window 1"):
+        skew_group_algebra(model, swap)
 
 
 @pytest.mark.parametrize("change", ["scale", "extra", "unit"])
