@@ -9,9 +9,10 @@ dual, and the side-by-side comparison of an algebra with a finite covering.
 A resolution step presents its projective as a list of generators, each a
 (vertex, internal degree) pair; the differential sends a new generator to a
 combination of (previous generator, basis path) coordinates.  Syzygies are
-computed degreewise per target vertex, so all kernels are finite exact
-linear algebra.  Every Betti number with internal degree inside the window
-is exact; nothing is claimed past the window.
+built degreewise per target vertex, and exactness counts each block, so a
+kernel is solved (finite exact linear algebra) only where the arrow images
+fall short of the count.  Every Betti number with internal degree inside the
+window is exact; nothing is claimed past the window.
 """
 
 from __future__ import annotations
@@ -83,6 +84,15 @@ class SimpleResolution:
     (previous generator index, basis path) to the coefficient with which they
     appear in the image of generator j.  Minimality holds by construction:
     every differential coordinate uses a positive-length path.
+
+    Step i + 1 comes from one pass over the (D, w) blocks of P_i.  Exactness
+    of 0 -> Ω^{i+1} -> P_i -> Ω^i -> 0 counts each block of Ω^{i+1} as
+    dim P_i - dim Ω^i.  Where the arrow images of Ω^{i+1} one degree down
+    reach that count (or it is 0), the independent images are the block's
+    basis and no generator sits there.  Only elsewhere is the kernel of d_i
+    solved; its vectors independent of the arrow images become generators.
+    ``kernels_computed`` and ``kernels_skipped`` count nonempty blocks of
+    either kind.
     """
 
     def __init__(self, model: AlgebraModel, vertex: str, i_max: int, d_max: int):
@@ -98,105 +108,69 @@ class SimpleResolution:
         self.d_max = d_max
         self.gens = [[Generator(vertex, 0)]]
         self.diffs = [[]]
-        omega = {}
-        for D in range(1, d_max + 1):
-            per_vertex = {}
-            for w in model.quiver.vertices:
-                bs = model.basis_paths(D, vertex, w)
-                if bs:
-                    per_vertex[w] = [{(0, b): ONE} for b in bs]
-            if per_vertex:
-                omega[D] = per_vertex
-        # _coords_cache[i][(D, w)]: the step-i block coordinates and their
-        # positions, shared by _syzygies(i), _pick_generators(i + 1) and
-        # _syzygies(i + 1), and dropped once no later step reads them
-        self._coords_cache = {}
-        for i in range(1, i_max + 1):
-            gens_i, diffs_i = self._pick_generators(omega, i)
-            self.gens.append(gens_i)
-            self.diffs.append(diffs_i)
-            if i < i_max:
-                omega = self._syzygies(i)
-            self._coords_cache.pop(i - 1, None)
-        self._coords_cache.clear()
-
-    def _coords(self, i: int, D: int, w: str):
-        """Coordinates of the degree-D, vertex-w block of the step-i
-        projective, with each coordinate's position; built once per step."""
-        step = self._coords_cache.setdefault(i, {})
-        hit = step.get((D, w))
-        if hit is None:
-            hit = step[(D, w)] = _block_coords(self.model, self.gens[i], D, w)
-        return hit
-
-    def _pick_generators(self, omega: dict, i: int):
-        """Minimal generators of the current syzygy module, degree by degree.
-
-        In each degree the radical part is the arrow image of the degree
-        below; syzygy vectors independent of it become new generators, and
-        their vectors are the differential columns.
-        """
-        model = self.model
+        self.kernels_computed = self.kernels_skipped = 0
         q = model.quiver
-        arrows_out = {
-            w: [(a.target, Path((a,))) for a in q.arrows_by_source[w]]
-            for w in q.vertices
-        }
-        gens_i, diffs_i = [], []
-        for D in range(1, self.d_max + 1):
-            spans = {}
-
-            def block(w):
-                if w not in spans:
-                    spans[w] = (EchelonSpan(), self._coords(i - 1, D, w)[1])
-                return spans[w]
-
-            for w0 in q.vertices:
-                for x in omega.get(D - 1, {}).get(w0, ()):
-                    for target, a in arrows_out[w0]:
-                        y = _diff_image(model, x, a)
-                        span, idx = block(target)
-                        span.add({idx[key]: c for key, c in y.items()})
-            for w in q.vertices:
-                for x in omega.get(D, {}).get(w, ()):
-                    span, idx = block(w)
-                    if span.add({idx[key]: c for key, c in x.items()}):
-                        if D < i:
+        # a basis of Ω^{i+1} per (D, w) in P_i coordinates; Ω^0 sits in degree 0
+        omega, blocks = {}, {}
+        for i in range(i_max):
+            image, omega, prev, blocks = omega, {}, blocks, {}
+            gens, diffs = [], []
+            for D in range(1, d_max + 1):
+                for w in q.vertices:
+                    coords, index = _block_coords(model, self.gens[i], D, w)
+                    blocks[(D, w)] = index
+                    nullity = len(coords) - len(image.get((D, w), ()))
+                    if not nullity:
+                        self.kernels_skipped += bool(coords)
+                        continue
+                    span, basis = EchelonSpan(), []
+                    for arrow in q.arrows_by_target[w]:
+                        a = Path((arrow,))
+                        for x in omega.get((D - 1, arrow.source), ()):
+                            y = _diff_image(model, x, a)
+                            if span.add({index[key]: c for key, c in y.items()}):
+                                basis.append(y)
+                    if span.rank == nullity:
+                        self.kernels_skipped += 1
+                        omega[(D, w)] = basis
+                        continue
+                    self.kernels_computed += 1
+                    basis = omega[(D, w)] = self._kernel(i, coords, prev.get((D, w)))
+                    if len(basis) != nullity:
+                        raise InternalError(
+                            f"step {i} kernel in degree {D} at vertex {w} has"
+                            f" dimension {len(basis)}, exactness gives {nullity}"
+                        )
+                    for x in basis:
+                        if not span.add({index[key]: c for key, c in x.items()}):
+                            continue
+                        if D <= i:
                             raise InternalError(
-                                f"step {i} generator in degree {D}, below its step"
+                                f"step {i + 1} generator in degree {D}, below its step"
                             )
                         if any(b.length == 0 for _, b in x):
                             raise InternalError(
-                                f"step {i} generator in degree {D} has a"
+                                f"step {i + 1} generator in degree {D} has a"
                                 " non-minimal column"
                             )
-                        gens_i.append(Generator(w, D))
-                        diffs_i.append(dict(x))
-        return gens_i, diffs_i
+                        gens.append(Generator(w, D))
+                        diffs.append(x)
+            self.gens.append(gens)
+            self.diffs.append(diffs)
 
-    def _syzygies(self, i: int) -> dict:
-        """Kernel of the step-i differential, degreewise per target vertex."""
-        model = self.model
-        diffs = self.diffs[i]
-        omega = {}
-        for D in range(1, self.d_max + 1):
-            for w in model.quiver.vertices:
-                coords = self._coords(i, D, w)[0]
-                if not coords:
-                    continue
-                prev_index = self._coords(i - 1, D, w)[1]
-                solver = ColumnSolver(len(prev_index))
-                found = []
-                for k, b in coords:
-                    image = _diff_image(model, diffs[k], b)
-                    kernel = solver.add_column(
-                        {prev_index[key]: c for key, c in image.items()}
-                    )
-                    if kernel is not None:
-                        found.append({coords[p]: c for p, c in kernel.items()})
-                if found:
-                    omega.setdefault(D, {})[w] = found
-        return omega
+    def _kernel(self, i: int, coords: list, prev_index) -> list:
+        """Kernel of d_i on a block of P_i: unit vectors for the radical of
+        P_0, else one vector per dependent column, in column order."""
+        if i == 0:
+            return [{key: ONE} for key in coords]
+        solver = ColumnSolver(len(prev_index))
+        kernel = []
+        for k, b in coords:
+            image = _diff_image(self.model, self.diffs[i][k], b)
+            vec = solver.add_column({prev_index[key]: c for key, c in image.items()})
+            if vec is not None:
+                kernel.append({coords[p]: c for p, c in vec.items()})
+        return kernel
 
     def relabelled(self, sigma, words: dict) -> "SimpleResolution":
         """The resolution of sigma(vertex) read off this one: generator
@@ -214,7 +188,7 @@ class SimpleResolution:
             [{(k, words[b]): c for (k, b), c in entry.items()} for entry in step]
             for step in self.diffs
         ]
-        out._coords_cache = {}
+        out.kernels_computed = out.kernels_skipped = 0
         return out
 
 
@@ -314,11 +288,15 @@ def resolve(model: AlgebraModel, i_max: int, d_max: int | None = None) -> Resolu
 
 
 def resolution_sizes(*reports: ResolutionReport) -> dict:
-    """How many simples the reports resolved and how many they relabelled."""
+    """Simples resolved and relabelled, and over the resolved ones the
+    blocks whose syzygy kernel was solved or only counted."""
     transported = sum(len(r.transported) for r in reports)
+    resolutions = [res for r in reports for res in r.per_simple.values()]
     return {
         "simples_resolved": sum(len(r.simples) for r in reports) - transported,
         "simples_transported": transported,
+        "kernels_computed": sum(res.kernels_computed for res in resolutions),
+        "kernels_skipped": sum(res.kernels_skipped for res in resolutions),
     }
 
 
@@ -549,6 +527,8 @@ def generation_check(ext: ExtAlgebra, up_to: int | None = None) -> GenerationRep
     the arrow parts of the step-(i+1) differential columns are independent,
     which one rank computation per step decides, with no lift.
     """
+    if up_to is not None and up_to < 0:
+        raise ValueError(f"generation bound {up_to} is negative")
     top = ext.i_max if up_to is None else min(up_to, ext.i_max)
     steps = []
     first_fail = None

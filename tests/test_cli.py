@@ -85,15 +85,19 @@ def test_resolving_commands_report_orbit_sizes_outside_canonical(capsys, tmp_pat
     capsys.readouterr()
     rc, report = run_json(capsys, ["analyze", str(cover)])
     assert rc == 0
+    # one kernel solved per step for the resolved simple, every other
+    # nonempty block counted
     assert report["timing"]["sizes"] == {
-        "simples_resolved": 1, "simples_transported": 1}
+        "simples_resolved": 1, "simples_transported": 1,
+        "kernels_computed": 4, "kernels_skipped": 7}
     assert "sizes" not in report["canonical"]
     rc, report = run_json(
         capsys, ["verify", ext2_graded_file, "--check", "covering-theorem"])
     assert rc == 0
     # the base's one simple, and one of the covering's two
     assert report["timing"]["sizes"] == {
-        "simples_resolved": 2, "simples_transported": 1}
+        "simples_resolved": 2, "simples_transported": 1,
+        "kernels_computed": 8, "kernels_skipped": 14}
     rc, report = run_json(
         capsys, ["verify", ext2_graded_file, "--check", "smash-iso"])
     assert rc == 0
@@ -182,7 +186,7 @@ def test_smash_checks_on_exterior4_fit_the_default_window(capsys, tmp_path, chec
 
 def test_internal_error_exit_3(capsys, monkeypatch, ext2_file):
     # every column dependent with an empty expansion: each coordinate becomes
-    # a syzygy, and the degree-1 ones are step-2 generators below their step
+    # a syzygy, so the first solved kernel exceeds the exactness count
     def all_dependent(self, vec):
         self.count += 1
         return {self.count - 1: 1}
@@ -193,6 +197,16 @@ def test_internal_error_exit_3(capsys, monkeypatch, ext2_file):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
+
+
+def test_kernel_below_the_exactness_count_exits_3(capsys, monkeypatch, ext2_file):
+    monkeypatch.setattr(ColumnSolver, "add_column", lambda self, vec: None)
+    rc = main(["analyze", ext2_file, "--max-degree", "3", "--max-homological", "3"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: step 1 kernel in degree 2 at vertex 1 has dimension 0")
 
 
 def test_internal_error_in_model_exit_3(capsys, monkeypatch, ext2_file):

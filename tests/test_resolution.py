@@ -16,6 +16,7 @@ from quiverkoszul.algebra import (
 )
 from quiverkoszul.corpus import (
     corpus_instances,
+    example1,
     example2,
     exterior,
     loop_cubed,
@@ -23,12 +24,14 @@ from quiverkoszul.corpus import (
     path_algebra,
     preprojective,
     radical_square_zero,
+    trivial_extension_dual,
 )
 from quiverkoszul.covering import build_covering, deck_action
 from quiverkoszul.duality import dual_presentation
 from quiverkoszul.groups import cyclic_group
 from quiverkoszul.linalg import ZERO, ColumnSolver, EchelonSpan
 from quiverkoszul.quiver import (
+    Path,
     Quiver,
     QuiverAutomorphism,
     order_compatible_automorphisms,
@@ -40,7 +43,9 @@ from quiverkoszul.resolution import (
     UNKNOWN_BEYOND_BOUND,
     ExtAlgebra,
     ExtElement,
+    Generator,
     SimpleResolution,
+    _block_coords,
     _diff_image,
     generation_check,
     hilbert_euler_check,
@@ -681,3 +686,127 @@ def test_orbit_swap_that_breaks_the_ideal_is_rejected():
     assert report.betti == _direct_betti(model, 3, 4)
     # the two simples really differ: only S(2) has a relation to resolve
     assert report.ext_total(2) == 1
+
+
+# -- the one-loop resolution against the two-pass reference --------------------
+
+
+def _two_pass(model, vertex, i_max, d_max):
+    """gens and diffs built the earlier way, in two passes per step: rank the
+    arrow images and pick generators on every block, then solve the kernel
+    of the new differential on every block."""
+    q = model.quiver
+    gens, diffs, blocks = [[Generator(vertex, 0)]], [[]], {}
+
+    def block(i, D, w):
+        if (i, D, w) not in blocks:
+            blocks[(i, D, w)] = _block_coords(model, gens[i], D, w)
+        return blocks[(i, D, w)]
+
+    omega = {D: {w: [{(0, b): 1} for b in model.basis_paths(D, vertex, w)]
+                 for w in q.vertices} for D in range(1, d_max + 1)}
+    for i in range(1, i_max + 1):
+        gens_i, diffs_i = [], []
+        for D in range(1, d_max + 1):
+            spans = {w: EchelonSpan() for w in q.vertices}
+            for w0 in q.vertices:
+                for x in omega.get(D - 1, {}).get(w0, ()):
+                    for a in q.arrows_by_source[w0]:
+                        y = _diff_image(model, x, Path((a,)))
+                        idx = block(i - 1, D, a.target)[1]
+                        spans[a.target].add({idx[k]: c for k, c in y.items()})
+            for w in q.vertices:
+                idx = block(i - 1, D, w)[1]
+                for x in omega.get(D, {}).get(w, ()):
+                    if spans[w].add({idx[k]: c for k, c in x.items()}):
+                        gens_i.append(Generator(w, D))
+                        diffs_i.append(dict(x))
+        gens.append(gens_i)
+        diffs.append(diffs_i)
+        if i == i_max:
+            break
+        omega = {}
+        for D in range(1, d_max + 1):
+            for w in q.vertices:
+                cur = block(i, D, w)[0]
+                prev_index = block(i - 1, D, w)[1]
+                solver = ColumnSolver(len(prev_index))
+                for k, b in cur:
+                    image = _diff_image(model, diffs_i[k], b)
+                    kernel = solver.add_column(
+                        {prev_index[key]: c for key, c in image.items()})
+                    if kernel is not None:
+                        omega.setdefault(D, {}).setdefault(w, []).append(
+                            {cur[p]: c for p, c in kernel.items()})
+    return gens, diffs
+
+
+def _two_pass_cases():
+    cases = {}
+    for label, p in corpus_instances():
+        cases[label] = (p, 5, 5)
+        cases[label + "-Z2"] = (_z2_cover(p), 4, 4)
+    for label, p, d_max, i_max in [
+        ("exterior(4)", exterior(4), 8, 7),
+        ("exterior(5)", exterior(5), 7, 6),
+        ("loops:2", radical_square_zero(parse_quiver_spec("loops:2")), 10, 10),
+        ("loops:3", radical_square_zero(parse_quiver_spec("loops:3")), 7, 7),
+        ("trivial_extension_dual(star:4)",
+         trivial_extension_dual(parse_quiver_spec("star:4")), 8, 8),
+        ("loop_cubed", loop_cubed(), 12, 12),
+        ("preprojective(line:6)", preprojective(parse_quiver_spec("line:6")), 6, 6),
+        ("preprojective(star:4)", preprojective(parse_quiver_spec("star:4")), 6, 6),
+        ("dual(exterior(3))", dual_presentation(exterior(3)), 7, 4),
+        ("example2(2,1,3)", example2(2, 1, 3), 6, 6),
+        ("example1(4,4)", example1(4, 4), 5, 5),
+    ]:
+        cases[f"{label} at {d_max}/{i_max}"] = (p, d_max, i_max)
+    return cases
+
+
+def _assert_matches_two_pass(model, i_max, d_max):
+    for v in model.quiver.vertices:
+        res = SimpleResolution(model, v, i_max, d_max)
+        gens, diffs = _two_pass(model, v, i_max, d_max)
+        assert res.gens == gens
+        # dict order too: the columns are the very kernel vectors
+        assert [[list(e.items()) for e in step] for step in res.diffs] == [
+            [list(e.items()) for e in step] for step in diffs]
+
+
+@pytest.mark.parametrize("name", sorted(_two_pass_cases()))
+def test_one_loop_matches_two_pass_reference(name):
+    p, d_max, i_max = _two_pass_cases()[name]
+    _assert_matches_two_pass(AlgebraModel(p, d_max), i_max, d_max)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_one_loop_matches_two_pass_reference_on_random_presentations(seed):
+    p = random_presentation(random.Random(seed))
+    _assert_matches_two_pass(AlgebraModel(p, 5), 5, 5)
+
+
+def test_one_loop_solves_a_kernel_only_where_a_generator_can_sit():
+    # exterior(m) resolves linearly: the one block per step where the
+    # arrow images fall short is where that step's generators sit
+    res = SimpleResolution(AlgebraModel(exterior(3), 6), "1", 5, 6)
+    assert res.kernels_computed == 5
+    assert [{g.degree for g in step} for step in res.gens[1:]] == [
+        {i} for i in range(1, 6)]
+    assert res.kernels_skipped > 0
+
+
+def test_kernel_missing_the_exactness_count_is_an_internal_error(monkeypatch):
+    # every column independent: the computed kernel is empty where
+    # exactness counts a nonzero syzygy block
+    monkeypatch.setattr(ColumnSolver, "add_column", lambda self, vec: None)
+    with pytest.raises(InternalError,
+                       match=r"step 1 kernel in degree 2 at vertex 1 has"
+                             r" dimension 0, exactness gives 3"):
+        SimpleResolution(AlgebraModel(exterior(2), 4), "1", 3, 4)
+
+
+@pytest.mark.parametrize("up_to", [-1, -5])
+def test_generation_rejects_a_negative_bound(loop3_report, up_to):
+    with pytest.raises(ValueError, match="negative"):
+        generation_check(ExtAlgebra(loop3_report), up_to)
