@@ -193,14 +193,14 @@ class Quiver:
 
 @dataclass
 class QuiverAutomorphism:
-    """A bijection of vertices and of arrows that respects incidence."""
+    """A bijection of vertices and of arrows that respects incidence.
+
+    The map may be partial: ``rooted_isomorphism`` defines it only on the
+    vertices reached from one vertex and on the arrows leaving them.
+    """
 
     vertices: dict  # vertex label -> vertex label
     arrows: dict  # Arrow -> Arrow
-
-    def is_identity(self) -> bool:
-        return (all(u == v for u, v in self.vertices.items())
-                and all(a == b for a, b in self.arrows.items()))
 
     def apply(self, p: Path) -> Path:
         if not p.arrows:
@@ -208,28 +208,20 @@ class QuiverAutomorphism:
         return Path(tuple(self.arrows[a] for a in p.arrows))
 
 
-def order_compatible_automorphisms(q: Quiver) -> list:
-    """Automorphisms that keep, at every vertex x, the index order of the
-    arrows leaving x; the identity comes first when it is found.
+def rooted_isomorphism(q: Quiver, u: str, t: str):
+    """The map from the part of q reached from u onto the part reached from
+    t that sends u to t and, at every vertex x, the k-th arrow leaving x to
+    the k-th arrow leaving its image; None when no such bijection exists.
 
-    Such a map sends the k-th arrow leaving x to the k-th arrow leaving its
-    image, so it is fixed by the image of ``vertices[0]`` on every vertex
-    reached from there.  Each image is tried and propagated along the
-    out-arrows; a candidate that clashes, leaves a vertex unmapped or is not
-    a bijection is dropped.  On a quiver not reached from its first vertex
-    the search finds nothing, which loses speed downstream, never answers.
+    Such a map keeps the index order of the arrows leaving each vertex, so
+    it keeps the lexicographic order of paths from a common source.  Its
+    vertex image is closed under out-arrows, hence all of the part reached
+    from t, so it is a bijection exactly when no two vertices share an image.
     """
-    if not q.vertices:
-        return []
-    start = q.vertices[0]
-    found = []
-    for t in q.vertices:
-        vmap, amap = _propagate(q, start, t)
-        if (vmap is not None and len(vmap) == len(q.vertices)
-                and len(set(vmap.values())) == len(vmap)
-                and len(set(amap.values())) == len(amap)):
-            found.append(QuiverAutomorphism(vmap, amap))
-    return found
+    vmap, amap = _propagate(q, u, t)
+    if vmap is None or len(set(vmap.values())) != len(vmap):
+        return None
+    return QuiverAutomorphism(vmap, amap)
 
 
 def _propagate(q: Quiver, start: str, t: str):

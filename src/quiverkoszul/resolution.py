@@ -25,11 +25,11 @@ from .algebra import (
     PolyMatrix,
     basis_word_map,
     hilbert_matrix,
-    ideal_automorphisms,
+    ideal_breaker,
 )
 from .covering import build_covering
 from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO, as_scalar
-from .quiver import Path, trivial_path
+from .quiver import Path, rooted_isomorphism, trivial_path
 
 KOSZUL_TO_BOUND = "koszul-to-bound"
 FAILS_AT = "fails-at"
@@ -174,9 +174,11 @@ class SimpleResolution:
 
     def relabelled(self, sigma, words: dict) -> "SimpleResolution":
         """The resolution of sigma(vertex) read off this one: generator
-        vertices and differential words moved by the automorphism sigma,
-        with ``words`` its ``basis_word_map``.  sigma is an automorphism of
-        the algebra, so the image is again a minimal resolution."""
+        vertices and differential words moved by sigma, with ``words`` its
+        ``basis_word_map``.  sigma is an isomorphism from the part of the
+        algebra reached from vertex onto the part reached from its image,
+        which is all either resolution reads, so the image is again a
+        minimal resolution."""
         out = object.__new__(SimpleResolution)
         out.model, out.i_max, out.d_max = self.model, self.i_max, self.d_max
         out.vertex = sigma.vertices[self.vertex]
@@ -259,31 +261,35 @@ class ResolutionReport:
 def resolve(model: AlgebraModel, i_max: int, d_max: int | None = None) -> ResolutionReport:
     """Resolve every vertex simple out to the given bounds.
 
-    One simple per orbit of the model's ideal automorphisms is resolved;
-    the others are its images under those automorphisms (a covering's deck
-    group is one source of them).  A simple that no found automorphism
-    reaches is resolved directly.
+    Resolving S_v reads only the part of the algebra on the vertices reached
+    from v.  After resolving S_v, each unresolved simple S_t whose part is
+    isomorphic to v's gets v's resolution relabelled instead: the
+    ``rooted_isomorphism`` from v to t must send no relation out of the ideal
+    (``ideal_breaker``) and pair basis blocks of equal size
+    (``basis_word_map``).  A covering's deck group moves simples this way,
+    even when the covering falls apart into pieces.
     """
     if d_max is None:
         d_max = model.max_degree
-    automorphisms = ideal_automorphisms(model)
-    words = [None] * len(automorphisms)
+    q = model.quiver
     simples = {}
     transported = set()
-    for v in model.quiver.vertices:
+    for v in q.vertices:
         if v in simples:
             continue
         res = simples[v] = SimpleResolution(model, v, i_max, d_max)
-        for n, sigma in enumerate(automorphisms):
-            image = sigma.vertices[v]
-            if image not in simples:
-                if words[n] is None:
-                    words[n] = basis_word_map(model, sigma, d_max)
-                simples[image] = res.relabelled(sigma, words[n])
-                transported.add(image)
+        for t in q.vertices:
+            if t in simples:
+                continue
+            sigma = rooted_isomorphism(q, v, t)
+            if sigma is None or ideal_breaker(model, sigma) is not None:
+                continue
+            words = basis_word_map(model, sigma, d_max)
+            if words is not None:
+                simples[t] = res.relabelled(sigma, words)
+                transported.add(t)
     return ResolutionReport(
-        model, i_max, d_max, {v: simples[v] for v in model.quiver.vertices},
-        transported,
+        model, i_max, d_max, {v: simples[v] for v in q.vertices}, transported,
     )
 
 
@@ -363,12 +369,12 @@ class ExtAlgebra:
         self._solver_cache = {}
 
     def ext_dim(self, i: int) -> int:
+        if not (0 <= i <= self.i_max):
+            raise ValueError(f"step {i} outside the window 0..{self.i_max}")
         return len(self.gens[i])
 
     def ext_basis(self, i: int) -> list:
-        if not (0 <= i <= self.i_max):
-            raise ValueError(f"step {i} outside the window 0..{self.i_max}")
-        return [ExtElement(i, {k: ONE}) for k in range(len(self.gens[i]))]
+        return [ExtElement(i, {k: ONE}) for k in range(self.ext_dim(i))]
 
     def _coords(self, i: int, D: int, w: str):
         key = (i, D, w)

@@ -104,6 +104,32 @@ def test_resolving_commands_report_orbit_sizes_outside_canonical(capsys, tmp_pat
     assert "sizes" not in report["timing"]
 
 
+def test_orbit_transport_reaches_coverings_that_fall_apart(capsys, tmp_path,
+                                                           ext2_file):
+    # identity weights give three disjoint copies: one simple is resolved
+    # and relabelled onto the other two
+    cover = tmp_path / "exterior2_z3.json"
+    assert main(["cover", ext2_file, "--group", "cyclic:3",
+                 "--out", str(cover)]) == 0
+    capsys.readouterr()
+    rc, report = run_json(capsys, ["analyze", str(cover)])
+    assert rc == 0
+    assert report["timing"]["sizes"] == {
+        "simples_resolved": 1, "simples_transported": 2,
+        "kernels_computed": 4, "kernels_skipped": 7}
+    # every weight s generates the order-2 subgroup of D3, so the covering
+    # is three copies of a two-vertex piece; one of its six simples is
+    # resolved, as is the base's one simple
+    ext4 = tmp_path / "exterior4_d3.json"
+    ext4.write_text(serialize_presentation(
+        exterior(4), ("dihedral", 3), {f"a{k}": "s" for k in range(1, 5)}))
+    rc, report = run_json(capsys, ["verify", str(ext4), "--check", "covering-theorem"])
+    assert rc == 0
+    assert report["timing"]["sizes"] == {
+        "simples_resolved": 2, "simples_transported": 5,
+        "kernels_computed": 8, "kernels_skipped": 28}
+
+
 def test_analyze_json_flag_writes_file(tmp_path, capsys, ext2_file):
     out = tmp_path / "report.json"
     rc = main(["analyze", ext2_file, "--max-degree", "4",

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -11,9 +12,9 @@ from quiverkoszul.algebra import (
     InternalError,
     Presentation,
     basis_word_map,
-    ideal_automorphisms,
     ideal_breaker,
 )
+from quiverkoszul.cli import main
 from quiverkoszul.corpus import (
     corpus_instances,
     example1,
@@ -34,7 +35,7 @@ from quiverkoszul.quiver import (
     Path,
     Quiver,
     QuiverAutomorphism,
-    order_compatible_automorphisms,
+    rooted_isomorphism,
     trivial_path,
 )
 from quiverkoszul.resolution import (
@@ -53,6 +54,7 @@ from quiverkoszul.resolution import (
     resolve,
     theorem_covering_check,
 )
+from quiverkoszul.serialization import serialize_presentation
 from random_inputs import random_presentation
 
 
@@ -240,6 +242,16 @@ class TestExtAlgebra:
         ext = ExtAlgebra(ext2_report)
         for i in range(5):
             assert len(ext.ext_basis(i)) == ext2_report.ext_total(i)
+
+    @pytest.mark.parametrize("step", [-1, 4])
+    def test_step_outside_the_window_is_a_named_error(self, step):
+        ext = ExtAlgebra(resolve(AlgebraModel(exterior(2), 4), 3, 4))
+        assert [ext.ext_dim(i) for i in range(4)] == [1, 2, 3, 4]
+        pattern = f"step {step} outside the window 0..3"
+        with pytest.raises(ValueError, match=pattern):
+            ext.ext_dim(step)
+        with pytest.raises(ValueError, match=pattern):
+            ext.ext_basis(step)
 
     def test_identity_acts_as_unit(self, ext2_report):
         ext = ExtAlgebra(ext2_report)
@@ -547,6 +559,12 @@ def _direct_betti(model, i_max, d_max):
     return betti
 
 
+# cases whose quiver has disjoint pieces, or vertices that reach only part of
+# it, so no automorphism of the whole quiver moves their simples
+_ROOTED_ONLY = ("path_algebra(star:4)", "radical_square_zero(star:4)",
+                "exterior2-Z3-trivial")
+
+
 def _orbit_betti_cases():
     cases = {}
     for label, p in corpus_instances():
@@ -555,6 +573,11 @@ def _orbit_betti_cases():
     covers = _orbit_covers()
     for label in ("loops2-Z3", "exterior4-Z3"):
         cases[label] = covers[label][0]
+    star = parse_quiver_spec("star:4")
+    cases["path_algebra(star:4)"] = path_algebra(star)
+    cases["radical_square_zero(star:4)"] = radical_square_zero(star)
+    cases["exterior2-Z3-trivial"] = build_covering(
+        exterior(2), cyclic_group(3), {"a1": "0", "a2": "0"})
     return cases
 
 
@@ -565,37 +588,9 @@ def test_orbit_transport_keeps_the_betti_table(name):
     assert report.betti == _direct_betti(model, 3, 4)
     for u in report.transported:
         assert report.per_simple[u].vertex == u
-
-
-@pytest.mark.parametrize("name", sorted(_orbit_covers()))
-def test_orbit_detection_finds_every_deck_map(name):
-    p, _, d_max = _orbit_covers()[name]
-    group = {"Z3": cyclic_group(3), "Z2": cyclic_group(2)}[name[-2:]]
-    action = deck_action(p, group)
-    found = [
-        (sigma.vertices, {a.label: b.label for a, b in sigma.arrows.items()})
-        for sigma in ideal_automorphisms(AlgebraModel(p, d_max))
-    ]
-    for h in group.elements:
-        assert (action.vertex_maps[h], action.arrow_maps[h]) in found
-
-
-def _automorphisms_by_brute_force(q):
-    """Every vertex permutation whose forced arrow map (the k-th arrow
-    leaving x to the k-th arrow leaving its image) respects incidence."""
-    found = []
-    for image in itertools.permutations(q.vertices):
-        vmap = dict(zip(q.vertices, image))
-        amap = {}
-        for x in q.vertices:
-            outs, images = q.arrows_by_source[x], q.arrows_by_source[vmap[x]]
-            if len(outs) != len(images):
-                break
-            amap.update(zip(outs, images))
-        else:
-            if all(vmap[a.target] == b.target for a, b in amap.items()):
-                found.append((vmap, amap))
-    return found
+    # the deck group moves the simples of every covering
+    if name.endswith("-Z2") or name in _ROOTED_ONLY:
+        assert report.transported
 
 
 def _reached(q, start):
@@ -608,8 +603,68 @@ def _reached(q, start):
     return seen
 
 
+@pytest.mark.parametrize("name", sorted(_orbit_covers()))
+def test_orbit_rooted_isomorphisms_restrict_every_deck_map(name):
+    p, _, d_max = _orbit_covers()[name]
+    q = p.quiver
+    group = {"Z3": cyclic_group(3), "Z2": cyclic_group(2)}[name[-2:]]
+    action = deck_action(p, group)
+    model = AlgebraModel(p, d_max)
+    for h in group.elements:
+        deck = action.automorphism(q, h)
+        for u in q.vertices:
+            sigma = rooted_isomorphism(q, u, deck.vertices[u])
+            reached = _reached(q, u)
+            assert sigma.vertices == {x: deck.vertices[x] for x in reached}
+            assert sigma.arrows == {
+                a: b for a, b in deck.arrows.items() if a.source in reached}
+            assert ideal_breaker(model, sigma) is None
+            assert basis_word_map(model, sigma, d_max) is not None
+
+
+def _forced_arrow_map(q, vmap):
+    """The k-th arrow leaving x to the k-th arrow leaving vmap[x], over the
+    domain of vmap, or None when it breaks incidence."""
+    amap = {}
+    for x in vmap:
+        outs, images = q.arrows_by_source[x], q.arrows_by_source[vmap[x]]
+        if len(outs) != len(images):
+            return None
+        amap.update(zip(outs, images))
+    if all(vmap[a.target] == b.target for a, b in amap.items()):
+        return amap
+    return None
+
+
+def _automorphisms_by_brute_force(q):
+    """Every vertex permutation whose forced arrow map respects incidence."""
+    found = []
+    for image in itertools.permutations(q.vertices):
+        vmap = dict(zip(q.vertices, image))
+        amap = _forced_arrow_map(q, vmap)
+        if amap is not None:
+            found.append((vmap, amap))
+    return found
+
+
+def _rooted_by_brute_force(q, u, t):
+    """Every bijection from the vertices reached from u onto those reached
+    from t that sends u to t and whose forced arrow map respects incidence."""
+    domain = sorted(_reached(q, u) - {u})
+    codomain = sorted(_reached(q, t) - {t})
+    if len(domain) != len(codomain):
+        return []
+    found = []
+    for image in itertools.permutations(codomain):
+        vmap = {u: t, **dict(zip(domain, image))}
+        amap = _forced_arrow_map(q, vmap)
+        if amap is not None:
+            found.append((vmap, amap))
+    return found
+
+
 @pytest.mark.parametrize("seed", range(60))
-def test_orbit_detection_matches_brute_force_on_random_quivers(seed):
+def test_orbit_rooted_isomorphism_matches_brute_force_on_random_quivers(seed):
     # a Z_k-covering of a random quiver has symmetry to find; shuffling its
     # arrows or adding one may keep, break or scramble that symmetry
     rng = random.Random(900 + seed)
@@ -625,21 +680,18 @@ def test_orbit_detection_matches_brute_force_on_random_quivers(seed):
     if rng.random() < 0.3:
         arrows.append(("extra", rng.choice(vertices), rng.choice(vertices)))
     q = Quiver(vertices, arrows)
-    found = order_compatible_automorphisms(q)
-    for sigma in found:
-        assert sorted(sigma.vertices.values()) == sorted(q.vertices)
-        assert sorted(a.label for a in sigma.arrows.values()) == sorted(
-            a.label for a in q.arrows)
-        for a, b in sigma.arrows.items():
-            assert (b.source, b.target) == (
-                sigma.vertices[a.source], sigma.vertices[a.target])
-    want = _automorphisms_by_brute_force(q)
-    got = [(sigma.vertices, sigma.arrows) for sigma in found]
-    assert all(pair in want for pair in got)
-    if _reached(q, q.vertices[0]) == set(q.vertices):
-        assert len(got) == len(want)
-    else:
-        assert got == []
+    for u in q.vertices:
+        for t in q.vertices:
+            sigma = rooted_isomorphism(q, u, t)
+            got = [] if sigma is None else [(sigma.vertices, sigma.arrows)]
+            assert got == _rooted_by_brute_force(q, u, t)
+    # every whole-quiver automorphism is still found, piece by piece
+    for vmap, amap in _automorphisms_by_brute_force(q):
+        for u in q.vertices:
+            sigma = rooted_isomorphism(q, u, vmap[u])
+            reached = _reached(q, u)
+            assert sigma.vertices == {x: vmap[x] for x in reached}
+            assert sigma.arrows == {a: b for a, b in amap.items() if a.source in reached}
 
 
 def _leaf_swap(q):
@@ -657,14 +709,12 @@ def test_orbit_leaf_swap_reorders_the_centre_and_is_rejected():
     # a quiver automorphism that keeps the ideal, but a1*, a2* leave the
     # centre in the other order, so lex order and the basis are not kept
     model = AlgebraModel(p, 4)
-    assert all(
-        not model.normal_form({swap.apply(path): c for path, c in r.items()})
-        for r in p.relations
-    )
-    found = order_compatible_automorphisms(q)
-    assert [sigma.is_identity() for sigma in found] == [True]
+    assert ideal_breaker(model, swap) is None
     with pytest.raises(InternalError, match="automorphism sends basis word"):
         basis_word_map(model, swap, 4)
+    # the rooted map from l1 sends the centre's arrows to themselves, which
+    # sends l1 to both l2 and l1
+    assert rooted_isomorphism(q, "l1", "l2") is None
     assert resolve(model, 3, 4).transported == frozenset()
 
 
@@ -673,19 +723,40 @@ def test_orbit_swap_that_breaks_the_ideal_is_rejected():
     # order-compatible but sends a∘b to b∘a, which is not in the ideal
     q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
     p = Presentation(q, [q.path(["b", "a"])])
-    found = order_compatible_automorphisms(q)
-    assert [sigma.vertices for sigma in found] == [
-        {"1": "1", "2": "2"}, {"1": "2", "2": "1"}]
+    identity = rooted_isomorphism(q, "1", "1")
+    swap = rooted_isomorphism(q, "1", "2")
+    assert identity.vertices == {"1": "1", "2": "2"}
+    assert swap.vertices == {"1": "2", "2": "1"}
     model = AlgebraModel(p, 4)
-    kept = ideal_automorphisms(model)
-    assert len(kept) == 1 and kept[0].is_identity()
-    assert ideal_breaker(model, found[0]) is None
-    assert ideal_breaker(model, found[1]) == p.relations[0]
+    assert ideal_breaker(model, identity) is None
+    assert ideal_breaker(model, swap) == p.relations[0]
     report = resolve(model, 3, 4)
     assert report.transported == frozenset()
     assert report.betti == _direct_betti(model, 3, 4)
     # the two simples really differ: only S(2) has a relation to resolve
     assert report.ext_total(2) == 1
+
+
+@pytest.mark.parametrize("order", [("1", "2"), ("2", "1")])
+def test_orbit_counterexample_one_way_ideal_check(order, capsys, tmp_path):
+    # a loop x at 1 and a loop y at 2 with the single relation y∘y: the map
+    # 1 -> 2 keeps the (empty) set of relations starting at 1, yet x∘x is a
+    # basis word and y∘y is not, so A·e1 and A·e2 differ
+    q = Quiver(list(order), [("x", "1", "1"), ("y", "2", "2")])
+    p = Presentation(q, [q.path(["y", "y"])])
+    model = AlgebraModel(p, 4)
+    forward = rooted_isomorphism(q, "1", "2")
+    assert ideal_breaker(model, forward) is None
+    assert basis_word_map(model, forward, 4) is None
+    assert ideal_breaker(model, rooted_isomorphism(q, "2", "1")) == p.relations[0]
+    report = resolve(model, 3, 4)
+    assert report.transported == frozenset()
+    assert report.betti == _direct_betti(model, 3, 4)
+    doc = tmp_path / "two_loops.json"
+    doc.write_text(serialize_presentation(p))
+    assert main(["analyze", str(doc)]) == 0
+    sizes = json.loads(capsys.readouterr().out)["timing"]["sizes"]
+    assert (sizes["simples_resolved"], sizes["simples_transported"]) == (2, 0)
 
 
 # -- the one-loop resolution against the two-pass reference --------------------
