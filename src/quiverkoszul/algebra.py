@@ -356,30 +356,16 @@ class AlgebraModel:
         return out
 
 
-def ideal_breaker(model: AlgebraModel, sigma: QuiverAutomorphism):
-    """The first relation r with r.length <= max_degree, starting where σ
-    is defined, whose image σ(r) is nonzero in the model, or None when σ
-    keeps every such relation in the ideal.  Longer relations never enter
-    the truncated model."""
-    for r in model.presentation.relations:
-        if (r.length <= model.max_degree and r.source in sigma.vertices
-                and model.normal_form({sigma.apply(p): c for p, c in r.items()})):
-            return r
-    return None
-
-
-def basis_word_map(model: AlgebraModel, sigma: QuiverAutomorphism,
-                   d_max: int) -> dict | None:
+def transport_word_map(model: AlgebraModel, sigma: QuiverAutomorphism,
+                       d_max: int) -> dict | None:
     """σ on the basis words of degree <= d_max that start where σ is
-    defined, pairing each block's basis list with the image block's list in
-    order; None when two paired blocks differ in size.
+    defined, or None unless σ carries the model there onto the model on its
+    image: each basis block's word list, word for word and in order, onto
+    the image block's list, and each left table entry NF(a∘b) onto
+    NF(σa∘σb).
 
-    An order-compatible σ keeps the lex order of each block.  When
-    ``ideal_breaker`` finds nothing, σ maps the ideal into the ideal, so
-    each image block is at most as large; equal sizes then make σ an
-    isomorphism that keeps tips and standard words, and the pairing agrees
-    with σ word by word.  Each pair is checked, and a mismatch raises
-    ``InternalError``.
+    Together these make σ an isomorphism of the truncated models, so it
+    keeps basis order, normal forms and products.
     """
     words = {}
     for d in range(d_max + 1):
@@ -387,17 +373,19 @@ def basis_word_map(model: AlgebraModel, sigma: QuiverAutomorphism,
             if u not in sigma.vertices:
                 continue
             source = model.basis_paths(d, u, v)
-            image = model.basis_paths(d, sigma.vertices[u], sigma.vertices[v])
-            if len(source) != len(image):
+            moved = [sigma.apply(b) for b in source]
+            if moved != model.basis_paths(d, sigma.vertices[u], sigma.vertices[v]):
                 return None
-            for b, c in zip(source, image):
-                moved = sigma.apply(b)
-                if moved != c:
-                    raise InternalError(
-                        f"automorphism sends basis word {b} to {moved},"
-                        f" not to the basis word {c} in its place"
-                    )
-                words[b] = c
+            words.update(zip(source, moved))
+    # tables exist below the first vanishing degree, where both sides are 0
+    top = min(d_max, len(model._left) - 1)
+    for b, moved in words.items():
+        if b.length < top:
+            table = model._left[b.length + 1]
+            for a in model.quiver.arrows_by_source[b.target]:
+                image = {words[w]: c for w, c in table[(a, b)].items()}
+                if table[(sigma.arrows[a], moved)] != image:
+                    return None
     return words
 
 
@@ -411,100 +399,18 @@ def _as_terms(x) -> dict:
     raise TypeError(f"cannot interpret {type(x).__name__} as an algebra element")
 
 
-# -- polynomial matrices over the integers (Hilbert / Betti series) ----
-
-
-class PolyMatrix:
-    """Square matrix of integer polynomials truncated past a fixed degree."""
-
-    def __init__(self, labels, cutoff: int, coeffs=None):
-        self.labels = tuple(labels)
-        self.cutoff = cutoff
-        self.coeffs = {}  # (u, v) -> list of ints, len cutoff+1
-        for key, poly in (coeffs or {}).items():
-            poly = list(poly)[: cutoff + 1]
-            poly += [0] * (cutoff + 1 - len(poly))
-            if any(poly):
-                self.coeffs[key] = poly
-
-    def entry(self, u, v) -> list:
-        return list(self.coeffs.get((u, v), [0] * (self.cutoff + 1)))
-
-    @classmethod
-    def identity(cls, labels, cutoff: int) -> "PolyMatrix":
-        coeffs = {(u, u): [1] + [0] * cutoff for u in labels}
-        return cls(labels, cutoff, coeffs)
-
-    def shape(self) -> str:
-        return f"labels {list(self.labels)} cutoff {self.cutoff}"
-
-    def add_term(self, u, v, degree: int, value: int) -> None:
-        if degree > self.cutoff or not value:
-            return
-        poly = self.coeffs.setdefault((u, v), [0] * (self.cutoff + 1))
-        poly[degree] += value
-        if not any(poly):
-            del self.coeffs[(u, v)]
-
-    def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.labels != other.labels or self.cutoff != other.cutoff:
-            raise ValueError(
-                f"cannot multiply a {self.shape()} matrix by a {other.shape()} matrix"
-            )
-        cutoff = self.cutoff
-        out = PolyMatrix(self.labels, cutoff)
-        lefts = {}
-        for (u, w), poly in self.coeffs.items():
-            lefts.setdefault(u, []).append((w, poly))
-        rights = {}
-        for (w, v), poly in other.coeffs.items():
-            rights.setdefault(w, []).append((v, poly))
-        for u, row in lefts.items():
-            for w, lpoly in row:
-                for v, rpoly in rights.get(w, ()):
-                    target = out.coeffs.setdefault((u, v), [0] * (cutoff + 1))
-                    for i, a in enumerate(lpoly):
-                        if not a:
-                            continue
-                        for j in range(0, cutoff + 1 - i):
-                            b = rpoly[j]
-                            if b:
-                                target[i + j] += a * b
-        out.coeffs = {k: p for k, p in out.coeffs.items() if any(p)}
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (
-            self.labels == other.labels
-            and self.cutoff == other.cutoff
-            and self.coeffs == other.coeffs
-        )
-
-    def first_difference(self, other: "PolyMatrix"):
-        """(u, v, degree, got, expected) for the first mismatch, or None."""
-        for u in self.labels:
-            for v in self.labels:
-                a = self.entry(u, v)
-                b = other.entry(u, v)
-                for d in range(self.cutoff + 1):
-                    if a[d] != b[d]:
-                        return (u, v, d, a[d], b[d])
-        return None
-
-
-def hilbert_matrix(m: AlgebraModel, cutoff: int) -> PolyMatrix:
-    """Entry (u, v) counts the degree-d basis classes of paths u -> v,
-    for d <= cutoff."""
+def hilbert_matrix(m: AlgebraModel, cutoff: int) -> dict:
+    """(u, v) -> the dimensions of the degree-d basis blocks u -> v for
+    d <= cutoff, over the pairs with a nonzero entry, in vertex order."""
     if cutoff > m.max_degree:
         raise ValueError(
             f"cannot truncate a Hilbert matrix on {list(m.quiver.vertices)} with window "
             f"{m.max_degree} at cutoff {cutoff}: the cutoff is past the window"
         )
-    coeffs = {
-        (u, v): [m.dim(d, u, v) for d in range(cutoff + 1)]
-        for u in m.quiver.vertices
-        for v in m.quiver.vertices
-    }
-    return PolyMatrix(m.quiver.vertices, cutoff, coeffs)
+    out = {}
+    for u in m.quiver.vertices:
+        for v in m.quiver.vertices:
+            dims = [m.dim(d, u, v) for d in range(cutoff + 1)]
+            if any(dims):
+                out[(u, v)] = dims
+    return out

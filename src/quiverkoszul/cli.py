@@ -143,10 +143,9 @@ def _dims_section(model: AlgebraModel) -> list:
 
 
 def _hilbert_section(model: AlgebraModel) -> list:
-    hilbert = hilbert_matrix(model, model.max_degree)
     return [
         {"from": u, "to": v, "coefficients": poly}
-        for (u, v), poly in hilbert.coeffs.items()
+        for (u, v), poly in hilbert_matrix(model, model.max_degree).items()
     ]
 
 

@@ -88,6 +88,16 @@ def is_homogeneous_grading(p: Presentation, group: FiniteGroup, weights: dict) -
     return GradingReport(not failures, tuple(failures))
 
 
+def homogeneous_weights(p: Presentation, group: FiniteGroup, weights: dict) -> dict:
+    """The weights as an arrow label -> group element table, after checking
+    that they grade every relation homogeneously."""
+    table = _check_weights(p, group, weights)
+    report = is_homogeneous_grading(p, group, table)
+    if not report.homogeneous:
+        raise InhomogeneousGradingError(report)
+    return table
+
+
 def sheet_label(base: str, g: str) -> str:
     return f"{base}{SHEET_SEPARATOR}{g}"
 
@@ -119,10 +129,7 @@ def build_covering(p: Presentation, group: FiniteGroup, weights: dict) -> Presen
     labelled ``base|g``; relations lift once per start sheet.  Requires
     every relation to be weight-homogeneous.
     """
-    table = _check_weights(p, group, weights)
-    report = is_homogeneous_grading(p, group, table)
-    if not report.homogeneous:
-        raise InhomogeneousGradingError(report)
+    table = homogeneous_weights(p, group, weights)
     q = p.quiver
     vertices = [sheet_label(v, g) for v in q.vertices for g in group.elements]
     arrows = [

@@ -19,14 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import (
-    AlgebraModel,
-    InternalError,
-    PolyMatrix,
-    basis_word_map,
-    hilbert_matrix,
-    ideal_breaker,
-)
+from .algebra import AlgebraModel, InternalError, hilbert_matrix, transport_word_map
 from .covering import build_covering
 from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO, as_scalar
 from .quiver import Path, rooted_isomorphism, trivial_path
@@ -175,7 +168,7 @@ class SimpleResolution:
     def relabelled(self, sigma, words: dict) -> "SimpleResolution":
         """The resolution of sigma(vertex) read off this one: generator
         vertices and differential words moved by sigma, with ``words`` its
-        ``basis_word_map``.  sigma is an isomorphism from the part of the
+        ``transport_word_map``.  sigma is an isomorphism from the part of the
         algebra reached from vertex onto the part reached from its image,
         which is all either resolution reads, so the image is again a
         minimal resolution."""
@@ -264,10 +257,9 @@ def resolve(model: AlgebraModel, i_max: int, d_max: int | None = None) -> Resolu
     Resolving S_v reads only the part of the algebra on the vertices reached
     from v.  After resolving S_v, each unresolved simple S_t whose part is
     isomorphic to v's gets v's resolution relabelled instead: the
-    ``rooted_isomorphism`` from v to t must send no relation out of the ideal
-    (``ideal_breaker``) and pair basis blocks of equal size
-    (``basis_word_map``).  A covering's deck group moves simples this way,
-    even when the covering falls apart into pieces.
+    ``rooted_isomorphism`` from v to t must carry the model on v's part onto
+    the model on t's (``transport_word_map``).  A covering's deck group
+    moves simples this way, even when the covering falls apart into pieces.
     """
     if d_max is None:
         d_max = model.max_degree
@@ -282,9 +274,9 @@ def resolve(model: AlgebraModel, i_max: int, d_max: int | None = None) -> Resolu
             if t in simples:
                 continue
             sigma = rooted_isomorphism(q, v, t)
-            if sigma is None or ideal_breaker(model, sigma) is not None:
+            if sigma is None:
                 continue
-            words = basis_word_map(model, sigma, d_max)
+            words = transport_word_map(model, sigma, d_max)
             if words is not None:
                 simples[t] = res.relabelled(sigma, words)
                 transported.add(t)
@@ -562,7 +554,8 @@ def hilbert_euler_check(model: AlgebraModel, report: ResolutionReport, cutoff: i
     Valid through min(degree bound, homological bound): beyond that steps
     whose contribution would matter are missing.  A cutoff below 0 would
     compare two empty truncations; both raise ValueError.  Returns
-    (ok, witness) with the witness naming the first differing matrix entry.
+    (ok, witness) with the witness (u, v, d, got, want) at the first entry
+    and degree, in label order, where the product is not the identity.
     """
     limit = min(report.d_max, report.i_max)
     if cutoff < 0:
@@ -572,14 +565,30 @@ def hilbert_euler_check(model: AlgebraModel, report: ResolutionReport, cutoff: i
             f"cutoff {cutoff} exceeds the certified window {limit}"
         )
     labels = model.quiver.vertices
-    euler = PolyMatrix(labels, cutoff)
+    # euler[u][w]: degree d -> the sum over i of (-1)^i β(u, i, d, w)
+    euler = {u: {} for u in labels}
     for (u, i, d, w), count in report.betti.items():
         if d <= cutoff:
-            euler.add_term(u, w, d, count if i % 2 == 0 else -count)
-    hm = hilbert_matrix(model, cutoff)
-    product = euler.matmul(hm)
-    witness = product.first_difference(PolyMatrix.identity(labels, cutoff))
-    return witness is None, witness
+            terms = euler[u].setdefault(w, {})
+            terms[d] = terms.get(d, 0) + (count if i % 2 == 0 else -count)
+    hilbert_rows = {}
+    for (w, v), dims in hilbert_matrix(model, cutoff).items():
+        hilbert_rows.setdefault(w, []).append((v, dims))
+    zero = [0] * (cutoff + 1)
+    for u in labels:
+        row = {}
+        for w, terms in euler[u].items():
+            for v, dims in hilbert_rows.get(w, ()):
+                entry = row.setdefault(v, list(zero))
+                for d, x in terms.items():
+                    for k in range(cutoff + 1 - d):
+                        entry[d + k] += x * dims[k]
+        for v in labels:
+            for d, got in enumerate(row.get(v, zero)):
+                want = int(u == v and d == 0)
+                if got != want:
+                    return False, (u, v, d, got, want)
+    return True, None
 
 
 def koszul_duality_dim_check(model: AlgebraModel, dual_model: AlgebraModel,

@@ -15,9 +15,8 @@ wherever they can.
 
 from __future__ import annotations
 
-from .algebra import AlgebraModel, ideal_breaker
-from .covering import path_weight, is_homogeneous_grading, split_sheet, _check_weights
-from .covering import InhomogeneousGradingError
+from .algebra import AlgebraModel
+from .covering import homogeneous_weights, path_weight, split_sheet
 from .groups import FiniteGroup, GroupAction
 from .linalg import ONE, ZERO, as_scalar, kernel_basis_sparse, vec_axpy
 from .quiver import Arrow, Path
@@ -139,11 +138,7 @@ def smash_product(m: AlgebraModel, group: FiniteGroup, weights: dict) -> Structu
     the unit is sum over g of 1#p_g.  Label (b_i, g) has index
     i·|G| + group.index(g).
     """
-    p = m.presentation
-    table_w = _check_weights(p, group, weights)
-    report = is_homogeneous_grading(p, group, table_w)
-    if not report.homogeneous:
-        raise InhomogeneousGradingError(report)
+    table_w = homogeneous_weights(m.presentation, group, weights)
     base = algebra_to_structure_constants(m)
     n = group.order
     weight_of = [path_weight(group, table_w, b) for b in base.labels]
@@ -177,11 +172,11 @@ def skew_group_algebra(m: AlgebraModel, action: GroupAction) -> StructureConstan
             )
     sigmas = [action.automorphism(q, g) for g in group.elements]
     for g, sigma in zip(group.elements, sigmas):
-        r = ideal_breaker(m, sigma)
-        if r is not None:
-            raise ValueError(
-                f"action of {g!r} does not preserve the ideal (relation {r})"
-            )
+        for r in m.presentation.relations:
+            if m.normal_form({sigma.apply(p): c for p, c in r.items()}):
+                raise ValueError(
+                    f"action of {g!r} does not preserve the ideal (relation {r})"
+                )
     base = algebra_to_structure_constants(m)
     n = group.order
     # (g, v) -> [(j, g(b_j))] in basis order, for each nonzero g(b_j) with a

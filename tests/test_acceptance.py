@@ -14,7 +14,7 @@ from math import comb
 
 import pytest
 
-from quiverkoszul.algebra import AlgebraModel, PolyMatrix, hilbert_matrix
+from quiverkoszul.algebra import AlgebraModel, hilbert_matrix
 from quiverkoszul.cli import main
 from quiverkoszul.corpus import (
     build_corpus,
@@ -221,16 +221,15 @@ def test_criterion_08_euler_identity_across_the_corpus():
         # the two-vertex single-arrow case written out in closed form
         pa = path_algebra(parse_quiver_spec("line:2"))
         model, report = resolved("path_algebra(line:2)", pa, 5, 5)
-        labels = model.quiver.vertices
-        euler = PolyMatrix(labels, 5)
-        for (u, i, d, w), count in report.betti.items():
-            euler.add_term(u, w, d, count if i % 2 == 0 else -count)
-        expected = PolyMatrix.identity(labels, 5)
-        expected.add_term("1", "2", 1, -1)
-        assert euler == expected  # the resolved Betti data is I - t*E12
-        hm = hilbert_matrix(model, 5)
-        assert hm.entry("1", "2")[1] == 1 and hm.entry("1", "1")[0] == 1
-        assert euler.matmul(hm) == PolyMatrix.identity(labels, 5)
+        # the resolved Betti data is I - t*E12: 0 -> P(2)[-1] -> P(1) -> S(1)
+        # and S(2) = P(2)
+        assert report.betti == {
+            ("1", 0, 0, "1"): 1, ("1", 1, 1, "2"): 1, ("2", 0, 0, "2"): 1}
+        one, t = [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]
+        assert hilbert_matrix(model, 5) == {
+            ("1", "1"): one, ("1", "2"): t, ("2", "2"): one}
+        # (I - t*E12)·H: row 1 is (1, t) - t·(0, 1) = (1, 0), row 2 is (0, 1)
+        assert hilbert_euler_check(model, report, 5) == (True, None)
 
 
 def test_criterion_09_ready_made_coverings_equal_constructed_ones():

@@ -7,7 +7,6 @@ from quiverkoszul.algebra import (
     AlgebraModel,
     DegreeOverflowError,
     InternalError,
-    PolyMatrix,
     Presentation,
     hilbert_matrix,
 )
@@ -439,73 +438,20 @@ def test_multiply_general_combinations(ext2):
     assert nf == {}
 
 
-class TestPolyMatrix:
-    def test_identity_times_anything(self):
-        labels = ("u", "v")
-        ident = PolyMatrix.identity(labels, 3)
-        m = PolyMatrix(labels, 3)
-        m.add_term("u", "v", 1, 2)
-        m.add_term("v", "v", 2, -1)
-        assert ident.matmul(m).first_difference(m) is None
-
-    def test_matmul_composes_degrees(self):
-        labels = ("u",)
-        a = PolyMatrix(labels, 4)
-        a.add_term("u", "u", 1, 1)
-        b = PolyMatrix(labels, 4)
-        b.add_term("u", "u", 2, 3)
-        c = a.matmul(b)
-        assert c.entry("u", "u")[3] == 3
-        assert c.entry("u", "u")[2] == 0
-
-    def test_truncation_drops_overflow(self):
-        labels = ("u",)
-        a = PolyMatrix(labels, 2)
-        a.add_term("u", "u", 2, 1)
-        b = PolyMatrix(labels, 2)
-        b.add_term("u", "u", 1, 1)
-        c = a.matmul(b)
-        assert c.entry("u", "u") == [0, 0, 0]
-
-    def test_first_difference_reports_location(self):
-        labels = ("u",)
-        a = PolyMatrix(labels, 2)
-        b = PolyMatrix(labels, 2)
-        b.add_term("u", "u", 2, 5)
-        diff = a.first_difference(b)
-        assert diff is not None
-
-    @pytest.mark.parametrize("labels,cutoff", [(("u", "v"), 2), (("u",), 3)])
-    def test_matmul_rejects_a_shape_mismatch(self, labels, cutoff):
-        # a raise, not an assert: python -O must not let it through
-        a = PolyMatrix(("u",), 2)
-        b = PolyMatrix(labels, cutoff)
-        with pytest.raises(ValueError) as err:
-            a.matmul(b)
-        message = str(err.value)
-        assert "labels ['u'] cutoff 2" in message
-        assert f"labels {list(labels)} cutoff {cutoff}" in message
-
-
 def test_hilbert_matrix_entries():
     m = AlgebraModel(exterior(2), 3)
-    poly = hilbert_matrix(m, 3)
-    assert poly.entry("1", "1")[0] == 1
-    assert poly.entry("1", "1")[1] == 2
-    assert poly.entry("1", "1")[2] == 1
-    assert poly.entry("1", "1")[3] == 0
+    assert hilbert_matrix(m, 3) == {("1", "1"): [1, 2, 1, 0]}
 
 
 def test_hilbert_matrix_rejects_a_cutoff_past_the_window():
     m = AlgebraModel(exterior(2), 3)
-    assert hilbert_matrix(m, 3).cutoff == 3
+    assert hilbert_matrix(m, 3)[("1", "1")] == [1, 2, 1, 0]
     with pytest.raises(ValueError, match="window 3 at cutoff 4"):
         hilbert_matrix(m, 4)
 
 
 def test_hilbert_matrix_line_quiver():
     m = AlgebraModel(path_algebra(parse_quiver_spec("line:2")), 2)
-    poly = hilbert_matrix(m, 2)
-    assert poly.entry("1", "1")[0] == 1
-    assert poly.entry("1", "2")[1] == 1
-    assert poly.entry("2", "1")[1] == 0
+    # the zero entry (2, 1) is left out
+    assert hilbert_matrix(m, 2) == {
+        ("1", "1"): [1, 0, 0], ("1", "2"): [0, 1, 0], ("2", "2"): [1, 0, 0]}

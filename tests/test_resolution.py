@@ -11,8 +11,7 @@ from quiverkoszul.algebra import (
     AlgebraModel,
     InternalError,
     Presentation,
-    basis_word_map,
-    ideal_breaker,
+    transport_word_map,
 )
 from quiverkoszul.cli import main
 from quiverkoszul.corpus import (
@@ -188,6 +187,16 @@ class TestHilbertEuler:
         report = resolve(model, 3, 3)
         ok, witness = hilbert_euler_check(model, report, 3)
         assert ok and witness is None
+
+    def test_extra_betti_count_names_the_first_wrong_entry(self):
+        model = AlgebraModel(path_algebra(parse_quiver_spec("line:2")), 3)
+        report = resolve(model, 3, 3)
+        # a step-1 generator of S(2) in degree 2 at vertex 1 puts -t^2 at
+        # (2, 1) of the alternating Betti matrix; times the Hilbert row of
+        # vertex 1 (1 at (1, 1), t at (1, 2)) it gives -t^2 at (2, 1) and
+        # -t^3 at (2, 2), and (2, 1) comes first in label order
+        report.betti[("2", 1, 2, "1")] = 1
+        assert hilbert_euler_check(model, report, 3) == (False, ("2", "1", 2, -1, 0))
 
     def test_cutoff_beyond_window_rejected(self, ext2_report):
         with pytest.raises(ValueError):
@@ -506,6 +515,18 @@ def _bundle_image(ext, step, vec):
     return out
 
 
+def _assert_transported_square_to_zero(report):
+    for u in report.transported:
+        diffs = report.per_simple[u].diffs
+        for i in range(2, report.i_max + 1):
+            for entry in diffs[i]:
+                dd = {}
+                for (l, b), c in entry.items():
+                    for key, cm in _diff_image(report.model, diffs[i - 1][l], b).items():
+                        dd[key] = dd.get(key, ZERO) + c * cm
+                assert not any(dd.values())
+
+
 @pytest.mark.parametrize("name", sorted(_orbit_covers()))
 def test_orbit_transported_resolutions_are_exact(name):
     p, i_max, d_max = _orbit_covers()[name]
@@ -513,15 +534,7 @@ def test_orbit_transported_resolutions_are_exact(name):
     report = resolve(model, i_max, d_max)
     # the deck group moves the simples, so some are relabelled
     assert len(report.transported) > 0
-    for u in report.transported:
-        diffs = report.per_simple[u].diffs
-        for i in range(2, i_max + 1):
-            for entry in diffs[i]:
-                dd = {}
-                for (l, b), c in entry.items():
-                    for key, cm in _diff_image(model, diffs[i - 1][l], b).items():
-                        dd[key] = dd.get(key, ZERO) + c * cm
-                assert not any(dd.values())
+    _assert_transported_square_to_zero(report)
     # ker d_s lies in im d_{s+1} on every block of the bundle, and the
     # augmentation's kernel (the radical of P_0) in im d_1
     ext = ExtAlgebra(report)
@@ -618,8 +631,7 @@ def test_orbit_rooted_isomorphisms_restrict_every_deck_map(name):
             assert sigma.vertices == {x: deck.vertices[x] for x in reached}
             assert sigma.arrows == {
                 a: b for a, b in deck.arrows.items() if a.source in reached}
-            assert ideal_breaker(model, sigma) is None
-            assert basis_word_map(model, sigma, d_max) is not None
+            assert transport_word_map(model, sigma, d_max) is not None
 
 
 def _forced_arrow_map(q, vmap):
@@ -709,9 +721,7 @@ def test_orbit_leaf_swap_reorders_the_centre_and_is_rejected():
     # a quiver automorphism that keeps the ideal, but a1*, a2* leave the
     # centre in the other order, so lex order and the basis are not kept
     model = AlgebraModel(p, 4)
-    assert ideal_breaker(model, swap) is None
-    with pytest.raises(InternalError, match="automorphism sends basis word"):
-        basis_word_map(model, swap, 4)
+    assert transport_word_map(model, swap, 4) is None
     # the rooted map from l1 sends the centre's arrows to themselves, which
     # sends l1 to both l2 and l1
     assert rooted_isomorphism(q, "l1", "l2") is None
@@ -728,8 +738,8 @@ def test_orbit_swap_that_breaks_the_ideal_is_rejected():
     assert identity.vertices == {"1": "1", "2": "2"}
     assert swap.vertices == {"1": "2", "2": "1"}
     model = AlgebraModel(p, 4)
-    assert ideal_breaker(model, identity) is None
-    assert ideal_breaker(model, swap) == p.relations[0]
+    assert transport_word_map(model, identity, 4) is not None
+    assert transport_word_map(model, swap, 4) is None
     report = resolve(model, 3, 4)
     assert report.transported == frozenset()
     assert report.betti == _direct_betti(model, 3, 4)
@@ -741,14 +751,13 @@ def test_orbit_swap_that_breaks_the_ideal_is_rejected():
 def test_orbit_counterexample_one_way_ideal_check(order, capsys, tmp_path):
     # a loop x at 1 and a loop y at 2 with the single relation y∘y: the map
     # 1 -> 2 keeps the (empty) set of relations starting at 1, yet x∘x is a
-    # basis word and y∘y is not, so A·e1 and A·e2 differ
+    # basis word and y∘y is not, so the degree-2 blocks differ
     q = Quiver(list(order), [("x", "1", "1"), ("y", "2", "2")])
     p = Presentation(q, [q.path(["y", "y"])])
     model = AlgebraModel(p, 4)
     forward = rooted_isomorphism(q, "1", "2")
-    assert ideal_breaker(model, forward) is None
-    assert basis_word_map(model, forward, 4) is None
-    assert ideal_breaker(model, rooted_isomorphism(q, "2", "1")) == p.relations[0]
+    assert transport_word_map(model, forward, 4) is None
+    assert transport_word_map(model, rooted_isomorphism(q, "2", "1"), 4) is None
     report = resolve(model, 3, 4)
     assert report.transported == frozenset()
     assert report.betti == _direct_betti(model, 3, 4)
@@ -757,6 +766,63 @@ def test_orbit_counterexample_one_way_ideal_check(order, capsys, tmp_path):
     assert main(["analyze", str(doc)]) == 0
     sizes = json.loads(capsys.readouterr().out)["timing"]["sizes"]
     assert (sizes["simples_resolved"], sizes["simples_transported"]) == (2, 0)
+
+
+def test_orbit_equal_tips_with_different_normal_forms_are_not_transported():
+    # loops a, b at 1 with a∘a - b∘b and loops c, d at 2 with c∘c + 2·d∘d:
+    # the map 1 -> 2 sends every basis block word for word onto its image,
+    # but NF(a∘a) = b∘b goes to d∘d while NF(c∘c) = -2·d∘d
+    q = Quiver(["1", "2"], [("a", "1", "1"), ("b", "1", "1"),
+                            ("c", "2", "2"), ("d", "2", "2")])
+    p = Presentation(q, [{q.path(["a", "a"]): 1, q.path(["b", "b"]): -1},
+                         {q.path(["c", "c"]): 1, q.path(["d", "d"]): 2}])
+    model = AlgebraModel(p, 4)
+    sigma = rooted_isomorphism(q, "1", "2")
+    for d in range(5):
+        assert ([sigma.apply(b) for b in model.basis_paths(d, "1", "1")]
+                == model.basis_paths(d, "2", "2"))
+    assert transport_word_map(model, sigma, 4) is None
+    report = resolve(model, 3, 4)
+    assert report.transported == frozenset()
+    assert report.betti == _direct_betti(model, 3, 4)
+
+
+def _with_copy(p, rng=None):
+    """p side by side with a copy whose labels end in a prime; given rng,
+    one relation of the copy is dropped or has a coefficient changed."""
+    q = p.quiver
+    union = Quiver(
+        list(q.vertices) + [v + "'" for v in q.vertices],
+        [(a.label, a.source, a.target) for a in q.arrows]
+        + [(a.label + "'", a.source + "'", a.target + "'") for a in q.arrows],
+    )
+    copied = [
+        {union.path([x + "'" for x in path.labels_first_applied()]): c
+         for path, c in r.items()}
+        for r in p.relations
+    ]
+    if rng is not None and copied:
+        k = rng.randrange(len(copied))
+        if rng.random() < 0.5:
+            del copied[k]
+        else:
+            path = rng.choice(list(copied[k]))
+            copied[k][path] += 1 if copied[k][path] != -1 else 2
+    return Presentation(union, list(p.relations) + copied)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_orbit_copies_transport_and_perturbed_copies_resolve_alike(seed):
+    rng = random.Random(1300 + seed)
+    p = random_presentation(rng)
+    model = AlgebraModel(_with_copy(p), 4)
+    report = resolve(model, 3, 4)
+    assert {v + "'" for v in p.quiver.vertices} <= report.transported
+    assert report.betti == _direct_betti(model, 3, 4)
+    model = AlgebraModel(_with_copy(p, rng), 4)
+    report = resolve(model, 3, 4)
+    assert report.betti == _direct_betti(model, 3, 4)
+    _assert_transported_square_to_zero(report)
 
 
 # -- the one-loop resolution against the two-pass reference --------------------
