@@ -356,19 +356,20 @@ class AlgebraModel:
         return out
 
 
-def transport_word_map(model: AlgebraModel, sigma: QuiverAutomorphism,
-                       d_max: int) -> dict | None:
-    """σ on the basis words of degree <= d_max that start where σ is
-    defined, or None unless σ carries the model there onto the model on its
-    image: each basis block's word list, word for word and in order, onto
-    the image block's list, and each left table entry NF(a∘b) onto
-    NF(σa∘σb).
+def transport_word_map(model: AlgebraModel, sigma: QuiverAutomorphism) -> dict | None:
+    """σ on the model's basis words that start where σ is defined, or None
+    unless σ carries the model there onto the model on its image: each
+    basis block's word list, word for word and in order, onto the image
+    block's list, and each left table entry NF(a∘b) onto NF(σa∘σb).
 
     Together these make σ an isomorphism of the truncated models, so it
-    keeps basis order, normal forms and products.
+    keeps basis order, normal forms and products.  On the order-keeping maps
+    of ``rooted_isomorphism``, pairing block words by position accepted the
+    same maps in every case tried; a map that reorders arrows can pass the
+    tables so paired while sending a basis word off the basis.
     """
     words = {}
-    for d in range(d_max + 1):
+    for d in range(model.max_degree + 1):
         for u, v in model.blocks(d):
             if u not in sigma.vertices:
                 continue
@@ -378,7 +379,7 @@ def transport_word_map(model: AlgebraModel, sigma: QuiverAutomorphism,
                 return None
             words.update(zip(source, moved))
     # tables exist below the first vanishing degree, where both sides are 0
-    top = min(d_max, len(model._left) - 1)
+    top = len(model._left) - 1
     for b, moved in words.items():
         if b.length < top:
             table = model._left[b.length + 1]
@@ -402,6 +403,8 @@ def _as_terms(x) -> dict:
 def hilbert_matrix(m: AlgebraModel, cutoff: int) -> dict:
     """(u, v) -> the dimensions of the degree-d basis blocks u -> v for
     d <= cutoff, over the pairs with a nonzero entry, in vertex order."""
+    if cutoff < 0:
+        raise ValueError(f"cutoff {cutoff} is negative")
     if cutoff > m.max_degree:
         raise ValueError(
             f"cannot truncate a Hilbert matrix on {list(m.quiver.vertices)} with window "

@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 
 from .algebra import AlgebraModel, InternalError, Presentation, hilbert_matrix
-from .corpus import CORPUS, CorpusError, build_corpus
+from .corpus import CORPUS, build_corpus
 from .covering import build_covering
 from .duality import dual_presentation
 from .groups import FiniteGroup
@@ -182,27 +182,27 @@ def _generation_section(generation) -> dict:
 
 
 def _resolved(doc, args, sizes: dict):
-    """The document's algebra model over the window, and its resolution;
-    the resolution's sizes go into ``sizes``."""
+    """The resolution of the document's algebra over the window, which holds
+    its model; the resolution's sizes go into ``sizes``."""
     model = AlgebraModel(doc.presentation, args.max_degree)
-    report = resolve(model, args.max_homological, args.max_degree)
+    report = resolve(model, args.max_homological)
     sizes.update(resolution_sizes(report))
-    return model, report
+    return report
 
 
 def _run_analyze(args) -> int:
     started = time.perf_counter()
     doc = _read_document(args.file)
     sizes = {}
-    model, report = _resolved(doc, args, sizes)
+    report = _resolved(doc, args, sizes)
     generation = generation_check(ExtAlgebra(report))
-    cutoff = min(args.max_degree, args.max_homological)
-    euler_ok, euler_witness = hilbert_euler_check(model, report, cutoff)
+    cutoff = min(report.d_max, report.i_max)
+    euler_ok, euler_witness = hilbert_euler_check(report, cutoff)
     canonical = {
         "max_degree": args.max_degree,
         "max_homological": args.max_homological,
-        "dims": _dims_section(model),
-        "hilbert": _hilbert_section(model),
+        "dims": _dims_section(report.model),
+        "hilbert": _hilbert_section(report.model),
         **_koszul_section(report),
         "generation": _generation_section(generation),
         "euler_identity": {
@@ -238,13 +238,13 @@ def _run_cover(args) -> int:
 
 
 def _check_koszul(doc, args, sizes):
-    _, report = _resolved(doc, args, sizes)
+    report = _resolved(doc, args, sizes)
     details = _koszul_section(report)
     return details["verdict"]["status"] == KOSZUL_TO_BOUND, details
 
 
 def _check_generation(doc, args, sizes):
-    _, report = _resolved(doc, args, sizes)
+    report = _resolved(doc, args, sizes)
     generation = generation_check(ExtAlgebra(report))
     details = {
         **_generation_section(generation),
@@ -257,11 +257,9 @@ def _check_generation(doc, args, sizes):
 
 
 def _check_hilbert_euler(doc, args, sizes):
-    cutoff = args.cutoff
-    if cutoff is None:
-        cutoff = min(args.max_degree, args.max_homological)
-    model, report = _resolved(doc, args, sizes)
-    ok, witness = hilbert_euler_check(model, report, cutoff)
+    report = _resolved(doc, args, sizes)
+    cutoff = min(report.d_max, report.i_max) if args.cutoff is None else args.cutoff
+    ok, witness = hilbert_euler_check(report, cutoff)
     return ok, {"cutoff": cutoff, "witness": _plain(witness)}
 
 
@@ -334,9 +332,9 @@ def _check_radical_smash(doc, args, sizes):
 def _check_duality_dims(doc, args, sizes):
     # a presentation with no quadratic dual is rejected before any resolving
     dual = dual_presentation(doc.presentation)
-    model, report = _resolved(doc, args, sizes)
+    report = _resolved(doc, args, sizes)
     dual_model = AlgebraModel(dual, args.max_degree)
-    ok, witness = koszul_duality_dim_check(model, dual_model, report)
+    ok, witness = koszul_duality_dim_check(dual_model, report)
     return ok, {"witness": _plain(witness)}
 
 

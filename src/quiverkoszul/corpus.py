@@ -302,44 +302,38 @@ def _int_args(text: str, arity: int, signature: str) -> list:
     return [int(p) for p in parts]
 
 
-CORPUS = {
-    "exterior": "m",
-    "example1": "m,n",
-    "example2": "m,l,n",
-    "example3": "n",
-    "example4": "n",
-    "preprojective": "tree spec (line:N | star:N)",
-    "trivial_extension_dual": "tree spec (line:N | star:N)",
-    "path_algebra": "quiver spec (line:N | star:N | loops:M)",
-    "radical_square_zero": "quiver spec (line:N | star:N | loops:M)",
-    "loop_cubed": "",
+_TREE = "tree spec (line:N | star:N)"
+_QUIVER = "quiver spec (line:N | star:N | loops:M)"
+
+# name -> (argument signature, family); the signature says how to read the
+# argument text: a quiver spec, no argument, or comma-separated integers
+_FAMILIES = {
+    "exterior": ("m", exterior),
+    "example1": ("m,n", example1),
+    "example2": ("m,l,n", example2),
+    "example3": ("n", example3),
+    "example4": ("n", example4),
+    "preprojective": (_TREE, preprojective),
+    "trivial_extension_dual": (_TREE, trivial_extension_dual),
+    "path_algebra": (_QUIVER, path_algebra),
+    "radical_square_zero": (_QUIVER, radical_square_zero),
+    "loop_cubed": ("", loop_cubed),
 }
+
+CORPUS = {name: signature for name, (signature, _) in _FAMILIES.items()}
 
 
 def build_corpus(name: str, args: str = "") -> Presentation:
-    if name == "exterior":
-        return exterior(*_int_args(args, 1, CORPUS[name]))
-    if name == "example1":
-        return example1(*_int_args(args, 2, CORPUS[name]))
-    if name == "example2":
-        return example2(*_int_args(args, 3, CORPUS[name]))
-    if name == "example3":
-        return example3(*_int_args(args, 1, CORPUS[name]))
-    if name == "example4":
-        return example4(*_int_args(args, 1, CORPUS[name]))
-    if name == "preprojective":
-        return preprojective(parse_quiver_spec(args))
-    if name == "trivial_extension_dual":
-        return trivial_extension_dual(parse_quiver_spec(args))
-    if name == "path_algebra":
-        return path_algebra(parse_quiver_spec(args))
-    if name == "radical_square_zero":
-        return radical_square_zero(parse_quiver_spec(args))
-    if name == "loop_cubed":
+    if name not in _FAMILIES:
+        raise CorpusError(f"unknown corpus name {name!r}; see corpus list")
+    signature, family = _FAMILIES[name]
+    if signature in (_TREE, _QUIVER):
+        return family(parse_quiver_spec(args))
+    if not signature:
         if args.strip():
-            raise CorpusError("loop_cubed takes no arguments")
-        return loop_cubed()
-    raise CorpusError(f"unknown corpus name {name!r}; see corpus list")
+            raise CorpusError(f"{name} takes no arguments")
+        return family()
+    return family(*_int_args(args, len(signature.split(",")), signature))
 
 
 def corpus_instances() -> list:

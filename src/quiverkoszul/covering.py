@@ -109,8 +109,8 @@ def split_sheet(label: str):
     return base, g
 
 
-def lift_path(p: Presentation, group: FiniteGroup, weights: dict,
-              covering_quiver: Quiver, path: Path, sheet: str) -> Path:
+def lift_path(group: FiniteGroup, weights: dict, covering_quiver: Quiver,
+              path: Path, sheet: str) -> Path:
     """The unique lift of a base path starting on the given sheet."""
     if not path.arrows:
         return trivial_path(sheet_label(path.base, sheet))
@@ -147,7 +147,7 @@ def build_covering(p: Presentation, group: FiniteGroup, weights: dict) -> Presen
         for g in group.elements:
             relations.append(
                 PathCombination(
-                    {lift_path(p, group, table, cov_q, path, g): c for path, c in r.items()}
+                    {lift_path(group, table, cov_q, path, g): c for path, c in r.items()}
                 )
             )
     return Presentation(cov_q, relations)

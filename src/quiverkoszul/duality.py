@@ -11,7 +11,7 @@ For a one-vertex quiver the opposite quiver is identified with the original
 from __future__ import annotations
 
 from .linalg import EchelonSpan, kernel_basis_sparse
-from .quiver import Arrow, Path, PathCombination, Quiver, enumerate_paths, opposite_quiver
+from .quiver import Path, PathCombination, enumerate_paths, opposite_label, opposite_quiver
 from .algebra import Presentation
 
 
@@ -63,8 +63,6 @@ def dual_presentation(p: Presentation) -> Presentation:
             a_op = dual_q.arrow(a.label)
             b_op = dual_q.arrow(b.label)
         else:
-            from .quiver import opposite_label
-
             a_op = dual_q.arrow(opposite_label(a.label))
             b_op = dual_q.arrow(opposite_label(b.label))
         return Path((a_op, b_op))

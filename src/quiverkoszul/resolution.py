@@ -13,6 +13,9 @@ built degreewise per target vertex, and exactness counts each block, so a
 kernel is solved (finite exact linear algebra) only where the arrow images
 fall short of the count.  Every Betti number with internal degree inside the
 window is exact; nothing is claimed past the window.
+
+The degree window is the model's ``max_degree``.  The report of ``resolve``
+holds the model, so the checks downstream read model and window from it.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ def _diff_image(model: AlgebraModel, entry: dict, b: Path) -> dict:
 
 
 class SimpleResolution:
-    """Minimal resolution of one vertex simple, to given step and degree bounds.
+    """Minimal resolution of one vertex simple through step i_max.
 
     ``gens[i]`` lists the step-i generators; ``diffs[i][j]`` maps coordinates
     (previous generator index, basis path) to the coefficient with which they
@@ -88,17 +91,11 @@ class SimpleResolution:
     either kind.
     """
 
-    def __init__(self, model: AlgebraModel, vertex: str, i_max: int, d_max: int):
-        if not (0 <= d_max <= model.max_degree):
-            raise ValueError(
-                f"degree bound {d_max} outside the modelled window 0..{model.max_degree}"
-            )
+    def __init__(self, model: AlgebraModel, vertex: str, i_max: int):
         if i_max < 0:
             raise ValueError("homological bound must be nonnegative")
         self.model = model
         self.vertex = vertex
-        self.i_max = i_max
-        self.d_max = d_max
         self.gens = [[Generator(vertex, 0)]]
         self.diffs = [[]]
         self.kernels_computed = self.kernels_skipped = 0
@@ -108,7 +105,7 @@ class SimpleResolution:
         for i in range(i_max):
             image, omega, prev, blocks = omega, {}, blocks, {}
             gens, diffs = [], []
-            for D in range(1, d_max + 1):
+            for D in range(1, model.max_degree + 1):
                 for w in q.vertices:
                     coords, index = _block_coords(model, self.gens[i], D, w)
                     blocks[(D, w)] = index
@@ -173,7 +170,7 @@ class SimpleResolution:
         which is all either resolution reads, so the image is again a
         minimal resolution."""
         out = object.__new__(SimpleResolution)
-        out.model, out.i_max, out.d_max = self.model, self.i_max, self.d_max
+        out.model = self.model
         out.vertex = sigma.vertices[self.vertex]
         out.gens = [
             [Generator(sigma.vertices[g.vertex], g.degree) for g in step]
@@ -207,11 +204,10 @@ class ResolutionReport:
     another simple's rather than computed.
     """
 
-    def __init__(self, model: AlgebraModel, i_max: int, d_max: int, per_simple: dict,
+    def __init__(self, model: AlgebraModel, i_max: int, per_simple: dict,
                  transported=frozenset()):
         self.model = model
         self.i_max = i_max
-        self.d_max = d_max
         self.simples = model.quiver.vertices
         self.per_simple = per_simple
         self.transported = frozenset(transported)
@@ -221,6 +217,10 @@ class ResolutionReport:
                 for g in gen_list:
                     key = (u, i, g.degree, g.vertex)
                     self.betti[key] = self.betti.get(key, 0) + 1
+
+    @property
+    def d_max(self) -> int:
+        return self.model.max_degree
 
     def betti_total(self, i: int, d: int) -> int:
         return sum(n for (_, ii, dd, _), n in self.betti.items() if ii == i and dd == d)
@@ -251,8 +251,8 @@ class ResolutionReport:
         return [self.ext_total(i) for i in range(self.i_max + 1)]
 
 
-def resolve(model: AlgebraModel, i_max: int, d_max: int | None = None) -> ResolutionReport:
-    """Resolve every vertex simple out to the given bounds.
+def resolve(model: AlgebraModel, i_max: int) -> ResolutionReport:
+    """Resolve every vertex simple through step i_max.
 
     Resolving S_v reads only the part of the algebra on the vertices reached
     from v.  After resolving S_v, each unresolved simple S_t whose part is
@@ -261,27 +261,25 @@ def resolve(model: AlgebraModel, i_max: int, d_max: int | None = None) -> Resolu
     the model on t's (``transport_word_map``).  A covering's deck group
     moves simples this way, even when the covering falls apart into pieces.
     """
-    if d_max is None:
-        d_max = model.max_degree
     q = model.quiver
     simples = {}
     transported = set()
     for v in q.vertices:
         if v in simples:
             continue
-        res = simples[v] = SimpleResolution(model, v, i_max, d_max)
+        res = simples[v] = SimpleResolution(model, v, i_max)
         for t in q.vertices:
             if t in simples:
                 continue
             sigma = rooted_isomorphism(q, v, t)
             if sigma is None:
                 continue
-            words = transport_word_map(model, sigma, d_max)
+            words = transport_word_map(model, sigma)
             if words is not None:
                 simples[t] = res.relabelled(sigma, words)
                 transported.add(t)
     return ResolutionReport(
-        model, i_max, d_max, {v: simples[v] for v in q.vertices}, transported,
+        model, i_max, {v: simples[v] for v in q.vertices}, transported,
     )
 
 
@@ -311,11 +309,6 @@ class ExtElement:
     def is_zero(self) -> bool:
         return not self.values
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtElement):
-            return NotImplemented
-        return self.step == other.step and self.values == other.values
-
 
 class ExtAlgebra:
     """Yoneda cohomology of the semisimple quotient, on the bundled resolution.
@@ -335,7 +328,6 @@ class ExtAlgebra:
         self.report = report
         self.model = report.model
         self.i_max = report.i_max
-        self.d_max = report.d_max
         self.simples = report.simples
         self.gens = []
         self.diffs = []
@@ -474,9 +466,8 @@ class ExtAlgebra:
         return phi
 
     def yoneda_product(self, xi: ExtElement, zeta: ExtElement) -> ExtElement:
-        """Product of two classes; the result sits at the summed step."""
-        if xi.step + zeta.step > self.i_max:
-            raise ValueError("product leaves the homological window")
+        """Product of two classes; the result sits at the summed step (the
+        lift of xi refuses a product past the window)."""
         self._check_support(zeta, "zeta")
         phi = self._lift(xi, zeta.step)
         values = {}
@@ -512,7 +503,7 @@ class GenerationReport:
         )
 
 
-def generation_check(ext: ExtAlgebra, up_to: int | None = None) -> GenerationReport:
+def generation_check(ext: ExtAlgebra) -> GenerationReport:
     """Check the cohomology ring is generated in homological degrees 0 and 1.
 
     For each step i below the bound, products of the step-i basis with the
@@ -525,12 +516,9 @@ def generation_check(ext: ExtAlgebra, up_to: int | None = None) -> GenerationRep
     the arrow parts of the step-(i+1) differential columns are independent,
     which one rank computation per step decides, with no lift.
     """
-    if up_to is not None and up_to < 0:
-        raise ValueError(f"generation bound {up_to} is negative")
-    top = ext.i_max if up_to is None else min(up_to, ext.i_max)
     steps = []
     first_fail = None
-    for i in range(top):
+    for i in range(ext.i_max):
         required = len(ext.gens[i + 1])
         span = EchelonSpan()
         # the span pivots on its smallest key and paths do not order, so each
@@ -545,10 +533,10 @@ def generation_check(ext: ExtAlgebra, up_to: int | None = None) -> GenerationRep
         steps.append((i, achieved, required))
         if achieved != required and first_fail is None:
             first_fail = i
-    return GenerationReport(first_fail is None, top, first_fail, steps)
+    return GenerationReport(first_fail is None, ext.i_max, first_fail, steps)
 
 
-def hilbert_euler_check(model: AlgebraModel, report: ResolutionReport, cutoff: int):
+def hilbert_euler_check(report: ResolutionReport, cutoff: int):
     """Alternating Betti matrix times the Hilbert matrix must be the identity.
 
     Valid through min(degree bound, homological bound): beyond that steps
@@ -558,13 +546,11 @@ def hilbert_euler_check(model: AlgebraModel, report: ResolutionReport, cutoff: i
     and degree, in label order, where the product is not the identity.
     """
     limit = min(report.d_max, report.i_max)
-    if cutoff < 0:
-        raise ValueError(f"cutoff {cutoff} is negative")
     if cutoff > limit:
         raise ValueError(
             f"cutoff {cutoff} exceeds the certified window {limit}"
         )
-    labels = model.quiver.vertices
+    labels = report.simples
     # euler[u][w]: degree d -> the sum over i of (-1)^i β(u, i, d, w)
     euler = {u: {} for u in labels}
     for (u, i, d, w), count in report.betti.items():
@@ -572,7 +558,7 @@ def hilbert_euler_check(model: AlgebraModel, report: ResolutionReport, cutoff: i
             terms = euler[u].setdefault(w, {})
             terms[d] = terms.get(d, 0) + (count if i % 2 == 0 else -count)
     hilbert_rows = {}
-    for (w, v), dims in hilbert_matrix(model, cutoff).items():
+    for (w, v), dims in hilbert_matrix(report.model, cutoff).items():
         hilbert_rows.setdefault(w, []).append((v, dims))
     zero = [0] * (cutoff + 1)
     for u in labels:
@@ -591,8 +577,7 @@ def hilbert_euler_check(model: AlgebraModel, report: ResolutionReport, cutoff: i
     return True, None
 
 
-def koszul_duality_dim_check(model: AlgebraModel, dual_model: AlgebraModel,
-                             report: ResolutionReport):
+def koszul_duality_dim_check(dual_model: AlgebraModel, report: ResolutionReport):
     """Cohomology dimensions must match the quadratic dual's graded dimensions.
 
     Requires a clean linearity verdict first; compares totals step by step
@@ -641,8 +626,8 @@ def theorem_covering_check(presentation, group, weights, i_max: int,
     base_model = AlgebraModel(presentation, d_max)
     cover = build_covering(presentation, group, weights)
     cover_model = AlgebraModel(cover, d_max)
-    base_report = resolve(base_model, i_max, d_max)
-    cover_report = resolve(cover_model, i_max, d_max)
+    base_report = resolve(base_model, i_max)
+    cover_report = resolve(cover_model, i_max)
     bv = base_report.verdict()
     cv = cover_report.verdict()
     mismatches = []

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .algebra import Presentation
 from .groups import FiniteGroup, cyclic_group, dihedral_group, direct_product
-from .quiver import PathCombination, Quiver, QuiverError, RelationError, make_quiver
+from .quiver import PathCombination, QuiverError, RelationError, make_quiver
 
 FORMAT = 1
 

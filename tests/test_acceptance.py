@@ -63,7 +63,7 @@ def resolved(tag, presentation, i_max, d_max):
     key = (tag, i_max, d_max)
     if key not in _reports:
         model = AlgebraModel(presentation, d_max)
-        _reports[key] = (model, resolve(model, i_max, d_max))
+        _reports[key] = (model, resolve(model, i_max))
     return _reports[key]
 
 
@@ -201,7 +201,7 @@ def test_criterion_07_trivial_extension_dual_of_the_four_star():
         assert model.total_dims() == [5, 8, 5, 0, 0]
         assert report.verdict().status == KOSZUL_TO_BOUND
         pp = preprojective(parse_quiver_spec("star:4"))
-        ok, witness = koszul_duality_dim_check(model, AlgebraModel(pp, 4), report)
+        ok, witness = koszul_duality_dim_check(AlgebraModel(pp, 4), report)
         assert ok, witness
         weights = all_one_weights(ted, 2)
         tc = theorem_covering_check(ted, cyclic_group(2), weights, 4, 4)
@@ -216,7 +216,7 @@ def test_criterion_08_euler_identity_across_the_corpus():
     with criterion(8, "Betti-Hilbert Euler identity exact to order 5 on every instance"):
         for name, p in corpus_instances():
             model, report = resolved(name, p, 5, 5)
-            ok, witness = hilbert_euler_check(model, report, 5)
+            ok, witness = hilbert_euler_check(report, 5)
             assert ok, (name, witness)
         # the two-vertex single-arrow case written out in closed form
         pa = path_algebra(parse_quiver_spec("line:2"))
@@ -229,7 +229,7 @@ def test_criterion_08_euler_identity_across_the_corpus():
         assert hilbert_matrix(model, 5) == {
             ("1", "1"): one, ("1", "2"): t, ("2", "2"): one}
         # (I - t*E12)·H: row 1 is (1, t) - t·(0, 1) = (1, 0), row 2 is (0, 1)
-        assert hilbert_euler_check(model, report, 5) == (True, None)
+        assert hilbert_euler_check(report, 5) == (True, None)
 
 
 def test_criterion_09_ready_made_coverings_equal_constructed_ones():

@@ -450,6 +450,13 @@ def test_hilbert_matrix_rejects_a_cutoff_past_the_window():
         hilbert_matrix(m, 4)
 
 
+def test_hilbert_matrix_rejects_a_negative_cutoff():
+    # a truncation below degree 0 has no terms, so it would compare as empty
+    m = AlgebraModel(exterior(2), 3)
+    with pytest.raises(ValueError, match="cutoff -1 is negative"):
+        hilbert_matrix(m, -1)
+
+
 def test_hilbert_matrix_line_quiver():
     m = AlgebraModel(path_algebra(parse_quiver_spec("line:2")), 2)
     # the zero entry (2, 1) is left out

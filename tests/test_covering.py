@@ -102,7 +102,7 @@ def test_lift_path_starts_on_requested_sheet():
     weights = all_one_weights(p, g)
     cov = build_covering(p, g, weights)
     base = p.quiver.path(["a1", "a2"])
-    lifted = lift_path(p, g, weights, cov.quiver, base, "1")
+    lifted = lift_path(g, weights, cov.quiver, base, "1")
     assert lifted.source == "1|1"
     assert lifted.target == "1|1"  # two steps of weight 1 mod 2
     assert [a.label for a in reversed(lifted.arrows)] == ["a1|1", "a2|0"]

@@ -64,20 +64,20 @@ def binom(n, k):
 @pytest.fixture(scope="module")
 def ext2_report():
     model = AlgebraModel(exterior(2), 5)
-    return resolve(model, 5, 5)
+    return resolve(model, 5)
 
 
 @pytest.fixture(scope="module")
 def loop3_report():
     model = AlgebraModel(loop_cubed(), 6)
-    return resolve(model, 4, 6)
+    return resolve(model, 4)
 
 
 class TestExteriorResolution:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_linear_resolution_with_binomial_betti(self, m):
         model = AlgebraModel(exterior(m), 5)
-        report = resolve(model, 5, 5)
+        report = resolve(model, 5)
         verdict = report.verdict()
         assert verdict.status == KOSZUL_TO_BOUND
         for i in range(6):
@@ -117,7 +117,7 @@ class TestLoopCubed:
     def test_covering_inherits_failure(self):
         cov = build_covering(loop_cubed(), cyclic_group(2), {"x": "1"})
         model = AlgebraModel(cov, 6)
-        report = resolve(model, 4, 6)
+        report = resolve(model, 4)
         verdict = report.verdict()
         assert verdict.status == FAILS_AT
         assert verdict.witness == (2, 3)
@@ -125,27 +125,27 @@ class TestLoopCubed:
 
 def test_verdict_unknown_when_degree_window_short():
     model = AlgebraModel(exterior(2), 2)
-    report = resolve(model, 5, 2)
+    report = resolve(model, 5)
     assert report.verdict().status == UNKNOWN_BEYOND_BOUND
 
 
 def test_semisimple_algebra_resolves_immediately():
     model = AlgebraModel(path_algebra(parse_quiver_spec("line:1")), 2)
-    report = resolve(model, 2, 2)
+    report = resolve(model, 2)
     assert report.verdict().status == KOSZUL_TO_BOUND
     assert report.ext_totals() == [1, 0, 0]
 
 
 def test_line2_resolution_stops_after_one_step():
     model = AlgebraModel(path_algebra(parse_quiver_spec("line:2")), 3)
-    report = resolve(model, 3, 3)
+    report = resolve(model, 3)
     assert report.ext_totals() == [2, 1, 0, 0]
     assert report.verdict().status == KOSZUL_TO_BOUND
 
 
 def test_radical_square_zero_two_loops_is_koszul():
     model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:2")), 4)
-    report = resolve(model, 4, 4)
+    report = resolve(model, 4)
     assert report.verdict().status == KOSZUL_TO_BOUND
     # free quadratic growth: 2^i classes at step i
     assert report.ext_totals() == [1, 2, 4, 8, 16]
@@ -166,7 +166,7 @@ def test_each_step_builds_its_block_coordinates_once(monkeypatch):
         {"x1": "1", "x2": "2"},
     )
     monkeypatch.setattr(resolution, "_block_coords", counted)
-    report = resolve(AlgebraModel(cover, 6), 5, 6)
+    report = resolve(AlgebraModel(cover, 6), 5)
     assert report.ext_totals() == [3 * 2 ** i for i in range(6)]
     # the gens lists stay alive in the report, so their ids name the steps
     assert calls and len(calls) == len(set(calls))
@@ -175,56 +175,56 @@ def test_each_step_builds_its_block_coordinates_once(monkeypatch):
 class TestHilbertEuler:
     def test_exterior(self, ext2_report):
         model = ext2_report.model
-        ok, witness = hilbert_euler_check(model, ext2_report, 5)
+        ok, witness = hilbert_euler_check(ext2_report, 5)
         assert ok and witness is None
 
     def test_loop_cubed_holds_despite_non_koszul(self, loop3_report):
-        ok, witness = hilbert_euler_check(loop3_report.model, loop3_report, 4)
+        ok, witness = hilbert_euler_check(loop3_report, 4)
         assert ok and witness is None
 
     def test_a2_identity(self):
         model = AlgebraModel(path_algebra(parse_quiver_spec("line:2")), 3)
-        report = resolve(model, 3, 3)
-        ok, witness = hilbert_euler_check(model, report, 3)
+        report = resolve(model, 3)
+        ok, witness = hilbert_euler_check(report, 3)
         assert ok and witness is None
 
     def test_extra_betti_count_names_the_first_wrong_entry(self):
         model = AlgebraModel(path_algebra(parse_quiver_spec("line:2")), 3)
-        report = resolve(model, 3, 3)
+        report = resolve(model, 3)
         # a step-1 generator of S(2) in degree 2 at vertex 1 puts -t^2 at
         # (2, 1) of the alternating Betti matrix; times the Hilbert row of
         # vertex 1 (1 at (1, 1), t at (1, 2)) it gives -t^2 at (2, 1) and
         # -t^3 at (2, 2), and (2, 1) comes first in label order
         report.betti[("2", 1, 2, "1")] = 1
-        assert hilbert_euler_check(model, report, 3) == (False, ("2", "1", 2, -1, 0))
+        assert hilbert_euler_check(report, 3) == (False, ("2", "1", 2, -1, 0))
 
     def test_cutoff_beyond_window_rejected(self, ext2_report):
         with pytest.raises(ValueError):
-            hilbert_euler_check(ext2_report.model, ext2_report, 6)
+            hilbert_euler_check(ext2_report, 6)
 
     def test_negative_cutoff_rejected(self, ext2_report):
         # truncating to no terms would make both sides empty and "equal"
         with pytest.raises(ValueError, match="cutoff -1"):
-            hilbert_euler_check(ext2_report.model, ext2_report, -1)
+            hilbert_euler_check(ext2_report, -1)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_random_presentations(self, seed):
         model = AlgebraModel(random_presentation(random.Random(seed)), 5)
-        ok, witness = hilbert_euler_check(model, resolve(model, 5, 5), 5)
+        ok, witness = hilbert_euler_check(resolve(model, 5), 5)
         assert ok and witness is None, witness
 
 
 def test_duality_dims_exterior2(ext2_report):
     dual = dual_presentation(exterior(2))
     dual_model = AlgebraModel(dual, 5)
-    ok, witness = koszul_duality_dim_check(ext2_report.model, dual_model, ext2_report)
+    ok, witness = koszul_duality_dim_check(dual_model, ext2_report)
     assert ok and witness is None
 
 
 def test_duality_dims_requires_clean_verdict(loop3_report):
     dual_model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:1")), 4)
     with pytest.raises(ValueError):
-        koszul_duality_dim_check(loop3_report.model, dual_model, loop3_report)
+        koszul_duality_dim_check(dual_model, loop3_report)
 
 
 class TestCoveringTheorem:
@@ -254,7 +254,7 @@ class TestExtAlgebra:
 
     @pytest.mark.parametrize("step", [-1, 4])
     def test_step_outside_the_window_is_a_named_error(self, step):
-        ext = ExtAlgebra(resolve(AlgebraModel(exterior(2), 4), 3, 4))
+        ext = ExtAlgebra(resolve(AlgebraModel(exterior(2), 4), 3))
         assert [ext.ext_dim(i) for i in range(4)] == [1, 2, 3, 4]
         pattern = f"step {step} outside the window 0..3"
         with pytest.raises(ValueError, match=pattern):
@@ -384,7 +384,7 @@ _LIFT_CASES = {
 @pytest.mark.parametrize("name", sorted(_LIFT_CASES))
 def test_lift_matches_scanning_reference(name):
     p, i_max, d_max = _LIFT_CASES[name]()
-    ext = ExtAlgebra(resolve(AlgebraModel(p, d_max), i_max, d_max))
+    ext = ExtAlgebra(resolve(AlgebraModel(p, d_max), i_max))
     compared = 0
     for steps in (1, 2, 3):
         for i in range(ext.i_max - steps + 1):
@@ -400,7 +400,7 @@ def test_lift_matches_scanning_reference(name):
 
 def test_yoneda_associativity_across_steps():
     model = AlgebraModel(_loops2(), 4)
-    ext = ExtAlgebra(resolve(model, 4, 4))
+    ext = ExtAlgebra(resolve(model, 4))
     for x in ext.ext_basis(1):
         for y in ext.ext_basis(2):
             xy = ext.yoneda_product(x, y)
@@ -435,6 +435,13 @@ def test_negative_step_is_a_named_error(ext2_report):
         ext.yoneda_product(y1, ExtElement(-1, {0: 1}))
 
 
+def test_product_past_the_window_is_a_named_error():
+    ext = ExtAlgebra(resolve(AlgebraModel(exterior(2), 4), 4))
+    xi, zeta = ext.ext_basis(3)[:2]
+    with pytest.raises(ValueError, match="leaves the homological window"):
+        ext.yoneda_product(xi, zeta)
+
+
 def test_inexact_lift_is_an_internal_error(monkeypatch, ext2_report):
     # an exact resolution always solves its lifting systems; pretend not
     ext = ExtAlgebra(ext2_report)
@@ -459,7 +466,7 @@ def _generation_steps_by_products(ext):
 
 
 def _assert_generation_is_product_rank(presentation, i_max, d_max):
-    ext = ExtAlgebra(resolve(AlgebraModel(presentation, d_max), i_max, d_max))
+    ext = ExtAlgebra(resolve(AlgebraModel(presentation, d_max), i_max))
     want = _generation_steps_by_products(ext)
     got = generation_check(ext)
     assert got.steps == want
@@ -531,7 +538,7 @@ def _assert_transported_square_to_zero(report):
 def test_orbit_transported_resolutions_are_exact(name):
     p, i_max, d_max = _orbit_covers()[name]
     model = AlgebraModel(p, d_max)
-    report = resolve(model, i_max, d_max)
+    report = resolve(model, i_max)
     # the deck group moves the simples, so some are relabelled
     assert len(report.transported) > 0
     _assert_transported_square_to_zero(report)
@@ -562,10 +569,10 @@ def test_orbit_transported_resolutions_are_exact(name):
     assert checked > 0
 
 
-def _direct_betti(model, i_max, d_max):
+def _direct_betti(model, i_max):
     betti = {}
     for u in model.quiver.vertices:
-        for i, gens in enumerate(SimpleResolution(model, u, i_max, d_max).gens):
+        for i, gens in enumerate(SimpleResolution(model, u, i_max).gens):
             for g in gens:
                 key = (u, i, g.degree, g.vertex)
                 betti[key] = betti.get(key, 0) + 1
@@ -597,8 +604,8 @@ def _orbit_betti_cases():
 @pytest.mark.parametrize("name", sorted(_orbit_betti_cases()))
 def test_orbit_transport_keeps_the_betti_table(name):
     model = AlgebraModel(_orbit_betti_cases()[name], 4)
-    report = resolve(model, 3, 4)
-    assert report.betti == _direct_betti(model, 3, 4)
+    report = resolve(model, 3)
+    assert report.betti == _direct_betti(model, 3)
     for u in report.transported:
         assert report.per_simple[u].vertex == u
     # the deck group moves the simples of every covering
@@ -631,7 +638,7 @@ def test_orbit_rooted_isomorphisms_restrict_every_deck_map(name):
             assert sigma.vertices == {x: deck.vertices[x] for x in reached}
             assert sigma.arrows == {
                 a: b for a, b in deck.arrows.items() if a.source in reached}
-            assert transport_word_map(model, sigma, d_max) is not None
+            assert transport_word_map(model, sigma) is not None
 
 
 def _forced_arrow_map(q, vmap):
@@ -721,11 +728,11 @@ def test_orbit_leaf_swap_reorders_the_centre_and_is_rejected():
     # a quiver automorphism that keeps the ideal, but a1*, a2* leave the
     # centre in the other order, so lex order and the basis are not kept
     model = AlgebraModel(p, 4)
-    assert transport_word_map(model, swap, 4) is None
+    assert transport_word_map(model, swap) is None
     # the rooted map from l1 sends the centre's arrows to themselves, which
     # sends l1 to both l2 and l1
     assert rooted_isomorphism(q, "l1", "l2") is None
-    assert resolve(model, 3, 4).transported == frozenset()
+    assert resolve(model, 3).transported == frozenset()
 
 
 def test_orbit_swap_that_breaks_the_ideal_is_rejected():
@@ -738,11 +745,11 @@ def test_orbit_swap_that_breaks_the_ideal_is_rejected():
     assert identity.vertices == {"1": "1", "2": "2"}
     assert swap.vertices == {"1": "2", "2": "1"}
     model = AlgebraModel(p, 4)
-    assert transport_word_map(model, identity, 4) is not None
-    assert transport_word_map(model, swap, 4) is None
-    report = resolve(model, 3, 4)
+    assert transport_word_map(model, identity) is not None
+    assert transport_word_map(model, swap) is None
+    report = resolve(model, 3)
     assert report.transported == frozenset()
-    assert report.betti == _direct_betti(model, 3, 4)
+    assert report.betti == _direct_betti(model, 3)
     # the two simples really differ: only S(2) has a relation to resolve
     assert report.ext_total(2) == 1
 
@@ -756,11 +763,11 @@ def test_orbit_counterexample_one_way_ideal_check(order, capsys, tmp_path):
     p = Presentation(q, [q.path(["y", "y"])])
     model = AlgebraModel(p, 4)
     forward = rooted_isomorphism(q, "1", "2")
-    assert transport_word_map(model, forward, 4) is None
-    assert transport_word_map(model, rooted_isomorphism(q, "2", "1"), 4) is None
-    report = resolve(model, 3, 4)
+    assert transport_word_map(model, forward) is None
+    assert transport_word_map(model, rooted_isomorphism(q, "2", "1")) is None
+    report = resolve(model, 3)
     assert report.transported == frozenset()
-    assert report.betti == _direct_betti(model, 3, 4)
+    assert report.betti == _direct_betti(model, 3)
     doc = tmp_path / "two_loops.json"
     doc.write_text(serialize_presentation(p))
     assert main(["analyze", str(doc)]) == 0
@@ -781,10 +788,47 @@ def test_orbit_equal_tips_with_different_normal_forms_are_not_transported():
     for d in range(5):
         assert ([sigma.apply(b) for b in model.basis_paths(d, "1", "1")]
                 == model.basis_paths(d, "2", "2"))
-    assert transport_word_map(model, sigma, 4) is None
-    report = resolve(model, 3, 4)
+    assert transport_word_map(model, sigma) is None
+    report = resolve(model, 3)
     assert report.transported == frozenset()
-    assert report.betti == _direct_betti(model, 3, 4)
+    assert report.betti == _direct_betti(model, 3)
+
+
+def _two_commutative_squares():
+    """a2∘a1 - b2∘b1 on 1 -> 2, 3 -> 4 beside d2∘d1 - c2∘c1 on 5 -> 6, 7 -> 8."""
+    q = Quiver([str(v) for v in range(1, 9)], [
+        ("a1", "1", "2"), ("b1", "1", "3"), ("a2", "2", "4"), ("b2", "3", "4"),
+        ("c1", "5", "6"), ("d1", "5", "7"), ("c2", "6", "8"), ("d2", "7", "8")])
+    return Presentation(q, [
+        {q.path(["a1", "a2"]): 1, q.path(["b1", "b2"]): -1},
+        {q.path(["d1", "d2"]): 1, q.path(["c1", "c2"]): -1}])
+
+
+def test_orbit_word_check_refuses_a_map_that_sends_a_basis_word_off_the_basis():
+    # σ: 1, 2, 3, 4 -> 5, 7, 6, 8 with a -> d and b -> c keeps the ideal, and
+    # the left tables match once each block's words are paired by position;
+    # but the basis word b2∘b1 goes to c2∘c1, whose normal form is d2∘d1
+    p = _two_commutative_squares()
+    q = p.quiver
+    model = AlgebraModel(p, 4)
+    path = q.path
+    assert model.basis_paths(2, "1", "4") == [path(["b1", "b2"])]
+    assert model.basis_paths(2, "5", "8") == [path(["d1", "d2"])]
+    sigma = QuiverAutomorphism(
+        {"1": "5", "2": "7", "3": "6", "4": "8"},
+        {q.arrow(a): q.arrow(b)
+         for a, b in {"a1": "d1", "a2": "d2", "b1": "c1", "b2": "c2"}.items()})
+    assert sigma.apply(path(["b1", "b2"])) == path(["c1", "c2"])
+    assert transport_word_map(model, sigma) is None
+    # the order-compatible map sends a to c and b to d, so basis words to
+    # basis words, and S(5) is transported
+    rooted = rooted_isomorphism(q, "1", "5")
+    assert {a.label: b.label for a, b in rooted.arrows.items()} == {
+        "a1": "c1", "a2": "c2", "b1": "d1", "b2": "d2"}
+    assert transport_word_map(model, rooted) is not None
+    report = resolve(model, 3)
+    assert "5" in report.transported
+    assert report.betti == _direct_betti(model, 3)
 
 
 def _with_copy(p, rng=None):
@@ -816,12 +860,12 @@ def test_orbit_copies_transport_and_perturbed_copies_resolve_alike(seed):
     rng = random.Random(1300 + seed)
     p = random_presentation(rng)
     model = AlgebraModel(_with_copy(p), 4)
-    report = resolve(model, 3, 4)
+    report = resolve(model, 3)
     assert {v + "'" for v in p.quiver.vertices} <= report.transported
-    assert report.betti == _direct_betti(model, 3, 4)
+    assert report.betti == _direct_betti(model, 3)
     model = AlgebraModel(_with_copy(p, rng), 4)
-    report = resolve(model, 3, 4)
-    assert report.betti == _direct_betti(model, 3, 4)
+    report = resolve(model, 3)
+    assert report.betti == _direct_betti(model, 3)
     _assert_transported_square_to_zero(report)
 
 
@@ -903,7 +947,7 @@ def _two_pass_cases():
 
 def _assert_matches_two_pass(model, i_max, d_max):
     for v in model.quiver.vertices:
-        res = SimpleResolution(model, v, i_max, d_max)
+        res = SimpleResolution(model, v, i_max)
         gens, diffs = _two_pass(model, v, i_max, d_max)
         assert res.gens == gens
         # dict order too: the columns are the very kernel vectors
@@ -926,7 +970,7 @@ def test_one_loop_matches_two_pass_reference_on_random_presentations(seed):
 def test_one_loop_solves_a_kernel_only_where_a_generator_can_sit():
     # exterior(m) resolves linearly: the one block per step where the
     # arrow images fall short is where that step's generators sit
-    res = SimpleResolution(AlgebraModel(exterior(3), 6), "1", 5, 6)
+    res = SimpleResolution(AlgebraModel(exterior(3), 6), "1", 5)
     assert res.kernels_computed == 5
     assert [{g.degree for g in step} for step in res.gens[1:]] == [
         {i} for i in range(1, 6)]
@@ -940,10 +984,5 @@ def test_kernel_missing_the_exactness_count_is_an_internal_error(monkeypatch):
     with pytest.raises(InternalError,
                        match=r"step 1 kernel in degree 2 at vertex 1 has"
                              r" dimension 0, exactness gives 3"):
-        SimpleResolution(AlgebraModel(exterior(2), 4), "1", 3, 4)
+        SimpleResolution(AlgebraModel(exterior(2), 4), "1", 3)
 
-
-@pytest.mark.parametrize("up_to", [-1, -5])
-def test_generation_rejects_a_negative_bound(loop3_report, up_to):
-    with pytest.raises(ValueError, match="negative"):
-        generation_check(ExtAlgebra(loop3_report), up_to)

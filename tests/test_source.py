@@ -1,0 +1,62 @@
+"""Static checks on the package source, with the standard library only."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quiverkoszul"
+# __init__.py imports names to re-export them, not to use them
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict:
+    """Name bound by each module-level import -> its line, without
+    ``from __future__`` imports."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Every name read in the module, also inside string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for note in annotations:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(note.value))
+                            if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_module_level_import(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items()
+              if name not in used}
+    assert not unused, f"{module}: unused imports (name: line) {unused}"
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse("import json\nfrom .quiver import Path, Quiver\n"
+                     "def f(p: 'Path') -> int:\n    return json.dumps(p)\n")
+    used = _used_names(tree)
+    assert [n for n in _imported_names(tree) if n not in used] == ["Quiver"]
