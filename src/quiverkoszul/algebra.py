@@ -122,6 +122,9 @@ class AlgebraModel:
         self._arrow_set = frozenset(self.quiver.arrows)
         self._vertex_set = frozenset(self.quiver.vertices)
         self._product_cache = {}
+        # one length-1 path per arrow, also the degree-1 basis word, so that
+        # product-cache keys built from it match by identity
+        self.arrow_paths = {a: Path((a,)) for a in self.quiver.arrows}
         self._build()
 
     # -- construction -------------------------------------------------
@@ -182,7 +185,7 @@ class AlgebraModel:
                 found = survivors[key] = {}
                 for j, (a, b) in enumerate(cols):
                     if j not in rows:
-                        w = Path((a,) + b.arrows)
+                        w = Path((a,) + b.arrows) if b.arrows else self.arrow_paths[a]
                         found[j] = w
                         left[(a, b)] = {w: ONE}
                 for pivot, row in rows.items():

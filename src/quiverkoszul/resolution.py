@@ -11,8 +11,9 @@ A resolution step presents its projective as a list of generators, each a
 combination of (previous generator, basis path) coordinates.  Syzygies are
 built degreewise per target vertex, and exactness counts each block, so a
 kernel is solved (finite exact linear algebra) only where the arrow images
-fall short of the count.  Every Betti number with internal degree inside the
-window is exact; nothing is claimed past the window.
+fall short of the count and the differential need not vanish.  Every Betti
+number with internal degree inside the window is exact; nothing is claimed
+past the window.
 
 The degree window is the model's ``max_degree``.  The report of ``resolve``
 holds the model, so the checks downstream read model and window from it.
@@ -20,6 +21,7 @@ holds the model, so the checks downstream read model and window from it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraModel, InternalError, hilbert_matrix, transport_word_map
@@ -40,15 +42,19 @@ class Generator:
     degree: int
 
 
-def _block_coords(model: AlgebraModel, gens: list, D: int, w: str) -> tuple:
+def _block_coords(model: AlgebraModel, gens: list, D: int, w: str,
+                  window: range | None = None) -> tuple:
     """Coordinates of the degree-D, vertex-w component of a free module,
     and the position of each coordinate.
 
     One coordinate per (generator index, basis path into w), in generator
-    order then canonical basis order.
+    order then canonical basis order.  ``window`` limits the walk to a range
+    of generator indices, which must hold every generator with a basis path
+    into degree D; by default every generator is read.
     """
     out = []
-    for k, g in enumerate(gens):
+    for k in range(len(gens)) if window is None else window:
+        g = gens[k]
         length = D - g.degree
         if length < 0:
             continue
@@ -87,8 +93,16 @@ class SimpleResolution:
     reach that count (or it is 0), the independent images are the block's
     basis and no generator sits there.  Only elsewhere is the kernel of d_i
     solved; its vectors independent of the arrow images become generators.
-    ``kernels_computed`` and ``kernels_skipped`` count nonempty blocks of
-    either kind.
+    A block whose count is its whole size, as no syzygy of step i sits
+    there, is where d_i vanishes: its kernel is its unit vectors, taken
+    without solving once every column is checked to be zero.  Where the
+    arrow images are empty, every kernel vector is a generator, with no
+    independence test.  ``kernels_computed`` and ``kernels_skipped`` count
+    nonempty blocks of either kind, vanishing blocks among the former.
+
+    Generators come in ascending degree and no basis path is longer than the
+    model's top degree, so block (D, w) reads only the generators in degrees
+    D - top to D (every one up to D if the window shows no top degree).
     """
 
     def __init__(self, model: AlgebraModel, vertex: str, i_max: int):
@@ -100,14 +114,21 @@ class SimpleResolution:
         self.diffs = [[]]
         self.kernels_computed = self.kernels_skipped = 0
         q = model.quiver
+        top = model.top_degree()
         # a basis of Ω^{i+1} per (D, w) in P_i coordinates; Ω^0 sits in degree 0
         omega, blocks = {}, {}
         for i in range(i_max):
             image, omega, prev, blocks = omega, {}, blocks, {}
             gens, diffs = [], []
+            degrees = [g.degree for g in self.gens[i]]
             for D in range(1, model.max_degree + 1):
+                # the generators with a basis path into degree D
+                window = range(
+                    0 if top is None else bisect_left(degrees, D - top),
+                    bisect_right(degrees, D),
+                )
                 for w in q.vertices:
-                    coords, index = _block_coords(model, self.gens[i], D, w)
+                    coords, index = _block_coords(model, self.gens[i], D, w, window)
                     blocks[(D, w)] = index
                     nullity = len(coords) - len(image.get((D, w), ()))
                     if not nullity:
@@ -115,7 +136,7 @@ class SimpleResolution:
                         continue
                     span, basis = EchelonSpan(), []
                     for arrow in q.arrows_by_target[w]:
-                        a = Path((arrow,))
+                        a = model.arrow_paths[arrow]
                         for x in omega.get((D - 1, arrow.source), ()):
                             y = _diff_image(model, x, a)
                             if span.add({index[key]: c for key, c in y.items()}):
@@ -125,14 +146,13 @@ class SimpleResolution:
                         omega[(D, w)] = basis
                         continue
                     self.kernels_computed += 1
-                    basis = omega[(D, w)] = self._kernel(i, coords, prev.get((D, w)))
-                    if len(basis) != nullity:
-                        raise InternalError(
-                            f"step {i} kernel in degree {D} at vertex {w} has"
-                            f" dimension {len(basis)}, exactness gives {nullity}"
-                        )
+                    basis = omega[(D, w)] = self._kernel(
+                        i, D, w, coords, nullity, prev.get((D, w)))
+                    # arrow images spanning nothing: every kernel vector is new
+                    fresh = not span.rank
                     for x in basis:
-                        if not span.add({index[key]: c for key, c in x.items()}):
+                        if not fresh and not span.add(
+                                {index[key]: c for key, c in x.items()}):
                             continue
                         if D <= i:
                             raise InternalError(
@@ -148,10 +168,22 @@ class SimpleResolution:
             self.gens.append(gens)
             self.diffs.append(diffs)
 
-    def _kernel(self, i: int, coords: list, prev_index) -> list:
-        """Kernel of d_i on a block of P_i: unit vectors for the radical of
-        P_0, else one vector per dependent column, in column order."""
-        if i == 0:
+    def _kernel(self, i: int, D: int, w: str, coords: list, nullity: int,
+                prev_index) -> list:
+        """Kernel of d_i on the (D, w) block of P_i, one vector per dependent
+        column, in column order.
+
+        Where exactness counts the whole block (at step 0 that is the
+        radical of P_0), d_i vanishes on it: the kernel is the block's unit
+        vectors, the order solving gives for zero columns, and only that
+        every column is zero is checked."""
+        if nullity == len(coords):
+            if i and any(_diff_image(self.model, self.diffs[i][k], b)
+                         for k, b in coords):
+                raise InternalError(
+                    f"step {i} differential is nonzero in degree {D} at vertex"
+                    f" {w}, where exactness makes it vanish"
+                )
             return [{key: ONE} for key in coords]
         solver = ColumnSolver(len(prev_index))
         kernel = []
@@ -160,6 +192,11 @@ class SimpleResolution:
             vec = solver.add_column({prev_index[key]: c for key, c in image.items()})
             if vec is not None:
                 kernel.append({coords[p]: c for p, c in vec.items()})
+        if len(kernel) != nullity:
+            raise InternalError(
+                f"step {i} kernel in degree {D} at vertex {w} has"
+                f" dimension {len(kernel)}, exactness gives {nullity}"
+            )
         return kernel
 
     def relabelled(self, sigma, words: dict) -> "SimpleResolution":

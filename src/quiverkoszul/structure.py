@@ -15,7 +15,7 @@ wherever they can.
 
 from __future__ import annotations
 
-from .algebra import AlgebraModel
+from .algebra import AlgebraModel, InternalError
 from .covering import homogeneous_weights, path_weight, split_sheet
 from .groups import FiniteGroup, GroupAction
 from .linalg import ONE, ZERO, as_scalar, kernel_basis_sparse, vec_axpy
@@ -231,10 +231,11 @@ def verify_smash_covering_iso(cov: AlgebraModel, sm: StructureConstantAlgebra) -
     """Compare a covering model with a smash product through the canonical
     bijection: the class of a lifted path starting on sheet g maps to
     (underlying path)#p_g.  Exhaustive structure-constant comparison; a
-    basis size mismatch is an error, a product mismatch returns False."""
+    product mismatch returns False.  Both tables come from one base model,
+    so a basis size mismatch is a program defect, an InternalError."""
     s = algebra_to_structure_constants(cov)
     if s.dim != sm.dim:
-        raise ValueError(
+        raise InternalError(
             f"basis size mismatch: covering has {s.dim}, smash has {sm.dim}"
         )
 

@@ -7,6 +7,7 @@ import pytest
 from quiverkoszul.algebra import AlgebraModel
 from quiverkoszul.cli import main
 from quiverkoszul.corpus import exterior
+from quiverkoszul.groups import cyclic_group
 from quiverkoszul.linalg import ColumnSolver
 from quiverkoszul.serialization import serialize_presentation
 
@@ -240,6 +241,23 @@ def test_internal_error_in_model_exit_3(capsys, monkeypatch, ext2_file):
     rc = main(["verify", ext2_file, "--check", "koszul"])
     assert rc == 3
     assert "internal error: relation" in capsys.readouterr().err
+
+
+def test_smash_iso_size_mismatch_exits_3(capsys, monkeypatch, ext2_graded_file):
+    # a covering over Z3 against the document's Z2 smash product: the two
+    # tables of one base model disagree in size, which only a defect causes
+    from quiverkoszul import cli
+
+    build_covering = cli.build_covering
+    monkeypatch.setattr(
+        cli, "build_covering",
+        lambda p, group, weights: build_covering(p, cyclic_group(3), weights))
+    rc = main(["verify", ext2_graded_file, "--check", "smash-iso"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: basis size mismatch: covering has 12, smash has 8")
 
 
 def test_verify_graded_check_needs_grading(capsys, ext2_file):

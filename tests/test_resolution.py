@@ -157,9 +157,9 @@ def test_each_step_builds_its_block_coordinates_once(monkeypatch):
     calls = []
     block_coords = resolution._block_coords
 
-    def counted(model, gens, D, w):
+    def counted(model, gens, D, w, *window):
         calls.append((id(gens), D, w))
-        return block_coords(model, gens, D, w)
+        return block_coords(model, gens, D, w, *window)
 
     cover = build_covering(
         radical_square_zero(parse_quiver_spec("loops:2")), cyclic_group(3),
@@ -986,3 +986,69 @@ def test_kernel_missing_the_exactness_count_is_an_internal_error(monkeypatch):
                              r" dimension 0, exactness gives 3"):
         SimpleResolution(AlgebraModel(exterior(2), 4), "1", 3)
 
+
+# -- vanishing blocks and empty arrow-image spans ------------------------------
+
+
+def test_vanishing_radical_square_zero_steps_solve_nothing(monkeypatch):
+    # radical square zero: Ω^{i+1} is all of P_i past degree i, where d_i
+    # vanishes, so no step solves a kernel, yet each counts its one block
+    def refuse(self, vec):
+        raise AssertionError("a radical-square-zero step solved a kernel")
+
+    monkeypatch.setattr(ColumnSolver, "add_column", refuse)
+    model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:3")), 7)
+    report = resolve(model, 7)
+    assert report.ext_totals() == [3 ** i for i in range(8)]
+    assert report.per_simple["1"].kernels_computed == 7
+
+
+def test_vanishing_block_with_a_nonzero_differential_is_an_internal_error(monkeypatch):
+    # loops:2 in degree 2 of P_1: Ω^1 is empty there, so d_1 must vanish
+    from quiverkoszul import resolution
+
+    monkeypatch.setattr(resolution, "_diff_image", lambda model, entry, b: {(0, b): 1})
+    model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:2")), 4)
+    with pytest.raises(InternalError,
+                       match=r"step 1 differential is nonzero in degree 2 at"
+                             r" vertex 1, where exactness makes it vanish"):
+        SimpleResolution(model, "1", 2)
+
+
+def _resolve_with_a_stray_coordinate(monkeypatch, step_degree, D, stray):
+    """Resolve the loops:2 simple with one more coordinate, (0, stray), in
+    degree D of the step whose generators sit in step_degree.  No syzygy
+    sits there, so the block vanishes and the stray unit vector meets
+    empty arrow images."""
+    from quiverkoszul import resolution
+
+    block_coords = resolution._block_coords
+
+    def with_stray(model, gens, D_, w, *window):
+        coords, index = block_coords(model, gens, D_, w, *window)
+        if D_ == D and gens[0].degree == step_degree:
+            coords = coords + [(0, stray)]
+            index = {key: pos for pos, key in enumerate(coords)}
+        return coords, index
+
+    monkeypatch.setattr(resolution, "_block_coords", with_stray)
+    model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:2")), 4)
+    SimpleResolution(model, "1", 3)
+
+
+def test_vanishing_block_generator_below_its_step_is_an_internal_error(monkeypatch):
+    # a degree-2 word in degree 1 of P_2: d_2 kills it, as every product of
+    # degree 3 vanishes, so it would become a step-3 generator in degree 1
+    x1 = parse_quiver_spec("loops:2").arrows[0]
+    with pytest.raises(InternalError,
+                       match=r"step 3 generator in degree 1, below its step"):
+        _resolve_with_a_stray_coordinate(monkeypatch, 2, 1, Path((x1, x1)))
+
+
+def test_vanishing_block_generator_with_a_trivial_path_is_an_internal_error(
+        monkeypatch):
+    # the trivial path in degree 1 of P_0 would become a step-1 generator
+    # whose column is not in the radical
+    with pytest.raises(InternalError,
+                       match=r"step 1 generator in degree 1 has a non-minimal column"):
+        _resolve_with_a_stray_coordinate(monkeypatch, 0, 1, trivial_path("1"))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverkoszul.algebra import AlgebraModel, Presentation
+from quiverkoszul.algebra import AlgebraModel, InternalError, Presentation
 from quiverkoszul.corpus import exterior, loop_cubed, parse_quiver_spec, path_algebra
 from quiverkoszul.covering import build_covering, deck_action, path_weight
 from quiverkoszul.groups import (
@@ -198,7 +198,8 @@ class TestSmashCoveringIso:
         cov = build_covering(p, cyclic_group(2), {"a1": "1", "a2": "1"})
         cov_model = AlgebraModel(cov, 4)
         s = smash_product(ext_model(2), cyclic_group(3), {"a1": "1", "a2": "1"})
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalError,
+                           match="basis size mismatch: covering has 8, smash has 12"):
             verify_smash_covering_iso(cov_model, s)
 
     def test_wrong_weights_fail_product_comparison(self):
