@@ -112,6 +112,8 @@ class AlgebraModel:
         self._basis = {}
         # _words: every basis word of a built degree
         self._words = set()
+        # blocks_from[(d, u)]: (v, _basis[(d, u, v)]) for each nonempty block
+        self.blocks_from = {}
         # _left[d][(a, b)]: normal form of a∘b for an arrow a and a
         # degree-(d-1) basis word b ending at source(a), for 1 <= d < d0
         self._left = [None]
@@ -136,8 +138,8 @@ class AlgebraModel:
         words = {}
         for v in q.vertices:
             e = trivial_path(v)
-            self._basis[(0, v, v)] = [e]
-            words[v] = [e]
+            self._basis[(0, v, v)] = words[v] = [e]
+            self.blocks_from[(0, v)] = [(v, words[v])]
         self._words.update(e for ws in words.values() for e in ws)
         self._block_keys[0] = {(v, v) for v in q.vertices}
         if not q.vertices:
@@ -193,7 +195,8 @@ class AlgebraModel:
                         found[j]: -c for j, c in row.items() if j != pivot
                     }
                 if found:
-                    self._basis[(d,) + key] = list(found.values())
+                    ws = self._basis[(d,) + key] = list(found.values())
+                    self.blocks_from.setdefault((d, key[0]), []).append((key[1], ws))
             words = {
                 u: [survivors[key][j] for key, j in seq if j in survivors[key]]
                 for u, seq in order.items()

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby, product
 
 from .algebra import AlgebraModel, InternalError, hilbert_matrix, transport_word_map
 from .covering import build_covering
@@ -42,25 +44,40 @@ class Generator:
     degree: int
 
 
-def _block_coords(model: AlgebraModel, gens: list, D: int, w: str,
-                  window: range | None = None) -> tuple:
-    """Coordinates of the degree-D, vertex-w component of a free module,
-    and the position of each coordinate.
+def _degree_coords(model: AlgebraModel, gens: list, D: int,
+                   window: range | None = None) -> dict:
+    """Coordinates of the degree-D component of a free module, per target
+    vertex w: one (generator index, basis path into w) per generator and
+    basis path, in generator order then canonical basis order.
 
-    One coordinate per (generator index, basis path into w), in generator
-    order then canonical basis order.  ``window`` limits the walk to a range
-    of generator indices, which must hold every generator with a basis path
-    into degree D; by default every generator is read.
+    ``window`` limits the walk to a range of generator indices, which must
+    hold every generator with a basis path into degree D; by default every
+    generator is read.  A vertex no coordinate reaches has no entry.  Equal
+    generators in a row, as a step's batches are, share their basis words,
+    so each run is read once.
     """
-    out = []
-    for k in range(len(gens)) if window is None else window:
-        g = gens[k]
-        length = D - g.degree
-        if length < 0:
-            continue
-        for b in model.basis_paths(length, g.vertex, w):
-            out.append((k, b))
-    return out, {key: pos for pos, key in enumerate(out)}
+    out = {}
+    window = range(len(gens)) if window is None else window
+    k = window.start
+    for g, run in groupby(gens[k:window.stop]):
+        n = len(list(run))
+        for w, words in model.blocks_from.get((D - g.degree, g.vertex), ()):
+            out.setdefault(w, []).extend(product(range(k, k + n), words))
+        k += n
+    return out
+
+
+class _Indexes(dict):
+    """(D, w) -> the position of each coordinate of a step's block, built
+    from ``blocks`` when first read."""
+
+    def __init__(self, blocks: dict):
+        super().__init__()
+        self.blocks = blocks
+
+    def __missing__(self, key):
+        index = self[key] = {c: p for p, c in enumerate(self.blocks[key])}
+        return index
 
 
 def _diff_image(model: AlgebraModel, entry: dict, b: Path) -> dict:
@@ -101,24 +118,33 @@ class SimpleResolution:
     nonempty blocks of either kind, vanishing blocks among the former.
 
     Generators come in ascending degree and no basis path is longer than the
-    model's top degree, so block (D, w) reads only the generators in degrees
+    model's top degree, so degree D reads only the generators in degrees
     D - top to D (every one up to D if the window shows no top degree).
+    One walk over them per step and degree builds the coordinates of every
+    vertex's block, from the model's ``blocks_from`` table; a block's
+    coordinate positions are indexed only where arrow images enter its span
+    or the next step solves it.  A block's new generators are added as one
+    batch and share one ``Generator``.
+
+    ``resolved_from`` is the vertex whose resolution was computed: this
+    one's own, or, for a ``relabelled`` copy, its source's.
     """
 
     def __init__(self, model: AlgebraModel, vertex: str, i_max: int):
         if i_max < 0:
             raise ValueError("homological bound must be nonnegative")
         self.model = model
-        self.vertex = vertex
+        self.vertex = self.resolved_from = vertex
         self.gens = [[Generator(vertex, 0)]]
         self.diffs = [[]]
         self.kernels_computed = self.kernels_skipped = 0
         q = model.quiver
         top = model.top_degree()
         # a basis of Ω^{i+1} per (D, w) in P_i coordinates; Ω^0 sits in degree 0
-        omega, blocks = {}, {}
+        omega, indexes = {}, _Indexes({})
         for i in range(i_max):
-            image, omega, prev, blocks = omega, {}, blocks, {}
+            image, omega, prev, indexes = omega, {}, indexes, _Indexes({})
+            blocks = indexes.blocks
             gens, diffs = [], []
             degrees = [g.degree for g in self.gens[i]]
             for D in range(1, model.max_degree + 1):
@@ -127,17 +153,20 @@ class SimpleResolution:
                     0 if top is None else bisect_left(degrees, D - top),
                     bisect_right(degrees, D),
                 )
+                by_target = _degree_coords(model, self.gens[i], D, window)
                 for w in q.vertices:
-                    coords, index = _block_coords(model, self.gens[i], D, w, window)
-                    blocks[(D, w)] = index
+                    coords = blocks[(D, w)] = by_target.get(w, [])
                     nullity = len(coords) - len(image.get((D, w), ()))
                     if not nullity:
                         self.kernels_skipped += bool(coords)
                         continue
                     span, basis = EchelonSpan(), []
                     for arrow in q.arrows_by_target[w]:
-                        a = model.arrow_paths[arrow]
-                        for x in omega.get((D - 1, arrow.source), ()):
+                        xs = omega.get((D - 1, arrow.source))
+                        if not xs:
+                            continue
+                        a, index = model.arrow_paths[arrow], indexes[(D, w)]
+                        for x in xs:
                             y = _diff_image(model, x, a)
                             if span.add({index[key]: c for key, c in y.items()}):
                                 basis.append(y)
@@ -147,29 +176,31 @@ class SimpleResolution:
                         continue
                     self.kernels_computed += 1
                     basis = omega[(D, w)] = self._kernel(
-                        i, D, w, coords, nullity, prev.get((D, w)))
-                    # arrow images spanning nothing: every kernel vector is new
-                    fresh = not span.rank
-                    for x in basis:
-                        if not fresh and not span.add(
-                                {index[key]: c for key, c in x.items()}):
-                            continue
-                        if D <= i:
-                            raise InternalError(
-                                f"step {i + 1} generator in degree {D}, below its step"
-                            )
-                        if any(b.length == 0 for _, b in x):
-                            raise InternalError(
-                                f"step {i + 1} generator in degree {D} has a"
-                                " non-minimal column"
-                            )
-                        gens.append(Generator(w, D))
-                        diffs.append(x)
+                        i, D, w, coords, nullity, prev)
+                    # the new generators: kernel vectors independent of the
+                    # arrow images, every one where the images span nothing
+                    if span.rank:
+                        index = indexes[(D, w)]
+                        basis = [x for x in basis if span.add(
+                            {index[key]: c for key, c in x.items()})]
+                    if not basis:
+                        continue
+                    if D <= i:
+                        raise InternalError(
+                            f"step {i + 1} generator in degree {D}, below its step"
+                        )
+                    if any(b.length == 0 for x in basis for _, b in x):
+                        raise InternalError(
+                            f"step {i + 1} generator in degree {D} has a"
+                            " non-minimal column"
+                        )
+                    gens += [Generator(w, D)] * len(basis)
+                    diffs += basis
             self.gens.append(gens)
             self.diffs.append(diffs)
 
     def _kernel(self, i: int, D: int, w: str, coords: list, nullity: int,
-                prev_index) -> list:
+                prev: _Indexes) -> list:
         """Kernel of d_i on the (D, w) block of P_i, one vector per dependent
         column, in column order.
 
@@ -185,6 +216,7 @@ class SimpleResolution:
                     f" {w}, where exactness makes it vanish"
                 )
             return [{key: ONE} for key in coords]
+        prev_index = prev[(D, w)]
         solver = ColumnSolver(len(prev_index))
         kernel = []
         for k, b in coords:
@@ -209,10 +241,14 @@ class SimpleResolution:
         out = object.__new__(SimpleResolution)
         out.model = self.model
         out.vertex = sigma.vertices[self.vertex]
-        out.gens = [
-            [Generator(sigma.vertices[g.vertex], g.degree) for g in step]
-            for step in self.gens
-        ]
+        out.resolved_from = self.resolved_from
+        out.gens = []
+        for step in self.gens:
+            moved = []
+            for g, run in groupby(step):
+                image = Generator(sigma.vertices[g.vertex], g.degree)
+                moved += [image] * len(list(run))
+            out.gens.append(moved)
         out.diffs = [
             [{(k, words[b]): c for (k, b), c in entry.items()} for entry in step]
             for step in self.diffs
@@ -238,7 +274,8 @@ class ResolutionReport:
     """Bundle of per-simple resolutions with the derived numerics.
 
     ``transported`` names the simples whose resolution was relabelled from
-    another simple's rather than computed.
+    another simple's rather than computed.  The Betti totals per (step,
+    degree) and per step are summed once, here.
     """
 
     def __init__(self, model: AlgebraModel, i_max: int, per_simple: dict,
@@ -251,27 +288,27 @@ class ResolutionReport:
         self.betti = {}
         for u in self.simples:
             for i, gen_list in enumerate(per_simple[u].gens):
-                for g in gen_list:
+                for g, run in groupby(gen_list):
                     key = (u, i, g.degree, g.vertex)
-                    self.betti[key] = self.betti.get(key, 0) + 1
+                    self.betti[key] = self.betti.get(key, 0) + len(list(run))
+        self._totals, self._step_totals = {}, {}
+        for (_, i, d, _), n in self.betti.items():
+            self._totals[(i, d)] = self._totals.get((i, d), 0) + n
+            self._step_totals[i] = self._step_totals.get(i, 0) + n
 
     @property
     def d_max(self) -> int:
         return self.model.max_degree
 
     def betti_total(self, i: int, d: int) -> int:
-        return sum(n for (_, ii, dd, _), n in self.betti.items() if ii == i and dd == d)
+        return self._totals.get((i, d), 0)
 
     def step_linear(self, i: int) -> bool:
-        return all(dd == i for (_, ii, dd, _) in self.betti if ii == i)
+        return all(dd == i for ii, dd in self._totals if ii == i)
 
     def first_failure(self) -> tuple | None:
         """Earliest (step, degree) with an off-diagonal Betti number."""
-        for i in range(self.i_max + 1):
-            for d in range(self.d_max + 1):
-                if d != i and self.betti_total(i, d):
-                    return (i, d)
-        return None
+        return min((key for key in self._totals if key[0] != key[1]), default=None)
 
     def verdict(self) -> KoszulVerdict:
         fail = self.first_failure()
@@ -282,7 +319,7 @@ class ResolutionReport:
         return KoszulVerdict(UNKNOWN_BEYOND_BOUND)
 
     def ext_total(self, i: int) -> int:
-        return sum(n for (_, ii, _, _), n in self.betti.items() if ii == i)
+        return self._step_totals.get(i, 0)
 
     def ext_totals(self) -> list:
         return [self.ext_total(i) for i in range(self.i_max + 1)]
@@ -358,7 +395,8 @@ class ExtAlgebra:
     ``diffs[i][j]`` pairs the resolution's own differential entry for bundle
     generator j, keyed by its simple's step-(i-1) generators, with the
     bundle offset of that simple's step-(i-1) block, so the bundle shares
-    the differentials instead of copying them.
+    the differentials instead of copying them.  Only the lifts read it, so
+    it is paired on first read.
     """
 
     def __init__(self, report: ResolutionReport):
@@ -367,27 +405,31 @@ class ExtAlgebra:
         self.i_max = report.i_max
         self.simples = report.simples
         self.gens = []
-        self.diffs = []
-        offsets_prev = {}
+        self._offsets = []
         for i in range(report.i_max + 1):
             bundle = []
             offsets = {}
             for u in self.simples:
                 offsets[u] = len(bundle)
                 bundle.extend(report.per_simple[u].gens[i])
-            step_diffs = []
-            if i > 0:
-                for u in self.simples:
-                    off = offsets_prev[u]
-                    step_diffs.extend(
-                        (off, entry) for entry in report.per_simple[u].diffs[i]
-                    )
             self.gens.append(bundle)
-            self.diffs.append(step_diffs)
-            offsets_prev = offsets
+            self._offsets.append(offsets)
         self._gen0_index = {g.vertex: k for k, g in enumerate(self.gens[0])}
         self._coords_cache = {}
         self._solver_cache = {}
+
+    @cached_property
+    def diffs(self) -> list:
+        out = [[]]
+        for i in range(1, self.i_max + 1):
+            step_diffs = []
+            for u in self.simples:
+                off = self._offsets[i - 1][u]
+                step_diffs.extend(
+                    (off, entry) for entry in self.report.per_simple[u].diffs[i]
+                )
+            out.append(step_diffs)
+        return out
 
     def ext_dim(self, i: int) -> int:
         if not (0 <= i <= self.i_max):
@@ -399,11 +441,13 @@ class ExtAlgebra:
 
     def _coords(self, i: int, D: int, w: str):
         key = (i, D, w)
-        hit = self._coords_cache.get(key)
-        if hit is None:
-            hit = self._coords_cache[key] = _block_coords(
-                self.model, self.gens[i], D, w)
-        return hit
+        if key not in self._coords_cache:
+            by_target = _degree_coords(self.model, self.gens[i], D)
+            for v in self.simples:
+                coords = by_target.get(v, [])
+                self._coords_cache[(i, D, v)] = (
+                    coords, {c: p for p, c in enumerate(coords)})
+        return self._coords_cache[key]
 
     def _solver(self, k: int, D: int, w: str) -> ColumnSolver:
         key = (k, D, w)
@@ -540,6 +584,33 @@ class GenerationReport:
         )
 
 
+def _arrow_ranks(res: SimpleResolution, i_max: int) -> list:
+    """Per step i < i_max, the rank of the arrow parts of one resolution's
+    step-(i+1) differential columns.
+
+    An arrow part with one entry spans that coordinate's unit vector; the
+    rank is the number of such coordinates plus the rank of the other arrow
+    parts with those coordinates dropped, so only the latter are eliminated.
+    """
+    ranks = []
+    for step in res.diffs[1:i_max + 1]:
+        units, rest = set(), []
+        for entry in step:
+            part = [(key, c) for key, c in entry.items() if key[1].length == 1]
+            if len(part) == 1:
+                units.add(part[0][0])
+            elif part:
+                rest.append(part)
+        # the span pivots on its smallest key and paths do not order, so each
+        # (step-i generator, arrow) pair gets an int column position
+        span, position = EchelonSpan(), {}
+        for part in rest:
+            span.add({position.setdefault(key, len(position)): c
+                      for key, c in part if key not in units})
+        ranks.append(len(units) + span.rank)
+    return ranks
+
+
 def generation_check(ext: ExtAlgebra) -> GenerationReport:
     """Check the cohomology ring is generated in homological degrees 0 and 1.
 
@@ -550,23 +621,25 @@ def generation_check(ext: ExtAlgebra) -> GenerationReport:
     the first factor one step solves d_1 φ = ξ d_{i+1}, and since the kernel
     of d_1 lies in the radical of P_1, the unit coordinates of φ are those
     arrow coefficients.  The products therefore span step i+1 exactly when
-    the arrow parts of the step-(i+1) differential columns are independent,
-    which one rank computation per step decides, with no lift.
+    the arrow parts of the step-(i+1) differential columns are independent.
+
+    The simples' columns sit at disjoint offsets of the bundle, so that rank
+    is the sum of one rank per simple, with no lift.  Each resolved simple
+    is ranked once: a transported simple's columns are its source's with
+    words relabelled by a length-preserving bijection, so its ranks are the
+    source's.
     """
+    per_simple = ext.report.per_simple
+    sources = [per_simple[u].resolved_from for u in ext.simples]
+    ranks = {}
+    for v in sources:
+        if v not in ranks:
+            ranks[v] = _arrow_ranks(per_simple[v], ext.i_max)
     steps = []
     first_fail = None
     for i in range(ext.i_max):
         required = len(ext.gens[i + 1])
-        span = EchelonSpan()
-        # the span pivots on its smallest key and paths do not order, so each
-        # (step-i generator, arrow) pair gets an int column position
-        position = {}
-        for off, entry in ext.diffs[i + 1]:
-            span.add({
-                position.setdefault((off + l, b), len(position)): c
-                for (l, b), c in entry.items() if b.length == 1
-            })
-        achieved = span.rank
+        achieved = sum(ranks[v][i] for v in sources)
         steps.append((i, achieved, required))
         if achieved != required and first_fail is None:
             first_fail = i

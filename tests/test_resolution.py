@@ -4,6 +4,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,11 +46,13 @@ from quiverkoszul.resolution import (
     ExtElement,
     Generator,
     SimpleResolution,
-    _block_coords,
+    _arrow_ranks,
+    _degree_coords,
     _diff_image,
     generation_check,
     hilbert_euler_check,
     koszul_duality_dim_check,
+    resolution_sizes,
     resolve,
     theorem_covering_check,
 )
@@ -155,17 +158,17 @@ def test_each_step_builds_its_block_coordinates_once(monkeypatch):
     from quiverkoszul import resolution
 
     calls = []
-    block_coords = resolution._block_coords
+    degree_coords = resolution._degree_coords
 
-    def counted(model, gens, D, w, *window):
-        calls.append((id(gens), D, w))
-        return block_coords(model, gens, D, w, *window)
+    def counted(model, gens, D, *window):
+        calls.append((id(gens), D))
+        return degree_coords(model, gens, D, *window)
 
     cover = build_covering(
         radical_square_zero(parse_quiver_spec("loops:2")), cyclic_group(3),
         {"x1": "1", "x2": "2"},
     )
-    monkeypatch.setattr(resolution, "_block_coords", counted)
+    monkeypatch.setattr(resolution, "_degree_coords", counted)
     report = resolve(AlgebraModel(cover, 6), 5)
     assert report.ext_totals() == [3 * 2 ** i for i in range(6)]
     # the gens lists stay alive in the report, so their ids name the steps
@@ -484,6 +487,90 @@ def test_generation_is_the_product_rank_on_the_corpus(presentation):
 @pytest.mark.parametrize("seed", range(40))
 def test_generation_is_the_product_rank_on_random_presentations(seed):
     _assert_generation_is_product_rank(random_presentation(random.Random(seed)), 4, 5)
+
+
+# -- generation per resolved simple against one rank over the whole bundle ------
+
+
+def _generation_by_bundle_rank(ext):
+    """(steps, passed, first_failure_i) from one rank per step over the
+    arrow parts of every step-(i+1) bundle column, at its bundle offset."""
+    steps, first_fail = [], None
+    for i in range(ext.i_max):
+        span, position = EchelonSpan(), {}
+        for off, entry in ext.diffs[i + 1]:
+            span.add({position.setdefault((off + l, b), len(position)): c
+                      for (l, b), c in entry.items() if b.length == 1})
+        required = len(ext.gens[i + 1])
+        steps.append((i, span.rank, required))
+        if span.rank != required and first_fail is None:
+            first_fail = i
+    return steps, first_fail is None, first_fail
+
+
+def _assert_generation_is_bundle_rank(presentation, i_max, d_max):
+    ext = ExtAlgebra(resolve(AlgebraModel(presentation, d_max), i_max))
+    got = generation_check(ext)
+    assert (got.steps, got.passed, got.first_failure_i) == \
+        _generation_by_bundle_rank(ext)
+    return got
+
+
+@pytest.mark.parametrize(
+    "presentation", [p for _, p in corpus_instances()],
+    ids=[label for label, _ in corpus_instances()],
+)
+def test_generation_per_simple_is_the_bundle_rank_on_the_corpus(presentation):
+    _assert_generation_is_bundle_rank(presentation, 5, 5)
+
+
+@pytest.mark.parametrize(
+    "presentation", [p for _, p in corpus_instances()],
+    ids=[label + "-Z2" for label, _ in corpus_instances()],
+)
+def test_generation_per_simple_is_the_bundle_rank_on_z2_covers(presentation):
+    _assert_generation_is_bundle_rank(_z2_cover(presentation), 5, 5)
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_generation_per_simple_is_the_bundle_rank_on_random_presentations(seed):
+    p = random_presentation(random.Random(5000 + seed))
+    _assert_generation_is_bundle_rank(p, 5, 5)
+
+
+def test_generation_per_simple_is_the_bundle_rank_on_loop_cubed():
+    got = _assert_generation_is_bundle_rank(loop_cubed(), 12, 12)
+    assert (got.passed, got.first_failure_i) == (False, 1)
+
+
+def test_generation_rank_drops_single_entry_coordinates_from_the_other_parts():
+    # arrow parts e_a, e_b, 3·e_a and e_a - e_b span two dimensions; the
+    # length-2 coordinate is not an arrow part
+    x1, x2 = parse_quiver_spec("loops:2").arrows
+    a, b, aa = Path((x1,)), Path((x2,)), Path((x1, x1))
+    step = [{(0, a): 1}, {(0, b): 1, (1, aa): 5}, {(0, a): 3},
+            {(0, a): 1, (0, b): -1}]
+    assert _arrow_ranks(SimpleNamespace(diffs=[[], step]), 1) == [2]
+
+
+def test_generation_ranks_each_resolved_simple_once(monkeypatch):
+    from quiverkoszul import resolution
+
+    ranked = []
+    arrow_ranks = resolution._arrow_ranks
+
+    def spy(res, i_max):
+        ranked.append(res.vertex)
+        return arrow_ranks(res, i_max)
+
+    monkeypatch.setattr(resolution, "_arrow_ranks", spy)
+    cover = build_covering(_loops2(), cyclic_group(3), {"x1": "1", "x2": "2"})
+    report = resolve(AlgebraModel(cover, 6), 5)
+    gen = generation_check(ExtAlgebra(report))
+    # one simple resolved, the deck group relabels it onto the other two
+    assert len(report.transported) == 2
+    assert ranked == [v for v in cover.quiver.vertices if v not in report.transported]
+    assert gen.steps == [(i, 3 * 2 ** (i + 1), 3 * 2 ** (i + 1)) for i in range(5)]
 
 
 # -- one simple per automorphism orbit, the others relabelled ------------------
@@ -881,7 +968,8 @@ def _two_pass(model, vertex, i_max, d_max):
 
     def block(i, D, w):
         if (i, D, w) not in blocks:
-            blocks[(i, D, w)] = _block_coords(model, gens[i], D, w)
+            coords = _degree_coords(model, gens[i], D).get(w, [])
+            blocks[(i, D, w)] = coords, {key: p for p, key in enumerate(coords)}
         return blocks[(i, D, w)]
 
     omega = {D: {w: [{(0, b): 1} for b in model.basis_paths(D, vertex, w)]
@@ -977,6 +1065,17 @@ def test_one_loop_solves_a_kernel_only_where_a_generator_can_sit():
     assert res.kernels_skipped > 0
 
 
+@pytest.mark.parametrize("p, d_max, i_max, want", [
+    (_loops2(), 10, 10, (10, 9)),
+    (trivial_extension_dual(parse_quiver_spec("star:4")), 8, 8, (96, 159)),
+], ids=["loops:2", "trivial_extension_dual(star:4)"])
+def test_one_loop_kernel_counters_are_pinned(p, d_max, i_max, want):
+    # timing.sizes reports these; adding a block's generators as one batch
+    # must not move them
+    sizes = resolution_sizes(resolve(AlgebraModel(p, d_max), i_max))
+    assert (sizes["kernels_computed"], sizes["kernels_skipped"]) == want
+
+
 def test_kernel_missing_the_exactness_count_is_an_internal_error(monkeypatch):
     # every column independent: the computed kernel is empty where
     # exactness counts a nonzero syzygy block
@@ -1022,16 +1121,15 @@ def _resolve_with_a_stray_coordinate(monkeypatch, step_degree, D, stray):
     empty arrow images."""
     from quiverkoszul import resolution
 
-    block_coords = resolution._block_coords
+    degree_coords = resolution._degree_coords
 
-    def with_stray(model, gens, D_, w, *window):
-        coords, index = block_coords(model, gens, D_, w, *window)
+    def with_stray(model, gens, D_, *window):
+        by_target = degree_coords(model, gens, D_, *window)
         if D_ == D and gens[0].degree == step_degree:
-            coords = coords + [(0, stray)]
-            index = {key: pos for pos, key in enumerate(coords)}
-        return coords, index
+            by_target["1"] = by_target.get("1", []) + [(0, stray)]
+        return by_target
 
-    monkeypatch.setattr(resolution, "_block_coords", with_stray)
+    monkeypatch.setattr(resolution, "_degree_coords", with_stray)
     model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:2")), 4)
     SimpleResolution(model, "1", 3)
 
