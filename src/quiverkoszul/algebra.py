@@ -23,10 +23,11 @@ d (Green, "Noncommutative Gröbner bases, and projective resolutions"), and
 the non-pivot columns are the degree-d basis.  The cost of a degree scales
 with basis size × arrows rather than with the number of paths.
 
-The rref rows give the left tables (arrow, basis word b) -> NF(a∘b), one
-table per degree; a normal form is read off by walking a path's arrows
-through them, first-applied first.  The first degree in which no word
-survives ends the construction: every longer path is zero.
+The rref rows give the left tables (arrow, basis word b) -> NF(a∘b), held
+in the product cache under the pair of word ids; a normal form is read off
+by walking a path's arrows through them, first-applied first.  The first
+degree in which no word survives ends the construction: every longer path
+is zero.
 """
 
 from __future__ import annotations
@@ -96,6 +97,15 @@ class AlgebraModel:
     degree, one normal form per (arrow, basis word) pair; normal forms and
     products walk a path's arrows through those left tables.
 
+    Each basis word is numbered once, when it is built, in ``finite_basis``
+    order: by degree, source and target in quiver order, then canonical
+    order.  ``words[i]`` and ``lengths[i]`` are word i's path and length,
+    ``word_ids`` numbers the paths, ``arrow_ids`` the arrows (the degree-1
+    words) and ``blocks_from[(d, u)]`` lists (v, the ids of block (d, u, v))
+    per nonempty block.  One cache, keyed by pairs of ids, holds the left
+    tables and every product computed since (``product``); the path-keyed
+    ``normal_form``, ``basis_product`` and ``multiply`` convert at its edge.
+
     Elimination stops at the first vanishing degree d0: the length grading
     is generated in degree one, so every path of length >= d0 is zero, at
     any length, inside the window or past it.
@@ -107,46 +117,47 @@ class AlgebraModel:
         self.presentation = presentation
         self.quiver = presentation.quiver
         self.max_degree = max_degree
-        # _basis[(d, u, v)]: the degree-d basis words u->v, in canonical
-        # order; a block with paths but no basis word may have no entry
+        self.words, self.lengths, self.word_ids, self.arrow_ids = [], [], {}, {}
+        # _basis[(d, u, v)]: the ids of the degree-d basis words u->v; a block
+        # with paths but no basis word has no entry
         self._basis = {}
-        # _words: every basis word of a built degree
-        self._words = set()
-        # blocks_from[(d, u)]: (v, _basis[(d, u, v)]) for each nonempty block
         self.blocks_from = {}
-        # _left[d][(a, b)]: normal form of a∘b for an arrow a and a
-        # degree-(d-1) basis word b ending at source(a), for 1 <= d < d0
-        self._left = [None]
+        # _products[(x, y)]: NF(words[x]∘words[y]); filled with the left
+        # tables, NF(a∘b) for an arrow a and a basis word b with a∘b of
+        # degree below d0, and with every other product once computed
+        self._products = {}
         # _block_keys[d]: the (u, v) pairs joined by a path of length d
         self._block_keys = {}
         # first degree with A_d = 0, or None if the window shows none
         self._zero_from = None
         self._arrow_set = frozenset(self.quiver.arrows)
         self._vertex_set = frozenset(self.quiver.vertices)
-        self._product_cache = {}
-        # one length-1 path per arrow, also the degree-1 basis word, so that
-        # product-cache keys built from it match by identity
-        self.arrow_paths = {a: Path((a,)) for a in self.quiver.arrows}
         self._build()
 
     # -- construction -------------------------------------------------
 
+    def _number(self, d: int, u: str, v: str, paths: list) -> range:
+        """Give the next ids to the basis words of block (d, u, v)."""
+        start = len(self.words)
+        self.words += paths
+        self.lengths += [d] * len(paths)
+        ids = self._basis[(d, u, v)] = range(start, len(self.words))
+        self.word_ids.update(zip(paths, ids))
+        self.blocks_from.setdefault((d, u), []).append((v, ids))
+        return ids
+
     def _build(self) -> None:
         q = self.quiver
-        # words[u]: the basis words of the last built degree starting at u,
-        # in first-applied lexicographic order across all targets
-        words = {}
-        for v in q.vertices:
-            e = trivial_path(v)
-            self._basis[(0, v, v)] = words[v] = [e]
-            self.blocks_from[(0, v)] = [(v, words[v])]
-        self._words.update(e for ws in words.values() for e in ws)
+        # last[u]: the ids of the last built degree's basis words starting
+        # at u, in first-applied lexicographic order across all targets
+        last = {v: list(self._number(0, v, v, [trivial_path(v)])) for v in q.vertices}
         self._block_keys[0] = {(v, v) for v in q.vertices}
         if not q.vertices:
             self._zero_from = 0
         relations_by_degree = {}
         for r in self.presentation.relations:
             relations_by_degree.setdefault(r.length, []).append(r)
+        position = {v: k for k, v in enumerate(q.vertices)}
 
         d = 1
         while self._zero_from is None and d <= self.max_degree:
@@ -155,10 +166,10 @@ class AlgebraModel:
             columns = {}
             index = {}
             order = {}
-            for u, ws in words.items():
+            for u, ws in last.items():
                 seq = order[u] = []
                 for b in ws:
-                    for a in q.arrows_by_source[b.target]:
+                    for a in q.arrows_by_source[self.words[b].target]:
                         key = (u, a.target)
                         cols = columns.setdefault(key, [])
                         index[(a, b)] = len(cols)
@@ -174,39 +185,43 @@ class AlgebraModel:
                             row = {}
                             for s, c in r.items():
                                 a = s.arrows[0]
-                                tail = self._walk(s.arrows[:0:-1], {b: ONE}, d - k)
+                                tail = self._walk(s.arrows[:0:-1], {b: ONE})
                                 term = {index[(a, w)]: cw for w, cw in tail.items()}
                                 vec_axpy(row, c, term)
                             if row:
                                 spans[(u, r.target)].add(row)
 
-            left = {}
-            survivors = {}
-            for key, cols in columns.items():
-                rows = spans[key].rows
-                found = survivors[key] = {}
-                for j, (a, b) in enumerate(cols):
-                    if j not in rows:
-                        w = Path((a,) + b.arrows) if b.arrows else self.arrow_paths[a]
-                        found[j] = w
-                        left[(a, b)] = {w: ONE}
-                for pivot, row in rows.items():
-                    left[cols[pivot]] = {
-                        found[j]: -c for j, c in row.items() if j != pivot
-                    }
+            # number the surviving words block by block, in vertex order
+            rows, ids = {key: span.rows for key, span in spans.items()}, {}
+            for key in sorted(columns, key=lambda uv: (position[uv[0]], position[uv[1]])):
+                cols = columns[key]
+                found = [j for j in range(len(cols)) if j not in rows[key]]
                 if found:
-                    ws = self._basis[(d,) + key] = list(found.values())
-                    self.blocks_from.setdefault((d, key[0]), []).append((key[1], ws))
-            words = {
-                u: [survivors[key][j] for key, j in seq if j in survivors[key]]
-                for u, seq in order.items()
-            }
-            if not any(words.values()):
+                    paths = [Path((cols[j][0],) + self.words[cols[j][1]].arrows)
+                             for j in found]
+                    ids[key] = dict(zip(found, self._number(d, *key, paths)))
+            if not ids:
                 self._zero_from = d
                 break
-            self._left.append(left)
-            for ws in words.values():
-                self._words.update(ws)
+            if d == 1:
+                self.arrow_ids = {self.words[x].arrows[0]: x for x in range(
+                    len(q.vertices), len(self.words))}
+            # the left tables: a surviving column is its own word, a pivot
+            # column minus its row's other entries
+            for key, cols in columns.items():
+                survivors = ids.get(key, {})
+                for j, x in survivors.items():
+                    a, b = cols[j]
+                    self._products[(self.arrow_ids[a], b)] = {x: ONE}
+                for pivot, row in rows[key].items():
+                    a, b = cols[pivot]
+                    self._products[(self.arrow_ids[a], b)] = {
+                        survivors[j]: -c for j, c in row.items() if j != pivot
+                    }
+            last = {
+                u: [ids[key][j] for key, j in seq if j in ids.get(key, ())]
+                for u, seq in order.items()
+            }
             d += 1
 
         # blocks follow the walks, also past d0 where nothing is eliminated
@@ -221,15 +236,15 @@ class AlgebraModel:
             if r.length <= self.max_degree and self.normal_form(r):
                 raise InternalError(f"relation {r} has nonzero normal form")
 
-    def _walk(self, arrows, vec: dict, d: int) -> dict:
+    def _walk(self, arrows, vec: dict) -> dict:
         """Normal form of the arrows (first-applied first) applied after vec,
-        a normal form of degree d."""
+        a normal form in word ids, through the left tables."""
+        products = self._products
         for a in arrows:
-            d += 1
-            table = self._left[d]
+            x = self.arrow_ids[a]
             out = {}
             for b, c in vec.items():
-                vec_axpy(out, c, table[(a, b)])
+                vec_axpy(out, c, products[(x, b)])
             vec = out
         return vec
 
@@ -250,7 +265,7 @@ class AlgebraModel:
         out = []
         for uu in self.quiver.vertices if u is None else [u]:
             for vv in self.quiver.vertices if v is None else [v]:
-                out.extend(self._basis.get((d, uu, vv), ()))
+                out.extend(self.words[x] for x in self._basis.get((d, uu, vv), ()))
         return out
 
     def all_paths(self, d: int, u: str, v: str) -> list:
@@ -288,7 +303,7 @@ class AlgebraModel:
         out = []
         for d in range(top + 1):
             for u, v in self.blocks(d):
-                out.extend(self._basis.get((d, u, v), ()))
+                out.extend(self.words[x] for x in self._basis.get((d, u, v), ()))
         return out
 
     def _vanishes(self, d: int) -> bool:
@@ -303,9 +318,11 @@ class AlgebraModel:
 
     def normal_form(self, x) -> dict:
         """Residue class of x as a basis-path combination (empty dict = 0)."""
-        terms = _as_terms(x)
+        return {self.words[m]: c for m, c in self._normal_ids(x).items()}
+
+    def _normal_ids(self, x) -> dict:
         out = {}
-        for p, c in terms.items():
+        for p, c in _as_terms(x).items():
             if self._vanishes(p.length):
                 self._check_lives_here(p)
                 continue
@@ -314,8 +331,8 @@ class AlgebraModel:
                     f"path of length {p.length} exceeds the window {self.max_degree}"
                 )
             self._check_lives_here(p)
-            seed = {trivial_path(p.source): ONE}
-            vec_axpy(out, c, self._walk(reversed(p.arrows), seed, 0))
+            seed = {self.word_ids[trivial_path(p.source)]: ONE}
+            vec_axpy(out, c, self._walk(reversed(p.arrows), seed))
         return out
 
     def _check_lives_here(self, p: Path) -> None:
@@ -326,40 +343,42 @@ class AlgebraModel:
         if not lives:
             raise ValueError(f"path {p} does not live in this quiver")
 
-    def basis_product(self, bx: Path, by: Path) -> dict:
-        """Product of two basis classes (bx applied last)."""
-        key = (bx, by)
-        hit = self._product_cache.get(key)
-        if hit is not None:
-            return hit
-        d = bx.length + by.length
-        if bx.source != by.target or self._vanishes(d):
-            result = {}
-        else:
-            if d > self.max_degree:
+    def product(self, x: int, y: int) -> dict:
+        """NF(words[x]∘words[y]) in word ids, y applied first; cached.  The
+        caller must not mutate the result."""
+        result = self._products.get((x, y))
+        if result is None:
+            bx, by = self.words[x], self.words[y]
+            d = self.lengths[x] + self.lengths[y]
+            if bx.source != by.target or self._vanishes(d):
+                result = {}
+            elif d > self.max_degree:
                 raise DegreeOverflowError(
                     f"product degree {d} exceeds the window {self.max_degree}"
                 )
-            if by not in self._words:
-                seed = self.normal_form(by)
-                result = self._walk(reversed(bx.arrows), seed, by.length)
-            elif bx.length == 1:
-                result = dict(self._left[d][(bx.arrows[0], by)])
             else:
-                result = self._walk(reversed(bx.arrows), {by: ONE}, by.length)
-        self._product_cache[key] = result
+                result = self._walk(reversed(bx.arrows), {y: ONE})
+            self._products[(x, y)] = result
         return result
+
+    def basis_product(self, bx: Path, by: Path) -> dict:
+        """Product of two basis classes (bx applied last); a factor that is
+        not a basis word is reduced first."""
+        x, y = self.word_ids.get(bx), self.word_ids.get(by)
+        if x is None or y is None:
+            return self.multiply(bx, by)
+        return {self.words[m]: c for m, c in self.product(x, y).items()}
 
     def multiply(self, x, y) -> dict:
         """x·y with y applied first; inputs may be paths, combinations, or
         normal-form dicts."""
-        nx = self.normal_form(x)
-        ny = self.normal_form(y)
+        nx = self._normal_ids(x)
+        ny = self._normal_ids(y)
         out = {}
         for bx, cx in nx.items():
             for by, cy in ny.items():
-                vec_axpy(out, cx * cy, self.basis_product(bx, by))
-        return out
+                vec_axpy(out, cx * cy, self.product(bx, by))
+        return {self.words[m]: c for m, c in out.items()}
 
 
 def transport_word_map(model: AlgebraModel, sigma: QuiverAutomorphism) -> dict | None:
@@ -385,13 +404,16 @@ def transport_word_map(model: AlgebraModel, sigma: QuiverAutomorphism) -> dict |
                 return None
             words.update(zip(source, moved))
     # tables exist below the first vanishing degree, where both sides are 0
-    top = len(model._left) - 1
-    for b, moved in words.items():
-        if b.length < top:
-            table = model._left[b.length + 1]
-            for a in model.quiver.arrows_by_source[b.target]:
-                image = {words[w]: c for w, c in table[(a, b)].items()}
-                if table[(sigma.arrows[a], moved)] != image:
+    top = model.top_degree()
+    top = model.max_degree if top is None else top
+    ids = model.word_ids
+    pairs = {ids[b]: ids[moved] for b, moved in words.items()}
+    for x, y in pairs.items():
+        if model.lengths[x] < top:
+            for a in model.quiver.arrows_by_source[model.words[x].target]:
+                table = model.product(model.arrow_ids[a], x)
+                image = {pairs[w]: c for w, c in table.items()}
+                if model.product(model.arrow_ids[sigma.arrows[a]], y) != image:
                     return None
     return words
 

@@ -18,6 +18,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .algebra import AlgebraModel, InternalError, Presentation, hilbert_matrix
 from .corpus import CORPUS, build_corpus
@@ -376,7 +377,10 @@ def _run_corpus(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call of a process
+    and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="quiverkoszul",
         description="Finite quiver algebras: resolutions, coverings, duality checks.",

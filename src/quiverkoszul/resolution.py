@@ -8,7 +8,7 @@ dual, and the side-by-side comparison of an algebra with a finite covering.
 
 A resolution step presents its projective as a list of generators, each a
 (vertex, internal degree) pair; the differential sends a new generator to a
-combination of (previous generator, basis path) coordinates.  Syzygies are
+combination of (previous generator, basis word id) coordinates.  Syzygies are
 built degreewise per target vertex, and exactness counts each block, so a
 kernel is solved (finite exact linear algebra) only where the arrow images
 fall short of the count and the differential need not vanish.  Every Betti
@@ -29,7 +29,7 @@ from itertools import groupby, product
 from .algebra import AlgebraModel, InternalError, hilbert_matrix, transport_word_map
 from .covering import build_covering
 from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO, as_scalar
-from .quiver import Path, rooted_isomorphism, trivial_path
+from .quiver import rooted_isomorphism, trivial_path
 
 KOSZUL_TO_BOUND = "koszul-to-bound"
 FAILS_AT = "fails-at"
@@ -47,8 +47,9 @@ class Generator:
 def _degree_coords(model: AlgebraModel, gens: list, D: int,
                    window: range | None = None) -> dict:
     """Coordinates of the degree-D component of a free module, per target
-    vertex w: one (generator index, basis path into w) per generator and
-    basis path, in generator order then canonical basis order.
+    vertex w: one (generator index, word id) per generator and basis word
+    into w, in generator order then canonical basis order (the order of the
+    ids), so each list is sorted.
 
     ``window`` limits the walk to a range of generator indices, which must
     hold every generator with a basis path into degree D; by default every
@@ -80,13 +81,15 @@ class _Indexes(dict):
         return index
 
 
-def _diff_image(model: AlgebraModel, entry: dict, b: Path) -> dict:
-    """b times the element entry, both in (generator index, basis path)
+def _diff_image(model: AlgebraModel, entry: dict, b: int) -> dict:
+    """Word b times the element entry, in (generator index, word id)
     coordinates: the image of the coordinate b*g under a differential entry
-    for g, or the arrow multiple b*x of a syzygy vector x."""
+    for g, or the arrow multiple b*x of a syzygy vector x.  The products
+    come from the model's cache, keyed by pairs of word ids."""
     out = {}
-    for (l, c_path), coef in entry.items():
-        for m, cm in model.basis_product(b, c_path).items():
+    product = model.product
+    for (l, c), coef in entry.items():
+        for m, cm in product(b, c).items():
             key = (l, m)
             s = out.get(key, ZERO) + coef * cm
             if s:
@@ -100,19 +103,24 @@ class SimpleResolution:
     """Minimal resolution of one vertex simple through step i_max.
 
     ``gens[i]`` lists the step-i generators; ``diffs[i][j]`` maps coordinates
-    (previous generator index, basis path) to the coefficient with which they
-    appear in the image of generator j.  Minimality holds by construction:
-    every differential coordinate uses a positive-length path.
+    (previous generator index, word id of the model) to the coefficient with
+    which they appear in the image of generator j.  Minimality holds by
+    construction: every differential coordinate uses a positive-length word,
+    and the model's ``lengths`` give each word's length.
 
     Step i + 1 comes from one pass over the (D, w) blocks of P_i.  Exactness
     of 0 -> Ω^{i+1} -> P_i -> Ω^i -> 0 counts each block of Ω^{i+1} as
     dim P_i - dim Ω^i.  Where the arrow images of Ω^{i+1} one degree down
     reach that count (or it is 0), the independent images are the block's
-    basis and no generator sits there.  Only elsewhere is the kernel of d_i
-    solved; its vectors independent of the arrow images become generators.
-    A block whose count is its whole size, as no syzygy of step i sits
-    there, is where d_i vanishes: its kernel is its unit vectors, taken
-    without solving once every column is checked to be zero.  Where the
+    basis and no generator sits there; the images lie in that kernel, so
+    once their span reaches the count the rest are dependent and are not
+    computed.  Only elsewhere is the kernel of d_i solved; its vectors
+    independent of the arrow images become generators.  A block whose count
+    is its whole size, as no syzygy of step i sits there, is where d_i
+    vanishes: its kernel is its unit vectors, taken without solving once
+    every column is checked to be zero.  Every differential word has length
+    at least 1, so a column whose word is not shorter than the top degree
+    is zero by degree and only the shorter ones are multiplied.  Where the
     arrow images are empty, every kernel vector is a generator, with no
     independence test.  ``kernels_computed`` and ``kernels_skipped`` count
     nonempty blocks of either kind, vanishing blocks among the former.
@@ -138,7 +146,7 @@ class SimpleResolution:
         self.gens = [[Generator(vertex, 0)]]
         self.diffs = [[]]
         self.kernels_computed = self.kernels_skipped = 0
-        q = model.quiver
+        q, lengths = model.quiver, model.lengths
         top = model.top_degree()
         # a basis of Ω^{i+1} per (D, w) in P_i coordinates; Ω^0 sits in degree 0
         omega, indexes = {}, _Indexes({})
@@ -161,15 +169,15 @@ class SimpleResolution:
                         self.kernels_skipped += bool(coords)
                         continue
                     span, basis = EchelonSpan(), []
-                    for arrow in q.arrows_by_target[w]:
-                        xs = omega.get((D - 1, arrow.source))
-                        if not xs:
-                            continue
-                        a, index = model.arrow_paths[arrow], indexes[(D, w)]
-                        for x in xs:
-                            y = _diff_image(model, x, a)
-                            if span.add({index[key]: c for key, c in y.items()}):
-                                basis.append(y)
+                    images = (_diff_image(model, x, model.arrow_ids[arrow])
+                              for arrow in q.arrows_by_target[w]
+                              for x in omega.get((D - 1, arrow.source), ()))
+                    for y in images:
+                        index = indexes[(D, w)]
+                        if span.add({index[key]: c for key, c in y.items()}):
+                            basis.append(y)
+                            if span.rank == nullity:
+                                break
                     if span.rank == nullity:
                         self.kernels_skipped += 1
                         omega[(D, w)] = basis
@@ -189,7 +197,7 @@ class SimpleResolution:
                         raise InternalError(
                             f"step {i + 1} generator in degree {D}, below its step"
                         )
-                    if any(b.length == 0 for x in basis for _, b in x):
+                    if any(lengths[b] == 0 for x in basis for _, b in x):
                         raise InternalError(
                             f"step {i + 1} generator in degree {D} has a"
                             " non-minimal column"
@@ -207,10 +215,12 @@ class SimpleResolution:
         Where exactness counts the whole block (at step 0 that is the
         radical of P_0), d_i vanishes on it: the kernel is the block's unit
         vectors, the order solving gives for zero columns, and only that
-        every column is zero is checked."""
+        every column is zero is checked, on the columns whose word is
+        shorter than the top degree (every column without one)."""
         if nullity == len(coords):
+            top, lengths = self.model.top_degree(), self.model.lengths
             if i and any(_diff_image(self.model, self.diffs[i][k], b)
-                         for k, b in coords):
+                         for k, b in coords if top is None or lengths[b] < top):
                 raise InternalError(
                     f"step {i} differential is nonzero in degree {D} at vertex"
                     f" {w}, where exactness makes it vanish"
@@ -238,6 +248,8 @@ class SimpleResolution:
         algebra reached from vertex onto the part reached from its image,
         which is all either resolution reads, so the image is again a
         minimal resolution."""
+        ids = self.model.word_ids
+        word_map = {ids[b]: ids[m] for b, m in words.items()}
         out = object.__new__(SimpleResolution)
         out.model = self.model
         out.vertex = sigma.vertices[self.vertex]
@@ -250,7 +262,7 @@ class SimpleResolution:
                 moved += [image] * len(list(run))
             out.gens.append(moved)
         out.diffs = [
-            [{(k, words[b]): c for (k, b), c in entry.items()} for entry in step]
+            [{(k, word_map[b]): c for (k, b), c in entry.items()} for entry in step]
             for step in self.diffs
         ]
         out.kernels_computed = out.kernels_skipped = 0
@@ -482,7 +494,7 @@ class ExtAlgebra:
         """A step-``step`` element into vertex w whose differential is rhs."""
         by_degree = {}
         for (l2, m), c in rhs.items():
-            D = self.gens[step - 1][l2].degree + m.length
+            D = self.gens[step - 1][l2].degree + self.model.lengths[m]
             by_degree.setdefault(D, {})[(l2, m)] = c
         solution = {}
         for D, block_rhs in by_degree.items():
@@ -512,7 +524,7 @@ class ExtAlgebra:
 
         Returns the final layer as a map: bundle generator index at step
         xi.step + steps to an element of the step-``steps`` projective,
-        written in (generator index, basis path) coordinates.  The zeroth
+        written in (generator index, word id) coordinates.  The zeroth
         layer sends a generator to its value times the unit coordinate of
         the matching step-0 generator, which projects back onto xi.
         """
@@ -523,7 +535,8 @@ class ExtAlgebra:
         phi = {}
         for k, c in xi.values.items():
             g = self.gens[i][k]
-            key = (self._gen0_index[g.vertex], trivial_path(g.vertex))
+            key = (self._gen0_index[g.vertex],
+                   self.model.word_ids[trivial_path(g.vertex)])
             phi[k] = {key: c}
         for step in range(1, steps + 1):
             nxt = {}
@@ -531,7 +544,7 @@ class ExtAlgebra:
                 rhs = {}
                 for (l, b), c in entry.items():
                     for (l2, b2), c2 in phi.get(off + l, {}).items():
-                        for m, cm in self.model.basis_product(b, b2).items():
+                        for m, cm in self.model.product(b, b2).items():
                             key = (l2, m)
                             s = rhs.get(key, ZERO) + c * c2 * cm
                             if s:
@@ -551,11 +564,12 @@ class ExtAlgebra:
         lift of xi refuses a product past the window)."""
         self._check_support(zeta, "zeta")
         phi = self._lift(xi, zeta.step)
+        lengths = self.model.lengths
         values = {}
         for gpp, elem in phi.items():
             total = ZERO
             for (l, b), c in elem.items():
-                if b.length == 0:
+                if lengths[b] == 0:
                     total += c * zeta.values.get(l, ZERO)
             if total:
                 values[gpp] = total
@@ -592,21 +606,18 @@ def _arrow_ranks(res: SimpleResolution, i_max: int) -> list:
     rank is the number of such coordinates plus the rank of the other arrow
     parts with those coordinates dropped, so only the latter are eliminated.
     """
-    ranks = []
+    ranks, lengths = [], res.model.lengths
     for step in res.diffs[1:i_max + 1]:
         units, rest = set(), []
         for entry in step:
-            part = [(key, c) for key, c in entry.items() if key[1].length == 1]
+            part = [(key, c) for key, c in entry.items() if lengths[key[1]] == 1]
             if len(part) == 1:
                 units.add(part[0][0])
             elif part:
                 rest.append(part)
-        # the span pivots on its smallest key and paths do not order, so each
-        # (step-i generator, arrow) pair gets an int column position
-        span, position = EchelonSpan(), {}
+        span = EchelonSpan()
         for part in rest:
-            span.add({position.setdefault(key, len(position)): c
-                      for key, c in part if key not in units})
+            span.add({key: c for key, c in part if key not in units})
         ranks.append(len(units) + span.rank)
     return ranks
 

@@ -114,19 +114,17 @@ class StructureConstantAlgebra:
 
 
 def algebra_to_structure_constants(m: AlgebraModel) -> StructureConstantAlgebra:
-    """Present a provably finite-dimensional model on its basis paths."""
+    """Present a provably finite-dimensional model on its basis paths.  They
+    are the model's words in id order, so its products by id are the table."""
     basis = m.finite_basis()
-    index = {b: i for i, b in enumerate(basis)}
     ending_at = {}
     for j, b in enumerate(basis):
-        ending_at.setdefault(b.target, []).append((j, b))
+        ending_at.setdefault(b.target, []).append(j)
     table = {}
     for i, bi in enumerate(basis):
-        for j, bj in ending_at.get(bi.source, ()):
-            prod = m.basis_product(bi, bj)
-            if prod:
-                table[(i, j)] = {index[b]: c for b, c in prod.items()}
-    unit = {index[m.quiver.trivial_path(v)]: ONE for v in m.quiver.vertices}
+        for j in ending_at.get(bi.source, ()):
+            table[(i, j)] = m.product(i, j)
+    unit = {m.word_ids[m.quiver.trivial_path(v)]: ONE for v in m.quiver.vertices}
     return StructureConstantAlgebra(basis, unit, table, name="model")
 
 

@@ -339,6 +339,42 @@ def test_model_equals_every_path_elimination_on_quadratic_duals(presentation):
     _assert_same_model(dual_presentation(presentation), 5)
 
 
+def _assert_word_ids_follow_basis_order(model):
+    # by degree, source and target in quiver order, then canonical order,
+    # which is finite_basis() order wherever the window shows a top degree
+    want = [b for d in range(model.max_degree + 1) for b in model.basis_paths(d)]
+    assert model.words == want
+    assert model.lengths == [b.length for b in want]
+    assert [model.word_ids[b] for b in want] == list(range(len(want)))
+    if model.top_degree() is not None:
+        assert model.finite_basis() == want
+    for (d, u), blocks in model.blocks_from.items():
+        assert [v for v, _ in blocks] == [
+            v for v in model.quiver.vertices if model.dim(d, u, v)]
+        for v, ids in blocks:
+            assert [model.words[x] for x in ids] == model.basis_paths(d, u, v)
+    if model.max_degree:
+        assert {a: model.words[x] for a, x in model.arrow_ids.items()} == {
+            a: Path((a,)) for a in model.quiver.arrows}
+
+
+@pytest.mark.parametrize(
+    "presentation", [p for _, p in corpus_instances()],
+    ids=[label for label, _ in corpus_instances()],
+)
+def test_word_ids_follow_finite_basis_order_on_the_corpus(presentation):
+    _assert_word_ids_follow_basis_order(AlgebraModel(presentation, 5))
+    weights = ["1"] * len(presentation.quiver.arrows)
+    _assert_word_ids_follow_basis_order(
+        AlgebraModel(_covering(presentation, 2, weights), 4))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_word_ids_follow_finite_basis_order_on_random_presentations(seed):
+    model = AlgebraModel(random_presentation(random.Random(seed)), 5)
+    _assert_word_ids_follow_basis_order(model)
+
+
 def _covering(p, order, weights):
     labels = [a.label for a in p.quiver.arrows]
     return build_covering(p, cyclic_group(order), dict(zip(labels, weights)))

@@ -378,3 +378,39 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "exterior" in proc.stdout
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    import argparse
+
+    from quiverkoszul import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "quiverkoszul":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    assert built == []  # built on the first call, not before
+    assert main(["corpus", "list"]) == 0
+    assert main(["corpus", "list"]) == 0
+    assert len(built) == 1
+    # argparse still rejects a bad command line with exit 2, call after call
+    for _ in range(2):
+        with pytest.raises(SystemExit) as rejected:
+            main(["analyze"])
+        assert rejected.value.code == 2
+        assert "the following arguments are required: file" in capsys.readouterr().err
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import quiverkoszul.cli as cli; "
+            "print(cli._build_parser.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"

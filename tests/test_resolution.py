@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -319,12 +320,13 @@ def test_generation_agrees_with_linearity_for_exterior(ext2_report):
 def _scanning_lift(ext, xi, steps):
     """The lift as first written: seed by scanning every step-i generator,
     and in each step scan every generator and every differential entry."""
-    i = xi.step
+    i, model = xi.step, ext.model
     phi = {}
     for k, g in enumerate(ext.gens[i]):
         c = xi.values.get(k, ZERO)
         if c:
-            phi[k] = {(ext._gen0_index[g.vertex], trivial_path(g.vertex)): c}
+            e = model.word_ids[trivial_path(g.vertex)]
+            phi[k] = {(ext._gen0_index[g.vertex], e): c}
     for step in range(1, steps + 1):
         nxt = {}
         for gpp, g in enumerate(ext.gens[i + step]):
@@ -335,7 +337,7 @@ def _scanning_lift(ext, xi, steps):
                 if not prev_elem:
                     continue
                 for (l2, b2), c2 in prev_elem.items():
-                    for m, cm in ext.model.basis_product(b, b2).items():
+                    for m, cm in model.product(b, b2).items():
                         key = (l2, m)
                         s = rhs.get(key, ZERO) + c * c2 * cm
                         if s:
@@ -346,7 +348,7 @@ def _scanning_lift(ext, xi, steps):
                 continue
             by_degree = {}
             for (l2, m), c in rhs.items():
-                D = ext.gens[step - 1][l2].degree + m.length
+                D = ext.gens[step - 1][l2].degree + model.lengths[m]
                 by_degree.setdefault(D, {})[(l2, m)] = c
             solution = {}
             for D, block_rhs in by_degree.items():
@@ -496,11 +498,12 @@ def _generation_by_bundle_rank(ext):
     """(steps, passed, first_failure_i) from one rank per step over the
     arrow parts of every step-(i+1) bundle column, at its bundle offset."""
     steps, first_fail = [], None
+    lengths = ext.model.lengths
     for i in range(ext.i_max):
         span, position = EchelonSpan(), {}
         for off, entry in ext.diffs[i + 1]:
             span.add({position.setdefault((off + l, b), len(position)): c
-                      for (l, b), c in entry.items() if b.length == 1})
+                      for (l, b), c in entry.items() if lengths[b] == 1})
         required = len(ext.gens[i + 1])
         steps.append((i, span.rank, required))
         if span.rank != required and first_fail is None:
@@ -546,11 +549,13 @@ def test_generation_per_simple_is_the_bundle_rank_on_loop_cubed():
 def test_generation_rank_drops_single_entry_coordinates_from_the_other_parts():
     # arrow parts e_a, e_b, 3·e_a and e_a - e_b span two dimensions; the
     # length-2 coordinate is not an arrow part
-    x1, x2 = parse_quiver_spec("loops:2").arrows
-    a, b, aa = Path((x1,)), Path((x2,)), Path((x1, x1))
+    model = AlgebraModel(path_algebra(parse_quiver_spec("loops:2")), 2)
+    x1, x2 = model.quiver.arrows
+    a, b = model.arrow_ids[x1], model.arrow_ids[x2]
+    aa = model.word_ids[Path((x1, x1))]
     step = [{(0, a): 1}, {(0, b): 1, (1, aa): 5}, {(0, a): 3},
             {(0, a): 1, (0, b): -1}]
-    assert _arrow_ranks(SimpleNamespace(diffs=[[], step]), 1) == [2]
+    assert _arrow_ranks(SimpleNamespace(model=model, diffs=[[], step]), 1) == [2]
 
 
 def test_generation_ranks_each_resolved_simple_once(monkeypatch):
@@ -972,8 +977,9 @@ def _two_pass(model, vertex, i_max, d_max):
             blocks[(i, D, w)] = coords, {key: p for p, key in enumerate(coords)}
         return blocks[(i, D, w)]
 
-    omega = {D: {w: [{(0, b): 1} for b in model.basis_paths(D, vertex, w)]
-                 for w in q.vertices} for D in range(1, d_max + 1)}
+    omega = {D: {w: [{(0, b): 1} for b in ids]
+                 for w, ids in model.blocks_from.get((D, vertex), ())}
+             for D in range(1, d_max + 1)}
     for i in range(1, i_max + 1):
         gens_i, diffs_i = [], []
         for D in range(1, d_max + 1):
@@ -981,7 +987,7 @@ def _two_pass(model, vertex, i_max, d_max):
             for w0 in q.vertices:
                 for x in omega.get(D - 1, {}).get(w0, ()):
                     for a in q.arrows_by_source[w0]:
-                        y = _diff_image(model, x, Path((a,)))
+                        y = _diff_image(model, x, model.arrow_ids[a])
                         idx = block(i - 1, D, a.target)[1]
                         spans[a.target].add({idx[k]: c for k, c in y.items()})
             for w in q.vertices:
@@ -1076,6 +1082,30 @@ def test_one_loop_kernel_counters_are_pinned(p, d_max, i_max, want):
     assert (sizes["kernels_computed"], sizes["kernels_skipped"]) == want
 
 
+def test_arrow_images_stop_at_the_exactness_count(monkeypatch):
+    # a block's arrow images lie in the kernel, so once they span its count
+    # the rest are dependent and are not computed; computing every image
+    # gives the same resolution with 504 arrow-image products, not 251
+    from quiverkoszul import resolution
+
+    diff_image = resolution._diff_image
+    init = resolution.SimpleResolution.__init__.__code__
+    callers = []
+
+    def counted(model, entry, b):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name == "<genexpr>":
+            frame = frame.f_back
+        callers.append(frame.f_code is init)
+        return diff_image(model, entry, b)
+
+    monkeypatch.setattr(resolution, "_diff_image", counted)
+    report = resolve(AlgebraModel(exterior(3), 7), 7)
+    assert report.ext_totals() == [binom(i + 2, 2) for i in range(8)]
+    assert resolution_sizes(report)["kernels_computed"] == 7
+    assert (sum(callers), len(callers)) == (251, 500)
+
+
 def test_kernel_missing_the_exactness_count_is_an_internal_error(monkeypatch):
     # every column independent: the computed kernel is empty where
     # exactness counts a nonzero syzygy block
@@ -1102,35 +1132,76 @@ def test_vanishing_radical_square_zero_steps_solve_nothing(monkeypatch):
     assert report.per_simple["1"].kernels_computed == 7
 
 
-def test_vanishing_block_with_a_nonzero_differential_is_an_internal_error(monkeypatch):
-    # loops:2 in degree 2 of P_1: Ω^1 is empty there, so d_1 must vanish
+def test_vanishing_radical_square_zero_steps_multiply_nothing(monkeypatch):
+    # every column of a vanishing block holds a word of length 1, the top
+    # degree, and no arrow image reaches a block either: nothing multiplies
     from quiverkoszul import resolution
 
-    monkeypatch.setattr(resolution, "_diff_image", lambda model, entry, b: {(0, b): 1})
-    model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:2")), 4)
+    def refuse(model, entry, b):
+        raise AssertionError("a radical-square-zero step computed a product")
+
+    monkeypatch.setattr(resolution, "_diff_image", refuse)
+    model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:3")), 7)
+    report = resolve(model, 7)
+    assert report.ext_totals() == [3 ** i for i in range(8)]
+
+
+def _resolve_with_a_nonzero_check(monkeypatch, d_max):
+    """Resolve the preprojective(line:3) simple at vertex 1 with every
+    product of the vanishing check nonzero.  In degree 2 of P_1 at vertex 1
+    Ω^1 is empty, so d_1 must vanish there; the block's column holds a word
+    of length 1, below the top degree 2, so the check multiplies it."""
+    from quiverkoszul import resolution
+
+    diff_image, check = resolution._diff_image, resolution.SimpleResolution._kernel
+
+    def nonzero_in_the_check(model, entry, b):
+        # the check is the generator that _kernel runs; arrow images and
+        # solved kernels keep the true products
+        if sys._getframe(1).f_back.f_code is check.__code__:
+            return {(0, b): 1}
+        return diff_image(model, entry, b)
+
+    monkeypatch.setattr(resolution, "_diff_image", nonzero_in_the_check)
+    model = AlgebraModel(preprojective(parse_quiver_spec("line:3")), d_max)
     with pytest.raises(InternalError,
                        match=r"step 1 differential is nonzero in degree 2 at"
                              r" vertex 1, where exactness makes it vanish"):
         SimpleResolution(model, "1", 2)
+    return model
+
+
+def test_vanishing_block_with_a_nonzero_differential_is_an_internal_error(monkeypatch):
+    assert _resolve_with_a_nonzero_check(monkeypatch, 4).top_degree() == 2
+
+
+def test_vanishing_block_without_a_top_degree_checks_every_column(monkeypatch):
+    # window 2 shows no vanishing degree, so no column is zero by length
+    assert _resolve_with_a_nonzero_check(monkeypatch, 2).top_degree() is None
 
 
 def _resolve_with_a_stray_coordinate(monkeypatch, step_degree, D, stray):
     """Resolve the loops:2 simple with one more coordinate, (0, stray), in
     degree D of the step whose generators sit in step_degree.  No syzygy
     sits there, so the block vanishes and the stray unit vector meets
-    empty arrow images."""
+    empty arrow images.  A stray path that is not a basis word gets an id
+    past the model's words."""
     from quiverkoszul import resolution
 
+    model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:2")), 4)
+    if stray not in model.word_ids:
+        model.words.append(stray)
+        model.lengths.append(stray.length)
+    stray_id = model.word_ids.get(stray, len(model.words) - 1)
     degree_coords = resolution._degree_coords
 
     def with_stray(model, gens, D_, *window):
         by_target = degree_coords(model, gens, D_, *window)
         if D_ == D and gens[0].degree == step_degree:
-            by_target["1"] = by_target.get("1", []) + [(0, stray)]
+            by_target["1"] = by_target.get("1", []) + [(0, stray_id)]
         return by_target
 
     monkeypatch.setattr(resolution, "_degree_coords", with_stray)
-    model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:2")), 4)
     SimpleResolution(model, "1", 3)
 
 
