@@ -364,10 +364,7 @@ class AlgebraModel:
     def basis_product(self, bx: Path, by: Path) -> dict:
         """Product of two basis classes (bx applied last); a factor that is
         not a basis word is reduced first."""
-        x, y = self.word_ids.get(bx), self.word_ids.get(by)
-        if x is None or y is None:
-            return self.multiply(bx, by)
-        return {self.words[m]: c for m, c in self.product(x, y).items()}
+        return self.multiply(bx, by)
 
     def multiply(self, x, y) -> dict:
         """x·y with y applied first; inputs may be paths, combinations, or
