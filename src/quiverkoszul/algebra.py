@@ -148,48 +148,51 @@ class AlgebraModel:
 
     def _build(self) -> None:
         q = self.quiver
-        # last[u]: the ids of the last built degree's basis words starting
-        # at u, in first-applied lexicographic order across all targets
-        last = {v: list(self._number(0, v, v, [trivial_path(v)])) for v in q.vertices}
+        # last[u]: (id, target) of the last built degree's basis words from
+        # u, in first-applied lexicographic order across all targets
+        last = {v: [(x, v) for x in self._number(0, v, v, [trivial_path(v)])]
+                for v in q.vertices}
         self._block_keys[0] = {(v, v) for v in q.vertices}
         if not q.vertices:
             self._zero_from = 0
-        relations_by_degree = {}
-        for r in self.presentation.relations:
-            relations_by_degree.setdefault(r.length, []).append(r)
         position = {v: k for k, v in enumerate(q.vertices)}
+        # out_of[v]: (position in q.arrows, target) of each arrow out of v
+        out_of = {v: [] for v in q.vertices}
+        for p, a in enumerate(q.arrows):
+            out_of[a.source].append((p, a.target))
+        # relations[k]: (source, target, terms) per relation of length k, a
+        # term holding its last arrow's position, the others' ids and its
+        # coefficient; split once the arrows have ids
+        relations = {}
 
         d = 1
         while self._zero_from is None and d <= self.max_degree:
             # columns a∘b per block, in first-applied lexicographic order;
             # order[u] lists every degree-d column from u in that order
-            columns = {}
-            index = {}
-            order = {}
+            columns, index, order = {}, {}, {}
             for u, ws in last.items():
                 seq = order[u] = []
-                for b in ws:
-                    for a in q.arrows_by_source[self.words[b].target]:
-                        key = (u, a.target)
+                for b, t in ws:
+                    for p, v in out_of[t]:
+                        key = (u, v)
                         cols = columns.setdefault(key, [])
-                        index[(a, b)] = len(cols)
+                        index[(p, b)] = len(cols)
                         seq.append((key, len(cols)))
-                        cols.append((a, b))
+                        cols.append((p, b))
             spans = {key: EchelonSpan() for key in columns}
 
             # rows π(r∘b): a relation of length k after a degree-(d-k) word
             for k in range(2, d + 1):
-                for r in relations_by_degree.get(k, ()):
+                for source, target, terms in relations.get(k, ()):
                     for u in q.vertices:
-                        for b in self._basis.get((d - k, u, r.source), ()):
+                        for b in self._basis.get((d - k, u, source), ()):
                             row = {}
-                            for s, c in r.items():
-                                a = s.arrows[0]
-                                tail = self._walk(s.arrows[:0:-1], {b: ONE})
-                                term = {index[(a, w)]: cw for w, cw in tail.items()}
+                            for p, tail, c in terms:
+                                walked = self._walk(tail, {b: ONE})
+                                term = {index[(p, w)]: cw for w, cw in walked.items()}
                                 vec_axpy(row, c, term)
                             if row:
-                                spans[(u, r.target)].add(row)
+                                spans[(u, target)].add(row)
 
             # number the surviving words block by block, in vertex order
             rows, ids = {key: span.rows for key, span in spans.items()}, {}
@@ -197,7 +200,7 @@ class AlgebraModel:
                 cols = columns[key]
                 found = [j for j in range(len(cols)) if j not in rows[key]]
                 if found:
-                    paths = [Path((cols[j][0],) + self.words[cols[j][1]].arrows)
+                    paths = [Path((q.arrows[cols[j][0]],) + self.words[cols[j][1]].arrows)
                              for j in found]
                     ids[key] = dict(zip(found, self._number(d, *key, paths)))
             if not ids:
@@ -206,20 +209,26 @@ class AlgebraModel:
             if d == 1:
                 self.arrow_ids = {self.words[x].arrows[0]: x for x in range(
                     len(q.vertices), len(self.words))}
+                arrow_word = [self.arrow_ids[a] for a in q.arrows]
+                for r in self.presentation.relations:
+                    terms = [(q.arrows.index(s.arrows[0]),
+                              [self.arrow_ids[a] for a in s.arrows[:0:-1]], c)
+                             for s, c in r.items()]
+                    relations.setdefault(r.length, []).append((r.source, r.target, terms))
             # the left tables: a surviving column is its own word, a pivot
             # column minus its row's other entries
             for key, cols in columns.items():
                 survivors = ids.get(key, {})
                 for j, x in survivors.items():
-                    a, b = cols[j]
-                    self._products[(self.arrow_ids[a], b)] = {x: ONE}
+                    p, b = cols[j]
+                    self._products[(arrow_word[p], b)] = {x: ONE}
                 for pivot, row in rows[key].items():
-                    a, b = cols[pivot]
-                    self._products[(self.arrow_ids[a], b)] = {
+                    p, b = cols[pivot]
+                    self._products[(arrow_word[p], b)] = {
                         survivors[j]: -c for j, c in row.items() if j != pivot
                     }
             last = {
-                u: [ids[key][j] for key, j in seq if j in ids.get(key, ())]
+                u: [(ids[key][j], key[1]) for key, j in seq if j in ids.get(key, ())]
                 for u, seq in order.items()
             }
             d += 1
@@ -237,11 +246,10 @@ class AlgebraModel:
                 raise InternalError(f"relation {r} has nonzero normal form")
 
     def _walk(self, arrows, vec: dict) -> dict:
-        """Normal form of the arrows (first-applied first) applied after vec,
-        a normal form in word ids, through the left tables."""
+        """Normal form of the arrows (their word ids, first-applied first)
+        applied after vec, a normal form in word ids, through the tables."""
         products = self._products
-        for a in arrows:
-            x = self.arrow_ids[a]
+        for x in arrows:
             out = {}
             for b, c in vec.items():
                 vec_axpy(out, c, products[(x, b)])
@@ -332,7 +340,7 @@ class AlgebraModel:
                 )
             self._check_lives_here(p)
             seed = {self.word_ids[trivial_path(p.source)]: ONE}
-            vec_axpy(out, c, self._walk(reversed(p.arrows), seed))
+            vec_axpy(out, c, self._walk(map(self.arrow_ids.get, reversed(p.arrows)), seed))
         return out
 
     def _check_lives_here(self, p: Path) -> None:
@@ -357,7 +365,7 @@ class AlgebraModel:
                     f"product degree {d} exceeds the window {self.max_degree}"
                 )
             else:
-                result = self._walk(reversed(bx.arrows), {y: ONE})
+                result = self._walk(map(self.arrow_ids.get, reversed(bx.arrows)), {y: ONE})
             self._products[(x, y)] = result
         return result
 

@@ -7,7 +7,7 @@ an integral Fraction, which compares and hashes like its int).  What the
 module hands back, ``rref_rows`` included, follows the same rule.  A
 matrix is handed over as its rows or as a list of its columns.
 
-There is one elimination kernel, ``EchelonSpan.reduce``, with one pivot
+There is one elimination loop, ``EchelonSpan._reduce``, with one pivot
 rule: a row's pivot is its smallest index.  All elimination is exact and
 the rule is fixed, so every basis choice made downstream (normal forms,
 syzygy generators, kernel bases) is deterministic and reproducible across
@@ -16,6 +16,11 @@ as its entries plus a tag 1 at index ``height + j``.  Every row index must
 lie below ``height``, so the tags sit past every row index: pivots fall on
 rows exactly as in the rref of the matrix, and the tags of a residue record
 which columns it combines.
+
+Who owns a vector: the public methods copy it, dropping explicit zeros, and
+leave the caller's dict as it was.  ``_add`` and ``_add_column`` take a
+zero-free dict built for the call, which enters the loop uncopied and may
+be changed or kept as a row.
 """
 
 from __future__ import annotations
@@ -101,8 +106,10 @@ class EchelonSpan:
     def reduce(self, vec: dict) -> dict:
         """vec reduced by the stored rows, smallest pivot first; the residue
         has no entry at any pivot."""
+        return self._reduce(_clean(vec))
+
+    def _reduce(self, residue: dict) -> dict:
         rows = self._rows
-        residue = _clean(vec)
         while True:
             hit = residue.keys() & rows.keys()
             if not hit:
@@ -111,18 +118,21 @@ class EchelonSpan:
             vec_axpy(residue, -residue[p], rows[p])
 
     def add(self, vec: dict) -> bool:
-        residue = self.reduce(vec)
-        if residue:
-            self.store(residue, min(residue))
-        return bool(residue)
+        return bool(self._add(_clean(vec)))
 
-    def store(self, residue: dict, pivot) -> None:
+    def _add(self, vec: dict) -> dict:
+        # the row kept, maybe vec itself, or {}; reading ``rows`` changes it
+        residue = self._reduce(vec)
+        return residue and self.store(residue, min(residue))
+
+    def store(self, residue: dict, pivot) -> dict:
         """Keep a nonzero residue of ``reduce`` as a row; pivot is min(residue)."""
         lead = residue[pivot]
         if lead != 1:
             residue = {j: exact_div(c, lead) for j, c in residue.items()}
         self._rows[pivot] = residue
         self._reduced = False
+        return residue
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
@@ -175,12 +185,15 @@ class ColumnSolver:
         """Feed the next column; returns None if independent, else the
         kernel vector it closes: 1 at the new column and minus its
         expansion over the independent columns fed so far."""
+        return self._add_column(_clean(vec))
+
+    def _add_column(self, vec: dict):
         j = self.count
         tag = self.height + j
         self.count += 1
         # no stored row holds the new tag, so the tagged column reduces to
         # the residue of vec plus the tag
-        residue = self._span.reduce(vec)
+        residue = self._span._reduce(vec)
         if residue:
             pivot = min(residue)
             if pivot < self.height:

@@ -8,7 +8,10 @@ dual, and the side-by-side comparison of an algebra with a finite covering.
 
 A resolution step presents its projective as a list of generators, each a
 (vertex, internal degree) pair; the differential sends a new generator to a
-combination of (previous generator, basis word id) coordinates.  Syzygies are
+combination of coordinates, each the int k·W + b for a previous generator
+k and a basis word id b, with W = len(model.words).  The ints sort as the
+(k, b) pairs do, so spans and solvers pivot on them directly, and
+``divmod(·, W)`` decodes one; no other module sees them.  Syzygies are
 built degreewise per target vertex, and exactness counts each block, so a
 kernel is solved (finite exact linear algebra) only where the arrow images
 fall short of the count and the differential need not vanish.  Every Betti
@@ -24,11 +27,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby, product
+from itertools import groupby, repeat
 
 from .algebra import AlgebraModel, InternalError, hilbert_matrix, transport_word_map
 from .covering import build_covering
-from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO, as_scalar
+from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO, as_scalar, vec_axpy
 from .quiver import rooted_isomorphism, trivial_path
 
 KOSZUL_TO_BOUND = "koszul-to-bound"
@@ -47,9 +50,9 @@ class Generator:
 def _degree_coords(model: AlgebraModel, gens: list, D: int,
                    window: range | None = None) -> dict:
     """Coordinates of the degree-D component of a free module, per target
-    vertex w: one (generator index, word id) per generator and basis word
-    into w, in generator order then canonical basis order (the order of the
-    ids), so each list is sorted.
+    vertex w: k·W + b for each generator k and basis word b into w, in
+    generator order then canonical basis order (the order of the ids), so
+    each list is sorted.
 
     ``window`` limits the walk to a range of generator indices, which must
     hold every generator with a basis path into degree D; by default every
@@ -57,45 +60,35 @@ def _degree_coords(model: AlgebraModel, gens: list, D: int,
     generators in a row, as a step's batches are, share their basis words,
     so each run is read once.
     """
-    out = {}
+    out, W = {}, len(model.words)
     window = range(len(gens)) if window is None else window
     k = window.start
     for g, run in groupby(gens[k:window.stop]):
         n = len(list(run))
         for w, words in model.blocks_from.get((D - g.degree, g.vertex), ()):
-            out.setdefault(w, []).extend(product(range(k, k + n), words))
+            out.setdefault(w, []).extend(
+                kk * W + b for kk in range(k, k + n) for b in words)
         k += n
     return out
 
 
-class _Indexes(dict):
-    """(D, w) -> the position of each coordinate of a step's block, built
-    from ``blocks`` when first read."""
-
-    def __init__(self, blocks: dict):
-        super().__init__()
-        self.blocks = blocks
-
-    def __missing__(self, key):
-        index = self[key] = {c: p for p, c in enumerate(self.blocks[key])}
-        return index
-
-
 def _diff_image(model: AlgebraModel, entry: dict, b: int) -> dict:
-    """Word b times the element entry, in (generator index, word id)
-    coordinates: the image of the coordinate b*g under a differential entry
-    for g, or the arrow multiple b*x of a syzygy vector x.  The products
-    come from the model's cache, keyed by pairs of word ids."""
-    out = {}
+    """Word b times the element entry, both in coordinates k·W + word id:
+    the image of the coordinate b*g under a differential entry for g, or
+    the arrow multiple b*x of a syzygy vector x.  The products come from
+    the model's cache, keyed by pairs of word ids."""
+    out, W = {}, len(model.words)
     product = model.product
-    for (l, c), coef in entry.items():
+    for key, coef in entry.items():
+        c = key % W
+        base = key - c
         for m, cm in product(b, c).items():
-            key = (l, m)
-            s = out.get(key, ZERO) + coef * cm
+            at = base + m
+            s = out.get(at, ZERO) + coef * cm
             if s:
-                out[key] = s
+                out[at] = s
             else:
-                del out[key]
+                del out[at]
     return out
 
 
@@ -103,8 +96,9 @@ class SimpleResolution:
     """Minimal resolution of one vertex simple through step i_max.
 
     ``gens[i]`` lists the step-i generators; ``diffs[i][j]`` maps coordinates
-    (previous generator index, word id of the model) to the coefficient with
-    which they appear in the image of generator j.  Minimality holds by
+    k·W + b (previous generator index k, word id b of the model) to the
+    coefficient with which they appear in the image of generator j.  The
+    Ω bases are written in the same coordinates.  Minimality holds by
     construction: every differential coordinate uses a positive-length word,
     and the model's ``lengths`` give each word's length.
 
@@ -129,10 +123,12 @@ class SimpleResolution:
     model's top degree, so degree D reads only the generators in degrees
     D - top to D (every one up to D if the window shows no top degree).
     One walk over them per step and degree builds the coordinates of every
-    vertex's block, from the model's ``blocks_from`` table; a block's
-    coordinate positions are indexed only where arrow images enter its span
-    or the next step solves it.  A block's new generators are added as one
-    batch and share one ``Generator``.
+    vertex's block, from the model's ``blocks_from`` table.  Spans and
+    solvers take the coordinates as they are.  An arrow image is built for
+    its span, which keeps it as an echelon row: the block's Ω basis is
+    those rows, which span what the independent images span, prefix by
+    prefix.  A block's new generators are added as one batch and share one
+    ``Generator``.
 
     ``resolved_from`` is the vertex whose resolution was computed: this
     one's own, or, for a ``relabelled`` copy, its source's.
@@ -146,13 +142,15 @@ class SimpleResolution:
         self.gens = [[Generator(vertex, 0)]]
         self.diffs = [[]]
         self.kernels_computed = self.kernels_skipped = 0
-        q, lengths = model.quiver, model.lengths
+        q, lengths, W = model.quiver, model.lengths, len(model.words)
         top = model.top_degree()
+        # (arrow word id, source) of each arrow into a vertex
+        into = {w: [(model.arrow_ids[a], a.source) for a in q.arrows_by_target[w]]
+                for w in q.vertices}
         # a basis of Ω^{i+1} per (D, w) in P_i coordinates; Ω^0 sits in degree 0
-        omega, indexes = {}, _Indexes({})
+        omega = {}
         for i in range(i_max):
-            image, omega, prev, indexes = omega, {}, indexes, _Indexes({})
-            blocks = indexes.blocks
+            image, omega = omega, {}
             gens, diffs = [], []
             degrees = [g.degree for g in self.gens[i]]
             for D in range(1, model.max_degree + 1):
@@ -163,19 +161,18 @@ class SimpleResolution:
                 )
                 by_target = _degree_coords(model, self.gens[i], D, window)
                 for w in q.vertices:
-                    coords = blocks[(D, w)] = by_target.get(w, [])
+                    coords = by_target.get(w, [])
                     nullity = len(coords) - len(image.get((D, w), ()))
                     if not nullity:
                         self.kernels_skipped += bool(coords)
                         continue
                     span, basis = EchelonSpan(), []
-                    images = (_diff_image(model, x, model.arrow_ids[arrow])
-                              for arrow in q.arrows_by_target[w]
-                              for x in omega.get((D - 1, arrow.source), ()))
+                    images = (_diff_image(model, x, a)
+                              for a, u in into[w]
+                              for x in omega.get((D - 1, u), ()))
                     for y in images:
-                        index = indexes[(D, w)]
-                        if span.add({index[key]: c for key, c in y.items()}):
-                            basis.append(y)
+                        if row := span._add(y):
+                            basis.append(row)
                             if span.rank == nullity:
                                 break
                     if span.rank == nullity:
@@ -183,21 +180,19 @@ class SimpleResolution:
                         omega[(D, w)] = basis
                         continue
                     self.kernels_computed += 1
-                    basis = omega[(D, w)] = self._kernel(
-                        i, D, w, coords, nullity, prev)
+                    basis = omega[(D, w)] = self._kernel(i, D, w, coords, nullity)
                     # the new generators: kernel vectors independent of the
-                    # arrow images, every one where the images span nothing
+                    # arrow images, every one where the images span nothing;
+                    # diffs keeps them, so the span gets copies
                     if span.rank:
-                        index = indexes[(D, w)]
-                        basis = [x for x in basis if span.add(
-                            {index[key]: c for key, c in x.items()})]
+                        basis = [x for x in basis if span.add(x)]
                     if not basis:
                         continue
                     if D <= i:
                         raise InternalError(
                             f"step {i + 1} generator in degree {D}, below its step"
                         )
-                    if any(lengths[b] == 0 for x in basis for _, b in x):
+                    if any(lengths[key % W] == 0 for x in basis for key in x):
                         raise InternalError(
                             f"step {i + 1} generator in degree {D} has a"
                             " non-minimal column"
@@ -207,8 +202,7 @@ class SimpleResolution:
             self.gens.append(gens)
             self.diffs.append(diffs)
 
-    def _kernel(self, i: int, D: int, w: str, coords: list, nullity: int,
-                prev: _Indexes) -> list:
+    def _kernel(self, i: int, D: int, w: str, coords: list, nullity: int) -> list:
         """Kernel of d_i on the (D, w) block of P_i, one vector per dependent
         column, in column order.
 
@@ -216,22 +210,23 @@ class SimpleResolution:
         radical of P_0), d_i vanishes on it: the kernel is the block's unit
         vectors, the order solving gives for zero columns, and only that
         every column is zero is checked, on the columns whose word is
-        shorter than the top degree (every column without one)."""
+        shorter than the top degree (every column without one).  A solved
+        block's rows are the P_{i-1} coordinates, below len(gens[i-1])·W."""
+        model, diffs, W = self.model, self.diffs[i], len(self.model.words)
         if nullity == len(coords):
-            top, lengths = self.model.top_degree(), self.model.lengths
-            if i and any(_diff_image(self.model, self.diffs[i][k], b)
-                         for k, b in coords if top is None or lengths[b] < top):
+            top, lengths = model.top_degree(), model.lengths
+            if i and any(_diff_image(model, diffs[k], b)
+                         for k, b in map(divmod, coords, repeat(W))
+                         if top is None or lengths[b] < top):
                 raise InternalError(
                     f"step {i} differential is nonzero in degree {D} at vertex"
                     f" {w}, where exactness makes it vanish"
                 )
             return [{key: ONE} for key in coords]
-        prev_index = prev[(D, w)]
-        solver = ColumnSolver(len(prev_index))
+        solver = ColumnSolver(len(self.gens[i - 1]) * W)
         kernel = []
-        for k, b in coords:
-            image = _diff_image(self.model, self.diffs[i][k], b)
-            vec = solver.add_column({prev_index[key]: c for key, c in image.items()})
+        for k, b in map(divmod, coords, repeat(W)):
+            vec = solver._add_column(_diff_image(model, diffs[k], b))
             if vec is not None:
                 kernel.append({coords[p]: c for p, c in vec.items()})
         if len(kernel) != nullity:
@@ -248,8 +243,9 @@ class SimpleResolution:
         algebra reached from vertex onto the part reached from its image,
         which is all either resolution reads, so the image is again a
         minimal resolution."""
-        ids = self.model.word_ids
-        word_map = {ids[b]: ids[m] for b, m in words.items()}
+        ids, W = self.model.word_ids, len(self.model.words)
+        # coordinate k·W + b moves by ids[σb] - b
+        shift = {ids[b]: ids[m] - ids[b] for b, m in words.items()}
         out = object.__new__(SimpleResolution)
         out.model = self.model
         out.vertex = sigma.vertices[self.vertex]
@@ -262,7 +258,7 @@ class SimpleResolution:
                 moved += [image] * len(list(run))
             out.gens.append(moved)
         out.diffs = [
-            [{(k, word_map[b]): c for (k, b), c in entry.items()} for entry in step]
+            [{key + shift[key % W]: c for key, c in entry.items()} for entry in step]
             for step in self.diffs
         ]
         out.kernels_computed = out.kernels_skipped = 0
@@ -408,7 +404,8 @@ class ExtAlgebra:
     generator j, keyed by its simple's step-(i-1) generators, with the
     bundle offset of that simple's step-(i-1) block, so the bundle shares
     the differentials instead of copying them.  Only the lifts read it, so
-    it is paired on first read.
+    it is paired on first read.  Bundle coordinates are k·W + b over the
+    bundle's generators k: an entry's coordinate moves by offset·W.
     """
 
     def __init__(self, report: ResolutionReport):
@@ -451,29 +448,22 @@ class ExtAlgebra:
     def ext_basis(self, i: int) -> list:
         return [ExtElement(i, {k: ONE}) for k in range(self.ext_dim(i))]
 
-    def _coords(self, i: int, D: int, w: str):
-        key = (i, D, w)
-        if key not in self._coords_cache:
-            by_target = _degree_coords(self.model, self.gens[i], D)
-            for v in self.simples:
-                coords = by_target.get(v, [])
-                self._coords_cache[(i, D, v)] = (
-                    coords, {c: p for p, c in enumerate(coords)})
-        return self._coords_cache[key]
+    def _coords(self, i: int, D: int, w: str) -> list:
+        if (i, D) not in self._coords_cache:
+            self._coords_cache[(i, D)] = _degree_coords(self.model, self.gens[i], D)
+        return self._coords_cache[(i, D)].get(w, [])
 
     def _solver(self, k: int, D: int, w: str) -> ColumnSolver:
         key = (k, D, w)
         solver = self._solver_cache.get(key)
         if solver is None:
-            cur, _ = self._coords(k, D, w)
-            _, prev_index = self._coords(k - 1, D, w)
-            solver = ColumnSolver(len(prev_index))
-            for (g_idx, b) in cur:
+            W = len(self.model.words)
+            solver = ColumnSolver(len(self.gens[k - 1]) * W)
+            for g_idx, b in map(divmod, self._coords(k, D, w), repeat(W)):
                 off, entry = self.diffs[k][g_idx]
-                image = _diff_image(self.model, entry, b)
-                solver.add_column(
-                    {prev_index[(off + l, m)]: coef for (l, m), coef in image.items()}
-                )
+                shift = off * W
+                solver._add_column({m + shift: coef for m, coef in
+                                    _diff_image(self.model, entry, b).items()})
             self._solver_cache[key] = solver
         return solver
 
@@ -492,31 +482,23 @@ class ExtAlgebra:
 
     def _preimage(self, step: int, w: str, rhs: dict) -> dict:
         """A step-``step`` element into vertex w whose differential is rhs."""
+        W = len(self.model.words)
         by_degree = {}
-        for (l2, m), c in rhs.items():
+        for key, c in rhs.items():
+            l2, m = divmod(key, W)
             D = self.gens[step - 1][l2].degree + self.model.lengths[m]
-            by_degree.setdefault(D, {})[(l2, m)] = c
+            by_degree.setdefault(D, {})[key] = c
         solution = {}
         for D, block_rhs in by_degree.items():
-            solver = self._solver(step, D, w)
-            cur, _ = self._coords(step, D, w)
-            _, prev_index = self._coords(step - 1, D, w)
-            coords = solver.solve(
-                {prev_index[key]: c for key, c in block_rhs.items()}
-            )
+            coords = self._solver(step, D, w).solve(block_rhs)
             if coords is None:
                 raise InternalError(
                     f"resolution fails to be exact at step {step},"
                     f" degree {D}, vertex {w}"
                 )
-            for pos, c in coords.items():
-                if c:
-                    key = cur[pos]
-                    s = solution.get(key, ZERO) + c
-                    if s:
-                        solution[key] = s
-                    else:
-                        del solution[key]
+            # a coordinate sits in one degree: the blocks' solutions are disjoint
+            cur = self._coords(step, D, w)
+            solution.update((cur[pos], c) for pos, c in coords.items())
         return solution
 
     def _lift(self, xi: ExtElement, steps: int) -> dict:
@@ -524,33 +506,28 @@ class ExtAlgebra:
 
         Returns the final layer as a map: bundle generator index at step
         xi.step + steps to an element of the step-``steps`` projective,
-        written in (generator index, word id) coordinates.  The zeroth
-        layer sends a generator to its value times the unit coordinate of
-        the matching step-0 generator, which projects back onto xi.
+        written in bundle coordinates k·W + b.  The zeroth layer sends a
+        generator to its value times the unit coordinate of the matching
+        step-0 generator, which projects back onto xi.
         """
         i = xi.step
         if i + steps > self.i_max:
             raise ValueError("lift leaves the homological window")
         self._check_support(xi, "xi")
+        W = len(self.model.words)
         phi = {}
         for k, c in xi.values.items():
             g = self.gens[i][k]
-            key = (self._gen0_index[g.vertex],
-                   self.model.word_ids[trivial_path(g.vertex)])
+            key = (self._gen0_index[g.vertex] * W
+                   + self.model.word_ids[trivial_path(g.vertex)])
             phi[k] = {key: c}
         for step in range(1, steps + 1):
             nxt = {}
             for gpp, (off, entry) in enumerate(self.diffs[i + step]):
                 rhs = {}
-                for (l, b), c in entry.items():
-                    for (l2, b2), c2 in phi.get(off + l, {}).items():
-                        for m, cm in self.model.product(b, b2).items():
-                            key = (l2, m)
-                            s = rhs.get(key, ZERO) + c * c2 * cm
-                            if s:
-                                rhs[key] = s
-                            else:
-                                del rhs[key]
+                for key, c in entry.items():
+                    l, b = divmod(key, W)
+                    vec_axpy(rhs, c, _diff_image(self.model, phi.get(off + l, {}), b))
                 if rhs:
                     w = self.gens[i + step][gpp].vertex
                     solution = self._preimage(step, w, rhs)
@@ -564,11 +541,12 @@ class ExtAlgebra:
         lift of xi refuses a product past the window)."""
         self._check_support(zeta, "zeta")
         phi = self._lift(xi, zeta.step)
-        lengths = self.model.lengths
+        lengths, W = self.model.lengths, len(self.model.words)
         values = {}
         for gpp, elem in phi.items():
             total = ZERO
-            for (l, b), c in elem.items():
+            for key, c in elem.items():
+                l, b = divmod(key, W)
                 if lengths[b] == 0:
                     total += c * zeta.values.get(l, ZERO)
             if total:
@@ -606,18 +584,18 @@ def _arrow_ranks(res: SimpleResolution, i_max: int) -> list:
     rank is the number of such coordinates plus the rank of the other arrow
     parts with those coordinates dropped, so only the latter are eliminated.
     """
-    ranks, lengths = [], res.model.lengths
+    ranks, lengths, W = [], res.model.lengths, len(res.model.words)
     for step in res.diffs[1:i_max + 1]:
         units, rest = set(), []
         for entry in step:
-            part = [(key, c) for key, c in entry.items() if lengths[key[1]] == 1]
+            part = [(key, c) for key, c in entry.items() if lengths[key % W] == 1]
             if len(part) == 1:
                 units.add(part[0][0])
             elif part:
                 rest.append(part)
         span = EchelonSpan()
         for part in rest:
-            span.add({key: c for key, c in part if key not in units})
+            span._add({key: c for key, c in part if key not in units})
         ranks.append(len(units) + span.rank)
     return ranks
 

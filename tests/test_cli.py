@@ -218,7 +218,7 @@ def test_internal_error_exit_3(capsys, monkeypatch, ext2_file):
         self.count += 1
         return {self.count - 1: 1}
 
-    monkeypatch.setattr(ColumnSolver, "add_column", all_dependent)
+    monkeypatch.setattr(ColumnSolver, "_add_column", all_dependent)
     rc = main(["analyze", ext2_file, "--max-degree", "3", "--max-homological", "3"])
     assert rc == 3
     captured = capsys.readouterr()
@@ -227,7 +227,7 @@ def test_internal_error_exit_3(capsys, monkeypatch, ext2_file):
 
 
 def test_kernel_below_the_exactness_count_exits_3(capsys, monkeypatch, ext2_file):
-    monkeypatch.setattr(ColumnSolver, "add_column", lambda self, vec: None)
+    monkeypatch.setattr(ColumnSolver, "_add_column", lambda self, vec: None)
     rc = main(["analyze", ext2_file, "--max-degree", "3", "--max-homological", "3"])
     assert rc == 3
     captured = capsys.readouterr()

@@ -150,6 +150,28 @@ class TestEchelonSpan:
         assert not a.equals(c)
 
 
+    def test_add_and_reduce_keep_the_callers_dict_and_drop_zeros(self):
+        span = EchelonSpan()
+        # unit lead and no pivot hit: the row is the vector's entries, kept
+        # apart from the caller's dict
+        vec = {0: 1, 1: 0, 2: 3}
+        assert span.add(vec) is True
+        assert vec == {0: 1, 1: 0, 2: 3}
+        vec[2] = 99
+        assert span.add({2: 1, 0: 1}) is True
+        probe = {2: 5, 7: 0}
+        assert span.reduce(probe) == {}
+        assert probe == {2: 5, 7: 0}
+        residue = span.reduce({5: 2, 6: 0})
+        assert residue == {5: 2}
+        # reading the rows back-substitutes them in place; the caller's
+        # dicts stay out of it
+        assert span.rows == {0: {0: 1}, 2: {2: 1}}
+        assert vec == {0: 1, 1: 0, 2: 99}
+        assert span.add({3: 0}) is False
+        assert span.rank == 2
+
+
 class TestColumnSolver:
     def test_solve_expresses_vector_in_columns(self):
         solver = ColumnSolver(2)
@@ -199,6 +221,21 @@ class TestColumnSolver:
         solver.add_column({1: F(1), 2: F(1)})
         assert solver.solve({0: F(1), 2: F(-1)}) == {0: F(1), 2: F(-1)}
         assert solver.solve({0: F(1)}) is None
+
+    def test_add_column_and_solve_keep_the_callers_dict_and_drop_zeros(self):
+        solver = ColumnSolver(3)
+        col = {0: 1, 1: 0}
+        assert solver.add_column(col) is None
+        # the new column's tag goes into a copy
+        assert col == {0: 1, 1: 0}
+        dep = {0: 2, 2: 0}
+        assert solver.add_column(dep) == {0: -2, 1: 1}
+        assert dep == {0: 2, 2: 0}
+        # a column of explicit zeros is the zero column
+        assert solver.add_column({1: 0}) == {2: 1}
+        target = {0: 3, 2: 0}
+        assert solver.solve(target) == {0: 3}
+        assert target == {0: 3, 2: 0}
 
     def test_zero_column_and_zero_target(self):
         solver = ColumnSolver(2)

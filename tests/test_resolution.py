@@ -321,24 +321,27 @@ def _scanning_lift(ext, xi, steps):
     """The lift as first written: seed by scanning every step-i generator,
     and in each step scan every generator and every differential entry."""
     i, model = xi.step, ext.model
+    W = len(model.words)
     phi = {}
     for k, g in enumerate(ext.gens[i]):
         c = xi.values.get(k, ZERO)
         if c:
             e = model.word_ids[trivial_path(g.vertex)]
-            phi[k] = {(ext._gen0_index[g.vertex], e): c}
+            phi[k] = {ext._gen0_index[g.vertex] * W + e: c}
     for step in range(1, steps + 1):
         nxt = {}
         for gpp, g in enumerate(ext.gens[i + step]):
             rhs = {}
             off, entry = ext.diffs[i + step][gpp]
-            for (l, b), c in entry.items():
+            for key, c in entry.items():
+                l, b = divmod(key, W)
                 prev_elem = phi.get(off + l)
                 if not prev_elem:
                     continue
-                for (l2, b2), c2 in prev_elem.items():
+                for key2, c2 in prev_elem.items():
+                    l2, b2 = divmod(key2, W)
                     for m, cm in model.product(b, b2).items():
-                        key = (l2, m)
+                        key = l2 * W + m
                         s = rhs.get(key, ZERO) + c * c2 * cm
                         if s:
                             rhs[key] = s
@@ -347,15 +350,14 @@ def _scanning_lift(ext, xi, steps):
             if not rhs:
                 continue
             by_degree = {}
-            for (l2, m), c in rhs.items():
+            for key, c in rhs.items():
+                l2, m = divmod(key, W)
                 D = ext.gens[step - 1][l2].degree + model.lengths[m]
-                by_degree.setdefault(D, {})[(l2, m)] = c
+                by_degree.setdefault(D, {})[key] = c
             solution = {}
             for D, block_rhs in by_degree.items():
-                cur, _ = ext._coords(step, D, g.vertex)
-                _, prev_index = ext._coords(step - 1, D, g.vertex)
-                coords = ext._solver(step, D, g.vertex).solve(
-                    {prev_index[key]: c for key, c in block_rhs.items()})
+                cur = ext._coords(step, D, g.vertex)
+                coords = ext._solver(step, D, g.vertex).solve(block_rhs)
                 if coords is None:
                     raise InternalError(f"not exact at step {step}, degree {D}")
                 for pos, c in coords.items():
@@ -498,12 +500,16 @@ def _generation_by_bundle_rank(ext):
     """(steps, passed, first_failure_i) from one rank per step over the
     arrow parts of every step-(i+1) bundle column, at its bundle offset."""
     steps, first_fail = [], None
-    lengths = ext.model.lengths
+    lengths, W = ext.model.lengths, len(ext.model.words)
     for i in range(ext.i_max):
         span, position = EchelonSpan(), {}
         for off, entry in ext.diffs[i + 1]:
-            span.add({position.setdefault((off + l, b), len(position)): c
-                      for (l, b), c in entry.items() if lengths[b] == 1})
+            part = {}
+            for key, c in entry.items():
+                l, b = divmod(key, W)
+                if lengths[b] == 1:
+                    part[position.setdefault((off + l, b), len(position))] = c
+            span.add(part)
         required = len(ext.gens[i + 1])
         steps.append((i, span.rank, required))
         if span.rank != required and first_fail is None:
@@ -553,8 +559,8 @@ def test_generation_rank_drops_single_entry_coordinates_from_the_other_parts():
     x1, x2 = model.quiver.arrows
     a, b = model.arrow_ids[x1], model.arrow_ids[x2]
     aa = model.word_ids[Path((x1, x1))]
-    step = [{(0, a): 1}, {(0, b): 1, (1, aa): 5}, {(0, a): 3},
-            {(0, a): 1, (0, b): -1}]
+    W = len(model.words)
+    step = [{a: 1}, {b: 1, W + aa: 5}, {a: 3}, {a: 1, b: -1}]
     assert _arrow_ranks(SimpleNamespace(model=model, diffs=[[], step]), 1) == [2]
 
 
@@ -601,11 +607,12 @@ def _orbit_covers():
 def _bundle_image(ext, step, vec):
     """The step-``step`` differential of a bundle element, in step-(step-1)
     bundle coordinates."""
-    out = {}
-    for (g, b), c in vec.items():
+    out, W = {}, len(ext.model.words)
+    for key, c in vec.items():
+        g, b = divmod(key, W)
         off, entry = ext.diffs[step][g]
-        for (l, m), cm in _diff_image(ext.model, entry, b).items():
-            key = (off + l, m)
+        for lm, cm in _diff_image(ext.model, entry, b).items():
+            key = off * W + lm
             s = out.get(key, ZERO) + c * cm
             if s:
                 out[key] = s
@@ -615,14 +622,16 @@ def _bundle_image(ext, step, vec):
 
 
 def _assert_transported_square_to_zero(report):
+    W = len(report.model.words)
     for u in report.transported:
         diffs = report.per_simple[u].diffs
         for i in range(2, report.i_max + 1):
             for entry in diffs[i]:
                 dd = {}
-                for (l, b), c in entry.items():
-                    for key, cm in _diff_image(report.model, diffs[i - 1][l], b).items():
-                        dd[key] = dd.get(key, ZERO) + c * cm
+                for key, c in entry.items():
+                    l, b = divmod(key, W)
+                    for lm, cm in _diff_image(report.model, diffs[i - 1][l], b).items():
+                        dd[lm] = dd.get(lm, ZERO) + c * cm
                 assert not any(dd.values())
 
 
@@ -637,21 +646,19 @@ def test_orbit_transported_resolutions_are_exact(name):
     # ker d_s lies in im d_{s+1} on every block of the bundle, and the
     # augmentation's kernel (the radical of P_0) in im d_1
     ext = ExtAlgebra(report)
-    checked = 0
+    checked, W = 0, len(model.words)
     for s in range(i_max):
         for D in range(1, d_max + 1):
             for w in model.quiver.vertices:
-                cur, _ = ext._coords(s, D, w)
+                cur = ext._coords(s, D, w)
                 if s == 0:
                     kernels = [{key: 1} for key in cur]
                 else:
-                    _, prev_index = ext._coords(s - 1, D, w)
-                    solver = ColumnSolver(len(prev_index))
+                    solver = ColumnSolver(len(ext.gens[s - 1]) * W)
                     kernels = []
                     for key in cur:
                         image = _bundle_image(ext, s, {key: 1})
-                        kernel = solver.add_column(
-                            {prev_index[k]: c for k, c in image.items()})
+                        kernel = solver.add_column(image)
                         if kernel is not None:
                             kernels.append({cur[p]: c for p, c in kernel.items()})
                 for vec in kernels:
@@ -961,6 +968,55 @@ def test_orbit_copies_transport_and_perturbed_copies_resolve_alike(seed):
     _assert_transported_square_to_zero(report)
 
 
+# -- coordinates: the int k·W + b for generator index k and word id b ----------
+
+
+def _assert_coordinate_order(model, i_max):
+    """Every step's block coordinates are sorted and decode by divmod(·, W)
+    to the (generator index, word id) pairs in generator then id order, and
+    every decoded ``_diff_image`` a resolution takes is the sum of its
+    products, one model product per differential entry."""
+    W = len(model.words)
+    for v in model.quiver.vertices:
+        res = SimpleResolution(model, v, i_max)
+        for i, gens in enumerate(res.gens):
+            for D in range(model.max_degree + 1):
+                by_target = _degree_coords(model, gens, D)
+                want = {}
+                for k, g in enumerate(gens):
+                    for w, ids in model.blocks_from.get((D - g.degree, g.vertex), ()):
+                        want.setdefault(w, []).extend((k, b) for b in ids)
+                assert {w: [divmod(key, W) for key in coords]
+                        for w, coords in by_target.items()} == want
+                assert all(coords == sorted(coords) for coords in by_target.values())
+                if not i:
+                    continue
+                for coords in want.values():
+                    for k, b in coords:
+                        image = {}
+                        for key, c in res.diffs[i][k].items():
+                            l, word = divmod(key, W)
+                            for m, cm in model.product(b, word).items():
+                                image[(l, m)] = image.get((l, m), ZERO) + c * cm
+                        got = _diff_image(model, res.diffs[i][k], b)
+                        assert {divmod(key, W): c for key, c in got.items()} == {
+                            lm: c for lm, c in image.items() if c}
+
+
+@pytest.mark.parametrize(
+    "presentation", [p for _, p in corpus_instances()],
+    ids=[label for label, _ in corpus_instances()],
+)
+def test_coordinate_order_on_the_corpus(presentation):
+    _assert_coordinate_order(AlgebraModel(presentation, 5), 4)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_coordinate_order_on_random_presentations(seed):
+    p = random_presentation(random.Random(seed))
+    _assert_coordinate_order(AlgebraModel(p, 5), 4)
+
+
 # -- the one-loop resolution against the two-pass reference --------------------
 
 
@@ -970,6 +1026,7 @@ def _two_pass(model, vertex, i_max, d_max):
     of the new differential on every block."""
     q = model.quiver
     gens, diffs, blocks = [[Generator(vertex, 0)]], [[]], {}
+    W = len(model.words)
 
     def block(i, D, w):
         if (i, D, w) not in blocks:
@@ -977,7 +1034,7 @@ def _two_pass(model, vertex, i_max, d_max):
             blocks[(i, D, w)] = coords, {key: p for p, key in enumerate(coords)}
         return blocks[(i, D, w)]
 
-    omega = {D: {w: [{(0, b): 1} for b in ids]
+    omega = {D: {w: [{b: 1} for b in ids]
                  for w, ids in model.blocks_from.get((D, vertex), ())}
              for D in range(1, d_max + 1)}
     for i in range(1, i_max + 1):
@@ -1006,7 +1063,7 @@ def _two_pass(model, vertex, i_max, d_max):
                 cur = block(i, D, w)[0]
                 prev_index = block(i - 1, D, w)[1]
                 solver = ColumnSolver(len(prev_index))
-                for k, b in cur:
+                for k, b in (divmod(key, W) for key in cur):
                     image = _diff_image(model, diffs_i[k], b)
                     kernel = solver.add_column(
                         {prev_index[key]: c for key, c in image.items()})
@@ -1106,7 +1163,7 @@ def test_arrow_images_stop_at_the_exactness_count(monkeypatch):
 def test_kernel_missing_the_exactness_count_is_an_internal_error(monkeypatch):
     # every column independent: the computed kernel is empty where
     # exactness counts a nonzero syzygy block
-    monkeypatch.setattr(ColumnSolver, "add_column", lambda self, vec: None)
+    monkeypatch.setattr(ColumnSolver, "_add_column", lambda self, vec: None)
     with pytest.raises(InternalError,
                        match=r"step 1 kernel in degree 2 at vertex 1 has"
                              r" dimension 0, exactness gives 3"):
@@ -1122,7 +1179,7 @@ def test_vanishing_radical_square_zero_steps_solve_nothing(monkeypatch):
     def refuse(self, vec):
         raise AssertionError("a radical-square-zero step solved a kernel")
 
-    monkeypatch.setattr(ColumnSolver, "add_column", refuse)
+    monkeypatch.setattr(ColumnSolver, "_add_column", refuse)
     model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:3")), 7)
     report = resolve(model, 7)
     assert report.ext_totals() == [3 ** i for i in range(8)]
@@ -1156,7 +1213,7 @@ def _resolve_with_a_nonzero_check(monkeypatch, d_max):
         # the check is the generator that _kernel runs; arrow images and
         # solved kernels keep the true products
         if sys._getframe(1).f_back.f_code is check.__code__:
-            return {(0, b): 1}
+            return {b: 1}
         return diff_image(model, entry, b)
 
     monkeypatch.setattr(resolution, "_diff_image", nonzero_in_the_check)
@@ -1178,8 +1235,8 @@ def test_vanishing_block_without_a_top_degree_checks_every_column(monkeypatch):
 
 
 def _resolve_with_a_stray_coordinate(monkeypatch, step_degree, D, stray):
-    """Resolve the loops:2 simple with one more coordinate, (0, stray), in
-    degree D of the step whose generators sit in step_degree.  No syzygy
+    """Resolve the loops:2 simple with one more coordinate, generator 0 times
+    stray (the int 0·W + its id), in degree D of the step whose generators sit in step_degree.  No syzygy
     sits there, so the block vanishes and the stray unit vector meets
     empty arrow images.  A stray path that is not a basis word gets an id
     past the model's words."""
@@ -1195,7 +1252,7 @@ def _resolve_with_a_stray_coordinate(monkeypatch, step_degree, D, stray):
     def with_stray(model, gens, D_, *window):
         by_target = degree_coords(model, gens, D_, *window)
         if D_ == D and gens[0].degree == step_degree:
-            by_target["1"] = by_target.get("1", []) + [(0, stray_id)]
+            by_target["1"] = by_target.get("1", []) + [stray_id]
         return by_target
 
     monkeypatch.setattr(resolution, "_degree_coords", with_stray)
