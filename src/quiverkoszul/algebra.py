@@ -104,7 +104,7 @@ class AlgebraModel:
     words) and ``blocks_from[(d, u)]`` lists (v, the ids of block (d, u, v))
     per nonempty block.  One cache, keyed by pairs of ids, holds the left
     tables and every product computed since (``product``); the path-keyed
-    ``normal_form``, ``basis_product`` and ``multiply`` convert at its edge.
+    ``normal_form`` and ``multiply`` convert at its edge.
 
     Elimination stops at the first vanishing degree d0: the length grading
     is generated in degree one, so every path of length >= d0 is zero, at
@@ -302,17 +302,12 @@ class AlgebraModel:
 
     def finite_basis(self) -> list:
         """All basis paths when the algebra provably vanishes in the window."""
-        top = self.top_degree()
-        if top is None:
+        if self.top_degree() is None:
             raise DegreeOverflowError(
                 f"no vanishing degree within the window (max_degree={self.max_degree});"
                 " cannot certify finite dimensionality"
             )
-        out = []
-        for d in range(top + 1):
-            for u, v in self.blocks(d):
-                out.extend(self.words[x] for x in self._basis.get((d, u, v), ()))
-        return out
+        return list(self.words)
 
     def _vanishes(self, d: int) -> bool:
         """Whether A_d = 0 is certified, which holds for every d >= d0."""
@@ -368,11 +363,6 @@ class AlgebraModel:
                 result = self._walk(map(self.arrow_ids.get, reversed(bx.arrows)), {y: ONE})
             self._products[(x, y)] = result
         return result
-
-    def basis_product(self, bx: Path, by: Path) -> dict:
-        """Product of two basis classes (bx applied last); a factor that is
-        not a basis word is reduced first."""
-        return self.multiply(bx, by)
 
     def multiply(self, x, y) -> dict:
         """x·y with y applied first; inputs may be paths, combinations, or

@@ -1,10 +1,10 @@
 """Minimal graded projective resolutions of the vertex simples.
 
 Everything downstream of the graded basis lives here: Betti numbers and the
-linearity verdict, Yoneda products on the bundled resolution, the check that
-cohomology is generated in low homological degree, the alternating-sum
-identity against the Hilbert matrix, dimension comparison with the quadratic
-dual, and the side-by-side comparison of an algebra with a finite covering.
+linearity verdict, the check that cohomology is generated in low homological
+degree, the alternating-sum identity against the Hilbert matrix, dimension
+comparison with the quadratic dual, and the side-by-side comparison of an
+algebra with a finite covering.
 
 A resolution step presents its projective as a list of generators, each a
 (vertex, internal degree) pair; the differential sends a new generator to a
@@ -26,13 +26,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import groupby, repeat
 
 from .algebra import AlgebraModel, InternalError, hilbert_matrix, transport_word_map
 from .covering import build_covering
-from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO, as_scalar, vec_axpy
-from .quiver import rooted_isomorphism, trivial_path
+from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO
+from .quiver import rooted_isomorphism
 
 KOSZUL_TO_BOUND = "koszul-to-bound"
 FAILS_AT = "fails-at"
@@ -47,21 +46,18 @@ class Generator:
     degree: int
 
 
-def _degree_coords(model: AlgebraModel, gens: list, D: int,
-                   window: range | None = None) -> dict:
+def _degree_coords(model: AlgebraModel, gens: list, D: int, window: range) -> dict:
     """Coordinates of the degree-D component of a free module, per target
     vertex w: k·W + b for each generator k and basis word b into w, in
     generator order then canonical basis order (the order of the ids), so
     each list is sorted.
 
     ``window`` limits the walk to a range of generator indices, which must
-    hold every generator with a basis path into degree D; by default every
-    generator is read.  A vertex no coordinate reaches has no entry.  Equal
-    generators in a row, as a step's batches are, share their basis words,
-    so each run is read once.
+    hold every generator with a basis path into degree D.  A vertex no
+    coordinate reaches has no entry.  Equal generators in a row, as a step's
+    batches are, share their basis words, so each run is read once.
     """
     out, W = {}, len(model.words)
-    window = range(len(gens)) if window is None else window
     k = window.start
     for g, run in groupby(gens[k:window.stop]):
         n = len(list(run))
@@ -144,9 +140,12 @@ class SimpleResolution:
         self.kernels_computed = self.kernels_skipped = 0
         q, lengths, W = model.quiver, model.lengths, len(model.words)
         top = model.top_degree()
-        # (arrow word id, source) of each arrow into a vertex
-        into = {w: [(model.arrow_ids[a], a.source) for a in q.arrows_by_target[w]]
-                for w in q.vertices}
+        # (arrow word id, source) of each arrow into a vertex; a window that
+        # stops at degree 0 has no arrow words, and no degree reads them
+        into = {}
+        if model.max_degree:
+            into = {w: [(model.arrow_ids[a], a.source) for a in q.arrows_by_target[w]]
+                    for w in q.vertices}
         # a basis of Ω^{i+1} per (D, w) in P_i coordinates; Ω^0 sits in degree 0
         omega = {}
         for i in range(i_max):
@@ -378,180 +377,19 @@ def resolution_sizes(*reports: ResolutionReport) -> dict:
     }
 
 
-@dataclass
-class ExtElement:
-    """A cohomology class: a functional on the step's bundle generators."""
-
-    step: int
-    values: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.values = {k: as_scalar(c) for k, c in self.values.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-
 class ExtAlgebra:
-    """Yoneda cohomology of the semisimple quotient, on the bundled resolution.
-
-    All simples are resolved side by side, so a class at step i is a
-    functional on the combined step-i generators and products are computed
-    by lifting the left factor through as many steps as the right factor
-    occupies, then applying the right factor to the lift.
-
-    ``diffs[i][j]`` pairs the resolution's own differential entry for bundle
-    generator j, keyed by its simple's step-(i-1) generators, with the
-    bundle offset of that simple's step-(i-1) block, so the bundle shares
-    the differentials instead of copying them.  Only the lifts read it, so
-    it is paired on first read.  Bundle coordinates are k·W + b over the
-    bundle's generators k: an entry's coordinate moves by offset·W.
-    """
+    """Cohomology of the semisimple quotient, as far as the generation check
+    reads it: step i has one class per step-i generator of the simples'
+    resolutions, so its dimension is the report's Betti total."""
 
     def __init__(self, report: ResolutionReport):
         self.report = report
-        self.model = report.model
         self.i_max = report.i_max
-        self.simples = report.simples
-        self.gens = []
-        self._offsets = []
-        for i in range(report.i_max + 1):
-            bundle = []
-            offsets = {}
-            for u in self.simples:
-                offsets[u] = len(bundle)
-                bundle.extend(report.per_simple[u].gens[i])
-            self.gens.append(bundle)
-            self._offsets.append(offsets)
-        self._gen0_index = {g.vertex: k for k, g in enumerate(self.gens[0])}
-        self._coords_cache = {}
-        self._solver_cache = {}
-
-    @cached_property
-    def diffs(self) -> list:
-        out = [[]]
-        for i in range(1, self.i_max + 1):
-            step_diffs = []
-            for u in self.simples:
-                off = self._offsets[i - 1][u]
-                step_diffs.extend(
-                    (off, entry) for entry in self.report.per_simple[u].diffs[i]
-                )
-            out.append(step_diffs)
-        return out
 
     def ext_dim(self, i: int) -> int:
         if not (0 <= i <= self.i_max):
             raise ValueError(f"step {i} outside the window 0..{self.i_max}")
-        return len(self.gens[i])
-
-    def ext_basis(self, i: int) -> list:
-        return [ExtElement(i, {k: ONE}) for k in range(self.ext_dim(i))]
-
-    def _coords(self, i: int, D: int, w: str) -> list:
-        if (i, D) not in self._coords_cache:
-            self._coords_cache[(i, D)] = _degree_coords(self.model, self.gens[i], D)
-        return self._coords_cache[(i, D)].get(w, [])
-
-    def _solver(self, k: int, D: int, w: str) -> ColumnSolver:
-        key = (k, D, w)
-        solver = self._solver_cache.get(key)
-        if solver is None:
-            W = len(self.model.words)
-            solver = ColumnSolver(len(self.gens[k - 1]) * W)
-            for g_idx, b in map(divmod, self._coords(k, D, w), repeat(W)):
-                off, entry = self.diffs[k][g_idx]
-                shift = off * W
-                solver._add_column({m + shift: coef for m, coef in
-                                    _diff_image(self.model, entry, b).items()})
-            self._solver_cache[key] = solver
-        return solver
-
-    def _check_support(self, elem: ExtElement, name: str) -> None:
-        if not (0 <= elem.step <= self.i_max):
-            raise ValueError(
-                f"{name} at step {elem.step} outside the window 0..{self.i_max}"
-            )
-        size = len(self.gens[elem.step])
-        for k in elem.values:
-            if not (isinstance(k, int) and 0 <= k < size):
-                raise ValueError(
-                    f"{name} has index {k!r} outside the step-{elem.step}"
-                    f" basis of size {size}"
-                )
-
-    def _preimage(self, step: int, w: str, rhs: dict) -> dict:
-        """A step-``step`` element into vertex w whose differential is rhs."""
-        W = len(self.model.words)
-        by_degree = {}
-        for key, c in rhs.items():
-            l2, m = divmod(key, W)
-            D = self.gens[step - 1][l2].degree + self.model.lengths[m]
-            by_degree.setdefault(D, {})[key] = c
-        solution = {}
-        for D, block_rhs in by_degree.items():
-            coords = self._solver(step, D, w).solve(block_rhs)
-            if coords is None:
-                raise InternalError(
-                    f"resolution fails to be exact at step {step},"
-                    f" degree {D}, vertex {w}"
-                )
-            # a coordinate sits in one degree: the blocks' solutions are disjoint
-            cur = self._coords(step, D, w)
-            solution.update((cur[pos], c) for pos, c in coords.items())
-        return solution
-
-    def _lift(self, xi: ExtElement, steps: int) -> dict:
-        """Chain lift of xi through the given number of steps.
-
-        Returns the final layer as a map: bundle generator index at step
-        xi.step + steps to an element of the step-``steps`` projective,
-        written in bundle coordinates k·W + b.  The zeroth layer sends a
-        generator to its value times the unit coordinate of the matching
-        step-0 generator, which projects back onto xi.
-        """
-        i = xi.step
-        if i + steps > self.i_max:
-            raise ValueError("lift leaves the homological window")
-        self._check_support(xi, "xi")
-        W = len(self.model.words)
-        phi = {}
-        for k, c in xi.values.items():
-            g = self.gens[i][k]
-            key = (self._gen0_index[g.vertex] * W
-                   + self.model.word_ids[trivial_path(g.vertex)])
-            phi[k] = {key: c}
-        for step in range(1, steps + 1):
-            nxt = {}
-            for gpp, (off, entry) in enumerate(self.diffs[i + step]):
-                rhs = {}
-                for key, c in entry.items():
-                    l, b = divmod(key, W)
-                    vec_axpy(rhs, c, _diff_image(self.model, phi.get(off + l, {}), b))
-                if rhs:
-                    w = self.gens[i + step][gpp].vertex
-                    solution = self._preimage(step, w, rhs)
-                    if solution:
-                        nxt[gpp] = solution
-            phi = nxt
-        return phi
-
-    def yoneda_product(self, xi: ExtElement, zeta: ExtElement) -> ExtElement:
-        """Product of two classes; the result sits at the summed step (the
-        lift of xi refuses a product past the window)."""
-        self._check_support(zeta, "zeta")
-        phi = self._lift(xi, zeta.step)
-        lengths, W = self.model.lengths, len(self.model.words)
-        values = {}
-        for gpp, elem in phi.items():
-            total = ZERO
-            for key, c in elem.items():
-                l, b = divmod(key, W)
-                if lengths[b] == 0:
-                    total += c * zeta.values.get(l, ZERO)
-            if total:
-                values[gpp] = total
-        return ExtElement(xi.step + zeta.step, values)
+        return self.report.ext_total(i)
 
 
 @dataclass
@@ -612,14 +450,15 @@ def generation_check(ext: ExtAlgebra) -> GenerationReport:
     arrow coefficients.  The products therefore span step i+1 exactly when
     the arrow parts of the step-(i+1) differential columns are independent.
 
-    The simples' columns sit at disjoint offsets of the bundle, so that rank
-    is the sum of one rank per simple, with no lift.  Each resolved simple
-    is ranked once: a transported simple's columns are its source's with
-    words relabelled by a length-preserving bijection, so its ranks are the
-    source's.
+    With all simples resolved side by side, their columns sit at disjoint
+    offsets, so that rank is the sum of one rank per simple, with no lift.
+    Each resolved simple is ranked once: a transported simple's columns are
+    its source's with words relabelled by a length-preserving bijection, so
+    its ranks are the source's.
     """
-    per_simple = ext.report.per_simple
-    sources = [per_simple[u].resolved_from for u in ext.simples]
+    report = ext.report
+    per_simple = report.per_simple
+    sources = [per_simple[u].resolved_from for u in report.simples]
     ranks = {}
     for v in sources:
         if v not in ranks:
@@ -627,7 +466,7 @@ def generation_check(ext: ExtAlgebra) -> GenerationReport:
     steps = []
     first_fail = None
     for i in range(ext.i_max):
-        required = len(ext.gens[i + 1])
+        required = report.ext_total(i + 1)
         achieved = sum(ranks[v][i] for v in sources)
         steps.append((i, achieved, required))
         if achieved != required and first_fail is None:

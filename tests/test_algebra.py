@@ -73,10 +73,10 @@ def test_basis_product_respects_relations(ext2):
     a1 = q.path(["a1"])
     a2 = q.path(["a2"])
     p21 = q.path(["a2", "a1"])
-    # basis_product(x, y) applies y first; the degree-2 basis word is a2-then-a1
-    assert ext2.basis_product(a2, a1) == {p21: Fraction(-1)}
-    assert ext2.basis_product(a1, a2) == {p21: Fraction(1)}
-    assert ext2.basis_product(a1, a1) == {}
+    # multiply(x, y) applies y first; the degree-2 basis word is a2-then-a1
+    assert ext2.multiply(a2, a1) == {p21: Fraction(-1)}
+    assert ext2.multiply(a1, a2) == {p21: Fraction(1)}
+    assert ext2.multiply(a1, a1) == {}
 
 
 def test_basis_product_reduces_a_right_factor_that_is_not_a_basis_word():
@@ -87,16 +87,16 @@ def test_basis_product_reduces_a_right_factor_that_is_not_a_basis_word():
     for left in (q.trivial_path("1"), q.path(["a3"]), q.path(["a3", "a4"])):
         want = m.normal_form(compose(left, tip))
         assert want
-        assert m.basis_product(left, tip) == want
+        assert m.multiply(left, tip) == want
 
 
 def test_basis_product_of_non_composable_paths_is_zero():
     line = AlgebraModel(path_algebra(parse_quiver_spec("line:3")), 3)
     b1 = line.quiver.path(["a1"])
     b2 = line.quiver.path(["a2"])
-    assert line.basis_product(b2, b1) == {line.quiver.path(["a1", "a2"]): Fraction(1)}
+    assert line.multiply(b2, b1) == {line.quiver.path(["a1", "a2"]): Fraction(1)}
     # endpoints do not match: the product is zero, not an error
-    assert line.basis_product(b1, b2) == {}
+    assert line.multiply(b1, b2) == {}
 
 
 def test_blocks_and_dim(ext2):
@@ -170,8 +170,8 @@ class TestPastFirstVanishingDegree:
     def test_products_past_d0_and_past_the_window_are_zero(self, ext3):
         q = ext3.quiver
         top = q.path(["a1", "a2", "a3"])
-        assert ext3.basis_product(top, q.path(["a1"])) == {}
-        assert ext3.basis_product(top, top) == {}
+        assert ext3.multiply(top, q.path(["a1"])) == {}
+        assert ext3.multiply(top, top) == {}
         assert ext3.normal_form(q.path(["a3"] * 9)) == {}
         assert ext3.multiply(top, top) == {}
 
@@ -315,7 +315,7 @@ def _assert_same_model(presentation, window):
                 want = {}
             else:
                 want = expr[compose(bx, by)]
-            assert m.basis_product(bx, by) == want, (bx, by)
+            assert m.multiply(bx, by) == want, (bx, by)
 
 
 _QUADRATIC_CORPUS = [
@@ -443,9 +443,9 @@ def test_scaling_relations_changes_nothing_on_random_presentations(seed):
 def test_open_window_still_overflows():
     free_loop = AlgebraModel(path_algebra(parse_quiver_spec("loops:1")), 3)
     x2 = free_loop.quiver.path(["x1", "x1"])
-    assert free_loop.basis_product(free_loop.quiver.path(["x1"]), x2)
+    assert free_loop.multiply(free_loop.quiver.path(["x1"]), x2)
     with pytest.raises(DegreeOverflowError):
-        free_loop.basis_product(x2, x2)
+        free_loop.multiply(x2, x2)
     with pytest.raises(DegreeOverflowError):
         free_loop.normal_form(free_loop.quiver.path(["x1"] * 4))
 

@@ -4,11 +4,12 @@ import sys
 
 import pytest
 
-from quiverkoszul.algebra import AlgebraModel
+from quiverkoszul.algebra import AlgebraModel, Presentation
 from quiverkoszul.cli import main
 from quiverkoszul.corpus import exterior
 from quiverkoszul.groups import cyclic_group
 from quiverkoszul.linalg import ColumnSolver
+from quiverkoszul.quiver import Quiver
 from quiverkoszul.serialization import serialize_presentation
 
 
@@ -194,6 +195,61 @@ def test_verify_graded_checks(capsys, ext2_graded_file):
         )
         assert rc == 0, check
         assert report["canonical"]["passed"] is True, check
+
+
+def _max_degree_0_reports(vertices):
+    """(exit code, canonical block) per command at --max-degree 0, where
+    only the trivial paths are in the window and no step past 0 has a
+    generator."""
+    n = len(vertices)
+    betti = [{"count": 1, "degree": 0, "simple": v, "step": 0, "vertex": v}
+             for v in vertices]
+    unknown = {"status": "unknown-beyond-bound", "witness": None}
+    window = {"max_degree": 0, "max_homological": 4}
+
+    def verify(check, passed, details):
+        return {"check": check, "command": "verify", "details": details,
+                "passed": passed, **window}
+
+    return {
+        "analyze": (0, {
+            "betti": betti, "command": "analyze",
+            "dims": [{"blocks": [{"dim": 1, "from": v, "to": v} for v in vertices],
+                      "degree": 0, "total": n}],
+            "euler_identity": {"cutoff": 0, "holds": True, "witness": None},
+            "ext_totals": [n, 0, 0, 0, 0],
+            "generation": {"checked_to": 4, "first_failure": None, "passed": True},
+            "hilbert": [{"coefficients": [1], "from": v, "to": v} for v in vertices],
+            "verdict": unknown, **window}),
+        "koszul": (1, verify("koszul", False, {
+            "betti": betti, "ext_totals": [n, 0, 0, 0, 0], "verdict": unknown})),
+        "generation": (0, verify("generation", True, {
+            "checked_to": 4, "first_failure": None, "passed": True,
+            "steps": [{"achieved": 0, "required": 0, "step": i} for i in range(4)]})),
+        "hilbert-euler": (0, verify("hilbert-euler", True,
+                                    {"cutoff": 0, "witness": None})),
+        "covering-theorem": (0, verify("covering-theorem", True, {
+            "base_verdict": unknown, "cover_verdict": unknown, "group_order": 2,
+            "mismatches": []})),
+    }
+
+
+@pytest.mark.parametrize("name", ["exterior2", "one_arrow"])
+def test_max_degree_0_reports_every_check(capsys, tmp_path, name):
+    # a window that stops at degree 0 holds no arrow: every resolution ends
+    # at step 0, and each command still prints its report
+    if name == "exterior2":
+        p, weights = exterior(2), {"a1": "1", "a2": "1"}
+    else:
+        q = Quiver(["1", "2"], [("a", "1", "2")])
+        p, weights = Presentation(q, []), {"a": "1"}
+    doc = tmp_path / f"{name}.json"
+    doc.write_text(serialize_presentation(p, ("cyclic", 2), weights))
+    for command, want in _max_degree_0_reports(p.quiver.vertices).items():
+        argv = ["analyze"] if command == "analyze" else ["verify", "--check", command]
+        rc, report = run_json(capsys, argv[:1] + [str(doc)] + argv[1:]
+                              + ["--max-degree", "0"])
+        assert (rc, report["canonical"]) == want, command
 
 
 @pytest.mark.parametrize("check", ["smash-iso", "radical-smash"])

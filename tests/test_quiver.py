@@ -9,7 +9,6 @@ import pytest
 
 import quiverkoszul
 from quiverkoszul.quiver import (
-    Path,
     PathCombination,
     QuiverError,
     RelationError,

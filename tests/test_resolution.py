@@ -44,7 +44,6 @@ from quiverkoszul.resolution import (
     KOSZUL_TO_BOUND,
     UNKNOWN_BEYOND_BOUND,
     ExtAlgebra,
-    ExtElement,
     Generator,
     SimpleResolution,
     _arrow_ranks,
@@ -59,6 +58,7 @@ from quiverkoszul.resolution import (
 )
 from quiverkoszul.serialization import serialize_presentation
 from random_inputs import random_presentation
+from yoneda import ExtElement, YonedaAlgebra
 
 
 def binom(n, k):
@@ -131,6 +131,12 @@ def test_verdict_unknown_when_degree_window_short():
     model = AlgebraModel(exterior(2), 2)
     report = resolve(model, 5)
     assert report.verdict().status == UNKNOWN_BEYOND_BOUND
+
+
+def test_max_degree_0_resolves_to_step_0():
+    # the window holds no arrow, so no step past 0 has a generator
+    report = resolve(AlgebraModel(exterior(2), 0), 1)
+    assert report.ext_totals() == [1, 0]
 
 
 def test_semisimple_algebra_resolves_immediately():
@@ -252,13 +258,13 @@ class TestCoveringTheorem:
 
 class TestExtAlgebra:
     def test_ext_basis_sizes(self, ext2_report):
-        ext = ExtAlgebra(ext2_report)
+        ext = YonedaAlgebra(ext2_report)
         for i in range(5):
             assert len(ext.ext_basis(i)) == ext2_report.ext_total(i)
 
     @pytest.mark.parametrize("step", [-1, 4])
     def test_step_outside_the_window_is_a_named_error(self, step):
-        ext = ExtAlgebra(resolve(AlgebraModel(exterior(2), 4), 3))
+        ext = YonedaAlgebra(resolve(AlgebraModel(exterior(2), 4), 3))
         assert [ext.ext_dim(i) for i in range(4)] == [1, 2, 3, 4]
         pattern = f"step {step} outside the window 0..3"
         with pytest.raises(ValueError, match=pattern):
@@ -267,7 +273,7 @@ class TestExtAlgebra:
             ext.ext_basis(step)
 
     def test_identity_acts_as_unit(self, ext2_report):
-        ext = ExtAlgebra(ext2_report)
+        ext = YonedaAlgebra(ext2_report)
         unit = ext.ext_basis(0)[0]
         for xi in ext.ext_basis(2):
             assert ext.yoneda_product(xi, unit) == xi
@@ -275,7 +281,7 @@ class TestExtAlgebra:
 
     def test_degree_one_products_commute_for_exterior(self, ext2_report):
         # cohomology of the exterior algebra is the polynomial ring
-        ext = ExtAlgebra(ext2_report)
+        ext = YonedaAlgebra(ext2_report)
         y1, y2 = ext.ext_basis(1)
         p12 = ext.yoneda_product(y1, y2)
         p21 = ext.yoneda_product(y2, y1)
@@ -290,7 +296,7 @@ class TestExtAlgebra:
         assert gen.checked_to == 5
 
     def test_yoneda_associativity_on_degree_one(self, ext2_report):
-        ext = ExtAlgebra(ext2_report)
+        ext = YonedaAlgebra(ext2_report)
         basis1 = ext.ext_basis(1)
         for x in basis1:
             for y in basis1:
@@ -391,7 +397,7 @@ _LIFT_CASES = {
 @pytest.mark.parametrize("name", sorted(_LIFT_CASES))
 def test_lift_matches_scanning_reference(name):
     p, i_max, d_max = _LIFT_CASES[name]()
-    ext = ExtAlgebra(resolve(AlgebraModel(p, d_max), i_max))
+    ext = YonedaAlgebra(resolve(AlgebraModel(p, d_max), i_max))
     compared = 0
     for steps in (1, 2, 3):
         for i in range(ext.i_max - steps + 1):
@@ -407,7 +413,7 @@ def test_lift_matches_scanning_reference(name):
 
 def test_yoneda_associativity_across_steps():
     model = AlgebraModel(_loops2(), 4)
-    ext = ExtAlgebra(resolve(model, 4))
+    ext = YonedaAlgebra(resolve(model, 4))
     for x in ext.ext_basis(1):
         for y in ext.ext_basis(2):
             xy = ext.yoneda_product(x, y)
@@ -421,7 +427,7 @@ def test_yoneda_associativity_across_steps():
 
 @pytest.mark.parametrize("bad", [-1, 2, 7, Fraction(1)])
 def test_foreign_index_is_a_named_error(ext2_report, bad):
-    ext = ExtAlgebra(ext2_report)
+    ext = YonedaAlgebra(ext2_report)
     y1, _ = ext.ext_basis(1)
     foreign = ExtElement(1, {0: 1, bad: 1})
     pattern = re.escape(f"xi has index {bad!r} outside the step-1 basis of size 2")
@@ -434,7 +440,7 @@ def test_foreign_index_is_a_named_error(ext2_report, bad):
 
 
 def test_negative_step_is_a_named_error(ext2_report):
-    ext = ExtAlgebra(ext2_report)
+    ext = YonedaAlgebra(ext2_report)
     y1, _ = ext.ext_basis(1)
     with pytest.raises(ValueError, match="xi at step -1 outside the window 0..5"):
         ext.yoneda_product(ExtElement(-1, {0: 1}), y1)
@@ -443,7 +449,7 @@ def test_negative_step_is_a_named_error(ext2_report):
 
 
 def test_product_past_the_window_is_a_named_error():
-    ext = ExtAlgebra(resolve(AlgebraModel(exterior(2), 4), 4))
+    ext = YonedaAlgebra(resolve(AlgebraModel(exterior(2), 4), 4))
     xi, zeta = ext.ext_basis(3)[:2]
     with pytest.raises(ValueError, match="leaves the homological window"):
         ext.yoneda_product(xi, zeta)
@@ -451,7 +457,7 @@ def test_product_past_the_window_is_a_named_error():
 
 def test_inexact_lift_is_an_internal_error(monkeypatch, ext2_report):
     # an exact resolution always solves its lifting systems; pretend not
-    ext = ExtAlgebra(ext2_report)
+    ext = YonedaAlgebra(ext2_report)
     monkeypatch.setattr(ColumnSolver, "solve", lambda self, vec: None)
     y1, y2 = ext.ext_basis(1)
     with pytest.raises(InternalError, match="resolution fails to be exact"):
@@ -473,7 +479,7 @@ def _generation_steps_by_products(ext):
 
 
 def _assert_generation_is_product_rank(presentation, i_max, d_max):
-    ext = ExtAlgebra(resolve(AlgebraModel(presentation, d_max), i_max))
+    ext = YonedaAlgebra(resolve(AlgebraModel(presentation, d_max), i_max))
     want = _generation_steps_by_products(ext)
     got = generation_check(ext)
     assert got.steps == want
@@ -518,7 +524,7 @@ def _generation_by_bundle_rank(ext):
 
 
 def _assert_generation_is_bundle_rank(presentation, i_max, d_max):
-    ext = ExtAlgebra(resolve(AlgebraModel(presentation, d_max), i_max))
+    ext = YonedaAlgebra(resolve(AlgebraModel(presentation, d_max), i_max))
     got = generation_check(ext)
     assert (got.steps, got.passed, got.first_failure_i) == \
         _generation_by_bundle_rank(ext)
@@ -645,7 +651,7 @@ def test_orbit_transported_resolutions_are_exact(name):
     _assert_transported_square_to_zero(report)
     # ker d_s lies in im d_{s+1} on every block of the bundle, and the
     # augmentation's kernel (the radical of P_0) in im d_1
-    ext = ExtAlgebra(report)
+    ext = YonedaAlgebra(report)
     checked, W = 0, len(model.words)
     for s in range(i_max):
         for D in range(1, d_max + 1):
@@ -981,7 +987,7 @@ def _assert_coordinate_order(model, i_max):
         res = SimpleResolution(model, v, i_max)
         for i, gens in enumerate(res.gens):
             for D in range(model.max_degree + 1):
-                by_target = _degree_coords(model, gens, D)
+                by_target = _degree_coords(model, gens, D, range(len(gens)))
                 want = {}
                 for k, g in enumerate(gens):
                     for w, ids in model.blocks_from.get((D - g.degree, g.vertex), ()):
@@ -1030,7 +1036,7 @@ def _two_pass(model, vertex, i_max, d_max):
 
     def block(i, D, w):
         if (i, D, w) not in blocks:
-            coords = _degree_coords(model, gens[i], D).get(w, [])
+            coords = _degree_coords(model, gens[i], D, range(len(gens[i]))).get(w, [])
             blocks[(i, D, w)] = coords, {key: p for p, key in enumerate(coords)}
         return blocks[(i, D, w)]
 

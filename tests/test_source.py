@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quiverkoszul"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "quiverkoszul"
 # __init__.py imports names to re-export them, not to use them
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+MODULES.update({f"tests/{p.name}": p for p in TESTS.glob("*.py")})
 
 
 def _imported_names(tree: ast.Module) -> dict:
@@ -46,9 +48,9 @@ def _used_names(tree: ast.Module) -> set:
     return used
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_unused_module_level_import(module):
-    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    tree = ast.parse(MODULES[module].read_text(encoding="utf-8"))
     used = _used_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items()
               if name not in used}

@@ -346,7 +346,7 @@ def _dense_smash_table(m, group, weights) -> dict:
             weight = path_weight(group, weights, bj)
             if weight != group.multiply(g, group.inverse(h)):
                 continue
-            prod = m.basis_product(bi, bj)
+            prod = m.multiply(bi, bj)
             if prod:
                 table[(index[(bi, g)], index[(bj, h)])] = {
                     index[(b, h)]: c for b, c in prod.items()}
