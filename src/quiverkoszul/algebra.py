@@ -40,6 +40,7 @@ from .quiver import (
     PathCombination,
     Quiver,
     QuiverAutomorphism,
+    composed_path,
     enumerate_paths,
     trivial_path,
     validate_relation,
@@ -156,6 +157,7 @@ class AlgebraModel:
         if not q.vertices:
             self._zero_from = 0
         position = {v: k for k, v in enumerate(q.vertices)}
+        arrow_position = {a: p for p, a in enumerate(q.arrows)}
         # out_of[v]: (position in q.arrows, target) of each arrow out of v
         out_of = {v: [] for v in q.vertices}
         for p, a in enumerate(q.arrows):
@@ -200,7 +202,9 @@ class AlgebraModel:
                 cols = columns[key]
                 found = [j for j in range(len(cols)) if j not in rows[key]]
                 if found:
-                    paths = [Path((q.arrows[cols[j][0]],) + self.words[cols[j][1]].arrows)
+                    # a column a∘b composes: a comes from out_of at b's target
+                    paths = [composed_path((q.arrows[cols[j][0]],)
+                                           + self.words[cols[j][1]].arrows)
                              for j in found]
                     ids[key] = dict(zip(found, self._number(d, *key, paths)))
             if not ids:
@@ -211,7 +215,7 @@ class AlgebraModel:
                     len(q.vertices), len(self.words))}
                 arrow_word = [self.arrow_ids[a] for a in q.arrows]
                 for r in self.presentation.relations:
-                    terms = [(q.arrows.index(s.arrows[0]),
+                    terms = [(arrow_position[s.arrows[0]],
                               [self.arrow_ids[a] for a in s.arrows[:0:-1]], c)
                              for s, c in r.items()]
                     relations.setdefault(r.length, []).append((r.source, r.target, terms))

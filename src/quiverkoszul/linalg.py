@@ -128,7 +128,12 @@ class EchelonSpan:
     def store(self, residue: dict, pivot) -> dict:
         """Keep a nonzero residue of ``reduce`` as a row; pivot is min(residue)."""
         lead = residue[pivot]
-        if lead != 1:
+        if lead == -1:
+            # negation is exact_div(c, -1) for an int, and an integral
+            # Fraction still becomes its int
+            residue = {j: -c if type(c) is int else exact_div(c, -1)
+                       for j, c in residue.items()}
+        elif lead != 1:
             residue = {j: exact_div(c, lead) for j, c in residue.items()}
         self._rows[pivot] = residue
         self._reduced = False

@@ -118,6 +118,16 @@ def compose(p: Path, q: Path) -> Path:
     return Path(p.arrows + q.arrows)
 
 
+def composed_path(arrows: tuple) -> Path:
+    """Path(arrows) for a nonempty word already known to compose, without
+    re-checking it; a path built from input goes through ``Path``."""
+    p = object.__new__(Path)
+    object.__setattr__(p, "arrows", arrows)
+    object.__setattr__(p, "base", None)
+    object.__setattr__(p, "_hash", hash((arrows, None)))
+    return p
+
+
 class Quiver:
     """A finite quiver: ordered vertices and ordered labelled arrows."""
 

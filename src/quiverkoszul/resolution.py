@@ -11,7 +11,10 @@ A resolution step presents its projective as a list of generators, each a
 combination of coordinates, each the int k·W + b for a previous generator
 k and a basis word id b, with W = len(model.words).  The ints sort as the
 (k, b) pairs do, so spans and solvers pivot on them directly, and
-``divmod(·, W)`` decodes one; no other module sees them.  Syzygies are
+``divmod(·, W)`` decodes one; no other module sees them.  A generator whose
+image is a single coordinate with coefficient 1, as every generator of a
+block where the differential vanishes is, stores that coordinate itself,
+the int, in place of a one-entry dict.  Syzygies are
 built degreewise per target vertex, and exactness counts each block, so a
 kernel is solved (finite exact linear algebra) only where the arrow images
 fall short of the count and the differential need not vanish.  Every Betti
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 
 from .algebra import AlgebraModel, InternalError, hilbert_matrix, transport_word_map
 from .covering import build_covering
@@ -68,14 +71,22 @@ def _degree_coords(model: AlgebraModel, gens: list, D: int, window: range) -> di
     return out
 
 
-def _diff_image(model: AlgebraModel, entry: dict, b: int) -> dict:
+def _diff_image(model: AlgebraModel, entry, b: int) -> dict:
     """Word b times the element entry, both in coordinates k·W + word id:
     the image of the coordinate b*g under a differential entry for g, or
-    the arrow multiple b*x of a syzygy vector x.  The products come from
-    the model's cache, keyed by pairs of word ids."""
+    the arrow multiple b*x of a syzygy vector x.  An entry is a dict from
+    coordinate to coefficient, or a unit vector stored as its coordinate,
+    an int.  The products come from the model's cache, keyed by pairs of
+    word ids."""
     out, W = {}, len(model.words)
     product = model.product
-    for key, coef in entry.items():
+    # the try costs the dict path nothing; the slower except branch is
+    # rare, as most blocks over a unit batch are skipped or zero by degree
+    try:
+        items = entry.items()
+    except AttributeError:
+        items = ((entry, ONE),)
+    for key, coef in items:
         c = key % W
         base = key - c
         for m, cm in product(b, c).items():
@@ -93,10 +104,12 @@ class SimpleResolution:
 
     ``gens[i]`` lists the step-i generators; ``diffs[i][j]`` maps coordinates
     k·W + b (previous generator index k, word id b of the model) to the
-    coefficient with which they appear in the image of generator j.  The
-    Ω bases are written in the same coordinates.  Minimality holds by
-    construction: every differential coordinate uses a positive-length word,
-    and the model's ``lengths`` give each word's length.
+    coefficient with which they appear in the image of generator j, or is
+    that coordinate itself, an int, where the image is its unit vector.
+    The Ω bases are written in the same coordinates, a vanishing block's
+    as its list of ints.  Minimality holds by construction: every
+    differential coordinate uses a positive-length word, and the model's
+    ``lengths`` give each word's length.
 
     Step i + 1 comes from one pass over the (D, w) blocks of P_i.  Exactness
     of 0 -> Ω^{i+1} -> P_i -> Ω^i -> 0 counts each block of Ω^{i+1} as
@@ -108,11 +121,13 @@ class SimpleResolution:
     independent of the arrow images become generators.  A block whose count
     is its whole size, as no syzygy of step i sits there, is where d_i
     vanishes: its kernel is its unit vectors, taken without solving once
-    every column is checked to be zero.  Every differential word has length
-    at least 1, so a column whose word is not shorter than the top degree
-    is zero by degree and only the shorter ones are multiplied.  Where the
-    arrow images are empty, every kernel vector is a generator, with no
-    independence test.  ``kernels_computed`` and ``kernels_skipped`` count
+    every column is checked to be zero, and kept as the block's coordinate
+    list, one int per unit vector (a unit batch).  Every coordinate of a new
+    generator, unit or not, is checked to hold a word of positive length.
+    Every differential word has length at least 1, so a column whose word
+    is not shorter than the top degree is zero by degree and only the
+    shorter ones are multiplied.  Where the arrow images are empty, every
+    kernel vector is a generator, with no independence test.  ``kernels_computed`` and ``kernels_skipped`` count
     nonempty blocks of either kind, vanishing blocks among the former.
 
     Generators come in ascending degree and no basis path is longer than the
@@ -180,18 +195,22 @@ class SimpleResolution:
                         continue
                     self.kernels_computed += 1
                     basis = omega[(D, w)] = self._kernel(i, D, w, coords, nullity)
+                    # a vanishing block's kernel is coords, unit vectors
+                    # stored as their coordinates
+                    units = basis is coords
                     # the new generators: kernel vectors independent of the
                     # arrow images, every one where the images span nothing;
                     # diffs keeps them, so the span gets copies
                     if span.rank:
-                        basis = [x for x in basis if span.add(x)]
+                        basis = [x for x in basis if span.add({x: ONE} if units else x)]
                     if not basis:
                         continue
                     if D <= i:
                         raise InternalError(
                             f"step {i + 1} generator in degree {D}, below its step"
                         )
-                    if any(lengths[key % W] == 0 for x in basis for key in x):
+                    keys = basis if units else chain.from_iterable(basis)
+                    if any(lengths[key % W] == 0 for key in keys):
                         raise InternalError(
                             f"step {i + 1} generator in degree {D} has a"
                             " non-minimal column"
@@ -207,21 +226,25 @@ class SimpleResolution:
 
         Where exactness counts the whole block (at step 0 that is the
         radical of P_0), d_i vanishes on it: the kernel is the block's unit
-        vectors, the order solving gives for zero columns, and only that
-        every column is zero is checked, on the columns whose word is
-        shorter than the top degree (every column without one).  A solved
-        block's rows are the P_{i-1} coordinates, below len(gens[i-1])·W."""
+        vectors, the order solving gives for zero columns, returned as
+        ``coords`` itself, one coordinate per unit vector.  Only that every
+        column is zero is checked, on the columns whose word is shorter
+        than the top degree (every column without one).  A solved block's
+        rows are the P_{i-1} coordinates, below len(gens[i-1])·W, and its
+        kernel vectors are dicts."""
         model, diffs, W = self.model, self.diffs[i], len(self.model.words)
         if nullity == len(coords):
-            top, lengths = model.top_degree(), model.lengths
-            if i and any(_diff_image(model, diffs[k], b)
-                         for k, b in map(divmod, coords, repeat(W))
-                         if top is None or lengths[b] < top):
-                raise InternalError(
-                    f"step {i} differential is nonzero in degree {D} at vertex"
-                    f" {w}, where exactness makes it vanish"
-                )
-            return [{key: ONE} for key in coords]
+            if i:
+                top, lengths = model.top_degree(), model.lengths
+                shorter = coords if top is None else [
+                    key for key in coords if lengths[key % W] < top]
+                if any(_diff_image(model, diffs[k], b)
+                       for k, b in map(divmod, shorter, repeat(W))):
+                    raise InternalError(
+                        f"step {i} differential is nonzero in degree {D} at vertex"
+                        f" {w}, where exactness makes it vanish"
+                    )
+            return coords
         solver = ColumnSolver(len(self.gens[i - 1]) * W)
         kernel = []
         for k, b in map(divmod, coords, repeat(W)):
@@ -257,7 +280,9 @@ class SimpleResolution:
                 moved += [image] * len(list(run))
             out.gens.append(moved)
         out.diffs = [
-            [{key + shift[key % W]: c for key, c in entry.items()} for entry in step]
+            [entry + shift[entry % W] if type(entry) is int
+             else {key + shift[key % W]: c for key, c in entry.items()}
+             for entry in step]
             for step in self.diffs
         ]
         out.kernels_computed = out.kernels_skipped = 0
@@ -421,11 +446,17 @@ def _arrow_ranks(res: SimpleResolution, i_max: int) -> list:
     An arrow part with one entry spans that coordinate's unit vector; the
     rank is the number of such coordinates plus the rank of the other arrow
     parts with those coordinates dropped, so only the latter are eliminated.
+    An int entry is a unit vector already: it counts as a unit when its word
+    is an arrow, with no part built, and has no arrow part otherwise.
     """
     ranks, lengths, W = [], res.model.lengths, len(res.model.words)
     for step in res.diffs[1:i_max + 1]:
         units, rest = set(), []
         for entry in step:
+            if type(entry) is int:
+                if lengths[entry % W] == 1:
+                    units.add(entry)
+                continue
             part = [(key, c) for key, c in entry.items() if lengths[key % W] == 1]
             if len(part) == 1:
                 units.add(part[0][0])

@@ -413,6 +413,23 @@ def test_each_expansion_is_the_rref_column_at_that_point(seed):
             assert got == want
 
 
+@pytest.mark.parametrize("lead", [-1, Fraction(-1)], ids=["int", "Fraction"])
+def test_store_negates_a_minus_one_lead_as_exact_div_does(lead, monkeypatch):
+    from quiverkoszul import linalg
+
+    residue = {0: lead, 1: 3, 2: Fraction(2), 3: Fraction(1, 2), 4: Fraction(-4, 2), 5: -7}
+    want = {j: exact_div(c, lead) for j, c in residue.items()}
+    calls = []
+    monkeypatch.setattr(linalg, "exact_div",
+                        lambda a, b: calls.append(a) or exact_div(a, b))
+    row = EchelonSpan().store(dict(residue), 0)
+    assert row == want
+    assert [type(c) for c in row.values()] == [type(c) for c in want.values()]
+    assert [type(c) for c in row.values()] == [int, int, int, Fraction, int, int]
+    # an int entry is negated in place of a division
+    assert calls == [c for c in residue.values() if type(c) is not int]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_unit_leads_keep_integer_outputs_int(seed):
     # independent columns lead with +-1 at distinct rows and carry ints

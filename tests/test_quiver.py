@@ -13,6 +13,7 @@ from quiverkoszul.quiver import (
     QuiverError,
     RelationError,
     compose,
+    composed_path,
     double_quiver,
     enumerate_paths,
     make_quiver,
@@ -187,6 +188,15 @@ def test_path_equality_and_hash(loop2):
     assert p == q
     assert hash(p) == hash(q)
     assert p != loop2.path(["a2", "a1"])
+
+
+def test_composed_path_is_the_checked_path(line3):
+    # the unchecked constructor that AlgebraModel builds its words with
+    p = line3.path(["a1", "a2"])
+    q = composed_path(p.arrows)
+    assert (q, hash(q), str(q), q.source, q.target, q.base) == (
+        p, hash(p), str(p), p.source, p.target, p.base)
+    assert {q: 1} == {p: 1}
 
 
 def test_pickled_paths_and_arrows_keep_equality_and_hash(loop2):

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from types import SimpleNamespace
 
 import pytest
@@ -29,7 +30,7 @@ from quiverkoszul.corpus import (
     trivial_extension_dual,
 )
 from quiverkoszul.covering import build_covering, deck_action
-from quiverkoszul.duality import dual_presentation
+from quiverkoszul.duality import dual_presentation, quadratic_check
 from quiverkoszul.groups import cyclic_group
 from quiverkoszul.linalg import ZERO, ColumnSolver, EchelonSpan
 from quiverkoszul.quiver import (
@@ -58,7 +59,7 @@ from quiverkoszul.resolution import (
 )
 from quiverkoszul.serialization import serialize_presentation
 from random_inputs import random_presentation
-from yoneda import ExtElement, YonedaAlgebra
+from yoneda import ExtElement, YonedaAlgebra, expanded
 
 
 def binom(n, k):
@@ -630,7 +631,7 @@ def _bundle_image(ext, step, vec):
 def _assert_transported_square_to_zero(report):
     W = len(report.model.words)
     for u in report.transported:
-        diffs = report.per_simple[u].diffs
+        diffs = [[expanded(e) for e in step] for step in report.per_simple[u].diffs]
         for i in range(2, report.i_max + 1):
             for entry in diffs[i]:
                 dd = {}
@@ -1000,7 +1001,7 @@ def _assert_coordinate_order(model, i_max):
                 for coords in want.values():
                     for k, b in coords:
                         image = {}
-                        for key, c in res.diffs[i][k].items():
+                        for key, c in expanded(res.diffs[i][k]).items():
                             l, word = divmod(key, W)
                             for m, cm in model.product(b, word).items():
                                 image[(l, m)] = image.get((l, m), ZERO) + c * cm
@@ -1108,7 +1109,7 @@ def _assert_matches_two_pass(model, i_max, d_max):
         gens, diffs = _two_pass(model, v, i_max, d_max)
         assert res.gens == gens
         # dict order too: the columns are the very kernel vectors
-        assert [[list(e.items()) for e in step] for step in res.diffs] == [
+        assert [[list(expanded(e).items()) for e in step] for step in res.diffs] == [
             [list(e.items()) for e in step] for step in diffs]
 
 
@@ -1281,3 +1282,127 @@ def test_vanishing_block_generator_with_a_trivial_path_is_an_internal_error(
     with pytest.raises(InternalError,
                        match=r"step 1 generator in degree 1 has a non-minimal column"):
         _resolve_with_a_stray_coordinate(monkeypatch, 0, 1, trivial_path("1"))
+
+
+# -- unit entries: a vanishing block's generators stored as their coordinates --
+
+
+def _units_cases():
+    loops2 = _loops2()
+    return {
+        "loops:2": (loops2, 8, 8),
+        "loops:3": (radical_square_zero(parse_quiver_spec("loops:3")), 6, 6),
+        "loops2-Z3-all-ones": (build_covering(loops2, cyclic_group(3),
+                                              {"x1": "1", "x2": "1"}), 7, 7),
+    }
+
+
+def _assert_unit_entries_exactly_where_blocks_vanish(monkeypatch, model, i_max):
+    """Every generator of a vanishing block has an int entry, the coordinate
+    of its unit vector, and every other generator a dict; returns the
+    number of int entries."""
+    vanished, kernel = {}, SimpleResolution._kernel
+
+    def spy(self, i, D, w, coords, nullity):
+        vanished[(self.vertex, i + 1, D, w)] = nullity == len(coords)
+        return kernel(self, i, D, w, coords, nullity)
+
+    monkeypatch.setattr(SimpleResolution, "_kernel", spy)
+    units = 0
+    for v in model.quiver.vertices:
+        res = SimpleResolution(model, v, i_max)
+        for i in range(1, i_max + 1):
+            for g, entry in zip(res.gens[i], res.diffs[i]):
+                assert (type(entry) is int) == vanished[(v, i, g.degree, g.vertex)]
+                units += type(entry) is int
+    return units
+
+
+@pytest.mark.parametrize("name", sorted(_units_cases()))
+def test_unit_entries_on_radical_square_zero_are_every_generator(name, monkeypatch):
+    # Ext is the path algebra of the opposite quiver and every block past
+    # step 0 vanishes, so every generator is stored as its coordinate
+    p, d_max, i_max = _units_cases()[name]
+    model = AlgebraModel(p, d_max)
+    report = resolve(model, i_max)
+    for res in report.per_simple.values():
+        assert all(type(e) is int for step in res.diffs[1:] for e in step)
+    units = _assert_unit_entries_exactly_where_blocks_vanish(monkeypatch, model, i_max)
+    assert units == sum(report.ext_totals()[1:])
+
+
+@pytest.mark.parametrize(
+    "presentation", [p for _, p in corpus_instances()],
+    ids=[label for label, _ in corpus_instances()],
+)
+def test_unit_entries_exactly_where_blocks_vanish_on_the_corpus(presentation, monkeypatch):
+    _assert_unit_entries_exactly_where_blocks_vanish(
+        monkeypatch, AlgebraModel(presentation, 5), 5)
+
+
+@pytest.mark.parametrize("name", ["loops2-Z3-all-ones"] + sorted(_orbit_covers()))
+def test_unit_entries_of_a_transported_copy_shift_by_the_word_map(name):
+    # relabelled moves an int entry by one shift and keeps it an int
+    p, d_max, i_max = {**_units_cases(), **_orbit_covers()}[name]
+    model = AlgebraModel(p, d_max)
+    report = resolve(model, i_max)
+    W, ids = len(model.words), model.word_ids
+    moved = 0
+    for t in report.transported:
+        v = report.per_simple[t].resolved_from
+        words = transport_word_map(model, rooted_isomorphism(model.quiver, v, t))
+        for step, copied in zip(report.per_simple[v].diffs, report.per_simple[t].diffs):
+            for entry, image in zip(step, copied):
+                if type(entry) is int:
+                    k, b = divmod(entry, W)
+                    assert image == k * W + ids[words[model.words[b]]]
+                    moved += 1
+                else:
+                    assert type(image) is dict
+    assert moved
+
+
+# -- the diagonal Ext of a quadratic algebra is its quadratic dual -------------
+
+
+@cache
+def _diagonal_cases():
+    """Quadratic presentations with their window: the quadratic corpus
+    instances, and random presentations with the relations of length
+    other than 2 dropped."""
+    cases = {label: (p, 5) for label, p in corpus_instances() if quadratic_check(p)}
+    for seed in range(300):
+        p = random_presentation(random.Random(seed))
+        cases[f"random-{seed}"] = (
+            Presentation(p.quiver, [r for r in p.relations if r.length == 2]), 4)
+    return cases
+
+
+@cache
+def _diagonal(name):
+    """Per (u, i, w): β(u, i, i, w), and the dual's block dimensions
+    dim(i, w, u) and, transposed, dim(i, u, w)."""
+    p, n = _diagonal_cases()[name]
+    report = resolve(AlgebraModel(p, n), n)
+    dual = AlgebraModel(dual_presentation(p), n)
+    V = p.quiver.vertices
+    return {(u, i, w): (report.betti.get((u, i, i, w), 0), dual.dim(i, w, u), dual.dim(i, u, w))
+            for u in V for w in V for i in range(n + 1)}
+
+
+@pytest.mark.parametrize("name", sorted(_diagonal_cases()))
+def test_diagonal_betti_numbers_are_the_dual_blocks(name):
+    # Koszul or not, the diagonal Ext of a quadratic algebra is its
+    # quadratic dual, block by block (Löfwall): β(u, i, i, w) is the dual's
+    # degree-i block from w to u.  On radical-square-zero algebras every
+    # one of these generators comes from a unit batch
+    for key, (betti, dual, _) in _diagonal(name).items():
+        assert betti == dual, key
+
+
+def test_diagonal_oracle_sees_the_orientation():
+    assert len([n for n in _diagonal_cases() if not n.startswith("random-")]) == 14
+    transposed = [name for name in _diagonal_cases()
+                  if any(b != t for b, _, t in _diagonal(name).values())]
+    assert "path_algebra(line:3)" in transposed
+    assert len(transposed) > 1

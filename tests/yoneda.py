@@ -23,6 +23,12 @@ from quiverkoszul.resolution import (
 )
 
 
+def expanded(entry) -> dict:
+    """A differential entry as a dict from coordinate to coefficient: a
+    resolution stores a unit vector as its coordinate, an int."""
+    return {entry: ONE} if type(entry) is int else entry
+
+
 @dataclass
 class ExtElement:
     """A cohomology class: a functional on the step's bundle generators."""
@@ -48,7 +54,8 @@ class YonedaAlgebra(ExtAlgebra):
     ``diffs[i][j]`` pairs the resolution's own differential entry for bundle
     generator j, keyed by its simple's step-(i-1) generators, with the
     bundle offset of that simple's step-(i-1) block, so the bundle shares
-    the differentials instead of copying them.  Only the lifts read it, so
+    the differentials instead of copying them; a unit entry, stored as its
+    coordinate, is ``expanded`` to a dict.  Only the lifts read it, so
     it is paired on first read.  Bundle coordinates are k·W + b over the
     bundle's generators k: an entry's coordinate moves by offset·W.
     """
@@ -79,7 +86,8 @@ class YonedaAlgebra(ExtAlgebra):
             for u in self.simples:
                 off = self._offsets[i - 1][u]
                 step_diffs.extend(
-                    (off, entry) for entry in self.report.per_simple[u].diffs[i]
+                    (off, expanded(entry))
+                    for entry in self.report.per_simple[u].diffs[i]
                 )
             out.append(step_diffs)
         return out
