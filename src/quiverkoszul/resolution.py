@@ -134,12 +134,18 @@ class SimpleResolution:
     model's top degree, so degree D reads only the generators in degrees
     D - top to D (every one up to D if the window shows no top degree).
     One walk over them per step and degree builds the coordinates of every
-    vertex's block, from the model's ``blocks_from`` table.  Spans and
-    solvers take the coordinates as they are.  An arrow image is built for
-    its span, which keeps it as an echelon row: the block's Ω basis is
-    those rows, which span what the independent images span, prefix by
-    prefix.  A block's new generators are added as one batch and share one
-    ``Generator``.
+    vertex's block, from the model's ``blocks_from`` table.  The loop
+    visits only the blocks that walk reaches: a degree with no coordinate
+    is passed over whole, and so is a vertex with none, as such a block
+    has no syzygy.  Each visit takes its Ω^i block out of the previous
+    pass's bases, so a block of Ω^i left over at the end of a step, which
+    sits where P_i has no coordinate, is an ``InternalError``; a visited
+    block where Ω^i outgrows P_i fails ``_kernel``'s dimension check.
+    Spans and solvers take the coordinates as they are.  An arrow image is
+    built for its span, which keeps it as an echelon row: the block's Ω
+    basis is those rows, which span what the independent images span,
+    prefix by prefix.  A block's new generators are added as one batch and
+    share one ``Generator``.
 
     ``resolved_from`` is the vertex whose resolution was computed: this
     one's own, or, for a ``relabelled`` copy, its source's.
@@ -174,11 +180,15 @@ class SimpleResolution:
                     bisect_right(degrees, D),
                 )
                 by_target = _degree_coords(model, self.gens[i], D, window)
+                if not by_target:
+                    continue
                 for w in q.vertices:
-                    coords = by_target.get(w, [])
-                    nullity = len(coords) - len(image.get((D, w), ()))
+                    coords = by_target.get(w)
+                    if not coords:
+                        continue
+                    nullity = len(coords) - len(image.pop((D, w), ()))
                     if not nullity:
-                        self.kernels_skipped += bool(coords)
+                        self.kernels_skipped += 1
                         continue
                     span, basis = EchelonSpan(), []
                     images = (_diff_image(model, x, a)
@@ -217,6 +227,12 @@ class SimpleResolution:
                         )
                     gens += [Generator(w, D)] * len(basis)
                     diffs += basis
+            if image:
+                D, w = next(iter(image))
+                raise InternalError(
+                    f"step {i}: Ω^{i} has a block in degree {D} at vertex {w},"
+                    f" where P_{i} has no coordinate"
+                )
             self.gens.append(gens)
             self.diffs.append(diffs)
 

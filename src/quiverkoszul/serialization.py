@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .algebra import Presentation
 from .groups import FiniteGroup, cyclic_group, dihedral_group, direct_product
@@ -284,5 +285,129 @@ def serialize_presentation(p: Presentation, group_spec: tuple | None = None,
 
 
 def canonical_json(obj) -> str:
-    """Deterministic rendering: fixed indentation, preserved key order."""
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """Deterministic rendering: fixed indentation, preserved key order.
+
+    The text equals ``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``
+    byte for byte on every input the stdlib accepts, and an input it rejects
+    raises the same error: ``TypeError`` for a value or key of another type,
+    ``ValueError`` for a container that holds itself.  With ``indent`` set the
+    stdlib takes its pure-Python generator path; this writer makes the same
+    one pass directly, appending string pieces to a list.
+    """
+    parts = []
+    _render(obj, parts.append, "\n", set())
+    parts.append("\n")
+    return "".join(parts)
+
+
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of a scalar of exactly this type; subclasses take _scalar_text
+_SCALAR_TEXT = {
+    str: encode_basestring,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    float: _float_text,
+}
+
+
+def _render(o, append, newline: str, markers: set) -> None:
+    """Append the text of o, whose line starts at ``newline``'s indentation.
+
+    The checks mirror the stdlib's encoder: ``isinstance`` on the JSON types,
+    ``int.__repr__`` and ``float.__repr__`` for their subclasses, ``items()``
+    of a dict and iteration of a list or tuple, and ``markers`` holding the
+    ids of the open containers."""
+    if isinstance(o, dict):
+        if not o:
+            append("{}")
+            return
+        mark = id(o)
+        if mark in markers:
+            raise ValueError("Circular reference detected")
+        markers.add(mark)
+        inner = newline + "  "
+        append("{" + inner)
+        sep = ""
+        for k, v in o.items():
+            if type(k) is not str:
+                k = _key_text(k)
+            text = _SCALAR_TEXT.get(type(v))
+            if text is not None:
+                append(sep + encode_basestring(k) + ": " + text(v))
+            else:
+                append(sep + encode_basestring(k) + ": ")
+                _render(v, append, inner, markers)
+            sep = "," + inner
+        append(newline + "}")
+        markers.remove(mark)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            append("[]")
+            return
+        mark = id(o)
+        if mark in markers:
+            raise ValueError("Circular reference detected")
+        markers.add(mark)
+        inner = newline + "  "
+        # like the stdlib, the opening bracket comes with the first item
+        sep = "[" + inner
+        for v in o:
+            text = _SCALAR_TEXT.get(type(v))
+            if text is not None:
+                append(sep + text(v))
+            else:
+                append(sep)
+                _render(v, append, inner, markers)
+            sep = "," + inner
+        append(newline + "]")
+        markers.remove(mark)
+    else:
+        append(_scalar_text(o))
+
+
+def _scalar_text(o) -> str:
+    if isinstance(o, str):
+        return encode_basestring(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    # the stdlib's own rejection: TypeError, "... is not JSON serializable"
+    return json.JSONEncoder().default(o)
+
+
+def _key_text(k) -> str:
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float_text(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
+    )

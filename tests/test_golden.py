@@ -3,8 +3,9 @@
 A fixed job list (``analyze`` over the corpus and its quadratic duals at two
 windows, plus every ``verify`` check that applies) was run once and its exit
 codes and ``canonical`` blocks stored in ``data/golden_canonical.json``.  The
-test replays each job in-process and compares the canonical JSON text, as
-the CLI prints it, byte for byte.  Jobs that failed because a product left the degree window were
+test replays each job in-process and compares the text the CLI prints, byte
+for byte, with the stdlib's ``json.dumps`` of the recorded block and the
+printed timing.  Jobs that failed because a product left the degree window were
 left out when recording: those are defects, not answers to keep.
 
 Record again only when an output change is intended:
@@ -26,7 +27,7 @@ import pytest
 from quiverkoszul.cli import main
 from quiverkoszul.corpus import corpus_instances
 from quiverkoszul.duality import dual_presentation, quadratic_check
-from quiverkoszul.serialization import canonical_json, serialize_presentation
+from quiverkoszul.serialization import serialize_presentation
 
 DATA = Path(__file__).parent / "data" / "golden_canonical.json"
 
@@ -74,14 +75,12 @@ def job_id(name: str, args: list) -> str:
 
 
 def run_job(docs_dir: Path, name: str, args: list):
-    """Exit code, canonical JSON text (None without a report), stderr."""
+    """Exit code, the text the CLI printed ("" without a report), stderr."""
     argv = [args[0], str(docs_dir / f"{name}.json")] + args[1:]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
-    text = out.getvalue()
-    canonical = canonical_json(json.loads(text)["canonical"]) if text else None
-    return rc, canonical, err.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 def _write_documents(directory: Path) -> None:
@@ -93,11 +92,10 @@ def record(directory: Path) -> list:
     _write_documents(directory)
     recorded = []
     for name, args in job_list(documents()):
-        rc, canonical, err = run_job(directory, name, args)
+        rc, text, err = run_job(directory, name, args)
         if rc == 2 and "exceeds the window" in err:
             continue
-        if canonical is not None:
-            canonical = json.loads(canonical)
+        canonical = json.loads(text)["canonical"] if text else None
         recorded.append({"doc": name, "args": args, "exit": rc,
                          "canonical": canonical})
     return recorded
@@ -120,10 +118,17 @@ def docs_dir(tmp_path_factory):
 @pytest.mark.parametrize(
     "job", _recorded(), ids=lambda job: job_id(job["doc"], job["args"]))
 def test_canonical_report_matches_recording(docs_dir, job):
-    rc, canonical, err = run_job(docs_dir, job["doc"], job["args"])
+    # the whole printed text against the stdlib's rendering of the recorded
+    # canonical block beside the printed timing, so a change in the
+    # report writer shows here too
+    rc, text, err = run_job(docs_dir, job["doc"], job["args"])
     assert rc == job["exit"], err
     want = job["canonical"]
-    assert canonical == (None if want is None else canonical_json(want))
+    if want is None:
+        assert text == ""
+        return
+    report = {"format": 1, "canonical": want, "timing": json.loads(text)["timing"]}
+    assert text == json.dumps(report, indent=2, ensure_ascii=False) + "\n"
 
 
 def test_recorded_jobs_come_from_the_job_list():

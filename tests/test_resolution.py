@@ -1284,6 +1284,48 @@ def test_vanishing_block_generator_with_a_trivial_path_is_an_internal_error(
         _resolve_with_a_stray_coordinate(monkeypatch, 0, 1, trivial_path("1"))
 
 
+def _resolve_with_coordinates_cut(monkeypatch, model, vertex, step_degree, D, keep):
+    """Resolve the simple at vertex with degree D of the step whose
+    generators sit in step_degree cut down: ``keep`` maps a target vertex
+    to the number of its coordinates left, 0 dropping its entry."""
+    from quiverkoszul import resolution
+
+    degree_coords = resolution._degree_coords
+
+    def cut(model, gens, D_, *window):
+        by_target = degree_coords(model, gens, D_, *window)
+        if D_ == D and gens[0].degree == step_degree:
+            for w, n in keep.items():
+                by_target[w] = by_target[w][:n]
+                if not n:
+                    del by_target[w]
+        return by_target
+
+    monkeypatch.setattr(resolution, "_degree_coords", cut)
+    SimpleResolution(model, vertex, 3)
+
+
+@pytest.mark.parametrize("spec,vertex,keep,message", [
+    # the whole degree holds no coordinate, so the loop passes it over
+    ("loops:2", "1", {"1": 0}, r"step 1\b.* degree 1 at vertex 1\b"),
+    # vertex 1 keeps its coordinates and is visited; vertex 3 is not
+    ("preprojective", "2", {"3": 0}, r"step 1\b.* degree 1 at vertex 3\b"),
+    # a visited block smaller than its Ω^1 piece: _kernel's dimension check
+    ("loops:2", "1", {"1": 1}, r"step 1 kernel in degree 1 at vertex 1 has"
+                               r" dimension 0, exactness gives -1"),
+], ids=["degree-passed-over", "vertex-passed-over", "visited-block-short"])
+def test_an_image_block_without_its_coordinates_is_an_internal_error(
+        monkeypatch, spec, vertex, keep, message):
+    # Ω^1 of the simple sits in degree 1 of P_0; P_1's degree-1 coordinates
+    # at a vertex must cover its piece there, or exactness fails
+    if spec == "loops:2":
+        model = AlgebraModel(_loops2(), 4)
+    else:
+        model = AlgebraModel(preprojective(parse_quiver_spec("line:3")), 4)
+    with pytest.raises(InternalError, match=message):
+        _resolve_with_coordinates_cut(monkeypatch, model, vertex, 1, 1, keep)
+
+
 # -- unit entries: a vanishing block's generators stored as their coordinates --
 
 

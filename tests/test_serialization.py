@@ -209,6 +209,144 @@ def test_canonical_json_is_stable():
     assert canonical_json(doc).endswith("\n")
 
 
+# -- canonical_json against the stdlib ------------------------------------------
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+class _Dict(dict):
+    pass
+
+
+class _ReversedItems(dict):
+    # the stdlib reads a dict through items(), so an override shows
+    def items(self):
+        return reversed(list(super().items()))
+
+
+class _List(list):
+    pass
+
+
+class _EveryOther(list):
+    # the stdlib iterates a list, so an override shows
+    def __iter__(self):
+        return iter(list(list.__iter__(self))[::2])
+
+
+class _Hollow(list):
+    # nonempty, yet iterates to nothing
+    def __iter__(self):
+        return iter(())
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not an int"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not a float"
+
+
+class _Str(str):
+    pass
+
+
+_TEXTS = ["", "plain", "é", "Ω-ω", "𝔽𝔾", "\U0001f600", "\x00", "\x1f", "\x7f",
+          "\n\t\r\b\f", '"', "\\", "\u2028\u2029", "\ud800", "a\"b\\c"]
+_NUMBERS = [0, 1, -1, 2 ** 64, -(3 ** 50), 0.0, -0.0, 0.1, -2.5, 1e300, 1e-300,
+            float("nan"), float("inf"), float("-inf"), True, False, None]
+_KEYS = _TEXTS + [0, -7, 2 ** 70, 1.5, float("nan"), float("-inf"), True, False,
+                  None, _Int(3), _Float(0.25), _Str("k")]
+
+
+def _generated(rng, depth):
+    kind = rng.randrange(10 if depth else 2)
+    if kind == 0:
+        return rng.choice(_TEXTS)
+    if kind == 1:
+        return rng.choice(_NUMBERS)
+    width = rng.randrange(4)
+    items = [_generated(rng, depth - 1) for _ in range(width)]
+    if kind == 2:
+        return items
+    if kind == 3:
+        return tuple(items)
+    if kind == 4:
+        return rng.choice([_List, _EveryOther, _Hollow])(items)
+    if kind == 5:
+        return rng.choice([_Int(width), _Float(width / 4), _Str("s" * width)])
+    keys = rng.sample(_KEYS, width)
+    build = rng.choice([dict, dict, _Dict, _ReversedItems])
+    return build(zip(keys, items))
+
+
+def _corpus_documents():
+    for name, p in corpus_instances():
+        ones = {a.label: "1" for a in p.quiver.arrows}
+        yield name, presentation_to_document(p)
+        yield name + " graded", presentation_to_document(p, ("cyclic", 2), ones)
+
+
+@pytest.mark.parametrize("name,doc", list(_corpus_documents()))
+def test_canonical_json_is_the_stdlib_text_on_corpus_documents(name, doc):
+    assert canonical_json(doc) == _stdlib_json(doc), name
+
+
+def test_canonical_json_is_the_stdlib_text_on_golden_reports():
+    golden = Path(__file__).parent / "data" / "golden_canonical.json"
+    jobs = json.loads(golden.read_text(encoding="utf-8"))
+    assert jobs
+    for job in jobs:
+        assert canonical_json(job) == _stdlib_json(job), job["args"]
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), "", {"a": {}, "b": [], "c": (), "d": ""}, [[], [[]], {}],
+    _Dict(), _List(), _Hollow([1, 2]), _EveryOther([1, 2, 3]),
+    _ReversedItems({"a": 1, "b": [2]}), {"x": ((), [()])},
+    _Int(-5), _Float(2.5), _Str("s"), 2 ** 200, -(10 ** 40),
+    float("nan"), float("inf"), float("-inf"), -0.0, True, False, None,
+    {1: "one", True: "t", None: "n", 1.5: "f", float("inf"): "i", "s": "s"},
+], ids=repr)
+def test_canonical_json_is_the_stdlib_text_on_edge_values(value):
+    assert canonical_json(value) == _stdlib_json(value)
+
+
+def test_canonical_json_is_the_stdlib_text_on_generated_values():
+    import random
+
+    rng = random.Random(2024)
+    for _ in range(400):
+        value = _generated(rng, 4)
+        assert canonical_json(value) == _stdlib_json(value), repr(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, [1, {2}], {"a": frozenset()}, b"bytes", object(), {(1, 2): 3},
+    {"ok": [1, {frozenset(): 2}]},
+], ids=repr)
+def test_canonical_json_rejects_what_the_stdlib_rejects(value):
+    with pytest.raises(TypeError) as stdlib:
+        _stdlib_json(value)
+    with pytest.raises(TypeError) as ours:
+        canonical_json(value)
+    assert str(ours.value) == str(stdlib.value)
+
+
+def test_canonical_json_rejects_a_container_that_holds_itself():
+    loop = [1]
+    loop.append({"again": loop})
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        _stdlib_json(loop)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        canonical_json(loop)
+
+
 def test_document_lists_terms_in_path_order():
     # canonical serialization orders terms by the first-applied word
     p = exterior(2)
