@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import EchelonSpan, ONE, as_scalar, vec_axpy
+from .linalg import EchelonSpan, ONE, ZERO, as_scalar, vec_axpy
 from .quiver import (
     Path,
     PathCombination,
@@ -107,6 +107,12 @@ class AlgebraModel:
     tables and every product computed since (``product``); the path-keyed
     ``normal_form`` and ``multiply`` convert at its edge.
 
+    A block's relation rows stop once its span has a pivot in every
+    column: each further row lies in that span, so the basis and the
+    tables are what every row would give.  ``normal_pairs`` holds (x, y)
+    for each degree-2 basis word words[x]∘words[y]; the other composable
+    pairs of arrows are the degree-2 tips.
+
     Elimination stops at the first vanishing degree d0: the length grading
     is generated in degree one, so every path of length >= d0 is zero, at
     any length, inside the window or past it.
@@ -131,6 +137,7 @@ class AlgebraModel:
         self._block_keys = {}
         # first degree with A_d = 0, or None if the window shows none
         self._zero_from = None
+        self.normal_pairs = frozenset()
         self._arrow_set = frozenset(self.quiver.arrows)
         self._vertex_set = frozenset(self.quiver.vertices)
         self._build()
@@ -163,9 +170,11 @@ class AlgebraModel:
         for p, a in enumerate(q.arrows):
             out_of[a.source].append((p, a.target))
         # relations[k]: (source, target, terms) per relation of length k, a
-        # term holding its last arrow's position, the others' ids and its
+        # term holding its last arrow's position, its first arrow's id, the
+        # ids of the arrows between, first-applied first, and its
         # coefficient; split once the arrows have ids
         relations = {}
+        products = self._products
 
         d = 1
         while self._zero_from is None and d <= self.max_degree:
@@ -183,18 +192,34 @@ class AlgebraModel:
                         cols.append((p, b))
             spans = {key: EchelonSpan() for key in columns}
 
-            # rows π(r∘b): a relation of length k after a degree-(d-k) word
+            # rows π(r∘b): a relation of length k after a degree-(d-k) word,
+            # each built in one pass into a fresh zero-free dict; a block
+            # whose span has a pivot in every column holds every further
+            # row, and a block without columns has only zero rows
             for k in range(2, d + 1):
                 for source, target, terms in relations.get(k, ()):
                     for u in q.vertices:
+                        span = spans.get((u, target))
+                        if span is None:
+                            continue
+                        full = len(columns[(u, target)])
                         for b in self._basis.get((d - k, u, source), ()):
+                            if span.rank == full:
+                                break
                             row = {}
-                            for p, tail, c in terms:
-                                walked = self._walk(tail, {b: ONE})
-                                term = {index[(p, w)]: cw for w, cw in walked.items()}
-                                vec_axpy(row, c, term)
+                            for p, first, rest, c in terms:
+                                walked = products[(first, b)]
+                                if rest:
+                                    walked = self._walk(rest, walked)
+                                for w, cw in walked.items():
+                                    j = index[(p, w)]
+                                    s = row.get(j, ZERO) + c * cw
+                                    if s:
+                                        row[j] = s
+                                    else:
+                                        del row[j]
                             if row:
-                                spans[(u, target)].add(row)
+                                span._add(row)
 
             # number the surviving words block by block, in vertex order
             rows, ids = {key: span.rows for key, span in spans.items()}, {}
@@ -215,10 +240,15 @@ class AlgebraModel:
                     len(q.vertices), len(self.words))}
                 arrow_word = [self.arrow_ids[a] for a in q.arrows]
                 for r in self.presentation.relations:
-                    terms = [(arrow_position[s.arrows[0]],
-                              [self.arrow_ids[a] for a in s.arrows[:0:-1]], c)
-                             for s, c in r.items()]
+                    terms = []
+                    for s, c in r.items():
+                        tail = [self.arrow_ids[a] for a in s.arrows[:0:-1]]
+                        terms.append((arrow_position[s.arrows[0]], tail[0], tail[1:], c))
                     relations.setdefault(r.length, []).append((r.source, r.target, terms))
+            elif d == 2:
+                self.normal_pairs = frozenset(
+                    (arrow_word[cols[j][0]], cols[j][1])
+                    for key, cols in columns.items() for j in ids.get(key, ()))
             # the left tables: a surviving column is its own word, a pivot
             # column minus its row's other entries
             for key, cols in columns.items():

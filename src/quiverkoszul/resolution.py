@@ -144,8 +144,17 @@ class SimpleResolution:
     Spans and solvers take the coordinates as they are.  An arrow image is
     built for its span, which keeps it as an echelon row: the block's Ω
     basis is those rows, which span what the independent images span,
-    prefix by prefix.  A block's new generators are added as one batch and
-    share one ``Generator``.
+    prefix by prefix.  Each such row remembers the arrow of its image.
+    The images x·a of normal pairs go first: x a kernel row, or a row made
+    by an arrow t with a∘t a degree-2 basis word (the model's
+    ``normal_pairs``).  The images of tips a∘t follow, in the same order;
+    they lie in the span more often, so fewer images are built.  The
+    order changes no output: a block that reaches its count holds its
+    whole syzygy block whatever rows span it, and one that falls short
+    has tried every image, so its span, and with it the kernel and the
+    generators, is the arrow multiples of Ω^{i+1} one degree down either
+    way.  A block's new generators are added as one batch and share one
+    ``Generator``.
 
     ``resolved_from`` is the vertex whose resolution was computed: this
     one's own, or, for a ``relabelled`` copy, its source's.
@@ -167,10 +176,13 @@ class SimpleResolution:
         if model.max_degree:
             into = {w: [(model.arrow_ids[a], a.source) for a in q.arrows_by_target[w]]
                     for w in q.vertices}
-        # a basis of Ω^{i+1} per (D, w) in P_i coordinates; Ω^0 sits in degree 0
+        normal = model.normal_pairs
+        # a basis of Ω^{i+1} per (D, w) in P_i coordinates; Ω^0 sits in degree
+        # 0; made[(D, w)] cuts an image block's basis, in order, into runs
+        # (t, rows) of rows made by one arrow t
         omega = {}
         for i in range(i_max):
-            image, omega = omega, {}
+            image, omega, made = omega, {}, {}
             gens, diffs = [], []
             degrees = [g.degree for g in self.gens[i]]
             for D in range(1, model.max_degree + 1):
@@ -190,18 +202,33 @@ class SimpleResolution:
                     if not nullity:
                         self.kernels_skipped += 1
                         continue
-                    span, basis = EchelonSpan(), []
-                    images = (_diff_image(model, x, a)
-                              for a, u in into[w]
-                              for x in omega.get((D - 1, u), ()))
-                    for y in images:
-                        if row := span._add(y):
-                            basis.append(row)
-                            if span.rank == nullity:
-                                break
+                    # the arrow images x·a of Ω one degree down, in runs:
+                    # normal pairs first, then the tips a∘t
+                    first, later = [], []
+                    for a, u in into[w]:
+                        runs = made.get((D - 1, u))
+                        if runs is None:
+                            rows = omega.get((D - 1, u))
+                            if rows:
+                                first.append((a, rows))
+                        else:
+                            for t, rows in runs:
+                                (first if (a, t) in normal else later).append((a, rows))
+                    span, basis, runs = EchelonSpan(), [], []
+                    for a, rows in first + later:
+                        start = len(basis)
+                        for x in rows:
+                            if row := span._add(_diff_image(model, x, a)):
+                                basis.append(row)
+                                if span.rank == nullity:
+                                    break
+                        if len(basis) > start:
+                            runs.append((a, basis[start:]))
+                        if span.rank == nullity:
+                            break
                     if span.rank == nullity:
                         self.kernels_skipped += 1
-                        omega[(D, w)] = basis
+                        omega[(D, w)], made[(D, w)] = basis, runs
                         continue
                     self.kernels_computed += 1
                     basis = omega[(D, w)] = self._kernel(i, D, w, coords, nullity)

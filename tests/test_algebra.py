@@ -139,10 +139,28 @@ def test_relations_have_zero_normal_form_after_build():
 
 
 def test_relation_surviving_elimination_is_an_internal_error(monkeypatch):
+    # the relation rows enter through _add, which keeps no row here either
     monkeypatch.setattr(EchelonSpan, "add", lambda self, vec: False)
+    monkeypatch.setattr(EchelonSpan, "_add", lambda self, vec: {})
     with pytest.raises(InternalError, match="nonzero normal form"):
         AlgebraModel(exterior(2), 3)
     assert not issubclass(InternalError, ValueError)
+
+
+def test_relation_rows_stop_at_a_full_block(monkeypatch):
+    # a block whose span has a pivot in every column takes no further row:
+    # exterior(4) at 6 builds 95 nonzero relation rows, and 104 without
+    # the stop
+    add, rows = EchelonSpan._add, []
+
+    def counted(self, vec):
+        rows.append(vec)
+        return add(self, vec)
+
+    monkeypatch.setattr(EchelonSpan, "_add", counted)
+    model = AlgebraModel(exterior(4), 6)
+    assert model.total_dims() == [1, 4, 6, 4, 1, 0, 0]
+    assert len(rows) == 95
 
 
 class TestPastFirstVanishingDegree:
@@ -303,6 +321,11 @@ def _assert_same_model(presentation, window):
             for u, v in m.blocks(d)
             for b in basis.get((d, u, v), ())
         ]
+    # the degree-2 basis words a∘t, as the pairs (id of a, id of t)
+    ids = m.arrow_ids
+    assert m.normal_pairs == {
+        (ids[p.arrows[0]], ids[p.arrows[1]])
+        for (d, _, _), paths in basis.items() if d == 2 for p in paths}
     limit = window if zero_from is None else min(window, zero_from)
     for d in range(limit + 1):
         for p in enumerate_paths(q, d):

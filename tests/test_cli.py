@@ -470,3 +470,35 @@ def test_importing_the_cli_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "FILE", "--max-degree", "3", "--max-homological", "2"],
+    ["verify", "FILE", "--check", "koszul", "--max-degree", "3", "--max-homological", "3"],
+], ids=["analyze", "verify"])
+def test_report_seconds_cover_everything_but_rendering(capsys, monkeypatch, ext2_file,
+                                                       argv):
+    # a clock that moves only where the test moves it: 1 s in parsing the
+    # arguments, 2 s in reading the document, 4 s in rendering the report
+    from types import SimpleNamespace
+
+    from quiverkoszul import cli
+
+    now = [0]
+
+    def spend(seconds, fn):
+        def wrapped(*args):
+            now[0] += seconds
+            return fn(*args)
+        return wrapped
+
+    parser = cli._build_parser()
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(cli, "_build_parser", lambda: SimpleNamespace(
+        parse_args=spend(1, parser.parse_args)))
+    monkeypatch.setattr(cli, "_read_document", spend(2, cli._read_document))
+    monkeypatch.setattr(cli, "canonical_json", spend(4, cli.canonical_json))
+    argv = [ext2_file if a == "FILE" else a for a in argv]
+    rc, report = run_json(capsys, argv)
+    assert rc == 0
+    assert report["timing"]["seconds"] == 3

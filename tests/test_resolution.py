@@ -385,6 +385,12 @@ def _loops2():
     return radical_square_zero(parse_quiver_spec("loops:2"))
 
 
+def _cyclic_cover(p, order, weights):
+    """The covering over Z_order with the arrows weighted in quiver order."""
+    labels = [a.label for a in p.quiver.arrows]
+    return build_covering(p, cyclic_group(order), dict(zip(labels, weights)))
+
+
 _LIFT_CASES = {
     "exterior3": lambda: (exterior(3), 5, 5),
     "loops2": lambda: (_loops2(), 5, 5),
@@ -1098,6 +1104,10 @@ def _two_pass_cases():
         ("dual(exterior(3))", dual_presentation(exterior(3)), 7, 4),
         ("example2(2,1,3)", example2(2, 1, 3), 6, 6),
         ("example1(4,4)", example1(4, 4), 5, 5),
+        # covers where the normal pairs reorder the arrow images
+        ("exterior(4)/Z3", _cyclic_cover(exterior(4), 3, "0112"), 5, 5),
+        ("exterior(3)/Z8", _cyclic_cover(exterior(3), 8, ["1", "2", "4"]), 6, 6),
+        ("exterior(6)/Z4", _cyclic_cover(exterior(6), 4, "111111"), 5, 5),
     ]:
         cases[f"{label} at {d_max}/{i_max}"] = (p, d_max, i_max)
     return cases
@@ -1146,11 +1156,8 @@ def test_one_loop_kernel_counters_are_pinned(p, d_max, i_max, want):
     assert (sizes["kernels_computed"], sizes["kernels_skipped"]) == want
 
 
-def test_arrow_images_stop_at_the_exactness_count(monkeypatch):
-    # a block's arrow images lie in the kernel, so once they span its count
-    # the rest are dependent and are not computed; computing every image
-    # gives the same resolution with 504 arrow-image products, not 251,
-    # beside the 249 products the solved kernels and vanishing checks take
+def _counting_products(monkeypatch):
+    """The list that records each ``_diff_image`` call from here on."""
     from quiverkoszul import resolution
 
     diff_image = resolution._diff_image
@@ -1161,10 +1168,94 @@ def test_arrow_images_stop_at_the_exactness_count(monkeypatch):
         return diff_image(model, entry, b)
 
     monkeypatch.setattr(resolution, "_diff_image", counted)
+    return calls
+
+
+def test_arrow_images_stop_at_the_exactness_count(monkeypatch):
+    # a block's arrow images lie in the kernel, so once they span its count
+    # the rest are dependent and are not computed, and the images of normal
+    # pairs, which lie in the span less often, go first: 201 arrow-image
+    # products, beside the 249 the solved kernels and vanishing checks
+    # take; computing every image takes 504, and stopping at the count in
+    # the order of the arrows alone 251
+    calls = _counting_products(monkeypatch)
     report = resolve(AlgebraModel(exterior(3), 7), 7)
     assert report.ext_totals() == [binom(i + 2, 2) for i in range(8)]
     assert resolution_sizes(report)["kernels_computed"] == 7
-    assert len(calls) == 500
+    assert len(calls) == 450
+
+
+@pytest.mark.parametrize("p, d_max, i_max, want", [
+    (_cyclic_cover(exterior(4), 3, "0112"), 5, 5, 539),
+    (dual_presentation(exterior(3)), 7, 4, 302),
+], ids=["exterior(4)/Z3", "dual(exterior(3))"])
+def test_arrow_image_counts_are_pinned(monkeypatch, p, d_max, i_max, want):
+    # every product resolve takes, arrow images and kernels; in the order
+    # of the arrows alone the images made 633 and 582
+    calls = _counting_products(monkeypatch)
+    resolve(AlgebraModel(p, d_max), i_max)
+    assert len(calls) == want
+
+
+def test_forcing_the_normal_pairs_moves_only_the_work(monkeypatch):
+    # with every pair normal the images go in the order of the arrows
+    # alone, and with none the kernel rows' images go first: on exterior(3)
+    # both build 50 more images than the tip rule, for the same result
+    calls = _counting_products(monkeypatch)
+    counts, runs = [], []
+    for pairs in (None, "all", frozenset()):
+        model = AlgebraModel(exterior(3), 7)
+        if pairs == "all":
+            ids = list(model.arrow_ids.values())
+            pairs = frozenset(itertools.product(ids, ids))
+        if pairs is not None:
+            model.normal_pairs = pairs
+        calls.clear()
+        runs.append(_resolution_digest(model, 7))
+        counts.append(len(calls))
+    assert runs[0] == runs[1] == runs[2]
+    assert counts == [450, 500, 500]
+
+
+def _resolution_digest(model, i_max):
+    """Per vertex: gens, the expanded diffs in dict order, and the kernel
+    counters."""
+    out = []
+    for v in model.quiver.vertices:
+        res = SimpleResolution(model, v, i_max)
+        out.append((res.gens,
+                    [[list(expanded(e).items()) for e in step] for step in res.diffs],
+                    res.kernels_computed, res.kernels_skipped))
+    return out
+
+
+def _order_cases():
+    cases = {label: (p, 5, 5) for label, p in corpus_instances()}
+    loops2 = _loops2()
+    cases.update({
+        "exterior(4)/Z3": (_cyclic_cover(exterior(4), 3, "0112"), 5, 5),
+        "loops:2/Z3": (_cyclic_cover(loops2, 3, "12"), 8, 8),
+        "exterior(3)/Z8": (_cyclic_cover(exterior(3), 8, ["1", "2", "4"]), 6, 6),
+        "preprojective(line:4)/Z3": (
+            _cyclic_cover(preprojective(parse_quiver_spec("line:4")), 3, "111111"), 6, 6),
+        "exterior(4)/Z3-ones": (_cyclic_cover(exterior(4), 3, "1111"), 6, 6),
+    })
+    for seed in range(40):
+        cases[f"random-{seed}"] = (random_presentation(random.Random(seed)), 5, 5)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_order_cases()))
+def test_normal_pairs_order_the_images_and_change_nothing(name):
+    # an order of the arrow images cannot change the resolution: forcing
+    # every pair to be a tip, or none, gives the default run's result
+    p, d_max, i_max = _order_cases()[name]
+    model = AlgebraModel(p, d_max)
+    want = _resolution_digest(model, i_max)
+    ids = list(model.arrow_ids.values())
+    for pairs in (frozenset(), frozenset(itertools.product(ids, ids))):
+        model.normal_pairs = pairs
+        assert _resolution_digest(model, i_max) == want
 
 
 def test_kernel_missing_the_exactness_count_is_an_internal_error(monkeypatch):
