@@ -1173,11 +1173,11 @@ def _counting_products(monkeypatch):
 
 def test_arrow_images_stop_at_the_exactness_count(monkeypatch):
     # a block's arrow images lie in the kernel, so once they span its count
-    # the rest are dependent and are not computed, and the images of normal
-    # pairs, which lie in the span less often, go first: 201 arrow-image
-    # products, beside the 249 the solved kernels and vanishing checks
-    # take; computing every image takes 504, and stopping at the count in
-    # the order of the arrows alone 251
+    # the rest are dependent and are not computed; the images of normal
+    # pairs go first, as those of tips lie in the span more often: 201
+    # arrow-image products, beside the 249 the solved kernels and vanishing
+    # checks take; computing every image takes 504, and stopping at the
+    # count in the order of the arrows alone 251
     calls = _counting_products(monkeypatch)
     report = resolve(AlgebraModel(exterior(3), 7), 7)
     assert report.ext_totals() == [binom(i + 2, 2) for i in range(8)]
@@ -1190,8 +1190,8 @@ def test_arrow_images_stop_at_the_exactness_count(monkeypatch):
     (dual_presentation(exterior(3)), 7, 4, 302),
 ], ids=["exterior(4)/Z3", "dual(exterior(3))"])
 def test_arrow_image_counts_are_pinned(monkeypatch, p, d_max, i_max, want):
-    # every product resolve takes, arrow images and kernels; in the order
-    # of the arrows alone the images made 633 and 582
+    # every product resolve takes, arrow images and kernels; with the
+    # images in the order of the arrows alone, 633 and 582
     calls = _counting_products(monkeypatch)
     resolve(AlgebraModel(p, d_max), i_max)
     assert len(calls) == want
@@ -1229,12 +1229,14 @@ def _resolution_digest(model, i_max):
     return out
 
 
+@cache
 def _order_cases():
+    """The corpus, the benchmark's covers at its windows, and random
+    presentations."""
     cases = {label: (p, 5, 5) for label, p in corpus_instances()}
-    loops2 = _loops2()
     cases.update({
         "exterior(4)/Z3": (_cyclic_cover(exterior(4), 3, "0112"), 5, 5),
-        "loops:2/Z3": (_cyclic_cover(loops2, 3, "12"), 8, 8),
+        "loops:2/Z3": (_cyclic_cover(_loops2(), 3, "12"), 8, 8),
         "exterior(3)/Z8": (_cyclic_cover(exterior(3), 8, ["1", "2", "4"]), 6, 6),
         "preprojective(line:4)/Z3": (
             _cyclic_cover(preprojective(parse_quiver_spec("line:4")), 3, "111111"), 6, 6),
