@@ -102,16 +102,20 @@ class AlgebraModel:
     order: by degree, source and target in quiver order, then canonical
     order.  ``words[i]`` and ``lengths[i]`` are word i's path and length,
     ``word_ids`` numbers the paths, ``arrow_ids`` the arrows (the degree-1
-    words) and ``blocks_from[(d, u)]`` lists (v, the ids of block (d, u, v))
-    per nonempty block.  One cache, keyed by pairs of ids, holds the left
+    words), ``blocks_from[(d, u)]`` lists (v, the ids of block (d, u, v))
+    per nonempty block and the by-target index ``blocks_into[(d, v)]``
+    lists (u, the same ids), both in vertex order; block queries read them,
+    not every vertex pair.  One cache, keyed by pairs of ids, holds the left
     tables and every product computed since (``product``); the path-keyed
     ``normal_form`` and ``multiply`` convert at its edge.
 
-    A block's relation rows stop once its span has a pivot in every
-    column: each further row lies in that span, so the basis and the
-    tables are what every row would give.  ``normal_pairs`` holds (x, y)
-    for each degree-2 basis word words[x]∘words[y]; the other composable
-    pairs of arrows are the degree-2 tips.
+    A relation r from s gets rows π(r∘b) for the words b of the blocks
+    ``blocks_into`` lists at s.  A block's relation rows stop once its span
+    has a pivot in every column: each further row lies in that span, so
+    the basis and the tables are what every row would give.
+    ``normal_pairs`` holds (x, y) for each degree-2 basis word
+    words[x]∘words[y]; the other composable pairs of arrows are the
+    degree-2 tips.
 
     Elimination stops at the first vanishing degree d0: the length grading
     is generated in degree one, so every path of length >= d0 is zero, at
@@ -128,7 +132,7 @@ class AlgebraModel:
         # _basis[(d, u, v)]: the ids of the degree-d basis words u->v; a block
         # with paths but no basis word has no entry
         self._basis = {}
-        self.blocks_from = {}
+        self.blocks_from, self.blocks_into = {}, {}
         # _products[(x, y)]: NF(words[x]∘words[y]); filled with the left
         # tables, NF(a∘b) for an arrow a and a basis word b with a∘b of
         # degree below d0, and with every other product once computed
@@ -152,6 +156,7 @@ class AlgebraModel:
         ids = self._basis[(d, u, v)] = range(start, len(self.words))
         self.word_ids.update(zip(paths, ids))
         self.blocks_from.setdefault((d, u), []).append((v, ids))
+        self.blocks_into.setdefault((d, v), []).append((u, ids))
         return ids
 
     def _build(self) -> None:
@@ -163,7 +168,6 @@ class AlgebraModel:
         self._block_keys[0] = {(v, v) for v in q.vertices}
         if not q.vertices:
             self._zero_from = 0
-        position = {v: k for k, v in enumerate(q.vertices)}
         arrow_position = {a: p for p, a in enumerate(q.arrows)}
         # out_of[v]: (position in q.arrows, target) of each arrow out of v
         out_of = {v: [] for v in q.vertices}
@@ -198,12 +202,12 @@ class AlgebraModel:
             # row, and a block without columns has only zero rows
             for k in range(2, d + 1):
                 for source, target, terms in relations.get(k, ()):
-                    for u in q.vertices:
+                    for u, words in self.blocks_into.get((d - k, source), ()):
                         span = spans.get((u, target))
                         if span is None:
                             continue
                         full = len(columns[(u, target)])
-                        for b in self._basis.get((d - k, u, source), ()):
+                        for b in words:
                             if span.rank == full:
                                 break
                             row = {}
@@ -223,7 +227,7 @@ class AlgebraModel:
 
             # number the surviving words block by block, in vertex order
             rows, ids = {key: span.rows for key, span in spans.items()}, {}
-            for key in sorted(columns, key=lambda uv: (position[uv[0]], position[uv[1]])):
+            for key in sorted(columns, key=q.pair_key):
                 cols = columns[key]
                 found = [j for j in range(len(cols)) if j not in rows[key]]
                 if found:
@@ -269,11 +273,8 @@ class AlgebraModel:
 
         # blocks follow the walks, also past d0 where nothing is eliminated
         for d in range(1, self.max_degree + 1):
-            self._block_keys[d] = {
-                (u, a.target)
-                for u, v in self._block_keys[d - 1]
-                for a in q.arrows_by_source[v]
-            }
+            self._block_keys[d] = {(u, a.target) for u, v in self._block_keys[d - 1]
+                                   for a in q.arrows_by_source[v]}
 
         for r in self.presentation.relations:
             if r.length <= self.max_degree and self.normal_form(r):
@@ -294,21 +295,13 @@ class AlgebraModel:
 
     def blocks(self, d: int):
         """(u, v) blocks holding a degree-d path, in vertex order."""
-        keys = self._block_keys.get(d, ())
-        return [
-            (u, v)
-            for u in self.quiver.vertices
-            for v in self.quiver.vertices
-            if (u, v) in keys
-        ]
+        return sorted(self._block_keys.get(d, ()), key=self.quiver.pair_key)
 
     def basis_paths(self, d: int, u: str | None = None, v: str | None = None) -> list:
         self._check_degree(d)
-        out = []
-        for uu in self.quiver.vertices if u is None else [u]:
-            for vv in self.quiver.vertices if v is None else [v]:
-                out.extend(self.words[x] for x in self._basis.get((d, uu, vv), ()))
-        return out
+        return [self.words[x] for uu in (self.quiver.vertices if u is None else [u])
+                for vv, ids in self.blocks_from.get((d, uu), ()) if v in (None, vv)
+                for x in ids]
 
     def all_paths(self, d: int, u: str, v: str) -> list:
         self._check_degree(d)
@@ -320,7 +313,8 @@ class AlgebraModel:
 
     def total_dim(self, d: int) -> int:
         self._check_degree(d)
-        return sum(len(b) for (dd, _, _), b in self._basis.items() if dd == d)
+        return sum(len(ids) for u in self.quiver.vertices
+                   for _, ids in self.blocks_from.get((d, u), ()))
 
     def total_dims(self) -> list:
         return [self.total_dim(d) for d in range(self.max_degree + 1)]
@@ -368,7 +362,7 @@ class AlgebraModel:
                     f"path of length {p.length} exceeds the window {self.max_degree}"
                 )
             self._check_lives_here(p)
-            seed = {self.word_ids[trivial_path(p.source)]: ONE}
+            seed = {self._basis[(0, p.source, p.source)][0]: ONE}
             vec_axpy(out, c, self._walk(map(self.arrow_ids.get, reversed(p.arrows)), seed))
         return out
 
@@ -411,10 +405,11 @@ class AlgebraModel:
 
 
 def transport_word_map(model: AlgebraModel, sigma: QuiverAutomorphism) -> dict | None:
-    """σ on the model's basis words that start where σ is defined, or None
-    unless σ carries the model there onto the model on its image: each
-    basis block's word list, word for word and in order, onto the image
-    block's list, and each left table entry NF(a∘b) onto NF(σa∘σb).
+    """σ on the ids of the model's basis words that start where σ is
+    defined, {word id: image word id}, or None unless σ carries the model
+    there onto the model on its image: each nonempty block of ``blocks_from``
+    onto the image block, ids paired by position, each word's arrows through
+    σ onto its image's, and each left table entry NF(a∘b) onto NF(σa∘σb).
 
     Together these make σ an isomorphism of the truncated models, so it
     keeps basis order, normal forms and products.  On the order-keeping maps
@@ -422,29 +417,30 @@ def transport_word_map(model: AlgebraModel, sigma: QuiverAutomorphism) -> dict |
     same maps in every case tried; a map that reorders arrows can pass the
     tables so paired while sending a basis word off the basis.
     """
-    words = {}
-    for d in range(model.max_degree + 1):
-        for u, v in model.blocks(d):
-            if u not in sigma.vertices:
-                continue
-            source = model.basis_paths(d, u, v)
-            moved = [sigma.apply(b) for b in source]
-            if moved != model.basis_paths(d, sigma.vertices[u], sigma.vertices[v]):
+    vmap, amap, words, blocks = sigma.vertices, sigma.arrows, model.words, model.blocks_from
+    # no block lies past the top degree, and tables start below it
+    top = model.max_degree if model.top_degree() is None else model.top_degree()
+    pairs = {}
+    for u, image in vmap.items():
+        for d in range(top + 1):
+            row, moved = blocks.get((d, u), ()), dict(blocks.get((d, image), ()))
+            if len(row) != len(moved):
                 return None
-            words.update(zip(source, moved))
-    # tables exist below the first vanishing degree, where both sides are 0
-    top = model.top_degree()
-    top = model.max_degree if top is None else top
-    ids = model.word_ids
-    pairs = {ids[b]: ids[moved] for b, moved in words.items()}
+            for v, ids in row:
+                found = moved.get(vmap[v], ())
+                if len(found) != len(ids) or any(
+                        tuple(map(amap.__getitem__, words[x].arrows)) != words[y].arrows
+                        for x, y in zip(ids, found)):
+                    return None
+                pairs.update(zip(ids, found))
+    arrow_id = model.arrow_ids
     for x, y in pairs.items():
         if model.lengths[x] < top:
-            for a in model.quiver.arrows_by_source[model.words[x].target]:
-                table = model.product(model.arrow_ids[a], x)
-                image = {pairs[w]: c for w, c in table.items()}
-                if model.product(model.arrow_ids[sigma.arrows[a]], y) != image:
+            for a in model.quiver.arrows_by_source[words[x].target]:
+                image = {pairs[w]: c for w, c in model.product(arrow_id[a], x).items()}
+                if model.product(arrow_id[amap[a]], y) != image:
                     return None
-    return words
+    return pairs
 
 
 def _as_terms(x) -> dict:
@@ -468,9 +464,8 @@ def hilbert_matrix(m: AlgebraModel, cutoff: int) -> dict:
             f"{m.max_degree} at cutoff {cutoff}: the cutoff is past the window"
         )
     out = {}
-    for u in m.quiver.vertices:
-        for v in m.quiver.vertices:
-            dims = [m.dim(d, u, v) for d in range(cutoff + 1)]
-            if any(dims):
-                out[(u, v)] = dims
-    return out
+    for (d, u), row in m.blocks_from.items():
+        if d <= cutoff:
+            for v, ids in row:
+                out.setdefault((u, v), [0] * (cutoff + 1))[d] = len(ids)
+    return {key: out[key] for key in sorted(out, key=m.quiver.pair_key)}

@@ -68,10 +68,9 @@ def dual_presentation(p: Presentation) -> Presentation:
         return Path((a_op, b_op))
 
     relations = []
-    for (u, v), (paths, span) in sorted(
-        _relation_spans(p).items(),
-        key=lambda kv: (q.vertex_index(kv[0][0]), q.vertex_index(kv[0][1])),
-    ):
+    spans = _relation_spans(p)
+    for u, v in sorted(spans, key=q.pair_key):
+        paths, span = spans[(u, v)]
         columns = [{} for _ in paths]
         for i, row in enumerate(span.rref_rows()):
             for j, c in row.items():

@@ -185,6 +185,10 @@ class Quiver:
             raise QuiverError("empty label list; use trivial_path for idempotents")
         return Path(arrows)
 
+    def pair_key(self, pair) -> tuple:
+        """Sort key of a vertex pair (u, v): the positions of u, then of v."""
+        return (self._vertex_index[pair[0]], self._vertex_index[pair[1]])
+
     def path_key(self, p: Path) -> tuple:
         """Sort key: source vertex, then arrow indices in first-applied order."""
         return (

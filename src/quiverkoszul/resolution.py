@@ -194,10 +194,8 @@ class SimpleResolution:
                 by_target = _degree_coords(model, self.gens[i], D, window)
                 if not by_target:
                     continue
-                for w in q.vertices:
-                    coords = by_target.get(w)
-                    if not coords:
-                        continue
+                for w in sorted(by_target, key=q.vertex_index):
+                    coords = by_target[w]
                     nullity = len(coords) - len(image.pop((D, w), ()))
                     if not nullity:
                         self.kernels_skipped += 1
@@ -304,13 +302,12 @@ class SimpleResolution:
     def relabelled(self, sigma, words: dict) -> "SimpleResolution":
         """The resolution of sigma(vertex) read off this one: generator
         vertices and differential words moved by sigma, with ``words`` its
-        ``transport_word_map``.  sigma is an isomorphism from the part of the
-        algebra reached from vertex onto the part reached from its image,
-        which is all either resolution reads, so the image is again a
-        minimal resolution."""
-        ids, W = self.model.word_ids, len(self.model.words)
-        # coordinate k·W + b moves by ids[σb] - b
-        shift = {ids[b]: ids[m] - ids[b] for b, m in words.items()}
+        ``transport_word_map``, word id to image word id.  sigma is an
+        isomorphism of the parts of the algebra reached from vertex and from
+        its image, all either resolution reads, so the image is minimal too."""
+        W = len(self.model.words)
+        # coordinate k·W + b moves by words[b] - b
+        shift = {b: m - b for b, m in words.items()}
         out = object.__new__(SimpleResolution)
         out.model = self.model
         out.vertex = sigma.vertices[self.vertex]
@@ -409,10 +406,10 @@ def resolve(model: AlgebraModel, i_max: int) -> ResolutionReport:
     ``rooted_isomorphism`` from v to t must carry the model on v's part onto
     the model on t's (``transport_word_map``).  A covering's deck group
     moves simples this way, even when the covering falls apart into pieces.
+    Each map is checked once, keyed by its vertex map (it forces the arrows).
     """
     q = model.quiver
-    simples = {}
-    transported = set()
+    simples, transported, verdicts = {}, set(), {}
     for v in q.vertices:
         if v in simples:
             continue
@@ -423,9 +420,11 @@ def resolve(model: AlgebraModel, i_max: int) -> ResolutionReport:
             sigma = rooted_isomorphism(q, v, t)
             if sigma is None:
                 continue
-            words = transport_word_map(model, sigma)
-            if words is not None:
-                simples[t] = res.relabelled(sigma, words)
+            key = frozenset(sigma.vertices.items())
+            if key not in verdicts:
+                verdicts[key] = transport_word_map(model, sigma)
+            if verdicts[key] is not None:
+                simples[t] = res.relabelled(sigma, verdicts[key])
                 transported.add(t)
     return ResolutionReport(
         model, i_max, {v: simples[v] for v in q.vertices}, transported,
@@ -555,7 +554,8 @@ def hilbert_euler_check(report: ResolutionReport, cutoff: int):
     whose contribution would matter are missing.  A cutoff below 0 would
     compare two empty truncations; both raise ValueError.  Returns
     (ok, witness) with the witness (u, v, d, got, want) at the first entry
-    and degree, in label order, where the product is not the identity.
+    and degree, in label order, where the product is not the identity;
+    only the entries reached by a Hilbert row or on the diagonal can be.
     """
     limit = min(report.d_max, report.i_max)
     if cutoff > limit:
@@ -581,7 +581,7 @@ def hilbert_euler_check(report: ResolutionReport, cutoff: int):
                 for d, x in terms.items():
                     for k in range(cutoff + 1 - d):
                         entry[d + k] += x * dims[k]
-        for v in labels:
+        for v in sorted(row.keys() | {u}, key=report.model.quiver.vertex_index):
             for d, got in enumerate(row.get(v, zero)):
                 want = int(u == v and d == 0)
                 if got != want:

@@ -523,3 +523,46 @@ def test_hilbert_matrix_line_quiver():
     # the zero entry (2, 1) is left out
     assert hilbert_matrix(m, 2) == {
         ("1", "1"): [1, 0, 0], ("1", "2"): [0, 1, 0], ("2", "2"): [1, 0, 0]}
+
+
+# -- block queries read the nonempty blocks, not every vertex pair -----------
+
+
+def _block_query_cases():
+    """The corpus, the benchmark's coverings and random presentations, each
+    with its window."""
+    def cover(p, order, weights):
+        return build_covering(p, cyclic_group(order), dict(zip(
+            [a.label for a in p.quiver.arrows], weights)))
+
+    line4 = preprojective(parse_quiver_spec("line:4"))
+    cases = {label: (p, 5) for label, p in corpus_instances()}
+    cases.update({
+        "exterior(4)-Z3": (cover(exterior(4), 3, "0112"), 5),
+        "loops:2-Z3": (cover(radical_square_zero(parse_quiver_spec("loops:2")), 3, "12"), 8),
+        "preprojective(line:4)-Z3": (cover(line4, 3, "1" * len(line4.quiver.arrows)), 6),
+        "exterior(3)-Z8": (cover(exterior(3), 8, "124"), 6),
+    })
+    for seed in range(40):
+        cases[f"random-{seed}"] = (random_presentation(random.Random(seed)), 4)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_block_query_cases()))
+def test_block_queries_match_the_every_pair_scan(name):
+    p, window = _block_query_cases()[name]
+    m = AlgebraModel(p, window)
+    V = p.quiver.vertices
+    walks = {(v, v) for v in V}
+    for d in range(window + 1):
+        assert m.blocks(d) == [(u, v) for u in V for v in V if (u, v) in walks]
+        walks = {(u, a.target) for u, v in walks for a in p.quiver.arrows_by_source[v]}
+        assert m.total_dim(d) == sum(m.dim(d, u, v) for u in V for v in V)
+        scan = {}
+        for u in V:
+            for v in V:
+                dims = [m.dim(k, u, v) for k in range(d + 1)]
+                if any(dims):
+                    scan[(u, v)] = dims
+        # equal in content and in key order
+        assert list(hilbert_matrix(m, d).items()) == list(scan.items())

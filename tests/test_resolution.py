@@ -37,6 +37,7 @@ from quiverkoszul.quiver import (
     Path,
     Quiver,
     QuiverAutomorphism,
+    enumerate_paths,
     rooted_isomorphism,
     trivial_path,
 )
@@ -223,6 +224,43 @@ class TestHilbertEuler:
         model = AlgebraModel(random_presentation(random.Random(seed)), 5)
         ok, witness = hilbert_euler_check(resolve(model, 5), 5)
         assert ok and witness is None, witness
+
+
+def _euler_by_scan(report, cutoff):
+    """hilbert_euler_check's verdict by comparing every (u, v) entry."""
+    labels, model = report.simples, report.model
+    for u in labels:
+        for v in labels:
+            for d in range(cutoff + 1):
+                got = sum((-1) ** i * n * model.dim(d - dd, w, v)
+                          for (uu, i, dd, w), n in report.betti.items()
+                          if uu == u and dd <= d)
+                if got != int(u == v and d == 0):
+                    return False, (u, v, d, got, int(u == v and d == 0))
+    return True, None
+
+
+def _euler_witness_cases():
+    cases = dict(corpus_instances())
+    p = trivial_extension_dual(parse_quiver_spec("star:4"))
+    cases["ted(star:4)-Z4"] = build_covering(
+        p, cyclic_group(4), {a.label: "1" for a in p.quiver.arrows})
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_euler_witness_cases()))
+def test_euler_witness_matches_the_every_pair_scan(name):
+    # one wrong Betti number at a time: the first witness in label order is
+    # the one a scan of every entry finds
+    report = resolve(AlgebraModel(_euler_witness_cases()[name], 4), 4)
+    assert hilbert_euler_check(report, 4) == _euler_by_scan(report, 4) == (True, None)
+    betti, rng = report.betti, random.Random(name)
+    labels = report.simples
+    for _ in range(5):
+        key = (rng.choice(labels), rng.randrange(5), rng.randrange(5), rng.choice(labels))
+        report.betti = {**betti, key: betti.get(key, 0) + rng.choice((-1, 1))}
+        ok, witness = hilbert_euler_check(report, 4)
+        assert not ok and (ok, witness) == _euler_by_scan(report, 4)
 
 
 def test_duality_dims_exterior2(ext2_report):
@@ -794,10 +832,9 @@ def _rooted_by_brute_force(q, u, t):
     return found
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_orbit_rooted_isomorphism_matches_brute_force_on_random_quivers(seed):
-    # a Z_k-covering of a random quiver has symmetry to find; shuffling its
-    # arrows or adding one may keep, break or scramble that symmetry
+def _random_covering_quiver(seed):
+    """A Z_k-covering of a random quiver, which has symmetry to find;
+    shuffling its arrows or adding one may keep, break or scramble it."""
     rng = random.Random(900 + seed)
     m = rng.randint(1, 3)
     k = rng.randint(1, 2 if m == 3 else 3)
@@ -810,7 +847,12 @@ def test_orbit_rooted_isomorphism_matches_brute_force_on_random_quivers(seed):
         rng.shuffle(arrows)
     if rng.random() < 0.3:
         arrows.append(("extra", rng.choice(vertices), rng.choice(vertices)))
-    q = Quiver(vertices, arrows)
+    return Quiver(vertices, arrows)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_orbit_rooted_isomorphism_matches_brute_force_on_random_quivers(seed):
+    q = _random_covering_quiver(seed)
     for u in q.vertices:
         for t in q.vertices:
             sigma = rooted_isomorphism(q, u, t)
@@ -847,11 +889,17 @@ def test_orbit_leaf_swap_reorders_the_centre_and_is_rejected():
     assert resolve(model, 3).transported == frozenset()
 
 
-def test_orbit_swap_that_breaks_the_ideal_is_rejected():
-    # a: 1 -> 2, b: 2 -> 1 with the single relation a∘b; the swap is
-    # order-compatible but sends a∘b to b∘a, which is not in the ideal
+def _ideal_breaking_cycle():
+    """a: 1 -> 2, b: 2 -> 1 with the single relation a∘b."""
     q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
-    p = Presentation(q, [q.path(["b", "a"])])
+    return Presentation(q, [q.path(["b", "a"])])
+
+
+def test_orbit_swap_that_breaks_the_ideal_is_rejected():
+    # the swap is order-compatible but sends a∘b to b∘a, which is not in
+    # the ideal
+    p = _ideal_breaking_cycle()
+    q = p.quiver
     identity = rooted_isomorphism(q, "1", "1")
     swap = rooted_isomorphism(q, "1", "2")
     assert identity.vertices == {"1": "1", "2": "2"}
@@ -866,13 +914,18 @@ def test_orbit_swap_that_breaks_the_ideal_is_rejected():
     assert report.ext_total(2) == 1
 
 
+def _one_way_ideal(order):
+    """A loop x at 1 and a loop y at 2 with the single relation y∘y."""
+    q = Quiver(list(order), [("x", "1", "1"), ("y", "2", "2")])
+    return Presentation(q, [q.path(["y", "y"])])
+
+
 @pytest.mark.parametrize("order", [("1", "2"), ("2", "1")])
 def test_orbit_counterexample_one_way_ideal_check(order, capsys, tmp_path):
-    # a loop x at 1 and a loop y at 2 with the single relation y∘y: the map
-    # 1 -> 2 keeps the (empty) set of relations starting at 1, yet x∘x is a
-    # basis word and y∘y is not, so the degree-2 blocks differ
-    q = Quiver(list(order), [("x", "1", "1"), ("y", "2", "2")])
-    p = Presentation(q, [q.path(["y", "y"])])
+    # the map 1 -> 2 keeps the (empty) set of relations starting at 1, yet
+    # x∘x is a basis word and y∘y is not, so the degree-2 blocks differ
+    p = _one_way_ideal(order)
+    q = p.quiver
     model = AlgebraModel(p, 4)
     forward = rooted_isomorphism(q, "1", "2")
     assert transport_word_map(model, forward) is None
@@ -887,14 +940,19 @@ def test_orbit_counterexample_one_way_ideal_check(order, capsys, tmp_path):
     assert (sizes["simples_resolved"], sizes["simples_transported"]) == (2, 0)
 
 
-def test_orbit_equal_tips_with_different_normal_forms_are_not_transported():
-    # loops a, b at 1 with a∘a - b∘b and loops c, d at 2 with c∘c + 2·d∘d:
-    # the map 1 -> 2 sends every basis block word for word onto its image,
-    # but NF(a∘a) = b∘b goes to d∘d while NF(c∘c) = -2·d∘d
+def _equal_tips():
+    """Loops a, b at 1 with a∘a - b∘b and loops c, d at 2 with c∘c + 2·d∘d."""
     q = Quiver(["1", "2"], [("a", "1", "1"), ("b", "1", "1"),
                             ("c", "2", "2"), ("d", "2", "2")])
-    p = Presentation(q, [{q.path(["a", "a"]): 1, q.path(["b", "b"]): -1},
-                         {q.path(["c", "c"]): 1, q.path(["d", "d"]): 2}])
+    return Presentation(q, [{q.path(["a", "a"]): 1, q.path(["b", "b"]): -1},
+                            {q.path(["c", "c"]): 1, q.path(["d", "d"]): 2}])
+
+
+def test_orbit_equal_tips_with_different_normal_forms_are_not_transported():
+    # the map 1 -> 2 sends every basis block word for word onto its image,
+    # but NF(a∘a) = b∘b goes to d∘d while NF(c∘c) = -2·d∘d
+    p = _equal_tips()
+    q = p.quiver
     model = AlgebraModel(p, 4)
     sigma = rooted_isomorphism(q, "1", "2")
     for d in range(5):
@@ -916,6 +974,15 @@ def _two_commutative_squares():
         {q.path(["d1", "d2"]): 1, q.path(["c1", "c2"]): -1}])
 
 
+def _squares_swapped(q):
+    """σ: 1, 2, 3, 4 -> 5, 7, 6, 8 on ``_two_commutative_squares``, with a
+    sent to d and b to c."""
+    return QuiverAutomorphism(
+        {"1": "5", "2": "7", "3": "6", "4": "8"},
+        {q.arrow(a): q.arrow(b)
+         for a, b in {"a1": "d1", "a2": "d2", "b1": "c1", "b2": "c2"}.items()})
+
+
 def test_orbit_word_check_refuses_a_map_that_sends_a_basis_word_off_the_basis():
     # σ: 1, 2, 3, 4 -> 5, 7, 6, 8 with a -> d and b -> c keeps the ideal, and
     # the left tables match once each block's words are paired by position;
@@ -926,10 +993,7 @@ def test_orbit_word_check_refuses_a_map_that_sends_a_basis_word_off_the_basis():
     path = q.path
     assert model.basis_paths(2, "1", "4") == [path(["b1", "b2"])]
     assert model.basis_paths(2, "5", "8") == [path(["d1", "d2"])]
-    sigma = QuiverAutomorphism(
-        {"1": "5", "2": "7", "3": "6", "4": "8"},
-        {q.arrow(a): q.arrow(b)
-         for a, b in {"a1": "d1", "a2": "d2", "b1": "c1", "b2": "c2"}.items()})
+    sigma = _squares_swapped(q)
     assert sigma.apply(path(["b1", "b2"])) == path(["c1", "c2"])
     assert transport_word_map(model, sigma) is None
     # the order-compatible map sends a to c and b to d, so basis words to
@@ -1481,7 +1545,7 @@ def test_unit_entries_of_a_transported_copy_shift_by_the_word_map(name):
     p, d_max, i_max = {**_units_cases(), **_orbit_covers()}[name]
     model = AlgebraModel(p, d_max)
     report = resolve(model, i_max)
-    W, ids = len(model.words), model.word_ids
+    W = len(model.words)
     moved = 0
     for t in report.transported:
         v = report.per_simple[t].resolved_from
@@ -1490,11 +1554,136 @@ def test_unit_entries_of_a_transported_copy_shift_by_the_word_map(name):
             for entry, image in zip(step, copied):
                 if type(entry) is int:
                     k, b = divmod(entry, W)
-                    assert image == k * W + ids[words[model.words[b]]]
+                    assert image == k * W + words[b]
                     moved += 1
                 else:
                     assert type(image) is dict
     assert moved
+
+
+# -- the transport check in word ids against the path-level check ------------
+
+
+def _transport_by_paths(model, sigma):
+    """The path-level transport check: σ on basis paths block by block,
+    every block joined by a path read through ``basis_paths``, and the left
+    tables; the word map on paths, or None."""
+    words = {}
+    for d in range(model.max_degree + 1):
+        for u, v in model.blocks(d):
+            if u not in sigma.vertices:
+                continue
+            source = model.basis_paths(d, u, v)
+            moved = [sigma.apply(b) for b in source]
+            if moved != model.basis_paths(d, sigma.vertices[u], sigma.vertices[v]):
+                return None
+            words.update(zip(source, moved))
+    top = model.top_degree()
+    top = model.max_degree if top is None else top
+    ids = model.word_ids
+    pairs = {ids[b]: ids[moved] for b, moved in words.items()}
+    for x, y in pairs.items():
+        if model.lengths[x] < top:
+            for a in model.quiver.arrows_by_source[model.words[x].target]:
+                table = model.product(model.arrow_ids[a], x)
+                image = {pairs[w]: c for w, c in table.items()}
+                if model.product(model.arrow_ids[sigma.arrows[a]], y) != image:
+                    return None
+    return words
+
+
+def _transport_ids_agree(model, sigma):
+    """Asserts that the id check accepts σ exactly when the path check does,
+    with the same word pairing; returns whether it accepts."""
+    want = _transport_by_paths(model, sigma)
+    got = transport_word_map(model, sigma)
+    if want is None:
+        assert got is None
+        return False
+    ids = model.word_ids
+    assert got == {ids[b]: ids[moved] for b, moved in want.items()}
+    return True
+
+
+def _every_rooted_map(q):
+    return [sigma for u in q.vertices for t in q.vertices
+            if (sigma := rooted_isomorphism(q, u, t)) is not None]
+
+
+def _transport_ids_cases():
+    """The orbit covers and the unit cases, each with its window."""
+    cases = {name: (p, d_max) for name, (p, _, d_max) in _orbit_covers().items()}
+    cases.update((name, (p, d_max)) for name, (p, d_max, _) in _units_cases().items())
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_transport_ids_cases()))
+def test_orbit_transport_ids_match_the_path_check_on_every_rooted_map(name):
+    p, d_max = _transport_ids_cases()[name]
+    model = AlgebraModel(p, d_max)
+    q = p.quiver
+    outcomes = [_transport_ids_agree(model, sigma) for sigma in _every_rooted_map(q)]
+    # the identity at each vertex, and the deck maps of a covering
+    assert outcomes.count(True) > len(q.vertices) or len(q.vertices) == 1
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_orbit_transport_ids_match_the_path_check_on_random_quivers(seed):
+    # the random coverings of the brute-force test, as path algebras or
+    # with a few random relations, which keep or break their symmetry
+    q = _random_covering_quiver(seed)
+    rng = random.Random(2900 + seed)
+    relations = []
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        paths = enumerate_paths(q, rng.choice((2, 2, 3)))
+        if paths:
+            first = rng.choice(paths)
+            parallel = [p for p in paths if (p.source, p.target) == (first.source, first.target)]
+            terms = rng.sample(parallel, min(len(parallel), rng.randint(1, 2)))
+            relations.append({p: rng.choice((1, -1, 2)) for p in terms})
+    model = AlgebraModel(Presentation(q, relations), 3)
+    for sigma in _every_rooted_map(q):
+        _transport_ids_agree(model, sigma)
+
+
+def test_orbit_transport_ids_match_the_path_check_on_the_rejection_fixtures():
+    star = preprojective(parse_quiver_spec("star:4"))
+    cases = [(AlgebraModel(star, 4), _leaf_swap(star.quiver))]
+    cycle = AlgebraModel(_ideal_breaking_cycle(), 4)
+    cases += [(cycle, rooted_isomorphism(cycle.quiver, "1", t)) for t in "12"]
+    for order in [("1", "2"), ("2", "1")]:
+        loops = AlgebraModel(_one_way_ideal(order), 4)
+        cases += [(loops, rooted_isomorphism(loops.quiver, u, t)) for u, t in ["12", "21"]]
+    tips = AlgebraModel(_equal_tips(), 4)
+    cases.append((tips, rooted_isomorphism(tips.quiver, "1", "2")))
+    squares = AlgebraModel(_two_commutative_squares(), 4)
+    cases += [(squares, _squares_swapped(squares.quiver)),
+              (squares, rooted_isomorphism(squares.quiver, "1", "5"))]
+    assert [_transport_ids_agree(model, sigma) for model, sigma in cases] == [
+        False, True, False, False, False, False, False, False, False, True]
+
+
+def test_orbit_transport_checked_once_per_deck_map(monkeypatch):
+    # the covering falls apart into two 10-vertex pieces; each piece has
+    # three rooted maps onto a piece, and every (v, t) pair over the five
+    # base vertices that yields one of those 6 maps reuses its verdict, so
+    # 15 transported simples take 6 checks, not 15
+    from quiverkoszul import resolution
+
+    p = trivial_extension_dual(parse_quiver_spec("star:4"))
+    cover = build_covering(p, cyclic_group(4), {a.label: "1" for a in p.quiver.arrows})
+    model = AlgebraModel(cover, 6)
+    checked = []
+
+    def spy(model, sigma):
+        checked.append(frozenset(sigma.vertices.items()))
+        return transport_word_map(model, sigma)
+
+    monkeypatch.setattr(resolution, "transport_word_map", spy)
+    report = resolve(model, 6)
+    assert len(checked) == len(set(checked)) == 6
+    assert len(report.transported) == 15
+    assert report.betti == _direct_betti(model, 6)
 
 
 # -- the diagonal Ext of a quadratic algebra is its quadratic dual -------------
