@@ -24,10 +24,10 @@ the non-pivot columns are the degree-d basis.  The cost of a degree scales
 with basis size × arrows rather than with the number of paths.
 
 The rref rows give the left tables (arrow, basis word b) -> NF(a∘b), held
-in the product cache under the pair of word ids; a normal form is read off
-by walking a path's arrows through them, first-applied first.  The first
-degree in which no word survives ends the construction: every longer path
-is zero.
+in the product cache in the arrow's row, under b's word id; a normal form
+is read off by walking a path's arrows through them, first-applied first.
+The first degree in which no word survives ends the construction: every
+longer path is zero.
 """
 
 from __future__ import annotations
@@ -105,9 +105,11 @@ class AlgebraModel:
     words), ``blocks_from[(d, u)]`` lists (v, the ids of block (d, u, v))
     per nonempty block and the by-target index ``blocks_into[(d, v)]``
     lists (u, the same ids), both in vertex order; block queries read them,
-    not every vertex pair.  One cache, keyed by pairs of ids, holds the left
-    tables and every product computed since (``product``); the path-keyed
-    ``normal_form`` and ``multiply`` convert at its edge.
+    not every vertex pair.  One cache holds the left tables and every
+    product computed since (``product``), in one row per word id: row x
+    maps y to NF(words[x]∘words[y]), so a caller with a fixed left factor
+    reads its row once.  The path-keyed ``normal_form`` and ``multiply``
+    convert at its edge.
 
     A relation r from s gets rows π(r∘b) for the words b of the blocks
     ``blocks_into`` lists at s.  A block's relation rows stop once its span
@@ -133,10 +135,11 @@ class AlgebraModel:
         # with paths but no basis word has no entry
         self._basis = {}
         self.blocks_from, self.blocks_into = {}, {}
-        # _products[(x, y)]: NF(words[x]∘words[y]); filled with the left
-        # tables, NF(a∘b) for an arrow a and a basis word b with a∘b of
-        # degree below d0, and with every other product once computed
-        self._products = {}
+        # _left[x][y]: NF(words[x]∘words[y]), one row per word id; filled
+        # with the left tables, NF(a∘b) for an arrow a and a basis word b
+        # with a∘b of degree below d0, and with every other product once
+        # computed
+        self._left = []
         # _block_keys[d]: the (u, v) pairs joined by a path of length d
         self._block_keys = {}
         # first degree with A_d = 0, or None if the window shows none
@@ -153,6 +156,7 @@ class AlgebraModel:
         start = len(self.words)
         self.words += paths
         self.lengths += [d] * len(paths)
+        self._left += [{} for _ in paths]
         ids = self._basis[(d, u, v)] = range(start, len(self.words))
         self.word_ids.update(zip(paths, ids))
         self.blocks_from.setdefault((d, u), []).append((v, ids))
@@ -174,11 +178,11 @@ class AlgebraModel:
         for p, a in enumerate(q.arrows):
             out_of[a.source].append((p, a.target))
         # relations[k]: (source, target, terms) per relation of length k, a
-        # term holding its last arrow's position, its first arrow's id, the
-        # ids of the arrows between, first-applied first, and its
-        # coefficient; split once the arrows have ids
+        # term holding its last arrow's position, its first arrow's row of
+        # the product cache, the ids of the arrows between, first-applied
+        # first, and its coefficient; split once the arrows have ids
         relations = {}
-        products = self._products
+        left = self._left
 
         d = 1
         while self._zero_from is None and d <= self.max_degree:
@@ -212,7 +216,7 @@ class AlgebraModel:
                                 break
                             row = {}
                             for p, first, rest, c in terms:
-                                walked = products[(first, b)]
+                                walked = first[b]
                                 if rest:
                                     walked = self._walk(rest, walked)
                                 for w, cw in walked.items():
@@ -247,7 +251,8 @@ class AlgebraModel:
                     terms = []
                     for s, c in r.items():
                         tail = [self.arrow_ids[a] for a in s.arrows[:0:-1]]
-                        terms.append((arrow_position[s.arrows[0]], tail[0], tail[1:], c))
+                        terms.append((arrow_position[s.arrows[0]], left[tail[0]],
+                                      tail[1:], c))
                     relations.setdefault(r.length, []).append((r.source, r.target, terms))
             elif d == 2:
                 self.normal_pairs = frozenset(
@@ -259,10 +264,10 @@ class AlgebraModel:
                 survivors = ids.get(key, {})
                 for j, x in survivors.items():
                     p, b = cols[j]
-                    self._products[(arrow_word[p], b)] = {x: ONE}
+                    left[arrow_word[p]][b] = {x: ONE}
                 for pivot, row in rows[key].items():
                     p, b = cols[pivot]
-                    self._products[(arrow_word[p], b)] = {
+                    left[arrow_word[p]][b] = {
                         survivors[j]: -c for j, c in row.items() if j != pivot
                     }
             last = {
@@ -283,11 +288,11 @@ class AlgebraModel:
     def _walk(self, arrows, vec: dict) -> dict:
         """Normal form of the arrows (their word ids, first-applied first)
         applied after vec, a normal form in word ids, through the tables."""
-        products = self._products
+        left = self._left
         for x in arrows:
-            out = {}
+            row, out = left[x], {}
             for b, c in vec.items():
-                vec_axpy(out, c, products[(x, b)])
+                vec_axpy(out, c, row[b])
             vec = out
         return vec
 
@@ -377,7 +382,8 @@ class AlgebraModel:
     def product(self, x: int, y: int) -> dict:
         """NF(words[x]∘words[y]) in word ids, y applied first; cached.  The
         caller must not mutate the result."""
-        result = self._products.get((x, y))
+        row = self._left[x]
+        result = row.get(y)
         if result is None:
             bx, by = self.words[x], self.words[y]
             d = self.lengths[x] + self.lengths[y]
@@ -389,7 +395,7 @@ class AlgebraModel:
                 )
             else:
                 result = self._walk(map(self.arrow_ids.get, reversed(bx.arrows)), {y: ONE})
-            self._products[(x, y)] = result
+            row[y] = result
         return result
 
     def multiply(self, x, y) -> dict:

@@ -34,7 +34,7 @@ from itertools import chain, groupby, repeat
 from .algebra import AlgebraModel, InternalError, hilbert_matrix, transport_word_map
 from .covering import build_covering
 from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO
-from .quiver import rooted_isomorphism
+from .quiver import QuiverAutomorphism, rooted_isomorphism
 
 KOSZUL_TO_BOUND = "koszul-to-bound"
 FAILS_AT = "fails-at"
@@ -76,10 +76,12 @@ def _diff_image(model: AlgebraModel, entry, b: int) -> dict:
     the image of the coordinate b*g under a differential entry for g, or
     the arrow multiple b*x of a syzygy vector x.  An entry is a dict from
     coordinate to coefficient, or a unit vector stored as its coordinate,
-    an int.  The products come from the model's cache, keyed by pairs of
-    word ids."""
+    an int.  The products come from b's row of the model's product cache,
+    taken once; a word c missing from it goes through ``model.product``,
+    which computes and caches NF(b∘c), gives {} where it vanishes and
+    raises ``DegreeOverflowError`` past the window."""
     out, W = {}, len(model.words)
-    product = model.product
+    row = model._left[b]
     # the try costs the dict path nothing; the slower except branch is
     # rare, as most blocks over a unit batch are skipped or zero by degree
     try:
@@ -89,7 +91,10 @@ def _diff_image(model: AlgebraModel, entry, b: int) -> dict:
     for key, coef in items:
         c = key % W
         base = key - c
-        for m, cm in product(b, c).items():
+        nf = row.get(c)
+        if nf is None:
+            nf = model.product(b, c)
+        for m, cm in nf.items():
             at = base + m
             s = out.get(at, ZERO) + coef * cm
             if s:
@@ -407,6 +412,16 @@ def resolve(model: AlgebraModel, i_max: int) -> ResolutionReport:
     the model on t's (``transport_word_map``).  A covering's deck group
     moves simples this way, even when the covering falls apart into pieces.
     Each map is checked once, keyed by its vertex map (it forces the arrows).
+
+    The accepted maps from v are closed under composition, with no further
+    search or check.  The composite τ∘ρ of two of them is defined when ρ(v)
+    lies in τ's domain; its vertex and arrow maps are τ's after ρ's, and its
+    word map is τ's after ρ's.  The part reached from ρ(v) is closed under
+    out-arrows, so τ restricted to it is still a model isomorphism, and the
+    composite keeps the order of the arrows leaving each vertex and is
+    injective: it is the rooted map from v to τρ(v), and its word map is
+    what ``transport_word_map`` would return.  On a covering, a deck map
+    within v's piece and one onto each other piece serve every sheet.
     """
     q = model.quiver
     simples, transported, verdicts = {}, set(), {}
@@ -414,6 +429,8 @@ def resolve(model: AlgebraModel, i_max: int) -> ResolutionReport:
         if v in simples:
             continue
         res = simples[v] = SimpleResolution(model, v, i_max)
+        # the accepted maps from v, each with its word map
+        accepted = []
         for t in q.vertices:
             if t in simples:
                 continue
@@ -423,9 +440,27 @@ def resolve(model: AlgebraModel, i_max: int) -> ResolutionReport:
             key = frozenset(sigma.vertices.items())
             if key not in verdicts:
                 verdicts[key] = transport_word_map(model, sigma)
-            if verdicts[key] is not None:
-                simples[t] = res.relabelled(sigma, verdicts[key])
-                transported.add(t)
+            if verdicts[key] is None:
+                continue
+            simples[t] = res.relabelled(sigma, verdicts[key])
+            transported.add(t)
+            pending = [(sigma, verdicts[key])]
+            while pending:
+                new = pending.pop()
+                accepted.append(new)
+                for old in accepted:
+                    for (tau, tau_words), (rho, rho_words) in ((new, old), (old, new)):
+                        u = tau.vertices.get(rho.vertices[v])
+                        if u is None or u in simples:
+                            continue
+                        composite = QuiverAutomorphism(
+                            {x: tau.vertices[y] for x, y in rho.vertices.items()},
+                            {a: tau.arrows[b] for a, b in rho.arrows.items()},
+                        )
+                        words = {x: tau_words[y] for x, y in rho_words.items()}
+                        simples[u] = res.relabelled(composite, words)
+                        transported.add(u)
+                        pending.append((composite, words))
     return ResolutionReport(
         model, i_max, {v: simples[v] for v in q.vertices}, transported,
     )

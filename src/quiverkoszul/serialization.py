@@ -11,7 +11,7 @@ by path, so equal presentations produce byte-identical documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring
 
@@ -140,14 +140,23 @@ def group_spec_to_text(spec: tuple) -> str:
 
 @dataclass(frozen=True)
 class ParsedDocument:
-    """A presentation plus whatever grading the document declared."""
+    """A presentation plus whatever grading the document declared.
+
+    The declared group is built at most once: ``parse_document`` passes on
+    the group it built to check the weights, and ``group`` builds one only
+    for a document made without it.  It stays out of equality and repr,
+    which ``group_spec`` already decides.
+    """
 
     presentation: Presentation
     group_spec: tuple | None = None
     weights: dict | None = None
+    _group: FiniteGroup | None = field(default=None, compare=False, repr=False)
 
     def group(self) -> FiniteGroup | None:
-        return build_group(self.group_spec) if self.group_spec else None
+        if self._group is None and self.group_spec:
+            object.__setattr__(self, "_group", build_group(self.group_spec))
+        return self._group
 
 
 def parse_document(text: str) -> ParsedDocument:
@@ -221,8 +230,7 @@ def parse_document(text: str) -> ParsedDocument:
     except RelationError as err:
         raise DocumentError(f"relations: {err}") from err
 
-    group_spec = None
-    weights = None
+    group_spec = group = weights = None
     grading = doc.get("grading")
     if grading is not None:
         if not isinstance(grading, dict):
@@ -247,7 +255,7 @@ def parse_document(text: str) -> ParsedDocument:
         if missing:
             _fail("grading.weights", f"missing weights for arrows {missing}")
 
-    return ParsedDocument(presentation, group_spec, weights)
+    return ParsedDocument(presentation, group_spec, weights, group)
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -33,7 +33,7 @@ from quiverkoszul.quiver import (
     make_quiver,
     trivial_path,
 )
-from quiverkoszul.resolution import resolve
+from quiverkoszul.resolution import _diff_image, resolve
 from random_inputs import random_presentation
 
 
@@ -566,3 +566,71 @@ def test_block_queries_match_the_every_pair_scan(name):
                     scan[(u, v)] = dims
         # equal in content and in key order
         assert list(hilbert_matrix(m, d).items()) == list(scan.items())
+
+
+# -- the product cache: one row per left word id ------------------------------
+
+
+def _product_row_cases():
+    """The corpus at window 5, the benchmark's coverings at theirs, and
+    random presentations at window 4."""
+    cases = {label: (p, 5) for label, p in corpus_instances()}
+    cases.update((name, make()) for name, make in _COVERING_CASES.items())
+    for seed in range(40):
+        cases[f"random-{seed}"] = (random_presentation(random.Random(seed)), 4)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_product_row_cases()))
+def test_product_rows_hold_the_walked_normal_forms(name):
+    # every pair of words, read through the rows in id order: a left
+    # table entry, or a miss that is computed and stays in the row; the
+    # reference walks the composed path's arrows from its source's trivial
+    # word on a second model, whose rows hold only the left tables
+    p, window = _product_row_cases()[name]
+    model, fresh = AlgebraModel(p, window), AlgebraModel(p, window)
+    assert not hasattr(model, "_products")
+    top, misses = model.top_degree(), 0
+    for x, bx in enumerate(model.words):
+        for y, by in enumerate(model.words):
+            d = bx.length + by.length
+            misses += y not in model._left[x]
+            if bx.source != by.target or (top is not None and d > top):
+                want = {}
+            elif d > window:
+                with pytest.raises(DegreeOverflowError):
+                    model.product(x, y)
+                continue
+            else:
+                want = {fresh.word_ids[b]: c
+                        for b, c in fresh.normal_form(compose(bx, by)).items()}
+            got = model.product(x, y)
+            assert got == want, (bx, by)
+            assert model._left[x][y] is got
+            assert model.product(x, y) is got
+    assert misses
+
+
+def test_product_rows_keep_the_diff_image_zeros_and_overflows():
+    # exterior(2) vanishes from degree 3 on; the polynomial ring in three
+    # variables has no vanishing degree, so a product past its window raises
+    ext2 = AlgebraModel(exterior(2), 5)
+    W = len(ext2.words)
+    a1, a2 = (ext2.arrow_ids[a] for a in ext2.quiver.arrows)
+    top = ext2.word_ids[ext2.basis_paths(2)[0]]
+    assert top not in ext2._left[a1]
+    # a miss past the top degree, as a dict entry and as a unit entry
+    assert _diff_image(ext2, {W + top: 3}, a1) == {}
+    assert _diff_image(ext2, W + top, a1) == {}
+    assert ext2._left[a1][top] == {}
+    # a left table entry, scaled and moved to its generator
+    assert _diff_image(ext2, {2 * W + a2: 3}, a1) == {
+        2 * W + m: 3 * c for m, c in ext2.product(a1, a2).items()}
+    poly = AlgebraModel(dual_presentation(exterior(3)), 3)
+    assert poly.top_degree() is None
+    W = len(poly.words)
+    square = poly.word_ids[poly.basis_paths(2)[0]]
+    for entry in ({W + square: 1}, W + square):
+        with pytest.raises(DegreeOverflowError):
+            _diff_image(poly, entry, square)
+    assert square not in poly._left[square]

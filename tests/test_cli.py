@@ -106,6 +106,24 @@ def test_resolving_commands_report_orbit_sizes_outside_canonical(capsys, tmp_pat
     assert "sizes" not in report["timing"]
 
 
+@pytest.mark.parametrize("check", ["covering-theorem", "smash-iso", "radical-smash"])
+def test_graded_verify_builds_its_group_once(monkeypatch, capsys, ext2_graded_file, check):
+    # parsing builds the declared group to check the weights, and the check
+    # reads that group from the document
+    from quiverkoszul import serialization
+
+    build_group, built = serialization.build_group, []
+
+    def spy(spec):
+        built.append(spec)
+        return build_group(spec)
+
+    monkeypatch.setattr(serialization, "build_group", spy)
+    rc, report = run_json(capsys, ["verify", ext2_graded_file, "--check", check])
+    assert (rc, report["canonical"]["passed"]) == (0, True)
+    assert built == [("cyclic", 2)]
+
+
 def test_orbit_transport_reaches_coverings_that_fall_apart(capsys, tmp_path,
                                                            ext2_file):
     # identity weights give three disjoint copies: one simple is resolved

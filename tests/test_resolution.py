@@ -31,7 +31,7 @@ from quiverkoszul.corpus import (
 )
 from quiverkoszul.covering import build_covering, deck_action
 from quiverkoszul.duality import dual_presentation, quadratic_check
-from quiverkoszul.groups import cyclic_group
+from quiverkoszul.groups import cyclic_group, dihedral_group, direct_product
 from quiverkoszul.linalg import ZERO, ColumnSolver, EchelonSpan
 from quiverkoszul.quiver import (
     Path,
@@ -1627,10 +1627,9 @@ def test_orbit_transport_ids_match_the_path_check_on_every_rooted_map(name):
     assert outcomes.count(True) > len(q.vertices) or len(q.vertices) == 1
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_orbit_transport_ids_match_the_path_check_on_random_quivers(seed):
-    # the random coverings of the brute-force test, as path algebras or
-    # with a few random relations, which keep or break their symmetry
+def _random_covering_presentation(seed):
+    """The random coverings of the brute-force test, as path algebras or
+    with a few random relations, which keep or break their symmetry."""
     q = _random_covering_quiver(seed)
     rng = random.Random(2900 + seed)
     relations = []
@@ -1641,7 +1640,14 @@ def test_orbit_transport_ids_match_the_path_check_on_random_quivers(seed):
             parallel = [p for p in paths if (p.source, p.target) == (first.source, first.target)]
             terms = rng.sample(parallel, min(len(parallel), rng.randint(1, 2)))
             relations.append({p: rng.choice((1, -1, 2)) for p in terms})
-    model = AlgebraModel(Presentation(q, relations), 3)
+    return Presentation(q, relations)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_orbit_transport_ids_match_the_path_check_on_random_quivers(seed):
+    p = _random_covering_presentation(seed)
+    q = p.quiver
+    model = AlgebraModel(p, 3)
     for sigma in _every_rooted_map(q):
         _transport_ids_agree(model, sigma)
 
@@ -1666,8 +1672,11 @@ def test_orbit_transport_ids_match_the_path_check_on_the_rejection_fixtures():
 def test_orbit_transport_checked_once_per_deck_map(monkeypatch):
     # the covering falls apart into two 10-vertex pieces; each piece has
     # three rooted maps onto a piece, and every (v, t) pair over the five
-    # base vertices that yields one of those 6 maps reuses its verdict, so
-    # 15 transported simples take 6 checks, not 15
+    # base vertices that yields a map already checked reuses its verdict;
+    # the maps accepted from a resolved vertex are closed under
+    # composition, so from each piece the shift within it and one map onto
+    # the other piece are checked and their composite is not: 15
+    # transported simples take 4 checks, not 15
     from quiverkoszul import resolution
 
     p = trivial_extension_dual(parse_quiver_spec("star:4"))
@@ -1681,8 +1690,121 @@ def test_orbit_transport_checked_once_per_deck_map(monkeypatch):
 
     monkeypatch.setattr(resolution, "transport_word_map", spy)
     report = resolve(model, 6)
-    assert len(checked) == len(set(checked)) == 6
+    assert len(checked) == len(set(checked)) == 4
     assert len(report.transported) == 15
+    assert report.betti == _direct_betti(model, 6)
+
+
+# -- the accepted deck maps from a resolved vertex, closed under composition --
+
+
+def _resolve_recording_maps(monkeypatch, model, i_max):
+    """Resolves, recording the keys of the checked maps and, per relabelled
+    simple, its source, the map and the word map it was relabelled by."""
+    from quiverkoszul import resolution
+
+    checked, moved = [], []
+
+    def check(model, sigma):
+        checked.append(frozenset(sigma.vertices.items()))
+        return transport_word_map(model, sigma)
+
+    relabelled = SimpleResolution.relabelled
+
+    def record(self, sigma, words):
+        moved.append((self.resolved_from, sigma, words))
+        return relabelled(self, sigma, words)
+
+    monkeypatch.setattr(resolution, "transport_word_map", check)
+    monkeypatch.setattr(SimpleResolution, "relabelled", record)
+    report = resolve(model, i_max)
+    monkeypatch.undo()
+    return report, checked, moved
+
+
+def _assert_composites_are_the_rooted_maps(monkeypatch, p, i_max, d_max):
+    """Every map a simple is relabelled by, checked or composed, is the
+    rooted map from its source and carries the word map the check gives;
+    returns the numbers of checked maps and of composites."""
+    model = AlgebraModel(p, d_max)
+    q = p.quiver
+    report, checked, moved = _resolve_recording_maps(monkeypatch, model, i_max)
+    # one relabelling per transported simple
+    assert sorted(sigma.vertices[v] for v, sigma, _ in moved) == sorted(report.transported)
+    composites = 0
+    for v, sigma, words in moved:
+        rooted = rooted_isomorphism(q, v, sigma.vertices[v])
+        assert (sigma.vertices, sigma.arrows) == (rooted.vertices, rooted.arrows)
+        assert words == transport_word_map(model, rooted)
+        composites += frozenset(sigma.vertices.items()) not in checked
+    assert report.betti == _direct_betti(model, i_max)
+    return len(checked), composites
+
+
+def _composite_cases():
+    """The orbit covers, the unit cases, and covers by D3 and the Klein
+    four-group, whose deck groups are not cyclic; each with (i_max, d_max)."""
+    cases = dict(_orbit_covers())
+    cases.update((name, (p, i_max, d_max))
+                 for name, (p, d_max, i_max) in _units_cases().items())
+    d3 = dihedral_group(3)
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
+    loops2, ext2 = _loops2(), exterior(2)
+    cases.update({
+        # two pieces of three sheets, rotated within and swapped by s
+        "exterior2-D3-rotations": (build_covering(ext2, d3, {"a1": "c", "a2": "c2"}), 4, 4),
+        # one piece of six sheets, moved by a deck group that is not abelian
+        "loops2-D3": (build_covering(loops2, d3, {"x1": "c", "x2": "s"}), 4, 4),
+        # one piece of four sheets, two generators of order two
+        "exterior2-V4": (build_covering(ext2, klein, {"a1": "(1,0)", "a2": "(0,1)"}), 4, 4),
+        # two pieces of two sheets each
+        "loops2-V4-halves": (build_covering(loops2, klein, {"x1": "(1,0)", "x2": "(1,0)"}), 4, 4),
+    })
+    return cases
+
+
+# (checked maps, composites) per case: the single-vertex algebras move
+# nothing, a Z3 piece checks one shift and composes its square, and the
+# covers by D3 and the Klein four-group check two maps each
+_COMPOSITE_COUNTS = {
+    "example2(2,1,3)-Z2": (2, 3),
+    "exterior2-D3-rotations": (2, 3),
+    "exterior2-V4": (2, 1),
+    "exterior2-Z2": (1, 0),
+    "exterior4-Z3": (1, 1),
+    "loops2-D3": (2, 3),
+    "loops2-V4-halves": (2, 1),
+    "loops2-Z3": (1, 1),
+    "loops2-Z3-all-ones": (1, 1),
+    "loops:2": (0, 0),
+    "loops:3": (0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_composite_cases()))
+def test_orbit_composed_deck_maps_are_the_rooted_maps(name, monkeypatch):
+    p, i_max, d_max = _composite_cases()[name]
+    counts = _assert_composites_are_the_rooted_maps(monkeypatch, p, i_max, d_max)
+    assert counts == _COMPOSITE_COUNTS[name]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_orbit_composed_deck_maps_are_the_rooted_maps_on_random_quivers(seed, monkeypatch):
+    _assert_composites_are_the_rooted_maps(
+        monkeypatch, _random_covering_presentation(seed), 3, 3)
+
+
+def test_orbit_transport_composes_the_deck_maps_of_twelve_sheets(monkeypatch):
+    # two 30-vertex pieces of six sheets each; from each piece the shift
+    # within it and one map onto the other piece are checked, and the other
+    # nine maps onto a sheet are their composites: 55 transported simples
+    # take 4 checks
+    p = trivial_extension_dual(parse_quiver_spec("star:4"))
+    cover = build_covering(p, cyclic_group(12), {a.label: "1" for a in p.quiver.arrows})
+    model = AlgebraModel(cover, 6)
+    report, checked, moved = _resolve_recording_maps(monkeypatch, model, 6)
+    assert len(checked) == len(set(checked)) == 4
+    assert len(report.transported) == len(moved) == 55
     assert report.betti == _direct_betti(model, 6)
 
 

@@ -9,6 +9,7 @@ from quiverkoszul.corpus import corpus_instances, exterior
 from quiverkoszul.serialization import (
     DocumentError,
     GroupSpecError,
+    ParsedDocument,
     build_group,
     canonical_json,
     group_spec_to_text,
@@ -151,6 +152,20 @@ def test_grading_round_trip():
     assert doc.group().order == 2
     # and the grading survives re-serialization byte for byte
     assert serialize_presentation(doc.presentation, doc.group_spec, doc.weights) == text
+
+
+def test_parsed_document_keeps_its_group_out_of_equality_and_repr():
+    text = serialize_presentation(exterior(2), ("cyclic", 2), {"a1": "1", "a2": "1"})
+    doc = parse_document(text)
+    bare = ParsedDocument(doc.presentation, doc.group_spec, doc.weights)
+    assert bare == doc
+    assert repr(bare) == repr(doc)
+    # parsing keeps the group it built; a document made without one builds
+    # it on the first call and keeps it
+    assert doc.group() is doc.group()
+    assert bare.group() is bare.group()
+    assert bare.group().elements == doc.group().elements == ("0", "1")
+    assert ParsedDocument(doc.presentation).group() is None
 
 
 def test_grading_weight_totality_enforced():
