@@ -159,7 +159,9 @@ class SimpleResolution:
     has tried every image, so its span, and with it the kernel and the
     generators, is the arrow multiples of Ω^{i+1} one degree down either
     way.  A block's new generators are added as one batch and share one
-    ``Generator``.
+    ``Generator``.  Their largest coordinates are distinct, each with
+    coefficient 1: a solved kernel vector's is its own dependent column, a
+    unit generator's is itself, and the span keeps a subset of them.
 
     ``resolved_from`` is the vertex whose resolution was computed: this
     one's own, or, for a ``relabelled`` copy, its source's.
@@ -380,9 +382,6 @@ class ResolutionReport:
     def betti_total(self, i: int, d: int) -> int:
         return self._totals.get((i, d), 0)
 
-    def step_linear(self, i: int) -> bool:
-        return all(dd == i for ii, dd in self._totals if ii == i)
-
     def first_failure(self) -> tuple | None:
         """Earliest (step, degree) with an off-diagonal Betti number."""
         return min((key for key in self._totals if key[0] != key[1]), default=None)
@@ -518,32 +517,29 @@ class GenerationReport:
 
 def _arrow_ranks(res: SimpleResolution, i_max: int) -> list:
     """Per step i < i_max, the rank of the arrow parts of one resolution's
-    step-(i+1) differential columns.
+    step-(i+1) differential columns: the number of columns whose largest
+    coordinate holds an arrow word.
 
-    An arrow part with one entry spans that coordinate's unit vector; the
-    rank is the number of such coordinates plus the rank of the other arrow
-    parts with those coordinates dropped, so only the latter are eliminated.
-    An int entry is a unit vector already: it counts as a unit when its word
-    is an arrow, with no part built, and has no arrow part otherwise.
+    The count is exact because of how ``SimpleResolution`` builds its
+    generators.  Coordinates k·W + b sort by generator index k, and
+    generators come in ascending degree; in block (D, w) a coordinate's
+    word has length D - deg(g_k), so the arrow coordinates are those of the
+    degree-(D - 1) generators, and minimality (no word of length 0) leaves
+    no coordinate above them.  A solved kernel vector has coefficient 1 at
+    its own dependent column, its largest coordinate since ``ColumnSolver``
+    tags only earlier columns; a unit generator is its own coordinate; and
+    filtering by the arrow-image span keeps a subset.  So a block's
+    generators have distinct largest coordinates.  Where that coordinate is
+    an arrow, the arrow part has a 1 there, and these parts are in echelon
+    form by it, hence independent; elsewhere every coordinate has length at
+    least 2 and the arrow part is 0.  Blocks have disjoint arrow
+    coordinates, so the step's rank is the sum of the blocks' counts.
     """
-    ranks, lengths, W = [], res.model.lengths, len(res.model.words)
-    for step in res.diffs[1:i_max + 1]:
-        units, rest = set(), []
-        for entry in step:
-            if type(entry) is int:
-                if lengths[entry % W] == 1:
-                    units.add(entry)
-                continue
-            part = [(key, c) for key, c in entry.items() if lengths[key % W] == 1]
-            if len(part) == 1:
-                units.add(part[0][0])
-            elif part:
-                rest.append(part)
-        span = EchelonSpan()
-        for part in rest:
-            span._add({key: c for key, c in part if key not in units})
-        ranks.append(len(units) + span.rank)
-    return ranks
+    lengths, W = res.model.lengths, len(res.model.words)
+    return [
+        sum(lengths[(x if type(x) is int else max(x)) % W] == 1 for x in step)
+        for step in res.diffs[1:i_max + 1]
+    ]
 
 
 def generation_check(ext: ExtAlgebra) -> GenerationReport:
@@ -557,6 +553,8 @@ def generation_check(ext: ExtAlgebra) -> GenerationReport:
     of d_1 lies in the radical of P_1, the unit coordinates of φ are those
     arrow coefficients.  The products therefore span step i+1 exactly when
     the arrow parts of the step-(i+1) differential columns are independent.
+    Their rank is a count, the columns whose largest coordinate holds an
+    arrow word (``_arrow_ranks`` says why).
 
     With all simples resolved side by side, their columns sit at disjoint
     offsets, so that rank is the sum of one rank per simple, with no lift.

@@ -29,7 +29,13 @@ from quiverkoszul.corpus import (
     radical_square_zero,
     trivial_extension_dual,
 )
-from quiverkoszul.covering import build_covering, deck_action
+from quiverkoszul.covering import (
+    build_covering,
+    deck_action,
+    path_weight,
+    sheet_label,
+    split_sheet,
+)
 from quiverkoszul.duality import dual_presentation, quadratic_check
 from quiverkoszul.groups import cyclic_group, dihedral_group, direct_product
 from quiverkoszul.linalg import ZERO, ColumnSolver, EchelonSpan
@@ -59,7 +65,7 @@ from quiverkoszul.resolution import (
     theorem_covering_check,
 )
 from quiverkoszul.serialization import serialize_presentation
-from random_inputs import random_presentation
+from random_inputs import GROUPS, random_graded_presentation, random_presentation
 from yoneda import ExtElement, YonedaAlgebra, expanded
 
 
@@ -95,7 +101,6 @@ class TestExteriorResolution:
             assert d == i or n == 0
 
     def test_step_linear(self, ext2_report):
-        assert all(ext2_report.step_linear(i) for i in range(6))
         assert ext2_report.first_failure() is None
 
 
@@ -603,6 +608,36 @@ def test_generation_per_simple_is_the_bundle_rank_on_loop_cubed():
     assert (got.passed, got.first_failure_i) == (False, 1)
 
 
+def _arrow_ranks_by_elimination(res: SimpleResolution, i_max: int) -> list:
+    """Per step i < i_max, the rank of the arrow parts of one resolution's
+    step-(i+1) differential columns.
+
+    An arrow part with one entry spans that coordinate's unit vector; the
+    rank is the number of such coordinates plus the rank of the other arrow
+    parts with those coordinates dropped, so only the latter are eliminated.
+    An int entry is a unit vector already: it counts as a unit when its word
+    is an arrow, with no part built, and has no arrow part otherwise.
+    """
+    ranks, lengths, W = [], res.model.lengths, len(res.model.words)
+    for step in res.diffs[1:i_max + 1]:
+        units, rest = set(), []
+        for entry in step:
+            if type(entry) is int:
+                if lengths[entry % W] == 1:
+                    units.add(entry)
+                continue
+            part = [(key, c) for key, c in entry.items() if lengths[key % W] == 1]
+            if len(part) == 1:
+                units.add(part[0][0])
+            elif part:
+                rest.append(part)
+        span = EchelonSpan()
+        for part in rest:
+            span._add({key: c for key, c in part if key not in units})
+        ranks.append(len(units) + span.rank)
+    return ranks
+
+
 def test_generation_rank_drops_single_entry_coordinates_from_the_other_parts():
     # arrow parts e_a, e_b, 3·e_a and e_a - e_b span two dimensions; the
     # length-2 coordinate is not an arrow part
@@ -612,7 +647,8 @@ def test_generation_rank_drops_single_entry_coordinates_from_the_other_parts():
     aa = model.word_ids[Path((x1, x1))]
     W = len(model.words)
     step = [{a: 1}, {b: 1, W + aa: 5}, {a: 3}, {a: 1, b: -1}]
-    assert _arrow_ranks(SimpleNamespace(model=model, diffs=[[], step]), 1) == [2]
+    assert _arrow_ranks_by_elimination(
+        SimpleNamespace(model=model, diffs=[[], step]), 1) == [2]
 
 
 def test_generation_ranks_each_resolved_simple_once(monkeypatch):
@@ -633,6 +669,52 @@ def test_generation_ranks_each_resolved_simple_once(monkeypatch):
     assert len(report.transported) == 2
     assert ranked == [v for v in cover.quiver.vertices if v not in report.transported]
     assert gen.steps == [(i, 3 * 2 ** (i + 1), 3 * 2 ** (i + 1)) for i in range(5)]
+
+
+@cache
+def _arrow_rank_cases():
+    """(presentation, window) by name, each resolved with i_max the window:
+    the corpus at 6/6, loop_cubed at 12/12, 300 random presentations at
+    6/6 and the covers of 300 random graded presentations at 5/5."""
+    cases = {label: (p, 6) for label, p in corpus_instances()}
+    cases["loop_cubed-12"] = (loop_cubed(), 12)
+    for seed in range(300):
+        cases[f"random-{seed}"] = (random_presentation(random.Random(seed)), 6)
+        graded = random_graded_presentation(random.Random(seed))
+        cases[f"graded-cover-{seed}"] = (build_covering(*graded), 5)
+    return cases
+
+
+@pytest.fixture(scope="module", params=list(_arrow_rank_cases()))
+def arrow_rank_report(request):
+    # module scope runs both tests of one case on one resolution
+    presentation, window = _arrow_rank_cases()[request.param]
+    return resolve(AlgebraModel(presentation, window), window)
+
+
+def test_arrow_count_is_the_elimination_rank(arrow_rank_report):
+    report = arrow_rank_report
+    for res in report.per_simple.values():
+        assert _arrow_ranks(res, report.i_max) == \
+            _arrow_ranks_by_elimination(res, report.i_max)
+
+
+def test_block_generators_have_distinct_largest_coordinates_of_coefficient_1(
+        arrow_rank_report):
+    # the invariant the arrow count rests on, per resolved simple and step;
+    # a step's generators of one block share their Generator
+    report = arrow_rank_report
+    for v, res in report.per_simple.items():
+        if v in report.transported:
+            continue
+        for gens, step in zip(res.gens[1:], res.diffs[1:]):
+            largest = set()
+            for g, entry in zip(gens, step):
+                entry = expanded(entry)
+                top = max(entry)
+                assert entry[top] == 1
+                assert (g, top) not in largest
+                largest.add((g, top))
 
 
 # -- one simple per automorphism orbit, the others relabelled ------------------
@@ -761,6 +843,66 @@ def test_orbit_transport_keeps_the_betti_table(name):
     # the deck group moves the simples of every covering
     if name.endswith("-Z2") or name in _ROOTED_ONLY:
         assert report.transported
+
+
+def _random_homogeneous_weights(p, group, rng):
+    """Seeded random arrow weights grading every relation of p homogeneously:
+    the arrows take random elements in quiver order, backtracking where a
+    relation whose arrows are all weighted has two weights (the identity
+    weights always pass)."""
+    labels = [a.label for a in p.quiver.arrows]
+    closing = {}
+    for r in p.relations:
+        used = {a.label for path, _ in r.items() for a in path.arrows}
+        closing.setdefault(max(used, key=labels.index), []).append(r)
+    weights = {}
+
+    def extend(n):
+        if n == len(labels):
+            return True
+        for g in rng.sample(group.elements, group.order):
+            weights[labels[n]] = g
+            if all(len({path_weight(group, weights, path) for path, _ in r.items()}) == 1
+                   for r in closing.get(labels[n], ())) and extend(n + 1):
+                return True
+        del weights[labels[n]]
+        return False
+
+    extend(0)
+    return weights
+
+
+@cache
+def _homogeneous_corpus_covers():
+    return {
+        f"{label}-{group.name}": (p, group, _random_homogeneous_weights(
+            p, group, random.Random(f"{label}-{group.name}")))
+        for label, p in corpus_instances() for group in GROUPS
+    }
+
+
+@pytest.mark.parametrize("name", list(_homogeneous_corpus_covers()))
+def test_covering_betti_numbers_push_down_to_the_base(name):
+    # push-down along a Galois covering: summed over the target sheets h,
+    # β_C((v,g), i, d, (w,h)) is β_A(v, i, d, w), and β_C((v,g), i, d,
+    # (w, h·g)) does not depend on g; resolve transports most cover simples,
+    # so this checks where each transported simple's generators sit
+    p, group, weights = _homogeneous_corpus_covers()[name]
+    base = resolve(AlgebraModel(p, 4), 4).betti
+    cover = resolve(AlgebraModel(build_covering(p, group, weights), 4), 4).betti
+    summed, relative = {}, {}
+    for (u, i, d, x), n in cover.items():
+        (v, g), (w, k) = split_sheet(u), split_sheet(x)
+        summed[(u, i, d, w)] = summed.get((u, i, d, w), 0) + n
+        h = group.multiply(k, group.inverse(g))
+        relative.setdefault((v, i, d, w, h), {})[g] = n
+    assert summed == {
+        (sheet_label(v, g), i, d, w): n
+        for (v, i, d, w), n in base.items() for g in group.elements
+    }
+    for by_sheet in relative.values():
+        assert by_sheet.keys() == set(group.elements)
+        assert len(set(by_sheet.values())) == 1
 
 
 def _reached(q, start):

@@ -1,7 +1,8 @@
 """Yoneda products on the bundled resolution, the oracle for generation.
 
-``generation_check`` reads the rank of the differentials' arrow parts and
-lifts nothing.  The tests compare it with its definition, the rank of the
+``generation_check`` lifts nothing: it counts the differential columns
+whose largest coordinate holds an arrow word, which is the rank of their
+arrow parts.  The tests compare it with its definition, the rank of the
 products of the step-i classes with the step-1 classes, computed here by
 lifting chain maps through the bundled resolution.
 """
