@@ -139,12 +139,6 @@ class EchelonSpan:
         self._reduced = False
         return residue
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
-    def pivots(self) -> tuple:
-        return tuple(sorted(self._rows))
-
     def rref_rows(self) -> list:
         """Copies of the rref rows, in pivot order."""
         rows = self.rows

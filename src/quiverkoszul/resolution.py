@@ -27,7 +27,6 @@ holds the model, so the checks downstream read model and window from it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
 
@@ -49,26 +48,26 @@ class Generator:
     degree: int
 
 
-def _degree_coords(model: AlgebraModel, gens: list, D: int, window: range) -> dict:
-    """Coordinates of the degree-D component of a free module, per target
-    vertex w: k·W + b for each generator k and basis word b into w, in
-    generator order then canonical basis order (the order of the ids), so
-    each list is sorted.
-
-    ``window`` limits the walk to a range of generator indices, which must
-    hold every generator with a basis path into degree D.  A vertex no
-    coordinate reaches has no entry.  Equal generators in a row, as a step's
-    batches are, share their basis words, so each run is read once.
-    """
-    out, W = {}, len(model.words)
-    k = window.start
-    for g, run in groupby(gens[k:window.stop]):
+def _step_blocks(model: AlgebraModel, gens: list) -> dict:
+    """The blocks of the free module on gens past degree 0, keyed (D, w):
+    runs (k, n, words), the n equal generators from index k times a
+    ``blocks_from`` block of basis words into w, in generator order.  One
+    walk groups the generators; a block's size is its Σ n·len(words), and
+    only ``_run_coords`` builds its coordinates."""
+    blocks, k = {}, 0
+    for g, run in groupby(gens):
         n = len(list(run))
-        for w, words in model.blocks_from.get((D - g.degree, g.vertex), ()):
-            out.setdefault(w, []).extend(
-                kk * W + b for kk in range(k, k + n) for b in words)
+        for d in range(max(1 - g.degree, 0), model.max_degree - g.degree + 1):
+            for w, words in model.blocks_from.get((d, g.vertex), ()):
+                blocks.setdefault((g.degree + d, w), []).append((k, n, words))
         k += n
-    return out
+    return blocks
+
+
+def _run_coords(runs: list, W: int) -> list:
+    """A block's coordinates k·W + b, in generator order then canonical
+    basis order (the order of the ids), so the list is sorted."""
+    return [kk * W + b for k, n, words in runs for kk in range(k, k + n) for b in words]
 
 
 def _diff_image(model: AlgebraModel, entry, b: int) -> dict:
@@ -135,18 +134,18 @@ class SimpleResolution:
     kernel vector is a generator, with no independence test.  ``kernels_computed`` and ``kernels_skipped`` count
     nonempty blocks of either kind, vanishing blocks among the former.
 
-    Generators come in ascending degree and no basis path is longer than the
-    model's top degree, so degree D reads only the generators in degrees
-    D - top to D (every one up to D if the window shows no top degree).
-    One walk over them per step and degree builds the coordinates of every
-    vertex's block, from the model's ``blocks_from`` table.  The loop
-    visits only the blocks that walk reaches: a degree with no coordinate
-    is passed over whole, and so is a vertex with none, as such a block
-    has no syzygy.  Each visit takes its Ω^i block out of the previous
-    pass's bases, so a block of Ω^i left over at the end of a step, which
-    sits where P_i has no coordinate, is an ``InternalError``; a visited
-    block where Ω^i outgrows P_i fails ``_kernel``'s dimension check.
-    Spans and solvers take the coordinates as they are.  An arrow image is
+    One walk per step over the runs of equal generators of P_i files each
+    run, once per basis-word length, under the block it reaches, from the
+    model's ``blocks_from`` table (``_step_blocks``), and the pass visits
+    those blocks in (D, vertex) order.  A block's size is a count over its
+    runs, so a block that is skipped or filled by arrow images never builds
+    a coordinate; ``_kernel`` builds them only where it solves a kernel or
+    returns a unit batch.  A unit batch's minimality check reads the
+    length of each of its block's words, once per word.  Each visit takes
+    its Ω^i block out of the previous pass's bases, so a block of Ω^i left
+    over at the end of a step, which sits where P_i has no coordinate, is
+    an ``InternalError``; a visited block where Ω^i outgrows P_i fails
+    ``_kernel``'s dimension check.  Spans and solvers take the coordinates as they are.  An arrow image is
     built for its span, which keeps it as an echelon row: the block's Ω
     basis is those rows, which span what the independent images span,
     prefix by prefix.  Each such row remembers the arrow of its image.
@@ -176,7 +175,6 @@ class SimpleResolution:
         self.diffs = [[]]
         self.kernels_computed = self.kernels_skipped = 0
         q, lengths, W = model.quiver, model.lengths, len(model.words)
-        top = model.top_degree()
         # (arrow word id, source) of each arrow into a vertex; a window that
         # stops at degree 0 has no arrow words, and no degree reads them
         into = {}
@@ -191,74 +189,68 @@ class SimpleResolution:
         for i in range(i_max):
             image, omega, made = omega, {}, {}
             gens, diffs = [], []
-            degrees = [g.degree for g in self.gens[i]]
-            for D in range(1, model.max_degree + 1):
-                # the generators with a basis path into degree D
-                window = range(
-                    0 if top is None else bisect_left(degrees, D - top),
-                    bisect_right(degrees, D),
-                )
-                by_target = _degree_coords(model, self.gens[i], D, window)
-                if not by_target:
+            blocks = _step_blocks(model, self.gens[i])
+            for D, w in sorted(blocks, key=lambda key: (key[0], q.vertex_index(key[1]))):
+                block = blocks[D, w]
+                size = sum(n * len(words) for _, n, words in block)
+                nullity = size - len(image.pop((D, w), ()))
+                if not nullity:
+                    self.kernels_skipped += 1
                     continue
-                for w in sorted(by_target, key=q.vertex_index):
-                    coords = by_target[w]
-                    nullity = len(coords) - len(image.pop((D, w), ()))
-                    if not nullity:
-                        self.kernels_skipped += 1
-                        continue
-                    # the arrow images x·a of Ω one degree down, in runs:
-                    # normal pairs first, then the tips a∘t
-                    first, later = [], []
-                    for a, u in into[w]:
-                        runs = made.get((D - 1, u))
-                        if runs is None:
-                            rows = omega.get((D - 1, u))
-                            if rows:
-                                first.append((a, rows))
-                        else:
-                            for t, rows in runs:
-                                (first if (a, t) in normal else later).append((a, rows))
-                    span, basis, runs = EchelonSpan(), [], []
-                    for a, rows in first + later:
-                        start = len(basis)
-                        for x in rows:
-                            if row := span._add(_diff_image(model, x, a)):
-                                basis.append(row)
-                                if span.rank == nullity:
-                                    break
-                        if len(basis) > start:
-                            runs.append((a, basis[start:]))
-                        if span.rank == nullity:
-                            break
+                # the arrow images x·a of Ω one degree down, in runs:
+                # normal pairs first, then the tips a∘t
+                first, later = [], []
+                for a, u in into[w]:
+                    runs = made.get((D - 1, u))
+                    if runs is None:
+                        rows = omega.get((D - 1, u))
+                        if rows:
+                            first.append((a, rows))
+                    else:
+                        for t, rows in runs:
+                            (first if (a, t) in normal else later).append((a, rows))
+                span, basis, runs = EchelonSpan(), [], []
+                for a, rows in first + later:
+                    start = len(basis)
+                    for x in rows:
+                        if row := span._add(_diff_image(model, x, a)):
+                            basis.append(row)
+                            if span.rank == nullity:
+                                break
+                    if len(basis) > start:
+                        runs.append((a, basis[start:]))
                     if span.rank == nullity:
-                        self.kernels_skipped += 1
-                        omega[(D, w)], made[(D, w)] = basis, runs
-                        continue
-                    self.kernels_computed += 1
-                    basis = omega[(D, w)] = self._kernel(i, D, w, coords, nullity)
-                    # a vanishing block's kernel is coords, unit vectors
-                    # stored as their coordinates
-                    units = basis is coords
-                    # the new generators: kernel vectors independent of the
-                    # arrow images, every one where the images span nothing;
-                    # diffs keeps them, so the span gets copies
-                    if span.rank:
-                        basis = [x for x in basis if span.add({x: ONE} if units else x)]
-                    if not basis:
-                        continue
-                    if D <= i:
-                        raise InternalError(
-                            f"step {i + 1} generator in degree {D}, below its step"
-                        )
-                    keys = basis if units else chain.from_iterable(basis)
-                    if any(lengths[key % W] == 0 for key in keys):
-                        raise InternalError(
-                            f"step {i + 1} generator in degree {D} has a"
-                            " non-minimal column"
-                        )
-                    gens += [Generator(w, D)] * len(basis)
-                    diffs += basis
+                        break
+                if span.rank == nullity:
+                    self.kernels_skipped += 1
+                    omega[(D, w)], made[(D, w)] = basis, runs
+                    continue
+                self.kernels_computed += 1
+                basis = omega[(D, w)] = self._kernel(i, D, w, block, nullity)
+                # a vanishing block's kernel is its unit vectors, stored as
+                # their coordinates
+                units = nullity == size
+                # the new generators: kernel vectors independent of the
+                # arrow images, every one where the images span nothing;
+                # diffs keeps them, so the span gets copies
+                if span.rank:
+                    basis = [x for x in basis if span.add({x: ONE} if units else x)]
+                if not basis:
+                    continue
+                if D <= i:
+                    raise InternalError(
+                        f"step {i + 1} generator in degree {D}, below its step"
+                    )
+                # a unit batch's words are its block's, read per word
+                ids = (chain.from_iterable(words for _, _, words in block) if units
+                       else (key % W for key in chain.from_iterable(basis)))
+                if any(lengths[b] == 0 for b in ids):
+                    raise InternalError(
+                        f"step {i + 1} generator in degree {D} has a"
+                        " non-minimal column"
+                    )
+                gens += [Generator(w, D)] * len(basis)
+                diffs += basis
             if image:
                 D, w = next(iter(image))
                 raise InternalError(
@@ -268,26 +260,30 @@ class SimpleResolution:
             self.gens.append(gens)
             self.diffs.append(diffs)
 
-    def _kernel(self, i: int, D: int, w: str, coords: list, nullity: int) -> list:
-        """Kernel of d_i on the (D, w) block of P_i, one vector per dependent
-        column, in column order.
+    def _kernel(self, i: int, D: int, w: str, block: list, nullity: int) -> list:
+        """Kernel of d_i on the (D, w) block of P_i, given by its runs, one
+        vector per dependent column, in column order.
 
-        Where exactness counts the whole block (at step 0 that is the
-        radical of P_0), d_i vanishes on it: the kernel is the block's unit
-        vectors, the order solving gives for zero columns, returned as
-        ``coords`` itself, one coordinate per unit vector.  Only that every
-        column is zero is checked, on the columns whose word is shorter
-        than the top degree (every column without one).  A solved block's
-        rows are the P_{i-1} coordinates, below len(gens[i-1])·W, and its
-        kernel vectors are dicts."""
+        Only here are a block's coordinates built.  Where exactness counts
+        the whole block (at step 0 that is the radical of P_0), d_i
+        vanishes on it: the kernel is the block's unit vectors, the order
+        solving gives for zero columns, returned as the coordinate list, one
+        int per unit vector.  Only that every column is zero is checked, on
+        the columns whose word is shorter than the top degree (every column
+        without one), each word's length read from ``model.lengths`` once
+        per run, not once per coordinate.
+        A solved block's rows are the P_{i-1} coordinates, below
+        len(gens[i-1])·W, and its kernel vectors are dicts."""
         model, diffs, W = self.model, self.diffs[i], len(self.model.words)
+        coords = _run_coords(block, W)
         if nullity == len(coords):
             if i:
                 top, lengths = model.top_degree(), model.lengths
-                shorter = coords if top is None else [
-                    key for key in coords if lengths[key % W] < top]
-                if any(_diff_image(model, diffs[k], b)
-                       for k, b in map(divmod, shorter, repeat(W))):
+                shorter = block if top is None else [
+                    (k, n, [b for b in words if lengths[b] < top])
+                    for k, n, words in block]
+                if any(_diff_image(model, diffs[kk], b) for k, n, words in shorter
+                       for kk in range(k, k + n) for b in words):
                     raise InternalError(
                         f"step {i} differential is nonzero in degree {D} at vertex"
                         f" {w}, where exactness makes it vanish"

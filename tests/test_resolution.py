@@ -55,8 +55,9 @@ from quiverkoszul.resolution import (
     Generator,
     SimpleResolution,
     _arrow_ranks,
-    _degree_coords,
     _diff_image,
+    _run_coords,
+    _step_blocks,
     generation_check,
     hilbert_euler_check,
     koszul_duality_dim_check,
@@ -71,6 +72,30 @@ from yoneda import ExtElement, YonedaAlgebra, expanded
 
 def binom(n, k):
     return math.comb(n, k)
+
+
+# the per-(step, degree) coordinate builder the resolution used before its one
+# walk per step; the reference the walk's blocks are compared with
+def _degree_coords_by_degree(model: AlgebraModel, gens: list, D: int, window: range) -> dict:
+    """Coordinates of the degree-D component of a free module, per target
+    vertex w: k·W + b for each generator k and basis word b into w, in
+    generator order then canonical basis order (the order of the ids), so
+    each list is sorted.
+
+    ``window`` limits the walk to a range of generator indices, which must
+    hold every generator with a basis path into degree D.  A vertex no
+    coordinate reaches has no entry.  Equal generators in a row, as a step's
+    batches are, share their basis words, so each run is read once.
+    """
+    out, W = {}, len(model.words)
+    k = window.start
+    for g, run in itertools.groupby(gens[k:window.stop]):
+        n = len(list(run))
+        for w, words in model.blocks_from.get((D - g.degree, g.vertex), ()):
+            out.setdefault(w, []).extend(
+                kk * W + b for kk in range(k, k + n) for b in words)
+        k += n
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -168,25 +193,59 @@ def test_radical_square_zero_two_loops_is_koszul():
     assert report.ext_totals() == [1, 2, 4, 8, 16]
 
 
-def test_each_step_builds_its_block_coordinates_once(monkeypatch):
+def test_each_step_walks_its_generators_once(monkeypatch):
     from quiverkoszul import resolution
 
     calls = []
-    degree_coords = resolution._degree_coords
+    step_blocks = resolution._step_blocks
 
-    def counted(model, gens, D, *window):
-        calls.append((id(gens), D))
-        return degree_coords(model, gens, D, *window)
+    def counted(model, gens):
+        calls.append(id(gens))
+        return step_blocks(model, gens)
 
     cover = build_covering(
         radical_square_zero(parse_quiver_spec("loops:2")), cyclic_group(3),
         {"x1": "1", "x2": "2"},
     )
-    monkeypatch.setattr(resolution, "_degree_coords", counted)
+    monkeypatch.setattr(resolution, "_step_blocks", counted)
     report = resolve(AlgebraModel(cover, 6), 5)
     assert report.ext_totals() == [3 * 2 ** i for i in range(6)]
     # the gens lists stay alive in the report, so their ids name the steps
     assert calls and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("presentation,window", [
+    (trivial_extension_dual(parse_quiver_spec("star:4")), 8),
+    (loop_cubed(), 8),
+    (exterior(3), 6),
+], ids=["trivial_extension_dual(star:4)", "loop_cubed", "exterior(3)"])
+def test_coordinates_are_built_only_for_blocks_that_reach_the_kernel(
+        monkeypatch, presentation, window):
+    from quiverkoszul import resolution
+
+    built, reached = [], []
+    run_coords, kernel = resolution._run_coords, SimpleResolution._kernel
+
+    def counted(runs, W):
+        built.append(id(runs))
+        return run_coords(runs, W)
+
+    def spy(self, i, D, w, block, nullity):
+        reached.append(id(block))
+        return kernel(self, i, D, w, block, nullity)
+
+    monkeypatch.setattr(resolution, "_run_coords", counted)
+    monkeypatch.setattr(SimpleResolution, "_kernel", spy)
+    model = AlgebraModel(presentation, window)
+    computed = skipped = 0
+    for v in model.quiver.vertices:
+        res = SimpleResolution(model, v, window)
+        computed += res.kernels_computed
+        skipped += res.kernels_skipped
+    # one build per block that reaches _kernel, and none for the skipped ones
+    assert built == reached
+    assert len(reached) == computed
+    assert skipped
 
 
 class TestHilbertEuler:
@@ -717,6 +776,27 @@ def test_block_generators_have_distinct_largest_coordinates_of_coefficient_1(
                 largest.add((g, top))
 
 
+def test_walked_blocks_build_the_oracle_coordinates(arrow_rank_report):
+    # per resolved simple and step, block by block: the ints built from the
+    # walk's runs are the per-degree oracle's, and the count over the runs
+    # that exactness reads is the number of those ints
+    report = arrow_rank_report
+    model = report.model
+    W = len(model.words)
+    for v, res in report.per_simple.items():
+        if v in report.transported:
+            continue
+        for gens in res.gens:
+            blocks = _step_blocks(model, gens)
+            assert {key: _run_coords(runs, W) for key, runs in blocks.items()} == {
+                (D, w): coords for D in range(1, model.max_degree + 1)
+                for w, coords in _degree_coords_by_degree(
+                    model, gens, D, range(len(gens))).items()}
+            for runs in blocks.values():
+                assert sum(n * len(words) for _, n, words in runs) == \
+                    len(_run_coords(runs, W))
+
+
 # -- one simple per automorphism orbit, the others relabelled ------------------
 
 
@@ -1200,7 +1280,7 @@ def _assert_coordinate_order(model, i_max):
         res = SimpleResolution(model, v, i_max)
         for i, gens in enumerate(res.gens):
             for D in range(model.max_degree + 1):
-                by_target = _degree_coords(model, gens, D, range(len(gens)))
+                by_target = _degree_coords_by_degree(model, gens, D, range(len(gens)))
                 want = {}
                 for k, g in enumerate(gens):
                     for w, ids in model.blocks_from.get((D - g.degree, g.vertex), ()):
@@ -1249,7 +1329,8 @@ def _two_pass(model, vertex, i_max, d_max):
 
     def block(i, D, w):
         if (i, D, w) not in blocks:
-            coords = _degree_coords(model, gens[i], D, range(len(gens[i]))).get(w, [])
+            coords = _degree_coords_by_degree(
+                model, gens[i], D, range(len(gens[i]))).get(w, [])
             blocks[(i, D, w)] = coords, {key: p for p, key in enumerate(coords)}
         return blocks[(i, D, w)]
 
@@ -1541,8 +1622,9 @@ def test_vanishing_block_without_a_top_degree_checks_every_column(monkeypatch):
 
 
 def _resolve_with_a_stray_coordinate(monkeypatch, step_degree, D, stray):
-    """Resolve the loops:2 simple with one more coordinate, generator 0 times
-    stray (the int 0·W + its id), in degree D of the step whose generators sit in step_degree.  No syzygy
+    """Resolve the loops:2 simple with one more run, generator 0 times stray
+    (the int 0·W + its id once built), in degree D of the step whose
+    generators sit in step_degree.  No syzygy
     sits there, so the block vanishes and the stray unit vector meets
     empty arrow images.  A stray path that is not a basis word gets an id
     past the model's words."""
@@ -1553,15 +1635,16 @@ def _resolve_with_a_stray_coordinate(monkeypatch, step_degree, D, stray):
         model.words.append(stray)
         model.lengths.append(stray.length)
     stray_id = model.word_ids.get(stray, len(model.words) - 1)
-    degree_coords = resolution._degree_coords
+    step_blocks = resolution._step_blocks
 
-    def with_stray(model, gens, D_, *window):
-        by_target = degree_coords(model, gens, D_, *window)
-        if D_ == D and gens[0].degree == step_degree:
-            by_target["1"] = by_target.get("1", []) + [stray_id]
-        return by_target
+    def with_stray(model, gens):
+        blocks = step_blocks(model, gens)
+        if gens[0].degree == step_degree:
+            # a run of one generator, 0, times the one word stray
+            blocks[D, "1"] = blocks.get((D, "1"), []) + [(0, 1, [stray_id])]
+        return blocks
 
-    monkeypatch.setattr(resolution, "_degree_coords", with_stray)
+    monkeypatch.setattr(resolution, "_step_blocks", with_stray)
     SimpleResolution(model, "1", 3)
 
 
@@ -1589,18 +1672,24 @@ def _resolve_with_coordinates_cut(monkeypatch, model, vertex, step_degree, D, ke
     to the number of its coordinates left, 0 dropping its entry."""
     from quiverkoszul import resolution
 
-    degree_coords = resolution._degree_coords
+    step_blocks = resolution._step_blocks
 
-    def cut(model, gens, D_, *window):
-        by_target = degree_coords(model, gens, D_, *window)
-        if D_ == D and gens[0].degree == step_degree:
+    def cut(model, gens):
+        blocks = step_blocks(model, gens)
+        if gens[0].degree == step_degree:
             for w, n in keep.items():
-                by_target[w] = by_target[w][:n]
-                if not n:
-                    del by_target[w]
-        return by_target
+                # one run per generator, its words cut to the first n ints
+                kept = []
+                for k, m, words in blocks.pop((D, w)):
+                    for kk in range(k, k + m):
+                        if n > 0:
+                            kept.append((kk, 1, words[:n]))
+                            n -= len(words[:n])
+                if kept:
+                    blocks[D, w] = kept
+        return blocks
 
-    monkeypatch.setattr(resolution, "_degree_coords", cut)
+    monkeypatch.setattr(resolution, "_step_blocks", cut)
     SimpleResolution(model, vertex, 3)
 
 
@@ -1644,9 +1733,10 @@ def _assert_unit_entries_exactly_where_blocks_vanish(monkeypatch, model, i_max):
     number of int entries."""
     vanished, kernel = {}, SimpleResolution._kernel
 
-    def spy(self, i, D, w, coords, nullity):
-        vanished[(self.vertex, i + 1, D, w)] = nullity == len(coords)
-        return kernel(self, i, D, w, coords, nullity)
+    def spy(self, i, D, w, block, nullity):
+        size = sum(n * len(words) for _, n, words in block)
+        vanished[(self.vertex, i + 1, D, w)] = nullity == size
+        return kernel(self, i, D, w, block, nullity)
 
     monkeypatch.setattr(SimpleResolution, "_kernel", spy)
     units = 0

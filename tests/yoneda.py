@@ -19,8 +19,9 @@ from quiverkoszul.quiver import trivial_path
 from quiverkoszul.resolution import (
     ExtAlgebra,
     ResolutionReport,
-    _degree_coords,
     _diff_image,
+    _run_coords,
+    _step_blocks,
 )
 
 
@@ -76,7 +77,7 @@ class YonedaAlgebra(ExtAlgebra):
             self.gens.append(bundle)
             self._offsets.append(offsets)
         self._gen0_index = {g.vertex: k for k, g in enumerate(self.gens[0])}
-        self._coords_cache = {}
+        self._blocks_cache = {}
         self._solver_cache = {}
 
     @cached_property
@@ -97,11 +98,9 @@ class YonedaAlgebra(ExtAlgebra):
         return [ExtElement(i, {k: ONE}) for k in range(self.ext_dim(i))]
 
     def _coords(self, i: int, D: int, w: str) -> list:
-        if (i, D) not in self._coords_cache:
-            gens = self.gens[i]
-            self._coords_cache[(i, D)] = _degree_coords(
-                self.model, gens, D, range(len(gens)))
-        return self._coords_cache[(i, D)].get(w, [])
+        if i not in self._blocks_cache:
+            self._blocks_cache[i] = _step_blocks(self.model, self.gens[i])
+        return _run_coords(self._blocks_cache[i].get((D, w), ()), len(self.model.words))
 
     def _solver(self, k: int, D: int, w: str) -> ColumnSolver:
         key = (k, D, w)
