@@ -20,7 +20,6 @@ from .quiver import (
     Quiver,
     double_quiver,
     enumerate_paths,
-    make_quiver,
 )
 
 
@@ -32,7 +31,7 @@ def exterior(m: int) -> Presentation:
     """Exterior algebra on m anticommuting generators, one vertex."""
     if m < 1:
         raise CorpusError("exterior algebra needs at least one generator")
-    q = make_quiver(["1"], [(f"a{i}", "1", "1") for i in range(1, m + 1)])
+    q = Quiver(["1"], [(f"a{i}", "1", "1") for i in range(1, m + 1)])
     relations = []
     for i in range(1, m + 1):
         relations.append(q.path([f"a{i}", f"a{i}"]))
@@ -46,7 +45,7 @@ def exterior(m: int) -> Presentation:
 
 def loop_cubed() -> Presentation:
     """One loop with its cube killed; the stock nonlinear counterexample."""
-    q = make_quiver(["1"], [("x", "1", "1")])
+    q = Quiver(["1"], [("x", "1", "1")])
     return Presentation(q, [q.path(["x", "x", "x"])])
 
 
@@ -67,21 +66,21 @@ def parse_quiver_spec(text: str) -> Quiver:
     if kind == "line":
         if n < 1:
             raise CorpusError("line needs at least one vertex")
-        return make_quiver(
+        return Quiver(
             [str(i) for i in range(1, n + 1)],
             [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)],
         )
     if kind == "star":
         if n < 1:
             raise CorpusError("star needs at least one leaf")
-        return make_quiver(
+        return Quiver(
             ["c"] + [f"l{i}" for i in range(1, n + 1)],
             [(f"a{i}", f"l{i}", "c") for i in range(1, n + 1)],
         )
     if kind == "loops":
         if n < 1:
             raise CorpusError("loops needs at least one loop")
-        return make_quiver(["1"], [(f"x{i}", "1", "1") for i in range(1, n + 1)])
+        return Quiver(["1"], [(f"x{i}", "1", "1") for i in range(1, n + 1)])
     raise CorpusError(f"unknown quiver spec kind {kind!r}")
 
 

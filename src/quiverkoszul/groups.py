@@ -83,13 +83,6 @@ class FiniteGroup:
     def __contains__(self, g) -> bool:
         return g in self._index
 
-    def is_abelian(self) -> bool:
-        return all(
-            self._table[(g, h)] == self._table[(h, g)]
-            for g in self.elements
-            for h in self.elements
-        )
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order {self.order})"
 

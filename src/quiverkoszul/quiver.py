@@ -173,11 +173,6 @@ class Quiver:
     def vertex_index(self, v: str) -> int:
         return self._vertex_index[v]
 
-    def trivial_path(self, v: str) -> Path:
-        if v not in self._vertex_index:
-            raise QuiverError(f"no vertex labelled {v!r}")
-        return trivial_path(v)
-
     def path(self, labels_first_applied) -> Path:
         """Build a path from arrow labels listed in application order."""
         arrows = tuple(self.arrow(l) for l in reversed(list(labels_first_applied)))
@@ -265,10 +260,6 @@ def _first_duplicate(items):
             return x
         seen.add(x)
     return None
-
-
-def make_quiver(vertices, arrows) -> Quiver:
-    return Quiver(vertices, arrows)
 
 
 def enumerate_paths(q: Quiver, length: int, source: str | None = None,

@@ -498,18 +498,6 @@ class GenerationReport:
     first_failure_i: int | None
     steps: list  # (i, achieved, required)
 
-    def __str__(self) -> str:
-        if self.passed:
-            return f"generated in degrees 0,1 through step {self.checked_to}"
-        i = self.first_failure_i
-        achieved, required = next(
-            (a, r) for (ii, a, r) in self.steps if ii == i
-        )
-        return (
-            f"generation fails at step {i}: products span {achieved}"
-            f" of {required} classes one step up"
-        )
-
 
 def _arrow_ranks(res: SimpleResolution, i_max: int) -> list:
     """Per step i < i_max, the rank of the arrow parts of one resolution's
@@ -647,14 +635,6 @@ class CoveringTheoremReport:
     cover_verdict: KoszulVerdict
     mismatches: list
     sizes: dict = field(default_factory=dict, compare=False)  # resolution_sizes
-
-    def __str__(self) -> str:
-        if self.passed:
-            return (
-                f"covering agrees with base: verdict {self.base_verdict},"
-                f" multiplicity {self.group_order}"
-            )
-        return f"covering comparison fails: {self.mismatches[0]}"
 
 
 def theorem_covering_check(presentation, group, weights, i_max: int,

@@ -11,13 +11,14 @@ by path, so equal presentations produce byte-identical documents.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring
 
 from .algebra import Presentation
 from .groups import FiniteGroup, cyclic_group, dihedral_group, direct_product
-from .quiver import PathCombination, QuiverError, RelationError, make_quiver
+from .quiver import PathCombination, Quiver, QuiverError, RelationError
 
 FORMAT = 1
 
@@ -127,13 +128,6 @@ def group_spec_from_document(doc, path: str) -> tuple:
     _fail(f"{path}.kind", f"unknown kind {kind!r}, expected cyclic, product, or dihedral")
 
 
-def group_spec_to_text(spec: tuple) -> str:
-    kind = spec[0]
-    if kind in ("cyclic", "dihedral"):
-        return f"{kind}:{spec[1]}"
-    return f"product:{group_spec_to_text(spec[1])},{group_spec_to_text(spec[2])}"
-
-
 # ---------------------------------------------------------------------------
 # presentation documents
 
@@ -166,8 +160,10 @@ def parse_document(text: str) -> ParsedDocument:
         raise DocumentError(f"not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         _fail("document", "expected a JSON object")
-    if doc.get("format") != FORMAT:
-        _fail("format", f"expected {FORMAT}, got {doc.get('format')!r}")
+    fmt = doc.get("format")
+    # the int 1 itself: True and 1.0 compare equal to it
+    if type(fmt) is not int or fmt != FORMAT:
+        _fail("format", f"expected {FORMAT}, got {fmt!r}")
 
     vertices = doc.get("vertices")
     if not isinstance(vertices, list) or not vertices:
@@ -189,7 +185,7 @@ def parse_document(text: str) -> ParsedDocument:
         arrows.append((a["name"], a["from"], a["to"]))
 
     try:
-        quiver = make_quiver(vertices, arrows)
+        quiver = Quiver(vertices, arrows)
     except QuiverError as err:
         raise DocumentError(f"quiver: {err}") from err
 
@@ -258,10 +254,6 @@ def parse_document(text: str) -> ParsedDocument:
     return ParsedDocument(presentation, group_spec, weights, group)
 
 
-def parse_presentation(text: str) -> Presentation:
-    return parse_document(text).presentation
-
-
 def presentation_to_document(p: Presentation, group_spec: tuple | None = None,
                              weights: dict | None = None) -> dict:
     q = p.quiver
@@ -287,41 +279,29 @@ def presentation_to_document(p: Presentation, group_spec: tuple | None = None,
     return doc
 
 
-def serialize_presentation(p: Presentation, group_spec: tuple | None = None,
-                           weights: dict | None = None) -> str:
-    return canonical_json(presentation_to_document(p, group_spec, weights))
-
-
 def canonical_json(obj) -> str:
     """Deterministic rendering: fixed indentation, preserved key order.
 
-    The text equals ``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``
-    byte for byte on every input the stdlib accepts, and an input it rejects
-    raises the same error: ``TypeError`` for a value or key of another type,
-    ``ValueError`` for a container that holds itself.  With ``indent`` set the
-    stdlib takes its pure-Python generator path; this writer makes the same
-    one pass directly, appending string pieces to a list.
+    The input is what the program renders, each value of exactly one of the
+    types ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``,
+    ``bool``, ``None`` and finite ``float``.  On it the text equals
+    ``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"`` byte for byte.
+    Any other type, a subclass or a non-str key included, raises
+    ``TypeError``, and a NaN or infinite float raises ``ValueError``.
     """
     parts = []
-    _render(obj, parts.append, "\n", set())
+    _render(obj, parts.append, "\n")
     parts.append("\n")
     return "".join(parts)
 
 
-_INF = float("inf")
-
-
 def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
+    if not math.isfinite(x):
+        raise ValueError(f"float {x!r} has no JSON text")
     return float.__repr__(x)
 
 
-# the text of a scalar of exactly this type; subclasses take _scalar_text
+# the text of a scalar of exactly this type
 _SCALAR_TEXT = {
     str: encode_basestring,
     int: int.__repr__,
@@ -331,44 +311,34 @@ _SCALAR_TEXT = {
 }
 
 
-def _render(o, append, newline: str, markers: set) -> None:
-    """Append the text of o, whose line starts at ``newline``'s indentation.
-
-    The checks mirror the stdlib's encoder: ``isinstance`` on the JSON types,
-    ``int.__repr__`` and ``float.__repr__`` for their subclasses, ``items()``
-    of a dict and iteration of a list or tuple, and ``markers`` holding the
-    ids of the open containers."""
-    if isinstance(o, dict):
+def _render(o, append, newline: str) -> None:
+    """Append the text of o, whose line starts at ``newline``'s indentation."""
+    kind = type(o)
+    text = _SCALAR_TEXT.get(kind)
+    if text is not None:
+        append(text(o))
+    elif kind is dict:
         if not o:
             append("{}")
             return
-        mark = id(o)
-        if mark in markers:
-            raise ValueError("Circular reference detected")
-        markers.add(mark)
         inner = newline + "  "
         append("{" + inner)
         sep = ""
         for k, v in o.items():
             if type(k) is not str:
-                k = _key_text(k)
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
             text = _SCALAR_TEXT.get(type(v))
             if text is not None:
                 append(sep + encode_basestring(k) + ": " + text(v))
             else:
                 append(sep + encode_basestring(k) + ": ")
-                _render(v, append, inner, markers)
+                _render(v, append, inner)
             sep = "," + inner
         append(newline + "}")
-        markers.remove(mark)
-    elif isinstance(o, (list, tuple)):
+    elif kind is list or kind is tuple:
         if not o:
             append("[]")
             return
-        mark = id(o)
-        if mark in markers:
-            raise ValueError("Circular reference detected")
-        markers.add(mark)
         inner = newline + "  "
         # like the stdlib, the opening bracket comes with the first item
         sep = "[" + inner
@@ -378,44 +348,8 @@ def _render(o, append, newline: str, markers: set) -> None:
                 append(sep + text(v))
             else:
                 append(sep)
-                _render(v, append, inner, markers)
+                _render(v, append, inner)
             sep = "," + inner
         append(newline + "]")
-        markers.remove(mark)
     else:
-        append(_scalar_text(o))
-
-
-def _scalar_text(o) -> str:
-    if isinstance(o, str):
-        return encode_basestring(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    # the stdlib's own rejection: TypeError, "... is not JSON serializable"
-    return json.JSONEncoder().default(o)
-
-
-def _key_text(k) -> str:
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _float_text(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
-    )
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

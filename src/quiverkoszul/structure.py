@@ -19,7 +19,7 @@ from .algebra import AlgebraModel, InternalError
 from .covering import homogeneous_weights, path_weight, split_sheet
 from .groups import FiniteGroup, GroupAction
 from .linalg import ONE, ZERO, as_scalar, kernel_basis_sparse, vec_axpy
-from .quiver import Arrow, Path
+from .quiver import Arrow, Path, trivial_path
 
 
 class StructureConstantAlgebra:
@@ -45,14 +45,11 @@ class StructureConstantAlgebra:
     def index(self, label) -> int:
         return self._index[label]
 
-    def product_basis(self, i: int, j: int) -> dict:
-        return self.table.get((i, j), {})
-
     def product(self, x: dict, y: dict) -> dict:
         out = {}
         for i, ci in x.items():
             for j, cj in y.items():
-                vec_axpy(out, ci * cj, self.product_basis(i, j))
+                vec_axpy(out, ci * cj, self.table.get((i, j), {}))
         return out
 
     def factor_index(self) -> tuple:
@@ -101,14 +98,6 @@ class StructureConstantAlgebra:
                     failures.append((side, i))
         return failures
 
-    def verify(self) -> None:
-        bad = self.unit_failures()
-        if bad:
-            raise ValueError(f"{self.name}: unit law fails at {bad[:3]}")
-        bad = self.associativity_failures()
-        if bad:
-            raise ValueError(f"{self.name}: associativity fails at {bad[:3]}")
-
     def __repr__(self) -> str:
         return f"StructureConstantAlgebra({self.name}, dim {self.dim})"
 
@@ -124,7 +113,7 @@ def algebra_to_structure_constants(m: AlgebraModel) -> StructureConstantAlgebra:
     for i, bi in enumerate(basis):
         for j in ending_at.get(bi.source, ()):
             table[(i, j)] = m.product(i, j)
-    unit = {m.word_ids[m.quiver.trivial_path(v)]: ONE for v in m.quiver.vertices}
+    unit = {m.word_ids[trivial_path(v)]: ONE for v in m.quiver.vertices}
     return StructureConstantAlgebra(basis, unit, table, name="model")
 
 

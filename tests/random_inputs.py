@@ -9,7 +9,7 @@ from fractions import Fraction
 from quiverkoszul.algebra import Presentation
 from quiverkoszul.covering import path_weight
 from quiverkoszul.groups import cyclic_group, dihedral_group, direct_product
-from quiverkoszul.quiver import PathCombination, enumerate_paths, make_quiver
+from quiverkoszul.quiver import PathCombination, Quiver, enumerate_paths
 
 # non-integral coefficients run the Fraction branch of every elimination
 COEFFICIENTS = (-2, -1, 1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))
@@ -22,7 +22,7 @@ def random_presentation(rng):
         (f"x{i}", rng.choice(vertices), rng.choice(vertices))
         for i in range(1, rng.randint(2, 4) + 1)
     ]
-    q = make_quiver(vertices, arrows)
+    q = Quiver(vertices, arrows)
     relations = []
     for _ in range(rng.randint(1, 5)):
         paths = enumerate_paths(q, rng.choice((2, 2, 2, 3, 3, 4)))
@@ -63,7 +63,7 @@ def random_graded_presentation(rng):
         (f"x{i}", rng.choice(vertices), rng.choice(vertices))
         for i in range(1, rng.randint(2, 3) + 1)
     ]
-    q = make_quiver(vertices, arrows)
+    q = Quiver(vertices, arrows)
     weights = {label: rng.choice(group.elements) for label, _, _ in arrows}
     same_weight = {}
     for p in enumerate_paths(q, 2):

@@ -28,9 +28,9 @@ from quiverkoszul.quiver import (
     Arrow,
     Path,
     PathCombination,
+    Quiver,
     compose,
     enumerate_paths,
-    make_quiver,
     trivial_path,
 )
 from quiverkoszul.resolution import _diff_image, resolve
@@ -84,7 +84,7 @@ def test_basis_product_reduces_a_right_factor_that_is_not_a_basis_word():
     q = m.quiver
     tip = q.path(["a1", "a2"])  # the lex-first word, eliminated
     assert m.basis_paths(2).count(tip) == 0
-    for left in (q.trivial_path("1"), q.path(["a3"]), q.path(["a3", "a4"])):
+    for left in (trivial_path("1"), q.path(["a3"]), q.path(["a3", "a4"])):
         want = m.normal_form(compose(left, tip))
         assert want
         assert m.multiply(left, tip) == want
@@ -483,7 +483,7 @@ def test_presentation_canonical_key_ignores_relation_order():
 
 
 def test_presentation_accepts_bare_paths():
-    q = make_quiver(["1"], [("x", "1", "1")])
+    q = Quiver(["1"], [("x", "1", "1")])
     p = Presentation(q, [q.path(["x", "x"])])
     m = AlgebraModel(p, 3)
     assert m.total_dims() == [1, 1, 0, 0]

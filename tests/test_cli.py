@@ -10,7 +10,7 @@ from quiverkoszul.corpus import exterior
 from quiverkoszul.groups import cyclic_group
 from quiverkoszul.linalg import ColumnSolver
 from quiverkoszul.quiver import Quiver
-from quiverkoszul.serialization import serialize_presentation
+from quiverkoszul.serialization import canonical_json, presentation_to_document
 
 
 @pytest.fixture
@@ -25,7 +25,8 @@ def ext2_file(tmp_path):
 def ext2_graded_file(tmp_path):
     path = tmp_path / "exterior2_graded.json"
     path.write_text(
-        serialize_presentation(exterior(2), ("cyclic", 2), {"a1": "1", "a2": "1"})
+        canonical_json(presentation_to_document(
+            exterior(2), ("cyclic", 2), {"a1": "1", "a2": "1"}))
     )
     return str(path)
 
@@ -141,8 +142,8 @@ def test_orbit_transport_reaches_coverings_that_fall_apart(capsys, tmp_path,
     # is three copies of a two-vertex piece; one of its six simples is
     # resolved, as is the base's one simple
     ext4 = tmp_path / "exterior4_d3.json"
-    ext4.write_text(serialize_presentation(
-        exterior(4), ("dihedral", 3), {f"a{k}": "s" for k in range(1, 5)}))
+    ext4.write_text(canonical_json(presentation_to_document(
+        exterior(4), ("dihedral", 3), {f"a{k}": "s" for k in range(1, 5)})))
     rc, report = run_json(capsys, ["verify", str(ext4), "--check", "covering-theorem"])
     assert rc == 0
     assert report["timing"]["sizes"] == {
@@ -262,7 +263,7 @@ def test_max_degree_0_reports_every_check(capsys, tmp_path, name):
         q = Quiver(["1", "2"], [("a", "1", "2")])
         p, weights = Presentation(q, []), {"a": "1"}
     doc = tmp_path / f"{name}.json"
-    doc.write_text(serialize_presentation(p, ("cyclic", 2), weights))
+    doc.write_text(canonical_json(presentation_to_document(p, ("cyclic", 2), weights)))
     for command, want in _max_degree_0_reports(p.quiver.vertices).items():
         argv = ["analyze"] if command == "analyze" else ["verify", "--check", command]
         rc, report = run_json(capsys, argv[:1] + [str(doc)] + argv[1:]
@@ -277,12 +278,39 @@ def test_smash_checks_on_exterior4_fit_the_default_window(capsys, tmp_path, chec
     p = exterior(4)
     path = tmp_path / "exterior4_z2.json"
     path.write_text(
-        serialize_presentation(p, ("cyclic", 2), {a.label: "1" for a in p.quiver.arrows})
+        canonical_json(presentation_to_document(
+            p, ("cyclic", 2), {a.label: "1" for a in p.quiver.arrows}))
     )
     rc, report = run_json(capsys, ["verify", str(path), "--check", check])
     assert rc == 0
     assert report["canonical"]["max_degree"] == 6
     assert report["canonical"]["passed"] is True
+
+
+def _off_span(s, rad):
+    # the first basis vector also moves along a vertex idempotent's label
+    zero = next(i for i, (b, _) in enumerate(s.labels) if not b.length)
+    return [{**rad[0], zero: 1}] + rad[1:]
+
+
+def _one_short(s, rad):
+    return rad[:-1]
+
+
+@pytest.mark.parametrize("fault,radical_dim", [(_off_span, 6), (_one_short, 5)],
+                         ids=["off-span", "one-short"])
+def test_radical_smash_fails_on_a_wrong_radical(monkeypatch, capsys, ext2_graded_file,
+                                                fault, radical_dim):
+    from quiverkoszul import cli
+
+    radical = cli.radical
+    monkeypatch.setattr(cli, "radical", lambda s: fault(s, radical(s)))
+    rc, report = run_json(
+        capsys, ["verify", ext2_graded_file, "--check", "radical-smash"])
+    assert rc == 1
+    assert report["canonical"]["passed"] is False
+    assert report["canonical"]["details"] == {
+        "radical_dim": radical_dim, "expected_dim": 6, "spans_match": False}
 
 
 def test_internal_error_exit_3(capsys, monkeypatch, ext2_file):

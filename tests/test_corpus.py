@@ -28,7 +28,7 @@ from quiverkoszul.covering import (
 )
 from quiverkoszul.groups import cyclic_group, dihedral_group, direct_product
 from quiverkoszul.linalg import ONE
-from quiverkoszul.quiver import PathCombination, make_quiver, validate_relation
+from quiverkoszul.quiver import PathCombination, Quiver, validate_relation
 from quiverkoszul.serialization import canonical_json, presentation_to_document
 
 
@@ -157,7 +157,7 @@ def _covering_quiver(m, group, weights):
         for i in range(1, m + 1)
         for g in group.elements
     ]
-    return make_quiver([sheet_label("1", g) for g in group.elements], arrows)
+    return Quiver([sheet_label("1", g) for g in group.elements], arrows)
 
 
 def _closed_form_exterior_covering(m, group, weights):
@@ -247,14 +247,14 @@ class TestTrivialExtensionDual:
     def test_non_tree_rejected(self):
         with pytest.raises(CorpusError):
             trivial_extension_dual(parse_quiver_spec("loops:1"))
-        two_edges = make_quiver(
+        two_edges = Quiver(
             ["1", "2"], [("a", "1", "2"), ("b", "1", "2")]
         )
         with pytest.raises(CorpusError):
             trivial_extension_dual(two_edges)
 
     def test_disconnected_tree_rejected(self):
-        q = make_quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "3", "4")])
+        q = Quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "3", "4")])
         with pytest.raises(CorpusError):
             trivial_extension_dual(q)
 

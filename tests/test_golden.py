@@ -27,7 +27,7 @@ import pytest
 from quiverkoszul.cli import main
 from quiverkoszul.corpus import corpus_instances
 from quiverkoszul.duality import dual_presentation, quadratic_check
-from quiverkoszul.serialization import serialize_presentation
+from quiverkoszul.serialization import canonical_json, presentation_to_document
 
 DATA = Path(__file__).parent / "data" / "golden_canonical.json"
 
@@ -47,10 +47,11 @@ def documents() -> dict:
     docs = {}
     for label, p in corpus_instances():
         ones = {a.label: "1" for a in p.quiver.arrows}
-        docs[_doc_name(label)] = serialize_presentation(p, ("cyclic", 2), ones)
+        docs[_doc_name(label)] = canonical_json(
+            presentation_to_document(p, ("cyclic", 2), ones))
         if quadratic_check(p):
-            docs["dual-" + _doc_name(label)] = serialize_presentation(
-                dual_presentation(p))
+            docs["dual-" + _doc_name(label)] = canonical_json(
+                presentation_to_document(dual_presentation(p)))
     return docs
 
 

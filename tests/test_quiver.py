@@ -10,13 +10,13 @@ import pytest
 import quiverkoszul
 from quiverkoszul.quiver import (
     PathCombination,
+    Quiver,
     QuiverError,
     RelationError,
     compose,
     composed_path,
     double_quiver,
     enumerate_paths,
-    make_quiver,
     opposite_quiver,
     trivial_path,
     validate_relation,
@@ -25,30 +25,30 @@ from quiverkoszul.quiver import (
 
 @pytest.fixture
 def loop2():
-    return make_quiver(["1"], [("a1", "1", "1"), ("a2", "1", "1")])
+    return Quiver(["1"], [("a1", "1", "1"), ("a2", "1", "1")])
 
 
 @pytest.fixture
 def line3():
-    return make_quiver(
+    return Quiver(
         ["1", "2", "3"], [("a1", "1", "2"), ("a2", "2", "3")]
     )
 
 
-def test_make_quiver_basic(line3):
+def test_quiver_basic(line3):
     assert line3.vertices == ("1", "2", "3")
     assert [a.label for a in line3.arrows] == ["a1", "a2"]
     assert line3.arrow("a1").source == "1"
     assert line3.arrow("a1").target == "2"
 
 
-def test_make_quiver_rejects_duplicates():
+def test_quiver_rejects_duplicates():
     with pytest.raises(QuiverError):
-        make_quiver(["1", "1"], [])
+        Quiver(["1", "1"], [])
     with pytest.raises(QuiverError):
-        make_quiver(["1"], [("a", "1", "1"), ("a", "1", "1")])
+        Quiver(["1"], [("a", "1", "1"), ("a", "1", "1")])
     with pytest.raises(QuiverError):
-        make_quiver(["1"], [("a", "1", "2")])
+        Quiver(["1"], [("a", "1", "2")])
 
 
 def test_trivial_path_endpoints(line3):
@@ -209,8 +209,8 @@ def test_pickled_paths_and_arrows_keep_equality_and_hash(loop2):
 
 _PICKLE_SCRIPT = """
 import pickle, sys
-from quiverkoszul.quiver import enumerate_paths, make_quiver, trivial_path
-q = make_quiver(["u", "v"], [("a", "u", "v"), ("b", "v", "u"), ("c", "u", "u")])
+from quiverkoszul.quiver import Quiver, enumerate_paths, trivial_path
+q = Quiver(["u", "v"], [("a", "u", "v"), ("b", "v", "u"), ("c", "u", "u")])
 paths = [trivial_path("u"), trivial_path("v")]
 paths += [p for d in (1, 2, 3) for p in enumerate_paths(q, d)]
 mode, name = sys.argv[1:]

@@ -65,7 +65,7 @@ from quiverkoszul.resolution import (
     resolve,
     theorem_covering_check,
 )
-from quiverkoszul.serialization import serialize_presentation
+from quiverkoszul.serialization import canonical_json, presentation_to_document
 from random_inputs import GROUPS, random_graded_presentation, random_presentation
 from yoneda import ExtElement, YonedaAlgebra, expanded
 
@@ -1156,7 +1156,7 @@ def test_orbit_counterexample_one_way_ideal_check(order, capsys, tmp_path):
     assert report.transported == frozenset()
     assert report.betti == _direct_betti(model, 3)
     doc = tmp_path / "two_loops.json"
-    doc.write_text(serialize_presentation(p))
+    doc.write_text(canonical_json(presentation_to_document(p)))
     assert main(["analyze", str(doc)]) == 0
     sizes = json.loads(capsys.readouterr().out)["timing"]["sizes"]
     assert (sizes["simples_resolved"], sizes["simples_transported"]) == (2, 0)

@@ -12,12 +12,9 @@ from quiverkoszul.serialization import (
     ParsedDocument,
     build_group,
     canonical_json,
-    group_spec_to_text,
     parse_document,
     parse_group_spec,
-    parse_presentation,
     presentation_to_document,
-    serialize_presentation,
 )
 
 MINIMAL = {
@@ -34,7 +31,7 @@ def doc_text(**overrides):
 
 
 def test_minimal_document_parses():
-    p = parse_presentation(doc_text())
+    p = parse_document(doc_text()).presentation
     assert len(p.quiver.vertices) == 1
     assert len(p.quiver.arrows) == 1
     assert len(p.relations) == 1
@@ -43,30 +40,30 @@ def test_minimal_document_parses():
 
 def test_exterior_document_round_trip():
     p = exterior(2)
-    text = serialize_presentation(p)
-    again = parse_presentation(text)
+    text = canonical_json(presentation_to_document(p))
+    again = parse_document(text).presentation
     assert again.canonical_key() == p.canonical_key()
-    assert serialize_presentation(again) == text
+    assert canonical_json(presentation_to_document(again)) == text
 
 
 @pytest.mark.parametrize("name,p", corpus_instances())
 def test_round_trip_identity_on_corpus(name, p):
-    text = serialize_presentation(p)
-    again = parse_presentation(text)
+    text = canonical_json(presentation_to_document(p))
+    again = parse_document(text).presentation
     assert again.canonical_key() == p.canonical_key(), name
-    assert serialize_presentation(again) == text, name
+    assert canonical_json(presentation_to_document(again)) == text, name
 
 
 def test_cubic_relation_accepted():
-    p = parse_presentation(doc_text(
+    p = parse_document(doc_text(
         relations=[[{"coef": "1", "path": ["x", "x", "x"]}]]
-    ))
+    )).presentation
     assert p.relations[0].length == 3
 
 
 def test_coefficient_one_over_zero_rejected():
     with pytest.raises(DocumentError) as exc:
-        parse_presentation(doc_text(
+        parse_document(doc_text(
             relations=[[{"coef": "1/0", "path": ["x", "x"]}]]
         ))
     assert "coef" in str(exc.value)
@@ -74,14 +71,14 @@ def test_coefficient_one_over_zero_rejected():
 
 def test_bad_coefficient_string_rejected():
     with pytest.raises(DocumentError):
-        parse_presentation(doc_text(
+        parse_document(doc_text(
             relations=[[{"coef": "one half", "path": ["x", "x"]}]]
         ))
 
 
 def test_unknown_arrow_in_path_rejected():
     with pytest.raises(DocumentError) as exc:
-        parse_presentation(doc_text(
+        parse_document(doc_text(
             relations=[[{"coef": "1", "path": ["x", "y"]}]]
         ))
     assert "path" in str(exc.value)
@@ -90,33 +87,40 @@ def test_unknown_arrow_in_path_rejected():
 def test_missing_format_rejected():
     doc = {k: v for k, v in MINIMAL.items() if k != "format"}
     with pytest.raises(DocumentError):
-        parse_presentation(json.dumps(doc))
+        parse_document(json.dumps(doc))
 
 
 def test_unsupported_format_rejected():
     with pytest.raises(DocumentError):
-        parse_presentation(doc_text(format=2))
+        parse_document(doc_text(format=2))
+
+
+@pytest.mark.parametrize("fmt", [True, 1.0, "1"], ids=repr)
+def test_format_must_be_the_int_one(fmt):
+    # True and 1.0 compare equal to 1, yet are not the format number
+    with pytest.raises(DocumentError, match="format: expected 1"):
+        parse_document(doc_text(format=fmt))
 
 
 def test_malformed_json_rejected():
     with pytest.raises(DocumentError):
-        parse_presentation("{not json")
+        parse_document("{not json")
 
 
 def test_duplicate_paths_accumulate():
-    p = parse_presentation(doc_text(
+    p = parse_document(doc_text(
         relations=[[
             {"coef": "1/2", "path": ["x", "x"]},
             {"coef": "1/2", "path": ["x", "x"]},
         ]]
-    ))
+    )).presentation
     ((path, coef),) = p.relations[0].items()
     assert str(coef) == "1"
 
 
 def test_terms_cancelling_to_zero_rejected():
     with pytest.raises(DocumentError):
-        parse_presentation(doc_text(
+        parse_document(doc_text(
             relations=[[
                 {"coef": "1", "path": ["x", "x"]},
                 {"coef": "-1", "path": ["x", "x"]},
@@ -138,24 +142,26 @@ def test_mixed_endpoint_relation_rejected():
         ]],
     }
     with pytest.raises(DocumentError):
-        parse_presentation(json.dumps(doc))
+        parse_document(json.dumps(doc))
 
 
 def test_grading_round_trip():
     p = exterior(2)
     spec = ("cyclic", 2)
     weights = {"a1": "1", "a2": "1"}
-    text = serialize_presentation(p, spec, weights)
+    text = canonical_json(presentation_to_document(p, spec, weights))
     doc = parse_document(text)
     assert doc.group_spec == spec
     assert doc.weights == weights
     assert doc.group().order == 2
     # and the grading survives re-serialization byte for byte
-    assert serialize_presentation(doc.presentation, doc.group_spec, doc.weights) == text
+    again = presentation_to_document(doc.presentation, doc.group_spec, doc.weights)
+    assert canonical_json(again) == text
 
 
 def test_parsed_document_keeps_its_group_out_of_equality_and_repr():
-    text = serialize_presentation(exterior(2), ("cyclic", 2), {"a1": "1", "a2": "1"})
+    text = canonical_json(
+        presentation_to_document(exterior(2), ("cyclic", 2), {"a1": "1", "a2": "1"}))
     doc = parse_document(text)
     bare = ParsedDocument(doc.presentation, doc.group_spec, doc.weights)
     assert bare == doc
@@ -170,7 +176,7 @@ def test_parsed_document_keeps_its_group_out_of_equality_and_repr():
 
 def test_grading_weight_totality_enforced():
     p = exterior(2)
-    text = serialize_presentation(p, ("cyclic", 2), {"a1": "1", "a2": "1"})
+    text = canonical_json(presentation_to_document(p, ("cyclic", 2), {"a1": "1", "a2": "1"}))
     doc = json.loads(text)
     del doc["grading"]["weights"]["a2"]
     with pytest.raises(DocumentError):
@@ -179,7 +185,7 @@ def test_grading_weight_totality_enforced():
 
 def test_grading_weight_membership_enforced():
     p = exterior(2)
-    text = serialize_presentation(p, ("cyclic", 2), {"a1": "1", "a2": "1"})
+    text = canonical_json(presentation_to_document(p, ("cyclic", 2), {"a1": "1", "a2": "1"}))
     doc = json.loads(text)
     doc["grading"]["weights"]["a2"] = "5"
     with pytest.raises(DocumentError):
@@ -206,7 +212,7 @@ class TestGroupSpec:
 
     def test_spec_text_round_trip(self):
         for text in ["cyclic:5", "dihedral:4", "product:cyclic:2,dihedral:3"]:
-            assert group_spec_to_text(parse_group_spec(text)) == text
+            assert build_group(parse_group_spec(text)).name == text
 
     @pytest.mark.parametrize(
         "bad",
@@ -235,36 +241,16 @@ class _Dict(dict):
     pass
 
 
-class _ReversedItems(dict):
-    # the stdlib reads a dict through items(), so an override shows
-    def items(self):
-        return reversed(list(super().items()))
-
-
 class _List(list):
     pass
 
 
-class _EveryOther(list):
-    # the stdlib iterates a list, so an override shows
-    def __iter__(self):
-        return iter(list(list.__iter__(self))[::2])
-
-
-class _Hollow(list):
-    # nonempty, yet iterates to nothing
-    def __iter__(self):
-        return iter(())
-
-
 class _Int(int):
-    def __repr__(self):
-        return "not an int"
+    pass
 
 
 class _Float(float):
-    def __repr__(self):
-        return "not a float"
+    pass
 
 
 class _Str(str):
@@ -274,13 +260,11 @@ class _Str(str):
 _TEXTS = ["", "plain", "é", "Ω-ω", "𝔽𝔾", "\U0001f600", "\x00", "\x1f", "\x7f",
           "\n\t\r\b\f", '"', "\\", "\u2028\u2029", "\ud800", "a\"b\\c"]
 _NUMBERS = [0, 1, -1, 2 ** 64, -(3 ** 50), 0.0, -0.0, 0.1, -2.5, 1e300, 1e-300,
-            float("nan"), float("inf"), float("-inf"), True, False, None]
-_KEYS = _TEXTS + [0, -7, 2 ** 70, 1.5, float("nan"), float("-inf"), True, False,
-                  None, _Int(3), _Float(0.25), _Str("k")]
+            True, False, None]
 
 
 def _generated(rng, depth):
-    kind = rng.randrange(10 if depth else 2)
+    kind = rng.randrange(6 if depth else 2)
     if kind == 0:
         return rng.choice(_TEXTS)
     if kind == 1:
@@ -291,13 +275,7 @@ def _generated(rng, depth):
         return items
     if kind == 3:
         return tuple(items)
-    if kind == 4:
-        return rng.choice([_List, _EveryOther, _Hollow])(items)
-    if kind == 5:
-        return rng.choice([_Int(width), _Float(width / 4), _Str("s" * width)])
-    keys = rng.sample(_KEYS, width)
-    build = rng.choice([dict, dict, _Dict, _ReversedItems])
-    return build(zip(keys, items))
+    return dict(zip(rng.sample(_TEXTS, width), items))
 
 
 def _corpus_documents():
@@ -322,11 +300,8 @@ def test_canonical_json_is_the_stdlib_text_on_golden_reports():
 
 @pytest.mark.parametrize("value", [
     {}, [], (), "", {"a": {}, "b": [], "c": (), "d": ""}, [[], [[]], {}],
-    _Dict(), _List(), _Hollow([1, 2]), _EveryOther([1, 2, 3]),
-    _ReversedItems({"a": 1, "b": [2]}), {"x": ((), [()])},
-    _Int(-5), _Float(2.5), _Str("s"), 2 ** 200, -(10 ** 40),
-    float("nan"), float("inf"), float("-inf"), -0.0, True, False, None,
-    {1: "one", True: "t", None: "n", 1.5: "f", float("inf"): "i", "s": "s"},
+    {"x": ((), [()])}, 2 ** 200, -(10 ** 40), -0.0, 0.1, 1e300, True, False,
+    None, {"seconds": 0.012345, "sizes": {"simples": 3}},
 ], ids=repr)
 def test_canonical_json_is_the_stdlib_text_on_edge_values(value):
     assert canonical_json(value) == _stdlib_json(value)
@@ -342,24 +317,23 @@ def test_canonical_json_is_the_stdlib_text_on_generated_values():
 
 
 @pytest.mark.parametrize("value", [
-    {1, 2}, [1, {2}], {"a": frozenset()}, b"bytes", object(), {(1, 2): 3},
-    {"ok": [1, {frozenset(): 2}]},
+    {1, 2}, [1, {2}], {"a": frozenset()}, b"bytes", object(),
+    _Dict(), [_List()], {"a": _Int(1)}, (_Float(0.5),), _Str("s"),
+    {1: "one"}, {"ok": [{None: 2}]}, {True: "t"}, {1.5: "f"}, {_Str("k"): 1},
+    {(1, 2): 3},
 ], ids=repr)
-def test_canonical_json_rejects_what_the_stdlib_rejects(value):
-    with pytest.raises(TypeError) as stdlib:
-        _stdlib_json(value)
-    with pytest.raises(TypeError) as ours:
+def test_canonical_json_rejects_other_types_and_keys(value):
+    with pytest.raises(TypeError):
         canonical_json(value)
-    assert str(ours.value) == str(stdlib.value)
 
 
-def test_canonical_json_rejects_a_container_that_holds_itself():
-    loop = [1]
-    loop.append({"again": loop})
-    with pytest.raises(ValueError, match="Circular reference detected"):
-        _stdlib_json(loop)
-    with pytest.raises(ValueError, match="Circular reference detected"):
-        canonical_json(loop)
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), float("-inf"), [1, float("inf")],
+    {"seconds": float("nan")},
+], ids=repr)
+def test_canonical_json_rejects_a_float_with_no_json_text(value):
+    with pytest.raises(ValueError):
+        canonical_json(value)
 
 
 def test_document_lists_terms_in_path_order():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,56 @@ def test_the_check_sees_an_unused_import():
                      "def f(p: 'Path') -> int:\n    return json.dumps(p)\n")
     used = _used_names(tree)
     assert [n for n in _imported_names(tree) if n not in used] == ["Quiver"]
+
+
+# -- every exported name has a user ---------------------------------------------
+
+REPO = TESTS.parent
+# exported names only tests call, each kept as an oracle for its reason
+TEST_ORACLES = {
+    "double_dual_check": "the double dual restores the relation spans; the"
+                         " dual-of-a-covering comparison (ROADMAP item 5) reuses it",
+    "quadratic_check": "picks the corpus instances that have a quadratic dual",
+    "trivial_action": "the skew group algebra of the trivial group is the base",
+}
+
+
+def _names_read(paths) -> set:
+    """Every name read or imported by the modules at ``paths``."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def _unused(names, used: set, texts) -> list:
+    """The names neither in ``used`` nor a whole word of one of ``texts``."""
+    return [name for name in names
+            if name not in used
+            and not any(re.search(rf"\b{re.escape(name)}\b", t) for t in texts)]
+
+
+def test_every_exported_name_has_a_user():
+    # a src/ module other than __init__.py, README.md or bench/*.py uses it
+    import quiverkoszul
+
+    used = _names_read(p for name, p in MODULES.items() if not name.startswith("tests/"))
+    texts = [(REPO / "README.md").read_text(encoding="utf-8")]
+    texts += [p.read_text(encoding="utf-8") for p in (REPO / "bench").glob("*.py")]
+    unused = _unused(quiverkoszul.__all__, used, texts)
+    assert sorted(unused) == sorted(TEST_ORACLES), (
+        "exported names with no user outside the tests (allowlisted: "
+        f"{sorted(TEST_ORACLES)}): {unused}")
+
+
+def test_the_check_sees_an_unused_name(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from .quiver import Path\ndef f():\n    raise Oops(Path)\n")
+    used = _names_read([module])
+    assert used == {"Path", "Oops"}
+    names = ["Path", "Oops", "compose", "composed", "f"]
+    assert _unused(names, used, ["see `compose`"]) == ["composed", "f"]
