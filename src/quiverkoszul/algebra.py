@@ -410,43 +410,51 @@ class AlgebraModel:
         return {self.words[m]: c for m, c in out.items()}
 
 
-def transport_word_map(model: AlgebraModel, sigma: QuiverAutomorphism) -> dict | None:
-    """σ on the ids of the model's basis words that start where σ is
-    defined, {word id: image word id}, or None unless σ carries the model
-    there onto the model on its image: each nonempty block of ``blocks_from``
-    onto the image block, ids paired by position, each word's arrows through
-    σ onto its image's, and each left table entry NF(a∘b) onto NF(σa∘σb).
+def moved_normal_form(model: AlgebraModel, sigma: QuiverAutomorphism, p: Path) -> dict:
+    """NF(σ(p)) in word ids, for a path p of positive length from σ's domain
+    that is shorter than the vanishing degree and inside the window: p's
+    arrows moved by σ and walked through the tables."""
+    ids = [model.arrow_ids[sigma.arrows[a]] for a in reversed(p.arrows)]
+    return model._walk(ids[1:], {ids[0]: ONE})
 
-    Together these make σ an isomorphism of the truncated models, so it
-    keeps basis order, normal forms and products.  On the order-keeping maps
-    of ``rooted_isomorphism``, pairing block words by position accepted the
-    same maps in every case tried; a map that reorders arrows can pass the
-    tables so paired while sending a basis word off the basis.
-    """
-    vmap, amap, words, blocks = sigma.vertices, sigma.arrows, model.words, model.blocks_from
-    # no block lies past the top degree, and tables start below it
-    top = model.max_degree if model.top_degree() is None else model.top_degree()
-    pairs = {}
+
+def ideal_breaker(model: AlgebraModel, sigma: QuiverAutomorphism):
+    """A relation r from σ's domain with NF(σ(r)) != 0, or None when σ keeps
+    the ideal.  The relations go in the order σ reached their sources, the
+    root's first, and only those no longer than the window and shorter than
+    the vanishing degree are read: a longer one lies past the window, or
+    moves to paths that vanish as every path of its length does."""
+    order = {x: k for k, x in enumerate(sigma.vertices)}
+    for _, _, r in sorted(
+            (k, n, r) for n, r in enumerate(model.presentation.relations)
+            if (k := order.get(r.source)) is not None
+            and r.length <= model.max_degree and not model._vanishes(r.length)):
+        image = {}
+        for p, c in r.items():
+            vec_axpy(image, c, moved_normal_form(model, sigma, p))
+        if image:
+            return r
+    return None
+
+
+def keeps_model(model: AlgebraModel, sigma: QuiverAutomorphism) -> bool:
+    """Whether σ, a quiver isomorphism of the part reached from one vertex
+    onto the part reached from another, carries the model on the first part
+    onto the model on the second: every block (d, u, w) of its domain has
+    the dimension of (d, σu, σw), read from the root outwards, and σ keeps
+    the ideal (``ideal_breaker``).
+
+    σ(I) ⊆ I makes the graded map NF(p) -> NF(σ(p)) of the truncated parts
+    well defined, σ's bijection of paths makes it onto, and equal block
+    dimensions make it bijective, so it keeps normal forms and products."""
+    blocks, vmap = model.blocks_from, sigma.vertices
     for u, image in vmap.items():
-        for d in range(top + 1):
+        for d in range(model.max_degree + 1):
             row, moved = blocks.get((d, u), ()), dict(blocks.get((d, image), ()))
-            if len(row) != len(moved):
-                return None
-            for v, ids in row:
-                found = moved.get(vmap[v], ())
-                if len(found) != len(ids) or any(
-                        tuple(map(amap.__getitem__, words[x].arrows)) != words[y].arrows
-                        for x, y in zip(ids, found)):
-                    return None
-                pairs.update(zip(ids, found))
-    arrow_id = model.arrow_ids
-    for x, y in pairs.items():
-        if model.lengths[x] < top:
-            for a in model.quiver.arrows_by_source[words[x].target]:
-                image = {pairs[w]: c for w, c in model.product(arrow_id[a], x).items()}
-                if model.product(arrow_id[amap[a]], y) != image:
-                    return None
-    return pairs
+            if len(row) != len(moved) or any(
+                    len(moved.get(vmap[w], ())) != len(ids) for w, ids in row):
+                return False
+    return ideal_breaker(model, sigma) is None
 
 
 def _as_terms(x) -> dict:

@@ -218,39 +218,38 @@ class QuiverAutomorphism:
 
 
 def rooted_isomorphism(q: Quiver, u: str, t: str):
-    """The map from the part of q reached from u onto the part reached from
-    t that sends u to t and, at every vertex x, the k-th arrow leaving x to
-    the k-th arrow leaving its image; None when no such bijection exists.
+    """A map from the part of q reached from u onto the part reached from t
+    that sends u to t, or None when one forced propagation, without
+    backtracking, finds none.
 
-    Such a map keeps the index order of the arrows leaving each vertex, so
-    it keeps the lexicographic order of paths from a common source.  Its
-    vertex image is closed under out-arrows, hence all of the part reached
-    from t, so it is a bijection exactly when no two vertices share an image.
+    At a vertex x with image y, the arrows leaving x go in order onto those
+    leaving y: an arrow into a vertex that has an image goes to the next
+    arrow into that image, so parallel arrows pair by index, and any other
+    arrow goes to the next arrow whose target is no vertex's image yet,
+    which becomes its target's image.  The map may reorder the arrows
+    leaving a vertex, as a leaf swap of a star does.  Its vertex map is
+    injective and forces the arrow map; every arrow leaving an image is
+    used, so the image is the whole part reached from t.
     """
-    vmap, amap = _propagate(q, u, t)
-    if vmap is None or len(set(vmap.values())) != len(vmap):
-        return None
-    return QuiverAutomorphism(vmap, amap)
-
-
-def _propagate(q: Quiver, start: str, t: str):
-    """The vertex and arrow maps forced by start -> t along out-arrows by
-    index, over the vertices reached from start; (None, None) on a clash."""
-    vmap, amap = {start: t}, {}
-    pending = [start]
+    vmap, amap, images, pending = {u: t}, {}, {t}, [u]
     while pending:
         x = pending.pop()
-        outs, images = q.arrows_by_source[x], q.arrows_by_source[vmap[x]]
-        if len(outs) != len(images):
-            return None, None
-        for a, b in zip(outs, images):
+        outs, free = q.arrows_by_source[x], list(q.arrows_by_source[vmap[x]])
+        if len(outs) != len(free):
+            return None
+        for a in outs:
+            z = vmap.get(a.target)
+            b = next((b for b in free if (b.target not in images if z is None
+                                          else b.target == z)), None)
+            if b is None:
+                return None
+            free.remove(b)
             amap[a] = b
-            if a.target not in vmap:
+            if z is None:
                 vmap[a.target] = b.target
+                images.add(b.target)
                 pending.append(a.target)
-            elif vmap[a.target] != b.target:
-                return None, None
-    return vmap, amap
+    return QuiverAutomorphism(vmap, amap)
 
 
 def _first_duplicate(items):

@@ -28,11 +28,12 @@ holds the model, so the checks downstream read model and window from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, groupby, repeat
 
-from .algebra import AlgebraModel, InternalError, hilbert_matrix, transport_word_map
+from .algebra import AlgebraModel, InternalError, hilbert_matrix, keeps_model, moved_normal_form
 from .covering import build_covering
-from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO
+from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO, vec_axpy
 from .quiver import QuiverAutomorphism, rooted_isomorphism
 
 KOSZUL_TO_BOUND = "koszul-to-bound"
@@ -302,34 +303,38 @@ class SimpleResolution:
             )
         return kernel
 
-    def relabelled(self, sigma, words: dict) -> "SimpleResolution":
-        """The resolution of sigma(vertex) read off this one: generator
-        vertices and differential words moved by sigma, with ``words`` its
-        ``transport_word_map``, word id to image word id.  sigma is an
-        isomorphism of the parts of the algebra reached from vertex and from
-        its image, all either resolution reads, so the image is minimal too."""
-        W = len(self.model.words)
-        # coordinate k·W + b moves by words[b] - b
-        shift = {b: m - b for b, m in words.items()}
+    def relabelled(self, sigma) -> "SimpleResolution":
+        """The resolution of sigma(vertex) read off this one, with the
+        generators' vertices moved by sigma, a map that ``keeps_model``
+        accepts.  sigma is an isomorphism of the parts of the algebra reached
+        from vertex and from its image, all either resolution reads, so the
+        image is minimal too.  Its differentials are built when first read."""
         out = object.__new__(SimpleResolution)
-        out.model = self.model
+        out.model, out.resolved_from = self.model, self.resolved_from
         out.vertex = sigma.vertices[self.vertex]
-        out.resolved_from = self.resolved_from
-        out.gens = []
-        for step in self.gens:
-            moved = []
-            for g, run in groupby(step):
-                image = Generator(sigma.vertices[g.vertex], g.degree)
-                moved += [image] * len(list(run))
-            out.gens.append(moved)
-        out.diffs = [
-            [entry + shift[entry % W] if type(entry) is int
-             else {key + shift[key % W]: c for key, c in entry.items()}
-             for entry in step]
-            for step in self.diffs
-        ]
+        out.gens = [list(chain.from_iterable(
+            [Generator(sigma.vertices[g.vertex], g.degree)] * len(list(run))
+            for g, run in groupby(step))) for step in self.gens]
         out.kernels_computed = out.kernels_skipped = 0
+        out._moved_by = (self, sigma)
         return out
+
+    @cached_property
+    def diffs(self) -> list:
+        """A relabelled copy's differentials: its source's, each coordinate
+        k·W + b replaced by k·W + NF(σ(words[b])), which may be a combination;
+        an int entry stays an int where its image is one word."""
+        (source, sigma), model, W = self._moved_by, self.model, len(self.model.words)
+
+        def move(entry):
+            vec = {}
+            for key, c in ((entry, ONE),) if type(entry) is int else entry.items():
+                k, b = divmod(key, W)
+                moved = moved_normal_form(model, sigma, model.words[b])
+                vec_axpy(vec, c, {k * W + m: cm for m, cm in moved.items()})
+            unit = type(entry) is int and len(vec) == 1 and ONE in vec.values()
+            return next(iter(vec)) if unit else vec
+        return [[move(entry) for entry in step] for step in source.diffs]
 
 
 @dataclass(frozen=True)
@@ -403,48 +408,56 @@ def resolve(model: AlgebraModel, i_max: int) -> ResolutionReport:
     Resolving S_v reads only the part of the algebra on the vertices reached
     from v.  After resolving S_v, each unresolved simple S_t whose part is
     isomorphic to v's gets v's resolution relabelled instead: the
-    ``rooted_isomorphism`` from v to t must carry the model on v's part onto
-    the model on t's (``transport_word_map``).  A covering's deck group
-    moves simples this way, even when the covering falls apart into pieces.
-    Each map is checked once, keyed by its vertex map (it forces the arrows).
+    ``rooted_isomorphism`` from v to t, which may reorder arrows, must carry
+    the model on v's part onto the model on t's (``keeps_model``).  A
+    covering's deck group moves simples this way, even when the covering
+    falls apart into pieces, and so do the leaf swaps of a star.  Each map
+    is checked once, keyed by its vertex map (it forces the arrows).
+
+    A vertex t is not searched when its blocks per degree have other
+    dimensions than v's, which ``keeps_model`` would refuse, or when an
+    accepted map sends a refused vertex s to it.  The search commutes with
+    a map that keeps the order of the arrows leaving each vertex, as a deck
+    map does, so its map onto t is then the accepted map after the refused
+    one.  A skip costs at most a transport, never an answer.
 
     The accepted maps from v are closed under composition, with no further
     search or check.  The composite τ∘ρ of two of them is defined when ρ(v)
-    lies in τ's domain; its vertex and arrow maps are τ's after ρ's, and its
-    word map is τ's after ρ's.  The part reached from ρ(v) is closed under
-    out-arrows, so τ restricted to it is still a model isomorphism, and the
-    composite keeps the order of the arrows leaving each vertex and is
-    injective: it is the rooted map from v to τρ(v), and its word map is
-    what ``transport_word_map`` would return.  On a covering, a deck map
-    within v's piece and one onto each other piece serve every sheet.
+    lies in τ's domain; its vertex and arrow maps are τ's after ρ's.  The
+    part reached from ρ(v) is closed under out-arrows, so τ still keeps the
+    ideal and the block dimensions there, and so does the composite.  On a
+    covering, a deck map within v's piece and one onto each other piece
+    serve every sheet.
     """
-    q = model.quiver
+    q, blocks = model.quiver, model.blocks_from
     simples, transported, verdicts = {}, set(), {}
+    # the sorted block dimensions from each vertex, per degree
+    shape = {x: [sorted(len(ids) for _, ids in blocks.get((d, x), ()))
+                 for d in range(model.max_degree + 1)] for x in q.vertices}
     for v in q.vertices:
         if v in simples:
             continue
         res = simples[v] = SimpleResolution(model, v, i_max)
-        # the accepted maps from v, each with its word map
-        accepted = []
+        accepted, refused = [], []
         for t in q.vertices:
-            if t in simples:
+            if t in simples or shape[t] != shape[v] or any(
+                    tau.vertices.get(s) == t for tau in accepted for s in refused):
                 continue
             sigma = rooted_isomorphism(q, v, t)
-            if sigma is None:
+            key = None if sigma is None else frozenset(sigma.vertices.items())
+            if key is not None and key not in verdicts:
+                verdicts[key] = keeps_model(model, sigma)
+            if not verdicts.get(key):
+                refused.append(t)
                 continue
-            key = frozenset(sigma.vertices.items())
-            if key not in verdicts:
-                verdicts[key] = transport_word_map(model, sigma)
-            if verdicts[key] is None:
-                continue
-            simples[t] = res.relabelled(sigma, verdicts[key])
+            simples[t] = res.relabelled(sigma)
             transported.add(t)
-            pending = [(sigma, verdicts[key])]
+            pending = [sigma]
             while pending:
                 new = pending.pop()
                 accepted.append(new)
                 for old in accepted:
-                    for (tau, tau_words), (rho, rho_words) in ((new, old), (old, new)):
+                    for tau, rho in ((new, old), (old, new)):
                         u = tau.vertices.get(rho.vertices[v])
                         if u is None or u in simples:
                             continue
@@ -452,10 +465,9 @@ def resolve(model: AlgebraModel, i_max: int) -> ResolutionReport:
                             {x: tau.vertices[y] for x, y in rho.vertices.items()},
                             {a: tau.arrows[b] for a, b in rho.arrows.items()},
                         )
-                        words = {x: tau_words[y] for x, y in rho_words.items()}
-                        simples[u] = res.relabelled(composite, words)
+                        simples[u] = res.relabelled(composite)
                         transported.add(u)
-                        pending.append((composite, words))
+                        pending.append(composite)
     return ResolutionReport(
         model, i_max, {v: simples[v] for v in q.vertices}, transported,
     )
@@ -517,7 +529,9 @@ def _arrow_ranks(res: SimpleResolution, i_max: int) -> list:
     an arrow, the arrow part has a 1 there, and these parts are in echelon
     form by it, hence independent; elsewhere every coordinate has length at
     least 2 and the arrow part is 0.  Blocks have disjoint arrow
-    coordinates, so the step's rank is the sum of the blocks' counts.
+    coordinates, so the step's rank is the sum of the blocks' counts.  A
+    transported copy's rank is its source's, because σ sends arrows to
+    arrows, so only resolved simples are ranked.
     """
     lengths, W = res.model.lengths, len(res.model.words)
     return [
@@ -543,8 +557,8 @@ def generation_check(ext: ExtAlgebra) -> GenerationReport:
     With all simples resolved side by side, their columns sit at disjoint
     offsets, so that rank is the sum of one rank per simple, with no lift.
     Each resolved simple is ranked once: a transported simple's columns are
-    its source's with words relabelled by a length-preserving bijection, so
-    its ranks are the source's.
+    its source's moved by σ, which sends arrows to arrows and longer words
+    to combinations of longer words, so its ranks are the source's.
     """
     report = ext.report
     per_simple = report.per_simple

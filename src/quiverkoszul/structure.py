@@ -15,7 +15,7 @@ wherever they can.
 
 from __future__ import annotations
 
-from .algebra import AlgebraModel, InternalError
+from .algebra import AlgebraModel, InternalError, ideal_breaker
 from .covering import homogeneous_weights, path_weight, split_sheet
 from .groups import FiniteGroup, GroupAction
 from .linalg import ONE, ZERO, as_scalar, kernel_basis_sparse, vec_axpy
@@ -159,11 +159,8 @@ def skew_group_algebra(m: AlgebraModel, action: GroupAction) -> StructureConstan
             )
     sigmas = [action.automorphism(q, g) for g in group.elements]
     for g, sigma in zip(group.elements, sigmas):
-        for r in m.presentation.relations:
-            if m.normal_form({sigma.apply(p): c for p, c in r.items()}):
-                raise ValueError(
-                    f"action of {g!r} does not preserve the ideal (relation {r})"
-                )
+        if (r := ideal_breaker(m, sigma)) is not None:
+            raise ValueError(f"action of {g!r} does not preserve the ideal (relation {r})")
     base = algebra_to_structure_constants(m)
     n = group.order
     # (g, v) -> [(j, g(b_j))] in basis order, for each nonzero g(b_j) with a

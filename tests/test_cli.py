@@ -151,6 +151,24 @@ def test_orbit_transport_reaches_coverings_that_fall_apart(capsys, tmp_path,
         "kernels_computed": 8, "kernels_skipped": 28}
 
 
+@pytest.mark.parametrize("n, want", [(4, (2, 3, 39, 66)), (6, (2, 5, 55, 92))])
+def test_orbit_transport_moves_the_leaves_of_a_star(capsys, tmp_path, n, want):
+    # the leaf swaps keep the ideal, so the centre and one leaf are
+    # resolved and the other leaves relabelled; resolving every vertex
+    # computes 96 and 190 kernels (tests/test_resolution.py pins the first)
+    doc = tmp_path / "ted.json"
+    assert main(["corpus", "build", "trivial_extension_dual", f"star:{n}",
+                 "--out", str(doc)]) == 0
+    capsys.readouterr()
+    rc, report = run_json(capsys, ["analyze", str(doc), "--max-degree", "8",
+                                   "--max-homological", "8"])
+    assert (rc, report["canonical"]["verdict"]["status"]) == (0, "koszul-to-bound")
+    assert report["canonical"]["generation"]["passed"] is True
+    sizes = report["timing"]["sizes"]
+    assert (sizes["simples_resolved"], sizes["simples_transported"],
+            sizes["kernels_computed"], sizes["kernels_skipped"]) == want
+
+
 def test_analyze_json_flag_writes_file(tmp_path, capsys, ext2_file):
     out = tmp_path / "report.json"
     rc = main(["analyze", ext2_file, "--max-degree", "4",

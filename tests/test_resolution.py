@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import warnings
 from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
@@ -14,7 +15,9 @@ from quiverkoszul.algebra import (
     AlgebraModel,
     InternalError,
     Presentation,
-    transport_word_map,
+    ideal_breaker,
+    keeps_model,
+    moved_normal_form,
 )
 from quiverkoszul.cli import main
 from quiverkoszul.corpus import (
@@ -834,18 +837,23 @@ def _bundle_image(ext, step, vec):
     return out
 
 
+def _assert_squares_to_zero(model, res):
+    W = len(model.words)
+    diffs = [[expanded(e) for e in step] for step in res.diffs]
+    for i in range(2, len(diffs)):
+        for entry in diffs[i]:
+            dd = {}
+            for key, c in entry.items():
+                l, b = divmod(key, W)
+                for lm, cm in _diff_image(model, diffs[i - 1][l], b).items():
+                    dd[lm] = dd.get(lm, ZERO) + c * cm
+            assert not any(dd.values())
+
+
 def _assert_transported_square_to_zero(report):
-    W = len(report.model.words)
+    # reading a transported copy's diffs builds them
     for u in report.transported:
-        diffs = [[expanded(e) for e in step] for step in report.per_simple[u].diffs]
-        for i in range(2, report.i_max + 1):
-            for entry in diffs[i]:
-                dd = {}
-                for key, c in entry.items():
-                    l, b = divmod(key, W)
-                    for lm, cm in _diff_image(report.model, diffs[i - 1][l], b).items():
-                        dd[lm] = dd.get(lm, ZERO) + c * cm
-                assert not any(dd.values())
+        _assert_squares_to_zero(report.model, report.per_simple[u])
 
 
 @pytest.mark.parametrize("name", sorted(_orbit_covers()))
@@ -1010,7 +1018,7 @@ def test_orbit_rooted_isomorphisms_restrict_every_deck_map(name):
             assert sigma.vertices == {x: deck.vertices[x] for x in reached}
             assert sigma.arrows == {
                 a: b for a, b in deck.arrows.items() if a.source in reached}
-            assert transport_word_map(model, sigma) is not None
+            assert keeps_model(model, sigma)
 
 
 def _forced_arrow_map(q, vmap):
@@ -1072,14 +1080,36 @@ def _random_covering_quiver(seed):
     return Quiver(vertices, arrows)
 
 
+def _is_rooted_isomorphism(q, sigma, u, t):
+    """Whether σ sends u to t and the part reached from u, its vertices and
+    the arrows leaving them, bijectively onto the part reached from t,
+    keeping incidence."""
+    domain, image = _reached(q, u), _reached(q, t)
+    return (sigma.vertices.get(u) == t and set(sigma.vertices) == domain
+            and sorted(sigma.vertices.values()) == sorted(image)
+            and set(sigma.arrows) == {a for a in q.arrows if a.source in domain}
+            and len(set(sigma.arrows.values())) == len(sigma.arrows)
+            and set(sigma.arrows.values()) == {
+                a for a in q.arrows if a.source in image}
+            and all((b.source, b.target) == (sigma.vertices[a.source], sigma.vertices[a.target])
+                    for a, b in sigma.arrows.items()))
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_orbit_rooted_isomorphism_matches_brute_force_on_random_quivers(seed):
+    # every map the search finds is an isomorphism of the reached parts, and
+    # where the map that keeps the order of the arrows leaving each vertex
+    # exists, the search finds that one
     q = _random_covering_quiver(seed)
     for u in q.vertices:
         for t in q.vertices:
             sigma = rooted_isomorphism(q, u, t)
-            got = [] if sigma is None else [(sigma.vertices, sigma.arrows)]
-            assert got == _rooted_by_brute_force(q, u, t)
+            order_keeping = _rooted_by_brute_force(q, u, t)
+            if sigma is None:
+                assert order_keeping == []
+            else:
+                assert _is_rooted_isomorphism(q, sigma, u, t)
+                assert order_keeping in ([], [(sigma.vertices, sigma.arrows)])
     # every whole-quiver automorphism is still found, piece by piece
     for vmap, amap in _automorphisms_by_brute_force(q):
         for u in q.vertices:
@@ -1097,18 +1127,37 @@ def _leaf_swap(q):
     return QuiverAutomorphism(vertices, arrows)
 
 
-def test_orbit_leaf_swap_reorders_the_centre_and_is_rejected():
+def test_orbit_leaf_swap_reorders_the_centre_and_is_transported():
     p = preprojective(parse_quiver_spec("star:4"))
     q = p.quiver
     swap = _leaf_swap(q)
-    # a quiver automorphism that keeps the ideal, but a1*, a2* leave the
-    # centre in the other order, so lex order and the basis are not kept
+    # a quiver automorphism that keeps the ideal, though a1*, a2* leave the
+    # centre in the other order: from l1, the centre's arrow into l1 goes to
+    # the arrow into l2, and the other arrows pair by index
     model = AlgebraModel(p, 4)
-    assert transport_word_map(model, swap) is None
-    # the rooted map from l1 sends the centre's arrows to themselves, which
-    # sends l1 to both l2 and l1
-    assert rooted_isomorphism(q, "l1", "l2") is None
-    assert resolve(model, 3).transported == frozenset()
+    sigma = rooted_isomorphism(q, "l1", "l2")
+    assert (sigma.vertices, sigma.arrows) == (swap.vertices, swap.arrows)
+    assert keeps_model(model, swap)
+    report = resolve(model, 3)
+    assert report.transported == {"l2", "l3", "l4"}
+    assert report.betti == _direct_betti(model, 3)
+    _assert_transported_square_to_zero(report)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("build", [preprojective, trivial_extension_dual],
+                         ids=["preprojective", "trivial_extension_dual"])
+def test_orbit_leaves_of_symmetric_trees_are_transported(build, n):
+    # star:2 and star:3 are Dynkin, where trivial_extension_dual warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = AlgebraModel(build(parse_quiver_spec(f"star:{n}")), 6)
+    report = resolve(model, 6)
+    leaves = [v for v in model.quiver.vertices if v != "c"]
+    assert len(leaves) == n
+    assert set(leaves[1:]) <= report.transported
+    assert report.betti == _direct_betti(model, 6)
+    _assert_transported_square_to_zero(report)
 
 
 def _ideal_breaking_cycle():
@@ -1127,8 +1176,9 @@ def test_orbit_swap_that_breaks_the_ideal_is_rejected():
     assert identity.vertices == {"1": "1", "2": "2"}
     assert swap.vertices == {"1": "2", "2": "1"}
     model = AlgebraModel(p, 4)
-    assert transport_word_map(model, identity) is not None
-    assert transport_word_map(model, swap) is None
+    assert keeps_model(model, identity)
+    assert ideal_breaker(model, swap) is p.relations[0]
+    assert not keeps_model(model, swap)
     report = resolve(model, 3)
     assert report.transported == frozenset()
     assert report.betti == _direct_betti(model, 3)
@@ -1150,8 +1200,9 @@ def test_orbit_counterexample_one_way_ideal_check(order, capsys, tmp_path):
     q = p.quiver
     model = AlgebraModel(p, 4)
     forward = rooted_isomorphism(q, "1", "2")
-    assert transport_word_map(model, forward) is None
-    assert transport_word_map(model, rooted_isomorphism(q, "2", "1")) is None
+    assert ideal_breaker(model, forward) is None
+    assert not keeps_model(model, forward)
+    assert not keeps_model(model, rooted_isomorphism(q, "2", "1"))
     report = resolve(model, 3)
     assert report.transported == frozenset()
     assert report.betti == _direct_betti(model, 3)
@@ -1172,7 +1223,7 @@ def _equal_tips():
 
 def test_orbit_equal_tips_with_different_normal_forms_are_not_transported():
     # the map 1 -> 2 sends every basis block word for word onto its image,
-    # but NF(a∘a) = b∘b goes to d∘d while NF(c∘c) = -2·d∘d
+    # but a∘a - b∘b goes to c∘c - d∘d = -3·d∘d, which is not in the ideal
     p = _equal_tips()
     q = p.quiver
     model = AlgebraModel(p, 4)
@@ -1180,7 +1231,8 @@ def test_orbit_equal_tips_with_different_normal_forms_are_not_transported():
     for d in range(5):
         assert ([sigma.apply(b) for b in model.basis_paths(d, "1", "1")]
                 == model.basis_paths(d, "2", "2"))
-    assert transport_word_map(model, sigma) is None
+    assert ideal_breaker(model, sigma) is p.relations[0]
+    assert not keeps_model(model, sigma)
     report = resolve(model, 3)
     assert report.transported == frozenset()
     assert report.betti == _direct_betti(model, 3)
@@ -1205,10 +1257,10 @@ def _squares_swapped(q):
          for a, b in {"a1": "d1", "a2": "d2", "b1": "c1", "b2": "c2"}.items()})
 
 
-def test_orbit_word_check_refuses_a_map_that_sends_a_basis_word_off_the_basis():
-    # σ: 1, 2, 3, 4 -> 5, 7, 6, 8 with a -> d and b -> c keeps the ideal, and
-    # the left tables match once each block's words are paired by position;
-    # but the basis word b2∘b1 goes to c2∘c1, whose normal form is d2∘d1
+def test_orbit_certificate_accepts_a_map_that_sends_a_basis_word_off_the_basis():
+    # σ: 1, 2, 3, 4 -> 5, 7, 6, 8 with a -> d and b -> c keeps the ideal and
+    # the block dimensions, though it sends the basis word b2∘b1 to c2∘c1,
+    # whose normal form is d2∘d1; S(1)'s resolution moved by σ is exact
     p = _two_commutative_squares()
     q = p.quiver
     model = AlgebraModel(p, 4)
@@ -1217,26 +1269,63 @@ def test_orbit_word_check_refuses_a_map_that_sends_a_basis_word_off_the_basis():
     assert model.basis_paths(2, "5", "8") == [path(["d1", "d2"])]
     sigma = _squares_swapped(q)
     assert sigma.apply(path(["b1", "b2"])) == path(["c1", "c2"])
-    assert transport_word_map(model, sigma) is None
-    # the order-compatible map sends a to c and b to d, so basis words to
-    # basis words, and S(5) is transported
+    assert model.normal_form(path(["c1", "c2"])) == {path(["d1", "d2"]): 1}
+    assert keeps_model(model, sigma)
+    swapped = SimpleResolution(model, "1", 3).relabelled(sigma)
+    direct = SimpleResolution(model, "5", 3)
+    assert ([sorted((g.degree, g.vertex) for g in step) for step in swapped.gens]
+            == [sorted((g.degree, g.vertex) for g in step) for step in direct.gens])
+    _assert_squares_to_zero(model, swapped)
+    # the search's map sends a to c and b to d, and S(5) is transported
     rooted = rooted_isomorphism(q, "1", "5")
     assert {a.label: b.label for a, b in rooted.arrows.items()} == {
         "a1": "c1", "a2": "c2", "b1": "d1", "b2": "d2"}
-    assert transport_word_map(model, rooted) is not None
+    assert keeps_model(model, rooted)
     report = resolve(model, 3)
     assert "5" in report.transported
     assert report.betti == _direct_betti(model, 3)
 
 
-def _with_copy(p, rng=None):
+def _swapped_cubics():
+    """Loops a, b at 1 with a∘a∘b + b∘a∘a - b∘b∘a and its image under the
+    swap of a and b, and that swap."""
+    q = Quiver(["1"], [("a", "1", "1"), ("b", "1", "1")])
+    path = q.path
+    p = Presentation(q, [
+        {path(["b", "a", "a"]): 1, path(["a", "a", "b"]): 1, path(["a", "b", "b"]): -1},
+        {path(["a", "b", "b"]): 1, path(["b", "b", "a"]): 1, path(["b", "a", "a"]): -1}])
+    a, b = q.arrows
+    return p, QuiverAutomorphism({"1": "1"}, {a: b, b: a})
+
+
+def test_orbit_relabelled_differentials_sum_combinations():
+    # the swap keeps the ideal and fixes the vertex, so S(1)'s resolution
+    # moved by it is a second minimal resolution of S(1); it sends some
+    # coordinate words to words whose normal form has several terms, which
+    # the differentials built on first read sum
+    p, swap = _swapped_cubics()
+    model = AlgebraModel(p, 6)
+    assert keeps_model(model, swap)
+    res = SimpleResolution(model, "1", 5)
+    moved = res.relabelled(swap)
+    assert moved.gens == res.gens
+    W = len(model.words)
+    assert any(len(moved_normal_form(model, swap, model.words[key % W])) > 1
+               for step in res.diffs for entry in step
+               for key in ([entry] if type(entry) is int else entry))
+    _assert_squares_to_zero(model, moved)
+
+
+def _with_copy(p, rng=None, reverse=False):
     """p side by side with a copy whose labels end in a prime; given rng,
-    one relation of the copy is dropped or has a coefficient changed."""
+    one relation of the copy is dropped or has a coefficient changed, and
+    given reverse, the copy lists its arrows in reverse order."""
     q = p.quiver
+    copy = [(a.label + "'", a.source + "'", a.target + "'") for a in q.arrows]
     union = Quiver(
         list(q.vertices) + [v + "'" for v in q.vertices],
         [(a.label, a.source, a.target) for a in q.arrows]
-        + [(a.label + "'", a.source + "'", a.target + "'") for a in q.arrows],
+        + (copy[::-1] if reverse else copy),
     )
     copied = [
         {union.path([x + "'" for x in path.labels_first_applied()]): c
@@ -1262,6 +1351,11 @@ def test_orbit_copies_transport_and_perturbed_copies_resolve_alike(seed):
     assert {v + "'" for v in p.quiver.vertices} <= report.transported
     assert report.betti == _direct_betti(model, 3)
     model = AlgebraModel(_with_copy(p, rng), 4)
+    report = resolve(model, 3)
+    assert report.betti == _direct_betti(model, 3)
+    _assert_transported_square_to_zero(report)
+    # a copy that reorders the arrows, whatever the search transports
+    model = AlgebraModel(_with_copy(p, reverse=True), 4)
     report = resolve(model, 3)
     assert report.betti == _direct_betti(model, 3)
     _assert_transported_square_to_zero(report)
@@ -1437,10 +1531,13 @@ def test_one_loop_solves_a_kernel_only_where_a_generator_can_sit():
     (trivial_extension_dual(parse_quiver_spec("star:4")), 8, 8, (96, 159)),
 ], ids=["loops:2", "trivial_extension_dual(star:4)"])
 def test_one_loop_kernel_counters_are_pinned(p, d_max, i_max, want):
-    # timing.sizes reports these; adding a block's generators as one batch
-    # must not move them
-    sizes = resolution_sizes(resolve(AlgebraModel(p, d_max), i_max))
-    assert (sizes["kernels_computed"], sizes["kernels_skipped"]) == want
+    # summed over every vertex's resolution, so that transport does not move
+    # them; adding a block's generators as one batch must not move them
+    # either (tests/test_cli.py pins what resolve reports)
+    model = AlgebraModel(p, d_max)
+    resolutions = [SimpleResolution(model, v, i_max) for v in model.quiver.vertices]
+    assert (sum(res.kernels_computed for res in resolutions),
+            sum(res.kernels_skipped for res in resolutions)) == want
 
 
 def _counting_products(monkeypatch):
@@ -1772,69 +1869,57 @@ def test_unit_entries_exactly_where_blocks_vanish_on_the_corpus(presentation, mo
 
 
 @pytest.mark.parametrize("name", ["loops2-Z3-all-ones"] + sorted(_orbit_covers()))
-def test_unit_entries_of_a_transported_copy_shift_by_the_word_map(name):
-    # relabelled moves an int entry by one shift and keeps it an int
+def test_unit_entries_of_a_transported_copy_move_by_the_word_images(name):
+    # a relabelled copy's int entry k·W + b moves to k·W + NF(σ(words[b])),
+    # which a deck map keeps one word with coefficient 1, so an int
     p, d_max, i_max = {**_units_cases(), **_orbit_covers()}[name]
     model = AlgebraModel(p, d_max)
     report = resolve(model, i_max)
     W = len(model.words)
     moved = 0
     for t in report.transported:
-        v = report.per_simple[t].resolved_from
-        words = transport_word_map(model, rooted_isomorphism(model.quiver, v, t))
-        for step, copied in zip(report.per_simple[v].diffs, report.per_simple[t].diffs):
+        copy = report.per_simple[t]
+        source, sigma = copy._moved_by
+        assert source is report.per_simple[copy.resolved_from]
+        for step, copied in zip(source.diffs, copy.diffs):
             for entry, image in zip(step, copied):
                 if type(entry) is int:
                     k, b = divmod(entry, W)
-                    assert image == k * W + words[b]
+                    [(m, c)] = moved_normal_form(model, sigma, model.words[b]).items()
+                    assert (c, image) == (1, k * W + m)
                     moved += 1
                 else:
                     assert type(image) is dict
     assert moved
 
 
-# -- the transport check in word ids against the path-level check ------------
+# -- the transport certificate in word ids against a path-level check ---------
 
 
-def _transport_by_paths(model, sigma):
-    """The path-level transport check: σ on basis paths block by block,
-    every block joined by a path read through ``basis_paths``, and the left
-    tables; the word map on paths, or None."""
-    words = {}
+def _keeps_model_by_paths(model, sigma):
+    """The path-level certificate: σ moves each path p of its domain inside
+    the window to a path whose normal form is NF(σ(NF(p))), with σ applied
+    to NF(p) term by term, so σ is well defined on the truncated model, and
+    each block (d, u, v) of the domain has the dimension of its image."""
     for d in range(model.max_degree + 1):
         for u, v in model.blocks(d):
             if u not in sigma.vertices:
                 continue
-            source = model.basis_paths(d, u, v)
-            moved = [sigma.apply(b) for b in source]
-            if moved != model.basis_paths(d, sigma.vertices[u], sigma.vertices[v]):
-                return None
-            words.update(zip(source, moved))
-    top = model.top_degree()
-    top = model.max_degree if top is None else top
-    ids = model.word_ids
-    pairs = {ids[b]: ids[moved] for b, moved in words.items()}
-    for x, y in pairs.items():
-        if model.lengths[x] < top:
-            for a in model.quiver.arrows_by_source[model.words[x].target]:
-                table = model.product(model.arrow_ids[a], x)
-                image = {pairs[w]: c for w, c in table.items()}
-                if model.product(model.arrow_ids[sigma.arrows[a]], y) != image:
-                    return None
-    return words
+            if model.dim(d, u, v) != model.dim(d, sigma.vertices[u], sigma.vertices[v]):
+                return False
+            for p in model.all_paths(d, u, v):
+                via = {sigma.apply(b): c for b, c in model.normal_form(p).items()}
+                if model.normal_form(sigma.apply(p)) != model.normal_form(via):
+                    return False
+    return True
 
 
 def _transport_ids_agree(model, sigma):
-    """Asserts that the id check accepts σ exactly when the path check does,
-    with the same word pairing; returns whether it accepts."""
-    want = _transport_by_paths(model, sigma)
-    got = transport_word_map(model, sigma)
-    if want is None:
-        assert got is None
-        return False
-    ids = model.word_ids
-    assert got == {ids[b]: ids[moved] for b, moved in want.items()}
-    return True
+    """Asserts that the certificate in word ids accepts σ exactly when the
+    path check does; returns whether it accepts."""
+    want = _keeps_model_by_paths(model, sigma)
+    assert keeps_model(model, sigma) == want
+    return want
 
 
 def _every_rooted_map(q):
@@ -1884,7 +1969,7 @@ def test_orbit_transport_ids_match_the_path_check_on_random_quivers(seed):
         _transport_ids_agree(model, sigma)
 
 
-def test_orbit_transport_ids_match_the_path_check_on_the_rejection_fixtures():
+def test_orbit_transport_ids_match_the_path_check_on_the_fixtures():
     star = preprojective(parse_quiver_spec("star:4"))
     cases = [(AlgebraModel(star, 4), _leaf_swap(star.quiver))]
     cycle = AlgebraModel(_ideal_breaking_cycle(), 4)
@@ -1898,17 +1983,22 @@ def test_orbit_transport_ids_match_the_path_check_on_the_rejection_fixtures():
     cases += [(squares, _squares_swapped(squares.quiver)),
               (squares, rooted_isomorphism(squares.quiver, "1", "5"))]
     assert [_transport_ids_agree(model, sigma) for model, sigma in cases] == [
-        False, True, False, False, False, False, False, False, False, True]
+        True, True, False, False, False, False, False, False, True, True]
 
 
 def test_orbit_transport_checked_once_per_deck_map(monkeypatch):
-    # the covering falls apart into two 10-vertex pieces; each piece has
-    # three rooted maps onto a piece, and every (v, t) pair over the five
-    # base vertices that yields a map already checked reuses its verdict;
-    # the maps accepted from a resolved vertex are closed under
-    # composition, so from each piece the shift within it and one map onto
-    # the other piece are checked and their composite is not: 15
-    # transported simples take 4 checks, not 15
+    # the covering falls apart into two 10-vertex pieces, and every (v, t)
+    # pair that yields a map already checked reuses its verdict; the maps
+    # accepted from a resolved vertex are closed under composition, so from
+    # the centre and from the first leaf the shift within its piece and one
+    # map onto the other piece are checked, and those serve every leaf's
+    # sheets.  No search finds a leaf swap on a covering: the arrows back
+    # from the centre reach the leaves' next sheets, which the search pairs
+    # by index.  Those maps break the ideal: the other leaves are refused
+    # from the first leaf, two from the second and one from the third.  An
+    # accepted map sends a refused leaf's sheet onto its other sheets, which
+    # are not searched.  15 transported simples take 4 accepted checks and
+    # 6 refused ones
     from quiverkoszul import resolution
 
     p = trivial_extension_dual(parse_quiver_spec("star:4"))
@@ -1918,59 +2008,60 @@ def test_orbit_transport_checked_once_per_deck_map(monkeypatch):
 
     def spy(model, sigma):
         checked.append(frozenset(sigma.vertices.items()))
-        return transport_word_map(model, sigma)
+        return keeps_model(model, sigma)
 
-    monkeypatch.setattr(resolution, "transport_word_map", spy)
+    monkeypatch.setattr(resolution, "keeps_model", spy)
     report = resolve(model, 6)
-    assert len(checked) == len(set(checked)) == 4
+    assert len(checked) == len(set(checked)) == 10
     assert len(report.transported) == 15
     assert report.betti == _direct_betti(model, 6)
 
 
-# -- the accepted deck maps from a resolved vertex, closed under composition --
+# -- the accepted maps from a resolved vertex, closed under composition -------
 
 
 def _resolve_recording_maps(monkeypatch, model, i_max):
     """Resolves, recording the keys of the checked maps and, per relabelled
-    simple, its source, the map and the word map it was relabelled by."""
+    simple, its source and the map it was relabelled by."""
     from quiverkoszul import resolution
 
     checked, moved = [], []
 
     def check(model, sigma):
         checked.append(frozenset(sigma.vertices.items()))
-        return transport_word_map(model, sigma)
+        return keeps_model(model, sigma)
 
     relabelled = SimpleResolution.relabelled
 
-    def record(self, sigma, words):
-        moved.append((self.resolved_from, sigma, words))
-        return relabelled(self, sigma, words)
+    def record(self, sigma):
+        moved.append((self.resolved_from, sigma))
+        return relabelled(self, sigma)
 
-    monkeypatch.setattr(resolution, "transport_word_map", check)
+    monkeypatch.setattr(resolution, "keeps_model", check)
     monkeypatch.setattr(SimpleResolution, "relabelled", record)
     report = resolve(model, i_max)
     monkeypatch.undo()
     return report, checked, moved
 
 
-def _assert_composites_are_the_rooted_maps(monkeypatch, p, i_max, d_max):
-    """Every map a simple is relabelled by, checked or composed, is the
-    rooted map from its source and carries the word map the check gives;
-    returns the numbers of checked maps and of composites."""
+def _assert_relabelling_maps_are_accepted(monkeypatch, p, i_max, d_max):
+    """Every map a simple is relabelled by, checked or composed, is an
+    isomorphism of the reached parts from its source that the certificate
+    accepts; returns the numbers of checked maps and of composites, and the
+    maps."""
     model = AlgebraModel(p, d_max)
     q = p.quiver
     report, checked, moved = _resolve_recording_maps(monkeypatch, model, i_max)
     # one relabelling per transported simple
-    assert sorted(sigma.vertices[v] for v, sigma, _ in moved) == sorted(report.transported)
+    assert sorted(sigma.vertices[v] for v, sigma in moved) == sorted(report.transported)
     composites = 0
-    for v, sigma, words in moved:
-        rooted = rooted_isomorphism(q, v, sigma.vertices[v])
-        assert (sigma.vertices, sigma.arrows) == (rooted.vertices, rooted.arrows)
-        assert words == transport_word_map(model, rooted)
+    for v, sigma in moved:
+        assert _is_rooted_isomorphism(q, sigma, v, sigma.vertices[v])
+        assert keeps_model(model, sigma)
         composites += frozenset(sigma.vertices.items()) not in checked
     assert report.betti == _direct_betti(model, i_max)
-    return len(checked), composites
+    _assert_transported_square_to_zero(report)
+    return (len(checked), composites), moved
 
 
 def _composite_cases():
@@ -2015,27 +2106,44 @@ _COMPOSITE_COUNTS = {
 
 @pytest.mark.parametrize("name", sorted(_composite_cases()))
 def test_orbit_composed_deck_maps_are_the_rooted_maps(name, monkeypatch):
+    # on a covering every relabelling map is a deck map, which keeps the
+    # order of the arrows leaving each vertex, so it is what the search
+    # finds from its source
     p, i_max, d_max = _composite_cases()[name]
-    counts = _assert_composites_are_the_rooted_maps(monkeypatch, p, i_max, d_max)
+    counts, moved = _assert_relabelling_maps_are_accepted(monkeypatch, p, i_max, d_max)
     assert counts == _COMPOSITE_COUNTS[name]
+    for v, sigma in moved:
+        rooted = rooted_isomorphism(p.quiver, v, sigma.vertices[v])
+        assert (sigma.vertices, sigma.arrows) == (rooted.vertices, rooted.arrows)
 
 
 @pytest.mark.parametrize("seed", range(60))
-def test_orbit_composed_deck_maps_are_the_rooted_maps_on_random_quivers(seed, monkeypatch):
-    _assert_composites_are_the_rooted_maps(
+def test_orbit_composed_deck_maps_are_accepted_on_random_quivers(seed, monkeypatch):
+    _assert_relabelling_maps_are_accepted(
         monkeypatch, _random_covering_presentation(seed), 3, 3)
 
 
 def test_orbit_transport_composes_the_deck_maps_of_twelve_sheets(monkeypatch):
-    # two 30-vertex pieces of six sheets each; from each piece the shift
-    # within it and one map onto the other piece are checked, and the other
-    # nine maps onto a sheet are their composites: 55 transported simples
-    # take 4 checks
+    # two 30-vertex pieces of six sheets each; from the centre and from each
+    # leaf, the shift within its piece and one map onto the other piece are
+    # checked or reuse a verdict, and the other nine maps onto a sheet are
+    # their composites: 55 transported simples take 16 searches and 10
+    # checks, 6 of them refused leaves
+    from quiverkoszul import quiver, resolution
+
     p = trivial_extension_dual(parse_quiver_spec("star:4"))
     cover = build_covering(p, cyclic_group(12), {a.label: "1" for a in p.quiver.arrows})
     model = AlgebraModel(cover, 6)
+    searched = []
+
+    def search(q, u, t):
+        searched.append(sigma := quiver.rooted_isomorphism(q, u, t))
+        return sigma
+
+    monkeypatch.setattr(resolution, "rooted_isomorphism", search)
     report, checked, moved = _resolve_recording_maps(monkeypatch, model, 6)
-    assert len(checked) == len(set(checked)) == 4
+    assert len(searched) == 16
+    assert len(checked) == len(set(checked)) == 10
     assert len(report.transported) == len(moved) == 55
     assert report.betti == _direct_betti(model, 6)
 
