@@ -411,9 +411,12 @@ class AlgebraModel:
 
 
 def moved_normal_form(model: AlgebraModel, sigma: QuiverAutomorphism, p: Path) -> dict:
-    """NF(σ(p)) in word ids, for a path p of positive length from σ's domain
-    that is shorter than the vanishing degree and inside the window: p's
-    arrows moved by σ and walked through the tables."""
+    """NF(σ(p)) in word ids, for a path p from σ's domain that is shorter
+    than the vanishing degree and inside the window: σ(e_v) is e_σ(v), and
+    a path of positive length has its arrows moved by σ and walked through
+    the tables."""
+    if not p.arrows:
+        return {model.word_ids[trivial_path(sigma.vertices[p.base])]: ONE}
     ids = [model.arrow_ids[sigma.arrows[a]] for a in reversed(p.arrows)]
     return model._walk(ids[1:], {ids[0]: ONE})
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 from functools import cache
 
 from .algebra import AlgebraModel, InternalError, Presentation, hilbert_matrix
@@ -57,19 +56,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _plain(obj):
-    """Rewrite nested witnesses into JSON-native values."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return str(obj)
 
 
 def _split_outside_parens(text: str) -> list:
@@ -165,7 +151,7 @@ def _betti_section(report) -> list:
 
 
 def _verdict_section(verdict) -> dict:
-    return {"status": verdict.status, "witness": _plain(verdict.witness)}
+    return {"status": verdict.status, "witness": verdict.witness}
 
 
 def _koszul_section(report) -> dict:
@@ -210,7 +196,7 @@ def _run_analyze(args) -> int:
         "euler_identity": {
             "cutoff": cutoff,
             "holds": euler_ok,
-            "witness": _plain(euler_witness),
+            "witness": euler_witness,
         },
     }
     _emit(_report_json("analyze", canonical, args.started, sizes), args.json)
@@ -262,7 +248,7 @@ def _check_hilbert_euler(doc, args, sizes):
     report = _resolved(doc, args, sizes)
     cutoff = min(report.d_max, report.i_max) if args.cutoff is None else args.cutoff
     ok, witness = hilbert_euler_check(report, cutoff)
-    return ok, {"cutoff": cutoff, "witness": _plain(witness)}
+    return ok, {"cutoff": cutoff, "witness": witness}
 
 
 def _check_covering_theorem(doc, args, sizes):
@@ -275,7 +261,7 @@ def _check_covering_theorem(doc, args, sizes):
         "group_order": outcome.group_order,
         "base_verdict": _verdict_section(outcome.base_verdict),
         "cover_verdict": _verdict_section(outcome.cover_verdict),
-        "mismatches": _plain(outcome.mismatches),
+        "mismatches": outcome.mismatches,
     }
     return outcome.passed, details
 
@@ -300,8 +286,8 @@ def _check_smash_iso(doc, args, sizes):
     details = {
         "isomorphic": iso,
         "smash_dim": smash.dim,
-        "associativity_failures": _plain(associativity[:5]),
-        "unit_failures": _plain(units[:5]),
+        "associativity_failures": associativity[:5],
+        "unit_failures": units[:5],
         "notes": [],
     }
     return passed, details
@@ -330,7 +316,7 @@ def _check_duality_dims(doc, args, sizes):
     report = _resolved(doc, args, sizes)
     dual_model = AlgebraModel(dual, args.max_degree)
     ok, witness = koszul_duality_dim_check(dual_model, report)
-    return ok, {"witness": _plain(witness)}
+    return ok, {"witness": witness}
 
 
 _CHECK_RUNNERS = {

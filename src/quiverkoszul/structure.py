@@ -7,15 +7,16 @@ action), plus the radical via the trace form of the regular representation
 comparison between a covering and the matching smash product.
 
 Only ``algebra_to_structure_constants`` multiplies basis paths of a model;
-the smash product, the skew group algebra and the covering comparison
-relabel its table.  Tables and units hold exact scalars (``int`` where
-integral, ``Fraction`` otherwise), so the sweeps run on plain integers
-wherever they can.
+the smash product and the covering comparison relabel its table, and the
+skew group algebra moves each basis word by ``moved_normal_form`` in word
+ids and sums rows of that table.  Tables and units hold exact scalars
+(``int`` where integral, ``Fraction`` otherwise), so the sweeps run on
+plain integers wherever they can.
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraModel, InternalError, ideal_breaker
+from .algebra import AlgebraModel, InternalError, ideal_breaker, moved_normal_form
 from .covering import homogeneous_weights, path_weight, split_sheet
 from .groups import FiniteGroup, GroupAction
 from .linalg import ONE, ZERO, as_scalar, kernel_basis_sparse, vec_axpy
@@ -25,9 +26,8 @@ from .quiver import Arrow, Path, trivial_path
 class StructureConstantAlgebra:
     """Basis labels, unit coordinates, and sparse structure constants."""
 
-    def __init__(self, labels, unit, table, name: str = "algebra"):
+    def __init__(self, labels, unit, table):
         self.labels = tuple(labels)
-        self.name = name
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._index) != len(self.labels):
             raise ValueError("duplicate basis labels")
@@ -44,13 +44,6 @@ class StructureConstantAlgebra:
 
     def index(self, label) -> int:
         return self._index[label]
-
-    def product(self, x: dict, y: dict) -> dict:
-        out = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                vec_axpy(out, ci * cj, self.table.get((i, j), {}))
-        return out
 
     def factor_index(self) -> tuple:
         """The nonzero products b_i b_j, listed by first and by second factor:
@@ -99,7 +92,7 @@ class StructureConstantAlgebra:
         return failures
 
     def __repr__(self) -> str:
-        return f"StructureConstantAlgebra({self.name}, dim {self.dim})"
+        return f"StructureConstantAlgebra(dim {self.dim})"
 
 
 def algebra_to_structure_constants(m: AlgebraModel) -> StructureConstantAlgebra:
@@ -114,7 +107,7 @@ def algebra_to_structure_constants(m: AlgebraModel) -> StructureConstantAlgebra:
         for j in ending_at.get(bi.source, ()):
             table[(i, j)] = m.product(i, j)
     unit = {m.word_ids[trivial_path(v)]: ONE for v in m.quiver.vertices}
-    return StructureConstantAlgebra(basis, unit, table, name="model")
+    return StructureConstantAlgebra(basis, unit, table)
 
 
 def smash_product(m: AlgebraModel, group: FiniteGroup, weights: dict) -> StructureConstantAlgebra:
@@ -138,7 +131,7 @@ def smash_product(m: AlgebraModel, group: FiniteGroup, weights: dict) -> Structu
             table[(i * n + g, j * n + h)] = {k * n + h: c for k, c in prod.items()}
     labels = [(b, g) for b in base.labels for g in group.elements]
     unit = {u * n + h: c for u, c in base.unit.items() for h in range(n)}
-    return StructureConstantAlgebra(labels, unit, table, name="smash")
+    return StructureConstantAlgebra(labels, unit, table)
 
 
 def skew_group_algebra(m: AlgebraModel, action: GroupAction) -> StructureConstantAlgebra:
@@ -168,15 +161,17 @@ def skew_group_algebra(m: AlgebraModel, action: GroupAction) -> StructureConstan
     moved_into = {}
     for g, sigma in enumerate(sigmas):
         for j, bj in enumerate(base.labels):
-            moved = m.normal_form(sigma.apply(bj))
-            vec = {base.index(b): c for b, c in moved.items()}
-            for v in {b.target for b in moved}:
-                moved_into.setdefault((g, v), []).append((j, vec))
+            moved = moved_normal_form(m, sigma, bj)
+            for v in {m.words[k].target for k in moved}:
+                moved_into.setdefault((g, v), []).append((j, moved))
     table = {}
     for i, bi in enumerate(base.labels):
         for g, elt in enumerate(group.elements):
             for j, moved in moved_into.get((g, bi.source), ()):
-                prod = base.product({i: ONE}, moved)
+                # b_i·g(b_j), summed from the rows of the one table
+                prod = {}
+                for k, c in moved.items():
+                    vec_axpy(prod, c, base.table.get((i, k), {}))
                 if not prod:
                     continue
                 for h, other in enumerate(group.elements):
@@ -187,7 +182,7 @@ def skew_group_algebra(m: AlgebraModel, action: GroupAction) -> StructureConstan
     labels = [(b, g) for b in base.labels for g in group.elements]
     e = group.index(group.identity)
     unit = {u * n + e: c for u, c in base.unit.items()}
-    return StructureConstantAlgebra(labels, unit, table, name="skew")
+    return StructureConstantAlgebra(labels, unit, table)
 
 
 def radical(s: StructureConstantAlgebra) -> list:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -89,6 +90,22 @@ def _names_read(paths) -> set:
     return used
 
 
+def _attributes_read(paths) -> set:
+    """Every attribute name read in the modules at ``paths``, whatever
+    object it is read from."""
+    return {node.attr for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _public_members(cls) -> list:
+    """The public methods and properties defined in the body of ``cls``."""
+    return [name for name, value in vars(cls).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value)
+                 or isinstance(value, (property, staticmethod, classmethod)))]
+
+
 def _unused(names, used: set, texts) -> list:
     """The names neither in ``used`` nor a whole word of one of ``texts``."""
     return [name for name in names
@@ -109,6 +126,38 @@ def test_every_exported_name_has_a_user():
         f"{sorted(TEST_ORACLES)}): {unused}")
 
 
+# public methods and properties of exported classes only tests call
+TEST_ORACLE_MEMBERS = {
+    "AlgebraModel.basis_paths": "the path-keyed view of the basis blocks; the"
+                                " model and transport tests read blocks by it",
+    "Presentation.canonical_key": "compares presentations up to relation order"
+                                  " in the corpus and round-trip tests",
+}
+
+
+def test_every_public_member_of_an_exported_class_has_a_user():
+    """A src/ module other than __init__.py reads each member as an
+    attribute, or README.md or bench/*.py names it.  The rule matches by
+    name alone, so a member that shares its name with a used one is
+    invisible to it: a ``StructureConstantAlgebra.product`` would pass on
+    the reads of ``AlgebraModel.product``."""
+    import quiverkoszul
+
+    src = [p for name, p in MODULES.items() if not name.startswith("tests/")]
+    used = _attributes_read(src)
+    texts = [(REPO / "README.md").read_text(encoding="utf-8")]
+    texts += [p.read_text(encoding="utf-8") for p in (REPO / "bench").glob("*.py")]
+    unused = []
+    for name in quiverkoszul.__all__:
+        cls = getattr(quiverkoszul, name)
+        if inspect.isclass(cls):
+            unused += [f"{name}.{member}"
+                       for member in _unused(_public_members(cls), used, texts)]
+    assert sorted(unused) == sorted(TEST_ORACLE_MEMBERS), (
+        "public members of exported classes with no user outside the tests"
+        f" (allowlisted: {sorted(TEST_ORACLE_MEMBERS)}): {unused}")
+
+
 def test_the_check_sees_an_unused_name(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("from .quiver import Path\ndef f():\n    raise Oops(Path)\n")
@@ -116,3 +165,20 @@ def test_the_check_sees_an_unused_name(tmp_path):
     assert used == {"Path", "Oops"}
     names = ["Path", "Oops", "compose", "composed", "f"]
     assert _unused(names, used, ["see `compose`"]) == ["composed", "f"]
+    module.write_text("def g(m):\n    return m.product(1, 2), m.dim\n")
+
+    class Model:
+        dim = property(lambda self: 0)
+
+        def product(self, x, y):
+            return {}
+
+        def multiply(self, x, y):
+            return {}
+
+        def _walk(self, arrows, vec):
+            return vec
+
+    members = _public_members(Model)
+    assert members == ["dim", "product", "multiply"]
+    assert _unused(members, _attributes_read([module]), []) == ["multiply"]

@@ -5,7 +5,13 @@ import pytest
 
 from quiverkoszul.algebra import AlgebraModel, InternalError, Presentation
 from quiverkoszul.corpus import exterior, loop_cubed, parse_quiver_spec, path_algebra
-from quiverkoszul.covering import build_covering, deck_action, path_weight
+from quiverkoszul.covering import (
+    build_covering,
+    deck_action,
+    path_weight,
+    sheet_label,
+    split_sheet,
+)
 from quiverkoszul.groups import (
     GroupAction,
     cyclic_group,
@@ -13,8 +19,8 @@ from quiverkoszul.groups import (
     direct_product,
     trivial_action,
 )
-from quiverkoszul.linalg import EchelonSpan, ONE, ZERO, kernel_basis_sparse
-from quiverkoszul.quiver import Quiver
+from quiverkoszul.linalg import EchelonSpan, ONE, ZERO, kernel_basis_sparse, vec_axpy
+from quiverkoszul.quiver import Path, Quiver, QuiverAutomorphism, trivial_path
 from quiverkoszul.resolution import theorem_covering_check
 from quiverkoszul.structure import (
     StructureConstantAlgebra,
@@ -155,6 +161,21 @@ class TestSmashProduct:
         assert got.equals(expected)
 
 
+# the swap of two loops a1, a2 at vertex 1, as in exterior(2)'s quiver, and
+# the swap of the two leaves of star:2
+_SWAP = GroupAction(
+    cyclic_group(2),
+    {"0": {"1": "1"}, "1": {"1": "1"}},
+    {"0": {"a1": "a1", "a2": "a2"}, "1": {"a1": "a2", "a2": "a1"}},
+)
+_LEAF_SWAP = GroupAction(
+    cyclic_group(2),
+    {"0": {"c": "c", "l1": "l1", "l2": "l2"},
+     "1": {"c": "c", "l1": "l2", "l2": "l1"}},
+    {"0": {"a1": "a1", "a2": "a2"}, "1": {"a1": "a2", "a2": "a1"}},
+)
+
+
 class TestSkewGroupAlgebra:
     def test_trivial_action_skew_is_group_algebra_tensor(self):
         model = ext_model(2)
@@ -165,14 +186,7 @@ class TestSkewGroupAlgebra:
         assert s.associativity_failures() == []
 
     def test_swap_action_on_exterior2(self):
-        model = ext_model(2)
-        g = cyclic_group(2)
-        action = GroupAction(
-            g,
-            {"0": {"1": "1"}, "1": {"1": "1"}},
-            {"0": {"a1": "a1", "a2": "a2"}, "1": {"a1": "a2", "a2": "a1"}},
-        )
-        s = skew_group_algebra(model, action)
+        s = skew_group_algebra(ext_model(2), _SWAP)
         assert s.dim == 8
         assert s.unit_failures() == []
         assert s.associativity_failures() == []
@@ -222,13 +236,21 @@ class TestSmashCoveringIso:
 # -- the sparse sweeps against dense references --------------------------------
 
 
+def _product(s: StructureConstantAlgebra, x: dict, y: dict) -> dict:
+    out = {}
+    for i, ci in x.items():
+        for j, cj in y.items():
+            vec_axpy(out, ci * cj, s.table.get((i, j), {}))
+    return out
+
+
 def _dense_associativity_failures(s: StructureConstantAlgebra) -> list:
     failures = []
     for i in range(s.dim):
         for j in range(s.dim):
             for k in range(s.dim):
-                left = s.product(s.table.get((i, j), {}), {k: ONE})
-                right = s.product({i: ONE}, s.table.get((j, k), {}))
+                left = _product(s, s.table.get((i, j), {}), {k: ONE})
+                right = _product(s, {i: ONE}, s.table.get((j, k), {}))
                 if left != right:
                     failures.append((i, j, k))
     return failures
@@ -253,9 +275,9 @@ def _dense_radical(s: StructureConstantAlgebra) -> list:
 def _dense_unit_failures(s: StructureConstantAlgebra) -> list:
     failures = []
     for i in range(s.dim):
-        if s.product(s.unit, {i: ONE}) != {i: ONE}:
+        if _product(s, s.unit, {i: ONE}) != {i: ONE}:
             failures.append(("left", i))
-        if s.product({i: ONE}, s.unit) != {i: ONE}:
+        if _product(s, {i: ONE}, s.unit) != {i: ONE}:
             failures.append(("right", i))
     return failures
 
@@ -270,7 +292,7 @@ def _random_algebra(rng) -> StructureConstantAlgebra:
                 targets = rng.sample(range(n), rng.randint(1, min(3, n)))
                 table[(i, j)] = {k: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
                                  for k in targets}
-    return StructureConstantAlgebra(range(n), {}, table, name="random")
+    return StructureConstantAlgebra(range(n), {}, table)
 
 
 def _semigroup_algebra(rng) -> StructureConstantAlgebra:
@@ -280,7 +302,7 @@ def _semigroup_algebra(rng) -> StructureConstantAlgebra:
         table = {(i, j): {max(i, j): 1} for i in range(n) for j in range(n)}
     else:
         table = {(i, j): {(i + j) % n: 1} for i in range(n) for j in range(n)}
-    return StructureConstantAlgebra(range(n), {0: 1}, table, name="semigroup")
+    return StructureConstantAlgebra(range(n), {0: 1}, table)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -326,7 +348,7 @@ def test_known_nonassociative_algebra():
     # (b1 b1) b0 = 0           but  b1 (b1 b0) = b1 b0 = b0
     # and the four triples ending in b1 are 0 on both sides
     s = StructureConstantAlgebra(
-        ["b0", "b1"], {}, {(0, 0): {1: 1}, (1, 0): {0: 1}}, name="toy")
+        ["b0", "b1"], {}, {(0, 0): {1: 1}, (1, 0): {0: 1}})
     want = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
     assert s.associativity_failures() == want
     assert _dense_associativity_failures(s) == want
@@ -334,7 +356,7 @@ def test_known_nonassociative_algebra():
     table = {(0, k): {k: 1} for k in range(3)}
     table.update({(k, 0): {k: 1} for k in range(3)})
     table.update({(1, 1): {2: 1}, (2, 1): {1: 1}})
-    unital = StructureConstantAlgebra(["e", "b0", "b1"], {0: 1}, table, name="toy")
+    unital = StructureConstantAlgebra(["e", "b0", "b1"], {0: 1}, table)
     assert unital.unit_failures() == []
     assert unital.associativity_failures() == [
         (1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1)]
@@ -421,26 +443,15 @@ def _per_pair_skew_table(model, action) -> dict:
 
 def test_skew_table_on_swap_action_matches_per_pair_reference():
     model = ext_model(2)
-    action = GroupAction(
-        cyclic_group(2),
-        {"0": {"1": "1"}, "1": {"1": "1"}},
-        {"0": {"a1": "a1", "a2": "a2"}, "1": {"a1": "a2", "a2": "a1"}},
-    )
-    s = skew_group_algebra(model, action)
-    assert list(s.table.items()) == list(_per_pair_skew_table(model, action).items())
+    s = skew_group_algebra(model, _SWAP)
+    assert list(s.table.items()) == list(_per_pair_skew_table(model, _SWAP).items())
 
 
 def test_skew_table_on_leaf_swap_matches_per_pair_reference():
     # the action moves vertices, so g(bj) can end where bj does not
     model = AlgebraModel(path_algebra(parse_quiver_spec("star:2")), 2)
-    action = GroupAction(
-        cyclic_group(2),
-        {"0": {"c": "c", "l1": "l1", "l2": "l2"},
-         "1": {"c": "c", "l1": "l2", "l2": "l1"}},
-        {"0": {"a1": "a1", "a2": "a2"}, "1": {"a1": "a2", "a2": "a1"}},
-    )
-    s = skew_group_algebra(model, action)
-    assert list(s.table.items()) == list(_per_pair_skew_table(model, action).items())
+    s = skew_group_algebra(model, _LEAF_SWAP)
+    assert list(s.table.items()) == list(_per_pair_skew_table(model, _LEAF_SWAP).items())
     assert s.dim == 10
     assert s.unit_failures() == []
     assert s.associativity_failures() == []
@@ -457,16 +468,66 @@ def test_skew_table_on_deck_actions_matches_per_pair_reference(seed):
     assert s.unit_failures() == []
 
 
+def _underlying(base_quiver: Quiver, b: Path) -> Path:
+    """A covering path with its sheets dropped."""
+    if not b.arrows:
+        return trivial_path(split_sheet(b.base)[0])
+    return Path(tuple(base_quiver.arrow(split_sheet(a.label)[0]) for a in b.arrows))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_skew_algebra_of_a_covering_has_the_base_as_a_corner(seed):
+    # C*G is Morita equivalent to A for a Galois covering C of A
+    # (Cibils-Marcos; Cohen-Montgomery).  The corner cut by the idempotent
+    # sum over v of e_(v,1)·1 is spanned by the labels (b, g) with b from
+    # sheet g^-1 to sheet 1, and dropping the sheets carries it onto A
+    p, group, weights = random_graded_presentation(random.Random(seed))
+    cov = build_covering(p, group, weights)
+    s = skew_group_algebra(AlgebraModel(cov, 4), deck_action(cov, group))
+    base = algebra_to_structure_constants(AlgebraModel(p, 4))
+    e = group.identity
+    pi = {}
+    for k, (b, g) in enumerate(s.labels):
+        if (split_sheet(b.source)[1], split_sheet(b.target)[1]) == (group.inverse(g), e):
+            b0 = _underlying(p.quiver, b)
+            assert path_weight(group, weights, b0) == g
+            pi[k] = base.index(b0)
+    assert sorted(pi.values()) == list(range(base.dim))
+    corner = {}
+    for (x, y), vec in s.table.items():
+        if x in pi and y in pi:
+            assert vec.keys() <= pi.keys()
+            corner[(pi[x], pi[y])] = {pi[k]: c for k, c in vec.items()}
+    assert corner == base.table
+    ones = [s.index((trivial_path(sheet_label(v, e)), e)) for v in p.quiver.vertices]
+    assert {pi[k]: ONE for k in ones} == base.unit
+
+
+def test_skew_algebra_reads_only_word_ids(monkeypatch):
+    # no path-keyed normal form, product or moved path on the way
+    p, group, weights = random_graded_presentation(random.Random(0))
+    cov = build_covering(p, group, weights)
+    cases = [
+        (ext_model(2), _SWAP),
+        (AlgebraModel(path_algebra(parse_quiver_spec("star:2")), 2), _LEAF_SWAP),
+        (AlgebraModel(cov, 3), deck_action(cov, group)),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("the skew group algebra left the word ids")
+
+    for owner, name in ((AlgebraModel, "normal_form"), (AlgebraModel, "multiply"),
+                        (QuiverAutomorphism, "apply")):
+        monkeypatch.setattr(owner, name, refuse)
+    for model, action in cases:
+        assert skew_group_algebra(model, action).unit_failures() == []
+
+
 def _two_loops_with_swap(max_degree):
     q = Quiver(["1"], [("a1", "1", "1"), ("a2", "1", "1")])
     p = Presentation(q, [q.path(["a1", "a1"]), q.path(["a2", "a2"]),
                          q.path(["a1", "a2"])])
-    swap = GroupAction(
-        cyclic_group(2),
-        {"0": {"1": "1"}, "1": {"1": "1"}},
-        {"0": {"a1": "a1", "a2": "a2"}, "1": {"a1": "a2", "a2": "a1"}},
-    )
-    return AlgebraModel(p, max_degree), swap
+    return AlgebraModel(p, max_degree), _SWAP
 
 
 def test_skew_refuses_an_action_that_breaks_the_ideal():
