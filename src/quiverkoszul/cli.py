@@ -5,7 +5,7 @@ document), cover (finite covering document), verify (single named check
 with an exit code), corpus (built-in presentations).  Reports are
 canonical JSON; timing sits outside the comparable section, with the
 number of simples resolved and relabelled under ``timing.sizes`` for the
-commands that resolve.
+commands that resolve, and smash-iso's label and full-sweep counts.
 
 Exit codes: 0 pass, 1 failed check (witness in the report), 2 input error,
 3 internal error (a consistency check inside the library failed, which is a
@@ -43,7 +43,13 @@ from .serialization import (
     parse_group_spec,
     presentation_to_document,
 )
-from .structure import radical, smash_product, verify_smash_covering_iso
+from .structure import (
+    radical,
+    short_associativity,
+    smash_product,
+    verify_smash_covering_iso,
+)
+
 
 def _read_document(path: str) -> ParsedDocument:
     with open(path, "r", encoding="utf-8") as fh:
@@ -278,10 +284,24 @@ def _check_smash_iso(doc, args, sizes):
     covering = build_covering(doc.presentation, group, weights)
     cover_model = AlgebraModel(covering, args.max_degree)
     # a window that shows no top degree failed in _graded_smash already,
-    # and the covering of the same window vanishes where its base does
-    iso = verify_smash_covering_iso(cover_model, smash)
-    associativity = smash.associativity_failures()
+    # and the covering of the same window vanishes where its base does.
+    # The labels of length at most 1 decide (short_associativity and
+    # verify_smash_covering_iso say why); each full sweep runs only where
+    # that argument does not apply, so the details are the full sweeps'
+    lengths = [b.length for b, _ in smash.labels]
+    iso = verify_smash_covering_iso(cover_model, smash, 1)
+    failures, decomposed = short_associativity(smash, lengths)
+    full_sweeps = 0
+    associativity = []
+    if failures or decomposed < sum(n > 1 for n in lengths):
+        associativity = smash.associativity_failures()
+        full_sweeps += 1
+    if iso and associativity:
+        iso = verify_smash_covering_iso(cover_model, smash)
+        full_sweeps += 1
     units = smash.unit_failures()
+    sizes.update(short_labels=sum(n <= 1 for n in lengths),
+                 decomposed_labels=decomposed, full_sweeps=full_sweeps)
     passed = iso and not associativity and not units
     details = {
         "isomorphic": iso,

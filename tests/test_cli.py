@@ -1,16 +1,23 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from quiverkoszul.algebra import AlgebraModel, Presentation
 from quiverkoszul.cli import main
-from quiverkoszul.corpus import exterior
+from quiverkoszul.corpus import corpus_instances, exterior
+from quiverkoszul.covering import build_covering
 from quiverkoszul.groups import cyclic_group
-from quiverkoszul.linalg import ColumnSolver
+from quiverkoszul.linalg import ColumnSolver, as_scalar
 from quiverkoszul.quiver import Quiver
 from quiverkoszul.serialization import canonical_json, presentation_to_document
+from quiverkoszul.structure import (
+    StructureConstantAlgebra,
+    smash_product,
+    verify_smash_covering_iso,
+)
 
 
 @pytest.fixture
@@ -104,7 +111,11 @@ def test_resolving_commands_report_orbit_sizes_outside_canonical(capsys, tmp_pat
     rc, report = run_json(
         capsys, ["verify", ext2_graded_file, "--check", "smash-iso"])
     assert rc == 0
-    assert "sizes" not in report["timing"]
+    # smash-iso resolves nothing; it counts its labels: e#p_g, a1#p_g and
+    # a2#p_g are short, and both a1a2#p_g decompose
+    assert report["timing"]["sizes"] == {
+        "short_labels": 6, "decomposed_labels": 2, "full_sweeps": 0}
+    assert "sizes" not in report["canonical"]
 
 
 @pytest.mark.parametrize("check", ["covering-theorem", "smash-iso", "radical-smash"])
@@ -378,6 +389,85 @@ def test_smash_iso_size_mismatch_exits_3(capsys, monkeypatch, ext2_graded_file):
     assert captured.out == ""
     assert captured.err.startswith(
         "internal error: basis size mismatch: covering has 12, smash has 8")
+
+
+_FINITE_CORPUS = [(label, p) for label, p in corpus_instances()
+                  if AlgebraModel(p, 6).top_degree() is not None]
+
+
+@pytest.mark.parametrize("p", [p for _, p in _FINITE_CORPUS],
+                         ids=[label for label, _ in _FINITE_CORPUS])
+def test_smash_iso_runs_no_full_sweep_on_corpus_covers(capsys, tmp_path, p):
+    # every label is short or decomposed, and nothing falls back
+    path = tmp_path / "graded.json"
+    path.write_text(canonical_json(presentation_to_document(
+        p, ("cyclic", 2), {a.label: "1" for a in p.quiver.arrows})))
+    rc, report = run_json(capsys, ["verify", str(path), "--check", "smash-iso"])
+    assert (rc, report["canonical"]["passed"]) == (0, True)
+    sizes = report["timing"]["sizes"]
+    assert sizes["full_sweeps"] == 0
+    assert (sizes["short_labels"] + sizes["decomposed_labels"]
+            == report["canonical"]["details"]["smash_dim"])
+
+
+def _long_left_doubled(s):
+    # the first product whose left factor is long, times 2: the short rows
+    # still match the covering, and the table stops being associative
+    key = next(key for key in s.table if s.labels[key[0]][0].length > 1)
+    table = {**s.table, key: {k: 2 * c for k, c in s.table[key].items()}}
+    return StructureConstantAlgebra(s.labels, s.unit, table)
+
+
+def _top_label_doubled(s):
+    # the basis with one top-degree label b replaced by 2b: the same
+    # associative algebra, in which b is b_a b_x with coefficient 1/2 only
+    top = max(range(s.dim), key=lambda i: s.labels[i][0].length)
+
+    def scale(i):
+        return 2 if i == top else 1
+
+    table = {(i, j): {k: as_scalar(Fraction(c * scale(i) * scale(j), scale(k)))
+                      for k, c in vec.items()}
+             for (i, j), vec in s.table.items()}
+    return StructureConstantAlgebra(s.labels, s.unit, table)
+
+
+@pytest.mark.parametrize("perturb,full_sweeps,short_iso", [
+    (_long_left_doubled, 2, True),
+    (_top_label_doubled, 1, False),
+], ids=["long-left-product", "undecomposed-label"])
+def test_smash_iso_falls_back_to_the_full_sweeps(monkeypatch, capsys, tmp_path,
+                                                 perturb, full_sweeps, short_iso):
+    # the report is what the full associativity sweep and the full comparison
+    # give on the perturbed table, as before the short decisions
+    from quiverkoszul import cli
+
+    p, group = exterior(3), cyclic_group(2)
+    weights = {a.label: "1" for a in p.quiver.arrows}
+    path = tmp_path / "exterior3_z2.json"
+    path.write_text(canonical_json(presentation_to_document(p, ("cyclic", 2), weights)))
+    built = []
+
+    def perturbed(m, group, weights):
+        built.append(perturb(smash_product(m, group, weights)))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "smash_product", perturbed)
+    rc, report = run_json(capsys, ["verify", str(path), "--check", "smash-iso"])
+    s, = built
+    cov_model = AlgebraModel(build_covering(p, group, weights), 6)
+    assert verify_smash_covering_iso(cov_model, s, 1) is short_iso
+    full_iso, full = verify_smash_covering_iso(cov_model, s), s.associativity_failures()
+    assert full_iso is False and (full != []) == (full_sweeps == 2)
+    assert (rc, report["canonical"]["passed"]) == (1, False)
+    assert report["canonical"]["details"] == json.loads(json.dumps({
+        "isomorphic": full_iso, "smash_dim": 16, "associativity_failures": full[:5],
+        "unit_failures": s.unit_failures()[:5], "notes": []}))
+    # e#p_g and the three arrows on both sheets are short; the doubled top
+    # label is the one long label left undecomposed
+    decomposed = 8 - (perturb is _top_label_doubled)
+    assert report["timing"]["sizes"] == {
+        "short_labels": 8, "decomposed_labels": decomposed, "full_sweeps": full_sweeps}
 
 
 def test_verify_graded_check_needs_grading(capsys, ext2_file):

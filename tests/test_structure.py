@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from quiverkoszul.algebra import AlgebraModel, InternalError, Presentation
-from quiverkoszul.corpus import exterior, loop_cubed, parse_quiver_spec, path_algebra
+from quiverkoszul.corpus import (
+    corpus_instances,
+    exterior,
+    loop_cubed,
+    parse_quiver_spec,
+    path_algebra,
+)
 from quiverkoszul.covering import (
     build_covering,
     deck_action,
@@ -19,13 +25,21 @@ from quiverkoszul.groups import (
     direct_product,
     trivial_action,
 )
-from quiverkoszul.linalg import EchelonSpan, ONE, ZERO, kernel_basis_sparse, vec_axpy
+from quiverkoszul.linalg import (
+    EchelonSpan,
+    ONE,
+    ZERO,
+    as_scalar,
+    kernel_basis_sparse,
+    vec_axpy,
+)
 from quiverkoszul.quiver import Path, Quiver, QuiverAutomorphism, trivial_path
 from quiverkoszul.resolution import theorem_covering_check
 from quiverkoszul.structure import (
     StructureConstantAlgebra,
     algebra_to_structure_constants,
     radical,
+    short_associativity,
     skew_group_algebra,
     smash_product,
     verify_smash_covering_iso,
@@ -290,8 +304,12 @@ def _random_algebra(rng) -> StructureConstantAlgebra:
         for j in range(n):
             if rng.random() < density:
                 targets = rng.sample(range(n), rng.randint(1, min(3, n)))
-                table[(i, j)] = {k: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-                                 for k in targets}
+                vec = {k: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                       for k in targets}
+                # the constructor takes exact, zero-free rows
+                vec = {k: as_scalar(c) for k, c in vec.items() if c}
+                if vec:
+                    table[(i, j)] = vec
     return StructureConstantAlgebra(range(n), {}, table)
 
 
@@ -554,16 +572,125 @@ def test_iso_check_sees_one_perturbed_structure_constant(change):
     cov_model = AlgebraModel(build_covering(p, g, weights), 4)
     s = smash_product(ext_model(2), g, weights)
     assert verify_smash_covering_iso(cov_model, s)
+    # a table is fixed once built, so each perturbation is a new algebra
+    table, unit = dict(s.table), s.unit
     (i, j), vec = max(s.table.items())
     k = next(iter(vec))
     if change == "scale":
-        s.table[(i, j)] = {**vec, k: 2 * vec[k]}
+        table[(i, j)] = {**vec, k: 2 * vec[k]}
     elif change == "unit":
-        u = next(iter(s.unit))
-        s.unit = {**s.unit, u: 2}
+        unit = {**s.unit, next(iter(s.unit)): 2}
     else:
         # a product the covering says vanishes
         zero_pair = next((a, b) for a in range(s.dim) for b in range(s.dim)
                          if (a, b) not in s.table)
-        s.table[zero_pair] = {k: ONE}
-    assert not verify_smash_covering_iso(cov_model, s)
+        table[zero_pair] = {k: ONE}
+    assert not verify_smash_covering_iso(
+        cov_model, StructureConstantAlgebra(s.labels, unit, table))
+
+
+# -- the short-label decisions against the full sweeps --------------------------
+
+
+def _full_iso(cov_model, s) -> bool:
+    # every product, through a second table of the covering whose labels meet
+    # the smash labels by arrow names, source vertex and sheet
+    c = algebra_to_structure_constants(cov_model)
+    smash_keys = {(tuple(a.label for a in b.arrows), b.source, g): i
+                  for i, (b, g) in enumerate(s.labels)}
+    mapping = []
+    for b in c.labels:
+        vertex, sheet = split_sheet(b.source)
+        key = (tuple(split_sheet(a.label)[0] for a in b.arrows), vertex, sheet)
+        if key not in smash_keys:
+            return False
+        mapping.append(smash_keys[key])
+    if sorted(mapping) != list(range(s.dim)):
+        return False
+    if {mapping[u]: v for u, v in c.unit.items()} != s.unit:
+        return False
+    return {(mapping[i], mapping[j]): {mapping[k]: v for k, v in vec.items()}
+            for (i, j), vec in c.table.items()} == s.table
+
+
+def _long(lengths) -> int:
+    return sum(n > 1 for n in lengths)
+
+
+def _assert_short_decisions_match_full_sweeps(m, group, weights):
+    s = smash_product(m, group, weights)
+    lengths = [b.length for b, _ in s.labels]
+    assert short_associativity(s, lengths) == ([], _long(lengths))
+    assert s.associativity_failures() == []
+    cov_model = AlgebraModel(build_covering(m.presentation, group, weights),
+                             m.max_degree)
+    assert verify_smash_covering_iso(cov_model, s, 1) is True
+    assert verify_smash_covering_iso(cov_model, s) is True
+    assert _full_iso(cov_model, s) is True
+    # what the short comparison assumes of the covering's own table
+    c = algebra_to_structure_constants(cov_model)
+    cover_lengths = [b.length for b in c.labels]
+    assert short_associativity(c, cover_lengths) == ([], _long(cover_lengths))
+    assert c.associativity_failures() == []
+
+
+_FINITE_CORPUS = [(label, p) for label, p in corpus_instances()
+                  if AlgebraModel(p, 6).top_degree() is not None]
+
+
+def test_finite_corpus_leaves_out_only_infinite_instances():
+    assert len(_FINITE_CORPUS) == 13
+
+
+@pytest.mark.parametrize("p", [p for _, p in _FINITE_CORPUS],
+                         ids=[label for label, _ in _FINITE_CORPUS])
+def test_short_decisions_match_full_sweeps_on_corpus_covers(p):
+    group = cyclic_group(2)
+    _assert_short_decisions_match_full_sweeps(
+        AlgebraModel(p, 6), group, one_weights(p, group))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_short_decisions_match_full_sweeps_on_random_covers(seed):
+    p, group, weights = random_graded_presentation(random.Random(seed))
+    _assert_short_decisions_match_full_sweeps(AlgebraModel(p, 3), group, weights)
+
+
+def _decomposed_reference(s, lengths) -> int:
+    return sum(
+        any(s.table.get((a, x)) == {l: 1}
+            for a in range(s.dim) if lengths[a] == 1
+            for x in range(s.dim) if lengths[x] == lengths[l] - 1)
+        for l in range(s.dim) if lengths[l] > 1)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_short_sweep_is_the_full_sweep_on_short_first_factors(seed):
+    rng = random.Random(seed)
+    s = _semigroup_algebra(rng) if seed % 4 == 0 else _random_algebra(rng)
+    lengths = [rng.randint(0, 3) for _ in range(s.dim)]
+    failures, decomposed = short_associativity(s, lengths)
+    full = s.associativity_failures()
+    assert failures == [t for t in full if lengths[t[0]] <= 1]
+    assert decomposed == _decomposed_reference(s, lengths)
+    if not failures and decomposed == _long(lengths):
+        assert full == []
+
+
+def test_short_sweep_needs_every_long_label_decomposed():
+    # b1 b0 = b0 and nothing else: b1 (b1 b0) = b0 but (b1 b1) b0 = 0, the
+    # one failure, has the long b1 first.  The short sweep is clean, and b1
+    # is no product of short labels, so only the full sweep decides
+    s = StructureConstantAlgebra(["b0", "b1"], {}, {(1, 0): {0: 1}})
+    assert short_associativity(s, [1, 2]) == ([], 0)
+    assert s.associativity_failures() == [(1, 1, 0)]
+    # with b1 short the sweep sees the failure itself
+    assert short_associativity(s, [1, 1]) == ([(1, 1, 0)], 0)
+
+
+def test_factor_index_is_built_once():
+    s = smash_product(ext_model(2), cyclic_group(2), {"a1": "1", "a2": "1"})
+    index = s.factor_index
+    assert s.unit_failures() == [] and s.associativity_failures() == []
+    assert len(radical(s)) == 6
+    assert s.factor_index is index
