@@ -4,8 +4,9 @@ Five subcommands: analyze (resolve and report), dual (quadratic dual
 document), cover (finite covering document), verify (single named check
 with an exit code), corpus (built-in presentations).  Reports are
 canonical JSON; timing sits outside the comparable section, with the
-number of simples resolved and relabelled under ``timing.sizes`` for the
-commands that resolve, and smash-iso's label and full-sweep counts.
+number of simples resolved and relabelled, their kernels and their
+generators under ``timing.sizes`` for the commands that resolve, and
+smash-iso's label and full-sweep counts.
 
 Exit codes: 0 pass, 1 failed check (witness in the report), 2 input error,
 3 internal error (a consistency check inside the library failed, which is a

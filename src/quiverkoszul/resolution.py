@@ -6,10 +6,10 @@ degree, the alternating-sum identity against the Hilbert matrix, dimension
 comparison with the quadratic dual, and the side-by-side comparison of an
 algebra with a finite covering.
 
-A resolution step presents its projective as a list of generators, each a
-(vertex, internal degree) pair; the differential sends a new generator to a
-combination of coordinates, each the int k·W + b for a previous generator
-k and a basis word id b, with W = len(model.words).  The ints sort as the
+A resolution step presents its projective as runs of generators, each run
+n equal (vertex, internal degree) pairs; the differential sends a new
+generator to a combination of coordinates, each the int k·W + b for a
+previous generator k and a basis word id b, with W = len(model.words).  The ints sort as the
 (k, b) pairs do, so spans and solvers pivot on them directly, and
 ``divmod(·, W)`` decodes one; no other module sees them.  A generator whose
 image is a single coordinate with coefficient 1, as every generator of a
@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 
 from .algebra import AlgebraModel, InternalError, hilbert_matrix, keeps_model, moved_normal_form
-from .covering import build_covering
+from .covering import build_covering, split_sheet
 from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO, vec_axpy
 from .quiver import QuiverAutomorphism, rooted_isomorphism
 
@@ -50,14 +50,13 @@ class Generator:
 
 
 def _step_blocks(model: AlgebraModel, gens: list) -> dict:
-    """The blocks of the free module on gens past degree 0, keyed (D, w):
-    runs (k, n, words), the n equal generators from index k times a
-    ``blocks_from`` block of basis words into w, in generator order.  One
-    walk groups the generators; a block's size is its Σ n·len(words), and
-    only ``_run_coords`` builds its coordinates."""
+    """The blocks of the free module on a step's generator runs (g, n) past
+    degree 0, keyed (D, w): runs (k, n, words), the n generators g from
+    index k times a ``blocks_from`` block of basis words into w, in
+    generator order.  One walk reads each run once; a block's size is its
+    Σ n·len(words), and only ``_run_coords`` builds its coordinates."""
     blocks, k = {}, 0
-    for g, run in groupby(gens):
-        n = len(list(run))
+    for g, n in gens:
         for d in range(max(1 - g.degree, 0), model.max_degree - g.degree + 1):
             for w, words in model.blocks_from.get((d, g.vertex), ()):
                 blocks.setdefault((g.degree + d, w), []).append((k, n, words))
@@ -107,7 +106,10 @@ def _diff_image(model: AlgebraModel, entry, b: int) -> dict:
 class SimpleResolution:
     """Minimal resolution of one vertex simple through step i_max.
 
-    ``gens[i]`` lists the step-i generators; ``diffs[i][j]`` maps coordinates
+    ``gens[i]`` lists the step-i generators as runs (g, n): n generators
+    g in a row, one run per block that gains generators, so step i has
+    Σ n of them, indexed in run order.  ``diffs[i][j]`` is flat, one entry
+    per generator: it maps coordinates
     k·W + b (previous generator index k, word id b of the model) to the
     coefficient with which they appear in the image of generator j, or is
     that coordinate itself, an int, where the image is its unit vector.
@@ -158,8 +160,8 @@ class SimpleResolution:
     whole syzygy block whatever rows span it, and one that falls short
     has tried every image, so its span, and with it the kernel and the
     generators, is the arrow multiples of Ω^{i+1} one degree down either
-    way.  A block's new generators are added as one batch and share one
-    ``Generator``.  Their largest coordinates are distinct, each with
+    way.  A block's new generators are added as one batch, one run of a
+    shared ``Generator``.  Their largest coordinates are distinct, each with
     coefficient 1: a solved kernel vector's is its own dependent column, a
     unit generator's is itself, and the span keeps a subset of them.
 
@@ -172,7 +174,7 @@ class SimpleResolution:
             raise ValueError("homological bound must be nonnegative")
         self.model = model
         self.vertex = self.resolved_from = vertex
-        self.gens = [[Generator(vertex, 0)]]
+        self.gens = [[(Generator(vertex, 0), 1)]]
         self.diffs = [[]]
         self.kernels_computed = self.kernels_skipped = 0
         q, lengths, W = model.quiver, model.lengths, len(model.words)
@@ -250,7 +252,7 @@ class SimpleResolution:
                         f"step {i + 1} generator in degree {D} has a"
                         " non-minimal column"
                     )
-                gens += [Generator(w, D)] * len(basis)
+                gens.append((Generator(w, D), len(basis)))
                 diffs += basis
             if image:
                 D, w = next(iter(image))
@@ -273,8 +275,8 @@ class SimpleResolution:
         the columns whose word is shorter than the top degree (every column
         without one), each word's length read from ``model.lengths`` once
         per run, not once per coordinate.
-        A solved block's rows are the P_{i-1} coordinates, below
-        len(gens[i-1])·W, and its kernel vectors are dicts."""
+        A solved block's rows are the P_{i-1} coordinates, below Σ n·W over
+        the runs of gens[i-1], and its kernel vectors are dicts."""
         model, diffs, W = self.model, self.diffs[i], len(self.model.words)
         coords = _run_coords(block, W)
         if nullity == len(coords):
@@ -290,7 +292,7 @@ class SimpleResolution:
                         f" {w}, where exactness makes it vanish"
                     )
             return coords
-        solver = ColumnSolver(len(self.gens[i - 1]) * W)
+        solver = ColumnSolver(sum(n for _, n in self.gens[i - 1]) * W)
         kernel = []
         for k, b in map(divmod, coords, repeat(W)):
             vec = solver._add_column(_diff_image(model, diffs[k], b))
@@ -308,13 +310,13 @@ class SimpleResolution:
         generators' vertices moved by sigma, a map that ``keeps_model``
         accepts.  sigma is an isomorphism of the parts of the algebra reached
         from vertex and from its image, all either resolution reads, so the
-        image is minimal too.  Its differentials are built when first read."""
+        image is minimal too.  Its generator runs keep their lengths, each
+        run's vertex moved; its differentials are built when first read."""
         out = object.__new__(SimpleResolution)
         out.model, out.resolved_from = self.model, self.resolved_from
         out.vertex = sigma.vertices[self.vertex]
-        out.gens = [list(chain.from_iterable(
-            [Generator(sigma.vertices[g.vertex], g.degree)] * len(list(run))
-            for g, run in groupby(step))) for step in self.gens]
+        out.gens = [[(Generator(sigma.vertices[g.vertex], g.degree), n) for g, n in step]
+                    for step in self.gens]
         out.kernels_computed = out.kernels_skipped = 0
         out._moved_by = (self, sigma)
         return out
@@ -354,8 +356,9 @@ class ResolutionReport:
     """Bundle of per-simple resolutions with the derived numerics.
 
     ``transported`` names the simples whose resolution was relabelled from
-    another simple's rather than computed.  The Betti totals per (step,
-    degree) and per step are summed once, here.
+    another simple's rather than computed.  The Betti numbers are read off
+    each step's generator runs, and the totals per (step, degree) and per
+    step are summed once, here.
     """
 
     def __init__(self, model: AlgebraModel, i_max: int, per_simple: dict,
@@ -367,10 +370,10 @@ class ResolutionReport:
         self.transported = frozenset(transported)
         self.betti = {}
         for u in self.simples:
-            for i, gen_list in enumerate(per_simple[u].gens):
-                for g, run in groupby(gen_list):
+            for i, runs in enumerate(per_simple[u].gens):
+                for g, n in runs:
                     key = (u, i, g.degree, g.vertex)
-                    self.betti[key] = self.betti.get(key, 0) + len(list(run))
+                    self.betti[key] = self.betti.get(key, 0) + n
         self._totals, self._step_totals = {}, {}
         for (_, i, d, _), n in self.betti.items():
             self._totals[(i, d)] = self._totals.get((i, d), 0) + n
@@ -475,14 +478,19 @@ def resolve(model: AlgebraModel, i_max: int) -> ResolutionReport:
 
 def resolution_sizes(*reports: ResolutionReport) -> dict:
     """Simples resolved and relabelled, and over the resolved ones the
-    blocks whose syzygy kernel was solved or only counted."""
+    blocks whose syzygy kernel was solved or only counted, and the
+    generators of every step and the runs that hold them."""
     transported = sum(len(r.transported) for r in reports)
-    resolutions = [res for r in reports for res in r.per_simple.values()]
+    resolutions = [res for r in reports for u, res in r.per_simple.items()
+                   if u not in r.transported]
+    runs = [run for res in resolutions for step in res.gens for run in step]
     return {
-        "simples_resolved": sum(len(r.simples) for r in reports) - transported,
+        "simples_resolved": len(resolutions),
         "simples_transported": transported,
         "kernels_computed": sum(res.kernels_computed for res in resolutions),
         "kernels_skipped": sum(res.kernels_skipped for res in resolutions),
+        "generators": sum(n for _, n in runs),
+        "generator_runs": len(runs),
     }
 
 
@@ -657,6 +665,9 @@ def theorem_covering_check(presentation, group, weights, i_max: int,
 
     The verdicts must agree including the failure witness, and every Betti
     total of the covering must be the group order times the base total.
+    Per cover simple v|g the Betti numbers push down: summed over the
+    sheets h, β_C(v|g, i, d, w|h) must be β_A(v, i, d, w), so a generator
+    moved between target vertices fails even where the totals hold.
     """
     base_model = AlgebraModel(presentation, d_max)
     cover = build_covering(presentation, group, weights)
@@ -680,6 +691,22 @@ def theorem_covering_check(presentation, group, weights, i_max: int,
         got = cover_report.ext_total(i)
         if want != got:
             mismatches.append(("ext", i, got, want))
+    # per cover simple and base vertex w, summed over the sheets of w
+    pushed, base = {}, {}
+    for (u, i, d, x), count in cover_report.betti.items():
+        at = pushed.setdefault(u, {})
+        key = (i, d, split_sheet(x)[0])
+        at[key] = at.get(key, 0) + count
+    for (v, i, d, w), count in base_report.betti.items():
+        base.setdefault(v, {})[(i, d, w)] = count
+    bq = base_model.quiver
+    for u in cover_report.simples:
+        have, need = pushed.get(u, {}), base.get(split_sheet(u)[0], {})
+        for key in sorted(have.keys() | need.keys(),
+                          key=lambda k: (k[0], k[1], bq.vertex_index(k[2]))):
+            got, want = have.get(key, 0), need.get(key, 0)
+            if got != want:
+                mismatches.append(("betti_vertex", u, *key, got, want))
     return CoveringTheoremReport(
         not mismatches, n, bv, cv, mismatches,
         resolution_sizes(base_report, cover_report),

@@ -96,10 +96,11 @@ def test_resolving_commands_report_orbit_sizes_outside_canonical(capsys, tmp_pat
     rc, report = run_json(capsys, ["analyze", str(cover)])
     assert rc == 0
     # one kernel solved per step for the resolved simple, every other
-    # nonempty block counted
+    # nonempty block counted; its i + 1 generators at step i sit in one run
     assert report["timing"]["sizes"] == {
         "simples_resolved": 1, "simples_transported": 1,
-        "kernels_computed": 4, "kernels_skipped": 7}
+        "kernels_computed": 4, "kernels_skipped": 7,
+        "generators": 15, "generator_runs": 5}
     assert "sizes" not in report["canonical"]
     rc, report = run_json(
         capsys, ["verify", ext2_graded_file, "--check", "covering-theorem"])
@@ -107,7 +108,8 @@ def test_resolving_commands_report_orbit_sizes_outside_canonical(capsys, tmp_pat
     # the base's one simple, and one of the covering's two
     assert report["timing"]["sizes"] == {
         "simples_resolved": 2, "simples_transported": 1,
-        "kernels_computed": 8, "kernels_skipped": 14}
+        "kernels_computed": 8, "kernels_skipped": 14,
+        "generators": 30, "generator_runs": 10}
     rc, report = run_json(
         capsys, ["verify", ext2_graded_file, "--check", "smash-iso"])
     assert rc == 0
@@ -148,7 +150,8 @@ def test_orbit_transport_reaches_coverings_that_fall_apart(capsys, tmp_path,
     assert rc == 0
     assert report["timing"]["sizes"] == {
         "simples_resolved": 1, "simples_transported": 2,
-        "kernels_computed": 4, "kernels_skipped": 7}
+        "kernels_computed": 4, "kernels_skipped": 7,
+        "generators": 15, "generator_runs": 5}
     # every weight s generates the order-2 subgroup of D3, so the covering
     # is three copies of a two-vertex piece; one of its six simples is
     # resolved, as is the base's one simple
@@ -157,9 +160,11 @@ def test_orbit_transport_reaches_coverings_that_fall_apart(capsys, tmp_path,
         exterior(4), ("dihedral", 3), {f"a{k}": "s" for k in range(1, 5)})))
     rc, report = run_json(capsys, ["verify", str(ext4), "--check", "covering-theorem"])
     assert rc == 0
+    # each resolved simple has C(3 + i, i) generators at step i, in one run
     assert report["timing"]["sizes"] == {
         "simples_resolved": 2, "simples_transported": 5,
-        "kernels_computed": 8, "kernels_skipped": 28}
+        "kernels_computed": 8, "kernels_skipped": 28,
+        "generators": 140, "generator_runs": 10}
 
 
 @pytest.mark.parametrize("n, want", [(4, (2, 3, 39, 66)), (6, (2, 5, 55, 92))])

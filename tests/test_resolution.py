@@ -56,6 +56,7 @@ from quiverkoszul.resolution import (
     UNKNOWN_BEYOND_BOUND,
     ExtAlgebra,
     Generator,
+    ResolutionReport,
     SimpleResolution,
     _arrow_ranks,
     _diff_image,
@@ -70,7 +71,7 @@ from quiverkoszul.resolution import (
 )
 from quiverkoszul.serialization import canonical_json, presentation_to_document
 from random_inputs import GROUPS, random_graded_presentation, random_presentation
-from yoneda import ExtElement, YonedaAlgebra, expanded
+from yoneda import ExtElement, YonedaAlgebra, expand_runs, expanded
 
 
 def binom(n, k):
@@ -85,19 +86,16 @@ def _degree_coords_by_degree(model: AlgebraModel, gens: list, D: int, window: ra
     generator order then canonical basis order (the order of the ids), so
     each list is sorted.
 
+    ``gens`` holds one generator per entry (``expand_runs`` of a step), and
     ``window`` limits the walk to a range of generator indices, which must
     hold every generator with a basis path into degree D.  A vertex no
-    coordinate reaches has no entry.  Equal generators in a row, as a step's
-    batches are, share their basis words, so each run is read once.
+    coordinate reaches has no entry.
     """
     out, W = {}, len(model.words)
-    k = window.start
-    for g, run in itertools.groupby(gens[k:window.stop]):
-        n = len(list(run))
+    for k in window:
+        g = gens[k]
         for w, words in model.blocks_from.get((D - g.degree, g.vertex), ()):
-            out.setdefault(w, []).extend(
-                kk * W + b for kk in range(k, k + n) for b in words)
-        k += n
+            out.setdefault(w, []).extend(k * W + b for b in words)
     return out
 
 
@@ -360,6 +358,35 @@ class TestCoveringTheorem:
         )
         assert outcome.base_verdict.witness == (2, 3)
         assert outcome.cover_verdict.witness == (2, 3)
+
+    def test_a_generator_moved_between_vertices_is_a_mismatch(self, monkeypatch):
+        # S(2|0)'s step-1 generators sit at 1|1 and 3|1; moving the first to
+        # 3|1 keeps every total, so only the per-vertex push-down sees it
+        from quiverkoszul import resolution
+
+        p = preprojective(parse_quiver_spec("line:3"))
+        weights = {a.label: "1" for a in p.quiver.arrows}
+        args = (p, cyclic_group(2), weights, 3, 3)
+        assert theorem_covering_check(*args).mismatches == []
+        resolve_ = resolution.resolve
+
+        def moved(model, i_max):
+            report = resolve_(model, i_max)
+            if "2|0" in report.simples:
+                gens = report.per_simple["2|0"].gens
+                assert gens[1] == [(Generator("1|1", 1), 1), (Generator("3|1", 1), 1)]
+                gens[1] = [(Generator("3|1", 1), 2)]
+                report = ResolutionReport(model, i_max, report.per_simple,
+                                          report.transported)
+            return report
+
+        monkeypatch.setattr(resolution, "resolve", moved)
+        outcome = theorem_covering_check(*args)
+        assert not outcome.passed
+        assert outcome.mismatches == [
+            ("betti_vertex", "2|0", 1, 1, "1", 0, 1),
+            ("betti_vertex", "2|0", 1, 1, "3", 2, 1),
+        ]
 
 
 class TestExtAlgebra:
@@ -769,9 +796,9 @@ def test_block_generators_have_distinct_largest_coordinates_of_coefficient_1(
     for v, res in report.per_simple.items():
         if v in report.transported:
             continue
-        for gens, step in zip(res.gens[1:], res.diffs[1:]):
+        for runs, step in zip(res.gens[1:], res.diffs[1:]):
             largest = set()
-            for g, entry in zip(gens, step):
+            for g, entry in zip(expand_runs(runs), step):
                 entry = expanded(entry)
                 top = max(entry)
                 assert entry[top] == 1
@@ -789,8 +816,8 @@ def test_walked_blocks_build_the_oracle_coordinates(arrow_rank_report):
     for v, res in report.per_simple.items():
         if v in report.transported:
             continue
-        for gens in res.gens:
-            blocks = _step_blocks(model, gens)
+        for step in res.gens:
+            blocks, gens = _step_blocks(model, step), expand_runs(step)
             assert {key: _run_coords(runs, W) for key, runs in blocks.items()} == {
                 (D, w): coords for D in range(1, model.max_degree + 1)
                 for w, coords in _degree_coords_by_degree(
@@ -892,8 +919,8 @@ def test_orbit_transported_resolutions_are_exact(name):
 def _direct_betti(model, i_max):
     betti = {}
     for u in model.quiver.vertices:
-        for i, gens in enumerate(SimpleResolution(model, u, i_max).gens):
-            for g in gens:
+        for i, step in enumerate(SimpleResolution(model, u, i_max).gens):
+            for g in expand_runs(step):
                 key = (u, i, g.degree, g.vertex)
                 betti[key] = betti.get(key, 0) + 1
     return betti
@@ -1273,8 +1300,9 @@ def test_orbit_certificate_accepts_a_map_that_sends_a_basis_word_off_the_basis()
     assert keeps_model(model, sigma)
     swapped = SimpleResolution(model, "1", 3).relabelled(sigma)
     direct = SimpleResolution(model, "5", 3)
-    assert ([sorted((g.degree, g.vertex) for g in step) for step in swapped.gens]
-            == [sorted((g.degree, g.vertex) for g in step) for step in direct.gens])
+    def degrees(res):
+        return [sorted((g.degree, g.vertex) for g in expand_runs(step)) for step in res.gens]
+    assert degrees(swapped) == degrees(direct)
     _assert_squares_to_zero(model, swapped)
     # the search's map sends a to c and b to d, and S(5) is transported
     rooted = rooted_isomorphism(q, "1", "5")
@@ -1372,7 +1400,8 @@ def _assert_coordinate_order(model, i_max):
     W = len(model.words)
     for v in model.quiver.vertices:
         res = SimpleResolution(model, v, i_max)
-        for i, gens in enumerate(res.gens):
+        for i, step in enumerate(res.gens):
+            gens = expand_runs(step)
             for D in range(model.max_degree + 1):
                 by_target = _degree_coords_by_degree(model, gens, D, range(len(gens)))
                 want = {}
@@ -1498,7 +1527,7 @@ def _assert_matches_two_pass(model, i_max, d_max):
     for v in model.quiver.vertices:
         res = SimpleResolution(model, v, i_max)
         gens, diffs = _two_pass(model, v, i_max, d_max)
-        assert res.gens == gens
+        assert [expand_runs(step) for step in res.gens] == gens
         # dict order too: the columns are the very kernel vectors
         assert [[list(expanded(e).items()) for e in step] for step in res.diffs] == [
             [list(e.items()) for e in step] for step in diffs]
@@ -1521,7 +1550,7 @@ def test_one_loop_solves_a_kernel_only_where_a_generator_can_sit():
     # arrow images fall short is where that step's generators sit
     res = SimpleResolution(AlgebraModel(exterior(3), 6), "1", 5)
     assert res.kernels_computed == 5
-    assert [{g.degree for g in step} for step in res.gens[1:]] == [
+    assert [{g.degree for g in expand_runs(step)} for step in res.gens[1:]] == [
         {i} for i in range(1, 6)]
     assert res.kernels_skipped > 0
 
@@ -1736,7 +1765,7 @@ def _resolve_with_a_stray_coordinate(monkeypatch, step_degree, D, stray):
 
     def with_stray(model, gens):
         blocks = step_blocks(model, gens)
-        if gens[0].degree == step_degree:
+        if gens[0][0].degree == step_degree:
             # a run of one generator, 0, times the one word stray
             blocks[D, "1"] = blocks.get((D, "1"), []) + [(0, 1, [stray_id])]
         return blocks
@@ -1773,7 +1802,7 @@ def _resolve_with_coordinates_cut(monkeypatch, model, vertex, step_degree, D, ke
 
     def cut(model, gens):
         blocks = step_blocks(model, gens)
-        if gens[0].degree == step_degree:
+        if gens[0][0].degree == step_degree:
             for w, n in keep.items():
                 # one run per generator, its words cut to the first n ints
                 kept = []
@@ -1840,7 +1869,7 @@ def _assert_unit_entries_exactly_where_blocks_vanish(monkeypatch, model, i_max):
     for v in model.quiver.vertices:
         res = SimpleResolution(model, v, i_max)
         for i in range(1, i_max + 1):
-            for g, entry in zip(res.gens[i], res.diffs[i]):
+            for g, entry in zip(expand_runs(res.gens[i]), res.diffs[i]):
                 assert (type(entry) is int) == vanished[(v, i, g.degree, g.vertex)]
                 units += type(entry) is int
     return units
@@ -1891,6 +1920,68 @@ def test_unit_entries_of_a_transported_copy_move_by_the_word_images(name):
                 else:
                     assert type(image) is dict
     assert moved
+
+
+# -- generator runs: each step's generators stored as (Generator, n) ----------
+
+
+def _assert_run_format(report):
+    """Every step of every simple holds runs (g, n) with n >= 1, no two in
+    a row equal, in degrees that do not decrease, with Σ n the number of
+    differential entries past step 0, whose one run is the simple's own
+    generator; the Betti totals are the run sums; a relabelled copy has its
+    source's run lengths, each run's vertex moved by σ."""
+    totals, step_totals = {}, {}
+    for u, res in report.per_simple.items():
+        assert (res.gens[0], res.diffs[0]) == ([(Generator(u, 0), 1)], [])
+        for i, (runs, entries) in enumerate(zip(res.gens, res.diffs)):
+            assert all(type(g) is Generator and type(n) is int and n >= 1
+                       for g, n in runs)
+            assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+            assert all(a[0].degree <= b[0].degree for a, b in zip(runs, runs[1:]))
+            if i:
+                assert sum(n for _, n in runs) == len(entries) == len(expand_runs(runs))
+            for g, n in runs:
+                totals[(i, g.degree)] = totals.get((i, g.degree), 0) + n
+                step_totals[i] = step_totals.get(i, 0) + n
+        if u in report.transported:
+            source, sigma = res._moved_by
+            assert res.gens == [
+                [(Generator(sigma.vertices[g.vertex], g.degree), n) for g, n in step]
+                for step in source.gens]
+    assert report.ext_totals() == [step_totals.get(i, 0) for i in range(report.i_max + 1)]
+    assert all(report.betti_total(i, d) == n for (i, d), n in totals.items())
+    assert sum(report.betti.values()) == sum(totals.values())
+
+
+@pytest.mark.parametrize(
+    "presentation", [p for _, p in corpus_instances()],
+    ids=[label for label, _ in corpus_instances()],
+)
+def test_runs_are_well_formed_on_the_corpus(presentation):
+    _assert_run_format(resolve(AlgebraModel(presentation, 5), 5))
+    _assert_run_format(resolve(AlgebraModel(_z2_cover(presentation), 4), 4))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_runs_are_well_formed_on_random_presentations(seed):
+    p = random_presentation(random.Random(seed))
+    _assert_run_format(resolve(AlgebraModel(p, 5), 5))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_runs_are_well_formed_on_random_graded_covers(seed):
+    cover = build_covering(*random_graded_presentation(random.Random(seed)))
+    report = resolve(AlgebraModel(cover, 4), 4)
+    _assert_run_format(report)
+
+
+def test_runs_on_loops3_are_one_per_step():
+    # every block past step 0 vanishes and each step's generators sit in
+    # one block, degree i at the one vertex: 3^i generators in one run
+    report = resolve(AlgebraModel(radical_square_zero(parse_quiver_spec("loops:3")), 8), 8)
+    assert report.per_simple["1"].gens == [[(Generator("1", i), 3 ** i)] for i in range(9)]
+    _assert_run_format(report)
 
 
 # -- the transport certificate in word ids against a path-level check ---------

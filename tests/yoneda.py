@@ -25,6 +25,13 @@ from quiverkoszul.resolution import (
 )
 
 
+def expand_runs(step) -> list:
+    """A step's generators one per entry, in index order: a resolution
+    keeps them as runs (g, n) of n equal generators.  Every test that reads
+    generators one at a time goes through here."""
+    return [g for g, n in step for _ in range(n)]
+
+
 def expanded(entry) -> dict:
     """A differential entry as a dict from coordinate to coefficient: a
     resolution stores a unit vector as its coordinate, an int."""
@@ -60,21 +67,25 @@ class YonedaAlgebra(ExtAlgebra):
     coordinate, is ``expanded`` to a dict.  Only the lifts read it, so
     it is paired on first read.  Bundle coordinates are k·W + b over the
     bundle's generators k: an entry's coordinate moves by offset·W.
+    ``gens[i]`` is the step-i bundle one generator per entry, and
+    ``runs[i]`` the simples' runs in the same order, which the blocks read.
     """
 
     def __init__(self, report: ResolutionReport):
         super().__init__(report)
         self.model = report.model
         self.simples = report.simples
-        self.gens = []
+        self.gens, self.runs = [], []
         self._offsets = []
         for i in range(report.i_max + 1):
-            bundle = []
+            bundle, runs = [], []
             offsets = {}
             for u in self.simples:
                 offsets[u] = len(bundle)
-                bundle.extend(report.per_simple[u].gens[i])
+                runs += report.per_simple[u].gens[i]
+                bundle += expand_runs(report.per_simple[u].gens[i])
             self.gens.append(bundle)
+            self.runs.append(runs)
             self._offsets.append(offsets)
         self._gen0_index = {g.vertex: k for k, g in enumerate(self.gens[0])}
         self._blocks_cache = {}
@@ -99,7 +110,7 @@ class YonedaAlgebra(ExtAlgebra):
 
     def _coords(self, i: int, D: int, w: str) -> list:
         if i not in self._blocks_cache:
-            self._blocks_cache[i] = _step_blocks(self.model, self.gens[i])
+            self._blocks_cache[i] = _step_blocks(self.model, self.runs[i])
         return _run_coords(self._blocks_cache[i].get((D, w), ()), len(self.model.words))
 
     def _solver(self, k: int, D: int, w: str) -> ColumnSolver:
