@@ -33,6 +33,7 @@ longer path is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import EchelonSpan, ONE, ZERO, as_scalar, vec_axpy
 from .quiver import (
@@ -379,6 +380,19 @@ class AlgebraModel:
         if not lives:
             raise ValueError(f"path {p} does not live in this quiver")
 
+    @cached_property
+    def _relations_from(self) -> dict:
+        """Per source vertex, in presentation order, the relations that
+        ``ideal_breaker`` reads, those no longer than the window and shorter
+        than the vanishing degree, each as (r, its terms (the arrows of the
+        term's path, first-applied first, and the coefficient))."""
+        out = {}
+        for r in self.presentation.relations:
+            if r.length <= self.max_degree and not self._vanishes(r.length):
+                out.setdefault(r.source, []).append(
+                    (r, [(p.arrows[::-1], c) for p, c in r.items()]))
+        return out
+
     def product(self, x: int, y: int) -> dict:
         """NF(words[x]∘words[y]) in word ids, y applied first; cached.  The
         caller must not mutate the result."""
@@ -426,17 +440,19 @@ def ideal_breaker(model: AlgebraModel, sigma: QuiverAutomorphism):
     the ideal.  The relations go in the order σ reached their sources, the
     root's first, and only those no longer than the window and shorter than
     the vanishing degree are read: a longer one lies past the window, or
-    moves to paths that vanish as every path of its length does."""
-    order = {x: k for k, x in enumerate(sigma.vertices)}
-    for _, _, r in sorted(
-            (k, n, r) for n, r in enumerate(model.presentation.relations)
-            if (k := order.get(r.source)) is not None
-            and r.length <= model.max_degree and not model._vanishes(r.length)):
-        image = {}
-        for p, c in r.items():
-            vec_axpy(image, c, moved_normal_form(model, sigma, p))
-        if image:
-            return r
+    moves to paths that vanish as every path of its length does.  Each
+    term's path moves as its arrows, first-applied first, which the model
+    keeps per source with the relations (``_relations_from``)."""
+    ids, moved = model.arrow_ids, sigma.arrows
+    relations = model._relations_from
+    for x in sigma.vertices:
+        for r, terms in relations.get(x, ()):
+            image = {}
+            for arrows, c in terms:
+                walk = [ids[moved[a]] for a in arrows]
+                vec_axpy(image, c, model._walk(walk[1:], {walk[0]: ONE}))
+            if image:
+                return r
     return None
 
 

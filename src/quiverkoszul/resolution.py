@@ -11,11 +11,13 @@ n equal (vertex, internal degree) pairs; the differential sends a new
 generator to a combination of coordinates, each the int k·W + b for a
 previous generator k and a basis word id b, with W = len(model.words).  The ints sort as the
 (k, b) pairs do, so spans and solvers pivot on them directly, and
-``divmod(·, W)`` decodes one; no other module sees them.  A generator whose
-image is a single coordinate with coefficient 1, as every generator of a
-block where the differential vanishes is, stores that coordinate itself,
-the int, in place of a one-entry dict.  Syzygies are
-built degreewise per target vertex, and exactness counts each block, so a
+``divmod(·, W)`` decodes one; no other module sees them.  The
+differentials are kept per run of generators.  A block where the
+differential vanishes gives one run whose images are the block's unit
+vectors, kept as a ``UnitBatch`` of the block's runs with no int built; any
+other generator whose image is a single coordinate with coefficient 1
+stores that coordinate itself, the int, in place of a one-entry dict.
+Syzygies are built degreewise per target vertex, and exactness counts each block, so a
 kernel is solved (finite exact linear algebra) only where the arrow images
 fall short of the count and the differential need not vanish.  Every Betti
 number with internal degree inside the window is exact; nothing is claimed
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice
 
 from .algebra import AlgebraModel, InternalError, hilbert_matrix, keeps_model, moved_normal_form
 from .covering import build_covering, split_sheet
@@ -70,6 +72,34 @@ def _run_coords(runs: list, W: int) -> list:
     return [kk * W + b for k, n, words in runs for kk in range(k, k + n) for b in words]
 
 
+class UnitBatch:
+    """The unit vectors of a block where the differential vanishes, as the
+    block's runs (k, n, words), with W = len(model.words) and size Σ n·len(words).
+    It reads as the sequence of their coordinates kk·W + b, kk in [k, k + n)
+    and b in words, in that order, the ints a per-generator list would
+    hold; they are built when the batch is first iterated, as an arrow image
+    or a solved kernel reads it, and kept.  As a run's differential entry
+    the batch gives one generator per coordinate, and as an Ω basis one
+    vector per coordinate."""
+
+    __slots__ = ("runs", "W", "size", "_coords")
+
+    def __init__(self, runs: list, W: int, size: int):
+        self.runs, self.W, self.size, self._coords = runs, W, size, None
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        if self._coords is None:
+            self._coords = _run_coords(self.runs, self.W)
+        return iter(self._coords)
+
+    def words(self) -> set:
+        """The word ids its coordinates hold, each once."""
+        return {b for _, _, words in self.runs for b in words}
+
+
 def _diff_image(model: AlgebraModel, entry, b: int) -> dict:
     """Word b times the element entry, both in coordinates k·W + word id:
     the image of the coordinate b*g under a differential entry for g, or
@@ -108,13 +138,16 @@ class SimpleResolution:
 
     ``gens[i]`` lists the step-i generators as runs (g, n): n generators
     g in a row, one run per block that gains generators, so step i has
-    Σ n of them, indexed in run order.  ``diffs[i][j]`` is flat, one entry
-    per generator: it maps coordinates
+    Σ n of them, indexed in run order.  ``diffs[i]`` has one entry per run
+    past step 0, the run's n differential entries in order; a generator is
+    its run and its offset there.  An entry maps coordinates
     k·W + b (previous generator index k, word id b of the model) to the
-    coefficient with which they appear in the image of generator j, or is
+    coefficient with which they appear in the generator's image, or is
     that coordinate itself, an int, where the image is its unit vector.
-    The Ω bases are written in the same coordinates, a vanishing block's
-    as its list of ints.  Minimality holds by construction: every
+    A run that is the whole kernel of a vanishing block is a ``UnitBatch``,
+    which reads as those ints but holds only the block's runs.  The Ω
+    bases are written in the same coordinates, a vanishing block's as its
+    ``UnitBatch``.  Minimality holds by construction: every
     differential coordinate uses a positive-length word, and the model's
     ``lengths`` give each word's length.
 
@@ -128,8 +161,10 @@ class SimpleResolution:
     independent of the arrow images become generators.  A block whose count
     is its whole size, as no syzygy of step i sits there, is where d_i
     vanishes: its kernel is its unit vectors, taken without solving once
-    every column is checked to be zero, and kept as the block's coordinate
-    list, one int per unit vector (a unit batch).  Every coordinate of a new
+    every column is checked to be zero, and kept as a ``UnitBatch``.  Where
+    the arrow images span nothing, the batch is the new run's entry as it
+    is; otherwise the unit vectors independent of them are the generators,
+    each its int.  Every coordinate of a new
     generator, unit or not, is checked to hold a word of positive length.
     Every differential word has length at least 1, so a column whose word
     is not shorter than the top degree is zero by degree and only the
@@ -142,8 +177,9 @@ class SimpleResolution:
     model's ``blocks_from`` table (``_step_blocks``), and the pass visits
     those blocks in (D, vertex) order.  A block's size is a count over its
     runs, so a block that is skipped or filled by arrow images never builds
-    a coordinate; ``_kernel`` builds them only where it solves a kernel or
-    returns a unit batch.  A unit batch's minimality check reads the
+    a coordinate; ``_kernel`` builds them only where it solves a kernel,
+    and a ``UnitBatch`` only when first read, which never happens on a
+    radical-square-zero algebra.  A unit batch's minimality check reads the
     length of each of its block's words, once per word.  Each visit takes
     its Ω^i block out of the previous pass's bases, so a block of Ω^i left
     over at the end of a step, which sits where P_i has no coordinate, is
@@ -188,10 +224,12 @@ class SimpleResolution:
         # a basis of Ω^{i+1} per (D, w) in P_i coordinates; Ω^0 sits in degree
         # 0; made[(D, w)] cuts an image block's basis, in order, into runs
         # (t, rows) of rows made by one arrow t
-        omega = {}
+        # entries[k]: the differential entries of the step-i run whose first
+        # generator is k (step 0 has none)
+        omega, entries = {}, {}
         for i in range(i_max):
             image, omega, made = omega, {}, {}
-            gens, diffs = [], []
+            gens, diffs, runs_at, k = [], [], {}, 0
             blocks = _step_blocks(model, self.gens[i])
             for D, w in sorted(blocks, key=lambda key: (key[0], q.vertex_index(key[1]))):
                 block = blocks[D, w]
@@ -229,10 +267,9 @@ class SimpleResolution:
                     omega[(D, w)], made[(D, w)] = basis, runs
                     continue
                 self.kernels_computed += 1
-                basis = omega[(D, w)] = self._kernel(i, D, w, block, nullity)
-                # a vanishing block's kernel is its unit vectors, stored as
-                # their coordinates
-                units = nullity == size
+                basis = omega[(D, w)] = self._kernel(i, D, w, block, nullity, entries)
+                # a vanishing block's kernel is its unit vectors
+                units = type(basis) is UnitBatch
                 # the new generators: kernel vectors independent of the
                 # arrow images, every one where the images span nothing;
                 # diffs keeps them, so the span gets copies
@@ -252,8 +289,11 @@ class SimpleResolution:
                         f"step {i + 1} generator in degree {D} has a"
                         " non-minimal column"
                     )
-                gens.append((Generator(w, D), len(basis)))
-                diffs += basis
+                n = len(basis)
+                gens.append((Generator(w, D), n))
+                diffs.append(basis)
+                runs_at[k] = basis
+                k += n
             if image:
                 D, w = next(iter(image))
                 raise InternalError(
@@ -262,42 +302,68 @@ class SimpleResolution:
                 )
             self.gens.append(gens)
             self.diffs.append(diffs)
+            entries = runs_at
 
-    def _kernel(self, i: int, D: int, w: str, block: list, nullity: int) -> list:
+    def _kernel(self, i: int, D: int, w: str, block: list, nullity: int,
+                entries: dict):
         """Kernel of d_i on the (D, w) block of P_i, given by its runs, one
-        vector per dependent column, in column order.
+        vector per dependent column, in column order.  ``entries[k]`` holds
+        the differential entries of the step-i run whose first generator is
+        k, so a block run (k, n, words) reads the first n entries there, in
+        order: all of them, as ``_step_blocks`` files whole runs.  Reading
+        a block run that starts no run, or is longer than its run, is an
+        ``InternalError``.
 
-        Only here are a block's coordinates built.  Where exactness counts
-        the whole block (at step 0 that is the radical of P_0), d_i
-        vanishes on it: the kernel is the block's unit vectors, the order
-        solving gives for zero columns, returned as the coordinate list, one
-        int per unit vector.  Only that every column is zero is checked, on
-        the columns whose word is shorter than the top degree (every column
-        without one), each word's length read from ``model.lengths`` once
-        per run, not once per coordinate.
-        A solved block's rows are the P_{i-1} coordinates, below Σ n·W over
-        the runs of gens[i-1], and its kernel vectors are dicts."""
-        model, diffs, W = self.model, self.diffs[i], len(self.model.words)
-        coords = _run_coords(block, W)
-        if nullity == len(coords):
+        Where exactness counts the whole block (at step 0 that is the
+        radical of P_0), d_i vanishes on it: the kernel is the block's unit
+        vectors, the order solving gives for zero columns, returned as a
+        ``UnitBatch`` of the block's runs.  Only that every column is zero
+        is checked, on the columns whose word is shorter than the top degree
+        (every column without one).  Over a run whose entries are a
+        ``UnitBatch`` a column is b·c, for its word b and the word c of the
+        generator's unit coordinate, shifted, so each pair (b, c) is
+        multiplied once per run, whatever its length.
+        Only a solved block builds its coordinates.  Its rows are the
+        P_{i-1} coordinates, below Σ n·W over the runs of gens[i-1], and its
+        kernel vectors are dicts."""
+        model, W = self.model, len(self.model.words)
+
+        def run(k, n):
+            found = entries.get(k, ())
+            if len(found) < n:
+                raise InternalError(
+                    f"step {i} block in degree {D} at vertex {w} reads {n}"
+                    f" generators from {k}, past the run there"
+                )
+            return found
+
+        size = sum(n * len(words) for _, n, words in block)
+        if nullity == size:
             if i:
                 top, lengths = model.top_degree(), model.lengths
-                shorter = block if top is None else [
-                    (k, n, [b for b in words if lengths[b] < top])
-                    for k, n, words in block]
-                if any(_diff_image(model, diffs[kk], b) for k, n, words in shorter
-                       for kk in range(k, k + n) for b in words):
-                    raise InternalError(
-                        f"step {i} differential is nonzero in degree {D} at vertex"
-                        f" {w}, where exactness makes it vanish"
-                    )
-            return coords
+                for k, n, words in block:
+                    shorter = words if top is None else [b for b in words if lengths[b] < top]
+                    if not shorter:
+                        continue
+                    # a word c stands for the unit coordinates k'·W + c
+                    images = run(k, n)
+                    if type(images) is UnitBatch:
+                        images = images.words()
+                    if any(_diff_image(model, e, b) for e in images for b in shorter):
+                        raise InternalError(
+                            f"step {i} differential is nonzero in degree {D} at vertex"
+                            f" {w}, where exactness makes it vanish"
+                        )
+            return UnitBatch(block, W, size)
+        coords = _run_coords(block, W)
         solver = ColumnSolver(sum(n for _, n in self.gens[i - 1]) * W)
         kernel = []
-        for k, b in map(divmod, coords, repeat(W)):
-            vec = solver._add_column(_diff_image(model, diffs[k], b))
-            if vec is not None:
-                kernel.append({coords[p]: c for p, c in vec.items()})
+        for k, n, words in block:
+            for e in islice(run(k, n), n):
+                for b in words:
+                    vec = solver._add_column(_diff_image(model, e, b))
+                    if vec is not None:
+                        kernel.append({coords[p]: c for p, c in vec.items()})
         if len(kernel) != nullity:
             raise InternalError(
                 f"step {i} kernel in degree {D} at vertex {w} has"
@@ -325,18 +391,33 @@ class SimpleResolution:
     def diffs(self) -> list:
         """A relabelled copy's differentials: its source's, each coordinate
         k·W + b replaced by k·W + NF(σ(words[b])), which may be a combination;
-        an int entry stays an int where its image is one word."""
+        an int entry stays an int where its image is one word.  A
+        ``UnitBatch`` stays one, each run's words moved, where σ sends every
+        word of it to one word with coefficient 1; otherwise it is read as
+        its ints and each is moved."""
         (source, sigma), model, W = self._moved_by, self.model, len(self.model.words)
+        moved = {}
+
+        def image(b):
+            if b not in moved:
+                moved[b] = moved_normal_form(model, sigma, model.words[b])
+            return moved[b]
 
         def move(entry):
             vec = {}
             for key, c in ((entry, ONE),) if type(entry) is int else entry.items():
                 k, b = divmod(key, W)
-                moved = moved_normal_form(model, sigma, model.words[b])
-                vec_axpy(vec, c, {k * W + m: cm for m, cm in moved.items()})
+                vec_axpy(vec, c, {k * W + m: cm for m, cm in image(b).items()})
             unit = type(entry) is int and len(vec) == 1 and ONE in vec.values()
             return next(iter(vec)) if unit else vec
-        return [[move(entry) for entry in step] for step in source.diffs]
+
+        def move_run(run):
+            if type(run) is UnitBatch and all(
+                    list(image(b).values()) == [ONE] for b in run.words()):
+                return UnitBatch([(k, n, [next(iter(image(b))) for b in words])
+                                  for k, n, words in run.runs], W, run.size)
+            return [move(entry) for entry in run]
+        return [[move_run(run) for run in step] for step in source.diffs]
 
 
 @dataclass(frozen=True)
@@ -522,7 +603,8 @@ class GenerationReport:
 def _arrow_ranks(res: SimpleResolution, i_max: int) -> list:
     """Per step i < i_max, the rank of the arrow parts of one resolution's
     step-(i+1) differential columns: the number of columns whose largest
-    coordinate holds an arrow word.
+    coordinate holds an arrow word.  A ``UnitBatch`` is counted by its runs,
+    n times the arrow words of each run (k, n, words), with no column read.
 
     The count is exact because of how ``SimpleResolution`` builds its
     generators.  Coordinates k·W + b sort by generator index k, and
@@ -542,10 +624,19 @@ def _arrow_ranks(res: SimpleResolution, i_max: int) -> list:
     arrows, so only resolved simples are ranked.
     """
     lengths, W = res.model.lengths, len(res.model.words)
-    return [
-        sum(lengths[(x if type(x) is int else max(x)) % W] == 1 for x in step)
-        for step in res.diffs[1:i_max + 1]
-    ]
+    ranks = []
+    for step in res.diffs[1:i_max + 1]:
+        rank = 0
+        for run in step:
+            if type(run) is UnitBatch:
+                for _, n, words in run.runs:
+                    rank += n * sum(lengths[b] == 1 for b in words)
+            else:
+                for x in run:
+                    if lengths[(x if type(x) is int else max(x)) % W] == 1:
+                        rank += 1
+        ranks.append(rank)
+    return ranks
 
 
 def generation_check(ext: ExtAlgebra) -> GenerationReport:

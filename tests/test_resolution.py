@@ -41,7 +41,7 @@ from quiverkoszul.covering import (
 )
 from quiverkoszul.duality import dual_presentation, quadratic_check
 from quiverkoszul.groups import cyclic_group, dihedral_group, direct_product
-from quiverkoszul.linalg import ZERO, ColumnSolver, EchelonSpan
+from quiverkoszul.linalg import ONE, ZERO, ColumnSolver, EchelonSpan, vec_axpy
 from quiverkoszul.quiver import (
     Path,
     Quiver,
@@ -58,6 +58,7 @@ from quiverkoszul.resolution import (
     Generator,
     ResolutionReport,
     SimpleResolution,
+    UnitBatch,
     _arrow_ranks,
     _diff_image,
     _run_coords,
@@ -71,7 +72,7 @@ from quiverkoszul.resolution import (
 )
 from quiverkoszul.serialization import canonical_json, presentation_to_document
 from random_inputs import GROUPS, random_graded_presentation, random_presentation
-from yoneda import ExtElement, YonedaAlgebra, expand_runs, expanded
+from yoneda import ExtElement, YonedaAlgebra, expand_diffs, expand_runs, expanded
 
 
 def binom(n, k):
@@ -224,16 +225,18 @@ def test_coordinates_are_built_only_for_blocks_that_reach_the_kernel(
         monkeypatch, presentation, window):
     from quiverkoszul import resolution
 
-    built, reached = [], []
+    # the blocks themselves are kept, so no two are the same object
+    built, solved, vanished = [], [], []
     run_coords, kernel = resolution._run_coords, SimpleResolution._kernel
 
     def counted(runs, W):
-        built.append(id(runs))
+        built.append((runs, sys._getframe(1).f_code.co_name))
         return run_coords(runs, W)
 
-    def spy(self, i, D, w, block, nullity):
-        reached.append(id(block))
-        return kernel(self, i, D, w, block, nullity)
+    def spy(self, i, D, w, block, nullity, entries):
+        out = kernel(self, i, D, w, block, nullity, entries)
+        (vanished if type(out) is UnitBatch else solved).append(block)
+        return out
 
     monkeypatch.setattr(resolution, "_run_coords", counted)
     monkeypatch.setattr(SimpleResolution, "_kernel", spy)
@@ -243,10 +246,18 @@ def test_coordinates_are_built_only_for_blocks_that_reach_the_kernel(
         res = SimpleResolution(model, v, window)
         computed += res.kernels_computed
         skipped += res.kernels_skipped
-    # one build per block that reaches _kernel, and none for the skipped ones
-    assert built == reached
-    assert len(reached) == computed
-    assert skipped
+    assert len(solved) + len(vanished) == computed
+    assert vanished and skipped
+    # one build per solved kernel; a vanishing block's UnitBatch builds its
+    # ints only when an arrow image or a solved kernel first reads it, and
+    # a skipped block builds none
+    by_kernel = [runs for runs, caller in built if caller == "_kernel"]
+    assert len(by_kernel) == len(solved)
+    assert all(a is b for a, b in zip(by_kernel, solved))
+    by_batch = [runs for runs, caller in built if caller == "__iter__"]
+    assert len(by_kernel) + len(by_batch) == len(built)
+    assert len({id(runs) for runs in by_batch}) == len(by_batch)
+    assert all(any(runs is block for block in vanished) for runs in by_batch)
 
 
 class TestHilbertEuler:
@@ -710,7 +721,7 @@ def _arrow_ranks_by_elimination(res: SimpleResolution, i_max: int) -> list:
     ranks, lengths, W = [], res.model.lengths, len(res.model.words)
     for step in res.diffs[1:i_max + 1]:
         units, rest = set(), []
-        for entry in step:
+        for entry in expand_diffs(step):
             if type(entry) is int:
                 if lengths[entry % W] == 1:
                     units.add(entry)
@@ -735,7 +746,7 @@ def test_generation_rank_drops_single_entry_coordinates_from_the_other_parts():
     a, b = model.arrow_ids[x1], model.arrow_ids[x2]
     aa = model.word_ids[Path((x1, x1))]
     W = len(model.words)
-    step = [{a: 1}, {b: 1, W + aa: 5}, {a: 3}, {a: 1, b: -1}]
+    step = [[{a: 1}, {b: 1, W + aa: 5}], [{a: 3}, {a: 1, b: -1}]]
     assert _arrow_ranks_by_elimination(
         SimpleNamespace(model=model, diffs=[[], step]), 1) == [2]
 
@@ -798,7 +809,7 @@ def test_block_generators_have_distinct_largest_coordinates_of_coefficient_1(
             continue
         for runs, step in zip(res.gens[1:], res.diffs[1:]):
             largest = set()
-            for g, entry in zip(expand_runs(runs), step):
+            for g, entry in zip(expand_runs(runs), expand_diffs(step)):
                 entry = expanded(entry)
                 top = max(entry)
                 assert entry[top] == 1
@@ -866,7 +877,7 @@ def _bundle_image(ext, step, vec):
 
 def _assert_squares_to_zero(model, res):
     W = len(model.words)
-    diffs = [[expanded(e) for e in step] for step in res.diffs]
+    diffs = [[expanded(e) for e in expand_diffs(step)] for step in res.diffs]
     for i in range(2, len(diffs)):
         for entry in diffs[i]:
             dd = {}
@@ -1339,7 +1350,7 @@ def test_orbit_relabelled_differentials_sum_combinations():
     assert moved.gens == res.gens
     W = len(model.words)
     assert any(len(moved_normal_form(model, swap, model.words[key % W])) > 1
-               for step in res.diffs for entry in step
+               for step in res.diffs for entry in expand_diffs(step)
                for key in ([entry] if type(entry) is int else entry))
     _assert_squares_to_zero(model, moved)
 
@@ -1389,6 +1400,47 @@ def test_orbit_copies_transport_and_perturbed_copies_resolve_alike(seed):
     _assert_transported_square_to_zero(report)
 
 
+def _ideal_breaker_by_sorting(model, sigma):
+    """``ideal_breaker`` as first written: per call, sort the relations by
+    the reach order of their sources, then presentation order, and move
+    each term's path through ``moved_normal_form``."""
+    order = {x: k for k, x in enumerate(sigma.vertices)}
+    for _, _, r in sorted(
+            (k, n, r) for n, r in enumerate(model.presentation.relations)
+            if (k := order.get(r.source)) is not None
+            and r.length <= model.max_degree and not model._vanishes(r.length)):
+        image = {}
+        for path, c in r.items():
+            vec_axpy(image, c, moved_normal_form(model, sigma, path))
+        if image:
+            return r
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ideal_breaker_reads_the_relations_kept_once_per_model(seed):
+    # every rooted map of a perturbed and of a reordered copy, at a window
+    # that cuts some relations off: the same relation, or None, as sorting
+    # per call; the relations' arrows are kept once, on the model
+    rng = random.Random(1300 + seed)
+    p = random_presentation(rng)
+    for q_p in (_with_copy(p, rng), _with_copy(p, reverse=True)):
+        for window in (2, 4):
+            model = AlgebraModel(q_p, window)
+            vertices = model.quiver.vertices
+            for v, t in itertools.product(vertices, vertices):
+                sigma = rooted_isomorphism(model.quiver, v, t)
+                if sigma is not None:
+                    assert ideal_breaker(model, sigma) is \
+                        _ideal_breaker_by_sorting(model, sigma)
+            # every v has the identity map, so the relations were kept
+            kept = vars(model)["_relations_from"]
+            for x in vertices:
+                assert [r for r, _ in kept.get(x, ())] == [
+                    r for r in q_p.relations if r.source == x
+                    and r.length <= window and not model._vanishes(r.length)]
+
+
 # -- coordinates: the int k·W + b for generator index k and word id b ----------
 
 
@@ -1413,14 +1465,15 @@ def _assert_coordinate_order(model, i_max):
                 assert all(coords == sorted(coords) for coords in by_target.values())
                 if not i:
                     continue
+                entries = expand_diffs(res.diffs[i])
                 for coords in want.values():
                     for k, b in coords:
                         image = {}
-                        for key, c in expanded(res.diffs[i][k]).items():
+                        for key, c in expanded(entries[k]).items():
                             l, word = divmod(key, W)
                             for m, cm in model.product(b, word).items():
                                 image[(l, m)] = image.get((l, m), ZERO) + c * cm
-                        got = _diff_image(model, res.diffs[i][k], b)
+                        got = _diff_image(model, entries[k], b)
                         assert {divmod(key, W): c for key, c in got.items()} == {
                             lm: c for lm, c in image.items() if c}
 
@@ -1529,8 +1582,8 @@ def _assert_matches_two_pass(model, i_max, d_max):
         gens, diffs = _two_pass(model, v, i_max, d_max)
         assert [expand_runs(step) for step in res.gens] == gens
         # dict order too: the columns are the very kernel vectors
-        assert [[list(expanded(e).items()) for e in step] for step in res.diffs] == [
-            [list(e.items()) for e in step] for step in diffs]
+        assert [[list(expanded(e).items()) for e in expand_diffs(step)]
+                for step in res.diffs] == [[list(e.items()) for e in step] for step in diffs]
 
 
 @pytest.mark.parametrize("name", sorted(_two_pass_cases()))
@@ -1637,7 +1690,8 @@ def _resolution_digest(model, i_max):
     for v in model.quiver.vertices:
         res = SimpleResolution(model, v, i_max)
         out.append((res.gens,
-                    [[list(expanded(e).items()) for e in step] for step in res.diffs],
+                    [[list(expanded(e).items()) for e in expand_diffs(step)]
+                     for step in res.diffs],
                     res.kernels_computed, res.kernels_skipped))
     return out
 
@@ -1859,17 +1913,17 @@ def _assert_unit_entries_exactly_where_blocks_vanish(monkeypatch, model, i_max):
     number of int entries."""
     vanished, kernel = {}, SimpleResolution._kernel
 
-    def spy(self, i, D, w, block, nullity):
+    def spy(self, i, D, w, block, nullity, entries):
         size = sum(n * len(words) for _, n, words in block)
         vanished[(self.vertex, i + 1, D, w)] = nullity == size
-        return kernel(self, i, D, w, block, nullity)
+        return kernel(self, i, D, w, block, nullity, entries)
 
     monkeypatch.setattr(SimpleResolution, "_kernel", spy)
     units = 0
     for v in model.quiver.vertices:
         res = SimpleResolution(model, v, i_max)
         for i in range(1, i_max + 1):
-            for g, entry in zip(expand_runs(res.gens[i]), res.diffs[i]):
+            for g, entry in zip(expand_runs(res.gens[i]), expand_diffs(res.diffs[i])):
                 assert (type(entry) is int) == vanished[(v, i, g.degree, g.vertex)]
                 units += type(entry) is int
     return units
@@ -1883,7 +1937,7 @@ def test_unit_entries_on_radical_square_zero_are_every_generator(name, monkeypat
     model = AlgebraModel(p, d_max)
     report = resolve(model, i_max)
     for res in report.per_simple.values():
-        assert all(type(e) is int for step in res.diffs[1:] for e in step)
+        assert all(type(e) is int for step in res.diffs[1:] for e in expand_diffs(step))
     units = _assert_unit_entries_exactly_where_blocks_vanish(monkeypatch, model, i_max)
     assert units == sum(report.ext_totals()[1:])
 
@@ -1911,7 +1965,7 @@ def test_unit_entries_of_a_transported_copy_move_by_the_word_images(name):
         source, sigma = copy._moved_by
         assert source is report.per_simple[copy.resolved_from]
         for step, copied in zip(source.diffs, copy.diffs):
-            for entry, image in zip(step, copied):
+            for entry, image in zip(expand_diffs(step), expand_diffs(copied)):
                 if type(entry) is int:
                     k, b = divmod(entry, W)
                     [(m, c)] = moved_normal_form(model, sigma, model.words[b]).items()
@@ -1922,13 +1976,184 @@ def test_unit_entries_of_a_transported_copy_move_by_the_word_images(name):
     assert moved
 
 
+# -- unit batches: a vanishing block's whole kernel kept as its runs ----------
+
+
+def test_loops3_holds_one_differential_entry_per_step():
+    # every step past 0 is one vanishing block whose 3^i unit vectors are
+    # the step's one run of generators, so its differentials are one
+    # UnitBatch of the block's runs, with no int per generator
+    model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:3")), 8)
+    res = resolve(model, 8).per_simple["1"]
+    assert [len(step) for step in res.diffs] == [0] + [1] * 8
+    assert all(type(run) is UnitBatch for step in res.diffs[1:] for run in step)
+    assert [len(run) for step in res.diffs[1:] for run in step] == [
+        3 ** i for i in range(1, 9)]
+    assert _arrow_ranks(res, 8) == [3 ** i for i in range(1, 9)]
+
+
+def test_a_unit_batch_cut_by_the_arrow_images_keeps_its_ints():
+    # random_presentation(Random(50)) at 6/5: the arrow images span part of
+    # one vanishing block, so the unit vectors independent of them are that
+    # run's generators, one int each, as the two-pass reference picks them
+    model = AlgebraModel(random_presentation(random.Random(50)), 6)
+    cut = [(v, i, len(run)) for v in model.quiver.vertices
+           for i, step in enumerate(SimpleResolution(model, v, 5).diffs) for run in step
+           if type(run) is list and all(type(e) is int for e in run)]
+    assert cut == [("2", 2, 1)]
+    _assert_matches_two_pass(model, 5, 6)
+
+
+def _moved_flat(model, source, sigma):
+    """A relabelled copy's differentials as first built, one generator at
+    a time: each coordinate k·W + b of the source's entry moved to
+    k·W + NF(σ(words[b])), and an int entry kept an int where that is one
+    word with coefficient 1."""
+    W, out = len(model.words), []
+    for step in source.diffs:
+        moved = []
+        for entry in expand_diffs(step):
+            vec = {}
+            for key, c in expanded(entry).items():
+                k, b = divmod(key, W)
+                image = moved_normal_form(model, sigma, model.words[b])
+                vec_axpy(vec, c, {k * W + m: cm for m, cm in image.items()})
+            unit = type(entry) is int and len(vec) == 1 and ONE in vec.values()
+            moved.append(next(iter(vec)) if unit else list(vec.items()))
+        out.append(moved)
+    return out
+
+
+def _star2():
+    """trivial_extension_dual(star:2), without the warning a Dynkin tree
+    gives."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return trivial_extension_dual(parse_quiver_spec("star:2"))
+
+
+def _star2_centre_swap():
+    """trivial_extension_dual(star:2) at 6 and the swap of its leaves,
+    which fixes the centre and reorders the arrows."""
+    model = AlgebraModel(_star2(), 6)
+    arrows = {a.label: a for a in model.quiver.arrows}
+    swap = QuiverAutomorphism(
+        {"c": "c", "l1": "l2", "l2": "l1"},
+        {arrows[x]: arrows[y] for x, y in (("a1", "a2"), ("a2", "a1"),
+                                           ("a1*", "a2*"), ("a2*", "a1*"))})
+    return model, swap
+
+
+@pytest.mark.parametrize("case", ["star:2-transported", "star:2-centre-swap",
+                                  "random-181-reversed-copy"])
+def test_relabelled_unit_batches_expand_to_the_moved_flat_form(case):
+    # a UnitBatch stays one, its words moved, where σ sends each word to one
+    # word with coefficient 1 (the leaf swaps of star:2, which send a1 to
+    # a2); the reversed copy of random presentation 181 sends a word of one
+    # to -1/3 times a word, so that run is read as its ints and each moved
+    if case == "star:2-centre-swap":
+        model, sigma = _star2_centre_swap()
+        assert keeps_model(model, sigma)
+        copy = SimpleResolution(model, "c", 5).relabelled(sigma)
+    else:
+        if case == "star:2-transported":
+            p = _star2()
+        else:
+            p = _with_copy(random_presentation(random.Random(181)), reverse=True)
+        model = AlgebraModel(p, 5 if case.startswith("random") else 6)
+        report = resolve(model, 5)
+        copy = report.per_simple["l2" if case.startswith("star") else "1'"]
+        assert copy.vertex in report.transported
+    source, sigma = copy._moved_by
+    kinds = {(type(run).__name__, type(moved).__name__)
+             for step, copied in zip(source.diffs, copy.diffs)
+             for run, moved in zip(step, copied)}
+    assert ("UnitBatch", "list" if case.startswith("random") else "UnitBatch") in kinds
+    assert [[e if type(e) is int else list(e.items()) for e in expand_diffs(step)]
+            for step in copy.diffs] == _moved_flat(model, source, sigma)
+    assert [[len(run) for run in step] for step in copy.diffs] == [
+        [len(run) for run in step] for step in source.diffs]
+
+
+def _vanishing_check_products(monkeypatch, nonzero_at=None):
+    """The list that records each product the vanishing check of
+    ``_kernel`` asks for from here on; the one numbered nonzero_at (from 1)
+    is made nonzero."""
+    from quiverkoszul import resolution
+
+    diff_image, check = resolution._diff_image, SimpleResolution._kernel
+    calls = []
+
+    def spy(model, entry, b):
+        if sys._getframe(1).f_back.f_code is check.__code__:
+            calls.append((entry, b))
+            if len(calls) == nonzero_at:
+                return {b: 1}
+        return diff_image(model, entry, b)
+
+    monkeypatch.setattr(resolution, "_diff_image", spy)
+    return calls
+
+
+def _radical_cube_zero_loops2():
+    """Loops x, y at 1 with every path of length 3 zero: top degree 2, so a
+    vanishing block whose words are arrows has its columns multiplied."""
+    q = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    return Presentation(q, [{q.path(list(w)): 1} for w in itertools.product("xy", repeat=3)])
+
+
+def test_a_unit_run_is_checked_once_per_word_pair(monkeypatch):
+    # at 9/8, steps 2 and 4 check one vanishing block each whose columns
+    # are an arrow times a generator of a UnitBatch of degree-2 words, 8 and
+    # 64 generators long: 8 products per step, one per (degree-2 word,
+    # arrow) pair, whatever the run's length (one per column would be 144)
+    calls = _vanishing_check_products(monkeypatch)
+    model = AlgebraModel(_radical_cube_zero_loops2(), 9)
+    assert resolve(model, 8).ext_totals() == [1, 2, 8, 16, 64, 128, 512, 0, 0]
+    arrows = sorted(model.arrow_ids.values())
+    squares = [c for c in range(len(model.words)) if model.lengths[c] == 2]
+    assert len(calls) == 16
+    assert sorted(set(calls)) == [(c, b) for c in squares for b in arrows]
+
+
+def test_a_unit_run_with_a_nonzero_column_product_is_an_internal_error(monkeypatch):
+    # the ninth product is step 4's first: the block in degree 7 at vertex 1
+    _vanishing_check_products(monkeypatch, nonzero_at=9)
+    with pytest.raises(InternalError,
+                       match=r"step 4 differential is nonzero in degree 7 at"
+                             r" vertex 1, where exactness makes it vanish"):
+        SimpleResolution(AlgebraModel(_radical_cube_zero_loops2(), 9), "1", 8)
+
+
+def test_a_block_run_past_its_step_run_is_an_internal_error(monkeypatch):
+    # a block run reads its entries from the step run that starts at its
+    # first index; shifted by one, step 2's run of 8 generators starts at no
+    # run, which the vanishing check of the block in degree 4 reads
+    from quiverkoszul import resolution
+
+    step_blocks = resolution._step_blocks
+
+    def shifted(model, gens):
+        blocks = step_blocks(model, gens)
+        if gens[0][0].degree == 3:
+            blocks = {key: [(k + 1, n, words) for k, n, words in runs]
+                      for key, runs in blocks.items()}
+        return blocks
+
+    monkeypatch.setattr(resolution, "_step_blocks", shifted)
+    with pytest.raises(InternalError,
+                       match=r"step 2 block in degree 4 at vertex 1 reads 8"
+                             r" generators from 1, past the run there"):
+        SimpleResolution(AlgebraModel(_radical_cube_zero_loops2(), 6), "1", 4)
+
+
 # -- generator runs: each step's generators stored as (Generator, n) ----------
 
 
 def _assert_run_format(report):
     """Every step of every simple holds runs (g, n) with n >= 1, no two in
-    a row equal, in degrees that do not decrease, with Σ n the number of
-    differential entries past step 0, whose one run is the simple's own
+    a row equal, in degrees that do not decrease, with one differential
+    entry per run past step 0, holding n entries, whose one run is the simple's own
     generator; the Betti totals are the run sums; a relabelled copy has its
     source's run lengths, each run's vertex moved by σ."""
     totals, step_totals = {}, {}
@@ -1940,7 +2165,9 @@ def _assert_run_format(report):
             assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
             assert all(a[0].degree <= b[0].degree for a, b in zip(runs, runs[1:]))
             if i:
-                assert sum(n for _, n in runs) == len(entries) == len(expand_runs(runs))
+                assert [n for _, n in runs] == [len(run) for run in entries]
+                assert sum(n for _, n in runs) == len(expand_diffs(entries)) == \
+                    len(expand_runs(runs))
             for g, n in runs:
                 totals[(i, g.degree)] = totals.get((i, g.degree), 0) + n
                 step_totals[i] = step_totals.get(i, 0) + n

@@ -32,6 +32,14 @@ def expand_runs(step) -> list:
     return [g for g, n in step for _ in range(n)]
 
 
+def expand_diffs(step) -> list:
+    """A step's differential entries one per generator, in index order, as
+    a flat list: a resolution keeps one entry per run, the run's entries in
+    order, and a ``UnitBatch`` reads as its ints.  Every test that reads
+    differentials one generator at a time goes through here."""
+    return [entry for run in step for entry in run]
+
+
 def expanded(entry) -> dict:
     """A differential entry as a dict from coordinate to coefficient: a
     resolution stores a unit vector as its coordinate, an int."""
@@ -100,7 +108,7 @@ class YonedaAlgebra(ExtAlgebra):
                 off = self._offsets[i - 1][u]
                 step_diffs.extend(
                     (off, expanded(entry))
-                    for entry in self.report.per_simple[u].diffs[i]
+                    for entry in expand_diffs(self.report.per_simple[u].diffs[i])
                 )
             out.append(step_diffs)
         return out
