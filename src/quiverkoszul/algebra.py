@@ -431,7 +431,13 @@ def moved_normal_form(model: AlgebraModel, sigma: QuiverAutomorphism, p: Path) -
     the tables."""
     if not p.arrows:
         return {model.word_ids[trivial_path(sigma.vertices[p.base])]: ONE}
-    ids = [model.arrow_ids[sigma.arrows[a]] for a in reversed(p.arrows)]
+    return _moved_walk(model, sigma, p.arrows[::-1])
+
+
+def _moved_walk(model: AlgebraModel, sigma: QuiverAutomorphism, arrows) -> dict:
+    """NF(σ(p)) in word ids for the path p of these arrows, first-applied
+    first, at least one."""
+    ids = [model.arrow_ids[sigma.arrows[a]] for a in arrows]
     return model._walk(ids[1:], {ids[0]: ONE})
 
 
@@ -442,15 +448,14 @@ def ideal_breaker(model: AlgebraModel, sigma: QuiverAutomorphism):
     the vanishing degree are read: a longer one lies past the window, or
     moves to paths that vanish as every path of its length does.  Each
     term's path moves as its arrows, first-applied first, which the model
-    keeps per source with the relations (``_relations_from``)."""
-    ids, moved = model.arrow_ids, sigma.arrows
+    keeps per source with the relations (``_relations_from``), through the
+    walk ``moved_normal_form`` takes."""
     relations = model._relations_from
     for x in sigma.vertices:
         for r, terms in relations.get(x, ()):
             image = {}
             for arrows, c in terms:
-                walk = [ids[moved[a]] for a in arrows]
-                vec_axpy(image, c, model._walk(walk[1:], {walk[0]: ONE}))
+                vec_axpy(image, c, _moved_walk(model, sigma, arrows))
             if image:
                 return r
     return None

@@ -391,33 +391,20 @@ class SimpleResolution:
     def diffs(self) -> list:
         """A relabelled copy's differentials: its source's, each coordinate
         k·W + b replaced by k·W + NF(σ(words[b])), which may be a combination;
-        an int entry stays an int where its image is one word.  A
-        ``UnitBatch`` stays one, each run's words moved, where σ sends every
-        word of it to one word with coefficient 1; otherwise it is read as
-        its ints and each is moved."""
+        an int entry stays an int where its image is one word.  Each run,
+        a ``UnitBatch`` too, is read as its entries and each is moved, so a
+        copy's run is a list of the run's length."""
         (source, sigma), model, W = self._moved_by, self.model, len(self.model.words)
-        moved = {}
-
-        def image(b):
-            if b not in moved:
-                moved[b] = moved_normal_form(model, sigma, model.words[b])
-            return moved[b]
 
         def move(entry):
             vec = {}
             for key, c in ((entry, ONE),) if type(entry) is int else entry.items():
                 k, b = divmod(key, W)
-                vec_axpy(vec, c, {k * W + m: cm for m, cm in image(b).items()})
+                moved = moved_normal_form(model, sigma, model.words[b])
+                vec_axpy(vec, c, {k * W + m: cm for m, cm in moved.items()})
             unit = type(entry) is int and len(vec) == 1 and ONE in vec.values()
             return next(iter(vec)) if unit else vec
-
-        def move_run(run):
-            if type(run) is UnitBatch and all(
-                    list(image(b).values()) == [ONE] for b in run.words()):
-                return UnitBatch([(k, n, [next(iter(image(b))) for b in words])
-                                  for k, n, words in run.runs], W, run.size)
-            return [move(entry) for entry in run]
-        return [[move_run(run) for run in step] for step in source.diffs]
+        return [[[move(entry) for entry in run] for run in step] for step in source.diffs]
 
 
 @dataclass(frozen=True)
