@@ -8,6 +8,9 @@ number of simples resolved and relabelled, their kernels and their
 generators under ``timing.sizes`` for the commands that resolve, and
 smash-iso's label and full-sweep counts.
 
+Well-formed analyze, dual, cover and verify lines are read from one table of
+their options without importing argparse; help, errors and corpus are argparse's.
+
 Exit codes: 0 pass, 1 failed check (witness in the report), 2 input error,
 3 internal error (a consistency check inside the library failed, which is a
 defect of the program and not of the input).
@@ -15,10 +18,10 @@ defect of the program and not of the input).
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from functools import cache
+from types import SimpleNamespace
 
 from .algebra import AlgebraModel, InternalError, Presentation, hilbert_matrix
 from .corpus import CORPUS, build_corpus
@@ -377,50 +380,52 @@ def _run_corpus(args) -> int:
     return 0
 
 
+_BOUNDS = {
+    "--max-degree": dict(type=int, default=6, help="largest graded degree computed"),
+    "--max-homological": dict(type=int, default=4, help="largest resolution step computed"),
+}
+
+# name -> (handler, help, options): one positional FILE, add_argument's keywords per flag
+_FILE_COMMANDS = {
+    "analyze": (_run_analyze, "resolve a presentation and report", {
+        **_BOUNDS,
+        "--json": dict(metavar="OUT", default=None,
+                       help="write the report to OUT instead of stdout"),
+    }),
+    "dual": (_run_dual, "quadratic dual of a presentation", {"--out": dict(default=None)}),
+    "cover": (_run_cover, "finite covering from a weight function", {
+        "--group": dict(required=True, help="cyclic:n | product:SPEC,SPEC | dihedral:n"),
+        "--weights": dict(default=None, help="comma list ARROW=ELEMENT; "
+                                              "omitted arrows get the identity"),
+        "--out": dict(default=None),
+    }),
+    "verify": (_run_verify, "run one named check, exit 0/1", {
+        "--check": dict(required=True, choices=list(_CHECK_RUNNERS)),
+        **_BOUNDS,
+        "--cutoff": dict(type=int, default=None, help="hilbert-euler truncation "
+                                                      "order (default: window bound)"),
+    }),
+}
+
+
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first ``main`` call of a process
-    and reused by every later one."""
+def _build_parser():
+    """The argument parser, built on the first call of a process that needs
+    it and reused by every later one.  Well-formed file-command lines never
+    build it (see ``_parse_args``): help, errors and ``corpus`` are its."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="quiverkoszul",
         description="Finite quiver algebras: resolutions, coverings, duality checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_bounds(p, max_degree=6, max_homological=4):
-        p.add_argument("--max-degree", type=int, default=max_degree,
-                       help="largest graded degree computed")
-        p.add_argument("--max-homological", type=int, default=max_homological,
-                       help="largest resolution step computed")
-
-    p = sub.add_parser("analyze", help="resolve a presentation and report")
-    p.add_argument("file")
-    add_bounds(p)
-    p.add_argument("--json", metavar="OUT", default=None,
-                   help="write the report to OUT instead of stdout")
-    p.set_defaults(handler=_run_analyze)
-
-    p = sub.add_parser("dual", help="quadratic dual of a presentation")
-    p.add_argument("file")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_run_dual)
-
-    p = sub.add_parser("cover", help="finite covering from a weight function")
-    p.add_argument("file")
-    p.add_argument("--group", required=True,
-                   help="cyclic:n | product:SPEC,SPEC | dihedral:n")
-    p.add_argument("--weights", default=None,
-                   help="comma list ARROW=ELEMENT; omitted arrows get the identity")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_run_cover)
-
-    p = sub.add_parser("verify", help="run one named check, exit 0/1")
-    p.add_argument("file")
-    p.add_argument("--check", required=True, choices=list(_CHECK_RUNNERS))
-    add_bounds(p)
-    p.add_argument("--cutoff", type=int, default=None,
-                   help="hilbert-euler truncation order (default: window bound)")
-    p.set_defaults(handler=_run_verify)
+    for name, (handler, summary, options) in _FILE_COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("file")
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("corpus", help="built-in presentations")
     corpus_sub = p.add_subparsers(dest="corpus_command", required=True)
@@ -434,9 +439,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv=None):
+    """argparse's namespace for ``argv`` (``sys.argv[1:]`` when None).  A file
+    command of exact declared flags, valid values not starting with "-", every
+    required option and one positional is read from ``_FILE_COMMANDS`` alone;
+    any other line goes to ``_build_parser``."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _FILE_COMMANDS:
+        handler, _, options = _FILE_COMMANDS[argv[0]]
+        values, files, tokens = {}, [], iter(argv[1:])
+        for token in tokens:
+            if not token.startswith("-"):
+                files.append(token)
+                continue
+            flag, eq, value = token.partition("=")
+            value = value if eq else next(tokens, "-")
+            if flag not in options or value.startswith("-"):
+                break
+            spec = options[flag]
+            try:
+                value = spec.get("type", str)(value)
+            except ValueError:
+                break
+            if value not in spec.get("choices", (value,)):
+                break
+            values[flag] = value
+        else:
+            if len(files) == 1 and all(
+                    f in values for f, spec in options.items() if spec.get("required")):
+                return SimpleNamespace(
+                    command=argv[0], file=files[0], handler=handler,
+                    **{f[2:].replace("-", "_"): values.get(f, spec.get("default"))
+                       for f, spec in options.items()})
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
     started = time.perf_counter()
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     args.started = started
     try:
         return args.handler(args)

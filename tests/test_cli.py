@@ -595,7 +595,7 @@ def test_console_script_entry_point(tmp_path):
     assert "exterior" in proc.stdout
 
 
-def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+def test_main_builds_one_parser_per_process(capsys, monkeypatch, ext2_file):
     import argparse
 
     from quiverkoszul import cli
@@ -611,6 +611,9 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     cli._build_parser.cache_clear()
     assert built == []  # built on the first call, not before
+    # a well-formed file-command line is read without one
+    assert main(["analyze", ext2_file, "--max-degree", "3"]) == 0
+    assert built == []
     assert main(["corpus", "list"]) == 0
     assert main(["corpus", "list"]) == 0
     assert len(built) == 1
@@ -651,13 +654,208 @@ def test_report_seconds_cover_everything_but_rendering(capsys, monkeypatch, ext2
             return fn(*args)
         return wrapped
 
-    parser = cli._build_parser()
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: now[0]))
-    monkeypatch.setattr(cli, "_build_parser", lambda: SimpleNamespace(
-        parse_args=spend(1, parser.parse_args)))
+    monkeypatch.setattr(cli, "_parse_args", spend(1, cli._parse_args))
     monkeypatch.setattr(cli, "_read_document", spend(2, cli._read_document))
     monkeypatch.setattr(cli, "canonical_json", spend(4, cli.canonical_json))
     argv = [ext2_file if a == "FILE" else a for a in argv]
     rc, report = run_json(capsys, argv)
     assert rc == 0
     assert report["timing"]["seconds"] == 3
+
+
+# -- reading command lines without argparse ---------------------------------
+
+_DECLINED = object()
+
+
+def _fast_read(monkeypatch, argv):
+    """``cli._parse_args(argv)``, or ``_DECLINED`` where it hands the line to
+    argparse."""
+    from types import SimpleNamespace
+
+    from quiverkoszul import cli
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_build_parser",
+                  lambda: SimpleNamespace(parse_args=lambda argv: _DECLINED))
+        return cli._parse_args(argv)
+
+
+def _argparse_read(capsys, argv):
+    """argparse's namespace for ``argv``, or the ``SystemExit`` it raises."""
+    from quiverkoszul import cli
+
+    try:
+        return cli._build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc
+    finally:
+        capsys.readouterr()
+
+
+# token groups a generated line is made of: well-formed ones (declared flags
+# in both forms), then odd ones (help, abbreviations, negative and non-integer
+# values, missing values, unknown checks and flags, "--", dashed positionals)
+_TOKEN_GROUPS = {
+    "analyze": ([("--max-degree", "3"), ("--max-degree=5",), ("--max-homological", "2"),
+                 ("--max-homological=0",), ("--json", "out.json"), ("--json=r.json",),
+                 ("--json=",), ("--json", "")],
+                [("--max-d", "3"), ("--max-degree", "-1"), ("--max-degree=-1",),
+                 ("--max-degree", "x"), ("--max-degree", "+4"), ("--max-degree", "3.5"),
+                 ("--max-degree",), ("--json", "-")]),
+    "dual": ([("--out", "d.json"), ("--out=e.json",)],
+             [("--o", "d.json"), ("--out",), ("--out", "--out")]),
+    "cover": ([("--group", "cyclic:2"), ("--group=dihedral:3",), ("--weights", "a1=1"),
+               ("--weights=a1=1,a2=0",), ("--out", "c.json")],
+              [("--gr", "cyclic:2"), ("--weights", "-1"), ("--group",)]),
+    "verify": ([("--check", "koszul"), ("--check=smash-iso",), ("--max-degree", "4"),
+                ("--max-homological=3",), ("--cutoff", "2"), ("--cutoff", " 3")],
+               [("--check", "bogus"), ("--check=",), ("--che", "koszul"),
+                ("--cutoff", "-1"), ("--cutoff=two",), ("--max", "3")]),
+}
+_ODD_GROUPS = [("other.json",), ("a=b.json",), ("",), ("-h",), ("--help",), ("--",),
+               ("--unknown",), ("-x",), ("-",)]
+
+
+def _generated_lines(command, count=300, seed=0):
+    """Half the lines are one FILE among well-formed groups; the other half
+    draw from every group."""
+    import random
+
+    rng = random.Random(seed)
+    good, odd = _TOKEN_GROUPS[command]
+    lines = [[command], [command, "FILE"]]
+    while len(lines) < count:
+        groups = good if len(lines) % 2 else good + odd + _ODD_GROUPS
+        picked = rng.choices(groups, k=rng.randint(0, 6))
+        picked.insert(rng.randint(0, len(picked)), ("FILE",))
+        lines.append([command, *(t for group in picked for t in group)])
+    return lines
+
+
+@pytest.mark.parametrize("command", sorted(_TOKEN_GROUPS))
+def test_fast_read_agrees_with_argparse_or_declines(capsys, monkeypatch, command):
+    fast_reads = 0
+    for argv in _generated_lines(command):
+        fast = _fast_read(monkeypatch, argv)
+        expected = _argparse_read(capsys, argv)
+        if isinstance(expected, SystemExit):
+            assert fast is _DECLINED, argv
+        elif fast is not _DECLINED:
+            fast_reads += 1
+            assert vars(fast) == vars(expected), argv
+    assert fast_reads >= 60  # the generated lines reach the fast path too
+
+
+def _documented_lines():
+    """The file-command lines of the README's command block, of the CI
+    workflow and of the benchmark's jobs, as argv lists."""
+    import importlib.util
+    import pathlib
+    import re
+    import shlex
+
+    from quiverkoszul.cli import _FILE_COMMANDS
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = {"README": [shlex.split(line)[1:] for line in block.splitlines()
+                        if line.startswith("quiverkoszul ")]}
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    lines["workflow"] = [
+        shlex.split(re.split(r"\s+\d?[>|&;]", m.group(1))[0])
+        for m in re.finditer(r"python -m quiverkoszul\.cli (.*)", workflow)]
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    lines["workloads"] = [job.command("DOCS") for jobs in workloads.WORKLOADS.values()
+                          for job in jobs]
+    return {source: [argv for argv in found if argv[0] in _FILE_COMMANDS]
+            for source, found in lines.items()}
+
+
+def test_documented_command_lines_take_the_fast_path(capsys, monkeypatch):
+    documented = _documented_lines()
+    assert min(map(len, documented.values())) >= 4, documented
+    for source, lines in documented.items():
+        for argv in lines:
+            expected = _argparse_read(capsys, argv)
+            if isinstance(expected, SystemExit):
+                # the workflow's CLI-surface step runs malformed lines on purpose
+                assert source == "workflow", argv
+                continue
+            fast = _fast_read(monkeypatch, argv)
+            assert fast is not _DECLINED, (source, argv)
+            assert vars(fast) == vars(expected), (source, argv)
+
+
+def test_a_fast_read_command_never_imports_argparse(ext2_file):
+    # once with the line given, once read from sys.argv
+    code = ("import sys; from quiverkoszul.cli import main; "
+            f"sys.argv[1:] = ['verify', {ext2_file!r}, '--check', 'koszul']; "
+            f"rcs = main(['analyze', {ext2_file!r}]), main(); "
+            "print(*rcs, 'argparse' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "0 0 False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["analyze", "-h"], ["dual", "-h"], ["cover", "--help"],
+    ["verify", "-h"], ["verify", "FILE", "--check", "koszul", "-h"], ["corpus", "-h"],
+    ["corpus", "build", "-h"],
+])
+def test_help_is_argparse_help(capsys, argv):
+    from quiverkoszul import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    assert exc.value.code == 0 and expected.out.startswith("usage:")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "FILE", "--check", "bogus"],
+    ["verify", "FILE"],
+    ["verify", "--check", "koszul"],
+    ["analyze"],
+    ["analyze", "FILE", "extra"],
+    ["cover", "FILE"],
+    ["dual", "FILE", "--out"],
+    ["analyze", "FILE", "--max-degree", "x"],
+    ["analyze", "FILE", "--bogus"],
+    [],
+    ["bogus"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_malformed_lines_get_argparse_errors(capsys, argv):
+    from quiverkoszul import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    assert exc.value.code == 2 and expected.err.startswith("usage:")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == expected
+
+
+def test_abbreviated_and_negative_values_still_go_through_argparse(capsys, ext2_file):
+    rc, report = run_json(capsys, ["analyze", ext2_file, "--max-d", "3",
+                                   "--max-homological", "2"])
+    assert rc == 0
+    assert (report["canonical"]["max_degree"],
+            report["canonical"]["max_homological"]) == (3, 2)
+    assert main(["analyze", ext2_file, "--max-degree", "-1"]) == 2
+    assert "must be nonnegative" in capsys.readouterr().err
