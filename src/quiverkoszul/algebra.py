@@ -75,20 +75,6 @@ class Presentation:
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "relations", tuple(rels))
 
-    def canonical_key(self):
-        """Order-insensitive content key, for comparing constructions."""
-        rel_keys = []
-        for r in self.relations:
-            terms = sorted(
-                ((p.labels_first_applied(), p.source, c) for p, c in r.items())
-            )
-            rel_keys.append(tuple(terms))
-        return (
-            self.quiver.vertices,
-            tuple((a.label, a.source, a.target) for a in self.quiver.arrows),
-            tuple(sorted(rel_keys)),
-        )
-
 
 class AlgebraModel:
     """Normal-form bases per degree and vertex pair, up to max_degree.
@@ -302,12 +288,6 @@ class AlgebraModel:
     def blocks(self, d: int):
         """(u, v) blocks holding a degree-d path, in vertex order."""
         return sorted(self._block_keys.get(d, ()), key=self.quiver.pair_key)
-
-    def basis_paths(self, d: int, u: str | None = None, v: str | None = None) -> list:
-        self._check_degree(d)
-        return [self.words[x] for uu in (self.quiver.vertices if u is None else [u])
-                for vv, ids in self.blocks_from.get((d, uu), ()) if v in (None, vv)
-                for x in ids]
 
     def all_paths(self, d: int, u: str, v: str) -> list:
         self._check_degree(d)

@@ -9,6 +9,7 @@ algebras on small quivers, and the cubic loop counterexample.
 
 from __future__ import annotations
 
+import re
 import warnings
 
 from .algebra import Presentation
@@ -58,7 +59,7 @@ def parse_quiver_spec(text: str) -> Quiver:
     center), loops:M (one vertex, M loops)."""
     text = text.strip()
     kind, sep, arg = text.partition(":")
-    if not sep or not arg.isdigit():
+    if not sep or not (arg.isascii() and arg.isdigit()):
         raise CorpusError(
             f"bad quiver spec {text!r}: expected line:N, star:N, or loops:M"
         )
@@ -296,7 +297,7 @@ def example4(n: int = 2) -> Presentation:
 
 def _int_args(text: str, arity: int, signature: str) -> list:
     parts = [p.strip() for p in text.split(",")] if text.strip() else []
-    if len(parts) != arity or not all(p.lstrip("-").isdigit() for p in parts):
+    if len(parts) != arity or not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
         raise CorpusError(f"expected arguments {signature!r}, got {text!r}")
     return [int(p) for p in parts]
 

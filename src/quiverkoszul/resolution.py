@@ -6,22 +6,21 @@ degree, the alternating-sum identity against the Hilbert matrix, dimension
 comparison with the quadratic dual, and the side-by-side comparison of an
 algebra with a finite covering.
 
-A resolution step presents its projective as runs of generators, each run
-n equal (vertex, internal degree) pairs; the differential sends a new
+A resolution step presents its projective as runs of generators, each run n
+equal (vertex, internal degree) pairs; the differential sends a new
 generator to a combination of coordinates, each the int k·W + b for a
-previous generator k and a basis word id b, with W = len(model.words).  The ints sort as the
-(k, b) pairs do, so spans and solvers pivot on them directly, and
-``divmod(·, W)`` decodes one; no other module sees them.  The
-differentials are kept per run of generators.  A block where the
-differential vanishes gives one run whose images are the block's unit
-vectors, kept as a ``UnitBatch`` of the block's runs with no int built; any
-other generator whose image is a single coordinate with coefficient 1
-stores that coordinate itself, the int, in place of a one-entry dict.
-Syzygies are built degreewise per target vertex, and exactness counts each block, so a
-kernel is solved (finite exact linear algebra) only where the arrow images
-fall short of the count and the differential need not vanish.  Every Betti
-number with internal degree inside the window is exact; nothing is claimed
-past the window.
+previous generator k and a basis word id b, with W = len(model.words).  The
+ints sort as the (k, b) pairs do, so spans and solvers pivot on them
+directly, and ``divmod(·, W)`` decodes one; no other module sees them.  The
+differentials are kept per run of generators, each generator's image a dict
+from coordinate to coefficient.  A block where the differential vanishes
+gives one run whose images are the block's unit vectors, kept as a
+``UnitBatch`` of the block's runs that builds them when first read.
+Syzygies are built degreewise per target vertex, and exactness counts each
+block, so a kernel is solved (finite exact linear algebra) only where the
+arrow images fall short of the count and the differential need not vanish.
+Every Betti number with internal degree inside the window is exact; nothing
+is claimed past the window.
 
 The degree window is the model's ``max_degree``.  The report of ``resolve``
 holds the model, so the checks downstream read model and window from it.
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 
 from .algebra import AlgebraModel, InternalError, hilbert_matrix, keeps_model, moved_normal_form
 from .covering import build_covering, split_sheet
@@ -51,17 +50,18 @@ class Generator:
     degree: int
 
 
-def _step_blocks(model: AlgebraModel, gens: list) -> dict:
+def _step_blocks(model: AlgebraModel, gens: list, diffs: list) -> dict:
     """The blocks of the free module on a step's generator runs (g, n) past
-    degree 0, keyed (D, w): runs (k, n, words), the n generators g from
-    index k times a ``blocks_from`` block of basis words into w, in
-    generator order.  One walk reads each run once; a block's size is its
-    Σ n·len(words), and only ``_run_coords`` builds its coordinates."""
+    degree 0, keyed (D, w): runs (k, n, words, entry), the n generators g
+    from index k times a ``blocks_from`` block of basis words into w, in
+    generator order, and entry the run's ``diffs`` entry.  One walk reads
+    each run once; a block's size is its Σ n·len(words), and only
+    ``_run_coords`` builds its coordinates."""
     blocks, k = {}, 0
-    for g, n in gens:
+    for (g, n), entry in zip(gens, diffs):
         for d in range(max(1 - g.degree, 0), model.max_degree - g.degree + 1):
             for w, words in model.blocks_from.get((d, g.vertex), ()):
-                blocks.setdefault((g.degree + d, w), []).append((k, n, words))
+                blocks.setdefault((g.degree + d, w), []).append((k, n, words, entry))
         k += n
     return blocks
 
@@ -69,55 +69,47 @@ def _step_blocks(model: AlgebraModel, gens: list) -> dict:
 def _run_coords(runs: list, W: int) -> list:
     """A block's coordinates k·W + b, in generator order then canonical
     basis order (the order of the ids), so the list is sorted."""
-    return [kk * W + b for k, n, words in runs for kk in range(k, k + n) for b in words]
+    return [kk * W + b for k, n, words, _ in runs for kk in range(k, k + n) for b in words]
 
 
 class UnitBatch:
     """The unit vectors of a block where the differential vanishes, as the
-    block's runs (k, n, words), with W = len(model.words) and size Σ n·len(words).
-    It reads as the sequence of their coordinates kk·W + b, kk in [k, k + n)
-    and b in words, in that order, the ints a per-generator list would
-    hold; they are built when the batch is first iterated, as an arrow image
-    or a solved kernel reads it, and kept.  As a run's differential entry
-    the batch gives one generator per coordinate, and as an Ω basis one
-    vector per coordinate."""
+    block's runs (k, n, words, entry), with W = len(model.words) and size
+    Σ n·len(words).  It reads as the sequence of their dicts {kk·W + b: 1},
+    kk in [k, k + n) and b in words, in that order; they are built when the
+    batch is first iterated, as an arrow image or a solved kernel reads it,
+    and kept.  As a run's differential the batch gives one generator per
+    unit vector, and as an Ω basis one row per unit vector."""
 
-    __slots__ = ("runs", "W", "size", "_coords")
+    __slots__ = ("runs", "W", "size", "_units")
 
     def __init__(self, runs: list, W: int, size: int):
-        self.runs, self.W, self.size, self._coords = runs, W, size, None
+        self.runs, self.W, self.size, self._units = runs, W, size, None
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self):
-        if self._coords is None:
-            self._coords = _run_coords(self.runs, self.W)
-        return iter(self._coords)
+        if self._units is None:
+            self._units = [{c: ONE} for c in _run_coords(self.runs, self.W)]
+        return iter(self._units)
 
     def words(self) -> set:
-        """The word ids its coordinates hold, each once."""
-        return {b for _, _, words in self.runs for b in words}
+        """The word ids its unit vectors hold, each once."""
+        return {b for _, _, words, _ in self.runs for b in words}
 
 
-def _diff_image(model: AlgebraModel, entry, b: int) -> dict:
+def _diff_image(model: AlgebraModel, entry: dict, b: int) -> dict:
     """Word b times the element entry, both in coordinates k·W + word id:
     the image of the coordinate b*g under a differential entry for g, or
     the arrow multiple b*x of a syzygy vector x.  An entry is a dict from
-    coordinate to coefficient, or a unit vector stored as its coordinate,
-    an int.  The products come from b's row of the model's product cache,
-    taken once; a word c missing from it goes through ``model.product``,
-    which computes and caches NF(b∘c), gives {} where it vanishes and
-    raises ``DegreeOverflowError`` past the window."""
+    coordinate to coefficient.  The products come from b's row of the
+    model's product cache, taken once; a word c missing from it goes
+    through ``model.product``, which computes and caches NF(b∘c), gives {}
+    where it vanishes and raises ``DegreeOverflowError`` past the window."""
     out, W = {}, len(model.words)
     row = model._left[b]
-    # the try costs the dict path nothing; the slower except branch is
-    # rare, as most blocks over a unit batch are skipped or zero by degree
-    try:
-        items = entry.items()
-    except AttributeError:
-        items = ((entry, ONE),)
-    for key, coef in items:
+    for key, coef in entry.items():
         c = key % W
         base = key - c
         nf = row.get(c)
@@ -136,70 +128,70 @@ def _diff_image(model: AlgebraModel, entry, b: int) -> dict:
 class SimpleResolution:
     """Minimal resolution of one vertex simple through step i_max.
 
-    ``gens[i]`` lists the step-i generators as runs (g, n): n generators
-    g in a row, one run per block that gains generators, so step i has
-    Σ n of them, indexed in run order.  ``diffs[i]`` has one entry per run
-    past step 0, the run's n differential entries in order; a generator is
-    its run and its offset there.  An entry maps coordinates
-    k·W + b (previous generator index k, word id b of the model) to the
-    coefficient with which they appear in the generator's image, or is
-    that coordinate itself, an int, where the image is its unit vector.
-    A run that is the whole kernel of a vanishing block is a ``UnitBatch``,
-    which reads as those ints but holds only the block's runs.  The Ω
-    bases are written in the same coordinates, a vanishing block's as its
-    ``UnitBatch``.  Minimality holds by construction: every
-    differential coordinate uses a positive-length word, and the model's
-    ``lengths`` give each word's length.
+    ``gens[i]`` lists the step-i generators as runs (g, n): n generators g
+    in a row, one run per block that gains generators, so step i has Σ n of
+    them, indexed in run order.  ``diffs[i]`` has one entry per run, its n
+    generators' images in order, step 0's the vertex generator's zero
+    differential [{}]; a generator is its run and its offset there.  An
+    image maps coordinates k·W + b (previous generator index k, word id b of
+    the model) to its coefficients.  A run that is the whole kernel of a
+    vanishing block is a ``UnitBatch``, which reads as its unit vectors but
+    holds only the block's runs.  The Ω bases are written in the same
+    coordinates, each block's as runs (a, rows): the rows of arrow a's
+    images, or, with a None, a solved kernel or a vanishing block's
+    ``UnitBatch``.  Minimality holds by construction: every differential
+    coordinate uses a positive-length word, and the model's ``lengths`` give
+    each word's length.
 
     Step i + 1 comes from one pass over the (D, w) blocks of P_i.  Exactness
-    of 0 -> Ω^{i+1} -> P_i -> Ω^i -> 0 counts each block of Ω^{i+1} as
-    dim P_i - dim Ω^i.  Where the arrow images of Ω^{i+1} one degree down
-    reach that count (or it is 0), the independent images are the block's
-    basis and no generator sits there; the images lie in that kernel, so
-    once their span reaches the count the rest are dependent and are not
+    of 0 -> Ω^{i+1} -> P_i -> Ω^i -> 0 counts each block of Ω^{i+1} as dim
+    P_i - dim Ω^i.  Where the arrow images of Ω^{i+1} one degree down reach
+    that count (or it is 0), the independent images are the block's basis
+    and no generator sits there; the images lie in that kernel, so once
+    their span reaches the count the rest are dependent and are not
     computed.  Only elsewhere is the kernel of d_i solved; its vectors
     independent of the arrow images become generators.  A block whose count
     is its whole size, as no syzygy of step i sits there, is where d_i
     vanishes: its kernel is its unit vectors, taken without solving once
     every column is checked to be zero, and kept as a ``UnitBatch``.  Where
     the arrow images span nothing, the batch is the new run's entry as it
-    is; otherwise the unit vectors independent of them are the generators,
-    each its int.  Every coordinate of a new
-    generator, unit or not, is checked to hold a word of positive length.
-    Every differential word has length at least 1, so a column whose word
-    is not shorter than the top degree is zero by degree and only the
-    shorter ones are multiplied.  Where the arrow images are empty, every
-    kernel vector is a generator, with no independence test.  ``kernels_computed`` and ``kernels_skipped`` count
-    nonempty blocks of either kind, vanishing blocks among the former.
+    is; otherwise the unit vectors independent of them are the generators.
+    Every coordinate of a new generator, unit or not, is checked to hold a
+    word of positive length.  Every differential word has length at least 1,
+    so a column whose word is not shorter than the top degree is zero by
+    degree and only the shorter ones are multiplied.  Where the arrow images
+    are empty, every kernel vector is a generator, with no independence
+    test.  ``kernels_computed`` and ``kernels_skipped`` count nonempty
+    blocks of either kind, vanishing blocks among the former.
 
     One walk per step over the runs of equal generators of P_i files each
-    run, once per basis-word length, under the block it reaches, from the
-    model's ``blocks_from`` table (``_step_blocks``), and the pass visits
-    those blocks in (D, vertex) order.  A block's size is a count over its
-    runs, so a block that is skipped or filled by arrow images never builds
-    a coordinate; ``_kernel`` builds them only where it solves a kernel,
-    and a ``UnitBatch`` only when first read, which never happens on a
-    radical-square-zero algebra.  A unit batch's minimality check reads the
-    length of each of its block's words, once per word.  Each visit takes
-    its Ω^i block out of the previous pass's bases, so a block of Ω^i left
-    over at the end of a step, which sits where P_i has no coordinate, is
-    an ``InternalError``; a visited block where Ω^i outgrows P_i fails
-    ``_kernel``'s dimension check.  Spans and solvers take the coordinates as they are.  An arrow image is
-    built for its span, which keeps it as an echelon row: the block's Ω
-    basis is those rows, which span what the independent images span,
-    prefix by prefix.  Each such row remembers the arrow of its image.
-    The images x·a of normal pairs go first: x a kernel row, or a row made
-    by an arrow t with a∘t a degree-2 basis word (the model's
-    ``normal_pairs``).  The images of tips a∘t follow, in the same order;
-    they lie in the span more often, so fewer images are built.  The
-    order changes no output: a block that reaches its count holds its
-    whole syzygy block whatever rows span it, and one that falls short
-    has tried every image, so its span, and with it the kernel and the
-    generators, is the arrow multiples of Ω^{i+1} one degree down either
-    way.  A block's new generators are added as one batch, one run of a
-    shared ``Generator``.  Their largest coordinates are distinct, each with
-    coefficient 1: a solved kernel vector's is its own dependent column, a
-    unit generator's is itself, and the span keeps a subset of them.
+    run with its entry, once per basis-word length, under the block it
+    reaches, from the model's ``blocks_from`` table (``_step_blocks``), and
+    the pass visits those blocks in (D, vertex) order.  A block's size is a
+    count over its runs, so a block that is skipped or filled by arrow
+    images never builds a coordinate; ``_kernel`` builds them only where it
+    solves a kernel, and a ``UnitBatch`` only when first read, which never
+    happens on a radical-square-zero algebra.  A unit batch's minimality
+    check reads the length of each of its block's words, once per word.
+    Each visit takes its Ω^i block out of the previous pass's bases, so a
+    block of Ω^i left over at the end of a step, which sits where P_i has no
+    coordinate, is an ``InternalError``; a visited block where Ω^i outgrows
+    P_i fails ``_kernel``'s dimension check.  Spans and solvers take the
+    coordinates as they are.  An arrow image is built for its span, which
+    keeps it as an echelon row: the block's Ω basis is those rows, which
+    span what the independent images span, prefix by prefix.  The images x·a
+    of normal pairs go first: x a kernel row, or a row of an arrow t with
+    a∘t a degree-2 basis word (the model's ``normal_pairs``).  The images of
+    tips a∘t follow, in the same order; they lie in the span more often, so
+    fewer images are built.  The order changes no output: a block that
+    reaches its count holds its whole syzygy block whatever rows span it,
+    and one that falls short has tried every image, so its span, and with it
+    the kernel and the generators, is the arrow multiples of Ω^{i+1} one
+    degree down either way.  A block's new generators are added as one
+    batch, one run of a shared ``Generator``.  Their largest coordinates are
+    distinct, each with coefficient 1: a solved kernel vector's is its own
+    dependent column, a unit generator's is its one coordinate, and the span
+    keeps a subset of them.
 
     ``resolved_from`` is the vertex whose resolution was computed: this
     one's own, or, for a ``relabelled`` copy, its source's.
@@ -211,7 +203,7 @@ class SimpleResolution:
         self.model = model
         self.vertex = self.resolved_from = vertex
         self.gens = [[(Generator(vertex, 0), 1)]]
-        self.diffs = [[]]
+        self.diffs = [[[{}]]]
         self.kernels_computed = self.kernels_skipped = 0
         q, lengths, W = model.quiver, model.lengths, len(model.words)
         # (arrow word id, source) of each arrow into a vertex; a window that
@@ -221,20 +213,16 @@ class SimpleResolution:
             into = {w: [(model.arrow_ids[a], a.source) for a in q.arrows_by_target[w]]
                     for w in q.vertices}
         normal = model.normal_pairs
-        # a basis of Ω^{i+1} per (D, w) in P_i coordinates; Ω^0 sits in degree
-        # 0; made[(D, w)] cuts an image block's basis, in order, into runs
-        # (t, rows) of rows made by one arrow t
-        # entries[k]: the differential entries of the step-i run whose first
-        # generator is k (step 0 has none)
-        omega, entries = {}, {}
+        # a basis of Ω^{i+1} per (D, w) in P_i coordinates, as runs
+        # (arrow or None, rows); Ω^0 sits in degree 0
+        omega = {}
         for i in range(i_max):
-            image, omega, made = omega, {}, {}
-            gens, diffs, runs_at, k = [], [], {}, 0
-            blocks = _step_blocks(model, self.gens[i])
+            image, omega, gens, diffs = omega, {}, [], []
+            blocks = _step_blocks(model, self.gens[i], self.diffs[i])
             for D, w in sorted(blocks, key=lambda key: (key[0], q.vertex_index(key[1]))):
                 block = blocks[D, w]
-                size = sum(n * len(words) for _, n, words in block)
-                nullity = size - len(image.pop((D, w), ()))
+                size = sum(n * len(words) for _, n, words, _ in block)
+                nullity = size - sum(len(rows) for _, rows in image.pop((D, w), ()))
                 if not nullity:
                     self.kernels_skipped += 1
                     continue
@@ -242,39 +230,34 @@ class SimpleResolution:
                 # normal pairs first, then the tips a∘t
                 first, later = [], []
                 for a, u in into[w]:
-                    runs = made.get((D - 1, u))
-                    if runs is None:
-                        rows = omega.get((D - 1, u))
-                        if rows:
-                            first.append((a, rows))
-                    else:
-                        for t, rows in runs:
-                            (first if (a, t) in normal else later).append((a, rows))
-                span, basis, runs = EchelonSpan(), [], []
+                    for t, rows in omega.get((D - 1, u), ()):
+                        (first if t is None or (a, t) in normal else later).append((a, rows))
+                span, runs = EchelonSpan(), []
                 for a, rows in first + later:
-                    start = len(basis)
+                    kept = []
                     for x in rows:
                         if row := span._add(_diff_image(model, x, a)):
-                            basis.append(row)
+                            kept.append(row)
                             if span.rank == nullity:
                                 break
-                    if len(basis) > start:
-                        runs.append((a, basis[start:]))
+                    if kept:
+                        runs.append((a, kept))
                     if span.rank == nullity:
                         break
                 if span.rank == nullity:
                     self.kernels_skipped += 1
-                    omega[(D, w)], made[(D, w)] = basis, runs
+                    omega[(D, w)] = runs
                     continue
                 self.kernels_computed += 1
-                basis = omega[(D, w)] = self._kernel(i, D, w, block, nullity, entries)
+                basis = self._kernel(i, D, w, block, nullity)
+                omega[(D, w)] = [(None, basis)]
                 # a vanishing block's kernel is its unit vectors
                 units = type(basis) is UnitBatch
                 # the new generators: kernel vectors independent of the
                 # arrow images, every one where the images span nothing;
                 # diffs keeps them, so the span gets copies
                 if span.rank:
-                    basis = [x for x in basis if span.add({x: ONE} if units else x)]
+                    basis = [x for x in basis if span.add(x)]
                 if not basis:
                     continue
                 if D <= i:
@@ -282,18 +265,15 @@ class SimpleResolution:
                         f"step {i + 1} generator in degree {D}, below its step"
                     )
                 # a unit batch's words are its block's, read per word
-                ids = (chain.from_iterable(words for _, _, words in block) if units
+                ids = (chain.from_iterable(words for _, _, words, _ in block) if units
                        else (key % W for key in chain.from_iterable(basis)))
                 if any(lengths[b] == 0 for b in ids):
                     raise InternalError(
                         f"step {i + 1} generator in degree {D} has a"
                         " non-minimal column"
                     )
-                n = len(basis)
-                gens.append((Generator(w, D), n))
+                gens.append((Generator(w, D), len(basis)))
                 diffs.append(basis)
-                runs_at[k] = basis
-                k += n
             if image:
                 D, w = next(iter(image))
                 raise InternalError(
@@ -302,64 +282,46 @@ class SimpleResolution:
                 )
             self.gens.append(gens)
             self.diffs.append(diffs)
-            entries = runs_at
 
-    def _kernel(self, i: int, D: int, w: str, block: list, nullity: int,
-                entries: dict):
-        """Kernel of d_i on the (D, w) block of P_i, given by its runs, one
-        vector per dependent column, in column order.  ``entries[k]`` holds
-        the differential entries of the step-i run whose first generator is
-        k, so a block run (k, n, words) reads the first n entries there, in
-        order: all of them, as ``_step_blocks`` files whole runs.  Reading
-        a block run that starts no run, or is longer than its run, is an
-        ``InternalError``.
+    def _kernel(self, i: int, D: int, w: str, block: list, nullity: int):
+        """Kernel of d_i on the (D, w) block of P_i, given by its runs
+        (k, n, words, entry), one vector per dependent column, in column
+        order; a run's n generators read their images from its entry.
 
         Where exactness counts the whole block (at step 0 that is the
         radical of P_0), d_i vanishes on it: the kernel is the block's unit
         vectors, the order solving gives for zero columns, returned as a
         ``UnitBatch`` of the block's runs.  Only that every column is zero
         is checked, on the columns whose word is shorter than the top degree
-        (every column without one).  Over a run whose entries are a
+        (every column without one).  Over a run whose entry is a
         ``UnitBatch`` a column is b·c, for its word b and the word c of the
         generator's unit coordinate, shifted, so each pair (b, c) is
-        multiplied once per run, whatever its length.
-        Only a solved block builds its coordinates.  Its rows are the
-        P_{i-1} coordinates, below Σ n·W over the runs of gens[i-1], and its
-        kernel vectors are dicts."""
+        multiplied once per run, whatever its length.  Only a solved block
+        builds its coordinates.  Its rows are the P_{i-1} coordinates, below
+        Σ n·W over the runs of gens[i-1], and its kernel vectors are dicts."""
         model, W = self.model, len(self.model.words)
-
-        def run(k, n):
-            found = entries.get(k, ())
-            if len(found) < n:
-                raise InternalError(
-                    f"step {i} block in degree {D} at vertex {w} reads {n}"
-                    f" generators from {k}, past the run there"
-                )
-            return found
-
-        size = sum(n * len(words) for _, n, words in block)
+        size = sum(n * len(words) for _, n, words, _ in block)
         if nullity == size:
-            if i:
-                top, lengths = model.top_degree(), model.lengths
-                for k, n, words in block:
-                    shorter = words if top is None else [b for b in words if lengths[b] < top]
-                    if not shorter:
-                        continue
-                    # a word c stands for the unit coordinates k'·W + c
-                    images = run(k, n)
-                    if type(images) is UnitBatch:
-                        images = images.words()
-                    if any(_diff_image(model, e, b) for e in images for b in shorter):
-                        raise InternalError(
-                            f"step {i} differential is nonzero in degree {D} at vertex"
-                            f" {w}, where exactness makes it vanish"
-                        )
+            top, lengths = model.top_degree(), model.lengths
+            for _, _, words, entry in block:
+                shorter = words if top is None else [b for b in words if lengths[b] < top]
+                if not shorter:
+                    continue
+                # the vertex generator's image {} has zero columns
+                columns = ((model.product(b, c) for c in entry.words() for b in shorter)
+                           if type(entry) is UnitBatch else
+                           (_diff_image(model, e, b) for e in entry if e for b in shorter))
+                if any(columns):
+                    raise InternalError(
+                        f"step {i} differential is nonzero in degree {D} at vertex"
+                        f" {w}, where exactness makes it vanish"
+                    )
             return UnitBatch(block, W, size)
         coords = _run_coords(block, W)
         solver = ColumnSolver(sum(n for _, n in self.gens[i - 1]) * W)
         kernel = []
-        for k, n, words in block:
-            for e in islice(run(k, n), n):
+        for _, _, words, entry in block:
+            for e in entry:
                 for b in words:
                     vec = solver._add_column(_diff_image(model, e, b))
                     if vec is not None:
@@ -390,20 +352,18 @@ class SimpleResolution:
     @cached_property
     def diffs(self) -> list:
         """A relabelled copy's differentials: its source's, each coordinate
-        k·W + b replaced by k·W + NF(σ(words[b])), which may be a combination;
-        an int entry stays an int where its image is one word.  Each run,
-        a ``UnitBatch`` too, is read as its entries and each is moved, so a
-        copy's run is a list of the run's length."""
+        k·W + b replaced by k·W + NF(σ(words[b])), which may be a combination.
+        Each run, a ``UnitBatch`` too, is read image by image and each is
+        moved, so a copy's run is a list of the run's length."""
         (source, sigma), model, W = self._moved_by, self.model, len(self.model.words)
 
         def move(entry):
             vec = {}
-            for key, c in ((entry, ONE),) if type(entry) is int else entry.items():
+            for key, c in entry.items():
                 k, b = divmod(key, W)
                 moved = moved_normal_form(model, sigma, model.words[b])
                 vec_axpy(vec, c, {k * W + m: cm for m, cm in moved.items()})
-            unit = type(entry) is int and len(vec) == 1 and ONE in vec.values()
-            return next(iter(vec)) if unit else vec
+            return vec
         return [[[move(entry) for entry in run] for run in step] for step in source.diffs]
 
 
@@ -590,8 +550,8 @@ class GenerationReport:
 def _arrow_ranks(res: SimpleResolution, i_max: int) -> list:
     """Per step i < i_max, the rank of the arrow parts of one resolution's
     step-(i+1) differential columns: the number of columns whose largest
-    coordinate holds an arrow word.  A ``UnitBatch`` is counted by its runs,
-    n times the arrow words of each run (k, n, words), with no column read.
+    coordinate holds an arrow word.  A ``UnitBatch`` is counted by its runs
+    (k, n, words, entry), n times the arrow words, with no column read.
 
     The count is exact because of how ``SimpleResolution`` builds its
     generators.  Coordinates k·W + b sort by generator index k, and
@@ -600,7 +560,7 @@ def _arrow_ranks(res: SimpleResolution, i_max: int) -> list:
     degree-(D - 1) generators, and minimality (no word of length 0) leaves
     no coordinate above them.  A solved kernel vector has coefficient 1 at
     its own dependent column, its largest coordinate since ``ColumnSolver``
-    tags only earlier columns; a unit generator is its own coordinate; and
+    tags only earlier columns; a unit generator has one coordinate; and
     filtering by the arrow-image span keeps a subset.  So a block's
     generators have distinct largest coordinates.  Where that coordinate is
     an arrow, the arrow part has a 1 there, and these parts are in echelon
@@ -616,11 +576,11 @@ def _arrow_ranks(res: SimpleResolution, i_max: int) -> list:
         rank = 0
         for run in step:
             if type(run) is UnitBatch:
-                for _, n, words in run.runs:
+                for _, n, words, _ in run.runs:
                     rank += n * sum(lengths[b] == 1 for b in words)
             else:
                 for x in run:
-                    if lengths[(x if type(x) is int else max(x)) % W] == 1:
+                    if lengths[max(x) % W] == 1:
                         rank += 1
         ranks.append(rank)
     return ranks
@@ -672,7 +632,7 @@ def hilbert_euler_check(report: ResolutionReport, cutoff: int):
     compare two empty truncations; both raise ValueError.  Returns
     (ok, witness) with the witness (u, v, d, got, want) at the first entry
     and degree, in label order, where the product is not the identity;
-    only the entries reached by a Hilbert row or on the diagonal can be.
+    only the positions reached by a Hilbert row or on the diagonal can be.
     """
     limit = min(report.d_max, report.i_max)
     if cutoff > limit:

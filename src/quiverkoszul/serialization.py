@@ -75,7 +75,7 @@ def _parse_spec(text: str, where: str):
 def _parse_int(text: str, where: str):
     digits = ""
     for ch in text:
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             digits += ch
         else:
             break

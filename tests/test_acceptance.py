@@ -59,6 +59,7 @@ from quiverkoszul.structure import (
     smash_product,
     verify_smash_covering_iso,
 )
+from oracles import canonical_key
 
 _reports = {}
 
@@ -241,16 +242,16 @@ def test_criterion_09_ready_made_coverings_equal_constructed_ones():
             direct = build_covering(
                 exterior(m), cyclic_group(n), all_one_weights(exterior(m), n)
             )
-            assert example1(m, n).canonical_key() == direct.canonical_key()
+            assert canonical_key(example1(m, n)) == canonical_key(direct)
         direct = build_covering(
             exterior(2), cyclic_group(3), {"a1": "1", "a2": "2"}
         )
-        assert example2(2, 1, 3).canonical_key() == direct.canonical_key()
+        assert canonical_key(example2(2, 1, 3)) == canonical_key(direct)
         klein = direct_product(cyclic_group(2), cyclic_group(2))
         direct = build_covering(exterior(2), klein, {"a1": "(1,0)", "a2": "(0,1)"})
-        assert example3(2).canonical_key() == direct.canonical_key()
+        assert canonical_key(example3(2)) == canonical_key(direct)
         direct = build_covering(exterior(2), dihedral_group(2), {"a1": "s", "a2": "c"})
-        assert example4(2).canonical_key() == direct.canonical_key()
+        assert canonical_key(example4(2)) == canonical_key(direct)
         with pytest.raises(InhomogeneousGradingError) as exc:
             example4(3)
         message = str(exc.value)
@@ -290,7 +291,7 @@ def test_criterion_10_cli_determinism_and_round_trips(tmp_path, capsys):
         for name, p in corpus_instances():
             text = canonical_json(presentation_to_document(p))
             again = parse_document(text).presentation
-            assert again.canonical_key() == p.canonical_key(), name
+            assert canonical_key(again) == canonical_key(p), name
             assert canonical_json(presentation_to_document(again)) == text, name
         rebuilt = build_corpus("example1", "2,2")
-        assert rebuilt.canonical_key() == example1(2, 2).canonical_key()
+        assert canonical_key(rebuilt) == canonical_key(example1(2, 2))

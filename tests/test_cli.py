@@ -72,6 +72,18 @@ def test_corpus_build_bad_args_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["corpus", "build", "exterior", "²"], "expected arguments"),
+    (["corpus", "build", "radical_square_zero", "loops:²"], "bad quiver spec"),
+    (["cover", "{file}", "--group", "cyclic:²"], "expected a number"),
+], ids=["exterior", "loops", "cyclic"])
+def test_non_ascii_digits_exit_2_with_the_named_error(capsys, ext2_file, argv, message):
+    # str.isdigit accepts a superscript two, int() does not
+    assert main([a.format(file=ext2_file) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "invalid literal" not in err
+
+
 def test_analyze_reports_verdict_and_dims(capsys, ext2_file):
     rc, report = run_json(
         capsys, ["analyze", ext2_file, "--max-degree", "5", "--max-homological", "5"]

@@ -30,6 +30,7 @@ from quiverkoszul.groups import cyclic_group, dihedral_group, direct_product
 from quiverkoszul.linalg import ONE
 from quiverkoszul.quiver import PathCombination, Quiver, validate_relation
 from quiverkoszul.serialization import canonical_json, presentation_to_document
+from oracles import canonical_key
 
 
 def counts(p):
@@ -77,6 +78,12 @@ class TestQuiverSpecs:
         with pytest.raises(CorpusError):
             parse_quiver_spec(bad)
 
+    @pytest.mark.parametrize("bad", ["loops:²", "line:٣", "star:1²"])
+    def test_non_ascii_digits_are_a_bad_spec(self, bad):
+        # str.isdigit accepts them, int() does not
+        with pytest.raises(CorpusError, match="bad quiver spec"):
+            parse_quiver_spec(bad)
+
 
 def test_path_algebra_has_no_relations():
     p = path_algebra(parse_quiver_spec("line:3"))
@@ -111,19 +118,19 @@ class TestExampleFamilies:
             lifted = build_covering(
                 exterior(m), g, {f"a{i}": "1" for i in range(1, m + 1)}
             )
-            assert direct.canonical_key() == lifted.canonical_key(), (m, n)
+            assert canonical_key(direct) == canonical_key(lifted), (m, n)
 
     def test_example2_equals_weighted_covering(self):
         direct = example2(2, 1, 3)
         g = cyclic_group(3)
         lifted = build_covering(exterior(2), g, {"a1": "1", "a2": "2"})
-        assert direct.canonical_key() == lifted.canonical_key()
+        assert canonical_key(direct) == canonical_key(lifted)
 
     def test_example3_equals_product_covering(self):
         direct = example3(2)
         g = direct_product(cyclic_group(2), cyclic_group(2))
         lifted = build_covering(exterior(2), g, {"a1": "(1,0)", "a2": "(0,1)"})
-        assert direct.canonical_key() == lifted.canonical_key()
+        assert canonical_key(direct) == canonical_key(lifted)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_example4_rejected_beyond_two(self, n):
@@ -330,7 +337,7 @@ class TestBuildCorpus:
             ("loop_cubed", "", loop_cubed()),
         ]
         for name, args, expected in pairs:
-            assert build_corpus(name, args).canonical_key() == expected.canonical_key()
+            assert canonical_key(build_corpus(name, args)) == canonical_key(expected)
 
     def test_quiver_spec_arguments(self):
         p = build_corpus("preprojective", "star:4")
@@ -347,6 +354,14 @@ class TestBuildCorpus:
             build_corpus("exterior", "x")
         with pytest.raises(CorpusError):
             build_corpus("loop_cubed", "7")
+
+    @pytest.mark.parametrize("bad", ["²", "--1", "-", "1,-²", "٣"])
+    def test_malformed_integers_are_named_errors(self, bad):
+        # one optional leading minus, then ASCII digits
+        arity = len(bad.split(","))
+        name = {1: "exterior", 2: "example1"}[arity]
+        with pytest.raises(CorpusError, match="expected arguments"):
+            build_corpus(name, bad)
 
     def test_registry_covers_dispatch(self):
         for name in CORPUS:

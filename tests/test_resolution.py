@@ -71,8 +71,9 @@ from quiverkoszul.resolution import (
     theorem_covering_check,
 )
 from quiverkoszul.serialization import canonical_json, presentation_to_document
+from oracles import basis_paths
 from random_inputs import GROUPS, random_graded_presentation, random_presentation
-from yoneda import ExtElement, YonedaAlgebra, expand_diffs, expand_runs, expanded
+from yoneda import ExtElement, YonedaAlgebra, expand_diffs, expand_runs
 
 
 def binom(n, k):
@@ -201,9 +202,9 @@ def test_each_step_walks_its_generators_once(monkeypatch):
     calls = []
     step_blocks = resolution._step_blocks
 
-    def counted(model, gens):
+    def counted(model, gens, diffs):
         calls.append(id(gens))
-        return step_blocks(model, gens)
+        return step_blocks(model, gens, diffs)
 
     cover = build_covering(
         radical_square_zero(parse_quiver_spec("loops:2")), cyclic_group(3),
@@ -233,8 +234,8 @@ def test_coordinates_are_built_only_for_blocks_that_reach_the_kernel(
         built.append((runs, sys._getframe(1).f_code.co_name))
         return run_coords(runs, W)
 
-    def spy(self, i, D, w, block, nullity, entries):
-        out = kernel(self, i, D, w, block, nullity, entries)
+    def spy(self, i, D, w, block, nullity):
+        out = kernel(self, i, D, w, block, nullity)
         (vanished if type(out) is UnitBatch else solved).append(block)
         return out
 
@@ -249,8 +250,8 @@ def test_coordinates_are_built_only_for_blocks_that_reach_the_kernel(
     assert len(solved) + len(vanished) == computed
     assert vanished and skipped
     # one build per solved kernel; a vanishing block's UnitBatch builds its
-    # ints only when an arrow image or a solved kernel first reads it, and
-    # a skipped block builds none
+    # unit vectors only when an arrow image or a solved kernel first reads
+    # it, and a skipped block builds none
     by_kernel = [runs for runs, caller in built if caller == "_kernel"]
     assert len(by_kernel) == len(solved)
     assert all(a is b for a, b in zip(by_kernel, solved))
@@ -715,17 +716,11 @@ def _arrow_ranks_by_elimination(res: SimpleResolution, i_max: int) -> list:
     An arrow part with one entry spans that coordinate's unit vector; the
     rank is the number of such coordinates plus the rank of the other arrow
     parts with those coordinates dropped, so only the latter are eliminated.
-    An int entry is a unit vector already: it counts as a unit when its word
-    is an arrow, with no part built, and has no arrow part otherwise.
     """
     ranks, lengths, W = [], res.model.lengths, len(res.model.words)
     for step in res.diffs[1:i_max + 1]:
         units, rest = set(), []
         for entry in expand_diffs(step):
-            if type(entry) is int:
-                if lengths[entry % W] == 1:
-                    units.add(entry)
-                continue
             part = [(key, c) for key, c in entry.items() if lengths[key % W] == 1]
             if len(part) == 1:
                 units.add(part[0][0])
@@ -810,7 +805,6 @@ def test_block_generators_have_distinct_largest_coordinates_of_coefficient_1(
         for runs, step in zip(res.gens[1:], res.diffs[1:]):
             largest = set()
             for g, entry in zip(expand_runs(runs), expand_diffs(step)):
-                entry = expanded(entry)
                 top = max(entry)
                 assert entry[top] == 1
                 assert (g, top) not in largest
@@ -827,14 +821,14 @@ def test_walked_blocks_build_the_oracle_coordinates(arrow_rank_report):
     for v, res in report.per_simple.items():
         if v in report.transported:
             continue
-        for step in res.gens:
-            blocks, gens = _step_blocks(model, step), expand_runs(step)
+        for step, diffs in zip(res.gens, res.diffs):
+            blocks, gens = _step_blocks(model, step, diffs), expand_runs(step)
             assert {key: _run_coords(runs, W) for key, runs in blocks.items()} == {
                 (D, w): coords for D in range(1, model.max_degree + 1)
                 for w, coords in _degree_coords_by_degree(
                     model, gens, D, range(len(gens))).items()}
             for runs in blocks.values():
-                assert sum(n * len(words) for _, n, words in runs) == \
+                assert sum(n * len(words) for _, n, words, _ in runs) == \
                     len(_run_coords(runs, W))
 
 
@@ -877,7 +871,7 @@ def _bundle_image(ext, step, vec):
 
 def _assert_squares_to_zero(model, res):
     W = len(model.words)
-    diffs = [[expanded(e) for e in expand_diffs(step)] for step in res.diffs]
+    diffs = [expand_diffs(step) for step in res.diffs]
     for i in range(2, len(diffs)):
         for entry in diffs[i]:
             dd = {}
@@ -1267,8 +1261,8 @@ def test_orbit_equal_tips_with_different_normal_forms_are_not_transported():
     model = AlgebraModel(p, 4)
     sigma = rooted_isomorphism(q, "1", "2")
     for d in range(5):
-        assert ([sigma.apply(b) for b in model.basis_paths(d, "1", "1")]
-                == model.basis_paths(d, "2", "2"))
+        assert ([sigma.apply(b) for b in basis_paths(model, d, "1", "1")]
+                == basis_paths(model, d, "2", "2"))
     assert ideal_breaker(model, sigma) is p.relations[0]
     assert not keeps_model(model, sigma)
     report = resolve(model, 3)
@@ -1303,8 +1297,8 @@ def test_orbit_certificate_accepts_a_map_that_sends_a_basis_word_off_the_basis()
     q = p.quiver
     model = AlgebraModel(p, 4)
     path = q.path
-    assert model.basis_paths(2, "1", "4") == [path(["b1", "b2"])]
-    assert model.basis_paths(2, "5", "8") == [path(["d1", "d2"])]
+    assert basis_paths(model, 2, "1", "4") == [path(["b1", "b2"])]
+    assert basis_paths(model, 2, "5", "8") == [path(["d1", "d2"])]
     sigma = _squares_swapped(q)
     assert sigma.apply(path(["b1", "b2"])) == path(["c1", "c2"])
     assert model.normal_form(path(["c1", "c2"])) == {path(["d1", "d2"]): 1}
@@ -1351,7 +1345,7 @@ def test_orbit_relabelled_differentials_sum_combinations():
     W = len(model.words)
     assert any(len(moved_normal_form(model, swap, model.words[key % W])) > 1
                for step in res.diffs for entry in expand_diffs(step)
-               for key in ([entry] if type(entry) is int else entry))
+               for key in entry)
     _assert_squares_to_zero(model, moved)
 
 
@@ -1463,13 +1457,11 @@ def _assert_coordinate_order(model, i_max):
                 assert {w: [divmod(key, W) for key in coords]
                         for w, coords in by_target.items()} == want
                 assert all(coords == sorted(coords) for coords in by_target.values())
-                if not i:
-                    continue
                 entries = expand_diffs(res.diffs[i])
                 for coords in want.values():
                     for k, b in coords:
                         image = {}
-                        for key, c in expanded(entries[k]).items():
+                        for key, c in entries[k].items():
                             l, word = divmod(key, W)
                             for m, cm in model.product(b, word).items():
                                 image[(l, m)] = image.get((l, m), ZERO) + c * cm
@@ -1498,9 +1490,10 @@ def test_coordinate_order_on_random_presentations(seed):
 def _two_pass(model, vertex, i_max, d_max):
     """gens and diffs built the earlier way, in two passes per step: rank the
     arrow images and pick generators on every block, then solve the kernel
-    of the new differential on every block."""
+    of the new differential on every block.  The vertex generator's
+    differential is zero, {}."""
     q = model.quiver
-    gens, diffs, blocks = [[Generator(vertex, 0)]], [[]], {}
+    gens, diffs, blocks = [[Generator(vertex, 0)]], [[{}]], {}
     W = len(model.words)
 
     def block(i, D, w):
@@ -1582,7 +1575,7 @@ def _assert_matches_two_pass(model, i_max, d_max):
         gens, diffs = _two_pass(model, v, i_max, d_max)
         assert [expand_runs(step) for step in res.gens] == gens
         # dict order too: the columns are the very kernel vectors
-        assert [[list(expanded(e).items()) for e in expand_diffs(step)]
+        assert [[list(e.items()) for e in expand_diffs(step)]
                 for step in res.diffs] == [[list(e.items()) for e in step] for step in diffs]
 
 
@@ -1684,13 +1677,13 @@ def test_forcing_the_normal_pairs_moves_only_the_work(monkeypatch):
 
 
 def _resolution_digest(model, i_max):
-    """Per vertex: gens, the expanded diffs in dict order, and the kernel
-    counters."""
+    """Per vertex: gens, the diffs one generator at a time in dict order,
+    and the kernel counters."""
     out = []
     for v in model.quiver.vertices:
         res = SimpleResolution(model, v, i_max)
         out.append((res.gens,
-                    [[list(expanded(e).items()) for e in expand_diffs(step)]
+                    [[list(e.items()) for e in expand_diffs(step)]
                      for step in res.diffs],
                     res.kernels_computed, res.kernels_skipped))
     return out
@@ -1768,22 +1761,12 @@ def test_vanishing_radical_square_zero_steps_multiply_nothing(monkeypatch):
 
 
 def _resolve_with_a_nonzero_check(monkeypatch, d_max):
-    """Resolve the preprojective(line:3) simple at vertex 1 with every
+    """Resolve the preprojective(line:3) simple at vertex 1 with the first
     product of the vanishing check nonzero.  In degree 2 of P_1 at vertex 1
     Ω^1 is empty, so d_1 must vanish there; the block's column holds a word
-    of length 1, below the top degree 2, so the check multiplies it."""
-    from quiverkoszul import resolution
-
-    diff_image, check = resolution._diff_image, resolution.SimpleResolution._kernel
-
-    def nonzero_in_the_check(model, entry, b):
-        # the check is the generator that _kernel runs; arrow images and
-        # solved kernels keep the true products
-        if sys._getframe(1).f_back.f_code is check.__code__:
-            return {b: 1}
-        return diff_image(model, entry, b)
-
-    monkeypatch.setattr(resolution, "_diff_image", nonzero_in_the_check)
+    of length 1, below the top degree 2, so the check multiplies it.  Arrow
+    images and solved kernels keep the true products."""
+    _vanishing_check_products(monkeypatch, nonzero_at=1)
     model = AlgebraModel(preprojective(parse_quiver_spec("line:3")), d_max)
     with pytest.raises(InternalError,
                        match=r"step 1 differential is nonzero in degree 2 at"
@@ -1803,8 +1786,8 @@ def test_vanishing_block_without_a_top_degree_checks_every_column(monkeypatch):
 
 def _resolve_with_a_stray_coordinate(monkeypatch, step_degree, D, stray):
     """Resolve the loops:2 simple with one more run, generator 0 times stray
-    (the int 0·W + its id once built), in degree D of the step whose
-    generators sit in step_degree.  No syzygy
+    (the unit vector {0·W + its id: 1} once built), in degree D of the step
+    whose generators sit in step_degree.  No syzygy
     sits there, so the block vanishes and the stray unit vector meets
     empty arrow images.  A stray path that is not a basis word gets an id
     past the model's words."""
@@ -1817,11 +1800,12 @@ def _resolve_with_a_stray_coordinate(monkeypatch, step_degree, D, stray):
     stray_id = model.word_ids.get(stray, len(model.words) - 1)
     step_blocks = resolution._step_blocks
 
-    def with_stray(model, gens):
-        blocks = step_blocks(model, gens)
+    def with_stray(model, gens, diffs):
+        blocks = step_blocks(model, gens, diffs)
         if gens[0][0].degree == step_degree:
-            # a run of one generator, 0, times the one word stray
-            blocks[D, "1"] = blocks.get((D, "1"), []) + [(0, 1, [stray_id])]
+            # a run of one generator, 0, with its image, times the one word stray
+            run = (0, 1, [stray_id], list(diffs[0])[:1])
+            blocks[D, "1"] = blocks.get((D, "1"), []) + [run]
         return blocks
 
     monkeypatch.setattr(resolution, "_step_blocks", with_stray)
@@ -1854,16 +1838,17 @@ def _resolve_with_coordinates_cut(monkeypatch, model, vertex, step_degree, D, ke
 
     step_blocks = resolution._step_blocks
 
-    def cut(model, gens):
-        blocks = step_blocks(model, gens)
+    def cut(model, gens, diffs):
+        blocks = step_blocks(model, gens, diffs)
         if gens[0][0].degree == step_degree:
             for w, n in keep.items():
-                # one run per generator, its words cut to the first n ints
+                # one run per generator, with its image, its words cut to
+                # the first n coordinates
                 kept = []
-                for k, m, words in blocks.pop((D, w)):
-                    for kk in range(k, k + m):
+                for k, m, words, entry in blocks.pop((D, w)):
+                    for kk, image in zip(range(k, k + m), entry):
                         if n > 0:
-                            kept.append((kk, 1, words[:n]))
+                            kept.append((kk, 1, words[:n], [image]))
                             n -= len(words[:n])
                 if kept:
                     blocks[D, w] = kept
@@ -1894,7 +1879,7 @@ def test_an_image_block_without_its_coordinates_is_an_internal_error(
         _resolve_with_coordinates_cut(monkeypatch, model, vertex, 1, 1, keep)
 
 
-# -- unit entries: a vanishing block's generators stored as their coordinates --
+# -- unit batches: a vanishing block's whole kernel kept as its runs ----------
 
 
 def _units_cases():
@@ -1907,54 +1892,64 @@ def _units_cases():
     }
 
 
-def _assert_unit_entries_exactly_where_blocks_vanish(monkeypatch, model, i_max):
-    """Every generator of a vanishing block has an int entry, the coordinate
-    of its unit vector, and every other generator a dict; returns the
-    number of int entries."""
+def _is_unit(image):
+    """Whether a differential image is a unit vector {c: 1}."""
+    return len(image) == 1 and ONE in image.values()
+
+
+def _vanishing_runs(monkeypatch, model, i_max):
+    """Resolve every simple and check that a ``UnitBatch`` run sits only
+    where its block vanishes and that every generator of a vanishing block
+    has a unit vector for its image; returns (vertex, step, run) for the
+    runs of vanishing blocks."""
     vanished, kernel = {}, SimpleResolution._kernel
 
-    def spy(self, i, D, w, block, nullity, entries):
-        size = sum(n * len(words) for _, n, words in block)
+    def spy(self, i, D, w, block, nullity):
+        size = sum(n * len(words) for _, n, words, _ in block)
         vanished[(self.vertex, i + 1, D, w)] = nullity == size
-        return kernel(self, i, D, w, block, nullity, entries)
+        return kernel(self, i, D, w, block, nullity)
 
     monkeypatch.setattr(SimpleResolution, "_kernel", spy)
-    units = 0
+    out = []
     for v in model.quiver.vertices:
         res = SimpleResolution(model, v, i_max)
         for i in range(1, i_max + 1):
-            for g, entry in zip(expand_runs(res.gens[i]), expand_diffs(res.diffs[i])):
-                assert (type(entry) is int) == vanished[(v, i, g.degree, g.vertex)]
-                units += type(entry) is int
-    return units
+            for (g, n), run in zip(res.gens[i], res.diffs[i]):
+                if vanished[(v, i, g.degree, g.vertex)]:
+                    assert len(run) == n and all(_is_unit(e) for e in run)
+                    out.append((v, i, run))
+                else:
+                    assert type(run) is list
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(_units_cases()))
-def test_unit_entries_on_radical_square_zero_are_every_generator(name, monkeypatch):
+def test_unit_batches_on_radical_square_zero_are_every_run(name, monkeypatch):
     # Ext is the path algebra of the opposite quiver and every block past
-    # step 0 vanishes, so every generator is stored as its coordinate
+    # step 0 vanishes, so every run is a UnitBatch of the block's runs
     p, d_max, i_max = _units_cases()[name]
     model = AlgebraModel(p, d_max)
     report = resolve(model, i_max)
     for res in report.per_simple.values():
-        assert all(type(e) is int for step in res.diffs[1:] for e in expand_diffs(step))
-    units = _assert_unit_entries_exactly_where_blocks_vanish(monkeypatch, model, i_max)
-    assert units == sum(report.ext_totals()[1:])
+        if res.vertex not in report.transported:
+            assert all(type(run) is UnitBatch for step in res.diffs[1:] for run in step)
+    runs = _vanishing_runs(monkeypatch, model, i_max)
+    assert all(type(run) is UnitBatch for _, _, run in runs)
+    assert sum(len(run) for _, _, run in runs) == sum(report.ext_totals()[1:])
 
 
 @pytest.mark.parametrize(
     "presentation", [p for _, p in corpus_instances()],
     ids=[label for label, _ in corpus_instances()],
 )
-def test_unit_entries_exactly_where_blocks_vanish_on_the_corpus(presentation, monkeypatch):
-    _assert_unit_entries_exactly_where_blocks_vanish(
-        monkeypatch, AlgebraModel(presentation, 5), 5)
+def test_unit_batches_exactly_where_blocks_vanish_on_the_corpus(presentation, monkeypatch):
+    _vanishing_runs(monkeypatch, AlgebraModel(presentation, 5), 5)
 
 
 @pytest.mark.parametrize("name", ["loops2-Z3-all-ones"] + sorted(_orbit_covers()))
-def test_unit_entries_of_a_transported_copy_move_by_the_word_images(name):
-    # a relabelled copy's int entry k·W + b moves to k·W + NF(σ(words[b])),
-    # which a deck map keeps one word with coefficient 1, so an int
+def test_unit_vectors_of_a_transported_copy_move_by_the_word_images(name):
+    # a relabelled copy's unit vector {k·W + b: 1} moves to the coordinates
+    # k·W + NF(σ(words[b])), which a deck map keeps one word with coefficient 1
     p, d_max, i_max = {**_units_cases(), **_orbit_covers()}[name]
     model = AlgebraModel(p, d_max)
     report = resolve(model, i_max)
@@ -1965,61 +1960,59 @@ def test_unit_entries_of_a_transported_copy_move_by_the_word_images(name):
         source, sigma = copy._moved_by
         assert source is report.per_simple[copy.resolved_from]
         for step, copied in zip(source.diffs, copy.diffs):
-            for entry, image in zip(expand_diffs(step), expand_diffs(copied)):
-                if type(entry) is int:
-                    k, b = divmod(entry, W)
-                    [(m, c)] = moved_normal_form(model, sigma, model.words[b]).items()
-                    assert (c, image) == (1, k * W + m)
-                    moved += 1
-                else:
-                    assert type(image) is dict
+            for run, image in zip(step, copied):
+                assert type(image) is list and len(image) == len(run)
+                if type(run) is UnitBatch:
+                    for entry, got in zip(run, image):
+                        [key] = entry
+                        k, b = divmod(key, W)
+                        [(m, c)] = moved_normal_form(model, sigma, model.words[b]).items()
+                        assert (c, got) == (1, {k * W + m: 1})
+                        moved += 1
     assert moved
-
-
-# -- unit batches: a vanishing block's whole kernel kept as its runs ----------
 
 
 def test_loops3_holds_one_differential_entry_per_step():
     # every step past 0 is one vanishing block whose 3^i unit vectors are
     # the step's one run of generators, so its differentials are one
-    # UnitBatch of the block's runs, with no int per generator
+    # UnitBatch of the block's runs, with no dict per generator built
     model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:3")), 8)
     res = resolve(model, 8).per_simple["1"]
-    assert [len(step) for step in res.diffs] == [0] + [1] * 8
+    assert [len(step) for step in res.diffs] == [1] * 9
+    assert res.diffs[0] == [[{}]]
     assert all(type(run) is UnitBatch for step in res.diffs[1:] for run in step)
     assert [len(run) for step in res.diffs[1:] for run in step] == [
         3 ** i for i in range(1, 9)]
     assert _arrow_ranks(res, 8) == [3 ** i for i in range(1, 9)]
+    assert all(run._units is None for step in res.diffs[1:] for run in step)
 
 
-def test_a_unit_batch_cut_by_the_arrow_images_keeps_its_ints():
+def test_a_unit_batch_cut_by_the_arrow_images_keeps_its_unit_vectors(monkeypatch):
     # random_presentation(Random(50)) at 6/5: the arrow images span part of
     # one vanishing block, so the unit vectors independent of them are that
-    # run's generators, one int each, as the two-pass reference picks them
+    # run's generators, the batch's own dicts, as the two-pass reference
+    # picks them
     model = AlgebraModel(random_presentation(random.Random(50)), 6)
-    cut = [(v, i, len(run)) for v in model.quiver.vertices
-           for i, step in enumerate(SimpleResolution(model, v, 5).diffs) for run in step
-           if type(run) is list and all(type(e) is int for e in run)]
+    cut = [(v, i, len(run)) for v, i, run in _vanishing_runs(monkeypatch, model, 5)
+           if type(run) is not UnitBatch]
     assert cut == [("2", 2, 1)]
     _assert_matches_two_pass(model, 5, 6)
 
 
 def _moved_flat(model, source, sigma):
     """A relabelled copy's differentials as first built, one generator at
-    a time: each coordinate k·W + b of the source's entry moved to
-    k·W + NF(σ(words[b])), and an int entry kept an int where that is one
-    word with coefficient 1."""
+    a time: each coordinate k·W + b of the source's image moved to
+    k·W + NF(σ(words[b]))."""
     W, out = len(model.words), []
     for step in source.diffs:
         moved = []
         for entry in expand_diffs(step):
             vec = {}
-            for key, c in expanded(entry).items():
+            for key, c in entry.items():
                 k, b = divmod(key, W)
                 image = moved_normal_form(model, sigma, model.words[b])
                 vec_axpy(vec, c, {k * W + m: cm for m, cm in image.items()})
-            unit = type(entry) is int and len(vec) == 1 and ONE in vec.values()
-            moved.append(next(iter(vec)) if unit else list(vec.items()))
+            moved.append(list(vec.items()))
         out.append(moved)
     return out
 
@@ -2047,7 +2040,7 @@ def _star2_centre_swap():
 @pytest.mark.parametrize("case", ["star:2-transported", "star:2-centre-swap",
                                   "random-181-reversed-copy"])
 def test_relabelled_unit_batches_expand_to_the_moved_flat_form(case):
-    # a copy reads each run, a UnitBatch too, as its entries and moves each:
+    # a copy reads each run, a UnitBatch too, image by image and moves each:
     # the leaf swaps of star:2 send a1 to a2, and the reversed copy of
     # random presentation 181 sends a batch word to -1/3 times a word
     if case == "star:2-centre-swap":
@@ -2065,7 +2058,7 @@ def test_relabelled_unit_batches_expand_to_the_moved_flat_form(case):
         assert copy.vertex in report.transported
     source, sigma = copy._moved_by
     assert any(type(run) is UnitBatch for step in source.diffs for run in step)
-    assert [[e if type(e) is int else list(e.items()) for e in expand_diffs(step)]
+    assert [[list(e.items()) for e in expand_diffs(step)]
             for step in copy.diffs] == _moved_flat(model, source, sigma)
     assert [[len(run) for run in step] for step in copy.diffs] == [
         [len(run) for run in step] for step in source.diffs]
@@ -2073,21 +2066,33 @@ def test_relabelled_unit_batches_expand_to_the_moved_flat_form(case):
 
 def _vanishing_check_products(monkeypatch, nonzero_at=None):
     """The list that records each product the vanishing check of
-    ``_kernel`` asks for from here on; the one numbered nonzero_at (from 1)
-    is made nonzero."""
+    ``_kernel`` asks for from here on: a word pair (b, c) it multiplies
+    with ``model.product``, or a word b and the image it multiplies with
+    ``_diff_image``.  The one numbered nonzero_at (from 1) is made
+    nonzero."""
     from quiverkoszul import resolution
 
-    diff_image, check = resolution._diff_image, SimpleResolution._kernel
+    diff_image, product = resolution._diff_image, AlgebraModel.product
+    check = SimpleResolution._kernel
     calls = []
 
-    def spy(model, entry, b):
-        if sys._getframe(1).f_back.f_code is check.__code__:
-            calls.append((entry, b))
+    def in_the_check(call, nonzero):
+        # the check is the generator that _kernel runs
+        if sys._getframe(2).f_back.f_code is check.__code__:
+            calls.append(call)
             if len(calls) == nonzero_at:
-                return {b: 1}
-        return diff_image(model, entry, b)
+                return nonzero
+        return None
 
-    monkeypatch.setattr(resolution, "_diff_image", spy)
+    def spy_image(model, entry, b):
+        return (in_the_check((b, tuple(entry.items())), {b: 1})
+                or diff_image(model, entry, b))
+
+    def spy_product(model, b, c):
+        return in_the_check((b, c), {b: 1}) or product(model, b, c)
+
+    monkeypatch.setattr(resolution, "_diff_image", spy_image)
+    monkeypatch.setattr(AlgebraModel, "product", spy_product)
     return calls
 
 
@@ -2101,15 +2106,16 @@ def _radical_cube_zero_loops2():
 def test_a_unit_run_is_checked_once_per_word_pair(monkeypatch):
     # at 9/8, steps 2 and 4 check one vanishing block each whose columns
     # are an arrow times a generator of a UnitBatch of degree-2 words, 8 and
-    # 64 generators long: 8 products per step, one per (degree-2 word,
-    # arrow) pair, whatever the run's length (one per column would be 144)
+    # 64 generators long: 8 products per step, one model.product per
+    # (arrow, degree-2 word) pair, whatever the run's length (one per column
+    # would be 144); step 0's zero differential takes none
     calls = _vanishing_check_products(monkeypatch)
     model = AlgebraModel(_radical_cube_zero_loops2(), 9)
     assert resolve(model, 8).ext_totals() == [1, 2, 8, 16, 64, 128, 512, 0, 0]
     arrows = sorted(model.arrow_ids.values())
     squares = [c for c in range(len(model.words)) if model.lengths[c] == 2]
     assert len(calls) == 16
-    assert sorted(set(calls)) == [(c, b) for c in squares for b in arrows]
+    assert sorted(set(calls)) == [(b, c) for b in arrows for c in squares]
 
 
 def test_a_unit_run_with_a_nonzero_column_product_is_an_internal_error(monkeypatch):
@@ -2121,26 +2127,54 @@ def test_a_unit_run_with_a_nonzero_column_product_is_an_internal_error(monkeypat
         SimpleResolution(AlgebraModel(_radical_cube_zero_loops2(), 9), "1", 8)
 
 
-def test_a_block_run_past_its_step_run_is_an_internal_error(monkeypatch):
-    # a block run reads its entries from the step run that starts at its
-    # first index; shifted by one, step 2's run of 8 generators starts at no
-    # run, which the vanishing check of the block in degree 4 reads
+# -- one stored form: every entry a dict, every block run with its entry ------
+
+
+@cache
+def _form_cases():
+    """The corpus at 6/6, its all-ones Z2 covers at 5/5 and 60 random
+    presentations at 5/5."""
+    cases = {label: (p, 6) for label, p in corpus_instances()}
+    cases.update({label + "-Z2": (_z2_cover(p), 5) for label, p in corpus_instances()})
+    for seed in range(60):
+        cases[f"random-{seed}"] = (random_presentation(random.Random(seed)), 5)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_form_cases()))
+def test_every_stored_entry_is_a_dict_or_a_unit_batch_run(name, monkeypatch):
+    # transported copies included, whose differentials are built here; and
+    # every block run a step files carries the step run at its index
     from quiverkoszul import resolution
 
-    step_blocks = resolution._step_blocks
+    step_blocks, filed = resolution._step_blocks, []
 
-    def shifted(model, gens):
-        blocks = step_blocks(model, gens)
-        if gens[0][0].degree == 3:
-            blocks = {key: [(k + 1, n, words) for k, n, words in runs]
-                      for key, runs in blocks.items()}
+    def spy(model, gens, diffs):
+        blocks = step_blocks(model, gens, diffs)
+        filed.append((gens, diffs, blocks))
         return blocks
 
-    monkeypatch.setattr(resolution, "_step_blocks", shifted)
-    with pytest.raises(InternalError,
-                       match=r"step 2 block in degree 4 at vertex 1 reads 8"
-                             r" generators from 1, past the run there"):
-        SimpleResolution(AlgebraModel(_radical_cube_zero_loops2(), 6), "1", 4)
+    monkeypatch.setattr(resolution, "_step_blocks", spy)
+    p, window = _form_cases()[name]
+    report = resolve(AlgebraModel(p, window), window)
+    for res in report.per_simple.values():
+        assert res.diffs[0] == [[{}]]
+        for runs, step in zip(res.gens, res.diffs):
+            assert len(runs) == len(step)
+            for (_, n), run in zip(runs, step):
+                assert type(run) is UnitBatch or type(run) is list
+                assert len(run) == n and all(type(e) is dict for e in run)
+    resolved = [res for u, res in report.per_simple.items() if u not in report.transported]
+    assert len(filed) == sum(len(res.gens) - 1 for res in resolved)
+    for gens, diffs, blocks in filed:
+        assert any(gens is step for res in resolved for step in res.gens)
+        assert any(diffs is step for res in resolved for step in res.diffs)
+        at, k = {}, 0
+        for (_, n), run in zip(gens, diffs):
+            at[k], k = (n, run), k + n
+        for block in blocks.values():
+            for k, n, _, entry in block:
+                assert at[k][0] == n and at[k][1] is entry and len(entry) == n
 
 
 # -- generator runs: each step's generators stored as (Generator, n) ----------
@@ -2149,21 +2183,21 @@ def test_a_block_run_past_its_step_run_is_an_internal_error(monkeypatch):
 def _assert_run_format(report):
     """Every step of every simple holds runs (g, n) with n >= 1, no two in
     a row equal, in degrees that do not decrease, with one differential
-    entry per run past step 0, holding n entries, whose one run is the simple's own
-    generator; the Betti totals are the run sums; a relabelled copy has its
-    source's run lengths, each run's vertex moved by σ."""
+    entry per run, holding n images; step 0's one run is the simple's own
+    generator, its image {}; the Betti totals are the run sums; a
+    relabelled copy has its source's run lengths, each run's vertex moved
+    by σ."""
     totals, step_totals = {}, {}
     for u, res in report.per_simple.items():
-        assert (res.gens[0], res.diffs[0]) == ([(Generator(u, 0), 1)], [])
+        assert (res.gens[0], res.diffs[0]) == ([(Generator(u, 0), 1)], [[{}]])
         for i, (runs, entries) in enumerate(zip(res.gens, res.diffs)):
             assert all(type(g) is Generator and type(n) is int and n >= 1
                        for g, n in runs)
             assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
             assert all(a[0].degree <= b[0].degree for a, b in zip(runs, runs[1:]))
-            if i:
-                assert [n for _, n in runs] == [len(run) for run in entries]
-                assert sum(n for _, n in runs) == len(expand_diffs(entries)) == \
-                    len(expand_runs(runs))
+            assert [n for _, n in runs] == [len(run) for run in entries]
+            assert sum(n for _, n in runs) == len(expand_diffs(entries)) == \
+                len(expand_runs(runs))
             for g, n in runs:
                 totals[(i, g.degree)] = totals.get((i, g.degree), 0) + n
                 step_totals[i] = step_totals.get(i, 0) + n

@@ -126,13 +126,9 @@ def test_every_exported_name_has_a_user():
         f"{sorted(TEST_ORACLES)}): {unused}")
 
 
-# public methods and properties of exported classes only tests call
-TEST_ORACLE_MEMBERS = {
-    "AlgebraModel.basis_paths": "the path-keyed view of the basis blocks; the"
-                                " model and transport tests read blocks by it",
-    "Presentation.canonical_key": "compares presentations up to relation order"
-                                  " in the corpus and round-trip tests",
-}
+# public methods and properties of exported classes only tests call; the
+# tests read such views through their own helpers (tests/oracles.py)
+TEST_ORACLE_MEMBERS = {}
 
 
 def test_every_public_member_of_an_exported_class_has_a_user():

@@ -33,17 +33,12 @@ def expand_runs(step) -> list:
 
 
 def expand_diffs(step) -> list:
-    """A step's differential entries one per generator, in index order, as
-    a flat list: a resolution keeps one entry per run, the run's entries in
-    order, and a ``UnitBatch`` reads as its ints.  Every test that reads
-    differentials one generator at a time goes through here."""
-    return [entry for run in step for entry in run]
-
-
-def expanded(entry) -> dict:
-    """A differential entry as a dict from coordinate to coefficient: a
-    resolution stores a unit vector as its coordinate, an int."""
-    return {entry: ONE} if type(entry) is int else entry
+    """A step's differentials one dict per generator, in index order, as a
+    flat list: a resolution keeps one entry per run, the images of its
+    generators in order, and a ``UnitBatch`` reads as its unit vectors.
+    Every test that reads differentials one generator at a time goes
+    through here."""
+    return [image for run in step for image in run]
 
 
 @dataclass
@@ -71,12 +66,12 @@ class YonedaAlgebra(ExtAlgebra):
     ``diffs[i][j]`` pairs the resolution's own differential entry for bundle
     generator j, keyed by its simple's step-(i-1) generators, with the
     bundle offset of that simple's step-(i-1) block, so the bundle shares
-    the differentials instead of copying them; a unit entry, stored as its
-    coordinate, is ``expanded`` to a dict.  Only the lifts read it, so
+    the differentials instead of copying them.  Only the lifts read it, so
     it is paired on first read.  Bundle coordinates are k·W + b over the
     bundle's generators k: an entry's coordinate moves by offset·W.
     ``gens[i]`` is the step-i bundle one generator per entry, and
-    ``runs[i]`` the simples' runs in the same order, which the blocks read.
+    ``runs[i]`` the simples' runs in the same order, which the blocks read
+    with the runs' differentials.
     """
 
     def __init__(self, report: ResolutionReport):
@@ -107,7 +102,7 @@ class YonedaAlgebra(ExtAlgebra):
             for u in self.simples:
                 off = self._offsets[i - 1][u]
                 step_diffs.extend(
-                    (off, expanded(entry))
+                    (off, entry)
                     for entry in expand_diffs(self.report.per_simple[u].diffs[i])
                 )
             out.append(step_diffs)
@@ -118,7 +113,8 @@ class YonedaAlgebra(ExtAlgebra):
 
     def _coords(self, i: int, D: int, w: str) -> list:
         if i not in self._blocks_cache:
-            self._blocks_cache[i] = _step_blocks(self.model, self.runs[i])
+            diffs = [run for u in self.simples for run in self.report.per_simple[u].diffs[i]]
+            self._blocks_cache[i] = _step_blocks(self.model, self.runs[i], diffs)
         return _run_coords(self._blocks_cache[i].get((D, w), ()), len(self.model.words))
 
     def _solver(self, k: int, D: int, w: str) -> ColumnSolver:
