@@ -52,6 +52,10 @@ class DegreeOverflowError(ValueError):
     pass
 
 
+class CutoffError(ValueError):
+    """A truncation cutoff below 0 or past the window it reads."""
+
+
 class InternalError(Exception):
     """A consistency check inside the library failed: a defect, not bad input."""
 
@@ -475,9 +479,9 @@ def hilbert_matrix(m: AlgebraModel, cutoff: int) -> dict:
     """(u, v) -> the dimensions of the degree-d basis blocks u -> v for
     d <= cutoff, over the pairs with a nonzero entry, in vertex order."""
     if cutoff < 0:
-        raise ValueError(f"cutoff {cutoff} is negative")
+        raise CutoffError(f"cutoff {cutoff} is negative")
     if cutoff > m.max_degree:
-        raise ValueError(
+        raise CutoffError(
             f"cannot truncate a Hilbert matrix on {list(m.quiver.vertices)} with window "
             f"{m.max_degree} at cutoff {cutoff}: the cutoff is past the window"
         )

@@ -4,8 +4,8 @@ Five subcommands: analyze (resolve and report), dual (quadratic dual
 document), cover (finite covering document), verify (single named check
 with an exit code), corpus (built-in presentations).  Reports are
 canonical JSON; timing sits outside the comparable section, with the
-number of simples resolved and relabelled, their kernels and their
-generators under ``timing.sizes`` for the commands that resolve, and
+number of simples resolved, relabelled and certified, their kernels and
+their generators under ``timing.sizes`` for the commands that resolve, and
 smash-iso's label and full-sweep counts.
 
 Well-formed analyze, dual, cover and verify lines are read from one table of

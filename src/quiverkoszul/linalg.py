@@ -72,7 +72,7 @@ class EchelonSpan:
     the stored family is in echelon form.  Back-substitution into older
     rows is deferred: reading ``rows`` or ``rref_rows()`` reduces the family
     once, in descending pivot order, and the result stays until the next
-    add.  The rref basis and the residue of ``reduce`` are both determined
+    add.  The rref basis and the residue of ``_reduce`` are both determined
     by the span alone, so the deferral is invisible to callers.
     """
 
@@ -103,12 +103,9 @@ class EchelonSpan:
                 vec_axpy(row, -row[q], rows[q])
         self._reduced = True
 
-    def reduce(self, vec: dict) -> dict:
-        """vec reduced by the stored rows, smallest pivot first; the residue
-        has no entry at any pivot."""
-        return self._reduce(_clean(vec))
-
     def _reduce(self, residue: dict) -> dict:
+        """A zero-free residue reduced in place by the stored rows, smallest
+        pivot first; it has no entry at any pivot."""
         rows = self._rows
         while True:
             hit = residue.keys() & rows.keys()
@@ -126,7 +123,7 @@ class EchelonSpan:
         return residue and self.store(residue, min(residue))
 
     def store(self, residue: dict, pivot) -> dict:
-        """Keep a nonzero residue of ``reduce`` as a row; pivot is min(residue)."""
+        """Keep a nonzero residue of ``_reduce`` as a row; pivot is min(residue)."""
         lead = residue[pivot]
         if lead == -1:
             # negation is exact_div(c, -1) for an int, and an integral
@@ -159,8 +156,7 @@ class ColumnSolver:
     independent columns are stored.  A dependent column reduces to its tags
     alone, which read off its expansion over the independent columns fed so
     far; that expansion is unique, so it does not depend on the elimination
-    order.  ``add_column`` returns it as a kernel vector, ``solve`` as the
-    coordinates of a vector in the span.
+    order.  ``add_column`` returns it as a kernel vector.
     """
 
     __slots__ = ("height", "count", "_span")
@@ -169,16 +165,6 @@ class ColumnSolver:
         self.height = height
         self.count = 0
         self._span = EchelonSpan()
-
-    def solve(self, vec: dict):
-        """Coordinates of vec over the independent columns, or None."""
-        residue = self._span.reduce(vec)
-        if residue and min(residue) < self.height:
-            return None
-        # a residue without row entries is -sum c_i * tag_i, where vec is
-        # sum c_i * column_i over the independent columns i
-        h = self.height
-        return {j - h: -c for j, c in residue.items()}
 
     def add_column(self, vec: dict):
         """Feed the next column; returns None if independent, else the

@@ -20,7 +20,9 @@ Syzygies are built degreewise per target vertex, and exactness counts each
 block, so a kernel is solved (finite exact linear algebra) only where the
 arrow images fall short of the count and the differential need not vanish.
 Every Betti number with internal degree inside the window is exact; nothing
-is claimed past the window.
+is claimed past the window.  A quadratic model whose degree-2 tips form a
+Gröbner basis needs none of this: ``resolve`` counts its Betti numbers as
+Anick chains (``_chain_betti``).
 
 The degree window is the model's ``max_degree``.  The report of ``resolve``
 holds the model, so the checks downstream read model and window from it.
@@ -32,7 +34,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .algebra import AlgebraModel, InternalError, hilbert_matrix, keeps_model, moved_normal_form
+from .algebra import (
+    AlgebraModel, CutoffError, InternalError, hilbert_matrix, keeps_model, moved_normal_form,
+)
 from .covering import build_covering, split_sheet
 from .linalg import ColumnSolver, EchelonSpan, ONE, ZERO, vec_axpy
 from .quiver import QuiverAutomorphism, rooted_isomorphism
@@ -40,6 +44,10 @@ from .quiver import QuiverAutomorphism, rooted_isomorphism
 KOSZUL_TO_BOUND = "koszul-to-bound"
 FAILS_AT = "fails-at"
 UNKNOWN_BEYOND_BOUND = "unknown-beyond-bound"
+
+
+class NotKoszulError(ValueError):
+    """A check that needs a ``koszul-to-bound`` verdict got another."""
 
 
 @dataclass(frozen=True)
@@ -385,27 +393,44 @@ class ResolutionReport:
 
     ``transported`` names the simples whose resolution was relabelled from
     another simple's rather than computed.  The Betti numbers are read off
-    each step's generator runs, and the totals per (step, degree) and per
-    step are summed once, here.
+    each step's generator runs, or, for a ``certified`` report, given as
+    chain counts with no resolution behind them; the totals per (step,
+    degree) and per step are summed once, here.
     """
 
     def __init__(self, model: AlgebraModel, i_max: int, per_simple: dict,
-                 transported=frozenset()):
+                 transported=frozenset(), betti: dict | None = None):
         self.model = model
         self.i_max = i_max
         self.simples = model.quiver.vertices
         self.per_simple = per_simple
         self.transported = frozenset(transported)
-        self.betti = {}
-        for u in self.simples:
-            for i, runs in enumerate(per_simple[u].gens):
-                for g, n in runs:
-                    key = (u, i, g.degree, g.vertex)
-                    self.betti[key] = self.betti.get(key, 0) + n
+        self.certified = betti is not None
+        if betti is None:
+            betti = {}
+            for u in self.simples:
+                for i, runs in enumerate(per_simple[u].gens):
+                    for g, n in runs:
+                        key = (u, i, g.degree, g.vertex)
+                        betti[key] = betti.get(key, 0) + n
+        self.betti = betti
         self._totals, self._step_totals = {}, {}
         for (_, i, d, _), n in self.betti.items():
             self._totals[(i, d)] = self._totals.get((i, d), 0) + n
             self._step_totals[i] = self._step_totals.get(i, 0) + n
+
+    @cached_property
+    def arrow_ranks(self) -> list:
+        """Per step i < i_max, the rank of the arrow parts of all the simples'
+        step-(i+1) differential columns (``generation_check``): certified, the
+        step total, as a minimal linear resolution's columns are independent
+        and hold only arrow words; else each resolved simple's ranks
+        (``_arrow_ranks``), which a transported simple repeats."""
+        if self.certified:
+            return [self.ext_total(i + 1) for i in range(self.i_max)]
+        sources = [self.per_simple[u].resolved_from for u in self.simples]
+        ranks = {v: _arrow_ranks(self.per_simple[v], self.i_max) for v in dict.fromkeys(sources)}
+        return [sum(ranks[v][i] for v in sources) for i in range(self.i_max)]
 
     @property
     def d_max(self) -> int:
@@ -433,8 +458,70 @@ class ResolutionReport:
         return [self.ext_total(i) for i in range(self.i_max + 1)]
 
 
+def _chain_betti(model: AlgebraModel, i_max: int) -> dict | None:
+    """The Betti table through step i_max as Anick chain counts, when the
+    model certifies its degree-2 tips as a Gröbner basis; else None.
+
+    The certificate needs relations of length 2 only and a window through
+    degree 3.  T holds the composable arrow pairs (a, t), t applied first,
+    whose word a∘t is no degree-2 basis word (``normal_pairs``).  A word
+    with a factor in T is a tip, so per block dim A_3 is at most the number
+    of length-3 paths with no pair in T; equality in every block means T
+    gives every tip of degree 3.  A quadratic algebra's overlaps have length
+    3, so T is then a Gröbner basis (Bergman's diamond lemma): A is PBW,
+    hence Koszul (Priddy 1970), and its Anick resolution is linear and
+    minimal.  Its n-chains are the length-n paths whose consecutive pairs
+    all lie in T, so β(u, n, n, w) counts those from u to w (Anick 1986;
+    Green, Solberg and Zacharia 2001) for n up to the window, and no other
+    entry is nonzero.
+
+    The tips are the model's, so its order must be a monomial order on the
+    words of one length (Green, "Noncommutative Gröbner bases, and
+    projective resolutions").  Columns a∘b are ordered by b, then by a in
+    the quiver's arrow order: by induction on the length, lexicographic
+    order from the first-applied arrow.  A pivot is its row's smallest
+    column, so a tip is the largest word in the reverse order.  Both orders
+    are total on the words of one length and kept by composing with a path
+    on either side, which keeps the first position where two words differ.
+
+    The counts run over (start vertex, last arrow); no chain is listed.
+    """
+    q, ids, normal = model.quiver, model.arrow_ids, model.normal_pairs
+    if model.max_degree < 3 or any(r.length != 2 for r in model.presentation.relations):
+        return None
+    # after[t]: the arrows a with (a, t) in T; free[t]: the other arrows after t
+    after, free = {}, {}
+    for t in q.arrows:
+        for a in q.arrows_by_source[t.target]:
+            (free if (ids[a], ids[t]) in normal else after).setdefault(t, []).append(a)
+    avoiding = {}
+    for t in q.arrows:
+        for b in free.get(t, ()):
+            for a in free.get(b, ()):
+                avoiding[t.source, a.target] = avoiding.get((t.source, a.target), 0) + 1
+    if avoiding != {(u, v): len(words) for (d, u), row in model.blocks_from.items()
+                    if d == 3 for v, words in row}:
+        return None
+    betti = {(u, 0, 0, u): 1 for u in q.vertices}
+    chains = {(a.source, a): 1 for a in q.arrows}
+    for n in range(1, min(i_max, model.max_degree) + 1):
+        if n > 1:
+            longer = {}
+            for (u, t), c in chains.items():
+                for a in after.get(t, ()):
+                    longer[u, a] = longer.get((u, a), 0) + c
+            chains = longer
+        for (u, a), c in chains.items():
+            betti[u, n, n, a.target] = betti.get((u, n, n, a.target), 0) + c
+    return betti
+
+
 def resolve(model: AlgebraModel, i_max: int) -> ResolutionReport:
     """Resolve every vertex simple through step i_max.
+
+    A model that certifies its degree-2 tips as a Gröbner basis gets a
+    ``certified`` report of chain counts (``_chain_betti``) and no
+    resolution; what follows is about every other model.
 
     Resolving S_v reads only the part of the algebra on the vertices reached
     from v.  After resolving S_v, each unresolved simple S_t whose part is
@@ -460,6 +547,11 @@ def resolve(model: AlgebraModel, i_max: int) -> ResolutionReport:
     covering, a deck map within v's piece and one onto each other piece
     serve every sheet.
     """
+    if i_max < 0:
+        raise ValueError("homological bound must be nonnegative")
+    betti = _chain_betti(model, i_max)
+    if betti is not None:
+        return ResolutionReport(model, i_max, {}, betti=betti)
     q, blocks = model.quiver, model.blocks_from
     simples, transported, verdicts = {}, set(), {}
     # the sorted block dimensions from each vertex, per degree
@@ -505,19 +597,21 @@ def resolve(model: AlgebraModel, i_max: int) -> ResolutionReport:
 
 
 def resolution_sizes(*reports: ResolutionReport) -> dict:
-    """Simples resolved and relabelled, and over the resolved ones the
-    blocks whose syzygy kernel was solved or only counted, and the
-    generators of every step and the runs that hold them."""
-    transported = sum(len(r.transported) for r in reports)
+    """Simples resolved, relabelled and certified, and over the resolved ones
+    the blocks whose syzygy kernel was solved or only counted; and the
+    generators of every step and the runs that hold them, a certified
+    report's Betti numbers and its entries."""
     resolutions = [res for r in reports for u, res in r.per_simple.items()
                    if u not in r.transported]
-    runs = [run for res in resolutions for step in res.gens for run in step]
+    runs = [n for res in resolutions for step in res.gens for _, n in step]
+    runs += [n for r in reports if r.certified for n in r.betti.values()]
     return {
         "simples_resolved": len(resolutions),
-        "simples_transported": transported,
+        "simples_transported": sum(len(r.transported) for r in reports),
+        "simples_certified": sum(len(r.simples) for r in reports if r.certified),
         "kernels_computed": sum(res.kernels_computed for res in resolutions),
         "kernels_skipped": sum(res.kernels_skipped for res in resolutions),
-        "generators": sum(n for _, n in runs),
+        "generators": sum(runs),
         "generator_runs": len(runs),
     }
 
@@ -601,23 +695,14 @@ def generation_check(ext: ExtAlgebra) -> GenerationReport:
     arrow word (``_arrow_ranks`` says why).
 
     With all simples resolved side by side, their columns sit at disjoint
-    offsets, so that rank is the sum of one rank per simple, with no lift.
-    Each resolved simple is ranked once: a transported simple's columns are
-    its source's moved by σ, which sends arrows to arrows and longer words
-    to combinations of longer words, so its ranks are the source's.
+    offsets, so that rank is the sum of one rank per simple, with no lift;
+    the report holds it (``arrow_ranks``).
     """
     report = ext.report
-    per_simple = report.per_simple
-    sources = [per_simple[u].resolved_from for u in report.simples]
-    ranks = {}
-    for v in sources:
-        if v not in ranks:
-            ranks[v] = _arrow_ranks(per_simple[v], ext.i_max)
     steps = []
     first_fail = None
-    for i in range(ext.i_max):
+    for i, achieved in enumerate(report.arrow_ranks):
         required = report.ext_total(i + 1)
-        achieved = sum(ranks[v][i] for v in sources)
         steps.append((i, achieved, required))
         if achieved != required and first_fail is None:
             first_fail = i
@@ -629,16 +714,14 @@ def hilbert_euler_check(report: ResolutionReport, cutoff: int):
 
     Valid through min(degree bound, homological bound): beyond that steps
     whose contribution would matter are missing.  A cutoff below 0 would
-    compare two empty truncations; both raise ValueError.  Returns
+    compare two empty truncations; both raise ``CutoffError``.  Returns
     (ok, witness) with the witness (u, v, d, got, want) at the first entry
     and degree, in label order, where the product is not the identity;
     only the positions reached by a Hilbert row or on the diagonal can be.
     """
     limit = min(report.d_max, report.i_max)
     if cutoff > limit:
-        raise ValueError(
-            f"cutoff {cutoff} exceeds the certified window {limit}"
-        )
+        raise CutoffError(f"cutoff {cutoff} exceeds the certified window {limit}")
     labels = report.simples
     # euler[u][w]: degree d -> the sum over i of (-1)^i β(u, i, d, w)
     euler = {u: {} for u in labels}
@@ -675,7 +758,7 @@ def koszul_duality_dim_check(dual_model: AlgebraModel, report: ResolutionReport)
     """
     v = report.verdict()
     if v.status != KOSZUL_TO_BOUND:
-        raise ValueError(f"duality dimension check needs {KOSZUL_TO_BOUND}, got {v}")
+        raise NotKoszulError(f"duality dimension check needs {KOSZUL_TO_BOUND}, got {v}")
     top = min(report.i_max, dual_model.max_degree)
     for i in range(top + 1):
         got = report.ext_total(i)

@@ -2,10 +2,19 @@
 
 ``basis_paths`` lists a model's basis words as paths, block by block, and
 ``canonical_key`` compares presentations up to the order of their
-relations.
+relations.  ``span_reduce`` and ``solve`` read an ``EchelonSpan`` and a
+``ColumnSolver`` without changing them.  ``resolve_in_full`` resolves with
+the Anick-chain certificate refused, so the tests that pin a resolution's
+steps, transport and sizes keep reading one.
 """
 
 from __future__ import annotations
+
+import pytest
+
+from quiverkoszul import resolution
+from quiverkoszul.linalg import _clean
+from quiverkoszul.resolution import resolve
 
 
 def basis_paths(model, d: int, u: str | None = None, v: str | None = None) -> list:
@@ -29,3 +38,32 @@ def canonical_key(p):
         tuple((a.label, a.source, a.target) for a in p.quiver.arrows),
         tuple(sorted(rel_keys)),
     )
+
+
+def span_reduce(span, vec: dict) -> dict:
+    """vec reduced by the span's stored rows, smallest pivot first; the
+    residue has no entry at any pivot."""
+    return span._reduce(_clean(vec))
+
+
+def solve(solver, vec: dict):
+    """Coordinates of vec over the solver's independent columns, or None."""
+    residue = span_reduce(solver._span, vec)
+    if residue and min(residue) < solver.height:
+        return None
+    # a residue without row entries is -sum c_i * tag_i, where vec is
+    # sum c_i * column_i over the independent columns i
+    h = solver.height
+    return {j - h: -c for j, c in residue.items()}
+
+
+def refuse_certificate(monkeypatch) -> None:
+    """Make ``resolve`` resolve every input, certified or not."""
+    monkeypatch.setattr(resolution, "_chain_betti", lambda model, i_max: None)
+
+
+def resolve_in_full(model, i_max: int):
+    """``resolve`` with the certificate refused: the full resolution."""
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_certificate(mp)
+        return resolve(model, i_max)

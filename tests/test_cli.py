@@ -5,19 +5,26 @@ from fractions import Fraction
 
 import pytest
 
-from quiverkoszul.algebra import AlgebraModel, Presentation
+from quiverkoszul.algebra import AlgebraModel, CutoffError, Presentation, hilbert_matrix
 from quiverkoszul.cli import main
 from quiverkoszul.corpus import corpus_instances, exterior
 from quiverkoszul.covering import build_covering
 from quiverkoszul.groups import cyclic_group
 from quiverkoszul.linalg import ColumnSolver, as_scalar
 from quiverkoszul.quiver import Quiver
+from quiverkoszul.resolution import (
+    NotKoszulError,
+    hilbert_euler_check,
+    koszul_duality_dim_check,
+    resolve,
+)
 from quiverkoszul.serialization import canonical_json, presentation_to_document
 from quiverkoszul.structure import (
     StructureConstantAlgebra,
     smash_product,
     verify_smash_covering_iso,
 )
+from oracles import refuse_certificate
 
 
 @pytest.fixture
@@ -100,17 +107,34 @@ def test_analyze_reports_verdict_and_dims(capsys, ext2_file):
 
 
 def test_resolving_commands_report_orbit_sizes_outside_canonical(capsys, tmp_path,
-                                                                ext2_graded_file):
+                                                                ext2_graded_file,
+                                                                monkeypatch):
     cover = tmp_path / "exterior2_z2.json"
     assert main(["cover", ext2_graded_file, "--group", "cyclic:2",
                  "--out", str(cover)]) == 0
     capsys.readouterr()
+    # both simples certified: i + 1 chains at step i from each, one entry
+    rc, report = run_json(capsys, ["analyze", str(cover)])
+    assert rc == 0
+    assert report["timing"]["sizes"] == {
+        "simples_resolved": 0, "simples_transported": 0, "simples_certified": 2,
+        "kernels_computed": 0, "kernels_skipped": 0,
+        "generators": 30, "generator_runs": 10}
+    assert "sizes" not in report["canonical"]
+    rc, report = run_json(
+        capsys, ["verify", ext2_graded_file, "--check", "covering-theorem"])
+    assert rc == 0
+    assert report["timing"]["sizes"] == {
+        "simples_resolved": 0, "simples_transported": 0, "simples_certified": 3,
+        "kernels_computed": 0, "kernels_skipped": 0,
+        "generators": 45, "generator_runs": 15}
+    refuse_certificate(monkeypatch)
     rc, report = run_json(capsys, ["analyze", str(cover)])
     assert rc == 0
     # one kernel solved per step for the resolved simple, every other
     # nonempty block counted; its i + 1 generators at step i sit in one run
     assert report["timing"]["sizes"] == {
-        "simples_resolved": 1, "simples_transported": 1,
+        "simples_resolved": 1, "simples_transported": 1, "simples_certified": 0,
         "kernels_computed": 4, "kernels_skipped": 7,
         "generators": 15, "generator_runs": 5}
     assert "sizes" not in report["canonical"]
@@ -119,7 +143,7 @@ def test_resolving_commands_report_orbit_sizes_outside_canonical(capsys, tmp_pat
     assert rc == 0
     # the base's one simple, and one of the covering's two
     assert report["timing"]["sizes"] == {
-        "simples_resolved": 2, "simples_transported": 1,
+        "simples_resolved": 2, "simples_transported": 1, "simples_certified": 0,
         "kernels_computed": 8, "kernels_skipped": 14,
         "generators": 30, "generator_runs": 10}
     rc, report = run_json(
@@ -151,30 +175,44 @@ def test_graded_verify_builds_its_group_once(monkeypatch, capsys, ext2_graded_fi
 
 
 def test_orbit_transport_reaches_coverings_that_fall_apart(capsys, tmp_path,
-                                                           ext2_file):
-    # identity weights give three disjoint copies: one simple is resolved
-    # and relabelled onto the other two
+                                                           ext2_file, monkeypatch):
     cover = tmp_path / "exterior2_z3.json"
     assert main(["cover", ext2_file, "--group", "cyclic:3",
                  "--out", str(cover)]) == 0
     capsys.readouterr()
-    rc, report = run_json(capsys, ["analyze", str(cover)])
-    assert rc == 0
-    assert report["timing"]["sizes"] == {
-        "simples_resolved": 1, "simples_transported": 2,
-        "kernels_computed": 4, "kernels_skipped": 7,
-        "generators": 15, "generator_runs": 5}
     # every weight s generates the order-2 subgroup of D3, so the covering
-    # is three copies of a two-vertex piece; one of its six simples is
-    # resolved, as is the base's one simple
+    # is three copies of a two-vertex piece
     ext4 = tmp_path / "exterior4_d3.json"
     ext4.write_text(canonical_json(presentation_to_document(
         exterior(4), ("dihedral", 3), {f"a{k}": "s" for k in range(1, 5)})))
+    # certified: i + 1 and C(3 + i, i) chains at step i from each simple
+    rc, report = run_json(capsys, ["analyze", str(cover)])
+    assert rc == 0
+    assert report["timing"]["sizes"] == {
+        "simples_resolved": 0, "simples_transported": 0, "simples_certified": 3,
+        "kernels_computed": 0, "kernels_skipped": 0,
+        "generators": 45, "generator_runs": 15}
+    rc, report = run_json(capsys, ["verify", str(ext4), "--check", "covering-theorem"])
+    assert rc == 0
+    assert report["timing"]["sizes"] == {
+        "simples_resolved": 0, "simples_transported": 0, "simples_certified": 7,
+        "kernels_computed": 0, "kernels_skipped": 0,
+        "generators": 490, "generator_runs": 35}
+    refuse_certificate(monkeypatch)
+    # identity weights give three disjoint copies: one simple is resolved
+    # and relabelled onto the other two
+    rc, report = run_json(capsys, ["analyze", str(cover)])
+    assert rc == 0
+    assert report["timing"]["sizes"] == {
+        "simples_resolved": 1, "simples_transported": 2, "simples_certified": 0,
+        "kernels_computed": 4, "kernels_skipped": 7,
+        "generators": 15, "generator_runs": 5}
+    # one of the covering's six simples is resolved, as is the base's one
     rc, report = run_json(capsys, ["verify", str(ext4), "--check", "covering-theorem"])
     assert rc == 0
     # each resolved simple has C(3 + i, i) generators at step i, in one run
     assert report["timing"]["sizes"] == {
-        "simples_resolved": 2, "simples_transported": 5,
+        "simples_resolved": 2, "simples_transported": 5, "simples_certified": 0,
         "kernels_computed": 8, "kernels_skipped": 28,
         "generators": 140, "generator_runs": 10}
 
@@ -359,6 +397,30 @@ def test_radical_smash_fails_on_a_wrong_radical(monkeypatch, capsys, ext2_graded
         "radical_dim": radical_dim, "expected_dim": 6, "spans_match": False}
 
 
+@pytest.mark.parametrize("options, line", [
+    (["--check", "hilbert-euler", "--cutoff", "-1"], "error: cutoff -1 is negative"),
+    (["--check", "hilbert-euler", "--cutoff", "5"],
+     "error: cutoff 5 exceeds the certified window 4"),
+    (["--check", "duality-dims", "--max-degree", "2"],
+     "error: duality dimension check needs koszul-to-bound, got unknown-beyond-bound"),
+], ids=["negative-cutoff", "cutoff-past-window", "duality-needs-koszul"])
+def test_precondition_errors_exit_2_with_their_message(capsys, ext2_file, options, line):
+    assert main(["verify", ext2_file, *options]) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_precondition_errors_are_named():
+    # the three sites behind the exit-2 lines above
+    model = AlgebraModel(exterior(2), 6)
+    with pytest.raises(CutoffError, match="^cutoff -1 is negative$"):
+        hilbert_matrix(model, -1)
+    with pytest.raises(CutoffError, match="^cutoff 5 exceeds the certified window 4$"):
+        hilbert_euler_check(resolve(model, 4), 5)
+    with pytest.raises(NotKoszulError, match="got unknown-beyond-bound$"):
+        koszul_duality_dim_check(AlgebraModel(exterior(2), 2),
+                                 resolve(AlgebraModel(exterior(2), 2), 4))
+
+
 def test_internal_error_exit_3(capsys, monkeypatch, ext2_file):
     # every column dependent with an empty expansion: each coordinate becomes
     # a syzygy, so the first solved kernel exceeds the exactness count
@@ -366,6 +428,7 @@ def test_internal_error_exit_3(capsys, monkeypatch, ext2_file):
         self.count += 1
         return {self.count - 1: 1}
 
+    refuse_certificate(monkeypatch)
     monkeypatch.setattr(ColumnSolver, "_add_column", all_dependent)
     rc = main(["analyze", ext2_file, "--max-degree", "3", "--max-homological", "3"])
     assert rc == 3
@@ -375,6 +438,7 @@ def test_internal_error_exit_3(capsys, monkeypatch, ext2_file):
 
 
 def test_kernel_below_the_exactness_count_exits_3(capsys, monkeypatch, ext2_file):
+    refuse_certificate(monkeypatch)
     monkeypatch.setattr(ColumnSolver, "_add_column", lambda self, vec: None)
     rc = main(["analyze", ext2_file, "--max-degree", "3", "--max-homological", "3"])
     assert rc == 3

@@ -71,7 +71,7 @@ from quiverkoszul.resolution import (
     theorem_covering_check,
 )
 from quiverkoszul.serialization import canonical_json, presentation_to_document
-from oracles import basis_paths
+from oracles import basis_paths, refuse_certificate, resolve_in_full, solve
 from random_inputs import GROUPS, random_graded_presentation, random_presentation
 from yoneda import ExtElement, YonedaAlgebra, expand_diffs, expand_runs
 
@@ -104,7 +104,7 @@ def _degree_coords_by_degree(model: AlgebraModel, gens: list, D: int, window: ra
 @pytest.fixture(scope="module")
 def ext2_report():
     model = AlgebraModel(exterior(2), 5)
-    return resolve(model, 5)
+    return resolve_in_full(model, 5)
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +211,7 @@ def test_each_step_walks_its_generators_once(monkeypatch):
         {"x1": "1", "x2": "2"},
     )
     monkeypatch.setattr(resolution, "_step_blocks", counted)
-    report = resolve(AlgebraModel(cover, 6), 5)
+    report = resolve_in_full(AlgebraModel(cover, 6), 5)
     assert report.ext_totals() == [3 * 2 ** i for i in range(6)]
     # the gens lists stay alive in the report, so their ids name the steps
     assert calls and len(calls) == len(set(calls))
@@ -409,7 +409,7 @@ class TestExtAlgebra:
 
     @pytest.mark.parametrize("step", [-1, 4])
     def test_step_outside_the_window_is_a_named_error(self, step):
-        ext = YonedaAlgebra(resolve(AlgebraModel(exterior(2), 4), 3))
+        ext = YonedaAlgebra(resolve_in_full(AlgebraModel(exterior(2), 4), 3))
         assert [ext.ext_dim(i) for i in range(4)] == [1, 2, 3, 4]
         pattern = f"step {step} outside the window 0..3"
         with pytest.raises(ValueError, match=pattern):
@@ -508,7 +508,7 @@ def _scanning_lift(ext, xi, steps):
             solution = {}
             for D, block_rhs in by_degree.items():
                 cur = ext._coords(step, D, g.vertex)
-                coords = ext._solver(step, D, g.vertex).solve(block_rhs)
+                coords = solve(ext._solver(step, D, g.vertex), block_rhs)
                 if coords is None:
                     raise InternalError(f"not exact at step {step}, degree {D}")
                 for pos, c in coords.items():
@@ -548,7 +548,7 @@ _LIFT_CASES = {
 @pytest.mark.parametrize("name", sorted(_LIFT_CASES))
 def test_lift_matches_scanning_reference(name):
     p, i_max, d_max = _LIFT_CASES[name]()
-    ext = YonedaAlgebra(resolve(AlgebraModel(p, d_max), i_max))
+    ext = YonedaAlgebra(resolve_in_full(AlgebraModel(p, d_max), i_max))
     compared = 0
     for steps in (1, 2, 3):
         for i in range(ext.i_max - steps + 1):
@@ -564,7 +564,7 @@ def test_lift_matches_scanning_reference(name):
 
 def test_yoneda_associativity_across_steps():
     model = AlgebraModel(_loops2(), 4)
-    ext = YonedaAlgebra(resolve(model, 4))
+    ext = YonedaAlgebra(resolve_in_full(model, 4))
     for x in ext.ext_basis(1):
         for y in ext.ext_basis(2):
             xy = ext.yoneda_product(x, y)
@@ -600,7 +600,7 @@ def test_negative_step_is_a_named_error(ext2_report):
 
 
 def test_product_past_the_window_is_a_named_error():
-    ext = YonedaAlgebra(resolve(AlgebraModel(exterior(2), 4), 4))
+    ext = YonedaAlgebra(resolve_in_full(AlgebraModel(exterior(2), 4), 4))
     xi, zeta = ext.ext_basis(3)[:2]
     with pytest.raises(ValueError, match="leaves the homological window"):
         ext.yoneda_product(xi, zeta)
@@ -609,7 +609,7 @@ def test_product_past_the_window_is_a_named_error():
 def test_inexact_lift_is_an_internal_error(monkeypatch, ext2_report):
     # an exact resolution always solves its lifting systems; pretend not
     ext = YonedaAlgebra(ext2_report)
-    monkeypatch.setattr(ColumnSolver, "solve", lambda self, vec: None)
+    monkeypatch.setattr("yoneda.solve", lambda solver, vec: None)
     y1, y2 = ext.ext_basis(1)
     with pytest.raises(InternalError, match="resolution fails to be exact"):
         ext.yoneda_product(y1, y2)
@@ -630,7 +630,7 @@ def _generation_steps_by_products(ext):
 
 
 def _assert_generation_is_product_rank(presentation, i_max, d_max):
-    ext = YonedaAlgebra(resolve(AlgebraModel(presentation, d_max), i_max))
+    ext = YonedaAlgebra(resolve_in_full(AlgebraModel(presentation, d_max), i_max))
     want = _generation_steps_by_products(ext)
     got = generation_check(ext)
     assert got.steps == want
@@ -675,7 +675,7 @@ def _generation_by_bundle_rank(ext):
 
 
 def _assert_generation_is_bundle_rank(presentation, i_max, d_max):
-    ext = YonedaAlgebra(resolve(AlgebraModel(presentation, d_max), i_max))
+    ext = YonedaAlgebra(resolve_in_full(AlgebraModel(presentation, d_max), i_max))
     got = generation_check(ext)
     assert (got.steps, got.passed, got.first_failure_i) == \
         _generation_by_bundle_rank(ext)
@@ -758,7 +758,7 @@ def test_generation_ranks_each_resolved_simple_once(monkeypatch):
 
     monkeypatch.setattr(resolution, "_arrow_ranks", spy)
     cover = build_covering(_loops2(), cyclic_group(3), {"x1": "1", "x2": "2"})
-    report = resolve(AlgebraModel(cover, 6), 5)
+    report = resolve_in_full(AlgebraModel(cover, 6), 5)
     gen = generation_check(ExtAlgebra(report))
     # one simple resolved, the deck group relabels it onto the other two
     assert len(report.transported) == 2
@@ -784,7 +784,7 @@ def _arrow_rank_cases():
 def arrow_rank_report(request):
     # module scope runs both tests of one case on one resolution
     presentation, window = _arrow_rank_cases()[request.param]
-    return resolve(AlgebraModel(presentation, window), window)
+    return resolve_in_full(AlgebraModel(presentation, window), window)
 
 
 def test_arrow_count_is_the_elimination_rank(arrow_rank_report):
@@ -892,7 +892,7 @@ def _assert_transported_square_to_zero(report):
 def test_orbit_transported_resolutions_are_exact(name):
     p, i_max, d_max = _orbit_covers()[name]
     model = AlgebraModel(p, d_max)
-    report = resolve(model, i_max)
+    report = resolve_in_full(model, i_max)
     # the deck group moves the simples, so some are relabelled
     assert len(report.transported) > 0
     _assert_transported_square_to_zero(report)
@@ -956,7 +956,7 @@ def _orbit_betti_cases():
 @pytest.mark.parametrize("name", sorted(_orbit_betti_cases()))
 def test_orbit_transport_keeps_the_betti_table(name):
     model = AlgebraModel(_orbit_betti_cases()[name], 4)
-    report = resolve(model, 3)
+    report = resolve_in_full(model, 3)
     assert report.betti == _direct_betti(model, 3)
     for u in report.transported:
         assert report.per_simple[u].vertex == u
@@ -1008,8 +1008,8 @@ def test_covering_betti_numbers_push_down_to_the_base(name):
     # (w, h·g)) does not depend on g; resolve transports most cover simples,
     # so this checks where each transported simple's generators sit
     p, group, weights = _homogeneous_corpus_covers()[name]
-    base = resolve(AlgebraModel(p, 4), 4).betti
-    cover = resolve(AlgebraModel(build_covering(p, group, weights), 4), 4).betti
+    base = resolve_in_full(AlgebraModel(p, 4), 4).betti
+    cover = resolve_in_full(AlgebraModel(build_covering(p, group, weights), 4), 4).betti
     summed, relative = {}, {}
     for (u, i, d, x), n in cover.items():
         (v, g), (w, k) = split_sheet(u), split_sheet(x)
@@ -1170,7 +1170,7 @@ def test_orbit_leaf_swap_reorders_the_centre_and_is_transported():
     sigma = rooted_isomorphism(q, "l1", "l2")
     assert (sigma.vertices, sigma.arrows) == (swap.vertices, swap.arrows)
     assert keeps_model(model, swap)
-    report = resolve(model, 3)
+    report = resolve_in_full(model, 3)
     assert report.transported == {"l2", "l3", "l4"}
     assert report.betti == _direct_betti(model, 3)
     _assert_transported_square_to_zero(report)
@@ -1184,7 +1184,7 @@ def test_orbit_leaves_of_symmetric_trees_are_transported(build, n):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = AlgebraModel(build(parse_quiver_spec(f"star:{n}")), 6)
-    report = resolve(model, 6)
+    report = resolve_in_full(model, 6)
     leaves = [v for v in model.quiver.vertices if v != "c"]
     assert len(leaves) == n
     assert set(leaves[1:]) <= report.transported
@@ -1211,7 +1211,7 @@ def test_orbit_swap_that_breaks_the_ideal_is_rejected():
     assert keeps_model(model, identity)
     assert ideal_breaker(model, swap) is p.relations[0]
     assert not keeps_model(model, swap)
-    report = resolve(model, 3)
+    report = resolve_in_full(model, 3)
     assert report.transported == frozenset()
     assert report.betti == _direct_betti(model, 3)
     # the two simples really differ: only S(2) has a relation to resolve
@@ -1225,7 +1225,7 @@ def _one_way_ideal(order):
 
 
 @pytest.mark.parametrize("order", [("1", "2"), ("2", "1")])
-def test_orbit_counterexample_one_way_ideal_check(order, capsys, tmp_path):
+def test_orbit_counterexample_one_way_ideal_check(order, capsys, tmp_path, monkeypatch):
     # the map 1 -> 2 keeps the (empty) set of relations starting at 1, yet
     # x∘x is a basis word and y∘y is not, so the degree-2 blocks differ
     p = _one_way_ideal(order)
@@ -1235,14 +1235,19 @@ def test_orbit_counterexample_one_way_ideal_check(order, capsys, tmp_path):
     assert ideal_breaker(model, forward) is None
     assert not keeps_model(model, forward)
     assert not keeps_model(model, rooted_isomorphism(q, "2", "1"))
-    report = resolve(model, 3)
+    report = resolve_in_full(model, 3)
     assert report.transported == frozenset()
     assert report.betti == _direct_betti(model, 3)
     doc = tmp_path / "two_loops.json"
     doc.write_text(canonical_json(presentation_to_document(p)))
-    assert main(["analyze", str(doc)]) == 0
-    sizes = json.loads(capsys.readouterr().out)["timing"]["sizes"]
-    assert (sizes["simples_resolved"], sizes["simples_transported"]) == (2, 0)
+    # y∘y alone is a Gröbner basis, so analyze counts chains; refused,
+    # it resolves both simples
+    for want in ((0, 0, 2), (2, 0, 0)):
+        assert main(["analyze", str(doc)]) == 0
+        sizes = json.loads(capsys.readouterr().out)["timing"]["sizes"]
+        assert (sizes["simples_resolved"], sizes["simples_transported"],
+                sizes["simples_certified"]) == want
+        refuse_certificate(monkeypatch)
 
 
 def _equal_tips():
@@ -1265,7 +1270,7 @@ def test_orbit_equal_tips_with_different_normal_forms_are_not_transported():
                 == basis_paths(model, d, "2", "2"))
     assert ideal_breaker(model, sigma) is p.relations[0]
     assert not keeps_model(model, sigma)
-    report = resolve(model, 3)
+    report = resolve_in_full(model, 3)
     assert report.transported == frozenset()
     assert report.betti == _direct_betti(model, 3)
 
@@ -1314,7 +1319,7 @@ def test_orbit_certificate_accepts_a_map_that_sends_a_basis_word_off_the_basis()
     assert {a.label: b.label for a, b in rooted.arrows.items()} == {
         "a1": "c1", "a2": "c2", "b1": "d1", "b2": "d2"}
     assert keeps_model(model, rooted)
-    report = resolve(model, 3)
+    report = resolve_in_full(model, 3)
     assert "5" in report.transported
     assert report.betti == _direct_betti(model, 3)
 
@@ -1380,16 +1385,16 @@ def test_orbit_copies_transport_and_perturbed_copies_resolve_alike(seed):
     rng = random.Random(1300 + seed)
     p = random_presentation(rng)
     model = AlgebraModel(_with_copy(p), 4)
-    report = resolve(model, 3)
+    report = resolve_in_full(model, 3)
     assert {v + "'" for v in p.quiver.vertices} <= report.transported
     assert report.betti == _direct_betti(model, 3)
     model = AlgebraModel(_with_copy(p, rng), 4)
-    report = resolve(model, 3)
+    report = resolve_in_full(model, 3)
     assert report.betti == _direct_betti(model, 3)
     _assert_transported_square_to_zero(report)
     # a copy that reorders the arrows, whatever the search transports
     model = AlgebraModel(_with_copy(p, reverse=True), 4)
-    report = resolve(model, 3)
+    report = resolve_in_full(model, 3)
     assert report.betti == _direct_betti(model, 3)
     _assert_transported_square_to_zero(report)
 
@@ -1638,7 +1643,7 @@ def test_arrow_images_stop_at_the_exactness_count(monkeypatch):
     # checks take; computing every image takes 504, and stopping at the
     # count in the order of the arrows alone 251
     calls = _counting_products(monkeypatch)
-    report = resolve(AlgebraModel(exterior(3), 7), 7)
+    report = resolve_in_full(AlgebraModel(exterior(3), 7), 7)
     assert report.ext_totals() == [binom(i + 2, 2) for i in range(8)]
     assert resolution_sizes(report)["kernels_computed"] == 7
     assert len(calls) == 450
@@ -1652,7 +1657,7 @@ def test_arrow_image_counts_are_pinned(monkeypatch, p, d_max, i_max, want):
     # every product resolve takes, arrow images and kernels; with the
     # images in the order of the arrows alone, 633 and 582
     calls = _counting_products(monkeypatch)
-    resolve(AlgebraModel(p, d_max), i_max)
+    resolve_in_full(AlgebraModel(p, d_max), i_max)
     assert len(calls) == want
 
 
@@ -1741,7 +1746,7 @@ def test_vanishing_radical_square_zero_steps_solve_nothing(monkeypatch):
 
     monkeypatch.setattr(ColumnSolver, "_add_column", refuse)
     model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:3")), 7)
-    report = resolve(model, 7)
+    report = resolve_in_full(model, 7)
     assert report.ext_totals() == [3 ** i for i in range(8)]
     assert report.per_simple["1"].kernels_computed == 7
 
@@ -1756,7 +1761,7 @@ def test_vanishing_radical_square_zero_steps_multiply_nothing(monkeypatch):
 
     monkeypatch.setattr(resolution, "_diff_image", refuse)
     model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:3")), 7)
-    report = resolve(model, 7)
+    report = resolve_in_full(model, 7)
     assert report.ext_totals() == [3 ** i for i in range(8)]
 
 
@@ -1929,7 +1934,7 @@ def test_unit_batches_on_radical_square_zero_are_every_run(name, monkeypatch):
     # step 0 vanishes, so every run is a UnitBatch of the block's runs
     p, d_max, i_max = _units_cases()[name]
     model = AlgebraModel(p, d_max)
-    report = resolve(model, i_max)
+    report = resolve_in_full(model, i_max)
     for res in report.per_simple.values():
         if res.vertex not in report.transported:
             assert all(type(run) is UnitBatch for step in res.diffs[1:] for run in step)
@@ -1952,7 +1957,7 @@ def test_unit_vectors_of_a_transported_copy_move_by_the_word_images(name):
     # k·W + NF(σ(words[b])), which a deck map keeps one word with coefficient 1
     p, d_max, i_max = {**_units_cases(), **_orbit_covers()}[name]
     model = AlgebraModel(p, d_max)
-    report = resolve(model, i_max)
+    report = resolve_in_full(model, i_max)
     W = len(model.words)
     moved = 0
     for t in report.transported:
@@ -1977,7 +1982,7 @@ def test_loops3_holds_one_differential_entry_per_step():
     # the step's one run of generators, so its differentials are one
     # UnitBatch of the block's runs, with no dict per generator built
     model = AlgebraModel(radical_square_zero(parse_quiver_spec("loops:3")), 8)
-    res = resolve(model, 8).per_simple["1"]
+    res = resolve_in_full(model, 8).per_simple["1"]
     assert [len(step) for step in res.diffs] == [1] * 9
     assert res.diffs[0] == [[{}]]
     assert all(type(run) is UnitBatch for step in res.diffs[1:] for run in step)
@@ -2053,7 +2058,7 @@ def test_relabelled_unit_batches_expand_to_the_moved_flat_form(case):
         else:
             p = _with_copy(random_presentation(random.Random(181)), reverse=True)
         model = AlgebraModel(p, 5 if case.startswith("random") else 6)
-        report = resolve(model, 5)
+        report = resolve_in_full(model, 5)
         copy = report.per_simple["l2" if case.startswith("star") else "1'"]
         assert copy.vertex in report.transported
     source, sigma = copy._moved_by
@@ -2111,7 +2116,7 @@ def test_a_unit_run_is_checked_once_per_word_pair(monkeypatch):
     # would be 144); step 0's zero differential takes none
     calls = _vanishing_check_products(monkeypatch)
     model = AlgebraModel(_radical_cube_zero_loops2(), 9)
-    assert resolve(model, 8).ext_totals() == [1, 2, 8, 16, 64, 128, 512, 0, 0]
+    assert resolve_in_full(model, 8).ext_totals() == [1, 2, 8, 16, 64, 128, 512, 0, 0]
     arrows = sorted(model.arrow_ids.values())
     squares = [c for c in range(len(model.words)) if model.lengths[c] == 2]
     assert len(calls) == 16
@@ -2156,7 +2161,7 @@ def test_every_stored_entry_is_a_dict_or_a_unit_batch_run(name, monkeypatch):
 
     monkeypatch.setattr(resolution, "_step_blocks", spy)
     p, window = _form_cases()[name]
-    report = resolve(AlgebraModel(p, window), window)
+    report = resolve_in_full(AlgebraModel(p, window), window)
     for res in report.per_simple.values():
         assert res.diffs[0] == [[{}]]
         for runs, step in zip(res.gens, res.diffs):
@@ -2216,27 +2221,27 @@ def _assert_run_format(report):
     ids=[label for label, _ in corpus_instances()],
 )
 def test_runs_are_well_formed_on_the_corpus(presentation):
-    _assert_run_format(resolve(AlgebraModel(presentation, 5), 5))
-    _assert_run_format(resolve(AlgebraModel(_z2_cover(presentation), 4), 4))
+    _assert_run_format(resolve_in_full(AlgebraModel(presentation, 5), 5))
+    _assert_run_format(resolve_in_full(AlgebraModel(_z2_cover(presentation), 4), 4))
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_runs_are_well_formed_on_random_presentations(seed):
     p = random_presentation(random.Random(seed))
-    _assert_run_format(resolve(AlgebraModel(p, 5), 5))
+    _assert_run_format(resolve_in_full(AlgebraModel(p, 5), 5))
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_runs_are_well_formed_on_random_graded_covers(seed):
     cover = build_covering(*random_graded_presentation(random.Random(seed)))
-    report = resolve(AlgebraModel(cover, 4), 4)
+    report = resolve_in_full(AlgebraModel(cover, 4), 4)
     _assert_run_format(report)
 
 
 def test_runs_on_loops3_are_one_per_step():
     # every block past step 0 vanishes and each step's generators sit in
     # one block, degree i at the one vertex: 3^i generators in one run
-    report = resolve(AlgebraModel(radical_square_zero(parse_quiver_spec("loops:3")), 8), 8)
+    report = resolve_in_full(AlgebraModel(radical_square_zero(parse_quiver_spec("loops:3")), 8), 8)
     assert report.per_simple["1"].gens == [[(Generator("1", i), 3 ** i)] for i in range(9)]
     _assert_run_format(report)
 
@@ -2359,7 +2364,7 @@ def test_orbit_transport_checked_once_per_deck_map(monkeypatch):
         return keeps_model(model, sigma)
 
     monkeypatch.setattr(resolution, "keeps_model", spy)
-    report = resolve(model, 6)
+    report = resolve_in_full(model, 6)
     assert len(checked) == len(set(checked)) == 10
     assert len(report.transported) == 15
     assert report.betti == _direct_betti(model, 6)
@@ -2387,7 +2392,7 @@ def _resolve_recording_maps(monkeypatch, model, i_max):
 
     monkeypatch.setattr(resolution, "keeps_model", check)
     monkeypatch.setattr(SimpleResolution, "relabelled", record)
-    report = resolve(model, i_max)
+    report = resolve_in_full(model, i_max)
     monkeypatch.undo()
     return report, checked, moved
 
@@ -2528,8 +2533,8 @@ def _diagonal(name):
 def test_diagonal_betti_numbers_are_the_dual_blocks(name):
     # Koszul or not, the diagonal Ext of a quadratic algebra is its
     # quadratic dual, block by block (Löfwall): β(u, i, i, w) is the dual's
-    # degree-i block from w to u.  On radical-square-zero algebras every
-    # one of these generators comes from a unit batch
+    # degree-i block from w to u.  The certified inputs among these, the
+    # radical-square-zero ones included, get the table as chain counts
     for key, (betti, dual, _) in _diagonal(name).items():
         assert betti == dual, key
 

@@ -23,6 +23,7 @@ from quiverkoszul.resolution import (
     _run_coords,
     _step_blocks,
 )
+from oracles import solve
 
 
 def expand_runs(step) -> list:
@@ -154,7 +155,7 @@ class YonedaAlgebra(ExtAlgebra):
             by_degree.setdefault(D, {})[key] = c
         solution = {}
         for D, block_rhs in by_degree.items():
-            coords = self._solver(step, D, w).solve(block_rhs)
+            coords = solve(self._solver(step, D, w), block_rhs)
             if coords is None:
                 raise InternalError(
                     f"resolution fails to be exact at step {step},"
